@@ -1,0 +1,146 @@
+//! Pinned launch digests: the full observable result of every app at
+//! fixed sizes on A100 + native CUDA. Each cell pins the ledger digest
+//! (clock, comm time and every record), the launch digest (records
+//! only), the clock and the validation scalar by bit pattern, and the
+//! real/elided transfer counts.
+//!
+//! Any change to how launches or data movement are priced, executed or
+//! committed moves one of these values, so a refactor of the launch path
+//! must leave every line unchanged. After an *intended* model change,
+//! paste the table the failure message prints over `PINNED`.
+
+use miniapps::{Acoustic, App, CloverLeaf2d, CloverLeaf3d, Mgcfd, OpenSbli, Rtm, SbliVariant};
+use sycl_sim::{PlatformId, Scheme, Session, SessionConfig, Toolchain};
+
+/// One pinned run: a label, the app, its scheme (MG-CFD only) and
+/// whether the session dry-runs.
+struct Cell {
+    label: &'static str,
+    app: Box<dyn App>,
+    scheme: Option<Scheme>,
+    dry: bool,
+}
+
+fn cell(label: &'static str, app: impl App + 'static, scheme: Option<Scheme>, dry: bool) -> Cell {
+    Cell {
+        label,
+        app: Box::new(app),
+        scheme,
+        dry,
+    }
+}
+
+/// Every app at `::test()` size (MG-CFD under all three schemes), then
+/// one dry-run `::paper()` cell per app.
+fn cells() -> Vec<Cell> {
+    vec![
+        cell("cloverleaf2d/test", CloverLeaf2d::test(), None, false),
+        cell("cloverleaf3d/test", CloverLeaf3d::test(), None, false),
+        cell(
+            "opensbli_sa/test",
+            OpenSbli::test(SbliVariant::StoreAll),
+            None,
+            false,
+        ),
+        cell(
+            "opensbli_sn/test",
+            OpenSbli::test(SbliVariant::StoreNone),
+            None,
+            false,
+        ),
+        cell("rtm/test", Rtm::test(), None, false),
+        cell("acoustic/test", Acoustic::test(), None, false),
+        cell(
+            "mgcfd/atomics/test",
+            Mgcfd::test(),
+            Some(Scheme::Atomics),
+            false,
+        ),
+        cell(
+            "mgcfd/global/test",
+            Mgcfd::test(),
+            Some(Scheme::GlobalColor),
+            false,
+        ),
+        cell(
+            "mgcfd/hier/test",
+            Mgcfd::test(),
+            Some(Scheme::HierColor),
+            false,
+        ),
+        cell("cloverleaf2d/paper", CloverLeaf2d::paper(), None, true),
+        cell("cloverleaf3d/paper", CloverLeaf3d::paper(), None, true),
+        cell(
+            "opensbli_sa/paper",
+            OpenSbli::paper(SbliVariant::StoreAll),
+            None,
+            true,
+        ),
+        cell(
+            "opensbli_sn/paper",
+            OpenSbli::paper(SbliVariant::StoreNone),
+            None,
+            true,
+        ),
+        cell("rtm/paper", Rtm::paper(), None, true),
+        cell("acoustic/paper", Acoustic::paper(), None, true),
+        cell(
+            "mgcfd/hier/paper",
+            Mgcfd::paper(),
+            Some(Scheme::HierColor),
+            true,
+        ),
+    ]
+}
+
+/// Run one cell on a fresh session and render everything it pins.
+fn observe(c: &Cell) -> String {
+    let mut cfg = SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app(c.app.name());
+    if let Some(s) = c.scheme {
+        cfg = cfg.scheme(s);
+    }
+    if c.dry {
+        cfg = cfg.dry_run();
+    }
+    let session = Session::create(cfg).expect("A100 + native CUDA runs every app");
+    let run = c.app.run(&session);
+    let stats = session.transfer_stats();
+    format!(
+        "{} ledger={:016x} launch={:016x} elapsed={:016x} validation={:016x} real={} elided={}",
+        c.label,
+        session.ledger_digest(),
+        session.launch_digest(),
+        session.elapsed().to_bits(),
+        run.validation.to_bits(),
+        stats.real,
+        stats.elided,
+    )
+}
+
+const PINNED: &[&str] = &[
+    "cloverleaf2d/test ledger=05787d8e011ea11d launch=827269d438a86faf elapsed=3f6281854fdaa613 validation=40a3c20000000000 real=12 elided=0",
+    "cloverleaf3d/test ledger=2359a4094048d29a launch=ca75d1e2e3770ad3 elapsed=3f5ec63c92a0dad4 validation=40c00c0000000002 real=11 elided=0",
+    "opensbli_sa/test ledger=f616607c33997a61 launch=f8331241a5f1fdd7 elapsed=3f6dec33760afea7 validation=40b0000000000000 real=16 elided=0",
+    "opensbli_sn/test ledger=805e2bedd92c08b3 launch=88766fdb6c20d186 elapsed=3f67c5317bb8dc05 validation=40b0000000000000 real=11 elided=0",
+    "rtm/test ledger=cb20fb2e358fd3b7 launch=b71906b663091fca elapsed=3f3a6e635a45e2c9 validation=3fef2e1a772d588b real=4 elided=0",
+    "acoustic/test ledger=6c5ff4ce0c9186aa launch=097f39357fcc1fb3 elapsed=3f26db1e42e38286 validation=4001f32b31cee70a real=4 elided=0",
+    "mgcfd/atomics/test ledger=ada8b4c400a010f0 launch=81403a9ee6602f37 elapsed=3f34f66b9607e581 validation=40ba4ba3516557cf real=7 elided=0",
+    "mgcfd/global/test ledger=0a55f8377039a3e8 launch=73e6f6cf201e0570 elapsed=3f451f6379b5e682 validation=40ba4ba3516557cf real=7 elided=0",
+    "mgcfd/hier/test ledger=1f172be1f293e155 launch=29fed93f77f3adda elapsed=3f398b5fd7dca575 validation=40ba4ba3516557cf real=7 elided=0",
+    "cloverleaf2d/paper ledger=afbd3f0c015f67cb launch=fb1f9d1c03927a59 elapsed=3ff0053b025410e5 validation=7ff8000000000000 real=12 elided=0",
+    "cloverleaf3d/paper ledger=5605c89a0190d281 launch=e63eb625721595c3 elapsed=3fecab58ed0309e6 validation=7ff8000000000000 real=11 elided=0",
+    "opensbli_sa/paper ledger=ac8529db6ee1e2be launch=c003f4264a85caff elapsed=3ff15ee2892cb819 validation=7ff8000000000000 real=16 elided=0",
+    "opensbli_sn/paper ledger=12adca9b4f561ec0 launch=f2702f4f126c73bd elapsed=3fe38db6a40f5bee validation=7ff8000000000000 real=11 elided=0",
+    "rtm/paper ledger=f5352fc2c11716c9 launch=9fb6cbf0664c1908 elapsed=3fa1b9173344a3a7 validation=7ff8000000000000 real=4 elided=0",
+    "acoustic/paper ledger=aeb52e963d30ab97 launch=5cd618d703ae72ec elapsed=3ffad21685b1bb74 validation=7ff8000000000000 real=4 elided=0",
+    "mgcfd/hier/paper ledger=f68e8f82a116948a launch=68f42f4b6abc2db4 elapsed=3fc58de519d49e73 validation=7ff8000000000000 real=9 elided=0",
+];
+
+#[test]
+fn every_app_reproduces_its_pinned_launch_digests() {
+    let got: Vec<String> = cells().iter().map(observe).collect();
+    if got != PINNED {
+        let table: String = got.iter().map(|l| format!("    \"{l}\",\n")).collect();
+        panic!("launch digests moved; the new values are:\n{table}");
+    }
+}
