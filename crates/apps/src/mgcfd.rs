@@ -439,33 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn replayed_and_eager_launch_paths_are_bit_identical_under_every_scheme() {
-        for scheme in Scheme::all() {
-            let make = |eager: bool| {
-                let mut cfg = SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
-                    .app(apps::MGCFD)
-                    .scheme(scheme);
-                if eager {
-                    cfg = cfg.eager_launches();
-                }
-                Session::create(cfg).unwrap()
-            };
-            let app = Mgcfd::test();
-            let replayed = make(false);
-            let eager = make(true);
-            let a = app.run(&replayed);
-            let b = app.run(&eager);
-            assert_eq!(
-                replayed.ledger_digest(),
-                eager.ledger_digest(),
-                "{scheme:?}: ledger digests diverge between replay and eager"
-            );
-            assert_eq!(replayed.elapsed().to_bits(), eager.elapsed().to_bits());
-            assert_eq!(a.validation.to_bits(), b.validation.to_bits());
-        }
-    }
-
-    #[test]
     fn schemes_agree_on_the_final_state() {
         let run_with = |scheme| {
             let s = Session::create(

@@ -2,30 +2,26 @@
 //!
 //! A [`GraphBuilder`] records a sequence of launches (plus transfers,
 //! halo exchanges and phase markers) as [`LaunchNode`]s with functional
-//! bodies. [`LaunchGraph::replay`] then runs the four launch layers in
-//! batch: the whole graph is priced under **one** pricing-cache lock
+//! bodies. [`LaunchGraph::replay`] then runs the launch stages in batch:
+//! the whole graph is priced under **one** pricing-cache lock
 //! acquisition, the bodies execute back-to-back, and the whole sequence
-//! commits under **one** ledger lock acquisition — instead of one of
-//! each per launch on the eager path.
+//! commits under **one** ledger lock acquisition. Each stage calls the
+//! same per-op function [`Session::launch`] does — only the locking
+//! differs — and phase spans exist only here.
 //!
 //! The non-negotiable invariant: a replayed graph leaves the ledger
 //! **bit-identical** to launching the same sequence eagerly. Commit
 //! applies ops in recorded order with the same floating-point
-//! accumulation, the same interning and the same observer ordering. A
-//! session built with [`SessionConfig::eager_launches`] makes `replay`
-//! fall back to the per-launch path, which is how the equivalence tests
-//! cross-check the two.
+//! accumulation, the same interning and the same observer ordering.
 
 use crate::kernel::Kernel;
-use crate::launch::commit::Ledger;
-use crate::launch::execute::LaunchSpan;
-use crate::launch::price::{PriceCache, PriceContext, Priced};
+use crate::launch::commit::{CommitLocks, Op};
+use crate::launch::execute::execute;
+use crate::launch::price::Priced;
 use crate::launch::record::{LaunchMeta, LaunchNode};
-use crate::launch::residency::ResidencyTracker;
-use crate::session::{LaunchRecord, Session};
+use crate::session::Session;
 use machine_model::{Precision, TransferDir};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One recorded operation.
 // Launch dominates real graphs (phases/exchanges are bookkeeping), so
@@ -344,15 +340,8 @@ impl LaunchGraph<'_> {
     /// the functional bodies, then append the whole sequence to the
     /// ledger under a single lock acquisition. Observers fire per record
     /// in ledger order after the lock is released.
-    ///
-    /// On sessions configured with [`crate::SessionConfig::eager_launches`]
-    /// the replay degrades to per-launch eager calls; the resulting
-    /// ledger is bit-identical either way.
     pub fn replay(&self, session: &Session) {
         self.notify_observer(session);
-        if !session.config().graph_replay {
-            return self.replay_eager(session);
-        }
         let replay_span = telemetry::SpanTimer::start();
         replay_graphs(session, &[self]);
         if let Some(t) = replay_span {
@@ -365,40 +354,15 @@ impl LaunchGraph<'_> {
         }
     }
 
-    /// Price stage: one entry per op (`None` for non-launches), served
-    /// by the caller-held cache lock.
-    fn price_stage(&self, ctx: &PriceContext<'_>, cache: &mut PriceCache) -> Vec<Option<Priced>> {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                GraphOp::Launch { node, .. } => Some(cache.price(ctx, &node.kernel, node.key)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Execute stage: run the functional bodies with per-launch spans.
+    /// Execute stage: run the launch bodies in recorded order, with the
+    /// phase spans bracketing them.
     fn execute_stage(&self, priced: &[Option<Priced>], executes: bool) {
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
         let flight = telemetry::flight::recording();
         for (op, p) in self.ops.iter().zip(priced) {
             match op {
-                GraphOp::Launch { node, body, .. } => {
-                    let span = LaunchSpan::start();
-                    let p = p.as_ref().expect("launch ops are priced");
-                    if flight {
-                        telemetry::flight::span_open(telemetry::SpanKind::Launch, &p.name);
-                    }
-                    body(executes);
-                    if flight {
-                        telemetry::flight::span_close(telemetry::SpanKind::Launch, &p.name);
-                    }
-                    span.finish(
-                        Arc::clone(&p.name),
-                        node.kernel.footprint.items,
-                        node.kernel.footprint.effective_bytes,
-                        p.time.total,
-                    );
+                GraphOp::Launch { body, .. } => {
+                    execute(p.as_ref().expect("launch ops are priced"), || body(executes));
                 }
                 GraphOp::PhaseBegin { name } => {
                     if flight {
@@ -417,84 +381,6 @@ impl LaunchGraph<'_> {
                     }
                 }
                 _ => {}
-            }
-        }
-    }
-
-    /// Commit stage: append ops in recorded order into the caller-held
-    /// ledger lock, pushing each launch's record for post-unlock
-    /// observer delivery. Comm ops price through the caller-held price
-    /// cache and residency tracker — in recorded order, so elision
-    /// decisions are identical to the eager fallback's.
-    fn commit_stage(
-        &self,
-        session: &Session,
-        led: &mut Ledger,
-        cache: &mut PriceCache,
-        res: &mut ResidencyTracker,
-        priced: &[Option<Priced>],
-        observations: &mut Vec<LaunchRecord>,
-    ) {
-        let pricing = session.config().transfer_pricing;
-        for (op, p) in self.ops.iter().zip(priced) {
-            match op {
-                GraphOp::Launch { meta, .. } => {
-                    let rec = led.append(p.as_ref().expect("launch ops are priced"));
-                    observations.push(rec);
-                    if pricing {
-                        res.apply_launch(meta);
-                    }
-                }
-                GraphOp::Exchange {
-                    bytes, messages, ..
-                } => {
-                    if let Some(t) = session.comm_exchange_time(*bytes, *messages, cache) {
-                        led.charge_comm(t);
-                    }
-                }
-                GraphOp::Transfer { bytes, dats, dir } => {
-                    if let Some(t) = session.comm_transfer_time(*bytes, dats, *dir, cache, res) {
-                        led.charge_comm(t);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The eager fallback: each op goes through the per-launch session
-    /// API, exactly as un-graphed code would.
-    pub(crate) fn replay_eager(&self, session: &Session) {
-        let executes = session.executes();
-        let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
-        let flight = telemetry::flight::recording();
-        for op in &self.ops {
-            match op {
-                GraphOp::Launch { node, meta, body } => {
-                    // Launch flight events come from `launch_timed`.
-                    session.launch(&node.kernel, || body(executes));
-                    session.note_kernel_residency(meta);
-                }
-                GraphOp::Exchange {
-                    bytes, messages, ..
-                } => session.exchange(*bytes, *messages),
-                GraphOp::Transfer { bytes, dats, dir } => session.transfer_with(*bytes, dats, *dir),
-                GraphOp::PhaseBegin { name } => {
-                    if flight {
-                        telemetry::flight::span_open(telemetry::SpanKind::Phase, name);
-                    }
-                    phases.push((name, telemetry::SpanTimer::start()));
-                }
-                GraphOp::PhaseEnd => {
-                    if let Some((name, t)) = phases.pop() {
-                        if flight {
-                            telemetry::flight::span_close(telemetry::SpanKind::Phase, name);
-                        }
-                        if let Some(t) = t {
-                            t.finish(telemetry::SpanKind::Phase, name, 0, 0.0);
-                        }
-                    }
-                }
             }
         }
     }
@@ -510,21 +396,12 @@ impl LaunchGraph<'_> {
 /// in slice order (same op order, same f64 accumulation), which is what
 /// lets the service batch N client submissions per shard without
 /// changing any result — property-tested in `tests/service_batch.rs`.
-///
-/// On sessions configured with [`crate::SessionConfig::eager_launches`]
-/// each graph degrades to per-launch eager calls, in the same order.
 pub fn replay_all(session: &Session, graphs: &[&LaunchGraph<'_>]) {
     if graphs.is_empty() {
         return;
     }
     for g in graphs {
         g.notify_observer(session);
-    }
-    if !session.config().graph_replay {
-        for g in graphs {
-            g.replay_eager(session);
-        }
-        return;
     }
     let span = telemetry::SpanTimer::start();
     replay_graphs(session, graphs);
@@ -538,16 +415,25 @@ pub fn replay_all(session: &Session, graphs: &[&LaunchGraph<'_>]) {
     }
 }
 
-/// The shared three-stage core behind [`LaunchGraph::replay`] and
-/// [`replay_all`]: price all graphs (one cache lock), execute all
-/// bodies, commit all ops (one ledger lock), then deliver observations.
+/// The graph loop behind [`LaunchGraph::replay`] and [`replay_all`]:
+/// price every launch (one cache lock), execute every body, commit
+/// every op (one lock set), then deliver the records to the observer.
 fn replay_graphs(session: &Session, graphs: &[&LaunchGraph<'_>]) {
     let priced: Vec<Vec<Option<Priced>>> = {
-        let ctx = session.price_context();
         let mut cache = session.price_cache();
         graphs
             .iter()
-            .map(|g| g.price_stage(&ctx, &mut cache))
+            .map(|g| {
+                g.ops
+                    .iter()
+                    .map(|op| match op {
+                        GraphOp::Launch { node, .. } => {
+                            Some(session.price_launch(&mut cache, &node.kernel, node.key))
+                        }
+                        _ => None,
+                    })
+                    .collect()
+            })
             .collect()
     };
 
@@ -556,51 +442,46 @@ fn replay_graphs(session: &Session, graphs: &[&LaunchGraph<'_>]) {
         g.execute_stage(p, executes);
     }
 
-    let mut observations: Vec<LaunchRecord> = Vec::new();
-    let observer = {
-        // Lock order: ledger → cache → residency (see `Session`).
-        let mut led = session.ledger();
-        let mut cache = session.price_cache();
-        let mut res = session.residency_tracker();
-        for (g, p) in graphs.iter().zip(&priced) {
-            g.commit_stage(
-                session,
-                &mut led,
-                &mut cache,
-                &mut res,
-                p,
-                &mut observations,
-            );
-        }
-        led.observer.clone()
-    };
-    if let Some(obs) = observer {
-        for rec in &observations {
-            obs(rec);
+    let mut records = Vec::new();
+    let mut locks = CommitLocks::new(session);
+    for (g, p) in graphs.iter().zip(&priced) {
+        for (op, p) in g.ops.iter().zip(p) {
+            let op = match op {
+                GraphOp::Launch { meta, .. } => Op::Launch {
+                    priced: p.as_ref().expect("launch ops are priced"),
+                    meta: Some(meta),
+                },
+                GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
+                    bytes: *bytes,
+                    dats,
+                    dir: *dir,
+                },
+                GraphOp::Exchange {
+                    bytes, messages, ..
+                } => Op::Exchange {
+                    bytes: *bytes,
+                    messages: *messages,
+                },
+                GraphOp::PhaseBegin { .. } | GraphOp::PhaseEnd => continue,
+            };
+            records.extend(locks.commit(op));
         }
     }
+    locks.release(&records);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionConfig;
+    use crate::session::{LaunchRecord, SessionConfig};
     use crate::toolchain::Toolchain;
     use machine_model::PlatformId;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn session() -> Session {
         Session::create(SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app("graph"))
             .unwrap()
-    }
-
-    fn eager_session() -> Session {
-        Session::create(
-            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
-                .app("graph")
-                .eager_launches(),
-        )
-        .unwrap()
     }
 
     #[test]
@@ -611,11 +492,14 @@ mod tests {
         let batched = session();
         let eager = session();
         let mut g = batched.record();
+        g.phase("step");
         g.launch(&k1, |_| {});
         g.launch(&k2, |_| {});
+        g.end_phase();
         g.transfer(1e6);
         g.exchange(1e6, 8);
         let g = g.finish();
+        assert_eq!(g.n_launches(), 2);
         for _ in 0..3 {
             g.replay(&batched);
         }
@@ -627,26 +511,6 @@ mod tests {
         }
         assert_eq!(batched.ledger_digest(), eager.ledger_digest());
         assert_eq!(batched.elapsed().to_bits(), eager.elapsed().to_bits());
-    }
-
-    #[test]
-    fn eager_launches_config_falls_back_per_launch_with_equal_ledger() {
-        let k = Kernel::streaming("x", 1 << 16, 1e6, 0.0);
-        let batched = session();
-        let eager = eager_session();
-        for s in [&batched, &eager] {
-            let mut g = s.record();
-            g.phase("step");
-            g.launch(&k, |_| {});
-            g.launch(&k, |_| {});
-            g.end_phase();
-            let g = g.finish();
-            assert_eq!(g.n_launches(), 2);
-            g.replay(s);
-            g.replay(s);
-        }
-        assert_eq!(batched.ledger_digest(), eager.ledger_digest());
-        assert_eq!(batched.records().len(), 4);
     }
 
     #[test]
@@ -746,12 +610,6 @@ mod tests {
         }
         assert_eq!(batched.ledger_digest(), serial.ledger_digest());
         assert_eq!(batched.elapsed().to_bits(), serial.elapsed().to_bits());
-        // Eager sessions degrade per graph, same ledger.
-        let eager = eager_session();
-        let (a, b) = make(&eager, &k1, &k2);
-        replay_all(&eager, &[&a, &b]);
-        replay_all(&eager, &[&b, &a]);
-        assert_eq!(eager.ledger_digest(), batched.ledger_digest());
     }
 
     #[test]

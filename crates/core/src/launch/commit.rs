@@ -1,14 +1,18 @@
-//! Layer 4 — **commit**: append priced work to the session ledger.
-//! The ledger mutex is the only lock this layer takes, and an append is
-//! the only thing done under it — observers run after release.
+//! Layer 4 — **commit**: apply one op to the session's committed state.
+//! A launch appends its priced record and applies its declared writes to
+//! residency; a transfer or exchange is priced here, in recorded order
+//! (residency decides whether it moves anything), and charged to the
+//! clock. [`Session::launch`](crate::Session::launch) commits one op at
+//! a time, graph replay a whole sequence under one [`CommitLocks`];
+//! observers run after the locks are released.
 
-use crate::launch::price::Priced;
-use crate::session::{LaunchObserver, LaunchRecord};
-use machine_model::{Platform, TransferDir};
+use crate::launch::price::{CommOp, PriceCache, Priced};
+use crate::launch::record::LaunchMeta;
+use crate::launch::residency::ResidencyTracker;
+use crate::session::{LaunchObserver, LaunchRecord, Session};
+use machine_model::TransferDir;
+use parkit::sync::MutexGuard;
 use std::sync::Arc;
-
-/// Intra-node MPI message latency (shared-memory transport).
-const MSG_LATENCY: f64 = 0.8e-6;
 
 /// The session's committed state: the simulated clock and the per-launch
 /// ledger. Lives behind `Session`'s ledger mutex; the pricing cache has
@@ -56,73 +60,107 @@ impl Ledger {
     }
 }
 
-/// **Legacy** host↔device transfer cost: free on CPU platforms
-/// (`None`), a flat scalar bandwidth plus fixed setup latency on GPUs.
-/// This is the pre-interconnect model, kept verbatim as the
-/// [`SessionConfig::eager_transfers`](crate::SessionConfig::eager_transfers)
-/// escape hatch so bit-identity tests can compare against the historic
-/// free-transfer semantics.
-pub(crate) fn transfer_cost(platform: &Platform, bytes: f64) -> Option<f64> {
-    platform.interconnect_bw.map(|bw| 10.0e-6 + bytes / bw)
+/// One op as the commit stage sees it. Launches arrive priced; `meta`
+/// is the declared access set of a recorded launch (eager launches
+/// declare none, so they never change residency).
+pub(crate) enum Op<'o> {
+    Launch {
+        priced: &'o Priced,
+        meta: Option<&'o LaunchMeta>,
+    },
+    Transfer {
+        bytes: f64,
+        dats: &'o [u32],
+        dir: TransferDir,
+    },
+    Exchange {
+        bytes: f64,
+        messages: u64,
+    },
 }
 
-/// Interconnect-priced transfer cost: direction- and allocation-aware,
-/// nonzero on every platform (CPUs pay an in-package `memcpy`). The
-/// cost SYCL buffers hide behind accessor creation.
-pub(crate) fn priced_transfer_cost(
-    platform: &Platform,
-    dir: TransferDir,
-    pinned: bool,
-    bytes: f64,
-) -> f64 {
-    platform.interconnect.transfer_time(dir, pinned, bytes)
+/// The session locks the commit stage writes through. The ledger is
+/// locked up front; the price cache and residency tracker only when an
+/// op needs them, always in the order ledger → cache → residency.
+pub(crate) struct CommitLocks<'s> {
+    session: &'s Session,
+    ledger: MutexGuard<'s, Ledger>,
+    cache: Option<MutexGuard<'s, PriceCache>>,
+    residency: Option<MutexGuard<'s, ResidencyTracker>>,
 }
 
-/// Interconnect-aware halo-exchange cost. Multi-rank sessions keep the
-/// calibrated MPI formula unchanged (message latency + a copy through
-/// the memory system); a single-rank session with a nonzero halo pays
-/// the on-device pack/copy/unpack instead of exchanging for free — the
-/// halo still has to move through device memory even without MPI.
-pub(crate) fn priced_exchange_cost(
-    platform: &Platform,
-    ranks: usize,
-    bytes: f64,
-    messages: u64,
-    pinned: bool,
-) -> Option<f64> {
-    if ranks > 1 {
-        Some(messages as f64 * MSG_LATENCY + bytes / (0.5 * platform.mem.stream_bw))
-    } else if bytes > 0.0 {
-        Some(priced_transfer_cost(
-            platform,
-            TransferDir::D2D,
-            pinned,
-            bytes,
-        ))
-    } else {
+impl<'s> CommitLocks<'s> {
+    pub fn new(session: &'s Session) -> CommitLocks<'s> {
+        CommitLocks {
+            session,
+            ledger: session.ledger(),
+            cache: None,
+            residency: None,
+        }
+    }
+
+    /// The price cache and residency tracker, locked on first use.
+    fn cache_and_residency(&mut self) -> (&mut PriceCache, &mut ResidencyTracker) {
+        let session = self.session;
+        let cache = self.cache.get_or_insert_with(|| session.price_cache());
+        let residency = self
+            .residency
+            .get_or_insert_with(|| session.residency_tracker());
+        (cache, residency)
+    }
+
+    /// Commit one op. Returns the appended record of a launch, for
+    /// delivery to the observer once [`CommitLocks::release`] has run.
+    pub fn commit(&mut self, op: Op<'_>) -> Option<LaunchRecord> {
+        let session = self.session;
+        let pinned = session.config().pinned_transfers;
+        let t = match op {
+            Op::Launch { priced, meta } => {
+                if let Some(meta) = meta {
+                    self.cache_and_residency().1.apply_launch(meta);
+                }
+                return Some(self.ledger.append(priced));
+            }
+            Op::Transfer { bytes, dats, dir } => {
+                let (cache, residency) = self.cache_and_residency();
+                if !residency.apply_transfer(dir, dats) {
+                    return None;
+                }
+                let op = CommOp::Transfer { dir, pinned };
+                cache.price_comm(&session.price_context(), op, bytes, 0)
+            }
+            Op::Exchange { bytes, messages } => {
+                let (cache, _) = self.cache_and_residency();
+                let op = CommOp::Exchange {
+                    ranks: session.ranks(),
+                    pinned,
+                };
+                cache.price_comm(&session.price_context(), op, bytes, messages)
+            }
+        };
+        if let Some(t) = t {
+            self.ledger.charge_comm(t);
+        }
         None
     }
-}
 
-/// Halo-exchange cost between `ranks` MPI ranks: latency per message
-/// plus a copy through the memory system (in + out ⇒ half of STREAM).
-/// Single-rank sessions exchange nothing (`None`).
-pub(crate) fn exchange_cost(
-    platform: &Platform,
-    ranks: usize,
-    bytes: f64,
-    messages: u64,
-) -> Option<f64> {
-    if ranks <= 1 {
-        return None;
+    /// Release every lock, then hand `records` to the launch observer
+    /// in ledger order.
+    pub fn release(self, records: &[LaunchRecord]) {
+        let observer = self.ledger.observer.clone();
+        drop(self);
+        if let Some(obs) = observer {
+            for r in records {
+                obs(r);
+            }
+        }
     }
-    Some(messages as f64 * MSG_LATENCY + bytes / (0.5 * platform.mem.stream_bw))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use machine_model::{KernelTime, PlatformId};
+    use machine_model::KernelTime;
 
     fn priced(name: &str, total: f64) -> Priced {
         Priced {
@@ -155,53 +193,5 @@ mod tests {
         assert_eq!(led.records.len(), 2);
         assert_eq!(&*led.records[1].name, "b");
         assert_eq!(led.comm_time, 0.0);
-    }
-
-    #[test]
-    fn comm_costs_match_the_session_formulas() {
-        let gpu = Platform::get(PlatformId::A100);
-        let t = transfer_cost(&gpu, 1e9).unwrap();
-        assert!((t - 0.04).abs() / 0.04 < 0.01, "{t}");
-        let cpu = Platform::get(PlatformId::GenoaX);
-        assert!(transfer_cost(&cpu, 1e9).is_none());
-        assert!(exchange_cost(&gpu, 1, 1e9, 100).is_none());
-        assert!(exchange_cost(&cpu, 4, 1e9, 100).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn priced_transfers_are_nonzero_everywhere_and_direction_aware() {
-        for p in machine_model::all_platforms() {
-            for dir in [TransferDir::H2D, TransferDir::D2H, TransferDir::D2D] {
-                for pinned in [false, true] {
-                    let t = priced_transfer_cost(&p, dir, pinned, 1e8);
-                    assert!(t > 0.0, "{} {dir:?}", p.name);
-                }
-            }
-            let pageable = priced_transfer_cost(&p, TransferDir::H2D, false, 1e9);
-            let pinned = priced_transfer_cost(&p, TransferDir::H2D, true, 1e9);
-            if p.id.is_gpu() {
-                assert!(pageable > 1.5 * pinned, "{}: pageable pays", p.name);
-            } else {
-                assert_eq!(pageable.to_bits(), pinned.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn priced_exchange_keeps_the_mpi_formula_and_prices_single_rank_halos() {
-        let cpu = Platform::get(PlatformId::GenoaX);
-        // Multi-rank: bit-identical to the legacy MPI formula.
-        let legacy = exchange_cost(&cpu, 4, 1e9, 100).unwrap();
-        let new = priced_exchange_cost(&cpu, 4, 1e9, 100, true).unwrap();
-        assert_eq!(legacy.to_bits(), new.to_bits());
-        // Single-rank with a real halo: the on-device copy is priced.
-        let gpu = Platform::get(PlatformId::A100);
-        let t = priced_exchange_cost(&gpu, 1, 1e9, 100, true).unwrap();
-        assert!(
-            t > 0.0 && t < 0.01,
-            "D2D halo copy is fast but not free: {t}"
-        );
-        // Single-rank with no halo bytes: nothing to move.
-        assert!(priced_exchange_cost(&gpu, 1, 0.0, 0, true).is_none());
     }
 }

@@ -1,17 +1,40 @@
 //! Layer 3 — **execute**: run the functional body (on parkit, via the
 //! caller's closure) and emit the launch telemetry that goes with it.
-//! This layer owns the wall-clock span and the `launches`/`bytes_moved`
-//! counters; it never touches the ledger or the pricing cache.
+//! This layer owns the wall-clock span, the flight bracket and the
+//! `launches`/`bytes_moved` counters; it never touches the ledger or the
+//! pricing cache.
 
+use crate::launch::price::Priced;
 use std::sync::Arc;
+
+/// Execute one priced launch: run `body` inside the flight bracket and
+/// the launch span. The one execute stage behind both
+/// [`Session::launch`](crate::Session::launch) and graph replay.
+///
+/// Flight events bracket the body so a crash mid-kernel leaves the
+/// launch open on disk — that open is the post-mortem attribution. Like
+/// the span, it observes only and never feeds back into the ledger.
+pub(crate) fn execute<R>(p: &Priced, body: impl FnOnce() -> R) -> R {
+    let span = LaunchSpan::start();
+    let flight = telemetry::flight::recording();
+    if flight {
+        telemetry::flight::span_open(telemetry::SpanKind::Launch, &p.name);
+    }
+    let r = body();
+    if flight {
+        telemetry::flight::span_close(telemetry::SpanKind::Launch, &p.name);
+    }
+    span.finish(Arc::clone(&p.name), p.items, p.effective_bytes, p.time.total);
+    r
+}
 
 /// Wall-clock span plus counters around one launch. Construction is the
 /// single branch the disabled path pays.
-pub(crate) struct LaunchSpan(Option<telemetry::SpanTimer>);
+struct LaunchSpan(Option<telemetry::SpanTimer>);
 
 impl LaunchSpan {
     /// Start timing a launch (no-op when telemetry is disabled).
-    pub fn start() -> LaunchSpan {
+    fn start() -> LaunchSpan {
         LaunchSpan(telemetry::SpanTimer::start())
     }
 
@@ -19,7 +42,7 @@ impl LaunchSpan {
     /// `LaunchSpan` carrying the kernel name, iteration count, effective
     /// bytes and the simulated seconds, so traces can report achieved
     /// GB/s per kernel.
-    pub fn finish(self, name: Arc<str>, items: u64, effective_bytes: f64, sim_secs: f64) {
+    fn finish(self, name: Arc<str>, items: u64, effective_bytes: f64, sim_secs: f64) {
         if let Some(t) = self.0 {
             telemetry::Counters::add(&telemetry::counters().launches, 1);
             telemetry::Counters::add(&telemetry::counters().bytes_moved, effective_bytes as u64);

@@ -3,7 +3,6 @@
 //! kernel fingerprint so repeat launches cost a hash lookup.
 
 use crate::kernel::{Kernel, KernelTraits};
-use crate::launch::commit::{priced_exchange_cost, priced_transfer_cost};
 use crate::toolchain::{SyclVariant, Toolchain};
 use machine_model::{predict, AtomicKind, ExecProfile, KernelTime, Platform, TransferDir};
 use std::collections::HashMap;
@@ -71,6 +70,38 @@ fn price_cold(ctx: &PriceContext<'_>, kernel: &Kernel) -> (KernelTime, ExecProfi
         _ => predict(ctx.platform, &kernel.footprint, &exec),
     };
     (time, exec)
+}
+
+/// Intra-node MPI message latency (shared-memory transport).
+const MSG_LATENCY: f64 = 0.8e-6;
+
+/// Interconnect-priced transfer time: direction- and allocation-aware,
+/// nonzero on every platform (CPUs pay an in-package `memcpy`). The
+/// cost SYCL buffers hide behind accessor creation.
+fn transfer_time(platform: &Platform, dir: TransferDir, pinned: bool, bytes: f64) -> f64 {
+    platform.interconnect.transfer_time(dir, pinned, bytes)
+}
+
+/// Interconnect-aware halo-exchange time. Multi-rank sessions pay the
+/// calibrated MPI formula (message latency + a copy through the memory
+/// system, in + out ⇒ half of STREAM); a single-rank session with a
+/// nonzero halo pays the on-device pack/copy/unpack — the halo still
+/// has to move through device memory even without MPI. `None` when
+/// there is nothing to move.
+fn exchange_time(
+    platform: &Platform,
+    ranks: usize,
+    bytes: f64,
+    messages: u64,
+    pinned: bool,
+) -> Option<f64> {
+    if ranks > 1 {
+        Some(messages as f64 * MSG_LATENCY + bytes / (0.5 * platform.mem.stream_bw))
+    } else if bytes > 0.0 {
+        Some(transfer_time(platform, TransferDir::D2D, pinned, bytes))
+    } else {
+        None
+    }
 }
 
 /// One communication operation as the pricing layer sees it — the comm
@@ -161,10 +192,10 @@ impl PriceCache {
         }
         let time = match op {
             CommOp::Transfer { dir, pinned } => {
-                Some(priced_transfer_cost(ctx.platform, dir, pinned, bytes))
+                Some(transfer_time(ctx.platform, dir, pinned, bytes))
             }
             CommOp::Exchange { ranks, pinned } => {
-                priced_exchange_cost(ctx.platform, ranks, bytes, messages, pinned)
+                exchange_time(ctx.platform, ranks, bytes, messages, pinned)
             }
         };
         if self.enabled {
@@ -314,5 +345,42 @@ mod tests {
         assert_eq!(a.time.total.to_bits(), b.time.total.to_bits());
         assert_eq!(b.time.total.to_bits(), c.time.total.to_bits());
         assert!(!Arc::ptr_eq(&b.name, &c.name), "no interning without cache");
+    }
+
+    #[test]
+    fn transfers_are_nonzero_everywhere_and_direction_aware() {
+        for p in machine_model::all_platforms() {
+            for dir in [TransferDir::H2D, TransferDir::D2H, TransferDir::D2D] {
+                for pinned in [false, true] {
+                    let t = transfer_time(&p, dir, pinned, 1e8);
+                    assert!(t > 0.0, "{} {dir:?}", p.name);
+                }
+            }
+            let pageable = transfer_time(&p, TransferDir::H2D, false, 1e9);
+            let pinned = transfer_time(&p, TransferDir::H2D, true, 1e9);
+            if p.id.is_gpu() {
+                assert!(pageable > 1.5 * pinned, "{}: pageable pays", p.name);
+            } else {
+                assert_eq!(pageable.to_bits(), pinned.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn exchanges_keep_the_mpi_formula_and_price_single_rank_halos() {
+        let cpu = Platform::get(PlatformId::GenoaX);
+        // Multi-rank: message latency plus a copy at half of STREAM.
+        let mpi = exchange_time(&cpu, 4, 1e9, 100, true).unwrap();
+        let expect = 100.0 * MSG_LATENCY + 1e9 / (0.5 * cpu.mem.stream_bw);
+        assert_eq!(mpi.to_bits(), expect.to_bits());
+        // Single-rank with a real halo: the on-device copy is priced.
+        let gpu = Platform::get(PlatformId::A100);
+        let t = exchange_time(&gpu, 1, 1e9, 100, true).unwrap();
+        assert!(
+            t > 0.0 && t < 0.01,
+            "D2D halo copy is fast but not free: {t}"
+        );
+        // Single-rank with no halo bytes: nothing to move.
+        assert!(exchange_time(&gpu, 1, 0.0, 0, true).is_none());
     }
 }

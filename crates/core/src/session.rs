@@ -2,22 +2,23 @@
 //! and run it on machine Y".
 //!
 //! A [`Session`] owns the simulated clock and a per-launch ledger. Every
-//! [`Session::launch`] call is a thin eager composition of the four
-//! launch layers in [`crate::launch`]: **record** builds a fingerprinted
-//! [`LaunchNode`](crate::launch::LaunchNode) with no lock, **price**
-//! walks the quirk/toolchain/platform models (served by the fingerprint
-//! cache behind its own mutex), **execute** runs the kernel body
-//! *functionally* so the application's numerics are real, and **commit**
-//! appends one ledger entry under the ledger mutex. The batched
-//! counterpart is [`crate::LaunchGraph`], which replays a recorded
-//! sequence with a single ledger lock acquisition per replay.
+//! [`Session::launch`] call runs one op through the four launch layers
+//! in [`crate::launch`]: **record** fingerprints the kernel with no
+//! lock, **price** walks the quirk/toolchain/platform models (served by
+//! the fingerprint cache behind its own mutex), **commit** appends one
+//! ledger entry under the ledger mutex, and **execute** runs the kernel
+//! body *functionally* so the application's numerics are real.
+//! [`Session::transfer`], [`Session::upload`], [`Session::download`]
+//! and [`Session::exchange`] commit one data-movement op the same way.
+//! [`crate::LaunchGraph`] replay calls the same per-op stages over a
+//! recorded sequence, with one lock acquisition per stage per replay.
 
 use crate::error::Failure;
 use crate::kernel::Kernel;
-use crate::launch::commit::{exchange_cost, transfer_cost, Ledger};
-use crate::launch::execute::LaunchSpan;
-use crate::launch::price::{CommOp, PriceCache, PriceContext, Priced};
-use crate::launch::record::{fingerprint, LaunchMeta};
+use crate::launch::commit::{CommitLocks, Ledger, Op};
+use crate::launch::execute::execute;
+use crate::launch::price::{PriceCache, PriceContext, Priced};
+use crate::launch::record::fingerprint;
 use crate::launch::residency::{ResidencyTracker, TransferStats};
 use crate::quirks;
 use crate::toolchain::{Scheme, SyclVariant, Toolchain};
@@ -56,20 +57,6 @@ pub struct SessionConfig {
     /// Disable to force a full toolchain-model walk on every launch —
     /// only useful for benchmarking the cache itself.
     pub pricing_cache: bool,
-    /// Replay recorded [`crate::LaunchGraph`]s on the batched path (one
-    /// ledger lock per replay; on by default). Disable to make
-    /// `graph.replay` fall back to eager per-launch execution — the
-    /// ledger is bit-identical either way, which is exactly what the
-    /// equivalence tests compare.
-    pub graph_replay: bool,
-    /// Price transfer/exchange nodes through the interconnect model,
-    /// residency-aware (on by default). Disable via
-    /// [`SessionConfig::eager_transfers`] to restore the historic
-    /// free-transfer semantics: transfers cost nothing on CPUs,
-    /// single-rank exchanges cost nothing anywhere, and no residency
-    /// elision happens — the escape hatch the priced-vs-free
-    /// bit-identity tests compare against.
-    pub transfer_pricing: bool,
     /// Host allocations are page-locked (on by default): transfers run
     /// at the link's pinned rate. Disable via
     /// [`SessionConfig::pageable_transfers`] to model ordinary pageable
@@ -88,8 +75,6 @@ impl SessionConfig {
             scheme: None,
             dry_run: false,
             pricing_cache: true,
-            graph_replay: true,
-            transfer_pricing: true,
             pinned_transfers: true,
         }
     }
@@ -121,20 +106,6 @@ impl SessionConfig {
     /// Disable the launch-pricing cache (see `pricing_cache`).
     pub fn no_pricing_cache(mut self) -> Self {
         self.pricing_cache = false;
-        self
-    }
-
-    /// Make graph replays take the eager per-launch path (see
-    /// `graph_replay`).
-    pub fn eager_launches(mut self) -> Self {
-        self.graph_replay = false;
-        self
-    }
-
-    /// Restore the historic free-transfer semantics (see
-    /// `transfer_pricing`).
-    pub fn eager_transfers(mut self) -> Self {
-        self.transfer_pricing = false;
         self
     }
 
@@ -296,30 +267,22 @@ impl Session {
     /// carrying the kernel name, iteration count, effective bytes and the
     /// simulated seconds, so traces can report achieved GB/s per kernel.
     pub fn launch_timed<R>(&self, kernel: &Kernel, body: impl FnOnce() -> R) -> (R, KernelTime) {
-        let span = LaunchSpan::start();
-        // record → price → commit → execute (the ledger entry lands
-        // before the body runs, as it always has).
-        let key = fingerprint(kernel);
-        let priced = self.cache.lock().price(&self.price_context(), kernel, key);
-        self.commit_one(&priced);
-        // Flight events bracket the body so a crash mid-kernel leaves
-        // the launch open on disk — that open is the post-mortem
-        // attribution. Observes only; never feeds back into the ledger.
-        let flight = telemetry::flight::recording();
-        if flight {
-            telemetry::flight::span_open(telemetry::SpanKind::Launch, &priced.name);
-        }
-        let r = body();
-        if flight {
-            telemetry::flight::span_close(telemetry::SpanKind::Launch, &priced.name);
-        }
-        span.finish(
-            Arc::clone(&priced.name),
-            kernel.footprint.items,
-            kernel.footprint.effective_bytes,
-            priced.time.total,
-        );
-        (r, priced.time)
+        // record → price → commit → execute: the ledger entry lands
+        // before the body runs. Eager launches declare no accesses, so
+        // they leave residency alone.
+        let priced = self.price_launch(&mut self.cache.lock(), kernel, fingerprint(kernel));
+        let mut locks = CommitLocks::new(self);
+        let record = locks.commit(Op::Launch {
+            priced: &priced,
+            meta: None,
+        });
+        locks.release(record.as_slice());
+        (execute(&priced, body), priced.time)
+    }
+
+    /// Price stage for one launch, against a caller-held cache lock.
+    pub(crate) fn price_launch(&self, cache: &mut PriceCache, kernel: &Kernel, key: u64) -> Priced {
+        cache.price(&self.price_context(), kernel, key)
     }
 
     /// The fixed pricing context of this session (layer 2 input).
@@ -338,21 +301,14 @@ impl Session {
         self.cache.lock()
     }
 
-    /// Lock the ledger (the graph replay path commits a whole graph
-    /// under one acquisition).
+    /// Lock the ledger (the commit stage's first lock).
     pub(crate) fn ledger(&self) -> MutexGuard<'_, Ledger> {
         self.ledger.lock()
     }
 
-    /// Commit one priced launch and fire the observer after unlock.
-    pub(crate) fn commit_one(&self, priced: &Priced) {
-        let mut led = self.ledger.lock();
-        let record = led.append(priced);
-        let observer = led.observer.clone();
-        drop(led);
-        if let Some(obs) = observer {
-            obs(&record);
-        }
+    /// Commit one data-movement op under its own locks.
+    fn commit_comm(&self, op: Op<'_>) {
+        CommitLocks::new(self).commit(op);
     }
 
     /// Account an anonymous host→device transfer of `bytes` (no dat
@@ -360,117 +316,45 @@ impl Session {
     /// interconnect model; see [`Session::upload`]/[`Session::download`]
     /// for residency-aware staging.
     pub fn transfer(&self, bytes: f64) {
-        self.transfer_with(bytes, &[], TransferDir::H2D);
+        self.upload(bytes, &[]);
     }
 
     /// Stage `bytes` of the given dats host→device. Elided (free) when
     /// every dat already has a valid device copy.
     pub fn upload(&self, bytes: f64, dats: &[u32]) {
-        self.transfer_with(bytes, dats, TransferDir::H2D);
+        self.commit_comm(Op::Transfer {
+            bytes,
+            dats,
+            dir: TransferDir::H2D,
+        });
     }
 
     /// Read `bytes` of the given dats back device→host. Elided when
     /// every dat already has a valid host copy (nothing wrote them on
     /// the device since the last transfer).
     pub fn download(&self, bytes: f64, dats: &[u32]) {
-        self.transfer_with(bytes, dats, TransferDir::D2H);
-    }
-
-    /// The shared eager transfer path (also used by graph replay's
-    /// eager fallback, so both paths price and elide identically).
-    pub(crate) fn transfer_with(&self, bytes: f64, dats: &[u32], dir: TransferDir) {
-        let t = {
-            let mut cache = self.cache.lock();
-            let mut res = self.residency.lock();
-            self.comm_transfer_time(bytes, dats, dir, &mut cache, &mut res)
-        };
-        if let Some(t) = t {
-            self.ledger.lock().charge_comm(t);
-        }
-    }
-
-    /// Price one transfer against caller-held price/residency locks.
-    /// `None` means the transfer was elided (or legacy-free).
-    pub(crate) fn comm_transfer_time(
-        &self,
-        bytes: f64,
-        dats: &[u32],
-        dir: TransferDir,
-        cache: &mut PriceCache,
-        res: &mut ResidencyTracker,
-    ) -> Option<f64> {
-        if !self.cfg.transfer_pricing {
-            return transfer_cost(&self.platform, bytes);
-        }
-        if !res.apply_transfer(dir, dats) {
-            return None;
-        }
-        cache.price_comm(
-            &self.price_context(),
-            CommOp::Transfer {
-                dir,
-                pinned: self.cfg.pinned_transfers,
-            },
+        self.commit_comm(Op::Transfer {
             bytes,
-            0,
-        )
+            dats,
+            dir: TransferDir::D2H,
+        });
     }
 
     /// Account a halo exchange between the session's MPI ranks:
     /// `messages` point-to-point messages moving `bytes` in total.
     /// Multi-rank sessions pay the MPI formula; a single-rank session
-    /// with a nonzero halo pays the on-device pack/copy (free only
-    /// under [`SessionConfig::eager_transfers`]).
+    /// with a nonzero halo pays the on-device pack/copy.
     pub fn exchange(&self, bytes: f64, messages: u64) {
-        let t = {
-            let mut cache = self.cache.lock();
-            self.comm_exchange_time(bytes, messages, &mut cache)
-        };
-        if let Some(t) = t {
-            self.ledger.lock().charge_comm(t);
-        }
+        self.commit_comm(Op::Exchange { bytes, messages });
     }
 
-    /// Price one exchange against a caller-held price-cache lock.
-    pub(crate) fn comm_exchange_time(
-        &self,
-        bytes: f64,
-        messages: u64,
-        cache: &mut PriceCache,
-    ) -> Option<f64> {
-        if !self.cfg.transfer_pricing {
-            return exchange_cost(&self.platform, self.ranks(), bytes, messages);
-        }
-        cache.price_comm(
-            &self.price_context(),
-            CommOp::Exchange {
-                ranks: self.ranks(),
-                pinned: self.cfg.pinned_transfers,
-            },
-            bytes,
-            messages,
-        )
-    }
-
-    /// Apply a replayed launch's declared writes to the residency map
-    /// (device writes invalidate the host copy). Called by both graph
-    /// replay paths in recorded order; a no-op under
-    /// [`SessionConfig::eager_transfers`].
-    pub(crate) fn note_kernel_residency(&self, meta: &LaunchMeta) {
-        if !self.cfg.transfer_pricing {
-            return;
-        }
-        self.residency.lock().apply_launch(meta);
-    }
-
-    /// Lock the residency tracker (the batched commit path holds it for
-    /// a whole graph). Lock order: ledger → cache → residency.
+    /// Lock the residency tracker (the commit stage's last lock).
     pub(crate) fn residency_tracker(&self) -> MutexGuard<'_, ResidencyTracker> {
         self.residency.lock()
     }
 
-    /// Real/elided transfer counts so far (elision requires transfer
-    /// pricing and declared dat lists).
+    /// Real/elided transfer counts so far (elision requires declared
+    /// dat lists).
     pub fn transfer_stats(&self) -> TransferStats {
         self.residency.lock().stats()
     }
@@ -495,7 +379,7 @@ impl Session {
     /// Order-sensitive digest of the ledger: the clock, the comm time
     /// and every record's name/price/shape, f64s by bit pattern. Two
     /// sessions have equal digests iff their ledgers are bit-identical —
-    /// the invariant the eager and replayed launch paths must share.
+    /// the invariant eager launches and graph replays must share.
     pub fn ledger_digest(&self) -> u64 {
         let led = self.ledger.lock();
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -507,9 +391,9 @@ impl Session {
 
     /// Order-sensitive digest of the launch records only — the clock
     /// and comm time are excluded. Two sessions that differ *only* in
-    /// how data movement is priced (transfer pricing on vs off, pinned
-    /// vs pageable) must still agree here: pricing transfers changes
-    /// the simulated clock, never what the kernels computed.
+    /// how data movement is priced (pinned vs pageable host memory) must
+    /// still agree here: pricing transfers changes the simulated clock,
+    /// never what the kernels computed.
     pub fn launch_digest(&self) -> u64 {
         let led = self.ledger.lock();
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -681,16 +565,6 @@ mod tests {
         cpu.exchange(1e9, 100);
         assert!(cpu.comm_time() > 0.0);
         assert_eq!(cpu.elapsed(), cpu.comm_time());
-
-        // The escape hatch restores the historic free semantics.
-        let legacy = Session::create(
-            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
-                .app("test")
-                .eager_transfers(),
-        )
-        .unwrap();
-        legacy.exchange(1e9, 100);
-        assert_eq!(legacy.comm_time(), 0.0);
     }
 
     #[test]
@@ -777,16 +651,6 @@ mod tests {
         .unwrap();
         pageable.transfer(1e9);
         assert!(pageable.elapsed() > 1.5 * gpu.elapsed());
-
-        // The escape hatch restores the historic free-on-CPU semantics.
-        let legacy = Session::create(
-            SessionConfig::new(PlatformId::GenoaX, Toolchain::OpenMp)
-                .app("test")
-                .eager_transfers(),
-        )
-        .unwrap();
-        legacy.transfer(1e9);
-        assert_eq!(legacy.elapsed(), 0.0);
     }
 
     #[test]
@@ -807,21 +671,6 @@ mod tests {
         // Anonymous transfers always pay.
         s.transfer(1e8);
         assert!(s.comm_time() > first);
-    }
-
-    #[test]
-    fn eager_transfers_disable_elision_and_match_legacy_costs() {
-        let legacy = Session::create(
-            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
-                .app("test")
-                .eager_transfers(),
-        )
-        .unwrap();
-        legacy.upload(1e9, &[1]);
-        legacy.upload(1e9, &[1]);
-        // Both paid, both at the legacy flat formula.
-        let expect: f64 = 2.0 * (10.0e-6 + 1e9 / 25.0e9);
-        assert_eq!(legacy.comm_time().to_bits(), expect.to_bits());
     }
 
     #[test]
