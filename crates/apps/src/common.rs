@@ -107,8 +107,7 @@ pub fn field_bytes(logical: &Block, elem_bytes: f64) -> f64 {
 /// each buffer. One transfer node per dat, so the residency tracker
 /// follows each dataset separately and the dataflow lint can see which
 /// uploads are real. Priced through the interconnect model — nonzero on
-/// CPUs too (an in-package copy), unless the session opted into
-/// `eager_transfers()` legacy semantics.
+/// CPUs too (an in-package copy).
 pub fn stage_uploads(session: &Session, logical: &Block, dats: &[DatMeta]) {
     let mut g = session.record();
     g.phase("staging");

@@ -29,7 +29,11 @@ fn assert_only_the_clock_moves(app: &dyn App, cfg: SessionConfig, label: &str) {
     );
     assert_eq!(a.validation.to_bits(), b.validation.to_bits(), "{label}");
     // Residency decisions do not depend on the link rate.
-    assert_eq!(pinned.transfer_stats(), pageable.transfer_stats(), "{label}");
+    assert_eq!(
+        pinned.transfer_stats(),
+        pageable.transfer_stats(),
+        "{label}"
+    );
     // But the pageable clock pays the bounce-buffer rate on every
     // staged upload and readback.
     assert!(pinned.comm_time() > 0.0, "{label}");

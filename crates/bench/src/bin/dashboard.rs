@@ -44,7 +44,6 @@ use std::path::{Path, PathBuf};
 
 use bench_harness::{make_app, native_toolchain, APP_NAMES};
 use machine_model::Platform;
-use metrics::jsonv::{self, Json};
 use metrics::{stats, RunManifest};
 use portability::{
     cpu_platforms, gpu_platforms, pennycook, structured_measurements, unstructured_measurements,
@@ -52,6 +51,7 @@ use portability::{
 };
 use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
 use telemetry::export::KernelAgg;
+use telemetry::json::{self, Json};
 use telemetry::{CounterSnapshot, TelemetryConfig};
 
 /// One traced application run feeding the per-kernel tables.
@@ -859,7 +859,7 @@ fn render_data_movement(h: &mut String, out_dir: &Path) {
     let path = out_dir.join("BENCH_transfer.json");
     let doc = std::fs::read_to_string(&path)
         .ok()
-        .and_then(|t| jsonv::parse(&t).ok())
+        .and_then(|t| json::parse(&t).ok())
         .filter(|d| d.str_of("schema") == Some("transfer-bench/v1"));
     let Some(doc) = doc else {
         h.push_str(
@@ -1012,7 +1012,7 @@ fn render_study_run(h: &mut String, out_dir: &Path) {
     let path = out_dir.join("STUDY.json");
     let doc = std::fs::read_to_string(&path)
         .ok()
-        .and_then(|t| jsonv::parse(&t).ok());
+        .and_then(|t| json::parse(&t).ok());
     let Some(doc) = doc else {
         h.push_str(
             "<p>No <code>STUDY.json</code> next to the dashboard — run \
@@ -1207,7 +1207,7 @@ fn render_fleet_forensics(h: &mut String, out_dir: &Path) {
     let path = out_dir.join("BLACKBOX_study.json");
     let doc = std::fs::read_to_string(&path)
         .ok()
-        .and_then(|t| jsonv::parse(&t).ok())
+        .and_then(|t| json::parse(&t).ok())
         .filter(|d| d.str_of("schema") == Some("sycl-blackbox/v1"));
     let Some(doc) = doc else {
         h.push_str(
@@ -1368,7 +1368,7 @@ fn render_graphlint(h: &mut String, out_dir: &Path) {
             let path = out_dir.join(format!("LINT_{app}.json"));
             let doc = std::fs::read_to_string(path)
                 .ok()
-                .and_then(|t| jsonv::parse(&t).ok())?;
+                .and_then(|t| json::parse(&t).ok())?;
             Some((*app, doc))
         })
         .collect();

@@ -131,14 +131,8 @@ impl<'a> GraphBuilder<'a> {
         self.transfer_dir(bytes, Vec::new(), TransferDir::H2D);
     }
 
-    /// Record a host→device transfer declaring which datasets it moves
-    /// (by shadow-registry id), for the dead-transfer and residency
-    /// lints and for elision.
-    pub fn transfer_dats(&mut self, bytes: f64, dats: Vec<u32>) {
-        self.transfer_dir(bytes, dats, TransferDir::H2D);
-    }
-
-    /// Record a staging upload (host→device) of the given datasets.
+    /// Record a staging upload (host→device) of the given datasets, for
+    /// the dead-transfer and residency lints and for elision.
     pub fn upload_dats(&mut self, bytes: f64, dats: Vec<u32>) {
         self.transfer_dir(bytes, dats, TransferDir::H2D);
     }
@@ -201,6 +195,29 @@ impl<'a> GraphBuilder<'a> {
             launches,
             phase_defects: self.phase_defects,
         }
+    }
+}
+
+/// Where a DSL loop sends its launches: straight to a [`Session`]
+/// (eager) or into a [`GraphBuilder`] (recorded). DSLs write each loop
+/// kind once, against this trait, and their `run*`/`record*` methods
+/// only pick the target.
+pub trait LaunchTarget<'a> {
+    /// Launch (eagerly) or record (into a graph) one kernel. `body`
+    /// receives `session.executes()`. A session drops `meta`: eager
+    /// launches declare no accesses, so they never touch residency.
+    fn launch_node(&mut self, kernel: &Kernel, meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a);
+}
+
+impl<'a> LaunchTarget<'a> for &Session {
+    fn launch_node(&mut self, kernel: &Kernel, _meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a) {
+        self.launch(kernel, || body(self.executes()));
+    }
+}
+
+impl<'a> LaunchTarget<'a> for GraphBuilder<'a> {
+    fn launch_node(&mut self, kernel: &Kernel, meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a) {
+        self.launch_with_meta(kernel, meta, body);
     }
 }
 
@@ -362,7 +379,9 @@ impl LaunchGraph<'_> {
         for (op, p) in self.ops.iter().zip(priced) {
             match op {
                 GraphOp::Launch { body, .. } => {
-                    execute(p.as_ref().expect("launch ops are priced"), || body(executes));
+                    execute(p.as_ref().expect("launch ops are priced"), || {
+                        body(executes)
+                    });
                 }
                 GraphOp::PhaseBegin { name } => {
                     if flight {
@@ -687,7 +706,7 @@ mod tests {
         );
         g.launch(&k, |_| {}); // plain launch: opaque metadata
         g.exchange_dats(4096.0, 8, vec![7]);
-        g.transfer_dats(1024.0, vec![9]);
+        g.upload_dats(1024.0, vec![9]);
         g.end_phase();
         let g = g.finish();
         let sum = g.summary();

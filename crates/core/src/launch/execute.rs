@@ -24,7 +24,12 @@ pub(crate) fn execute<R>(p: &Priced, body: impl FnOnce() -> R) -> R {
     if flight {
         telemetry::flight::span_close(telemetry::SpanKind::Launch, &p.name);
     }
-    span.finish(Arc::clone(&p.name), p.items, p.effective_bytes, p.time.total);
+    span.finish(
+        Arc::clone(&p.name),
+        p.items,
+        p.effective_bytes,
+        p.time.total,
+    );
     r
 }
 

@@ -62,7 +62,7 @@ pub mod tune;
 
 pub use buffer::Buffer;
 pub use error::{Failure, FailureKind};
-pub use graph::{replay_all, GraphBuilder, GraphNodeInfo, GraphSummary, LaunchGraph};
+pub use graph::{replay_all, GraphBuilder, GraphNodeInfo, GraphSummary, LaunchGraph, LaunchTarget};
 pub use kernel::{Kernel, KernelTraits};
 pub use launch::{AccessMode, DatAccess, LaunchMeta, LaunchNode, Residency, TransferStats};
 pub use real::Real;

@@ -165,9 +165,9 @@ pub struct Platform {
     pub chip: ChipKind,
     pub mem: MemorySystem,
     /// Host↔device interconnect bandwidth in bytes/s (`None` for CPUs —
-    /// host memory *is* device memory).  Legacy scalar kept for the
-    /// `eager_transfers()` free-transfer escape hatch; new code prices
-    /// through [`interconnect`](Platform::interconnect).
+    /// host memory *is* device memory). The calibration anchor of the
+    /// pinned H2D link rate; pricing goes through
+    /// [`interconnect`](Platform::interconnect).
     pub interconnect_bw: Option<f64>,
     /// Direction- and allocation-aware link model (the second tier of the
     /// cost hierarchy next to the STREAM roofs).

@@ -24,8 +24,8 @@
 //! * **Manifests** ([`manifest`]) — one `BENCH_<name>.json` per bench
 //!   run: git revision, host, thread count, repetitions, per-kernel
 //!   histogram summaries *and* raw repetition samples, achieved GB/s,
-//!   and a counter snapshot. Manifests round-trip through the crate's
-//!   own small JSON value parser ([`jsonv`]), so the gate and the
+//!   and a counter snapshot. Manifests round-trip through the shared
+//!   JSON reader ([`telemetry::json::parse`]), so the gate and the
 //!   dashboard can read back what earlier runs wrote.
 //! * **The gate** ([`gate`], [`stats`]) — compares a current manifest
 //!   against a committed baseline with a proper statistical test:
@@ -40,7 +40,6 @@
 
 pub mod gate;
 pub mod hist;
-pub mod jsonv;
 pub mod manifest;
 pub mod registry;
 pub mod stats;

@@ -9,13 +9,12 @@
 //! summaries), and what the engine did while measuring (a counter
 //! snapshot delta). Manifests round-trip: [`RunManifest::to_json`]
 //! writes through the shared `JsonWriter`, [`RunManifest::parse`] reads
-//! back through [`crate::jsonv`].
+//! back through [`telemetry::json::parse`].
 
 use crate::hist::Summary;
-use crate::jsonv::{self, Json};
 use std::io;
 use std::path::Path;
-use telemetry::json::JsonWriter;
+use telemetry::json::{self, Json, JsonWriter};
 use telemetry::CounterSnapshot;
 
 /// Schema tag written into every manifest.
@@ -199,7 +198,7 @@ impl RunManifest {
 
     /// Parse a manifest document (rejects unknown schema tags).
     pub fn parse(text: &str) -> Result<RunManifest, String> {
-        let doc = jsonv::parse(text).map_err(|e| e.to_string())?;
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         let schema = doc.str_of("schema").ok_or("missing 'schema'")?;
         if schema != SCHEMA {
             return Err(format!("unknown manifest schema '{schema}'"));

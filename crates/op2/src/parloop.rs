@@ -3,11 +3,11 @@
 
 use crate::color::{GlobalColoring, HierColoring};
 use crate::mesh::{Mesh, MeshStats};
-use parkit::{global_pool, tree_combine, DisjointSlices};
-use std::sync::Arc;
+use parkit::global_pool;
+use std::sync::{Arc, OnceLock};
 use sycl_sim::{
     AccessProfile, AtomicKind, AtomicProfile, GraphBuilder, IndirectProfile, Kernel,
-    KernelFootprint, KernelTraits, LaunchMeta, Precision, Scheme, Session,
+    KernelFootprint, KernelTraits, LaunchMeta, LaunchTarget, Precision, Scheme, Session,
 };
 use telemetry::shadow;
 
@@ -224,100 +224,13 @@ impl EdgeLoop {
     /// With `mesh = None`, the loop is priced analytically (colour counts
     /// estimated) and the body is not run — the dry-run path used for
     /// paper-sized problems.
-    pub fn run(self, session: &Session, mesh: Option<&ColoredMesh>, body: impl Fn(usize) + Sync) {
-        let passes = self.passes(mesh);
-        let fraction = 1.0 / passes as f64;
-        let kernel = self.pass_kernel(fraction);
-        metrics::registry().record_labelled(
-            "op2.bytes_per_wave",
-            scheme_label(self.scheme),
-            self.bytes_per_wave(64.0),
-        );
-        let execute = session.executes() && mesh.is_some();
-        let shadowing = shadow::shadow_on() && execute;
-        if shadowing {
-            self.begin_shadow_loop(mesh.unwrap());
-        }
-
-        match self.scheme {
-            Scheme::Atomics => {
-                session.launch(&kernel, || {
-                    if execute {
-                        let n = mesh.unwrap().mesh.n_edges();
-                        global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                            shadow::begin_unit();
-                            for e in lo..hi {
-                                body(e);
-                            }
-                            shadow::end_unit();
-                        });
-                    }
-                });
-            }
-            Scheme::GlobalColor => {
-                if execute {
-                    let colored = mesh.unwrap();
-                    let coloring = colored
-                        .global
-                        .as_ref()
-                        .expect("ColoredMesh::prepare builds the global colouring");
-                    for (pass, group) in coloring.by_color.iter().enumerate() {
-                        if shadowing && pass > 0 {
-                            // Colour groups launch back-to-back: overlap
-                            // *across* them is the point of the scheme.
-                            shadow::next_phase();
-                        }
-                        session.launch(&kernel, || {
-                            global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
-                                shadow::begin_unit();
-                                for &e in &group[lo..hi] {
-                                    body(e as usize);
-                                }
-                                shadow::end_unit();
-                            });
-                        });
-                    }
-                } else {
-                    for _ in 0..passes {
-                        session.launch(&kernel, || ());
-                    }
-                }
-            }
-            Scheme::HierColor => {
-                if execute {
-                    let colored = mesh.unwrap();
-                    let hier = colored
-                        .hier
-                        .as_ref()
-                        .expect("ColoredMesh::prepare builds the hierarchical colouring");
-                    let n_edges = colored.mesh.n_edges();
-                    for (pass, group) in hier.blocks_by_color.iter().enumerate() {
-                        if shadowing && pass > 0 {
-                            shadow::next_phase();
-                        }
-                        session.launch(&kernel, || {
-                            global_pool().run_region(group.len(), |_lane, gi| {
-                                let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
-                                // Blocks run serially inside — the
-                                // intra-block colouring orders the edges.
-                                shadow::begin_unit();
-                                for e in lo..hi {
-                                    body(e);
-                                }
-                                shadow::end_unit();
-                            });
-                        });
-                    }
-                } else {
-                    for _ in 0..passes {
-                        session.launch(&kernel, || ());
-                    }
-                }
-            }
-        }
-        if shadowing {
-            shadow::end_loop();
-        }
+    pub fn run(
+        self,
+        session: &Session,
+        mesh: Option<&ColoredMesh>,
+        body: impl Fn(usize) + Send + Sync,
+    ) {
+        self.emit(&mut { session }, mesh, body);
     }
 
     /// Open the shadow trace for this loop: declaration, builder
@@ -370,24 +283,31 @@ impl EdgeLoop {
         }
     }
 
-    /// Record this loop into a launch graph instead of launching it; the
-    /// replay mirror of [`EdgeLoop::run`].
-    ///
-    /// Colour schemes record one launch node per colour pass (the same
-    /// launch sequence the eager path issues), so the replayed ledger is
-    /// bit-identical to an eager run. The colour structure is captured at
-    /// record time — re-record if the mesh or its colouring changes.
-    /// Shadow bracketing is evaluated at replay time inside the recorded
-    /// bodies, in the same order as the eager path.
+    /// Record this loop into a launch graph instead of launching it
+    /// ([`EdgeLoop::run`]). The colour structure is captured at record
+    /// time — re-record if the mesh or its colouring changes.
     pub fn record<'a>(
         self,
         g: &mut GraphBuilder<'a>,
         mesh: Option<&'a ColoredMesh>,
         body: impl Fn(usize) + Send + Sync + 'a,
     ) {
+        self.emit(g, mesh, body);
+    }
+
+    /// The one launch path of an edge loop: one launch per colour pass
+    /// (a single one under atomics). The shadow bracket opens in the
+    /// first pass and closes in the last; every later pass starts a new
+    /// shadow phase, because units of different colour groups may
+    /// overlap — serialising the groups is the point of the scheme.
+    fn emit<'a>(
+        self,
+        to: &mut impl LaunchTarget<'a>,
+        mesh: Option<&'a ColoredMesh>,
+        body: impl Fn(usize) + Send + Sync + 'a,
+    ) {
         let passes = self.passes(mesh);
-        let fraction = 1.0 / passes as f64;
-        let kernel = self.pass_kernel(fraction);
+        let kernel = self.pass_kernel(1.0 / passes as f64);
         metrics::registry().record_labelled(
             "op2.bytes_per_wave",
             scheme_label(self.scheme),
@@ -396,107 +316,79 @@ impl EdgeLoop {
         let scheme = self.scheme;
         let lp = Arc::new(self);
         let body = Arc::new(body);
+        for pass in 0..passes {
+            // Indirect loops have anonymous args: the meta is opaque (no
+            // dat-level dataflow), but the single atomics launch carries
+            // the scheme label for the per-platform legality lint.
+            let meta = match scheme {
+                Scheme::Atomics => LaunchMeta::opaque().with_scheme(scheme_label(scheme)),
+                _ => LaunchMeta::opaque(),
+            };
+            let lp = Arc::clone(&lp);
+            let body = Arc::clone(&body);
+            to.launch_node(&kernel, meta, move |executes| {
+                let Some(colored) = mesh.filter(|_| executes) else {
+                    return;
+                };
+                let shadowing = shadow::shadow_on();
+                if shadowing {
+                    if pass == 0 {
+                        lp.begin_shadow_loop(colored);
+                    } else {
+                        shadow::next_phase();
+                    }
+                }
+                lp.run_pass(colored, pass, &*body);
+                if shadowing && pass == passes - 1 {
+                    shadow::end_loop();
+                }
+            });
+        }
+    }
 
-        match scheme {
+    /// Execute colour pass `pass` of the scheme over `colored`.
+    fn run_pass(&self, colored: &ColoredMesh, pass: usize, body: &(impl Fn(usize) + Sync)) {
+        match self.scheme {
             Scheme::Atomics => {
-                let lp = Arc::clone(&lp);
-                let body = Arc::clone(&body);
-                // Indirect loops have anonymous args: the meta is opaque
-                // (no dat-level dataflow), but carries the scheme label
-                // for the per-platform legality lint.
-                let meta = LaunchMeta::opaque().with_scheme(scheme_label(scheme));
-                g.launch_with_meta(&kernel, meta, move |executes| {
-                    let execute = executes && mesh.is_some();
-                    let shadowing = shadow::shadow_on() && execute;
-                    if shadowing {
-                        lp.begin_shadow_loop(mesh.unwrap());
+                global_pool().for_range(colored.mesh.n_edges(), EXEC_CHUNK, |lo, hi| {
+                    shadow::begin_unit();
+                    for e in lo..hi {
+                        body(e);
                     }
-                    if execute {
-                        let n = mesh.unwrap().mesh.n_edges();
-                        global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                            shadow::begin_unit();
-                            for e in lo..hi {
-                                body(e);
-                            }
-                            shadow::end_unit();
-                        });
-                    }
-                    if shadowing {
-                        shadow::end_loop();
-                    }
+                    shadow::end_unit();
                 });
             }
             Scheme::GlobalColor => {
-                for pass in 0..passes {
-                    let lp = Arc::clone(&lp);
-                    let body = Arc::clone(&body);
-                    g.launch(&kernel, move |executes| {
-                        let execute = executes && mesh.is_some();
-                        let shadowing = shadow::shadow_on() && execute;
-                        if shadowing {
-                            if pass == 0 {
-                                lp.begin_shadow_loop(mesh.unwrap());
-                            } else {
-                                shadow::next_phase();
-                            }
-                        }
-                        if execute {
-                            let coloring = mesh
-                                .unwrap()
-                                .global
-                                .as_ref()
-                                .expect("ColoredMesh::prepare builds the global colouring");
-                            let group = &coloring.by_color[pass];
-                            global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
-                                shadow::begin_unit();
-                                for &e in &group[lo..hi] {
-                                    body(e as usize);
-                                }
-                                shadow::end_unit();
-                            });
-                        }
-                        if shadowing && pass == passes - 1 {
-                            shadow::end_loop();
-                        }
-                    });
-                }
+                let coloring = colored
+                    .global
+                    .as_ref()
+                    .expect("ColoredMesh::prepare builds the global colouring");
+                let group = &coloring.by_color[pass];
+                global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
+                    shadow::begin_unit();
+                    for &e in &group[lo..hi] {
+                        body(e as usize);
+                    }
+                    shadow::end_unit();
+                });
             }
             Scheme::HierColor => {
-                for pass in 0..passes {
-                    let lp = Arc::clone(&lp);
-                    let body = Arc::clone(&body);
-                    g.launch(&kernel, move |executes| {
-                        let execute = executes && mesh.is_some();
-                        let shadowing = shadow::shadow_on() && execute;
-                        if shadowing {
-                            if pass == 0 {
-                                lp.begin_shadow_loop(mesh.unwrap());
-                            } else {
-                                shadow::next_phase();
-                            }
-                        }
-                        if execute {
-                            let colored = mesh.unwrap();
-                            let hier = colored
-                                .hier
-                                .as_ref()
-                                .expect("ColoredMesh::prepare builds the hierarchical colouring");
-                            let n_edges = colored.mesh.n_edges();
-                            let group = &hier.blocks_by_color[pass];
-                            global_pool().run_region(group.len(), |_lane, gi| {
-                                let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
-                                shadow::begin_unit();
-                                for e in lo..hi {
-                                    body(e);
-                                }
-                                shadow::end_unit();
-                            });
-                        }
-                        if shadowing && pass == passes - 1 {
-                            shadow::end_loop();
-                        }
-                    });
-                }
+                let hier = colored
+                    .hier
+                    .as_ref()
+                    .expect("ColoredMesh::prepare builds the hierarchical colouring");
+                let n_edges = colored.mesh.n_edges();
+                let group = &hier.blocks_by_color[pass];
+                global_pool().run_region(group.len(), |_lane, gi| {
+                    let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
+                    // Blocks run serially inside — the intra-block
+                    // colouring orders the edges.
+                    shadow::begin_unit();
+                    for e in lo..hi {
+                        body(e);
+                    }
+                    shadow::end_unit();
+                });
             }
         }
     }
@@ -613,43 +505,9 @@ impl VertexLoop {
         })
     }
 
-    /// Open the shadow trace for a direct loop.
-    fn begin_shadow_loop(&self) {
-        shadow::begin_loop(shadow::LoopDecl {
-            kernel: self.name.clone(),
-            structured: false,
-            lo: [0; 3],
-            hi: [0; 3],
-            args: Vec::new(),
-            flops_pp: self.flops_pp,
-            transc_pp: self.transc_pp,
-            scheme: None,
-        });
-        for d in &self.defects {
-            shadow::note(shadow::NoteKind::DeclDefect, d.clone());
-        }
-    }
-
     /// Price and run the loop body over element chunks.
     pub fn run(self, session: &Session, body: impl Fn(usize, usize) + Sync) {
-        let n = self.set_size;
-        let kernel = self.kernel(0);
-        let shadowing = shadow::shadow_on() && session.executes();
-        if shadowing {
-            self.begin_shadow_loop();
-        }
-        session.launch(&kernel, || {
-            if session.executes() {
-                global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                    shadow::begin_unit();
-                    body(lo, hi);
-                    shadow::end_unit();
-                });
-            }
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
+        self.emit(&mut { session }, body);
     }
 
     /// Price and run with a deterministic tree reduction.
@@ -661,75 +519,23 @@ impl VertexLoop {
         body: impl Fn(usize, usize) -> A + Sync,
     ) -> A
     where
-        A: Send + Clone,
+        A: Send + Sync + Clone,
     {
-        let n = self.set_size;
-        let kernel = self.kernel(1);
-        let bytes = kernel.footprint.effective_bytes;
-        let shadowing = shadow::shadow_on() && session.executes();
-        if shadowing {
-            self.begin_shadow_loop();
-        }
-        let name = self.name;
-        let out = session.launch(&kernel, || {
-            if !session.executes() {
-                return identity.clone();
-            }
-            let span = telemetry::SpanTimer::start();
-            let chunks = n.div_ceil(EXEC_CHUNK);
-            let mut partials: Vec<Option<A>> = (0..chunks).map(|_| None).collect();
-            let slots = DisjointSlices::new(&mut partials);
-            global_pool().run_region(chunks, |_lane, c| {
-                let lo = c * EXEC_CHUNK;
-                let hi = (lo + EXEC_CHUNK).min(n);
-                shadow::begin_unit();
-                let partial = body(lo, hi);
-                shadow::end_unit();
-                // SAFETY: each chunk index visited exactly once.
-                unsafe { slots.write(c, Some(partial)) };
-            });
-            let out = tree_combine(
-                partials.into_iter().map(|p| p.expect("chunk ran")),
-                identity,
-                &combine,
-            );
-            if let Some(t) = span {
-                let label: std::sync::Arc<str> = format!("{name}.reduce").into();
-                t.finish(telemetry::SpanKind::Reduce, label, chunks as u64, bytes);
-            }
-            out
+        let out = OnceLock::new();
+        self.emit_reduce(&mut { session }, identity, combine, body, |a| {
+            let _ = out.set(a);
         });
-        if shadowing {
-            shadow::end_loop();
-        }
-        out
+        out.into_inner()
+            .expect("an eager launch runs its body once")
     }
 
-    /// Record this loop into a launch graph; the replay mirror of
-    /// [`VertexLoop::run`].
+    /// Record this loop into a launch graph ([`VertexLoop::run`]).
     pub fn record<'a>(self, g: &mut GraphBuilder<'a>, body: impl Fn(usize, usize) + Sync + 'a) {
-        let n = self.set_size;
-        let kernel = self.kernel(0);
-        g.launch(&kernel, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
-            if shadowing {
-                self.begin_shadow_loop();
-            }
-            if executes {
-                global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                    shadow::begin_unit();
-                    body(lo, hi);
-                    shadow::end_unit();
-                });
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        self.emit(g, body);
     }
 
-    /// Record a reducing loop into a launch graph; the replay mirror of
-    /// [`VertexLoop::run_reduce`]. The reduction result is delivered to
+    /// Record a reducing loop into a launch graph
+    /// ([`VertexLoop::run_reduce`]). The reduction result is delivered to
     /// `sink` on every replay (the identity when the session does not
     /// execute, exactly as the eager path returns it).
     pub fn record_reduce<'a, A>(
@@ -742,45 +548,86 @@ impl VertexLoop {
     ) where
         A: Send + Sync + Clone + 'a,
     {
-        let n = self.set_size;
+        self.emit_reduce(g, identity, combine, body, sink);
+    }
+
+    /// The one launch path of a plain direct loop: `body` over
+    /// `EXEC_CHUNK`-sized element ranges.
+    fn emit<'a>(self, to: &mut impl LaunchTarget<'a>, body: impl Fn(usize, usize) + Sync + 'a) {
+        let kernel = self.kernel(0);
+        to.launch_node(&kernel, LaunchMeta::opaque(), move |executes| {
+            self.shadowed(executes, || {
+                if executes {
+                    global_pool().for_range(self.set_size, EXEC_CHUNK, |lo, hi| {
+                        shadow::begin_unit();
+                        body(lo, hi);
+                        shadow::end_unit();
+                    });
+                }
+            });
+        });
+    }
+
+    /// The one launch path of a reducing direct loop: fold each
+    /// `EXEC_CHUNK` range into a partial, combine the partials in the
+    /// pool's fixed tree, and hand the result (the identity when nothing
+    /// executes) to `sink`.
+    fn emit_reduce<'a, A>(
+        self,
+        to: &mut impl LaunchTarget<'a>,
+        identity: A,
+        combine: impl Fn(A, A) -> A + Sync + 'a,
+        body: impl Fn(usize, usize) -> A + Sync + 'a,
+        sink: impl Fn(A) + Sync + 'a,
+    ) where
+        A: Send + Sync + Clone + 'a,
+    {
         let kernel = self.kernel(1);
         let bytes = kernel.footprint.effective_bytes;
-        g.launch(&kernel, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
-            if shadowing {
-                self.begin_shadow_loop();
-            }
-            if !executes {
-                sink(identity.clone());
-            } else {
-                let span = telemetry::SpanTimer::start();
-                let chunks = n.div_ceil(EXEC_CHUNK);
-                let mut partials: Vec<Option<A>> = (0..chunks).map(|_| None).collect();
-                let slots = DisjointSlices::new(&mut partials);
-                global_pool().run_region(chunks, |_lane, c| {
-                    let lo = c * EXEC_CHUNK;
-                    let hi = (lo + EXEC_CHUNK).min(n);
-                    shadow::begin_unit();
-                    let partial = body(lo, hi);
-                    shadow::end_unit();
-                    // SAFETY: each chunk index visited exactly once.
-                    unsafe { slots.write(c, Some(partial)) };
-                });
-                let out = tree_combine(
-                    partials.into_iter().map(|p| p.expect("chunk ran")),
-                    identity.clone(),
-                    &combine,
-                );
-                if let Some(t) = span {
-                    let label: std::sync::Arc<str> = format!("{}.reduce", self.name).into();
-                    t.finish(telemetry::SpanKind::Reduce, label, chunks as u64, bytes);
-                }
+        to.launch_node(&kernel, LaunchMeta::opaque(), move |executes| {
+            self.shadowed(executes, || {
+                let n = self.set_size;
+                let out = if executes {
+                    let chunks = n.div_ceil(EXEC_CHUNK);
+                    telemetry::reduce_span(&self.name, chunks, bytes, || {
+                        global_pool().reduce(n, EXEC_CHUNK, identity.clone(), &combine, |r| {
+                            shadow::begin_unit();
+                            let partial = body(r.start, r.end);
+                            shadow::end_unit();
+                            partial
+                        })
+                    })
+                } else {
+                    identity.clone()
+                };
                 sink(out);
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
+            });
         });
+    }
+
+    /// Run `f` inside this loop's shadow-access bracket when the checker
+    /// is on and the body executes.
+    fn shadowed(&self, executes: bool, f: impl FnOnce()) {
+        let shadowing = shadow::shadow_on() && executes;
+        if shadowing {
+            shadow::begin_loop(shadow::LoopDecl {
+                kernel: self.name.clone(),
+                structured: false,
+                lo: [0; 3],
+                hi: [0; 3],
+                args: Vec::new(),
+                flops_pp: self.flops_pp,
+                transc_pp: self.transc_pp,
+                scheme: None,
+            });
+            for d in &self.defects {
+                shadow::note(shadow::NoteKind::DeclDefect, d.clone());
+            }
+        }
+        f();
+        if shadowing {
+            shadow::end_loop();
+        }
     }
 }
 
@@ -1013,6 +860,96 @@ mod tests {
             );
             assert_eq!(deg_e.host(), deg_r.host(), "scheme {scheme:?}: results");
         }
+
+        // VertexLoop reductions: a set that is not a whole number of
+        // EXEC_CHUNKs, summing terms of wildly different magnitude so
+        // any change to the chunk bounds or the combine tree moves the
+        // result bits. The expected bits were pinned before the reduce
+        // path moved onto `ThreadPool::reduce`.
+        const SUM_BITS: u64 = 4684241087396534068;
+        const LEDGER_DIGEST: u64 = 17590446541298910997;
+        let n = 3 * EXEC_CHUNK + 517;
+        let mut q = DatU::<f64>::zeroed("q", n, 1);
+        q.fill_with(|e, _| ((e * 37 % 101) as f64 * 0.731).sin() * 10f64.powi((e % 9) as i32 - 4));
+        let r = q.reader();
+        let sum_loop = || VertexLoop::new("norm", n, Precision::F64).arg(1).flops(1.0);
+        let chunk_sum = |lo: usize, hi: usize| (lo..hi).map(|e| r.at(e, 0)).sum::<f64>();
+        let sequential = (0..n).map(|e| r.at(e, 0)).sum::<f64>();
+
+        let eager = session();
+        let eager_bits: Vec<u64> = (0..3)
+            .map(|_| {
+                sum_loop()
+                    .run_reduce(&eager, 0.0, |a, b| a + b, chunk_sum)
+                    .to_bits()
+            })
+            .collect();
+
+        let replayed = session();
+        let cell = std::sync::atomic::AtomicU64::new(u64::MAX);
+        let mut g = replayed.record();
+        sum_loop().record_reduce(
+            &mut g,
+            0.0,
+            |a, b| a + b,
+            chunk_sum,
+            |v: f64| cell.store(v.to_bits(), std::sync::atomic::Ordering::Relaxed),
+        );
+        let graph = g.finish();
+        let replay_bits: Vec<u64> = (0..3)
+            .map(|_| {
+                graph.replay(&replayed);
+                cell.load(std::sync::atomic::Ordering::Relaxed)
+            })
+            .collect();
+        drop(graph);
+
+        assert_eq!(eager_bits, replay_bits, "vertex reduce: results");
+        assert_ne!(
+            eager_bits[0],
+            sequential.to_bits(),
+            "the data must make the combine order visible"
+        );
+        assert_eq!(eager_bits[0], SUM_BITS, "vertex reduce: pinned result bits");
+        assert_eq!(eager.ledger_digest(), replayed.ledger_digest());
+        assert_eq!(
+            eager.ledger_digest(),
+            LEDGER_DIGEST,
+            "vertex reduce: pinned ledger"
+        );
+
+        // Dry run: neither path runs the body, both hand back the identity.
+        let dry = || {
+            Session::create(
+                SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+                    .app("op2-test")
+                    .dry_run(),
+            )
+            .unwrap()
+        };
+        let identity = -0.0f64;
+        let dry_eager = dry();
+        let got = sum_loop().run_reduce(&dry_eager, identity, |a, b| a + b, chunk_sum);
+        assert_eq!(
+            got.to_bits(),
+            identity.to_bits(),
+            "dry run returns the identity"
+        );
+        let dry_replayed = dry();
+        let mut g = dry_replayed.record();
+        sum_loop().record_reduce(
+            &mut g,
+            identity,
+            |a, b| a + b,
+            chunk_sum,
+            |v: f64| cell.store(v.to_bits(), std::sync::atomic::Ordering::Relaxed),
+        );
+        g.finish().replay(&dry_replayed);
+        assert_eq!(
+            cell.load(std::sync::atomic::Ordering::Relaxed),
+            identity.to_bits()
+        );
+        assert_eq!(dry_eager.ledger_digest(), dry_replayed.ledger_digest());
     }
 
     #[test]

@@ -9,9 +9,10 @@ use crate::dat::DatMeta;
 use crate::range::{Range3, Row};
 use crate::stencil::Stencil;
 use parkit::global_pool;
+use std::sync::OnceLock;
 use sycl_sim::{
     AccessMode, AccessProfile, DatAccess, GraphBuilder, Kernel, KernelFootprint, KernelTraits,
-    LaunchMeta, Precision, Session, StencilProfile,
+    LaunchMeta, LaunchTarget, Precision, Session, StencilProfile,
 };
 use telemetry::shadow;
 
@@ -245,26 +246,7 @@ impl ParLoop {
     /// `body` receives sub-ranges that partition the loop range; it must
     /// write only to its tile's points (the usual OPS contract).
     pub fn run(self, session: &Session, body: impl Fn(Range3) + Sync) {
-        let kernel = self.kernel();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let shadowing = shadow::shadow_on() && session.executes();
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
-        }
-        let range = self.range;
-        session.launch(&kernel, || {
-            if session.executes() {
-                global_pool().run_region(tiles, |_lane, t| {
-                    shadow::begin_unit();
-                    body(range.tile(shape, t));
-                    shadow::end_unit();
-                });
-            }
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
+        self.emit(&mut { session }, body);
     }
 
     /// The row-sliced fast path: price the launch and run `body` once
@@ -278,28 +260,7 @@ impl ParLoop {
     /// the same decomposition as [`ParLoop::run`], so both paths cover
     /// identical points in identical order.
     pub fn run_rows(self, session: &Session, body: impl Fn(Row) + Sync) {
-        let kernel = self.kernel();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let shadowing = shadow::shadow_on() && session.executes();
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
-        }
-        let range = self.range;
-        session.launch(&kernel, || {
-            if session.executes() {
-                global_pool().run_region(tiles, |_lane, t| {
-                    shadow::begin_unit();
-                    for row in range.tile(shape, t).rows() {
-                        body(row);
-                    }
-                    shadow::end_unit();
-                });
-            }
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
+        self.emit(&mut { session }, each_row(body));
     }
 
     /// Like [`ParLoop::run`] but the loop also produces a reduction:
@@ -315,37 +276,14 @@ impl ParLoop {
         body: impl Fn(Range3) -> A + Sync,
     ) -> A
     where
-        A: Send + Clone,
+        A: Send + Sync + Clone,
     {
-        let mut kernel = self.kernel();
-        kernel.footprint.reductions = 1;
-        let bytes = kernel.footprint.effective_bytes;
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let shadowing = shadow::shadow_on() && session.executes();
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
-        }
-        let range = self.range;
-        let name = self.name;
-        let out = session.launch(&kernel, || {
-            if !session.executes() {
-                return identity.clone();
-            }
-            let span = telemetry::SpanTimer::start();
-            let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                shadow::begin_unit();
-                let partial = body(range.tile(shape, t));
-                shadow::end_unit();
-                partial
-            });
-            finish_reduce_span(span, &name, tiles, bytes);
-            out
+        let out = OnceLock::new();
+        self.emit_reduce(&mut { session }, identity, combine, body, |a| {
+            let _ = out.set(a);
         });
-        if shadowing {
-            shadow::end_loop();
-        }
-        out
+        out.into_inner()
+            .expect("an eager launch runs its body once")
     }
 
     /// Row-sliced reduction. `body` is a *fold*: it takes the tile's
@@ -363,104 +301,23 @@ impl ParLoop {
     where
         A: Send + Sync + Clone,
     {
-        let mut kernel = self.kernel();
-        kernel.footprint.reductions = 1;
-        let bytes = kernel.footprint.effective_bytes;
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let shadowing = shadow::shadow_on() && session.executes();
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
-        }
-        let range = self.range;
-        let name = self.name;
-        let out = session.launch(&kernel, || {
-            if !session.executes() {
-                return identity.clone();
-            }
-            let span = telemetry::SpanTimer::start();
-            let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                shadow::begin_unit();
-                let mut acc = identity.clone();
-                for row in range.tile(shape, t).rows() {
-                    acc = body(acc, row);
-                }
-                shadow::end_unit();
-                acc
-            });
-            finish_reduce_span(span, &name, tiles, bytes);
-            out
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
-        out
+        let fold = fold_rows(identity.clone(), body);
+        self.run_reduce(session, identity, combine, fold)
     }
 
     /// Record this loop into a launch graph instead of launching it.
-    ///
-    /// The mirror of [`ParLoop::run`]: the same kernel descriptor is
-    /// priced through the same cache, and on every
-    /// [`LaunchGraph::replay`](sycl_sim::LaunchGraph::replay) the body
-    /// runs over the identical tile decomposition — so eager and
-    /// replayed ledgers are bit-identical. Shadow bracketing is
-    /// evaluated at replay time, inside the recorded body.
+    /// Every [`LaunchGraph::replay`](sycl_sim::LaunchGraph::replay)
+    /// runs the body exactly as [`ParLoop::run`] would.
     pub fn record<'a>(self, g: &mut GraphBuilder<'a>, body: impl Fn(Range3) + Sync + 'a) {
-        let kernel = self.kernel();
-        let meta = self.launch_meta();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let decl = self.loop_decl();
-        let range = self.range;
-        g.launch_with_meta(&kernel, meta, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
-            if shadowing {
-                shadow::begin_loop(decl.clone());
-            }
-            if executes {
-                global_pool().run_region(tiles, |_lane, t| {
-                    shadow::begin_unit();
-                    body(range.tile(shape, t));
-                    shadow::end_unit();
-                });
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        self.emit(g, body);
     }
 
-    /// Record the row-sliced fast path into a launch graph; the replay
-    /// mirror of [`ParLoop::run_rows`].
+    /// Record the row-sliced fast path ([`ParLoop::run_rows`]).
     pub fn record_rows<'a>(self, g: &mut GraphBuilder<'a>, body: impl Fn(Row) + Sync + 'a) {
-        let kernel = self.kernel();
-        let meta = self.launch_meta();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let decl = self.loop_decl();
-        let range = self.range;
-        g.launch_with_meta(&kernel, meta, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
-            if shadowing {
-                shadow::begin_loop(decl.clone());
-            }
-            if executes {
-                global_pool().run_region(tiles, |_lane, t| {
-                    shadow::begin_unit();
-                    for row in range.tile(shape, t).rows() {
-                        body(row);
-                    }
-                    shadow::end_unit();
-                });
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        self.emit(g, each_row(body));
     }
 
-    /// Record a reducing loop into a launch graph; the replay mirror of
-    /// [`ParLoop::run_reduce`].
+    /// Record a reducing loop ([`ParLoop::run_reduce`]).
     ///
     /// Recorded bodies cannot return values through the graph, so the
     /// reduction result is delivered to `sink` on every replay (the
@@ -477,42 +334,11 @@ impl ParLoop {
     ) where
         A: Send + Sync + Clone + 'a,
     {
-        let mut kernel = self.kernel();
-        kernel.footprint.reductions = 1;
-        let bytes = kernel.footprint.effective_bytes;
-        let meta = self.launch_meta();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let decl = self.loop_decl();
-        let range = self.range;
-        let name = self.name;
-        g.launch_with_meta(&kernel, meta, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
-            if shadowing {
-                shadow::begin_loop(decl.clone());
-            }
-            if !executes {
-                sink(identity.clone());
-            } else {
-                let span = telemetry::SpanTimer::start();
-                let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                    shadow::begin_unit();
-                    let partial = body(range.tile(shape, t));
-                    shadow::end_unit();
-                    partial
-                });
-                finish_reduce_span(span, &name, tiles, bytes);
-                sink(out);
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        self.emit_reduce(g, identity, combine, body, sink);
     }
 
-    /// Record a row-sliced reducing loop into a launch graph; the replay
-    /// mirror of [`ParLoop::run_rows_reduce`] (see
-    /// [`ParLoop::record_reduce`] for the sink contract).
+    /// Record a row-sliced reducing loop ([`ParLoop::run_rows_reduce`];
+    /// see [`ParLoop::record_reduce`] for the sink contract).
     pub fn record_rows_reduce<'a, A>(
         self,
         g: &mut GraphBuilder<'a>,
@@ -523,50 +349,103 @@ impl ParLoop {
     ) where
         A: Send + Sync + Clone + 'a,
     {
+        let fold = fold_rows(identity.clone(), body);
+        self.emit_reduce(g, identity, combine, fold, sink);
+    }
+
+    /// The one launch path of a plain loop: run `body` over the
+    /// `exec_tile` decomposition inside the loop's shadow bracket.
+    fn emit<'a>(self, to: &mut impl LaunchTarget<'a>, body: impl Fn(Range3) + Sync + 'a) {
+        let kernel = self.kernel();
+        let meta = self.launch_meta();
+        let shape = exec_tile(&self.range);
+        let tiles = self.range.tile_count(shape);
+        to.launch_node(&kernel, meta, move |executes| {
+            self.shadowed(executes, || {
+                if executes {
+                    global_pool().run_region(tiles, |_lane, t| {
+                        shadow::begin_unit();
+                        body(self.range.tile(shape, t));
+                        shadow::end_unit();
+                    });
+                }
+            });
+        });
+    }
+
+    /// The one launch path of a reducing loop: fold each tile into a
+    /// partial, combine the partials in the pool's fixed tree, and hand
+    /// the result (the identity when nothing executes) to `sink`.
+    fn emit_reduce<'a, A>(
+        self,
+        to: &mut impl LaunchTarget<'a>,
+        identity: A,
+        combine: impl Fn(A, A) -> A + Sync + 'a,
+        body: impl Fn(Range3) -> A + Sync + 'a,
+        sink: impl Fn(A) + Sync + 'a,
+    ) where
+        A: Send + Sync + Clone + 'a,
+    {
         let mut kernel = self.kernel();
         kernel.footprint.reductions = 1;
         let bytes = kernel.footprint.effective_bytes;
         let meta = self.launch_meta();
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
-        let decl = self.loop_decl();
-        let range = self.range;
-        let name = self.name;
-        g.launch_with_meta(&kernel, meta, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
-            if shadowing {
-                shadow::begin_loop(decl.clone());
-            }
-            if !executes {
-                sink(identity.clone());
-            } else {
-                let span = telemetry::SpanTimer::start();
-                let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                    shadow::begin_unit();
-                    let mut acc = identity.clone();
-                    for row in range.tile(shape, t).rows() {
-                        acc = body(acc, row);
-                    }
-                    shadow::end_unit();
-                    acc
-                });
-                finish_reduce_span(span, &name, tiles, bytes);
+        to.launch_node(&kernel, meta, move |executes| {
+            self.shadowed(executes, || {
+                let out = if executes {
+                    telemetry::reduce_span(&self.name, tiles, bytes, || {
+                        global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
+                            shadow::begin_unit();
+                            let partial = body(self.range.tile(shape, t));
+                            shadow::end_unit();
+                            partial
+                        })
+                    })
+                } else {
+                    identity.clone()
+                };
                 sink(out);
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
+            });
         });
+    }
+
+    /// Run `f` inside this loop's shadow-access bracket when the checker
+    /// is on and the body executes.
+    fn shadowed(&self, executes: bool, f: impl FnOnce()) {
+        let shadowing = shadow::shadow_on() && executes;
+        if shadowing {
+            shadow::begin_loop(self.loop_decl());
+        }
+        f();
+        if shadowing {
+            shadow::end_loop();
+        }
     }
 }
 
-/// Record a `ReduceSpan` named `<kernel>.reduce` carrying the tile count
-/// and the loop's effective bytes. The format allocates only when a span
-/// was actually taken (telemetry enabled).
-fn finish_reduce_span(span: Option<telemetry::SpanTimer>, kernel: &str, tiles: usize, bytes: f64) {
-    if let Some(t) = span {
-        let label: std::sync::Arc<str> = format!("{kernel}.reduce").into();
-        t.finish(telemetry::SpanKind::Reduce, label, tiles as u64, bytes);
+/// Adapt a per-row body to the per-tile emitters.
+fn each_row(body: impl Fn(Row) + Sync) -> impl Fn(Range3) + Sync {
+    move |tile| {
+        for row in tile.rows() {
+            body(row);
+        }
+    }
+}
+
+/// Adapt a per-row fold to the per-tile reduce emitter: each tile starts
+/// from `identity` and folds its rows in order.
+fn fold_rows<A: Clone + Sync>(
+    identity: A,
+    body: impl Fn(A, Row) -> A + Sync,
+) -> impl Fn(Range3) -> A + Sync {
+    move |tile| {
+        let mut acc = identity.clone();
+        for row in tile.rows() {
+            acc = body(acc, row);
+        }
+        acc
     }
 }
 

@@ -55,8 +55,6 @@ pub use park::Parker;
 pub use pool::{PoolConfig, Schedule, ThreadPool};
 pub use queue::MpmcQueue;
 pub use range::{split_evenly, Chunks, Tile2, Tile3};
-pub use reduce::tree_combine;
-pub use slice::DisjointSlices;
 
 use std::sync::OnceLock;
 

@@ -450,7 +450,7 @@ impl ThreadPool {
     /// Deterministic parallel reduction over `0..total`.
     ///
     /// `map` folds one chunk's index range into a partial; partials are
-    /// combined in a fixed pairwise tree (see [`crate::tree_combine`]),
+    /// combined in a fixed pairwise tree (`reduce::tree_combine`),
     /// making the result independent of scheduling.
     pub fn reduce<T, M, C>(&self, total: usize, grain: usize, identity: T, combine: C, map: M) -> T
     where

@@ -653,7 +653,7 @@ pub fn chrome_fleet_trace(recordings: &[FlightRecording]) -> String {
 mod tests {
     use super::*;
     use crate::unit::smoke_units;
-    use metrics::jsonv::{self, Json};
+    use telemetry::json::{self, Json};
 
     fn mark(role: TraceRole, trace: u64, unit: u32, t_ns: u64, tag: &str) -> FlightEvent {
         FlightEvent::TraceMark {
@@ -833,7 +833,7 @@ mod tests {
         let doc = chrome_fleet_trace(&[orch, worker]);
         telemetry::json::validate(&doc).unwrap();
 
-        let j = jsonv::parse(&doc).unwrap();
+        let j = json::parse(&doc).unwrap();
         let Some(Json::Arr(events)) = j.get("traceEvents") else {
             panic!("traceEvents array missing");
         };

@@ -38,10 +38,9 @@
 
 use crate::record::UnitRecord;
 use crate::unit::{unit_from_wire, StudyUnit};
-use metrics::jsonv::{self, Json};
 use std::fmt;
 use std::io::{self, Read, Write};
-use telemetry::json::JsonWriter;
+use telemetry::json::{self, Json, JsonWriter};
 
 /// Frame magic: **SY**cl-study **F**rame v**1**.
 pub const MAGIC: [u8; 4] = *b"SYF1";
@@ -245,7 +244,7 @@ impl Msg {
     }
 
     pub fn parse(text: &str) -> Result<Msg, String> {
-        let j = jsonv::parse(text).map_err(|e| e.to_string())?;
+        let j = json::parse(text).map_err(|e| e.to_string())?;
         let u32_of = |k: &str| -> Result<u32, String> {
             j.u64_of(k)
                 .map(|v| v as u32)

@@ -8,10 +8,9 @@
 //! produced it.
 
 use crate::unit::{unit_from_wire, StudyUnit};
-use metrics::jsonv::{self, Json};
 use metrics::{Histogram, KernelSummary, Provenance, RunManifest};
 use sycl_sim::FailureKind;
-use telemetry::json::JsonWriter;
+use telemetry::json::{self, Json, JsonWriter};
 
 /// Why a unit is terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +138,7 @@ impl UnitRecord {
 
     /// Parse one record object.
     pub fn parse(text: &str) -> Result<UnitRecord, String> {
-        let j = jsonv::parse(text).map_err(|e| e.to_string())?;
+        let j = json::parse(text).map_err(|e| e.to_string())?;
         UnitRecord::from_json(&j)
     }
 

@@ -11,10 +11,9 @@
 use crate::orchestrator::StudyStats;
 use crate::record::{UnitRecord, UnitStatus};
 use crate::unit::Scope;
-use metrics::jsonv::{self, Json};
 use portability::{cpu_platforms, gpu_platforms, pennycook};
 use sycl_sim::{PlatformId, Scheme, Toolchain};
-use telemetry::json::JsonWriter;
+use telemetry::json::{self, Json, JsonWriter};
 
 pub const SCHEMA: &str = "sycl-study/v1";
 
@@ -69,7 +68,7 @@ impl StudyDoc {
     }
 
     pub fn parse(text: &str) -> Result<StudyDoc, String> {
-        let j = jsonv::parse(text).map_err(|e| e.to_string())?;
+        let j = json::parse(text).map_err(|e| e.to_string())?;
         match j.str_of("schema") {
             Some(SCHEMA) => {}
             other => return Err(format!("unexpected schema {other:?}")),

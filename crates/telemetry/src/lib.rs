@@ -51,7 +51,7 @@ pub mod shadow;
 pub use counters::{counters, CounterSnapshot, Counters};
 pub use export::{aggregate, chrome_trace, chrome_trace_events};
 pub use flight::{FlightEvent, FlightRecording, TraceRole};
-pub use ring::{flush, now_ns, Event, Name, SpanKind, SpanTimer};
+pub use ring::{flush, now_ns, reduce_span, Event, Name, SpanKind, SpanTimer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;

@@ -240,6 +240,20 @@ impl SpanTimer {
     }
 }
 
+/// Run the deterministic reduction `f` of `kernel` over `units` chunks,
+/// recording it as a [`SpanKind::Reduce`] span named `<kernel>.reduce`
+/// carrying the kernel's footprint `bytes`. The label is formatted only
+/// when a span was actually taken (telemetry enabled).
+pub fn reduce_span<T>(kernel: &str, units: usize, bytes: f64, f: impl FnOnce() -> T) -> T {
+    let span = SpanTimer::start();
+    let out = f();
+    if let Some(t) = span {
+        let label: Arc<str> = format!("{kernel}.reduce").into();
+        t.finish(SpanKind::Reduce, label, units as u64, bytes);
+    }
+    out
+}
+
 /// Drain every thread's ring into one list, monotonically ordered by
 /// the global finish sequence. Flushed events are removed from their
 /// rings; counters are left untouched.

@@ -442,11 +442,14 @@ pub fn install_sink(sink: Sink) {
 }
 
 /// Finish the active loop: compute uninit reads, fold writes into the
-/// registry's init set, and hand the trace to the sink.
+/// registry's init set, and hand the trace to the sink. Dats are listed
+/// by registry id: units merge in scheduling order, so first-touch
+/// order would make the verifier's report vary from run to run.
 pub fn end_loop() {
-    let Some(al) = lock(&ACTIVE).take() else {
+    let Some(mut al) = lock(&ACTIVE).take() else {
         return;
     };
+    al.dats.sort_unstable_by_key(|&(id, _)| id);
     let mut dats = Vec::with_capacity(al.dats.len());
     {
         let mut reg = lock(&REGISTRY);

@@ -75,21 +75,28 @@ fn extreme_but_finite_numbers_stay_numbers() {
 
 #[test]
 fn deep_nesting_writes_and_validates() {
-    let mut w = JsonWriter::new();
-    const DEPTH: usize = 200;
-    for _ in 0..DEPTH {
-        w.begin_object();
-        w.key("a").begin_array();
-        w.int(1);
-    }
-    for _ in 0..DEPTH {
-        w.end_array();
-        w.end_object();
-    }
-    let doc = w.finish();
+    let nest = |depth: usize| {
+        let mut w = JsonWriter::new();
+        for _ in 0..depth {
+            w.begin_object();
+            w.key("a").begin_array();
+            w.int(1);
+        }
+        for _ in 0..depth {
+            w.end_array();
+            w.end_object();
+        }
+        w.finish()
+    };
+    // 48 object/array pairs = 96 levels, the reader's nesting limit.
+    let doc = nest(48);
     validate(&doc).unwrap();
-    assert_eq!(doc.matches('{').count(), DEPTH);
-    assert_eq!(doc.matches('[').count(), DEPTH);
+    assert_eq!(doc.matches('{').count(), 48);
+    // The writer nests without limit; the reader refuses past 96 levels.
+    let deep = nest(200);
+    assert_eq!(deep.matches('{').count(), 200);
+    assert_eq!(deep.matches('[').count(), 200);
+    assert!(validate(&deep).unwrap_err().msg.contains("too deep"));
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! `metrics::jsonv` against hostile framed input.
+//! `telemetry::json::parse` against hostile framed input.
 //!
 //! The study runner's worker protocol ships JSON documents over pipes
 //! in length-prefixed frames. A crashing or killed worker can leave the
@@ -8,8 +8,8 @@
 //! document with an error (never a panic or a wrong value), and must
 //! stay robust when fed oversized-but-valid payloads.
 
-use metrics::jsonv::{self, Json};
 use metrics::{Histogram, KernelSummary, Provenance, RunManifest};
+use telemetry::json::{self, Json};
 use telemetry::CounterSnapshot;
 
 /// A realistic study-cell manifest: escapes, provenance, samples.
@@ -59,7 +59,7 @@ fn every_truncation_of_a_manifest_errors_cleanly() {
         let partial = &doc[..cut];
         // The value parser must error (a truncated JSON document is
         // never a complete object)...
-        let err = jsonv::parse(partial).expect_err("truncated doc must not parse");
+        let err = json::parse(partial).expect_err("truncated doc must not parse");
         assert!(
             err.at <= partial.len(),
             "error offset {} beyond input length {}",
@@ -85,7 +85,7 @@ fn truncation_inside_escapes_is_an_error_not_a_panic() {
         "{\"name\": \"a\\ud83d\\u",
         "{\"name\": \"a\\ud83d\\ude0",
     ] {
-        assert!(jsonv::parse(bad).is_err(), "should reject {bad:?}");
+        assert!(json::parse(bad).is_err(), "should reject {bad:?}");
     }
 }
 
@@ -113,15 +113,15 @@ fn oversized_strings_and_numbers_are_handled() {
     // A 4 MiB kernel name (hostile but valid JSON) round-trips...
     let long = "k".repeat(4 << 20);
     let doc = format!("{{\"name\": \"{long}\"}}");
-    assert_eq!(jsonv::parse(&doc).unwrap().str_of("name"), Some(&long[..]));
+    assert_eq!(json::parse(&doc).unwrap().str_of("name"), Some(&long[..]));
     // ...while an enormous exponent is rejected as out of range, and a
     // kilometre of digits parses to a finite value without slowdown.
-    assert!(jsonv::parse("1e99999").is_err());
+    assert!(json::parse("1e99999").is_err());
     let digits = "9".repeat(1000);
-    assert!(jsonv::parse(&digits).is_err(), "overflows to non-finite");
+    assert!(json::parse(&digits).is_err(), "overflows to non-finite");
     let frac = format!("0.{}", "3".repeat(1000));
     assert_eq!(
-        jsonv::parse(&frac).unwrap(),
+        json::parse(&frac).unwrap(),
         Json::Num(frac.parse::<f64>().unwrap())
     );
 }
@@ -129,13 +129,13 @@ fn oversized_strings_and_numbers_are_handled() {
 #[test]
 fn nesting_bombs_error_instead_of_overflowing_the_stack() {
     // A worker replaced by a fork bomb of '[' must not take the
-    // orchestrator down with it. (jsonv's own unit test covers 2000
+    // orchestrator down with it. (the parser's own unit test covers 2000
     // levels; a frame-sized payload is ~16 MiB of nesting.)
     for n in [200usize, 100_000, 1 << 22] {
         let bomb = "[".repeat(n);
-        assert!(jsonv::parse(&bomb).is_err());
+        assert!(json::parse(&bomb).is_err());
         let closed = format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(jsonv::parse(&closed).is_err(), "depth {n} must be rejected");
+        assert!(json::parse(&closed).is_err(), "depth {n} must be rejected");
     }
 }
 

@@ -90,7 +90,7 @@ fn an_injected_dead_transfer_is_an_error_naming_the_clobbering_kernel() {
     let mut g = s.record();
     // The defect: a transfer delivers `a`, then `clobber` overwrites it
     // before anything reads the transferred bytes.
-    g.transfer_dats(512.0, vec![am.id]);
+    g.upload_dats(512.0, vec![am.id]);
     ParLoop::new("clobber", block.interior())
         .read(bm, Stencil::point())
         .write(am)
