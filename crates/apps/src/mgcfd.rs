@@ -114,10 +114,10 @@ impl App for Mgcfd {
             let (ni, nj, nk) = self.grid.unwrap();
             let h = MgHierarchy::build(ni, nj, nk, self.levels, self.ordering);
             h.meshes
-                .unwrap()
+                .expect("built hierarchies hold meshes")
                 .into_iter()
-                .map(|mesh| {
-                    let stats = mesh.stats();
+                .zip(h.levels)
+                .map(|(mesh, stats)| {
                     let n = mesh.n_vertices;
                     let mut q = DatU::zeroed("q", n, N_VARS);
                     q.fill_with(|e, c| 1.0 + 0.01 * ((e * 7 + c * 3) % 17) as f64);
@@ -204,15 +204,15 @@ impl App for Mgcfd {
                 // -- compute_flux: the racy edge loop --------------------
                 g.phase("compute_flux");
                 let lp = EdgeLoop::new("compute_flux", stats, scheme, Precision::F64)
-                    .vertex_read(N_VARS)
-                    .vertex_inc(N_VARS)
                     .flops(110.0)
                     .transcendentals(1.0)
                     .block_size(block);
-                let atomic = lp.uses_atomics();
                 if let Some(colored) = colored {
                     let edges = colored.mesh.edges.clone();
-                    let acc = rv.to_accum(atomic);
+                    // Binding the views lets the loop prefetch the rows
+                    // its edges gather, in the scheme's order.
+                    let acc = rv.to_accum(lp.uses_atomics());
+                    let lp = lp.vertex_read(qv).vertex_inc(acc);
                     lp.record(&mut g, Some(colored), move |e| {
                         let a = edges.at(e, 0);
                         let b = edges.at(e, 1);
@@ -230,7 +230,9 @@ impl App for Mgcfd {
                         }
                     });
                 } else {
-                    lp.record(&mut g, None, |_| {});
+                    lp.vertex_read(N_VARS)
+                        .vertex_inc(N_VARS)
+                        .record(&mut g, None, |_| {});
                 }
                 g.end_phase();
 

@@ -1,5 +1,6 @@
 //! Unstructured datasets: multi-component fields over a set.
 
+use crate::parloop::{VertexArg, VertexRows};
 use sycl_sim::Real;
 use telemetry::shadow;
 
@@ -266,6 +267,45 @@ impl<T: Real> Accum<'_, T> {
     /// Whether this view uses atomics.
     pub fn is_atomic(&self) -> bool {
         self.atomic
+    }
+}
+
+/// Where a view's data lives, for an edge loop's prefetcher.
+fn rows_of<T: Real>(ptr: *const T, len: usize) -> Option<VertexRows> {
+    Some(VertexRows {
+        addr: ptr as usize,
+        len,
+        elem_bytes: std::mem::size_of::<T>(),
+    })
+}
+
+impl<T: Real> VertexArg for UReadView<'_, T> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn rows(&self) -> Option<VertexRows> {
+        rows_of(self.ptr, self.len)
+    }
+}
+
+impl<T: Real> VertexArg for UWriteView<'_, T> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn rows(&self) -> Option<VertexRows> {
+        rows_of(self.ptr, self.len)
+    }
+}
+
+impl<T: Real> VertexArg for Accum<'_, T> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn rows(&self) -> Option<VertexRows> {
+        rows_of(self.ptr, self.len)
     }
 }
 

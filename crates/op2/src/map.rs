@@ -77,26 +77,20 @@ impl Map {
         if self.from_size < 2 {
             return 1.0;
         }
+        // The window is the `window` table entries before each target:
+        // the targets of the previous few elements, in gather order.
         const WINDOW_ELEMS: usize = 4;
         let window = WINDOW_ELEMS * self.arity;
-        let mut recent: Vec<i64> = Vec::with_capacity(window);
-        let mut close = 0usize;
-        let mut total = 0usize;
-        for e in 0..self.from_size {
-            for a in 0..self.arity {
-                let t = self.at(e, a) as i64;
-                if e > 0 {
-                    total += 1;
-                    if recent.iter().any(|&r| (r - t).abs() <= 8) {
-                        close += 1;
-                    }
-                }
-                if recent.len() == window {
-                    recent.remove(0);
-                }
-                recent.push(t);
-            }
-        }
+        let t = &self.table;
+        let close = (self.arity..t.len())
+            .filter(|&k| {
+                let x = t[k] as i64;
+                t[k.saturating_sub(window)..k]
+                    .iter()
+                    .any(|&r| (r as i64 - x).abs() <= 8)
+            })
+            .count();
+        let total = t.len() - self.arity;
         if total == 0 {
             1.0
         } else {

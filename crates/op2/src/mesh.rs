@@ -263,6 +263,10 @@ mod tests {
         assert!(good.stats().locality > 0.95, "{}", good.stats().locality);
         assert!(bad.stats().locality < 0.65, "{}", bad.stats().locality);
         assert!(good.stats().locality > bad.stats().locality + 0.3);
+        // Exact scores: prices read them, so no rewrite of the scan may
+        // move a bit.
+        assert_eq!(good.stats().locality.to_bits(), 0x3feff97410e97efa);
+        assert_eq!(bad.stats().locality.to_bits(), 0x3fe0517811180cbb);
     }
 
     #[test]

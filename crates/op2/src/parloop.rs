@@ -2,6 +2,7 @@
 //! edges with the three race-resolution schemes.
 
 use crate::color::{GlobalColoring, HierColoring};
+use crate::map::Map;
 use crate::mesh::{Mesh, MeshStats};
 use parkit::global_pool;
 use std::sync::{Arc, OnceLock};
@@ -29,6 +30,71 @@ const EST_BLOCK_COLORS: usize = 4;
 /// Chunk size for functional parallel execution.
 const EXEC_CHUNK: usize = 2048;
 
+/// How many edges ahead, in the scheme's execution order, an edge
+/// loop prefetches the vertex rows of its bound args.
+const PREFETCH_DISTANCE: usize = 16;
+
+/// A vertex dataset named by an [`EdgeLoop`] arg. A bare `usize`
+/// declares only the component count (enough to price the loop); a
+/// [`DatU`](crate::DatU) view also says where its rows live, so the
+/// functional loop can prefetch the rows its edges gather.
+pub trait VertexArg {
+    /// Components per vertex.
+    fn dim(&self) -> usize;
+
+    /// Where the bound data lives; `None` for a dim-only declaration.
+    fn rows(&self) -> Option<VertexRows> {
+        None
+    }
+}
+
+impl VertexArg for usize {
+    fn dim(&self) -> usize {
+        *self
+    }
+}
+
+/// Base address, length in elements and element size of bound vertex
+/// data: enough to prefetch its rows, never to access them.
+#[derive(Debug, Clone, Copy)]
+pub struct VertexRows {
+    pub(crate) addr: usize,
+    pub(crate) len: usize,
+    pub(crate) elem_bytes: usize,
+}
+
+/// One bound arg's rows as the prefetcher sees them.
+#[derive(Debug, Clone, Copy)]
+struct Prefetch {
+    addr: usize,
+    row_bytes: usize,
+}
+
+impl Prefetch {
+    /// Prefetch the first and last cache line of vertex `v`'s row.
+    #[inline(always)]
+    fn row(&self, v: usize) {
+        let first = self.addr.wrapping_add(v.wrapping_mul(self.row_bytes));
+        prefetch_line(first);
+        prefetch_line(first.wrapping_add(self.row_bytes - 1));
+    }
+}
+
+/// Hint the cache to fetch the line holding `addr`.
+#[inline(always)]
+fn prefetch_line(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is only a hint: it never faults, reads nothing
+    // into the program and has no effect on its semantics, whatever the
+    // address (a stale one merely wastes the hint).
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(addr as *const i8);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
+}
+
 /// A loop over the edge set that indirectly increments vertex data.
 #[derive(Debug, Clone)]
 pub struct EdgeLoop {
@@ -44,9 +110,12 @@ pub struct EdgeLoop {
     inc_components_per_edge: usize,
     flops_pp: f64,
     transc_pp: f64,
-    /// Declaration defects the builder saturated over (zero-dim args);
-    /// surfaced as `Error` diagnostics by the verifier.
+    /// Declaration defects the builder saturated over (zero-dim args,
+    /// bound views of the wrong length); surfaced as `Error`
+    /// diagnostics by the verifier.
     defects: Vec<String>,
+    /// Rows of the bound vertex args, prefetched ahead of each edge.
+    prefetch: Vec<Prefetch>,
 }
 
 impl EdgeLoop {
@@ -66,6 +135,7 @@ impl EdgeLoop {
             flops_pp: 0.0,
             transc_pp: 0.0,
             defects: Vec::new(),
+            prefetch: Vec::new(),
         }
     }
 
@@ -94,19 +164,42 @@ impl EdgeLoop {
         self
     }
 
-    /// A `dim`-component vertex dataset gathered through the map.
-    pub fn vertex_read(mut self, dim: usize) -> Self {
-        let dim = self.check_dim(dim, "vertex_read");
+    /// Check a vertex arg's dim and, for a bound view, its length; a
+    /// view that does not cover `n_vertices × dim` elements is a defect
+    /// and is not prefetched.
+    fn vertex_arg(&mut self, arg: impl VertexArg, what: &str) -> usize {
+        let dim = self.check_dim(arg.dim(), what);
+        if let Some(rows) = arg.rows() {
+            let want = self.stats.n_vertices * dim;
+            if rows.len == want {
+                self.prefetch.push(Prefetch {
+                    addr: rows.addr,
+                    row_bytes: dim * rows.elem_bytes,
+                });
+            } else {
+                self.defects.push(format!(
+                    "{}: {what} binds {} elements, not {} vertices x {dim}; not prefetched",
+                    self.name, rows.len, self.stats.n_vertices
+                ));
+            }
+        }
+        dim
+    }
+
+    /// A vertex dataset gathered through the map: a component count, or
+    /// a view of the data itself.
+    pub fn vertex_read(mut self, arg: impl VertexArg) -> Self {
+        let dim = self.vertex_arg(arg, "vertex_read");
         let elem = self.precision.bytes();
         self.indirect_bytes += self.stats.n_vertices as f64 * dim as f64 * elem;
         self.gathered_per_edge += 2.0 * dim as f64 * elem;
         self
     }
 
-    /// A `dim`-component vertex dataset incremented through the map
-    /// (read-modify-write: counted twice, as the paper does).
-    pub fn vertex_inc(mut self, dim: usize) -> Self {
-        let dim = self.check_dim(dim, "vertex_inc");
+    /// A vertex dataset incremented through the map (read-modify-write:
+    /// counted twice, as the paper does).
+    pub fn vertex_inc(mut self, arg: impl VertexArg) -> Self {
+        let dim = self.vertex_arg(arg, "vertex_inc");
         let elem = self.precision.bytes();
         self.indirect_bytes += 2.0 * self.stats.n_vertices as f64 * dim as f64 * elem;
         self.gathered_per_edge += 2.0 * dim as f64 * elem;
@@ -346,15 +439,39 @@ impl EdgeLoop {
         }
     }
 
+    /// Run `body` over the `n` edges `edge(0..n)`, in that order, while
+    /// prefetching the bound vertex rows of the edge
+    /// `PREFETCH_DISTANCE` places ahead. The prefetch only warms the
+    /// cache, so results are those of the bare loop.
+    #[inline(always)]
+    fn sweep(
+        &self,
+        map: &Map,
+        n: usize,
+        edge: impl Fn(usize) -> usize,
+        body: &(impl Fn(usize) + Sync),
+    ) {
+        for i in 0..n {
+            if !self.prefetch.is_empty() && i + PREFETCH_DISTANCE < n {
+                let ahead = map.row(edge(i + PREFETCH_DISTANCE));
+                for p in &self.prefetch {
+                    for &v in ahead {
+                        p.row(v as usize);
+                    }
+                }
+            }
+            body(edge(i));
+        }
+    }
+
     /// Execute colour pass `pass` of the scheme over `colored`.
     fn run_pass(&self, colored: &ColoredMesh, pass: usize, body: &(impl Fn(usize) + Sync)) {
+        let map = &colored.mesh.edges;
         match self.scheme {
             Scheme::Atomics => {
                 global_pool().for_range(colored.mesh.n_edges(), EXEC_CHUNK, |lo, hi| {
                     shadow::begin_unit();
-                    for e in lo..hi {
-                        body(e);
-                    }
+                    self.sweep(map, hi - lo, |i| lo + i, body);
                     shadow::end_unit();
                 });
             }
@@ -365,10 +482,9 @@ impl EdgeLoop {
                     .expect("ColoredMesh::prepare builds the global colouring");
                 let group = &coloring.by_color[pass];
                 global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
+                    let edges = &group[lo..hi];
                     shadow::begin_unit();
-                    for &e in &group[lo..hi] {
-                        body(e as usize);
-                    }
+                    self.sweep(map, edges.len(), |i| edges[i] as usize, body);
                     shadow::end_unit();
                 });
             }
@@ -381,12 +497,11 @@ impl EdgeLoop {
                 let group = &hier.blocks_by_color[pass];
                 global_pool().run_region(group.len(), |_lane, gi| {
                     let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
-                    // Blocks run serially inside — the intra-block
-                    // colouring orders the edges.
+                    // A block runs on one lane, its edges in index order;
+                    // the intra-block colouring is only checked (by
+                    // `first_intra_conflict`), never used to order them.
                     shadow::begin_unit();
-                    for e in lo..hi {
-                        body(e);
-                    }
+                    self.sweep(map, hi - lo, |i| lo + i, body);
                     shadow::end_unit();
                 });
             }
@@ -950,6 +1065,105 @@ mod tests {
             identity.to_bits()
         );
         assert_eq!(dry_eager.ledger_digest(), dry_replayed.ledger_digest());
+    }
+
+    /// How a test flux names its vertex args.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Bind {
+        Dims,
+        Views,
+        /// A read view one vertex short (the body reads the right data).
+        WrongLength,
+    }
+
+    /// Run a 5-component flux over `colored` and return the residual
+    /// bits, the ledger digest and the loop's declaration defects.
+    /// `integer` picks small integer fluxes, whose sums no order can
+    /// change; otherwise the flux mixes magnitudes so the order of the
+    /// increments shows in the bits.
+    fn flux_under(
+        colored: &ColoredMesh,
+        scheme: Scheme,
+        block: usize,
+        bind: Bind,
+        integer: bool,
+    ) -> (Vec<u64>, u64, Vec<String>) {
+        const N: usize = 5;
+        let n_v = colored.mesh.n_vertices;
+        let mut q = DatU::<f64>::zeroed("q", n_v, N);
+        q.fill_with(|e, c| (1.0 + (e * 7 + c) as f64).ln() * 10f64.powi((e % 5) as i32 - 2));
+        let short = DatU::<f64>::zeroed("short", n_v - 1, N);
+        let mut res = DatU::<f64>::zeroed("res", n_v, N);
+        let qr = q.reader();
+        let acc = res.accum(scheme == Scheme::Atomics);
+        let lp = EdgeLoop::new("flux", colored.mesh.stats(), scheme, Precision::F64)
+            .flops(4.0 * N as f64)
+            .block_size(block);
+        let lp = match bind {
+            Bind::Dims => lp.vertex_read(N).vertex_inc(N),
+            Bind::Views => lp.vertex_read(qr).vertex_inc(acc),
+            Bind::WrongLength => lp.vertex_read(short.reader()).vertex_inc(N),
+        };
+        let defects = lp.defects().to_vec();
+        let bound = if bind == Bind::Views { 2 } else { 0 };
+        assert_eq!(lp.prefetch.len(), bound, "prefetched args");
+        let s = session();
+        let edges = &colored.mesh.edges;
+        lp.run(&s, Some(colored), |e| {
+            let (a, b) = (edges.at(e, 0), edges.at(e, 1));
+            for v in 0..N {
+                let f = if integer {
+                    ((a + 3 * b + v) % 7) as f64 - 3.0
+                } else {
+                    let (l, r) = (qr.at(a, v), qr.at(b, v));
+                    0.5 * (l + r) * (l - r).sin() - 0.3 * (r - l)
+                };
+                acc.add(a, v, -f);
+                acc.add(b, v, f);
+            }
+        });
+        let bits = res.host().iter().map(|x| x.to_bits()).collect();
+        (bits, s.ledger_digest(), defects)
+    }
+
+    #[test]
+    fn prefetching_bound_views_changes_no_result() {
+        // Shuffled numbering and several EXEC_CHUNKs of edges, so the
+        // prefetch window crosses chunk, colour-group and block ends.
+        let mesh = Mesh::grid(24, 24, 12, Ordering::Shuffled(5));
+        assert!(mesh.n_edges() > 8 * EXEC_CHUNK);
+        let global = ColoredMesh::prepare(mesh.clone(), Scheme::GlobalColor, 64);
+        let global_dims = flux_under(&global, Scheme::GlobalColor, 64, Bind::Dims, false);
+        let views = flux_under(&global, Scheme::GlobalColor, 64, Bind::Views, false);
+        assert!(global_dims.2.is_empty() && views.2.is_empty());
+        assert_eq!(global_dims, views, "global colouring");
+
+        for block in [64, 256] {
+            let hier = ColoredMesh::prepare(mesh.clone(), Scheme::HierColor, block);
+            assert!(hier.hier.as_ref().unwrap().n_colors() > 1);
+            let dims = flux_under(&hier, Scheme::HierColor, block, Bind::Dims, false);
+            let views = flux_under(&hier, Scheme::HierColor, block, Bind::Views, false);
+            assert_eq!(dims, views, "hierarchical colouring, block {block}");
+            assert_ne!(
+                dims.0, global_dims.0,
+                "the flux must make the increment order visible"
+            );
+        }
+
+        // Atomics reorder increments from run to run, so compare a
+        // kernel whose sums are exact.
+        let atomics = ColoredMesh::prepare(mesh, Scheme::Atomics, 64);
+        let dims = flux_under(&atomics, Scheme::Atomics, 64, Bind::Dims, true);
+        let views = flux_under(&atomics, Scheme::Atomics, 64, Bind::Views, true);
+        assert_eq!(dims, views, "atomics");
+
+        // A view of the wrong length is one defect, is not prefetched,
+        // and leaves the loop computing and pricing as the dim-only one.
+        let (bits, digest, defects) =
+            flux_under(&global, Scheme::GlobalColor, 64, Bind::WrongLength, false);
+        assert_eq!(defects.len(), 1, "{defects:?}");
+        assert!(defects[0].contains("vertex_read binds"), "{defects:?}");
+        assert_eq!((bits, digest), (global_dims.0, global_dims.1));
     }
 
     #[test]
