@@ -35,7 +35,7 @@ use bench_harness::json::{validate, write_results_file};
 use bench_harness::{make_app, native_toolchain, APP_NAMES};
 use std::sync::{Arc, Mutex};
 use sycl_sim::{AtomicKind, GraphSummary, PlatformId, Scheme, Session, SessionConfig};
-use telemetry::shadow;
+use telemetry::shadow::Shadow;
 use verify::dataflow::{cross_check, lint_graph, LintContext};
 use verify::{report, Diagnostic, Severity, Verifier};
 
@@ -150,11 +150,10 @@ fn main() {
                 }
             };
             // Dats only acquire shadow ids (and names for diagnostics)
-            // at creation time: enable the registry before the app
+            // at creation time: enter a sink-less shadow before the app
             // allocates. Dry-run bodies never execute, so no per-access
             // instrumentation ever runs.
-            shadow::reset_shadow();
-            shadow::set_shadow(true);
+            let shadow = Shadow::enter(None);
 
             let summaries = observe_graphs(&session);
             let app = make_app(target.app, paper).expect("validated above");
@@ -162,7 +161,7 @@ fn main() {
             session.set_graph_observer(None);
 
             let ctx = lint_context(&session);
-            let resolve = |id: u32| shadow::dat_name(id);
+            let resolve = |id: u32| shadow.dat_name(id);
             let summaries = summaries.lock().unwrap_or_else(|e| e.into_inner());
             graphs_seen += summaries.len();
             for g in summaries.iter() {
@@ -172,7 +171,6 @@ fn main() {
             if do_cross {
                 app_diags.extend(cross_check_target(&target, platform, &summaries));
             }
-            shadow::reset_shadow();
         }
 
         let unique = report::dedup(&app_diags);

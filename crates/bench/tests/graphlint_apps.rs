@@ -7,20 +7,15 @@
 //! kernel pair with a modelled saving.
 
 use bench_harness::{make_app, native_toolchain, APP_NAMES};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use sycl_sim::{AtomicKind, GraphSummary, PlatformId, Session, SessionConfig};
-use telemetry::shadow;
+use telemetry::shadow::Shadow;
 use verify::dataflow::{lint_graph, LintContext};
 use verify::{Diagnostic, Severity};
 
-/// The shadow registry is process-global; tests that register dats must
-/// not interleave.
-static SHADOW_LOCK: Mutex<()> = Mutex::new(());
-
 /// Run `app` at test size on a dry-run session and lint every graph it
 /// records, exactly as the `graphlint` binary does.
-fn lint_app(app_name: &str, platform: PlatformId) -> (Vec<Diagnostic>, MutexGuard<'static, ()>) {
-    let guard = SHADOW_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn lint_app(app_name: &str, platform: PlatformId) -> Vec<Diagnostic> {
     let toolchain = native_toolchain(platform);
     let session = Session::create(
         SessionConfig::new(platform, toolchain)
@@ -28,8 +23,7 @@ fn lint_app(app_name: &str, platform: PlatformId) -> (Vec<Diagnostic>, MutexGuar
             .dry_run(),
     )
     .unwrap();
-    shadow::reset_shadow();
-    shadow::set_shadow(true);
+    let shadow = Shadow::enter(None);
 
     let summaries: Arc<Mutex<Vec<GraphSummary>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&summaries);
@@ -55,9 +49,9 @@ fn lint_app(app_name: &str, platform: PlatformId) -> (Vec<Diagnostic>, MutexGuar
     let summaries = summaries.lock().unwrap_or_else(|e| e.into_inner());
     let diags = summaries
         .iter()
-        .flat_map(|g| lint_graph(g, &ctx, &|id| shadow::dat_name(id)))
+        .flat_map(|g| lint_graph(g, &ctx, &|id| shadow.dat_name(id)))
         .collect();
-    (diags, guard)
+    diags
 }
 
 /// The acceptance fusion chain: CloverLeaf 2D's `ideal_gas` and
@@ -66,7 +60,7 @@ fn lint_app(app_name: &str, platform: PlatformId) -> (Vec<Diagnostic>, MutexGuar
 /// surface the pair with a modelled bytes-saved estimate.
 #[test]
 fn cloverleaf2d_reports_the_known_fusable_kernel_pair() {
-    let (diags, _guard) = lint_app("cloverleaf2d", PlatformId::A100);
+    let diags = lint_app("cloverleaf2d", PlatformId::A100);
     assert!(
         !diags.iter().any(|d| d.severity == Severity::Error),
         "{diags:?}"
@@ -91,7 +85,7 @@ fn cloverleaf2d_reports_the_known_fusable_kernel_pair() {
 fn every_app_lints_clean_on_gpu_and_cpu() {
     for platform in [PlatformId::A100, PlatformId::Xeon8360Y] {
         for app_name in APP_NAMES {
-            let (diags, _guard) = lint_app(app_name, platform);
+            let diags = lint_app(app_name, platform);
             let errors: Vec<&Diagnostic> = diags
                 .iter()
                 .filter(|d| d.severity == Severity::Error)

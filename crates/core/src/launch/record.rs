@@ -68,8 +68,8 @@ pub enum AccessMode {
 }
 
 /// One declared per-dat access of a recorded launch. `dat` is the
-/// shadow-registry id (0 = anonymous: shadow was off when the dataset
-/// was created, so the access cannot be tracked across launches).
+/// shadow-registry id (0 = anonymous: no shadow was current when the
+/// dataset was created, so the access cannot be tracked across launches).
 #[derive(Debug, Clone, Copy)]
 pub struct DatAccess {
     pub dat: u32,

@@ -81,7 +81,7 @@ impl ResidencyTracker {
     /// it ran. Returns `true` when the transfer is real (must be
     /// priced), `false` when it is elided.
     pub fn apply_transfer(&mut self, dir: TransferDir, dats: &[u32]) -> bool {
-        // Id 0 marks an anonymous dat (shadow registry off at creation):
+        // Id 0 marks an anonymous dat (no shadow current at creation):
         // distinct datasets share it, so it can never prove a transfer
         // elidable and never enters the map.
         let real = match dir {

@@ -11,7 +11,7 @@ pub struct DatU<T> {
     set_size: usize,
     dim: usize,
     data: Vec<T>,
-    /// Shadow-registry id (0 when shadow recording was off at creation).
+    /// Shadow-registry id (0 when no shadow was current at creation).
     sid: u32,
 }
 
@@ -47,6 +47,11 @@ impl<T: Real> DatU<T> {
 
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Shadow-registry id (0 when no shadow was current at creation).
+    pub fn id(&self) -> u32 {
+        self.sid
     }
 
     pub fn set_size(&self) -> usize {

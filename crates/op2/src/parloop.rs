@@ -10,7 +10,7 @@ use sycl_sim::{
     AccessProfile, AtomicKind, AtomicProfile, GraphBuilder, IndirectProfile, Kernel,
     KernelFootprint, KernelTraits, LaunchMeta, LaunchTarget, Precision, Scheme, Session,
 };
-use telemetry::shadow;
+use telemetry::shadow::{self, Shadow};
 
 /// Scheme label carried in shadow traces (telemetry sits below
 /// `sycl-sim` in the crate DAG, so it gets a string, not the enum).
@@ -329,8 +329,8 @@ impl EdgeLoop {
     /// Open the shadow trace for this loop: declaration, builder
     /// defects, and an up-front proof of the colouring plan (the plan
     /// validator part of `sycl-verify`).
-    fn begin_shadow_loop(&self, colored: &ColoredMesh) {
-        shadow::begin_loop(shadow::LoopDecl {
+    fn begin_shadow_loop(&self, sh: &Shadow, colored: &ColoredMesh) {
+        sh.begin_loop(shadow::LoopDecl {
             kernel: self.name.clone(),
             structured: false,
             lo: [0; 3],
@@ -341,12 +341,12 @@ impl EdgeLoop {
             scheme: Some(scheme_label(self.scheme)),
         });
         for d in &self.defects {
-            shadow::note(shadow::NoteKind::DeclDefect, d.clone());
+            sh.note(shadow::NoteKind::DeclDefect, d.clone());
         }
         let map = &colored.mesh.edges;
         if let Some(g) = &colored.global {
             if let Some((a, b, v)) = g.first_conflict(map) {
-                shadow::note(
+                sh.note(
                     shadow::NoteKind::PlanViolation,
                     format!(
                         "global colouring invalid: edges {a} and {b} share colour {} and vertex {v}",
@@ -357,7 +357,7 @@ impl EdgeLoop {
         }
         if let Some(h) = &colored.hier {
             if let Some((a, b, v)) = h.first_block_conflict(map) {
-                shadow::note(
+                sh.note(
                     shadow::NoteKind::PlanViolation,
                     format!(
                         "hierarchical colouring invalid: blocks {a} and {b} share colour {} and vertex {v}",
@@ -365,7 +365,7 @@ impl EdgeLoop {
                     ),
                 );
             } else if let Some((a, b, v)) = h.first_intra_conflict(map) {
-                shadow::note(
+                sh.note(
                     shadow::NoteKind::PlanViolation,
                     format!(
                         "hierarchical intra-block colouring invalid: edges {a} and {b} share colour {} and vertex {v}",
@@ -423,17 +423,17 @@ impl EdgeLoop {
                 let Some(colored) = mesh.filter(|_| executes) else {
                     return;
                 };
-                let shadowing = shadow::shadow_on();
-                if shadowing {
+                let sh = shadow::current();
+                if let Some(sh) = &sh {
                     if pass == 0 {
-                        lp.begin_shadow_loop(colored);
+                        lp.begin_shadow_loop(sh, colored);
                     } else {
-                        shadow::next_phase();
+                        sh.next_phase();
                     }
                 }
-                lp.run_pass(colored, pass, &*body);
-                if shadowing && pass == passes - 1 {
-                    shadow::end_loop();
+                lp.run_pass(colored, pass, sh.as_deref(), &*body);
+                if let Some(sh) = sh.filter(|_| pass == passes - 1) {
+                    sh.end_loop();
                 }
             });
         }
@@ -464,15 +464,20 @@ impl EdgeLoop {
         }
     }
 
-    /// Execute colour pass `pass` of the scheme over `colored`.
-    fn run_pass(&self, colored: &ColoredMesh, pass: usize, body: &(impl Fn(usize) + Sync)) {
+    /// Execute colour pass `pass` of the scheme over `colored`, each
+    /// unit recording into `sh` when the launch is shadowed.
+    fn run_pass(
+        &self,
+        colored: &ColoredMesh,
+        pass: usize,
+        sh: Option<&Shadow>,
+        body: &(impl Fn(usize) + Sync),
+    ) {
         let map = &colored.mesh.edges;
         match self.scheme {
             Scheme::Atomics => {
                 global_pool().for_range(colored.mesh.n_edges(), EXEC_CHUNK, |lo, hi| {
-                    shadow::begin_unit();
-                    self.sweep(map, hi - lo, |i| lo + i, body);
-                    shadow::end_unit();
+                    shadow::unit(sh, || self.sweep(map, hi - lo, |i| lo + i, body));
                 });
             }
             Scheme::GlobalColor => {
@@ -483,9 +488,9 @@ impl EdgeLoop {
                 let group = &coloring.by_color[pass];
                 global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
                     let edges = &group[lo..hi];
-                    shadow::begin_unit();
-                    self.sweep(map, edges.len(), |i| edges[i] as usize, body);
-                    shadow::end_unit();
+                    shadow::unit(sh, || {
+                        self.sweep(map, edges.len(), |i| edges[i] as usize, body)
+                    });
                 });
             }
             Scheme::HierColor => {
@@ -500,9 +505,7 @@ impl EdgeLoop {
                     // A block runs on one lane, its edges in index order;
                     // the intra-block colouring is only checked (by
                     // `first_intra_conflict`), never used to order them.
-                    shadow::begin_unit();
-                    self.sweep(map, hi - lo, |i| lo + i, body);
-                    shadow::end_unit();
+                    shadow::unit(sh, || self.sweep(map, hi - lo, |i| lo + i, body));
                 });
             }
         }
@@ -671,12 +674,10 @@ impl VertexLoop {
     fn emit<'a>(self, to: &mut impl LaunchTarget<'a>, body: impl Fn(usize, usize) + Sync + 'a) {
         let kernel = self.kernel(0);
         to.launch_node(&kernel, LaunchMeta::opaque(), move |executes| {
-            self.shadowed(executes, || {
+            self.shadowed(executes, |sh| {
                 if executes {
                     global_pool().for_range(self.set_size, EXEC_CHUNK, |lo, hi| {
-                        shadow::begin_unit();
-                        body(lo, hi);
-                        shadow::end_unit();
+                        shadow::unit(sh, || body(lo, hi));
                     });
                 }
             });
@@ -700,16 +701,13 @@ impl VertexLoop {
         let kernel = self.kernel(1);
         let bytes = kernel.footprint.effective_bytes;
         to.launch_node(&kernel, LaunchMeta::opaque(), move |executes| {
-            self.shadowed(executes, || {
+            self.shadowed(executes, |sh| {
                 let n = self.set_size;
                 let out = if executes {
                     let chunks = n.div_ceil(EXEC_CHUNK);
                     telemetry::reduce_span(&self.name, chunks, bytes, || {
                         global_pool().reduce(n, EXEC_CHUNK, identity.clone(), &combine, |r| {
-                            shadow::begin_unit();
-                            let partial = body(r.start, r.end);
-                            shadow::end_unit();
-                            partial
+                            shadow::unit(sh, || body(r.start, r.end))
                         })
                     })
                 } else {
@@ -720,12 +718,13 @@ impl VertexLoop {
         });
     }
 
-    /// Run `f` inside this loop's shadow-access bracket when the checker
-    /// is on and the body executes.
-    fn shadowed(&self, executes: bool, f: impl FnOnce()) {
-        let shadowing = shadow::shadow_on() && executes;
-        if shadowing {
-            shadow::begin_loop(shadow::LoopDecl {
+    /// Run `f` inside this loop's shadow-access bracket when the calling
+    /// thread has a shadow current and the body executes; `f` gets that
+    /// shadow to hand to its units.
+    fn shadowed(&self, executes: bool, f: impl FnOnce(Option<&Shadow>)) {
+        let sh = executes.then(shadow::current).flatten();
+        if let Some(sh) = &sh {
+            sh.begin_loop(shadow::LoopDecl {
                 kernel: self.name.clone(),
                 structured: false,
                 lo: [0; 3],
@@ -736,12 +735,12 @@ impl VertexLoop {
                 scheme: None,
             });
             for d in &self.defects {
-                shadow::note(shadow::NoteKind::DeclDefect, d.clone());
+                sh.note(shadow::NoteKind::DeclDefect, d.clone());
             }
         }
-        f();
-        if shadowing {
-            shadow::end_loop();
+        f(sh.as_deref());
+        if let Some(sh) = &sh {
+            sh.end_loop();
         }
     }
 }

@@ -12,8 +12,9 @@ pub struct DatMeta {
     /// Bytes per element.
     pub elem_bytes: f64,
     /// Shadow-registry id linking the declaration back to the dataset
-    /// (0 = anonymous: shadow was off at creation, or the declaration
-    /// was written without a dat in hand). Never enters pricing.
+    /// (0 = anonymous: no shadow was current at creation, or the
+    /// declaration was written without a dat in hand). Never enters
+    /// kernel pricing; transfer elision needs a nonzero id.
     pub id: u32,
 }
 
@@ -35,7 +36,7 @@ pub struct Dat<T> {
     pad: [usize; 3],
     /// Index offset per dimension (halo depth, 0 on degenerate dims).
     off: [i64; 3],
-    /// Shadow-registry id (0 when shadow recording was off at creation).
+    /// Shadow-registry id (0 when no shadow was current at creation).
     sid: u32,
 }
 

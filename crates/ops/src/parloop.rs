@@ -14,7 +14,7 @@ use sycl_sim::{
     AccessMode, AccessProfile, DatAccess, GraphBuilder, Kernel, KernelFootprint, KernelTraits,
     LaunchMeta, LaunchTarget, Precision, Session, StencilProfile,
 };
-use telemetry::shadow;
+use telemetry::shadow::{self, Shadow};
 
 /// Functional tile shape for `range` (execution only — the *modelled*
 /// work-group shape comes from the toolchain, so this choice never
@@ -361,12 +361,10 @@ impl ParLoop {
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
         to.launch_node(&kernel, meta, move |executes| {
-            self.shadowed(executes, || {
+            self.shadowed(executes, |sh| {
                 if executes {
                     global_pool().run_region(tiles, |_lane, t| {
-                        shadow::begin_unit();
-                        body(self.range.tile(shape, t));
-                        shadow::end_unit();
+                        shadow::unit(sh, || body(self.range.tile(shape, t)));
                     });
                 }
             });
@@ -393,14 +391,11 @@ impl ParLoop {
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
         to.launch_node(&kernel, meta, move |executes| {
-            self.shadowed(executes, || {
+            self.shadowed(executes, |sh| {
                 let out = if executes {
                     telemetry::reduce_span(&self.name, tiles, bytes, || {
                         global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                            shadow::begin_unit();
-                            let partial = body(self.range.tile(shape, t));
-                            shadow::end_unit();
-                            partial
+                            shadow::unit(sh, || body(self.range.tile(shape, t)))
                         })
                     })
                 } else {
@@ -411,16 +406,17 @@ impl ParLoop {
         });
     }
 
-    /// Run `f` inside this loop's shadow-access bracket when the checker
-    /// is on and the body executes.
-    fn shadowed(&self, executes: bool, f: impl FnOnce()) {
-        let shadowing = shadow::shadow_on() && executes;
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
+    /// Run `f` inside this loop's shadow-access bracket when the calling
+    /// thread has a shadow current and the body executes; `f` gets that
+    /// shadow to hand to its units.
+    fn shadowed(&self, executes: bool, f: impl FnOnce(Option<&Shadow>)) {
+        let sh = executes.then(shadow::current).flatten();
+        if let Some(sh) = &sh {
+            sh.begin_loop(self.loop_decl());
         }
-        f();
-        if shadowing {
-            shadow::end_loop();
+        f(sh.as_deref());
+        if let Some(sh) = &sh {
+            sh.end_loop();
         }
     }
 }

@@ -1,54 +1,30 @@
 //! Shadow-access recording: the data-collection half of `sycl-verify`.
 //!
-//! When shadow mode is on, every dataset registers itself here at
-//! creation and every view access (`ReadView::at`, `WriteView::set`,
-//! `Accum::add`, the row-sliced spans, the op2 gather/scatter paths)
-//! records the touched linear index into a **per-thread bitmap** for
-//! the execution unit (tile / chunk / block) currently running. When a
-//! unit finishes, its bitmaps merge into the active loop's union
-//! bitmaps under one lock; the merge simultaneously detects write–write
-//! and read–write overlap *between* units — exactly the races that no
-//! race-resolution scheme covers, because units of one launch may run
-//! concurrently. Atomic accumulations go to their own bitmap so that
-//! atomic/atomic overlap is accepted while atomic/plain overlap is not.
+//! A [`Shadow`] (dat registry, active loop, trace sink) is current on
+//! the thread that [entered](Shadow::enter) it. Datasets created there
+//! register with it; the DSL emitters read it once per launch and pass
+//! it to every pool unit through [`unit`], so each view access
+//! (`ReadView::at`, `WriteView::set`, `Accum::add`, the row-sliced
+//! spans, the op2 gather/scatter paths) records the touched linear
+//! index into a **per-thread bitmap** for the unit (tile / chunk /
+//! block) running it, whichever lane that is. When a unit finishes, its
+//! bitmaps merge into the launching shadow's loop under one lock; the
+//! merge also detects write–write and read–write overlap *between*
+//! units — exactly the races no race-resolution scheme covers, because
+//! units of one launch may run concurrently. Atomic accumulations get
+//! their own bitmap: atomic/atomic overlap is accepted, atomic/plain
+//! is not.
 //!
-//! This module records and unions; it renders no verdicts. The
-//! `sycl-verify` crate installs a [`Sink`] and turns each finished
-//! [`LoopTrace`] into diagnostics. Like the span/counter layer, the
-//! disabled path is one branch per access (a `sid != 0` register
-//! compare in the views — datasets created while shadow is off carry
-//! shadow id 0), and recording only ever *observes* memory, so shadow
-//! runs are bit-identical to fast-path runs.
+//! This module records and unions; `sycl-verify` supplies the [`Sink`]
+//! that turns each [`LoopTrace`] into diagnostics. Uninstrumented runs
+//! pay one `sid != 0` branch per access (dats created with no shadow
+//! current carry id 0) and one `Option` branch per unit, and recording
+//! only *observes* memory, so shadow runs are bit-identical to
+//! fast-path runs.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-/// Process-wide shadow-mode switch.
-static SHADOW: AtomicBool = AtomicBool::new(false);
-
-/// Is shadow recording on? One relaxed load; views additionally guard
-/// on their captured shadow id, so fully-disabled runs never get here.
-#[inline(always)]
-pub fn shadow_on() -> bool {
-    SHADOW.load(Ordering::Relaxed)
-}
-
-/// Turn shadow recording on or off. Datasets only acquire shadow ids at
-/// creation time, so enable *before* the instrumented run allocates.
-pub fn set_shadow(on: bool) {
-    SHADOW.store(on, Ordering::Relaxed);
-}
-
-/// Drop all shadow state: registry, active loop, sink. Called by the
-/// verifier when it detaches, so one instrumented run cannot leak
-/// bitmaps or stale init-tracking into the next.
-pub fn reset_shadow() {
-    set_shadow(false);
-    lock(&REGISTRY).clear();
-    *lock(&ACTIVE) = None;
-    *lock(&SINK) = None;
-}
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex};
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -154,8 +130,8 @@ impl Bits {
 
     /// Grow to hold at least `cells` bits, keeping contents. Needed
     /// because per-thread unit bitmaps are cached by shadow id, and ids
-    /// restart when a verifier detaches and a new one attaches — the
-    /// same id may name a larger dataset in the next run.
+    /// restart in every [`Shadow`] — the same id may name a larger
+    /// dataset in the next run.
     pub fn ensure_cells(&mut self, cells: usize) {
         let need = cells.div_ceil(64);
         if self.words.len() < need {
@@ -223,42 +199,35 @@ struct DatRecord {
     init_all: bool,
 }
 
-static REGISTRY: Mutex<Vec<DatRecord>> = Mutex::new(Vec::new());
-
-/// Register a dataset and get its shadow id (ids start at 1; 0 means
-/// "created while shadow was off" and is never recorded).
+/// Register a dataset with the calling thread's current [`Shadow`] and
+/// get its shadow id (ids start at 1 in every shadow; 0 means "created
+/// with no shadow current" and is never recorded).
 pub fn register_dat(name: &str, elem_bytes: f64, geom: DatGeom) -> u32 {
-    if !shadow_on() {
-        return 0;
-    }
-    let mut reg = lock(&REGISTRY);
-    reg.push(DatRecord {
-        name: name.to_owned(),
-        elem_bytes,
-        geom,
-        init: Bits::with_cells(geom.cells()),
-        init_all: false,
-    });
-    reg.len() as u32
+    with_current(|sh| {
+        let mut reg = lock(&sh.registry);
+        reg.push(DatRecord {
+            name: name.to_owned(),
+            elem_bytes,
+            geom,
+            init: Bits::with_cells(geom.cells()),
+            init_all: false,
+        });
+        reg.len() as u32
+    })
+    .unwrap_or(0)
 }
 
-/// The registered name of dat `id`, for diagnostics (`None` for the
-/// anonymous id 0 or after a registry reset).
-pub fn dat_name(id: u32) -> Option<String> {
-    if id == 0 {
-        return None;
-    }
-    lock(&REGISTRY).get(id as usize - 1).map(|r| r.name.clone())
-}
-
-/// Mark every cell of `id` initialized (`fill_with`, host slices).
+/// Mark every cell of `id` initialized (`fill_with`, host slices) in the
+/// calling thread's current shadow.
 pub fn mark_all_init(id: u32) {
-    if id == 0 || !shadow_on() {
+    if id == 0 {
         return;
     }
-    if let Some(r) = lock(&REGISTRY).get_mut(id as usize - 1) {
-        r.init_all = true;
-    }
+    with_current(|sh| {
+        if let Some(r) = lock(&sh.registry).get_mut(id as usize - 1) {
+            r.init_all = true;
+        }
+    });
 }
 
 // ------------------------------------------------------- declarations
@@ -333,8 +302,8 @@ pub struct Conflict {
 }
 
 /// Per-dat union bitmaps for the active loop. `phase_*` reset at every
-/// [`next_phase`] (one phase per launch: colour groups of one op2 loop
-/// are separate launches, so cross-colour overlap is legal).
+/// [`Shadow::next_phase`] (one phase per launch: colour groups of one
+/// op2 loop are separate launches, so cross-colour overlap is legal).
 struct LoopTouch {
     read: Bits,
     write: Bits,
@@ -369,40 +338,6 @@ struct ActiveLoop {
     phases: u32,
 }
 
-static ACTIVE: Mutex<Option<ActiveLoop>> = Mutex::new(None);
-
-/// Begin recording a loop. Call only when shadow is on and the session
-/// executes bodies; a loop already active is replaced (and dropped).
-pub fn begin_loop(decl: LoopDecl) {
-    *lock(&ACTIVE) = Some(ActiveLoop {
-        decl,
-        dats: Vec::new(),
-        conflicts: Vec::new(),
-        notes: Vec::new(),
-        phases: 1,
-    });
-}
-
-/// Start the next launch phase of the active loop (op2 colour groups):
-/// conflict unions reset, total unions persist.
-pub fn next_phase() {
-    if let Some(al) = lock(&ACTIVE).as_mut() {
-        al.phases += 1;
-        for (_, t) in &mut al.dats {
-            t.phase_read.clear();
-            t.phase_write.clear();
-            t.phase_atomic.clear();
-        }
-    }
-}
-
-/// Attach a note to the active loop (dropped when no loop is active).
-pub fn note(kind: NoteKind, text: String) {
-    if let Some(al) = lock(&ACTIVE).as_mut() {
-        al.notes.push(Note { kind, text });
-    }
-}
-
 // ------------------------------------------------------------- traces
 
 /// What one dat experienced over one loop.
@@ -431,116 +366,181 @@ pub struct LoopTrace {
     pub phases: u32,
 }
 
-/// Consumer of finished loop traces (installed by `sycl-verify`).
+/// Consumer of finished loop traces (supplied by `sycl-verify`).
 pub type Sink = Box<dyn Fn(LoopTrace) + Send + Sync>;
 
-static SINK: Mutex<Option<Sink>> = Mutex::new(None);
+// -------------------------------------------------------------- shadow
 
-/// Install the trace consumer (replacing any previous one).
-pub fn install_sink(sink: Sink) {
-    *lock(&SINK) = Some(sink);
-}
-
-/// Finish the active loop: compute uninit reads, fold writes into the
-/// registry's init set, and hand the trace to the sink. Dats are listed
-/// by registry id: units merge in scheduling order, so first-touch
-/// order would make the verifier's report vary from run to run.
-pub fn end_loop() {
-    let Some(mut al) = lock(&ACTIVE).take() else {
-        return;
-    };
-    al.dats.sort_unstable_by_key(|&(id, _)| id);
-    let mut dats = Vec::with_capacity(al.dats.len());
-    {
-        let mut reg = lock(&REGISTRY);
-        for (id, t) in al.dats {
-            let Some(rec) = reg.get_mut(id as usize - 1) else {
-                continue;
-            };
-            let mut uninit_reads = 0;
-            let mut uninit_example = None;
-            if !rec.init_all {
-                for i in t.read.ones() {
-                    if !rec.init.get(i) && !t.write.get(i) && !t.atomic.get(i) {
-                        uninit_reads += 1;
-                        uninit_example.get_or_insert(i);
-                    }
-                }
-            }
-            rec.init.union(&t.write);
-            rec.init.union(&t.atomic);
-            dats.push(DatTrace {
-                id,
-                name: rec.name.clone(),
-                elem_bytes: rec.elem_bytes,
-                geom: rec.geom,
-                read: t.read,
-                write: t.write,
-                atomic: t.atomic,
-                uninit_reads,
-                uninit_example,
-            });
-        }
-    }
-    let trace = LoopTrace {
-        decl: al.decl,
-        dats,
-        conflicts: al.conflicts,
-        notes: al.notes,
-        phases: al.phases,
-    };
-    if let Some(sink) = lock(&SINK).as_ref() {
-        sink(trace);
-    }
-}
-
-// ----------------------------------------------------- unit recording
-
-struct UnitTouch {
-    id: u32,
-    touched: bool,
-    read: Bits,
-    write: Bits,
-    atomic: Bits,
-}
-
-#[derive(Default)]
-struct UnitState {
-    depth: u32,
-    dats: Vec<UnitTouch>,
+/// One instrumented run's shadow state: the dataset registry, the loop
+/// being recorded, and where its finished traces go.
+pub struct Shadow {
+    registry: Mutex<Vec<DatRecord>>,
+    active: Mutex<Option<ActiveLoop>>,
+    sink: Option<Sink>,
 }
 
 thread_local! {
-    static UNIT: RefCell<UnitState> = RefCell::new(UnitState::default());
+    /// The shadow that datasets created and ambient writes made on this
+    /// thread record into.
+    static CURRENT: RefCell<Option<Arc<Shadow>>> = const { RefCell::new(None) };
 }
 
-/// Enter one execution unit (tile / chunk / block) on this thread.
-pub fn begin_unit() {
-    if !shadow_on() {
-        return;
+fn with_current<R>(f: impl FnOnce(&Shadow) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_deref().map(f))
+}
+
+/// The calling thread's current shadow, if any. DSL emitters read it
+/// once per launch and hand it to that launch's units via [`unit`].
+pub fn current() -> Option<Arc<Shadow>> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Keeps a [`Shadow`] current on the thread that entered it; dropping
+/// the scope restores whatever was current before. The scope is the
+/// thread, so a `Scope` is not `Send`.
+pub struct Scope {
+    shadow: Arc<Shadow>,
+    prev: Option<Arc<Shadow>>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl std::ops::Deref for Scope {
+    type Target = Shadow;
+
+    fn deref(&self) -> &Shadow {
+        &self.shadow
     }
-    UNIT.with(|u| u.borrow_mut().depth += 1);
 }
 
-/// Leave the unit: merge its bitmaps into the active loop and detect
-/// overlap against the units already merged in this phase.
-pub fn end_unit() {
-    UNIT.with(|cell| {
-        let mut u = cell.borrow_mut();
-        if u.depth == 0 {
-            return;
+impl Drop for Scope {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        CURRENT.with(|c| *c.borrow_mut() = prev);
+    }
+}
+
+impl Shadow {
+    /// Make a fresh shadow current on this thread until the returned
+    /// scope drops. Datasets only acquire shadow ids at creation, so
+    /// enter *before* the instrumented run allocates. Finished loop
+    /// traces go to `sink`; without one the shadow only names dats.
+    pub fn enter(sink: Option<Sink>) -> Scope {
+        let shadow = Arc::new(Shadow {
+            registry: Mutex::new(Vec::new()),
+            active: Mutex::new(None),
+            sink,
+        });
+        let prev = CURRENT.with(|c| c.replace(Some(Arc::clone(&shadow))));
+        Scope {
+            shadow,
+            prev,
+            _thread: PhantomData,
         }
-        u.depth -= 1;
-        if u.depth > 0 {
-            return;
+    }
+
+    /// The registered name of dat `id`, for diagnostics (`None` for the
+    /// anonymous id 0 or an id this shadow never issued).
+    pub fn dat_name(&self, id: u32) -> Option<String> {
+        let i = (id as usize).checked_sub(1)?;
+        lock(&self.registry).get(i).map(|r| r.name.clone())
+    }
+
+    /// Begin recording a loop whose body executes. A loop already
+    /// active is replaced (and dropped).
+    pub fn begin_loop(&self, decl: LoopDecl) {
+        *lock(&self.active) = Some(ActiveLoop {
+            decl,
+            dats: Vec::new(),
+            conflicts: Vec::new(),
+            notes: Vec::new(),
+            phases: 1,
+        });
+    }
+
+    /// Start the next launch phase of the active loop (op2 colour
+    /// groups): conflict unions reset, total unions persist.
+    pub fn next_phase(&self) {
+        if let Some(al) = lock(&self.active).as_mut() {
+            al.phases += 1;
+            for (_, t) in &mut al.dats {
+                t.phase_read.clear();
+                t.phase_write.clear();
+                t.phase_atomic.clear();
+            }
         }
-        let mut active = lock(&ACTIVE);
+    }
+
+    /// Attach a note to the active loop (dropped when no loop is active).
+    pub fn note(&self, kind: NoteKind, text: String) {
+        if let Some(al) = lock(&self.active).as_mut() {
+            al.notes.push(Note { kind, text });
+        }
+    }
+
+    /// Finish the active loop: compute uninit reads, fold writes into
+    /// the registry's init set, and hand the trace to the sink. Dats are
+    /// listed by registry id: units merge in scheduling order, so
+    /// first-touch order would make the verifier's report vary from run
+    /// to run.
+    pub fn end_loop(&self) {
+        let Some(mut al) = lock(&self.active).take() else {
+            return;
+        };
+        al.dats.sort_unstable_by_key(|&(id, _)| id);
+        let mut dats = Vec::with_capacity(al.dats.len());
+        {
+            let mut reg = lock(&self.registry);
+            for (id, t) in al.dats {
+                let Some(rec) = reg.get_mut(id as usize - 1) else {
+                    continue;
+                };
+                let mut uninit_reads = 0;
+                let mut uninit_example = None;
+                if !rec.init_all {
+                    for i in t.read.ones() {
+                        if !rec.init.get(i) && !t.write.get(i) && !t.atomic.get(i) {
+                            uninit_reads += 1;
+                            uninit_example.get_or_insert(i);
+                        }
+                    }
+                }
+                rec.init.union(&t.write);
+                rec.init.union(&t.atomic);
+                dats.push(DatTrace {
+                    id,
+                    name: rec.name.clone(),
+                    elem_bytes: rec.elem_bytes,
+                    geom: rec.geom,
+                    read: t.read,
+                    write: t.write,
+                    atomic: t.atomic,
+                    uninit_reads,
+                    uninit_example,
+                });
+            }
+        }
+        if let Some(sink) = &self.sink {
+            sink(LoopTrace {
+                decl: al.decl,
+                dats,
+                conflicts: al.conflicts,
+                notes: al.notes,
+                phases: al.phases,
+            });
+        }
+    }
+
+    /// Merge a finished unit's bitmaps into the active loop, detecting
+    /// overlap against the units already merged in this phase, and
+    /// clear them for the thread's next unit.
+    fn merge(&self, u: &mut UnitState) {
+        let mut active = lock(&self.active);
         if let Some(al) = active.as_mut() {
             for t in u.dats.iter().filter(|t| t.touched) {
                 let lt = match al.dats.iter_mut().find(|(id, _)| *id == t.id) {
                     Some((_, lt)) => lt,
                     None => {
-                        let cells = lock(&REGISTRY)
+                        let cells = lock(&self.registry)
                             .get(t.id as usize - 1)
                             .map(|r| r.geom.cells())
                             .unwrap_or(0);
@@ -586,7 +586,51 @@ pub fn end_unit() {
             t.atomic.clear();
             t.touched = false;
         }
-    });
+    }
+}
+
+// ----------------------------------------------------- unit recording
+
+struct UnitTouch {
+    id: u32,
+    touched: bool,
+    read: Bits,
+    write: Bits,
+    atomic: Bits,
+}
+
+#[derive(Default)]
+struct UnitState {
+    depth: u32,
+    dats: Vec<UnitTouch>,
+}
+
+thread_local! {
+    static UNIT: RefCell<UnitState> = RefCell::new(UnitState::default());
+}
+
+/// Run `f` as one execution unit (tile / chunk / block) of a launch on
+/// whichever thread the pool picked. `sh` is the launching thread's
+/// shadow, captured once per launch: with `None` this is `f()` behind
+/// one branch; with a shadow, the accesses `f` makes on this thread
+/// merge into that shadow's active loop, and no other, when the
+/// outermost unit ends.
+#[inline]
+pub fn unit<R>(sh: Option<&Shadow>, f: impl FnOnce() -> R) -> R {
+    if sh.is_some() {
+        UNIT.with(|u| u.borrow_mut().depth += 1);
+    }
+    let out = f();
+    if let Some(sh) = sh {
+        UNIT.with(|cell| {
+            let mut u = cell.borrow_mut();
+            u.depth -= 1;
+            if u.depth == 0 {
+                sh.merge(&mut u);
+            }
+        });
+    }
+    out
 }
 
 #[derive(Clone, Copy)]
@@ -603,9 +647,11 @@ fn record(id: u32, idx: usize, len: usize, cells: usize, kind: Kind) {
             // Ambient access (setup/validation outside any loop):
             // writes initialize, reads are unchecked.
             if matches!(kind, Kind::Write) {
-                if let Some(r) = lock(&REGISTRY).get_mut(id as usize - 1) {
-                    r.init.set_span(idx, len);
-                }
+                with_current(|sh| {
+                    if let Some(r) = lock(&sh.registry).get_mut(id as usize - 1) {
+                        r.init.set_span(idx, len);
+                    }
+                });
             }
             return;
         }
@@ -645,7 +691,7 @@ fn record(id: u32, idx: usize, len: usize, cells: usize, kind: Kind) {
 /// Record a single-cell read. `cells` sizes the bitmap on first touch.
 #[inline]
 pub fn record_read(id: u32, idx: usize, cells: usize) {
-    if id != 0 && shadow_on() {
+    if id != 0 {
         record(id, idx, 1, cells, Kind::Read);
     }
 }
@@ -653,7 +699,7 @@ pub fn record_read(id: u32, idx: usize, cells: usize) {
 /// Record a contiguous read span (row slices).
 #[inline]
 pub fn record_read_span(id: u32, idx: usize, len: usize, cells: usize) {
-    if id != 0 && shadow_on() && len > 0 {
+    if id != 0 && len > 0 {
         record(id, idx, len, cells, Kind::Read);
     }
 }
@@ -661,7 +707,7 @@ pub fn record_read_span(id: u32, idx: usize, len: usize, cells: usize) {
 /// Record a single-cell plain write.
 #[inline]
 pub fn record_write(id: u32, idx: usize, cells: usize) {
-    if id != 0 && shadow_on() {
+    if id != 0 {
         record(id, idx, 1, cells, Kind::Write);
     }
 }
@@ -670,7 +716,7 @@ pub fn record_write(id: u32, idx: usize, cells: usize) {
 /// also a read span, since the body may read through the slice).
 #[inline]
 pub fn record_write_span(id: u32, idx: usize, len: usize, cells: usize) {
-    if id != 0 && shadow_on() && len > 0 {
+    if id != 0 && len > 0 {
         record(id, idx, len, cells, Kind::Read);
         record(id, idx, len, cells, Kind::Write);
     }
@@ -679,7 +725,7 @@ pub fn record_write_span(id: u32, idx: usize, len: usize, cells: usize) {
 /// Record an atomic read-modify-write.
 #[inline]
 pub fn record_atomic(id: u32, idx: usize, cells: usize) {
-    if id != 0 && shadow_on() {
+    if id != 0 {
         record(id, idx, 1, cells, Kind::Atomic);
     }
 }
@@ -687,10 +733,6 @@ pub fn record_atomic(id: u32, idx: usize, cells: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Shadow state is process-global; this module's tests share one
-    // lock so they cannot interleave.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn grid4() -> DatGeom {
         DatGeom::Grid {
@@ -712,13 +754,13 @@ mod tests {
         }
     }
 
-    fn capture(run: impl FnOnce()) -> Vec<LoopTrace> {
-        let traces = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let sink_traces = std::sync::Arc::clone(&traces);
-        install_sink(Box::new(move |t| sink_traces.lock().unwrap().push(t)));
-        run();
-        let out = traces.lock().unwrap().clone();
-        reset_shadow();
+    fn capture(run: impl FnOnce(&Shadow)) -> Vec<LoopTrace> {
+        let traces = Arc::new(Mutex::new(Vec::new()));
+        let sink_traces = Arc::clone(&traces);
+        let shadow = Shadow::enter(Some(Box::new(move |t| lock(&sink_traces).push(t))));
+        run(&shadow);
+        drop(shadow);
+        let out = lock(&traces).clone();
         out
     }
 
@@ -736,19 +778,17 @@ mod tests {
 
     #[test]
     fn units_merge_and_conflicts_are_detected() {
-        let _l = lock(&TEST_LOCK);
-        let traces = capture(|| {
-            set_shadow(true);
+        let traces = capture(|sh| {
             let id = register_dat("u", 8.0, grid4());
-            begin_loop(decl("k"));
-            begin_unit();
-            record_write(id, 3, 16);
-            record_read(id, 2, 16);
-            end_unit();
-            begin_unit();
-            record_write(id, 3, 16); // same cell as unit 1: WW race
-            end_unit();
-            end_loop();
+            sh.begin_loop(decl("k"));
+            unit(Some(sh), || {
+                record_write(id, 3, 16);
+                record_read(id, 2, 16);
+            });
+            unit(Some(sh), || {
+                record_write(id, 3, 16); // same cell as unit 1: WW race
+            });
+            sh.end_loop();
         });
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
@@ -761,22 +801,20 @@ mod tests {
 
     #[test]
     fn atomic_overlap_is_not_a_conflict_and_phases_reset() {
-        let _l = lock(&TEST_LOCK);
-        let traces = capture(|| {
-            set_shadow(true);
+        let traces = capture(|sh| {
             let id = register_dat("acc", 8.0, DatGeom::Set { size: 8, dim: 1 });
-            begin_loop(decl("flux"));
+            sh.begin_loop(decl("flux"));
             for _ in 0..2 {
-                begin_unit();
-                record_atomic(id, 5, 8);
-                end_unit();
+                unit(Some(sh), || {
+                    record_atomic(id, 5, 8);
+                });
             }
             // New phase: a plain write over the old cells is legal.
-            next_phase();
-            begin_unit();
-            record_write(id, 5, 8);
-            end_unit();
-            end_loop();
+            sh.next_phase();
+            unit(Some(sh), || {
+                record_write(id, 5, 8);
+            });
+            sh.end_loop();
         });
         assert!(traces[0].conflicts.is_empty(), "{:?}", traces[0].conflicts);
         assert_eq!(traces[0].phases, 2);
@@ -784,21 +822,19 @@ mod tests {
 
     #[test]
     fn uninit_reads_are_counted_and_writes_initialize() {
-        let _l = lock(&TEST_LOCK);
-        let traces = capture(|| {
-            set_shadow(true);
+        let traces = capture(|sh| {
             let id = register_dat("u", 8.0, grid4());
-            begin_loop(decl("first"));
-            begin_unit();
-            record_read(id, 7, 16); // never initialized
-            record_write(id, 1, 16);
-            end_unit();
-            end_loop();
-            begin_loop(decl("second"));
-            begin_unit();
-            record_read(id, 1, 16); // initialized by loop "first"
-            end_unit();
-            end_loop();
+            sh.begin_loop(decl("first"));
+            unit(Some(sh), || {
+                record_read(id, 7, 16); // never initialized
+                record_write(id, 1, 16);
+            });
+            sh.end_loop();
+            sh.begin_loop(decl("second"));
+            unit(Some(sh), || {
+                record_read(id, 1, 16); // initialized by loop "first"
+            });
+            sh.end_loop();
         });
         assert_eq!(traces[0].uninit(), (1, Some(7)));
         assert_eq!(traces[1].uninit(), (0, None));
@@ -812,26 +848,38 @@ mod tests {
 
     #[test]
     fn ambient_writes_initialize_without_a_loop() {
-        let _l = lock(&TEST_LOCK);
-        let traces = capture(|| {
-            set_shadow(true);
+        let traces = capture(|sh| {
             let id = register_dat("u", 8.0, grid4());
             record_write(id, 9, 16); // setup outside any loop
-            begin_loop(decl("k"));
-            begin_unit();
-            record_read(id, 9, 16);
-            end_unit();
-            end_loop();
+            sh.begin_loop(decl("k"));
+            unit(Some(sh), || {
+                record_read(id, 9, 16);
+            });
+            sh.end_loop();
         });
         assert_eq!(traces[0].dats[0].uninit_reads, 0);
     }
 
     #[test]
     fn disabled_mode_records_nothing() {
-        let _l = lock(&TEST_LOCK);
+        assert!(current().is_none());
         assert_eq!(register_dat("u", 8.0, grid4()), 0);
         record_read(0, 3, 16);
-        assert!(lock(&ACTIVE).is_none());
+        assert_eq!(unit(None, || 7), 7);
+    }
+
+    #[test]
+    fn a_shadow_is_current_only_on_its_thread_and_within_its_scope() {
+        let shadow = Shadow::enter(None);
+        assert_eq!(register_dat("u", 8.0, grid4()), 1);
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(register_dat("other", 8.0, grid4()), 0));
+        });
+        assert_eq!(shadow.dat_name(1).as_deref(), Some("u"));
+        assert_eq!(shadow.dat_name(2), None);
+        drop(shadow);
+        assert!(current().is_none());
+        assert_eq!(register_dat("u", 8.0, grid4()), 0);
     }
 
     #[test]

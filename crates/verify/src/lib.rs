@@ -26,7 +26,7 @@
 //! let session = Session::create(SessionConfig::new(
 //!     PlatformId::A100, Toolchain::NativeCuda)).unwrap();
 //! let verifier = verify::Verifier::attach(&session);
-//! // ... run the app against `session` ...
+//! // ... run the app against `session`, on this thread ...
 //! let diags = verifier.finish(&session);
 //! assert!(!verify::has_errors(&diags));
 //! ```
@@ -34,7 +34,9 @@
 //! Shadow instrumentation only observes memory the kernels touch anyway,
 //! so an instrumented run is bit-identical to a fast-path run (proved in
 //! `tests/equivalence.rs`); the cost is one branch per access when off,
-//! and one bitmap bit per access when on.
+//! and one bitmap bit per access when on. A verifier only sees its own
+//! thread (and the pool units that thread's loops hand out), so
+//! verifiers on different threads run side by side without a lock.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -103,28 +105,10 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
 }
 
-/// Which passes a [`Verifier`] runs (all on by default).
-#[derive(Debug, Clone, Copy)]
-pub struct Passes {
-    pub access: bool,
-    pub plan: bool,
-    pub footprint: bool,
-}
-
-impl Default for Passes {
-    fn default() -> Self {
-        Passes {
-            access: true,
-            plan: true,
-            footprint: true,
-        }
-    }
-}
-
 /// Findings accumulated while the instrumented run executes. Loops
 /// repeat every iteration, so findings dedup on (kernel, pass, tag).
+#[derive(Default)]
 pub(crate) struct Collector {
-    passes: Passes,
     diags: Vec<Diagnostic>,
     seen: HashSet<(String, Pass, String)>,
     /// kernel → (shadow-counted unique bytes, traces seen).
@@ -134,16 +118,6 @@ pub(crate) struct Collector {
 }
 
 impl Collector {
-    fn new(passes: Passes) -> Self {
-        Collector {
-            passes,
-            diags: Vec::new(),
-            seen: HashSet::new(),
-            touched: HashMap::new(),
-            schemes: HashMap::new(),
-        }
-    }
-
     pub(crate) fn emit(
         &mut self,
         severity: Severity,
@@ -152,16 +126,7 @@ impl Collector {
         tag: String,
         detail: String,
     ) {
-        let on = match pass {
-            Pass::Access => self.passes.access,
-            Pass::Plan => self.passes.plan,
-            Pass::Footprint => self.passes.footprint,
-            // Dataflow findings come from the static linter, not the
-            // instrumented run; nothing routes them through a Collector
-            // today, but accept them if something does.
-            Pass::Dataflow => true,
-        };
-        if on && self.seen.insert((kernel.to_owned(), pass, tag)) {
+        if self.seen.insert((kernel.to_owned(), pass, tag)) {
             self.diags.push(Diagnostic {
                 severity,
                 kernel: kernel.to_owned(),
@@ -192,19 +157,19 @@ impl Collector {
     }
 }
 
-/// Serialises shadow-instrumented runs: the shadow registry is process-
-/// global, so two concurrently attached verifiers would mix traces.
-static VERIFY_LOCK: Mutex<()> = Mutex::new(());
-
 /// An attached verification context. Create with [`Verifier::attach`]
 /// *before* the app allocates its datasets (datasets only register with
-/// the shadow layer at creation time), run the app, then call
-/// [`Verifier::finish`] for the findings.
+/// the shadow layer at creation time), run the app on the same thread,
+/// then call [`Verifier::finish`] for the findings. The verifier's
+/// [`shadow::Shadow`] is current on the attaching thread only, so runs
+/// on other threads — verified or not — never reach its findings.
 pub struct Verifier {
     collector: Arc<Mutex<Collector>>,
     /// kernel → (priced effective bytes, launches) from the ledger.
     priced: Arc<Mutex<HashMap<String, (f64, u64)>>>,
-    _exclusive: MutexGuard<'static, ()>,
+    /// Keeps this verifier's shadow current on the attaching thread
+    /// until [`Verifier::finish`].
+    scope: shadow::Scope,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -214,36 +179,25 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Verifier {
     /// Attach all passes to `session`.
     pub fn attach(session: &Session) -> Verifier {
-        Verifier::attach_passes(session, Passes::default())
-    }
-
-    /// Attach a chosen subset of passes to `session`.
-    pub fn attach_passes(session: &Session, passes: Passes) -> Verifier {
-        let exclusive = VERIFY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        shadow::reset_shadow();
-        shadow::set_shadow(true);
-
-        let collector = Arc::new(Mutex::new(Collector::new(passes)));
+        let collector = Arc::new(Mutex::new(Collector::default()));
         let sink_collector = Arc::clone(&collector);
-        shadow::install_sink(Box::new(move |trace| {
+        let scope = shadow::Shadow::enter(Some(Box::new(move |trace| {
             lock(&sink_collector).absorb_trace(&trace);
-        }));
+        })));
 
         let priced = Arc::new(Mutex::new(HashMap::new()));
-        if passes.footprint {
-            let observer_priced = Arc::clone(&priced);
-            session.set_launch_observer(Some(Arc::new(move |r: &LaunchRecord| {
-                let mut p = lock(&observer_priced);
-                let e = p.entry(r.name.to_string()).or_insert((0.0, 0u64));
-                e.0 += r.effective_bytes;
-                e.1 += 1;
-            })));
-        }
+        let observer_priced = Arc::clone(&priced);
+        session.set_launch_observer(Some(Arc::new(move |r: &LaunchRecord| {
+            let mut p = lock(&observer_priced);
+            let e = p.entry(r.name.to_string()).or_insert((0.0, 0u64));
+            e.0 += r.effective_bytes;
+            e.1 += 1;
+        })));
 
         Verifier {
             collector,
             priced,
-            _exclusive: exclusive,
+            scope,
         }
     }
 
@@ -251,7 +205,7 @@ impl Verifier {
     /// and return all findings sorted most-severe first.
     pub fn finish(self, session: &Session) -> Vec<Diagnostic> {
         session.set_launch_observer(None);
-        shadow::reset_shadow();
+        drop(self.scope);
 
         let mut c = lock(&self.collector);
         let priced = lock(&self.priced);
@@ -280,9 +234,6 @@ fn tolerance(scheme: Option<&str>) -> (f64, f64) {
 }
 
 fn footprint_cross_check(c: &mut Collector, priced: &HashMap<String, (f64, u64)>) {
-    if !c.passes.footprint {
-        return;
-    }
     let touched = std::mem::take(&mut c.touched);
     let schemes = std::mem::take(&mut c.schemes);
     for (kernel, (shadow_bytes, traces)) in touched {
@@ -311,24 +262,4 @@ fn footprint_cross_check(c: &mut Collector, priced: &HashMap<String, (f64, u64)>
             );
         }
     }
-}
-
-/// A stable digest of a session ledger (names, bit-exact times, items,
-/// bit-exact bytes) for shadow-vs-fast-path equivalence tests.
-pub fn ledger_digest(records: &[LaunchRecord]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for r in records {
-        eat(r.name.as_bytes());
-        eat(&r.time.total.to_bits().to_le_bytes());
-        eat(&r.items.to_le_bytes());
-        eat(&r.effective_bytes.to_bits().to_le_bytes());
-        eat(&[r.boundary as u8]);
-    }
-    h
 }

@@ -11,27 +11,22 @@
 //! summary — so a regression anywhere in that chain trips them.
 
 use ops_dsl::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 use sycl_sim::{GraphSummary, PlatformId, Session, SessionConfig, Toolchain};
-use telemetry::shadow;
+use telemetry::shadow::{Scope, Shadow};
 use verify::dataflow::{lint_graph, LintContext};
 use verify::{has_errors, Diagnostic, Severity};
 
-/// The shadow registry is process-global; fixtures that register dats
-/// must not interleave.
-static SHADOW_LOCK: Mutex<()> = Mutex::new(());
-
-fn shadow_session(app: &str) -> (Session, MutexGuard<'static, ()>) {
-    let guard = SHADOW_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    shadow::reset_shadow();
-    shadow::set_shadow(true);
+/// A dry-run session plus a sink-less shadow, current on this thread
+/// until the scope drops, that names the dats the fixture allocates.
+fn shadow_session(app: &str) -> (Session, Scope) {
+    let shadow = Shadow::enter(None);
     let s = Session::create(
         SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
             .app(app)
             .dry_run(),
     )
     .unwrap();
-    (s, guard)
+    (s, shadow)
 }
 
 fn ctx() -> LintContext {
@@ -44,15 +39,15 @@ fn ctx() -> LintContext {
     }
 }
 
-fn lint(summary: &GraphSummary) -> Vec<Diagnostic> {
-    lint_graph(summary, &ctx(), &|id| shadow::dat_name(id))
+fn lint(shadow: &Shadow, summary: &GraphSummary) -> Vec<Diagnostic> {
+    lint_graph(summary, &ctx(), &|id| shadow.dat_name(id))
 }
 
 /// `a -> exchange -> stencil read`, with `b` draining the result: the
 /// healthy shape every defect fixture perturbs.
 #[test]
 fn the_healthy_fixture_graph_lints_clean() {
-    let (s, _guard) = shadow_session("fix_clean");
+    let (s, shadow) = shadow_session("fix_clean");
     let block = Block::new_2d(8, 8, 2);
     let a = ops_dsl::Dat::<f64>::zeroed(&block, "a");
     let b = ops_dsl::Dat::<f64>::zeroed(&block, "b");
@@ -73,7 +68,7 @@ fn the_healthy_fixture_graph_lints_clean() {
     drop(s);
 
     // Lint while the registry still holds the dat names.
-    let diags = lint(&summary);
+    let diags = lint(&shadow, &summary);
     assert!(
         !diags.iter().any(|d| d.severity >= Severity::Warning),
         "{diags:?}"
@@ -82,7 +77,7 @@ fn the_healthy_fixture_graph_lints_clean() {
 
 #[test]
 fn an_injected_dead_transfer_is_an_error_naming_the_clobbering_kernel() {
-    let (s, _guard) = shadow_session("fix_transfer");
+    let (s, shadow) = shadow_session("fix_transfer");
     let block = Block::new_2d(8, 8, 2);
     let a = ops_dsl::Dat::<f64>::zeroed(&block, "a");
     let b = ops_dsl::Dat::<f64>::zeroed(&block, "b");
@@ -105,7 +100,7 @@ fn an_injected_dead_transfer_is_an_error_naming_the_clobbering_kernel() {
     drop(s);
 
     // Lint while the registry still holds the dat names.
-    let diags = lint(&summary);
+    let diags = lint(&shadow, &summary);
     assert!(has_errors(&diags), "{diags:?}");
     let d = diags
         .iter()
@@ -118,7 +113,7 @@ fn an_injected_dead_transfer_is_an_error_naming_the_clobbering_kernel() {
 
 #[test]
 fn a_removed_halo_exchange_is_an_error_naming_the_stencil_reader() {
-    let (s, _guard) = shadow_session("fix_halo");
+    let (s, shadow) = shadow_session("fix_halo");
     let block = Block::new_2d(8, 8, 2);
     let a = ops_dsl::Dat::<f64>::zeroed(&block, "a");
     let b = ops_dsl::Dat::<f64>::zeroed(&block, "b");
@@ -139,7 +134,7 @@ fn a_removed_halo_exchange_is_an_error_naming_the_stencil_reader() {
     drop(s);
 
     // Lint while the registry still holds the dat names.
-    let diags = lint(&summary);
+    let diags = lint(&shadow, &summary);
     assert!(has_errors(&diags), "{diags:?}");
     let d = diags
         .iter()
@@ -157,7 +152,7 @@ fn a_removed_halo_exchange_is_an_error_naming_the_stencil_reader() {
 
 #[test]
 fn a_tampered_write_write_ordering_is_a_dead_write_error() {
-    let (s, _guard) = shadow_session("fix_waw");
+    let (s, shadow) = shadow_session("fix_waw");
     let block = Block::new_2d(8, 8, 2);
     let a = ops_dsl::Dat::<f64>::zeroed(&block, "a");
     let b = ops_dsl::Dat::<f64>::zeroed(&block, "b");
@@ -185,7 +180,7 @@ fn a_tampered_write_write_ordering_is_a_dead_write_error() {
     drop(s);
 
     // Lint while the registry still holds the dat names.
-    let diags = lint(&summary);
+    let diags = lint(&shadow, &summary);
     assert!(has_errors(&diags), "{diags:?}");
     let d = diags
         .iter()
@@ -198,7 +193,7 @@ fn a_tampered_write_write_ordering_is_a_dead_write_error() {
 
 #[test]
 fn unbalanced_phases_recorded_by_the_builder_are_lint_errors() {
-    let (s, _guard) = shadow_session("fix_phase");
+    let (s, shadow) = shadow_session("fix_phase");
     let block = Block::new_2d(8, 8, 2);
     let a = ops_dsl::Dat::<f64>::zeroed(&block, "a");
     let b = ops_dsl::Dat::<f64>::zeroed(&block, "b");
@@ -220,7 +215,7 @@ fn unbalanced_phases_recorded_by_the_builder_are_lint_errors() {
     drop(s);
 
     // Lint while the registry still holds the dat names.
-    let diags = lint(&summary);
+    let diags = lint(&shadow, &summary);
     assert!(has_errors(&diags), "{diags:?}");
     let d = diags
         .iter()
@@ -232,7 +227,7 @@ fn unbalanced_phases_recorded_by_the_builder_are_lint_errors() {
 
 #[test]
 fn a_duplicated_exchange_is_a_redundancy_warning() {
-    let (s, _guard) = shadow_session("fix_redundant");
+    let (s, shadow) = shadow_session("fix_redundant");
     let block = Block::new_2d(8, 8, 2);
     let a = ops_dsl::Dat::<f64>::zeroed(&block, "a");
     let b = ops_dsl::Dat::<f64>::zeroed(&block, "b");
@@ -254,7 +249,7 @@ fn a_duplicated_exchange_is_a_redundancy_warning() {
     drop(s);
 
     // Lint while the registry still holds the dat names.
-    let diags = lint(&summary);
+    let diags = lint(&shadow, &summary);
     assert!(!has_errors(&diags), "redundancy is a warning: {diags:?}");
     assert!(
         diags.iter().any(|d| d.severity == Severity::Warning
