@@ -1277,27 +1277,29 @@ fn render_fleet_forensics(h: &mut String, out_dir: &Path) {
         }
     }
 
-    if let Some(Json::Arr(tails)) = doc.get("tailKernels") {
-        if !tails.is_empty() {
-            let units = match doc.get("tailUnits") {
-                Some(Json::Arr(u)) => u
-                    .iter()
-                    .filter_map(|v| match v {
-                        Json::Str(s) => Some(esc(s)),
-                        _ => None,
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                _ => String::new(),
-            };
-            let _ = write!(
-                h,
-                "<h3>Stragglers</h3><p>Units at or above the p99 wall time \
-                 ({}): <code>{units}</code>. Launch time inside those \
-                 windows, by kernel:</p>\
+    let units = match doc.get("tailUnits") {
+        Some(Json::Arr(u)) => u
+            .iter()
+            .filter_map(|v| match v {
+                Json::Str(s) => Some(esc(s)),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+            .join(", "),
+        _ => String::new(),
+    };
+    let _ = write!(
+        h,
+        "<h3>Stragglers</h3><p>Units at or above the p99 wall time \
+         ({}): <code>{units}</code>.",
+        fmt_secs(doc.f64_of("tailP99Secs").unwrap_or(0.0)),
+    );
+    match doc.get("tailKernels") {
+        Some(Json::Arr(tails)) if !tails.is_empty() => {
+            h.push_str(
+                " Launch time inside those windows, by kernel:</p>\
                  <table><thead><tr><th>kernel</th><th>seconds</th>\
                  <th>share</th></tr></thead><tbody>",
-                fmt_secs(doc.f64_of("tailP99Secs").unwrap_or(0.0)),
             );
             for k in tails {
                 let _ = write!(
@@ -1311,6 +1313,10 @@ fn render_fleet_forensics(h: &mut String, out_dir: &Path) {
             }
             h.push_str("</tbody></table>");
         }
+        _ => h.push_str(
+            " No launch spans inside those windows: dry-run studies \
+             record none, so there is no per-kernel breakdown.</p>",
+        ),
     }
 
     if let Some(Json::Arr(recs)) = doc.get("recordings") {

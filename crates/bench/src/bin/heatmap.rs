@@ -1,5 +1,5 @@
 //! Figures 10-11 as ASCII heatmaps: the paper's colour grids, shaded
-//! with density glyphs. Usage: heatmap [platform] (default: all).
+//! with density glyphs. Usage: `heatmap [platform]` (default: all).
 use portability::heatmap::from_measurements;
 
 fn main() {

@@ -9,7 +9,7 @@
 //! session records and replays a one-node graph per point, exactly like
 //! an app's staging traffic), for every direction (H2D/D2H/D2D) and
 //! host-allocation kind (pinned/pageable). Each measured point is
-//! cross-checked against [`Interconnect::transfer_time`] — a divergence
+//! cross-checked against [`Interconnect::transfer_time`](machine_model::interconnect::Interconnect::transfer_time) — a divergence
 //! means the session's comm pricing drifted from the machine model and
 //! the run exits nonzero.
 //!

@@ -372,14 +372,15 @@ impl LaunchGraph<'_> {
     }
 
     /// Execute stage: run the launch bodies in recorded order, with the
-    /// phase spans bracketing them.
+    /// phase spans bracketing them. Flight brackets (launch and phase)
+    /// are written only when the session executes its bodies.
     fn execute_stage(&self, priced: &[Option<Priced>], executes: bool) {
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
-        let flight = telemetry::flight::recording();
+        let flight = executes && telemetry::flight::recording();
         for (op, p) in self.ops.iter().zip(priced) {
             match op {
                 GraphOp::Launch { body, .. } => {
-                    execute(p.as_ref().expect("launch ops are priced"), || {
+                    execute(p.as_ref().expect("launch ops are priced"), executes, || {
                         body(executes)
                     });
                 }

@@ -3,7 +3,7 @@
 //! residency; a transfer or exchange is priced here, in recorded order
 //! (residency decides whether it moves anything), and charged to the
 //! clock. [`Session::launch`](crate::Session::launch) commits one op at
-//! a time, graph replay a whole sequence under one [`CommitLocks`];
+//! a time, graph replay a whole sequence under one `CommitLocks`;
 //! observers run after the locks are released.
 
 use crate::launch::price::{CommOp, PriceCache, Priced};

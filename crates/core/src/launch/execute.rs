@@ -2,21 +2,27 @@
 //! caller's closure) and emit the launch telemetry that goes with it.
 //! This layer owns the wall-clock span, the flight bracket and the
 //! `launches`/`bytes_moved` counters; it never touches the ledger or the
-//! pricing cache.
+//! pricing cache. The flight bracket is written for executing sessions
+//! only: a dry-run launch runs an empty body, and timestamping it would
+//! cost more than the launch itself.
 
 use crate::launch::price::Priced;
 use std::sync::Arc;
 
-/// Execute one priced launch: run `body` inside the flight bracket and
-/// the launch span. The one execute stage behind both
-/// [`Session::launch`](crate::Session::launch) and graph replay.
+/// Execute one priced launch: run `body` inside the launch span and,
+/// when the session executes its bodies, the flight bracket. The one
+/// execute stage behind both [`Session::launch`](crate::Session::launch)
+/// and graph replay.
 ///
 /// Flight events bracket the body so a crash mid-kernel leaves the
-/// launch open on disk — that open is the post-mortem attribution. Like
-/// the span, it observes only and never feeds back into the ledger.
-pub(crate) fn execute<R>(p: &Priced, body: impl FnOnce() -> R) -> R {
+/// launch open on disk — that open is the post-mortem attribution. A
+/// dry-run session (`executes == false`) runs only empty bodies, so it
+/// writes no bracket: a crash there is attributed to the enclosing unit
+/// span instead. Like the span, the bracket observes only and never
+/// feeds back into the ledger.
+pub(crate) fn execute<R>(p: &Priced, executes: bool, body: impl FnOnce() -> R) -> R {
     let span = LaunchSpan::start();
-    let flight = telemetry::flight::recording();
+    let flight = executes && telemetry::flight::recording();
     if flight {
         telemetry::flight::span_open(telemetry::SpanKind::Launch, &p.name);
     }

@@ -1,7 +1,7 @@
 //! Layer 1 — **record**: turn a kernel into a [`LaunchNode`] without
 //! taking any lock. A node is the kernel snapshot plus its precomputed
-//! pricing fingerprint; both the eager path and [`LaunchGraph`]
-//! (crate::LaunchGraph) recording go through here.
+//! pricing fingerprint; both the eager path and [`LaunchGraph`](crate::LaunchGraph)
+//! recording go through here.
 
 use crate::kernel::Kernel;
 use std::hash::{Hash, Hasher};
@@ -102,7 +102,7 @@ impl DatAccess {
 /// static analysis over the recorded graph (`graphlint`).
 ///
 /// `opaque` marks launches whose access list is *not* exhaustive (op2
-/// indirect loops with anonymous args, or plain [`GraphBuilder::launch`]
+/// indirect loops with anonymous args, or plain [`GraphBuilder::launch`](crate::GraphBuilder::launch)
 /// calls that declared nothing). Opaque launches suppress dat-level
 /// hazard lints and break fusion chains — the analyzer must not claim
 /// knowledge it does not have.

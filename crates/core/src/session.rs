@@ -244,6 +244,11 @@ impl Session {
 
     /// Price and record one kernel launch, then run `body` functionally.
     /// Returns whatever the body returns.
+    ///
+    /// `body` is called in every session, but in a dry-run session (see
+    /// [`Session::executes`]) it is expected to do nothing, so the
+    /// flight recorder writes no launch bracket around it. Wall-clock
+    /// spans, counters and the ledger entry are recorded either way.
     pub fn launch<R>(&self, kernel: &Kernel, body: impl FnOnce() -> R) -> R {
         let (r, _) = self.launch_timed(kernel, body);
         r
@@ -277,7 +282,7 @@ impl Session {
             meta: None,
         });
         locks.release(record.as_slice());
-        (execute(&priced, body), priced.time)
+        (execute(&priced, self.executes(), body), priced.time)
     }
 
     /// Price stage for one launch, against a caller-held cache lock.

@@ -1,7 +1,7 @@
 //! Toolchain models: DPC++, OpenSYCL, and the native baselines.
 //!
-//! A toolchain turns a [`Kernel`](crate::Kernel) into an
-//! [`ExecProfile`](machine_model::ExecProfile): which driver path the
+//! A toolchain turns a [`Kernel`] into an
+//! [`ExecProfile`]: which driver path the
 //! launch takes, what work-group shape it gets (the *flat* formulation
 //! leaves this to a runtime heuristic; *nd_range* uses the app-tuned
 //! shape), how well the body vectorises on CPUs, and which reduction

@@ -13,17 +13,24 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 /// A launch mix covering the cache paths: repeated hits on two hot
 /// kernels, a boundary loop, and a reduction, on both cached and
-/// uncached sessions.
+/// uncached sessions, plus one replayed graph with a phase around its
+/// launch.
 fn run_workload() -> (Vec<LaunchRecord>, f64, Vec<LaunchRecord>, f64) {
-    let cached =
-        Session::create(SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app("equiv"))
-            .unwrap();
-    let uncached = Session::create(
-        SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
-            .app("equiv")
-            .no_pricing_cache(),
-    )
-    .unwrap();
+    run_workload_on(false)
+}
+
+/// [`run_workload`] on executing sessions, or on dry-run ones.
+fn run_workload_on(dry_run: bool) -> (Vec<LaunchRecord>, f64, Vec<LaunchRecord>, f64) {
+    let config = || {
+        let cfg = SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app("equiv");
+        if dry_run {
+            cfg.dry_run()
+        } else {
+            cfg
+        }
+    };
+    let cached = Session::create(config()).unwrap();
+    let uncached = Session::create(config().no_pricing_cache()).unwrap();
     for s in [&cached, &uncached] {
         let triad = Kernel::streaming("triad", 1 << 20, 3.0 * 8.0 * (1 << 20) as f64, 2e6);
         let copy = Kernel::streaming("copy", 1 << 18, 2.0 * 8.0 * (1 << 18) as f64, 0.0);
@@ -38,6 +45,12 @@ fn run_workload() -> (Vec<LaunchRecord>, f64, Vec<LaunchRecord>, f64) {
         s.launch(&reduce, || ());
         s.transfer(1e8);
         s.exchange(1e6, 8);
+        let stencil = Kernel::streaming("stencil", 1 << 16, 5.0 * 8.0 * (1 << 16) as f64, 0.0);
+        let mut g = s.record();
+        g.phase("equiv.step");
+        g.launch(&stencil, |_| ());
+        g.end_phase();
+        g.finish().replay(s);
     }
     // One guard per statement: a `Records` guard held across `elapsed()`
     // would deadlock on the ledger lock.
@@ -185,6 +198,46 @@ fn flight_recorder_leaves_ledgers_bit_identical() {
         .count();
     let per_session = never.0.len();
     assert_eq!(opens, 2 * per_session);
+    assert_eq!(flight_opens(&rec, telemetry::SpanKind::Phase), 2);
+    assert!(rec.open_spans().is_empty());
+    std::fs::remove_file(&path).ok();
+}
+
+/// Span opens of one kind in a flight recording.
+fn flight_opens(rec: &telemetry::FlightRecording, kind: telemetry::SpanKind) -> usize {
+    rec.events
+        .iter()
+        .filter(|e| matches!(e, telemetry::FlightEvent::SpanOpen { kind: k, .. } if *k == kind))
+        .count()
+}
+
+#[test]
+fn dry_run_flight_recording_brackets_only_the_unit() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let never = run_workload_on(true);
+
+    // A dry-run session runs only empty bodies: with flight on it must
+    // leave its launches and phases unbracketed and its ledger unmoved.
+    let path = std::env::temp_dir().join(format!("flight-equiv-dry-{}.bin", std::process::id()));
+    telemetry::flight::start(&path, 0, "equiv-dry").unwrap();
+    telemetry::flight::span_open(telemetry::SpanKind::Unit, "equiv-unit");
+    let with_flight = run_workload_on(true);
+    telemetry::flight::span_close(telemetry::SpanKind::Unit, "equiv-unit");
+    telemetry::flight::stop();
+
+    assert_bit_identical(
+        &never,
+        &with_flight,
+        "dry run: never-attached vs flight-recorded",
+    );
+    assert!(!never.0.is_empty(), "the dry run still prices every launch");
+
+    let rec = telemetry::FlightRecording::read(&path).unwrap();
+    assert!(!rec.torn, "clean stop must not leave a torn tail");
+    assert_eq!(flight_opens(&rec, telemetry::SpanKind::Launch), 0);
+    assert_eq!(flight_opens(&rec, telemetry::SpanKind::Phase), 0);
+    // The enclosing unit span is present, and closed (nothing open).
+    assert_eq!(flight_opens(&rec, telemetry::SpanKind::Unit), 1);
     assert!(rec.open_spans().is_empty());
     std::fs::remove_file(&path).ok();
 }

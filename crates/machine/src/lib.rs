@@ -18,7 +18,7 @@
 //! 2. The SYCL runtime simulation picks an [`ExecProfile`] — backend kind,
 //!    work-group shape, vectorisation efficiency, reduction strategy —
 //!    according to the toolchain being modelled.
-//! 3. [`predict`](model::predict) combines platform + footprint + profile
+//! 3. [`predict`] combines platform + footprint + profile
 //!    into a simulated kernel time:
 //!    `max(memory, compute, atomics) + launch + reduction`.
 //!

@@ -13,7 +13,7 @@
 //!   sketches with exact count/mean/CI and bucketed p50/p90/p99/max.
 //!   Two histograms merge bucket-by-bucket, so per-thread shards or
 //!   per-run summaries combine without keeping raw samples.
-//! * **Registry** ([`registry`]) — a process-wide, lock-light home for
+//! * **Registry** ([`registry()`]) — a process-wide, lock-light home for
 //!   named histograms and labelled gauges/counters. Recording goes to a
 //!   per-thread shard behind the recorder's own (uncontended) mutex and
 //!   is guarded by [`telemetry::enabled`], so the disabled path is the

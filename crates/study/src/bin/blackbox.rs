@@ -136,15 +136,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             ),
         }
     }
-    if !doc.tail_kernels.is_empty() {
-        println!(
-            "stragglers (unit wall >= p99 = {:.3}s): {}",
-            doc.tail_p99_secs,
-            doc.tail_units.join(", ")
-        );
-        for k in &doc.tail_kernels {
-            println!("  {:24} {:8.3}s  {:5.1}%", k.name, k.secs, k.share * 100.0);
-        }
+    println!(
+        "stragglers (unit wall >= p99 = {:.3}s): {}",
+        doc.tail_p99_secs,
+        doc.tail_units.join(", ")
+    );
+    if doc.tail_kernels.is_empty() {
+        println!("  no launch spans in their windows (dry-run studies record none)");
+    }
+    for k in &doc.tail_kernels {
+        println!("  {:24} {:8.3}s  {:5.1}%", k.name, k.secs, k.share * 100.0);
     }
     println!("wrote {} and {}", doc_path.display(), trace_path.display());
 

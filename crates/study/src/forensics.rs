@@ -11,10 +11,13 @@
 //!   deepest span still open in the worker's recording at the end of
 //!   that dispatch's window is the answer; the worker flushed the unit
 //!   span and `begin` mark before anything could kill the attempt, so
-//!   the window always exists on disk.
+//!   the window always exists on disk. Launch and phase spans are only
+//!   recorded by sessions that execute their bodies, so a dry-run
+//!   unit's kill site is its unit span.
 //! * **Tail analysis** — among units that completed, which kernels
 //!   dominate the p99 of unit wall time (the stragglers that set the
-//!   fleet's critical path)?
+//!   fleet's critical path)? Empty when the stragglers recorded no
+//!   launch spans, as dry-run units do not.
 //! * **Timeline** — one merged Chrome trace over every recording, on a
 //!   shared unix-epoch clock, with flow arrows joining orchestrator
 //!   dispatch → worker execution → result across pids.

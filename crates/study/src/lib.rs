@@ -9,7 +9,7 @@
 //!
 //! The moving parts, bottom-up:
 //!
-//! * [`unit`] — the canonical enumeration of the cross-product. Unit
+//! * [`unit`](mod@unit) — the canonical enumeration of the cross-product. Unit
 //!   indices depend only on the fixed platform/app/variant tables, so
 //!   every process (and every CI shard) agrees on `index ↔ cell`;
 //!   `--shard i/n` partitions by `index % n`.

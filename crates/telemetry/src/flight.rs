@@ -34,7 +34,13 @@
 //! the study journal accepts that same risk). *Routine* events — launch
 //! opens and every close — sit in a small buffer flushed at
 //! [`FLUSH_THRESHOLD`] bytes and at unit boundaries, bounding syscall
-//! overhead on the launch hot path. Either way the tail may be torn
+//! overhead on the launch hot path.
+//!
+//! Launch and phase spans are recorded for executing sessions only:
+//! the launch core skips their brackets when a session is a dry run,
+//! whose bodies are empty, so a dry-run study unit writes just its unit
+//! span, trace marks and counters, and a crash inside it is attributed
+//! to the unit span. Either way the tail may be torn
 //! mid-record; the reader treats a torn tail as end-of-recording, the
 //! same tolerance discipline as the study journal
 //! (`study::orchestrator::read_journal`).

@@ -16,7 +16,7 @@
 //!   footprint bytes. [`flush`] drains every thread's ring into one
 //!   monotonically-ordered event list (ordered by a global finish
 //!   sequence, so cross-thread ordering is exact, not approximate).
-//! * **Counters** ([`counters`]) — process-wide relaxed atomics:
+//! * **Counters** ([`counters()`]) — process-wide relaxed atomics:
 //!   launches, pricing-cache hits/misses, pool regions, steals,
 //!   parks/wakes, effective bytes moved, spans dropped on ring wrap.
 //! * **Exporters** ([`export`]) — Chrome `trace_event` JSON (loadable in

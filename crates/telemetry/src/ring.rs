@@ -1,6 +1,6 @@
 //! Per-thread ring-buffer trace recorders.
 //!
-//! Every thread that records a span owns one [`Ring`]: a bounded
+//! Every thread that records a span owns one `Ring`: a bounded
 //! `VecDeque` of [`Event`]s behind its own mutex. Recording locks only
 //! the recorder's *own* ring — uncontended in the steady state, since
 //! the only other party that ever touches it is [`flush`] — so the

@@ -3,7 +3,7 @@
 //! A [`Shadow`] (dat registry, active loop, trace sink) is current on
 //! the thread that [entered](Shadow::enter) it. Datasets created there
 //! register with it; the DSL emitters read it once per launch and pass
-//! it to every pool unit through [`unit`], so each view access
+//! it to every pool unit through [`unit()`], so each view access
 //! (`ReadView::at`, `WriteView::set`, `Accum::add`, the row-sliced
 //! spans, the op2 gather/scatter paths) records the touched linear
 //! index into a **per-thread bitmap** for the unit (tile / chunk /
@@ -390,7 +390,7 @@ fn with_current<R>(f: impl FnOnce(&Shadow) -> R) -> Option<R> {
 }
 
 /// The calling thread's current shadow, if any. DSL emitters read it
-/// once per launch and hand it to that launch's units via [`unit`].
+/// once per launch and hand it to that launch's units via [`unit()`].
 pub fn current() -> Option<Arc<Shadow>> {
     CURRENT.with(|c| c.borrow().clone())
 }
