@@ -3,18 +3,15 @@
 //!
 //! ```text
 //! bench_gate [--smoke] [--bless] [--quick] [--platform <label>]
-//!            [--manifest engine|service|apps|transfer]
+//!            [--manifest engine|apps|transfer]
 //! ```
 //!
-//! Four manifests are produced per run:
+//! Three manifests are produced per run:
 //!
 //! * `BENCH_gate_engine.json` — wall-clock of the functional engine
 //!   (cached/uncached stencil, row-sliced reduce), gated with the loose
 //!   wall tolerance ([`Tolerance::wall`]): host timings are noisy, and
 //!   baselines only transfer between runs on the *same* machine;
-//! * `BENCH_gate_service.json` — wall-clock of the sharded service
-//!   layer (concurrent eager submits and graph replays behind admission
-//!   control), also gated with the wall tolerance;
 //! * `BENCH_gate_apps_<platform>.json` — per-kernel **simulated**
 //!   seconds of the mini-apps at test size, gated with the tight
 //!   per-platform tolerance: the pricing model is deterministic, so any
@@ -26,7 +23,7 @@
 //!
 //! Modes:
 //!
-//! * default — compare both manifests against
+//! * default — compare every manifest against
 //!   `results/baselines/BENCH_<name>.json`; exit 1 on a confirmed
 //!   regression (both the IQR and the bootstrap test agree — see
 //!   `metrics::gate`), 2 when a baseline is missing;
@@ -304,117 +301,6 @@ fn engine_manifest(reps: u32, n: usize, launches: usize) -> RunManifest {
     )
 }
 
-/// Wall-clock of the service layer: per-shard threads driving eager
-/// submits and graph replays over one parkit pool behind admission
-/// control. Times the contended launch path end to end (admission +
-/// per-shard ledger + pricing), so it is gated with the loose wall
-/// tolerance like the engine manifest.
-fn service_manifest(reps: u32, launches: usize) -> RunManifest {
-    use sycl_sim::{Batch, Kernel, Service, ServiceConfig};
-    const SHARDS: usize = 4;
-    let svc = Service::new(ServiceConfig::new(SHARDS, 2), |_| {
-        SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app("gate-service")
-    })
-    .unwrap();
-    let items = 1u64 << 14;
-    let k = Kernel::streaming("svc", items, (items * 8) as f64, 0.0);
-    let bytes = (SHARDS * launches) as f64 * (items * 8) as f64;
-
-    let submit_pass = || {
-        std::thread::scope(|scope| {
-            for i in 0..SHARDS {
-                let (svc, k) = (&svc, &k);
-                scope.spawn(move || {
-                    for _ in 0..launches {
-                        svc.submit(i, k, || ()).unwrap();
-                    }
-                });
-            }
-        });
-    };
-    // The batched equivalent: the same launches per shard coalesced
-    // into one submission (one admission slot, one ledger lock).
-    let submit_batch_pass = || {
-        std::thread::scope(|scope| {
-            for i in 0..SHARDS {
-                let (svc, k) = (&svc, &k);
-                scope.spawn(move || {
-                    let mut b = Batch::new();
-                    for _ in 0..launches {
-                        b.launch(k, |_| {});
-                    }
-                    svc.submit_batch(i, b).unwrap();
-                });
-            }
-        });
-    };
-    // One graph of `launches` nodes per shard, recorded once; each pass
-    // replays them concurrently (one admission slot + one ledger lock
-    // per replay).
-    let graphs: Vec<_> = (0..SHARDS)
-        .map(|i| {
-            let mut g = svc.shard(i).record();
-            for _ in 0..launches {
-                g.launch(&k, |_| {});
-            }
-            g.finish()
-        })
-        .collect();
-    let replay_pass = || {
-        std::thread::scope(|scope| {
-            for (i, g) in graphs.iter().enumerate() {
-                let svc = &svc;
-                scope.spawn(move || svc.replay(i, g).unwrap());
-            }
-        });
-    };
-
-    let time = |f: &dyn Fn()| -> Vec<f64> {
-        f(); // warmup: pool spin-up, cold pricing
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64()
-            })
-            .collect()
-    };
-    let submit = time(&submit_pass);
-    let submit_batch = time(&submit_batch_pass);
-    let replay = time(&replay_pass);
-
-    let kernels = [
-        ("service/submit", submit),
-        ("service/submit_batch", submit_batch),
-        ("service/replay", replay),
-    ]
-    .into_iter()
-    .map(|(name, samples)| {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        KernelSummary {
-            name: name.to_owned(),
-            wall: h.summary(),
-            samples,
-            sim_secs: 0.0,
-            bytes,
-            gbps: bytes / best / 1e9,
-            origin: None,
-        }
-    })
-    .collect();
-    finish_manifest(
-        "gate_service".to_owned(),
-        "host-wall".to_owned(),
-        reps,
-        kernels,
-        telemetry::CounterSnapshot::default(),
-    )
-}
-
 /// Deterministic simulated seconds of one 64 MiB copy per platform ×
 /// direction × allocation, priced through the session path (record one
 /// transfer node, replay, read the comm clock). The interconnect model
@@ -566,8 +452,8 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
     if let Some(o) = &only {
-        if !["engine", "service", "apps", "transfer"].contains(&o.as_str()) {
-            eprintln!("bench_gate: unknown --manifest '{o}' (engine|service|apps|transfer)");
+        if !["engine", "apps", "transfer"].contains(&o.as_str()) {
+            eprintln!("bench_gate: unknown --manifest '{o}' (engine|apps|transfer)");
             std::process::exit(2);
         }
     }
@@ -591,18 +477,12 @@ fn main() {
     };
 
     // Wall-clock needs more repetitions than the deterministic sim
-    // times to give the bootstrap a usable sample. The service pass
-    // needs a floor on launches: the lock-free fast path is so cheap
-    // that at smoke sizes thread-spawn jitter would drown the signal
-    // the smoke fixture injects. The transfer manifest is fully
+    // times to give the bootstrap a usable sample. The transfer manifest is fully
     // deterministic (pure interconnect arithmetic), so it gates with
     // the tight sim tolerance.
     let mut pairs: Vec<(RunManifest, GateConfig)> = Vec::new();
     if want("engine") {
         pairs.push((engine_manifest(reps * 3, n, launches), engine_cfg));
-    }
-    if want("service") {
-        pairs.push((service_manifest(reps * 3, launches.max(48)), engine_cfg));
     }
     if want("apps") {
         pairs.push((apps_manifest(platform, reps, smoke_mode), apps_cfg));

@@ -22,18 +22,18 @@
 //!    trace when one sits next to the dashboard;
 //! 2. scheduler health: the registry histograms the pool and the op2
 //!    colouring planner record while the apps run (steal latency,
-//!    chunks per region, colours and bytes per wave, admission waits);
-//! 3. service latency: the open-loop admission study from the last
-//!    `service_bench` run — p50/p99/p999 wait vs offered load, the
-//!    saturation knee, and the coalesced batch-size distribution;
-//! 4. achieved-bandwidth scatter against each platform's STREAM roof;
-//! 5. the portability (efficiency) heatmap and PP̄ table;
-//! 6. data movement: the interconnect calibration from the last
+//!    chunks per region, colours and bytes per wave);
+//! 3. achieved-bandwidth scatter against each platform's STREAM roof;
+//! 4. the portability (efficiency) heatmap and PP̄ table;
+//! 5. data movement: the interconnect calibration from the last
 //!    `transfer_bench` run (`BENCH_transfer.json`) — stacked
 //!    kernel-vs-transfer time per app × platform, the pinned-vs-pageable
 //!    bandwidth delta, and the CPU-vs-GPU crossover table;
-//! 7. the cross-product study from the last `study` run (`STUDY.json`):
+//! 6. the cross-product study from the last `study` run (`STUDY.json`):
 //!    per-cell status grid, retries, fleet utilisation and its PP̄ rows;
+//! 7. fleet forensics: the `blackbox` reconstruction of the last study
+//!    (`BLACKBOX_study.json`) — kill sites, tail kernels and the flight
+//!    recording inventory;
 //! 8. graph lint: the static dataflow findings from the last
 //!    `graphlint` run (`LINT_<app>.json`) — per-app severity tallies
 //!    plus every Error/Warning and fusion-candidate finding;
@@ -267,7 +267,6 @@ fn render(
 
     render_traces(&mut h, traces, out_dir);
     render_scheduler(&mut h, sched);
-    render_service_latency(&mut h, manifests);
     if !study.is_empty() {
         render_roofline(&mut h, study);
         render_heatmap(&mut h, study);
@@ -379,15 +378,15 @@ fn render_traces(h: &mut String, traces: &[AppTrace], out_dir: &Path) {
     h.push_str("</tbody></table></section>");
 }
 
-/// Section 2: scheduler health — the histograms the parkit pool, the
-/// op2 colouring planner and the service layer record into the metrics
-/// registry while the traced apps run.
+/// Section 2: scheduler health — the histograms the parkit pool and the
+/// op2 colouring planner record into the metrics registry while the
+/// traced apps run.
 fn render_scheduler(h: &mut String, snap: &metrics::registry::Snapshot) {
     h.push_str(
         "<section><h2>Scheduler health</h2>\
          <p>Registry histograms recorded during the traced runs: pool steal \
          latency and region chunking, colouring-planner colour counts and \
-         bytes per conflict-free wave, service admission waits. Units are in \
+         bytes per conflict-free wave. Units are in \
          the metric name; a colour count or steal latency drifting up across \
          runs is scheduler degradation the per-kernel tables cannot show.</p>",
     );
@@ -423,197 +422,7 @@ fn render_scheduler(h: &mut String, snap: &metrics::registry::Snapshot) {
     h.push_str("</tbody></table></section>");
 }
 
-/// Section 3: the open-loop admission-latency study from the last
-/// `service_bench` run — wait quantiles against offered load on a log
-/// scale, the saturation knee, and the batching/fast-path summary.
-fn render_service_latency(h: &mut String, manifests: &[StoredManifest]) {
-    h.push_str("<section><h2>Service latency</h2>");
-    let Some(sm) = manifests
-        .iter()
-        .filter(|m| m.manifest.name == "service")
-        .max_by_key(|m| (m.source == "current", m.manifest.created_unix_secs))
-    else {
-        h.push_str(
-            "<p>No <code>BENCH_service.json</code> manifest found — run \
-             <code>cargo run --release --bin service_bench</code> to produce the \
-             open-loop admission study.</p></section>",
-        );
-        return;
-    };
-    let m = &sm.manifest;
-    let _ = write!(
-        h,
-        "<p>Open-loop study from {} (git <code>{}</code>): each request arrives \
-         on a fixed schedule and the recorded wait is \
-         <i>completion − scheduled arrival − service time</i>, so queueing delay \
-         is charged even when a blocked client issues late (coordinated-omission \
-         corrected). Load is offered as a fraction of admission capacity.</p>",
-        esc(&sm.path.display().to_string()),
-        esc(&m.git_rev),
-    );
-
-    // Summary rows: the fast path, batching and shedding.
-    h.push_str(
-        "<table><thead><tr><th>measure</th><th>p50</th><th>p99</th><th>p999</th>\
-         <th>max</th><th>count</th></tr></thead><tbody>",
-    );
-    for (label, name) in [
-        ("submit fast path", "service/fastpath_submit"),
-        ("bare session launch", "service/bare_launch"),
-    ] {
-        if let Some(k) = m.kernel(name) {
-            let _ = write!(
-                h,
-                "<tr><td>{label}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
-                 <td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td></tr>",
-                fmt_secs(k.wall.p50),
-                fmt_secs(k.wall.p99),
-                fmt_secs(k.wall.p999),
-                fmt_secs(k.wall.max),
-                k.wall.count,
-            );
-        }
-    }
-    if let Some(k) = m.kernel("service/batch_size") {
-        let _ = write!(
-            h,
-            "<tr><td>coalesced batch size (requests)</td><td class=\"n\">{:.0}</td>\
-             <td class=\"n\">{:.0}</td><td class=\"n\">{:.0}</td><td class=\"n\">{:.0}</td>\
-             <td class=\"n\">{}</td></tr>",
-            k.wall.p50, k.wall.p99, k.wall.p999, k.wall.max, k.wall.count,
-        );
-    }
-    if let Some(k) = m.kernel("service/shed_total") {
-        let _ = write!(
-            h,
-            "<tr><td>shed under overload (submissions)</td>\
-             <td class=\"n\" colspan=\"5\">{:.0}</td></tr>",
-            k.wall.max,
-        );
-    }
-    h.push_str("</tbody></table>");
-
-    // Open-loop sweep points, sorted by offered-load fraction (stored
-    // in sim_secs by service_bench).
-    let mut points: Vec<(f64, &metrics::Summary)> = m
-        .kernels
-        .iter()
-        .filter(|k| k.name.starts_with("service/openloop@"))
-        .map(|k| (k.sim_secs, &k.wall))
-        .collect();
-    points.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let knee = m.kernel("service/saturation_knee").map(|k| k.sim_secs);
-    if points.len() < 2 {
-        h.push_str("<p>No open-loop sweep in the manifest.</p></section>");
-        return;
-    }
-
-    const W: f64 = 560.0;
-    const H: f64 = 260.0;
-    const ML: f64 = 64.0;
-    const MR: f64 = 120.0;
-    const MT: f64 = 16.0;
-    const MB: f64 = 40.0;
-    let x_lo = points[0].0;
-    let x_hi = points[points.len() - 1].0;
-    // Log-scale y in microseconds: the knee is a orders-of-magnitude
-    // jump, invisible on a linear axis.
-    let us = |s: f64| (s * 1e6).max(1e-3);
-    let mut y_lo = f64::INFINITY;
-    let mut y_hi = f64::NEG_INFINITY;
-    for (_, s) in &points {
-        y_lo = y_lo.min(us(s.p50).log10());
-        y_hi = y_hi.max(us(s.p999).log10());
-    }
-    y_lo = (y_lo - 0.2).floor();
-    y_hi = (y_hi + 0.2).ceil();
-    let sx = |f: f64| ML + (W - ML - MR) * (f - x_lo) / (x_hi - x_lo).max(1e-9);
-    let sy = |v: f64| MT + (H - MT - MB) * (1.0 - (us(v).log10() - y_lo) / (y_hi - y_lo));
-
-    let _ = write!(
-        h,
-        "<svg viewBox=\"0 0 {W} {H}\" role=\"img\">\
-         <line x1=\"{ML}\" y1=\"{MT}\" x2=\"{ML}\" y2=\"{0}\" class=\"axis\"/>\
-         <line x1=\"{ML}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" class=\"axis\"/>",
-        H - MB,
-        W - MR,
-    );
-    let mut dec = y_lo;
-    while dec <= y_hi {
-        let y = MT + (H - MT - MB) * (1.0 - (dec - y_lo) / (y_hi - y_lo));
-        let v = 10f64.powf(dec);
-        let lab = if v >= 1e3 {
-            format!("{:.0} ms", v / 1e3)
-        } else {
-            format!("{v:.0} µs")
-        };
-        let _ = write!(
-            h,
-            "<text x=\"{:.1}\" y=\"{y:.1}\" class=\"tick\" text-anchor=\"end\">{lab}</text>",
-            ML - 4.0,
-        );
-        dec += 1.0;
-    }
-    for (f, _) in &points {
-        let _ = write!(
-            h,
-            "<text x=\"{:.1}\" y=\"{:.1}\" class=\"tick\" text-anchor=\"middle\">{f:.2}×</text>",
-            sx(*f),
-            H - MB + 14.0,
-        );
-    }
-    if let Some(knee) = knee.filter(|&f| f <= x_hi) {
-        let _ = write!(
-            h,
-            "<line x1=\"{0:.1}\" y1=\"{MT}\" x2=\"{0:.1}\" y2=\"{1}\" class=\"roof\"/>\
-             <text x=\"{0:.1}\" y=\"{2:.1}\" class=\"rooflab\" text-anchor=\"middle\">knee {knee:.2}×</text>",
-            sx(knee),
-            H - MB,
-            MT + 10.0,
-        );
-    }
-    for (si, (label, pick)) in [
-        (
-            "p50",
-            (|s: &metrics::Summary| s.p50) as fn(&metrics::Summary) -> f64,
-        ),
-        ("p99", |s: &metrics::Summary| s.p99),
-        ("p999", |s: &metrics::Summary| s.p999),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let colour = ["#1f77b4", "#ff7f0e", "#d62728"][si];
-        let mut d = String::new();
-        for (f, s) in &points {
-            let _ = write!(d, "{:.1},{:.1} ", sx(*f), sy(pick(s)));
-        }
-        let _ = write!(
-            h,
-            "<polyline points=\"{}\" fill=\"none\" stroke=\"{colour}\" stroke-width=\"1.6\"/>",
-            d.trim_end(),
-        );
-        for (f, s) in &points {
-            let _ = write!(
-                h,
-                "<circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"2.6\" fill=\"{colour}\">\
-                 <title>{label} wait at {f:.2}× capacity: {}</title></circle>",
-                sx(*f),
-                sy(pick(s)),
-                fmt_secs(pick(s)),
-            );
-        }
-        let _ = write!(
-            h,
-            "<text x=\"{:.1}\" y=\"{:.1}\" class=\"leg\" fill=\"{colour}\">{label} wait</text>",
-            W - MR + 8.0,
-            MT + 12.0 + 13.0 * si as f64,
-        );
-    }
-    h.push_str("</svg></section>");
-}
-
-/// Section 4: achieved GB/s per (app, variant) against the STREAM roof.
+/// Section 3: achieved GB/s per (app, variant) against the STREAM roof.
 fn render_roofline(h: &mut String, study: &[(PlatformId, Vec<Measurement>)]) {
     h.push_str(
         "<section><h2>Achieved bandwidth vs STREAM roof</h2>\
@@ -736,7 +545,7 @@ fn best_cell<'m>(ms: &'m [Measurement], app: &str, variant: &str) -> Option<&'m 
         })
 }
 
-/// Section 5: efficiency heatmap per platform + Pennycook PP̄ table.
+/// Section 4: efficiency heatmap per platform + Pennycook PP̄ table.
 fn render_heatmap(h: &mut String, study: &[(PlatformId, Vec<Measurement>)]) {
     h.push_str(
         "<section><h2>Portability heatmap (achieved efficiency)</h2>\
@@ -849,7 +658,7 @@ fn render_heatmap(h: &mut String, study: &[(PlatformId, Vec<Measurement>)]) {
     h.push_str("</tbody></table></section>");
 }
 
-/// Section 6 — "Data movement": what the interconnect costs every app,
+/// Section 5 — "Data movement": what the interconnect costs every app,
 /// from the last `transfer_bench` run (`BENCH_transfer.json`, schema
 /// `transfer-bench/v1`) — stacked kernel-vs-transfer bars per app ×
 /// platform, the pinned-vs-pageable bandwidth delta per link, and the
@@ -999,7 +808,7 @@ fn render_data_movement(h: &mut String, out_dir: &Path) {
     h.push_str("</tbody></table></section>");
 }
 
-/// Section 7: the cross-product study from the last `study` run — a
+/// Section 6: the cross-product study from the last `study` run — a
 /// per-cell status grid (app × platform over every variant), the fleet
 /// counters (retries, restarts, timeouts, utilisation) and the PP̄ rows
 /// computed over exactly what that study executed.
@@ -1194,9 +1003,9 @@ fn render_study_run(h: &mut String, out_dir: &Path) {
     h.push_str("</section>");
 }
 
-/// Fleet forensics: the `blackbox` reconstruction of the last study —
-/// kill-site attribution for every crashed/timed-out unit, the
-/// straggler/tail kernel breakdown, and the per-process flight
+/// Section 7: fleet forensics, the `blackbox` reconstruction of the
+/// last study — kill-site attribution for every crashed/timed-out unit,
+/// the straggler/tail kernel breakdown, and the per-process flight
 /// recording inventory.
 ///
 /// Parsed generically from `BLACKBOX_study.json` (schema

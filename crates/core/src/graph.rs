@@ -360,7 +360,45 @@ impl LaunchGraph<'_> {
     pub fn replay(&self, session: &Session) {
         self.notify_observer(session);
         let replay_span = telemetry::SpanTimer::start();
-        replay_graphs(session, &[self]);
+        let priced: Vec<Option<Priced>> = {
+            let mut cache = session.price_cache();
+            self.ops
+                .iter()
+                .map(|op| match op {
+                    GraphOp::Launch { node, .. } => {
+                        Some(session.price_launch(&mut cache, &node.kernel, node.key))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+
+        self.execute_stage(&priced, session.executes());
+
+        let mut records = Vec::new();
+        let mut locks = CommitLocks::new(session);
+        for (op, p) in self.ops.iter().zip(&priced) {
+            let op = match op {
+                GraphOp::Launch { meta, .. } => Op::Launch {
+                    priced: p.as_ref().expect("launch ops are priced"),
+                    meta: Some(meta),
+                },
+                GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
+                    bytes: *bytes,
+                    dats,
+                    dir: *dir,
+                },
+                GraphOp::Exchange {
+                    bytes, messages, ..
+                } => Op::Exchange {
+                    bytes: *bytes,
+                    messages: *messages,
+                },
+                GraphOp::PhaseBegin { .. } | GraphOp::PhaseEnd => continue,
+            };
+            records.extend(locks.commit(op));
+        }
+        locks.release(&records);
         if let Some(t) = replay_span {
             t.finish(
                 telemetry::SpanKind::Replay,
@@ -404,90 +442,6 @@ impl LaunchGraph<'_> {
             }
         }
     }
-}
-
-/// Replay several recorded graphs as **one** composed commit: every
-/// launch across all graphs is priced under a single pricing-cache lock
-/// acquisition, all bodies execute, and the whole concatenated sequence
-/// commits under a single ledger lock acquisition, with observers fired
-/// in ledger order after the lock drops.
-///
-/// The ledger ends bit-identical to replaying the graphs one at a time
-/// in slice order (same op order, same f64 accumulation), which is what
-/// lets the service batch N client submissions per shard without
-/// changing any result — property-tested in `tests/service_batch.rs`.
-pub fn replay_all(session: &Session, graphs: &[&LaunchGraph<'_>]) {
-    if graphs.is_empty() {
-        return;
-    }
-    for g in graphs {
-        g.notify_observer(session);
-    }
-    let span = telemetry::SpanTimer::start();
-    replay_graphs(session, graphs);
-    if let Some(t) = span {
-        t.finish(
-            telemetry::SpanKind::Replay,
-            "graph.replay_batch",
-            graphs.iter().map(|g| g.n_launches()).sum(),
-            0.0,
-        );
-    }
-}
-
-/// The graph loop behind [`LaunchGraph::replay`] and [`replay_all`]:
-/// price every launch (one cache lock), execute every body, commit
-/// every op (one lock set), then deliver the records to the observer.
-fn replay_graphs(session: &Session, graphs: &[&LaunchGraph<'_>]) {
-    let priced: Vec<Vec<Option<Priced>>> = {
-        let mut cache = session.price_cache();
-        graphs
-            .iter()
-            .map(|g| {
-                g.ops
-                    .iter()
-                    .map(|op| match op {
-                        GraphOp::Launch { node, .. } => {
-                            Some(session.price_launch(&mut cache, &node.kernel, node.key))
-                        }
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-
-    let executes = session.executes();
-    for (g, p) in graphs.iter().zip(&priced) {
-        g.execute_stage(p, executes);
-    }
-
-    let mut records = Vec::new();
-    let mut locks = CommitLocks::new(session);
-    for (g, p) in graphs.iter().zip(&priced) {
-        for (op, p) in g.ops.iter().zip(p) {
-            let op = match op {
-                GraphOp::Launch { meta, .. } => Op::Launch {
-                    priced: p.as_ref().expect("launch ops are priced"),
-                    meta: Some(meta),
-                },
-                GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
-                    bytes: *bytes,
-                    dats,
-                    dir: *dir,
-                },
-                GraphOp::Exchange {
-                    bytes, messages, ..
-                } => Op::Exchange {
-                    bytes: *bytes,
-                    messages: *messages,
-                },
-                GraphOp::PhaseBegin { .. } | GraphOp::PhaseEnd => continue,
-            };
-            records.extend(locks.commit(op));
-        }
-    }
-    locks.release(&records);
 }
 
 #[cfg(test)]
@@ -594,50 +548,6 @@ mod tests {
         let g = g.finish();
         g.replay(&s);
         assert_eq!(&*seen.lock(), &["a", "b"]);
-    }
-
-    #[test]
-    fn replay_all_matches_sequential_replays_bit_for_bit() {
-        let k1 = Kernel::streaming("triad", 1 << 20, 3e7, 2e6);
-        let k2 = Kernel::streaming("copy", 1 << 18, 4e6, 0.0);
-        fn make<'s>(
-            s: &'s Session,
-            k1: &Kernel,
-            k2: &Kernel,
-        ) -> (LaunchGraph<'s>, LaunchGraph<'s>) {
-            let mut a = s.record();
-            a.launch(k1, |_| {});
-            a.transfer(2e6);
-            let mut b = s.record();
-            b.launch(k2, |_| {});
-            b.exchange(1e6, 4);
-            b.launch(k1, |_| {});
-            (a.finish(), b.finish())
-        }
-        let batched = session();
-        let serial = session();
-        {
-            let (a, b) = make(&batched, &k1, &k2);
-            replay_all(&batched, &[&a, &b]);
-            replay_all(&batched, &[&b, &a]);
-        }
-        {
-            let (a, b) = make(&serial, &k1, &k2);
-            a.replay(&serial);
-            b.replay(&serial);
-            b.replay(&serial);
-            a.replay(&serial);
-        }
-        assert_eq!(batched.ledger_digest(), serial.ledger_digest());
-        assert_eq!(batched.elapsed().to_bits(), serial.elapsed().to_bits());
-    }
-
-    #[test]
-    fn replay_all_of_nothing_is_a_no_op() {
-        let s = session();
-        replay_all(&s, &[]);
-        assert_eq!(s.records().len(), 0);
-        assert_eq!(s.elapsed(), 0.0);
     }
 
     #[test]

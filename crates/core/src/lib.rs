@@ -55,18 +55,16 @@ pub mod kernel;
 pub mod launch;
 pub mod quirks;
 pub mod real;
-pub mod service;
 pub mod session;
 pub mod toolchain;
 pub mod tune;
 
 pub use buffer::Buffer;
 pub use error::{Failure, FailureKind};
-pub use graph::{replay_all, GraphBuilder, GraphNodeInfo, GraphSummary, LaunchGraph, LaunchTarget};
+pub use graph::{GraphBuilder, GraphNodeInfo, GraphSummary, LaunchGraph, LaunchTarget};
 pub use kernel::{Kernel, KernelTraits};
 pub use launch::{AccessMode, DatAccess, LaunchMeta, LaunchNode, Residency, TransferStats};
 pub use real::Real;
-pub use service::{Batch, Rejected, Service, ServiceConfig, ServiceShard, ShedPolicy};
 pub use session::{GraphObserver, LaunchRecord, Records, Session, SessionConfig};
 pub use toolchain::{Scheme, SyclVariant, Toolchain};
 

@@ -202,8 +202,8 @@ pub struct Summary {
     pub p50: f64,
     pub p90: f64,
     pub p99: f64,
-    /// 99.9th percentile — the tail the admission-latency study gates
-    /// on. Parses as 0.0 from manifests written before it existed.
+    /// 99.9th percentile. Parses as 0.0 from manifests written before
+    /// it existed.
     pub p999: f64,
     pub min: f64,
     pub max: f64,

@@ -14,7 +14,7 @@
 //!   Two histograms merge bucket-by-bucket, so per-thread shards or
 //!   per-run summaries combine without keeping raw samples.
 //! * **Registry** ([`registry()`]) — a process-wide, lock-light home for
-//!   named histograms and labelled gauges/counters. Recording goes to a
+//!   named histograms and labelled counters. Recording goes to a
 //!   per-thread shard behind the recorder's own (uncontended) mutex and
 //!   is guarded by [`telemetry::enabled`], so the disabled path is the
 //!   same single relaxed-atomic branch every other instrumentation site

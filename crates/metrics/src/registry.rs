@@ -1,5 +1,5 @@
 //! The process-wide metrics registry: named histograms and labelled
-//! gauges/counters, recorded into per-thread shards.
+//! counters, recorded into per-thread shards.
 //!
 //! Recording follows the same discipline as the telemetry rings: each
 //! recording thread owns one shard behind its own mutex, uncontended in
@@ -17,7 +17,6 @@
 
 use crate::hist::Histogram;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use telemetry::{Event, SpanKind};
 
@@ -35,8 +34,6 @@ pub type Key = (String, String);
 struct Shard {
     hists: HashMap<Key, Histogram>,
     counters: HashMap<Key, u64>,
-    /// Gauge value plus a global write ticket: merge keeps the latest.
-    gauges: HashMap<Key, (f64, u64)>,
 }
 
 impl Shard {
@@ -47,12 +44,6 @@ impl Shard {
         for (k, n) in self.counters.drain() {
             *out.counters.entry(k).or_default() += n;
         }
-        for (k, (v, seq)) in self.gauges.drain() {
-            let e = out.gauges.entry(k).or_insert((v, seq));
-            if seq >= e.1 {
-                *e = (v, seq);
-            }
-        }
     }
 }
 
@@ -61,7 +52,6 @@ impl Shard {
 pub struct Snapshot {
     pub hists: HashMap<Key, Histogram>,
     pub counters: HashMap<Key, u64>,
-    gauges: HashMap<Key, (f64, u64)>,
 }
 
 impl Snapshot {
@@ -78,13 +68,6 @@ impl Snapshot {
             .unwrap_or(0)
     }
 
-    /// Latest gauge value for (name, label).
-    pub fn gauge(&self, name: &str, label: &str) -> Option<f64> {
-        self.gauges
-            .get(&(name.to_owned(), label.to_owned()))
-            .map(|(v, _)| *v)
-    }
-
     /// All histogram keys, sorted (for deterministic rendering).
     pub fn hist_keys(&self) -> Vec<&Key> {
         let mut keys: Vec<&Key> = self.hists.keys().collect();
@@ -93,10 +76,9 @@ impl Snapshot {
     }
 }
 
-/// The registry: a list of per-thread shards plus the gauge ticket.
+/// The registry: a list of per-thread shards.
 pub struct Registry {
     shards: Mutex<Vec<Arc<Mutex<Shard>>>>,
-    gauge_seq: AtomicU64,
 }
 
 thread_local! {
@@ -112,7 +94,6 @@ thread_local! {
 pub fn registry() -> &'static Registry {
     static REGISTRY: Registry = Registry {
         shards: Mutex::new(Vec::new()),
-        gauge_seq: AtomicU64::new(0),
     };
     &REGISTRY
 }
@@ -160,21 +141,6 @@ impl Registry {
         });
     }
 
-    /// Set the gauge (`name`, `label`). Last write (by a global
-    /// ticket) wins at merge.
-    #[inline]
-    pub fn gauge(&self, name: &str, label: &str, value: f64) {
-        if !telemetry::enabled() {
-            return;
-        }
-        let seq = self.gauge_seq.fetch_add(1, Ordering::Relaxed);
-        TL_SHARD.with(|shard| {
-            lock(shard)
-                .gauges
-                .insert((name.to_owned(), label.to_owned()), (value, seq));
-        });
-    }
-
     /// Drain every thread's shard into one merged [`Snapshot`].
     /// Flushed values are removed from the shards (counters restart at
     /// zero), mirroring `telemetry::flush`.
@@ -206,7 +172,6 @@ pub fn ingest_events(events: &[Event]) {
             SpanKind::Reduce => r.record_always("reduce.wall_secs", "", secs),
             SpanKind::Phase => r.record_always("phase.wall_secs", e.name.as_str(), secs),
             SpanKind::Replay => r.record_always("replay.wall_secs", e.name.as_str(), secs),
-            SpanKind::Shard => r.record_always("shard.wall_secs", e.name.as_str(), secs),
             SpanKind::Unit => r.record_always("unit.wall_secs", e.name.as_str(), secs),
         }
     }
@@ -292,12 +257,10 @@ mod tests {
         TelemetryConfig::enabled().install();
         registry().record("t.enabled", 2.5);
         registry().add("t.enabled", "x", 5);
-        registry().gauge("t.enabled.g", "", 7.0);
         TelemetryConfig::disabled().install();
         let snap = registry().flush();
         assert_eq!(snap.hist("t.enabled", "").unwrap().count(), 1);
         assert_eq!(snap.counter("t.enabled", "x"), 5);
-        assert_eq!(snap.gauge("t.enabled.g", ""), Some(7.0));
         // Flush drained the shards.
         let again = registry().flush();
         assert!(again.hist("t.enabled", "").is_none());

@@ -43,17 +43,13 @@
 //! assert_eq!(total, 1000 * 999 / 2);
 //! ```
 
-mod park;
 mod pool;
-mod queue;
 mod range;
 mod reduce;
 mod slice;
 pub mod sync;
 
-pub use park::Parker;
 pub use pool::{PoolConfig, Schedule, ThreadPool};
-pub use queue::MpmcQueue;
 pub use range::{split_evenly, Chunks, Tile2, Tile3};
 
 use std::sync::OnceLock;

@@ -69,11 +69,6 @@ impl Condvar {
         guard.0 = Some(inner);
     }
 
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
     /// Wake all waiters.
     pub fn notify_all(&self) {
         self.0.notify_all();

@@ -110,6 +110,9 @@ impl TraceRole {
     }
 }
 
+/// A span kind's SYFR v1 code. Code 5 belonged to a retired kind and
+/// stays unassigned, so no later kind is misread from an older
+/// recording (a code-5 record ends the decode like an unknown tag).
 fn kind_code(k: SpanKind) -> u8 {
     match k {
         SpanKind::Launch => 0,
@@ -117,7 +120,6 @@ fn kind_code(k: SpanKind) -> u8 {
         SpanKind::Reduce => 2,
         SpanKind::Phase => 3,
         SpanKind::Replay => 4,
-        SpanKind::Shard => 5,
         SpanKind::Unit => 6,
     }
 }
@@ -129,7 +131,6 @@ fn kind_from_code(c: u8) -> Option<SpanKind> {
         2 => Some(SpanKind::Reduce),
         3 => Some(SpanKind::Phase),
         4 => Some(SpanKind::Replay),
-        5 => Some(SpanKind::Shard),
         6 => Some(SpanKind::Unit),
         _ => None,
     }
@@ -629,6 +630,26 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("flight-unit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    #[test]
+    fn span_kind_codes_are_pinned() {
+        // SYFR v1 stores these codes on disk: renumbering one breaks
+        // every existing recording, including the committed ones.
+        let pinned = [
+            (SpanKind::Launch, 0),
+            (SpanKind::Region, 1),
+            (SpanKind::Reduce, 2),
+            (SpanKind::Phase, 3),
+            (SpanKind::Replay, 4),
+            (SpanKind::Unit, 6),
+        ];
+        for (kind, code) in pinned {
+            assert_eq!(kind_code(kind), code, "{kind:?}");
+            assert_eq!(kind_from_code(code), Some(kind));
+        }
+        assert_eq!(kind_from_code(5), None, "code 5 stays retired");
+        assert!((7..=u8::MAX).all(|c| kind_from_code(c).is_none()));
     }
 
     #[test]

@@ -64,8 +64,6 @@ pub enum SpanKind {
     /// One launch-graph replay (a batch of launches priced in one pass
     /// and committed under a single ledger lock).
     Replay,
-    /// One admitted submission on a service shard.
-    Shard,
     /// One study unit executing on a worker (the outermost span a
     /// worker's flight recording opens — the crash-attribution anchor).
     Unit,
@@ -80,7 +78,6 @@ impl SpanKind {
             SpanKind::Reduce => "reduce",
             SpanKind::Phase => "phase",
             SpanKind::Replay => "replay",
-            SpanKind::Shard => "shard",
             SpanKind::Unit => "unit",
         }
     }
@@ -292,7 +289,6 @@ mod tests {
         assert_eq!(SpanKind::Reduce.label(), "reduce");
         assert_eq!(SpanKind::Phase.label(), "phase");
         assert_eq!(SpanKind::Replay.label(), "replay");
-        assert_eq!(SpanKind::Shard.label(), "shard");
         assert_eq!(SpanKind::Unit.label(), "unit");
     }
 
