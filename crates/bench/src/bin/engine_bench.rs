@@ -246,9 +246,10 @@ fn reduce_class(n: usize, launches: usize, samples: usize) -> (Entry, Entry, f64
 /// Record-once/replay-many vs eager per-launch over the same sequence
 /// of streaming kernels with trivial bodies. Neither path enters a pool
 /// region, so this times the launch layers themselves: the eager loop
-/// pays price-lookup + ledger lock + span per launch, the replay prices
-/// the whole sequence under one cache lock and commits it under one
-/// ledger lock.
+/// pays price-lookup + ledger lock + span per launch; the replay prices
+/// the sequence once per session (later replays reuse that plan with
+/// one lookup) and commits each replay under one ledger lock, copying
+/// no record aside because no launch observer is installed.
 fn replay_class(launches: usize, replays: usize, samples: usize) -> (Entry, Entry, f64) {
     use sycl_sim::Kernel;
     let ks: Vec<Kernel> = (0..launches)

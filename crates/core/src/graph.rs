@@ -3,16 +3,21 @@
 //! A [`GraphBuilder`] records a sequence of launches (plus transfers,
 //! halo exchanges and phase markers) as [`LaunchNode`]s with functional
 //! bodies. [`LaunchGraph::replay`] then runs the launch stages in batch:
-//! the whole graph is priced under **one** pricing-cache lock
-//! acquisition, the bodies execute back-to-back, and the whole sequence
-//! commits under **one** ledger lock acquisition. Each stage calls the
-//! same per-op function [`Session::launch`] does — only the locking
-//! differs — and phase spans exist only here.
+//! the first replay on a session prices the whole graph under **one**
+//! pricing-cache lock acquisition and keeps that plan in the session's
+//! cache, so later replays there fetch it with one lookup; the bodies
+//! execute back-to-back, and the whole sequence commits under **one**
+//! ledger lock acquisition. Each stage calls the same per-op function
+//! [`Session::launch`] does — only the locking differs — and phase
+//! spans exist only here.
 //!
 //! The non-negotiable invariant: a replayed graph leaves the ledger
-//! **bit-identical** to launching the same sequence eagerly. Commit
-//! applies ops in recorded order with the same floating-point
-//! accumulation, the same interning and the same observer ordering.
+//! **bit-identical** to launching the same sequence eagerly. A plan
+//! holds exactly what per-launch lookups would return (graph ids are
+//! process-unique, a finished graph is immutable, and a price depends
+//! only on the session's fixed context and the kernel); commit applies
+//! ops in recorded order with the same floating-point accumulation, the
+//! same interning and the same observer ordering.
 
 use crate::kernel::Kernel;
 use crate::launch::commit::{CommitLocks, Op};
@@ -22,6 +27,7 @@ use crate::launch::record::{LaunchMeta, LaunchNode};
 use crate::session::Session;
 use machine_model::{Precision, TransferDir};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// One recorded operation.
 // Launch dominates real graphs (phases/exchanges are bookkeeping), so
@@ -194,6 +200,7 @@ impl<'a> GraphBuilder<'a> {
             ops: self.ops,
             launches,
             phase_defects: self.phase_defects,
+            observed_summary: OnceLock::new(),
         }
     }
 }
@@ -272,6 +279,9 @@ pub struct LaunchGraph<'a> {
     ops: Vec<GraphOp<'a>>,
     launches: u64,
     phase_defects: Vec<String>,
+    /// The summary graph observers see, built on the first observed
+    /// replay and shared by every later one.
+    observed_summary: OnceLock<GraphSummary>,
 }
 
 impl LaunchGraph<'_> {
@@ -345,39 +355,40 @@ impl LaunchGraph<'_> {
     }
 
     /// Deliver this graph's summary to the session's graph observer, if
-    /// one is installed. Costs one atomic load when none is.
+    /// one is installed. Costs one atomic load when none is; the
+    /// summary is built once per graph, on its first observed replay.
     fn notify_observer(&self, session: &Session) {
         if let Some(obs) = session.graph_observer() {
-            obs(&self.summary());
+            obs(self.observed_summary.get_or_init(|| self.summary()));
         }
     }
 
-    /// Replay the graph on `session`: price every launch in one pass
-    /// (served by the fingerprint cache under a single lock), execute
-    /// the functional bodies, then append the whole sequence to the
-    /// ledger under a single lock acquisition. Observers fire per record
-    /// in ledger order after the lock is released.
+    /// Replay the graph on `session`: fetch its priced plan (built on
+    /// the session's first replay of this graph by per-launch lookups
+    /// in the fingerprint cache, under a single lock), execute the
+    /// functional bodies, then append the whole sequence to the ledger
+    /// under a single lock acquisition. Launch observers fire per
+    /// record in ledger order after the lock is released.
     pub fn replay(&self, session: &Session) {
         self.notify_observer(session);
         let replay_span = telemetry::SpanTimer::start();
-        let priced: Vec<Option<Priced>> = {
-            let mut cache = session.price_cache();
+        let plan = session.price_cache().plan(self.id, self.launches, |cache| {
             self.ops
                 .iter()
                 .map(|op| match op {
                     GraphOp::Launch { node, .. } => {
-                        Some(session.price_launch(&mut cache, &node.kernel, node.key))
+                        Some(session.price_launch(cache, &node.kernel, node.key))
                     }
                     _ => None,
                 })
                 .collect()
-        };
+        });
 
-        self.execute_stage(&priced, session.executes());
+        self.execute_stage(&plan, session.executes());
 
-        let mut records = Vec::new();
         let mut locks = CommitLocks::new(session);
-        for (op, p) in self.ops.iter().zip(&priced) {
+        locks.reserve(self.launches as usize);
+        for (op, p) in self.ops.iter().zip(plan.iter()) {
             let op = match op {
                 GraphOp::Launch { meta, .. } => Op::Launch {
                     priced: p.as_ref().expect("launch ops are priced"),
@@ -396,9 +407,9 @@ impl LaunchGraph<'_> {
                 },
                 GraphOp::PhaseBegin { .. } | GraphOp::PhaseEnd => continue,
             };
-            records.extend(locks.commit(op));
+            locks.commit(op);
         }
-        locks.release(&records);
+        locks.release();
         if let Some(t) = replay_span {
             t.finish(
                 telemetry::SpanKind::Replay,
@@ -532,22 +543,73 @@ mod tests {
     }
 
     #[test]
+    fn plans_never_cross_sessions() {
+        let k1 = Kernel::streaming("triad", 1 << 20, 3e7, 2e6);
+        let k2 = Kernel::streaming("copy", 1 << 12, 4e4, 0.0);
+        let configs = [
+            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app("graph"),
+            SessionConfig::new(PlatformId::Xeon8360Y, Toolchain::Dpcpp).app("graph"),
+        ];
+        let replayed: Vec<Session> = configs
+            .iter()
+            .map(|c| Session::create(c.clone()).unwrap())
+            .collect();
+        let mut g = replayed[0].record();
+        g.launch(&k1, |_| {});
+        g.transfer(1e6);
+        g.launch(&k2, |_| {});
+        g.exchange(1e6, 8);
+        let g = g.finish();
+        for _ in 0..3 {
+            for s in &replayed {
+                g.replay(s);
+            }
+        }
+        for (cfg, s) in configs.iter().zip(&replayed) {
+            let eager = Session::create(cfg.clone()).unwrap();
+            for _ in 0..3 {
+                eager.launch(&k1, || ());
+                eager.transfer(1e6);
+                eager.launch(&k2, || ());
+                eager.exchange(1e6, 8);
+            }
+            assert_eq!(s.ledger_digest(), eager.ledger_digest(), "{cfg:?}");
+        }
+        assert_ne!(replayed[0].ledger_digest(), replayed[1].ledger_digest());
+    }
+
+    #[test]
     fn observers_fire_in_ledger_order_after_commit() {
         let k1 = Kernel::streaming("a", 1 << 16, 1e6, 0.0);
-        let k2 = Kernel::streaming("b", 1 << 16, 1e6, 0.0);
-        let s = session();
-        let seen: Arc<parkit::sync::Mutex<Vec<String>>> =
+        let k2 = Kernel::streaming("b", 1 << 20, 3e7, 2e6);
+        let plain = session();
+        let observed = session();
+        let seen: Arc<parkit::sync::Mutex<Vec<(String, u64)>>> =
             Arc::new(parkit::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        s.set_launch_observer(Some(Arc::new(move |r: &LaunchRecord| {
-            sink.lock().push(r.name.to_string());
+        observed.set_launch_observer(Some(Arc::new(move |r: &LaunchRecord| {
+            sink.lock()
+                .push((r.name.to_string(), r.time.total.to_bits()));
         })));
-        let mut g = s.record();
+        let mut g = plain.record();
         g.launch(&k1, |_| {});
+        g.exchange(1e6, 8);
         g.launch(&k2, |_| {});
+        g.launch(&k1, |_| {});
         let g = g.finish();
-        g.replay(&s);
-        assert_eq!(&*seen.lock(), &["a", "b"]);
+        for _ in 0..3 {
+            g.replay(&plain);
+            g.replay(&observed);
+        }
+        assert_eq!(plain.ledger_digest(), observed.ledger_digest());
+        assert_eq!(plain.elapsed().to_bits(), observed.elapsed().to_bits());
+        let ledger: Vec<(String, u64)> = observed
+            .records()
+            .iter()
+            .map(|r| (r.name.to_string(), r.time.total.to_bits()))
+            .collect();
+        assert_eq!(ledger.len(), 9);
+        assert_eq!(*seen.lock(), ledger, "every record, in ledger order");
     }
 
     #[test]
@@ -686,7 +748,7 @@ mod tests {
         let seen = Arc::new(parkit::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         tagged.set_graph_observer(Some(Arc::new(move |s: &GraphSummary| {
-            sink.lock().push(s.id);
+            sink.lock().push((s.id, s as *const GraphSummary as usize));
         })));
         for _ in 0..3 {
             g1.replay(&plain);
@@ -696,7 +758,15 @@ mod tests {
         g2.replay(&tagged);
         g1.replay(&plain);
 
-        assert_eq!(&*seen.lock(), &[g2.id(), g2.id(), g2.id()]);
+        let seen = seen.lock();
+        assert_eq!(
+            seen.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+            [g2.id(); 3]
+        );
+        assert!(
+            seen.iter().all(|&(_, at)| at == seen[0].1),
+            "one summary, built once and shared by every replay"
+        );
         assert_eq!(plain.ledger_digest(), tagged.ledger_digest());
         assert_eq!(plain.elapsed().to_bits(), tagged.elapsed().to_bits());
     }

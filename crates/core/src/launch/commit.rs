@@ -3,8 +3,9 @@
 //! residency; a transfer or exchange is priced here, in recorded order
 //! (residency decides whether it moves anything), and charged to the
 //! clock. [`Session::launch`](crate::Session::launch) commits one op at
-//! a time, graph replay a whole sequence under one `CommitLocks`;
-//! observers run after the locks are released.
+//! a time, graph replay a whole sequence under one `CommitLocks`. Only
+//! when a launch observer is installed are appended records copied
+//! aside; the observer sees them after the locks are released.
 
 use crate::launch::price::{CommOp, PriceCache, Priced};
 use crate::launch::record::LaunchMeta;
@@ -38,19 +39,18 @@ impl Ledger {
     }
 
     /// Append one priced launch: advance the clock, push the record.
-    /// Returns the record so the caller can invoke the observer after
-    /// releasing the lock.
-    pub fn append(&mut self, p: &Priced) -> LaunchRecord {
-        let record = LaunchRecord {
+    /// Returns the appended record, for a caller that must copy it out
+    /// to an observer.
+    pub fn append(&mut self, p: &Priced) -> &LaunchRecord {
+        self.elapsed += p.time.total;
+        self.records.push(LaunchRecord {
             name: Arc::clone(&p.name),
             time: p.time,
             items: p.items,
             effective_bytes: p.effective_bytes,
             boundary: p.boundary,
-        };
-        self.elapsed += p.time.total;
-        self.records.push(record.clone());
-        record
+        });
+        self.records.last().expect("just pushed")
     }
 
     /// Charge communication time (transfers, halo exchanges).
@@ -81,22 +81,35 @@ pub(crate) enum Op<'o> {
 
 /// The session locks the commit stage writes through. The ledger is
 /// locked up front; the price cache and residency tracker only when an
-/// op needs them, always in the order ledger → cache → residency.
+/// op needs them, always in the order ledger → cache → residency. The
+/// launch observer is captured with the ledger lock, and appended
+/// records are kept for it only when it exists.
 pub(crate) struct CommitLocks<'s> {
     session: &'s Session,
     ledger: MutexGuard<'s, Ledger>,
     cache: Option<MutexGuard<'s, PriceCache>>,
     residency: Option<MutexGuard<'s, ResidencyTracker>>,
+    observer: Option<LaunchObserver>,
+    observed: Vec<LaunchRecord>,
 }
 
 impl<'s> CommitLocks<'s> {
     pub fn new(session: &'s Session) -> CommitLocks<'s> {
+        let ledger = session.ledger();
+        let observer = ledger.observer.clone();
         CommitLocks {
             session,
-            ledger: session.ledger(),
+            ledger,
             cache: None,
             residency: None,
+            observer,
+            observed: Vec::new(),
         }
+    }
+
+    /// Reserve ledger room for `launches` more records.
+    pub fn reserve(&mut self, launches: usize) {
+        self.ledger.records.reserve(launches);
     }
 
     /// The price cache and residency tracker, locked on first use.
@@ -109,9 +122,9 @@ impl<'s> CommitLocks<'s> {
         (cache, residency)
     }
 
-    /// Commit one op. Returns the appended record of a launch, for
-    /// delivery to the observer once [`CommitLocks::release`] has run.
-    pub fn commit(&mut self, op: Op<'_>) -> Option<LaunchRecord> {
+    /// Commit one op. A launch's record is kept for the observer, if
+    /// one is installed, until [`CommitLocks::release`] delivers it.
+    pub fn commit(&mut self, op: Op<'_>) {
         let session = self.session;
         let pinned = session.config().pinned_transfers;
         let t = match op {
@@ -119,12 +132,16 @@ impl<'s> CommitLocks<'s> {
                 if let Some(meta) = meta {
                     self.cache_and_residency().1.apply_launch(meta);
                 }
-                return Some(self.ledger.append(priced));
+                let record = self.ledger.append(priced);
+                if self.observer.is_some() {
+                    self.observed.push(record.clone());
+                }
+                return;
             }
             Op::Transfer { bytes, dats, dir } => {
                 let (cache, residency) = self.cache_and_residency();
                 if !residency.apply_transfer(dir, dats) {
-                    return None;
+                    return;
                 }
                 let op = CommOp::Transfer { dir, pinned };
                 cache.price_comm(&session.price_context(), op, bytes, 0)
@@ -141,16 +158,22 @@ impl<'s> CommitLocks<'s> {
         if let Some(t) = t {
             self.ledger.charge_comm(t);
         }
-        None
     }
 
-    /// Release every lock, then hand `records` to the launch observer
-    /// in ledger order.
-    pub fn release(self, records: &[LaunchRecord]) {
-        let observer = self.ledger.observer.clone();
-        drop(self);
+    /// Release every lock, then hand the committed launch records to
+    /// the observer captured in [`CommitLocks::new`], in ledger order.
+    pub fn release(self) {
+        let CommitLocks {
+            ledger,
+            cache,
+            residency,
+            observer,
+            observed,
+            ..
+        } = self;
+        drop((ledger, cache, residency));
         if let Some(obs) = observer {
-            for r in records {
+            for r in &observed {
                 obs(r);
             }
         }

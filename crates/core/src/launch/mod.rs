@@ -2,7 +2,8 @@
 //!
 //! 1. [`record`] — build a [`LaunchNode`] from kernel + traits, no lock.
 //! 2. [`price`] — quirks + toolchain `ExecProfile` + platform model,
-//!    served by the fingerprint cache.
+//!    served by the fingerprint cache (and, for a replayed graph, by
+//!    the session's per-graph plan).
 //! 3. [`execute`] — the functional body on parkit, plus launch telemetry.
 //! 4. [`commit`] — one ledger append under the lock.
 //!

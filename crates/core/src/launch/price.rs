@@ -1,6 +1,7 @@
 //! Layer 2 — **price**: walk the toolchain model for an `ExecProfile`,
 //! apply atomic-path quirks, and run the platform model — memoised per
-//! kernel fingerprint so repeat launches cost a hash lookup.
+//! kernel fingerprint so repeat launches cost a hash lookup, and per
+//! recorded graph so repeat replays cost one.
 
 use crate::kernel::{Kernel, KernelTraits};
 use crate::toolchain::{SyclVariant, Toolchain};
@@ -41,6 +42,11 @@ pub(crate) struct Priced {
     pub effective_bytes: f64,
     pub boundary: bool,
 }
+
+/// The priced ops of one recorded graph, in recorded order: `Some` for
+/// a launch, `None` for every other op. Shared by every replay of the
+/// graph on the session that priced it.
+pub(crate) type Plan = Arc<[Option<Priced>]>;
 
 /// The session pricing context the cold path needs (fixed per session).
 #[derive(Debug, Clone, Copy)]
@@ -156,10 +162,15 @@ fn comm_fingerprint(op: CommOp, bytes: f64, messages: u64) -> u64 {
 /// so a hash collision degrades to a cold launch, never a wrong price.
 /// Transfer/exchange nodes get the same treatment in a second map —
 /// comm ops are priced through the interconnect model exactly like
-/// kernels through the roofline, and memoised the same way.
+/// kernels through the roofline, and memoised the same way. A third map
+/// keeps each replayed graph's [`Plan`] by graph id: graph ids are
+/// process-unique, a finished graph never changes, and a price depends
+/// only on the session's fixed context and the kernel, so a stored plan
+/// holds exactly what the per-launch lookups would return.
 pub(crate) struct PriceCache {
     map: HashMap<u64, CachedPrice>,
     comm: HashMap<u64, CachedComm>,
+    plans: HashMap<u64, Plan>,
     enabled: bool,
 }
 
@@ -168,8 +179,29 @@ impl PriceCache {
         PriceCache {
             map: HashMap::new(),
             comm: HashMap::new(),
+            plans: HashMap::new(),
             enabled,
         }
+    }
+
+    /// The plan of graph `id`, which holds `launches` launch ops. The
+    /// first request runs `build` (per-launch [`PriceCache::price`]
+    /// calls, counted as usual) and keeps the result; later requests
+    /// share it and count `launches` cache hits in one add. A disabled
+    /// cache stores no plan and runs `build` on every request.
+    pub fn plan(&mut self, id: u64, launches: u64, build: impl FnOnce(&mut Self) -> Plan) -> Plan {
+        if !self.enabled {
+            return build(self);
+        }
+        if let Some(plan) = self.plans.get(&id) {
+            if telemetry::enabled() {
+                telemetry::Counters::add(&telemetry::counters().pricing_cache_hits, launches);
+            }
+            return Arc::clone(plan);
+        }
+        let plan = build(self);
+        self.plans.insert(id, Arc::clone(&plan));
+        plan
     }
 
     /// Price one communication op through the interconnect model,
@@ -345,6 +377,37 @@ mod tests {
         assert_eq!(a.time.total.to_bits(), b.time.total.to_bits());
         assert_eq!(b.time.total.to_bits(), c.time.total.to_bits());
         assert!(!Arc::ptr_eq(&b.name, &c.name), "no interning without cache");
+    }
+
+    #[test]
+    fn plans_are_built_once_per_graph_and_never_when_disabled() {
+        let p = Platform::get(PlatformId::A100);
+        let ctx = ctx(&p);
+        let k = Kernel::streaming("triad", 1 << 20, 3e7, 0.0);
+        let key = fingerprint(&k);
+        let builds = std::cell::Cell::new(0);
+        let build = |cache: &mut PriceCache| -> Plan {
+            builds.set(builds.get() + 1);
+            Arc::from(vec![Some(cache.price(&ctx, &k, key)), None])
+        };
+
+        let mut on = PriceCache::new(true);
+        let first = on.plan(7, 1, build);
+        let second = on.plan(7, 1, build);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(builds.get(), 1, "the second request reuses the plan");
+        let other = on.plan(8, 1, build);
+        assert!(!Arc::ptr_eq(&first, &other), "plans are keyed by graph id");
+        assert_eq!(builds.get(), 2);
+
+        let mut off = PriceCache::new(false);
+        let a = off.plan(7, 1, build);
+        let b = off.plan(7, 1, build);
+        assert_eq!(builds.get(), 4, "a disabled cache builds every time");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(off.plans.is_empty() && off.map.is_empty());
+        let (a, b) = (a[0].as_ref().unwrap(), b[0].as_ref().unwrap());
+        assert_eq!(a.time.total.to_bits(), b.time.total.to_bits());
     }
 
     #[test]

@@ -53,9 +53,10 @@ pub struct SessionConfig {
     /// depend only on sizes; functional validation happens at reduced
     /// sizes in the test suite.
     pub dry_run: bool,
-    /// Memoise launch pricing per kernel fingerprint (on by default).
-    /// Disable to force a full toolchain-model walk on every launch —
-    /// only useful for benchmarking the cache itself.
+    /// Memoise launch pricing per kernel fingerprint, and each replayed
+    /// graph's priced plan per graph id (on by default). Disable to
+    /// force a full toolchain-model walk on every launch of every
+    /// replay — only useful for benchmarking the cache itself.
     pub pricing_cache: bool,
     /// Host allocations are page-locked (on by default): transfers run
     /// at the link's pinned rate. Disable via
@@ -261,8 +262,8 @@ impl Session {
 
     /// Start recording a launch graph. Record methods on the builder
     /// capture kernels and functional bodies; [`crate::LaunchGraph::replay`]
-    /// then prices the whole sequence in one pass and commits it under a
-    /// single ledger lock per replay.
+    /// then prices the whole sequence once per session and commits it
+    /// under a single ledger lock per replay.
     pub fn record(&self) -> crate::graph::GraphBuilder<'_> {
         crate::graph::GraphBuilder::new()
     }
@@ -277,11 +278,11 @@ impl Session {
         // they leave residency alone.
         let priced = self.price_launch(&mut self.cache.lock(), kernel, fingerprint(kernel));
         let mut locks = CommitLocks::new(self);
-        let record = locks.commit(Op::Launch {
+        locks.commit(Op::Launch {
             priced: &priced,
             meta: None,
         });
-        locks.release(record.as_slice());
+        locks.release();
         (execute(&priced, self.executes(), body), priced.time)
     }
 
@@ -300,8 +301,8 @@ impl Session {
         }
     }
 
-    /// Lock the pricing cache (the graph replay path prices a whole
-    /// graph under one acquisition).
+    /// Lock the pricing cache (graph replay fetches or builds its
+    /// whole plan under one acquisition).
     pub(crate) fn price_cache(&self) -> MutexGuard<'_, PriceCache> {
         self.cache.lock()
     }

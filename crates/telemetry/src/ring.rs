@@ -61,8 +61,9 @@ pub enum SpanKind {
     /// One named application phase (e.g. a CloverLeaf `advec_cell`
     /// sweep): a group of launches under one algorithmic step.
     Phase,
-    /// One launch-graph replay (a batch of launches priced in one pass
-    /// and committed under a single ledger lock).
+    /// One launch-graph replay (a batch of launches priced from the
+    /// session's plan for the graph and committed under a single ledger
+    /// lock).
     Replay,
     /// One study unit executing on a worker (the outermost span a
     /// worker's flight recording opens — the crash-attribution anchor).
