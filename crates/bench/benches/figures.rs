@@ -38,31 +38,47 @@ fn bench_table1() {
     });
 }
 
-fn bench_structured_figures() {
+/// One pricing pass over the paper's 306 cells, then each renderer
+/// over that table.
+fn bench_figures() {
+    bench("paper_measurements_306_cells", 2, 1, || {
+        black_box(portability::paper_measurements().len());
+    });
+    let table = portability::paper_measurements();
     for p in portability::gpu_platforms()
         .into_iter()
         .chain(portability::cpu_platforms())
     {
-        bench(&format!("fig_structured_{}", p.label()), 2, 1, || {
-            black_box(portability::structured_measurements(p).len());
+        bench(&format!("fig_structured_{}", p.label()), 3, 20, || {
+            black_box(bench_harness::figure_structured_text(&table, p));
+        });
+        bench(&format!("fig_mgcfd_{}", p.label()), 3, 20, || {
+            black_box(bench_harness::figure_mgcfd_text(&table, p));
         });
     }
-}
-
-fn bench_mgcfd_figures() {
-    for p in portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-    {
-        bench(&format!("fig_mgcfd_{}", p.label()), 2, 1, || {
-            black_box(portability::unstructured_measurements(p).len());
-        });
-    }
-}
-
-fn bench_summary() {
-    bench("summary_stats_section44", 2, 1, || {
-        black_box(bench_harness::summary_stats().pp_structured);
+    bench("fig10_efficiency", 3, 20, || {
+        black_box(bench_harness::figure10_text(&table));
+    });
+    bench("fig11_efficiency_mgcfd", 3, 20, || {
+        black_box(bench_harness::figure11_text(&table));
+    });
+    bench("summary_stats_section44", 3, 20, || {
+        black_box(bench_harness::summary_stats(&table).pp);
+    });
+    bench("gpu_gaps", 3, 20, || {
+        black_box(bench_harness::gpu_gaps_text(&table));
+    });
+    bench("conclusions", 3, 20, || {
+        black_box(bench_harness::conclusions_text(&table));
+    });
+    bench("consistency_stats", 3, 20, || {
+        black_box(bench_harness::ablation::consistency_text(&table));
+    });
+    bench("boundary_fractions", 3, 20, || {
+        black_box(bench_harness::boundary_fractions_text(&table));
+    });
+    bench("measurements_csv", 3, 20, || {
+        black_box(portability::write_csv(&table));
     });
 }
 
@@ -130,9 +146,7 @@ fn bench_ablations() {
 fn main() {
     // `cargo bench` passes harness flags like `--bench`; ignore them.
     bench_table1();
-    bench_structured_figures();
-    bench_mgcfd_figures();
-    bench_summary();
+    bench_figures();
     bench_primitives();
     bench_ablations();
 }

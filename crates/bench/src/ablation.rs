@@ -1,10 +1,11 @@
 //! Ablation studies for the design choices DESIGN.md calls out:
 //! work-group shape, mesh ordering, cache capacity, hierarchical block
-//! size. Each returns printable sweep data; binaries and criterion
-//! benches wrap them.
+//! size. Each returns printable sweep data that `artifacts` and the
+//! benches render.
 
 use machine_model::{predict, Platform, PlatformId};
 use miniapps::App;
+use portability::{mean, std_dev, Measurement};
 use sycl_sim::{
     tune, AccessProfile, Kernel, KernelFootprint, Precision, Scheme, Session, SessionConfig,
     StencilProfile, SyclVariant, Toolchain,
@@ -192,34 +193,38 @@ pub fn block_size_sweep_text() -> String {
 }
 
 /// §4.1's consistency statistics: per platform, mean and standard
-/// deviation of the best variant's efficiency over the structured apps.
-pub fn consistency_rows() -> Vec<(PlatformId, f64, f64)> {
-    use portability::{mean, std_dev, structured_measurements};
+/// deviation of the best variant's efficiency over the structured apps,
+/// summed in the table's app order.
+pub fn consistency_rows(table: &[Measurement]) -> Vec<(PlatformId, f64, f64)> {
     portability::gpu_platforms()
         .into_iter()
         .chain(portability::cpu_platforms())
         .map(|p| {
-            let ms = structured_measurements(p);
-            let mut best_per_app: std::collections::HashMap<&str, f64> = Default::default();
-            for m in &ms {
+            let mut best_per_app: Vec<(&str, f64)> = Vec::new();
+            for m in table
+                .iter()
+                .filter(|m| m.platform == p && m.scheme.is_none())
+            {
                 if let Some(e) = m.efficiency {
-                    let slot = best_per_app.entry(m.app).or_insert(0.0);
-                    *slot = slot.max(e);
+                    match best_per_app.iter_mut().find(|(app, _)| *app == m.app) {
+                        Some((_, best)) => *best = best.max(e),
+                        None => best_per_app.push((m.app, e)),
+                    }
                 }
             }
-            let effs: Vec<f64> = best_per_app.values().copied().collect();
+            let effs: Vec<f64> = best_per_app.into_iter().map(|(_, e)| e).collect();
             (p, mean(&effs), std_dev(&effs))
         })
         .collect()
 }
 
 /// Render consistency rows with the paper's reference values.
-pub fn consistency_text() -> String {
+pub fn consistency_text(table: &[Measurement]) -> String {
     let mut out = String::from(
         "## Consistency of best-variant efficiency (paper §4.1: Max 1100 has\n\
          ## the lowest std dev at 11.6%, Xeon next at 11.8%, rest above 17%)\n",
     );
-    for (p, m, s) in consistency_rows() {
+    for (p, m, s) in consistency_rows(table) {
         out.push_str(&format!(
             "{:12} mean {:5.1}%  std {:5.1}%\n",
             p.label(),
@@ -265,7 +270,7 @@ mod tests {
 
     #[test]
     fn consistency_rows_cover_all_platforms() {
-        let rows = consistency_rows();
+        let rows = consistency_rows(&portability::paper_measurements());
         assert_eq!(rows.len(), 6);
         for (p, m, s) in rows {
             assert!(m > 0.2 && m < 1.6, "{p:?} mean {m}");

@@ -45,10 +45,7 @@ use std::path::{Path, PathBuf};
 use bench_harness::{make_app, native_toolchain, APP_NAMES};
 use machine_model::Platform;
 use metrics::{stats, RunManifest};
-use portability::{
-    cpu_platforms, gpu_platforms, pennycook, structured_measurements, unstructured_measurements,
-    Measurement,
-};
+use portability::{cpu_platforms, gpu_platforms, paper_measurements, pennycook, Measurement};
 use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
 use telemetry::export::KernelAgg;
 use telemetry::json::{self, Json};
@@ -110,13 +107,15 @@ fn main() {
     let study: Vec<(PlatformId, Vec<Measurement>)> = if skip_study {
         Vec::new()
     } else {
+        let table = paper_measurements();
         gpu_platforms()
             .into_iter()
             .chain(cpu_platforms())
             .map(|p| {
-                let mut ms = structured_measurements(p);
-                ms.extend(unstructured_measurements(p));
-                (p, ms)
+                (
+                    p,
+                    table.iter().filter(|m| m.platform == p).cloned().collect(),
+                )
             })
             .collect()
     };

@@ -1,5 +1,6 @@
-//! One-command reproduction: regenerate every table, figure, in-text
-//! aggregate and ablation into `results/` as plain text + CSV.
+//! One-command reproduction: price the paper's cross-product once and
+//! write every table, figure, in-text aggregate, ablation and the CSV
+//! into `results/` (see `bench_harness::artifacts` for the file map).
 //!
 //!     cargo run --release -p bench-harness --bin regenerate_all [outdir]
 
@@ -9,70 +10,12 @@ use std::path::PathBuf;
 fn main() -> std::io::Result<()> {
     let outdir = PathBuf::from(std::env::args().nth(1).unwrap_or_else(|| "results".into()));
     fs::create_dir_all(&outdir)?;
-    let write = |name: &str, content: String| -> std::io::Result<()> {
+    let table = portability::paper_measurements();
+    for (name, content) in bench_harness::artifacts(&table) {
         let path = outdir.join(name);
         fs::write(&path, content)?;
         println!("wrote {}", path.display());
-        Ok(())
-    };
-
-    write("table1.txt", bench_harness::table1_text())?;
-    for p in portability::gpu_platforms() {
-        write(
-            &format!("fig_structured_{}.txt", p.label()),
-            bench_harness::figure_structured_text(p),
-        )?;
     }
-    for p in portability::cpu_platforms() {
-        write(
-            &format!("fig_structured_{}.txt", p.label()),
-            bench_harness::figure_structured_text(p),
-        )?;
-    }
-    let mut mgcfd_gpu = String::new();
-    for p in portability::gpu_platforms() {
-        mgcfd_gpu.push_str(&bench_harness::figure_mgcfd_text(p));
-        mgcfd_gpu.push('\n');
-    }
-    write("fig8_mgcfd_gpu.txt", mgcfd_gpu)?;
-    let mut mgcfd_cpu = String::new();
-    for p in portability::cpu_platforms() {
-        mgcfd_cpu.push_str(&bench_harness::figure_mgcfd_text(p));
-        mgcfd_cpu.push('\n');
-    }
-    write("fig9_mgcfd_cpu.txt", mgcfd_cpu)?;
-    write("fig10_efficiency.txt", bench_harness::figure10_text())?;
-    write("fig11_efficiency_mgcfd.txt", bench_harness::figure11_text())?;
-    write("summary_stats.txt", bench_harness::summary_text())?;
-    write("gpu_gaps.txt", bench_harness::gpu_gaps_text())?;
-    write("conclusions.txt", bench_harness::conclusions_text())?;
-    write(
-        "consistency_stats.txt",
-        bench_harness::ablation::consistency_text(),
-    )?;
-    write(
-        "boundary_fractions.txt",
-        bench_harness::boundary_fractions_text(),
-    )?;
-    write(
-        "ablation_workgroup.txt",
-        bench_harness::ablation::workgroup_sweep_text(),
-    )?;
-    write(
-        "ablation_ordering.txt",
-        bench_harness::ablation::ordering_sweep_text(),
-    )?;
-    write(
-        "ablation_cache.txt",
-        bench_harness::ablation::cache_sweep_text(),
-    )?;
-    write(
-        "ablation_blocksize.txt",
-        bench_harness::ablation::block_size_sweep_text(),
-    )?;
-    let mut all = bench_harness::all_structured();
-    all.extend(bench_harness::all_mgcfd());
-    write("measurements.csv", portability::write_csv(&all))?;
     println!("\nAll artifacts regenerated into {}/", outdir.display());
     Ok(())
 }

@@ -1,30 +1,38 @@
 //! # bench-harness — regenerates every table and figure of the paper
 //!
-//! Each `fig*` binary prints the rows/series of one artifact:
+//! Every cross-product artifact is a pure function of one table, the
+//! 306 cells [`portability::paper_measurements`] prices once;
+//! [`artifacts`] renders them all and `regenerate_all` writes them into
+//! `results/`:
 //!
-//! | Binary | Paper artifact |
-//! |--------|----------------|
-//! | `table1` | Table 1 — STREAM Triad bandwidth per platform |
-//! | `fig2_structured_gpu -- a100\|mi250x\|max1100` | Figures 2–4 — structured app runtimes on GPUs |
-//! | `fig5_structured_cpu -- xeon8360y\|genoax\|altra` | Figures 5–7 — structured app runtimes on CPUs |
-//! | `fig8_mgcfd_gpu` | Figure 8 — MG-CFD runtimes on GPUs |
-//! | `fig9_mgcfd_cpu` | Figure 9 — MG-CFD runtimes on CPUs |
-//! | `fig10_efficiency` | Figure 10 — structured-mesh efficiency heatmap |
-//! | `fig11_efficiency_mgcfd` | Figure 11 — MG-CFD efficiency heatmap |
-//! | `summary_stats` | §4.1–§4.4 in-text aggregates and PP̄ values |
+//! | `results/` file | Paper artifact |
+//! |-----------------|----------------|
+//! | `table1.txt` | Table 1 — STREAM Triad bandwidth per platform |
+//! | `fig_structured_{a100,mi250x,max1100}.txt` | Figures 2–4 — structured app runtimes on GPUs |
+//! | `fig_structured_{xeon8360y,genoax,altra}.txt` | Figures 5–7 — structured app runtimes on CPUs |
+//! | `fig8_mgcfd_gpu.txt` | Figure 8 — MG-CFD runtimes on GPUs |
+//! | `fig9_mgcfd_cpu.txt` | Figure 9 — MG-CFD runtimes on CPUs |
+//! | `fig10_efficiency.txt` | Figure 10 — structured-mesh efficiency heatmap |
+//! | `fig11_efficiency_mgcfd.txt` | Figure 11 — MG-CFD efficiency heatmap |
+//! | `summary_stats.txt` | §4.4 in-text aggregates and PP̄ values |
+//! | `gpu_gaps.txt` | §4.1 average SYCL-vs-native gaps on the GPUs |
+//! | `conclusions.txt` | §5 best native vs best SYCL efficiency |
+//! | `consistency_stats.txt` | §4.1 per-platform consistency of the best variant |
+//! | `boundary_fractions.txt` | the boundary-loop (kernel-launch) probe of §4.1–§4.2 |
+//! | `ablation_*.txt` | the [`ablation`] sweeps over off-paper cells |
+//! | `measurements.csv` | every cell of the table |
 //!
-//! The same functions are exercised by the criterion benches in
-//! `benches/figures.rs`, so `cargo bench` regenerates everything too.
+//! The same functions are exercised by the benches in
+//! `benches/figures.rs`.
 
 pub mod ablation;
 pub mod json;
 
 use babelstream::BabelStream;
 use portability::{
-    format_table, mean, pennycook, std_dev, structured_measurements, unstructured_measurements,
-    MeasCell, Measurement,
+    format_table, mean, pp_rows, std_dev, MeasCell, Measurement, PpCell, StudyVariant,
 };
-use sycl_sim::{PlatformId, Scheme, Session, SessionConfig, Toolchain};
+use sycl_sim::{FailureKind, PlatformId, Session, SessionConfig, Toolchain};
 
 /// Table 1: (platform, native toolchain, simulated Triad GB/s).
 pub fn table1_rows() -> Vec<(PlatformId, Toolchain, f64)> {
@@ -62,104 +70,143 @@ pub fn table1_text() -> String {
     out
 }
 
-/// Figures 2–7: structured-app runtime table for one platform.
-pub fn figure_structured_text(platform: PlatformId) -> String {
-    let ms = structured_measurements(platform);
-    render_runtime_table(
-        &format!(
-            "Structured-mesh app runtimes on {} (simulated seconds)",
-            sycl_sim::Platform::get(platform).name
-        ),
-        &ms,
-        |m| m.app,
-    )
+/// The paper's platforms, figure order: GPUs then CPUs.
+fn paper_platforms() -> impl Iterator<Item = PlatformId> {
+    portability::gpu_platforms()
+        .into_iter()
+        .chain(portability::cpu_platforms())
 }
 
-/// Figures 8–9: MG-CFD runtime table for one platform (rows = schemes).
-pub fn figure_mgcfd_text(platform: PlatformId) -> String {
-    let ms = unstructured_measurements(platform);
-    render_runtime_table(
-        &format!(
-            "MG-CFD (Rotor37) runtimes on {} (simulated seconds)",
-            sycl_sim::Platform::get(platform).name
-        ),
-        &ms,
-        |m| m.scheme.map(|s| s.label()).unwrap_or("-"),
-    )
+/// The table's structured-app cells, in table order.
+fn structured(table: &[Measurement]) -> impl Iterator<Item = &Measurement> {
+    table.iter().filter(|m| m.scheme.is_none())
 }
 
-fn render_runtime_table(
+/// The distinct structured apps of the table, table (paper) order.
+fn structured_apps(table: &[Measurement]) -> Vec<&'static str> {
+    let mut apps: Vec<&'static str> = Vec::new();
+    for m in structured(table) {
+        if !apps.contains(&m.app) {
+            apps.push(m.app);
+        }
+    }
+    apps
+}
+
+/// The runtime cell of a figure: seconds, or the failure marker.
+fn runtime_cell(m: &Measurement) -> MeasCell {
+    match m.runtime {
+        Ok(t) => MeasCell::Seconds(t),
+        Err(k) => MeasCell::Failed(k),
+    }
+}
+
+/// The efficiency cell of a heatmap: a fraction of STREAM, or the
+/// failure marker.
+fn efficiency_cell(m: &Measurement) -> MeasCell {
+    match (&m.runtime, m.efficiency) {
+        (Ok(_), Some(e)) => MeasCell::Efficiency(e),
+        (Err(k), _) => MeasCell::Failed(*k),
+        _ => MeasCell::Failed(FailureKind::RuntimeCrash),
+    }
+}
+
+/// One figure panel: rows keyed by `row_key`, one column per variant,
+/// each cell rendered by `cell`, in the order the cells arrive.
+fn grouped_table<'a>(
     title: &str,
-    ms: &[Measurement],
+    cells: impl Iterator<Item = &'a Measurement>,
     row_key: impl Fn(&Measurement) -> &'static str,
+    cell: impl Fn(&Measurement) -> MeasCell,
 ) -> String {
     let mut rows: Vec<(&str, Vec<(String, MeasCell)>)> = Vec::new();
-    for m in ms {
+    for m in cells {
         let key = row_key(m);
-        let cell = match (&m.runtime, m.efficiency) {
-            (Ok(t), _) => MeasCell::Seconds(*t),
-            (Err(k), _) => MeasCell::Failed(*k),
-        };
+        let column = (m.variant.label(), cell(m));
         match rows.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, cells)) => cells.push((m.variant.label(), cell)),
-            None => rows.push((key, vec![(m.variant.label(), cell)])),
+            Some((_, cells)) => cells.push(column),
+            None => rows.push((key, vec![column])),
         }
     }
     format_table(title, &rows)
 }
 
-/// Figure 10: efficiency (fraction of STREAM) per structured app ×
-/// platform × variant.
-pub fn figure10_text() -> String {
-    let mut out = String::from("## Figure 10: achieved architectural efficiency (structured)\n");
-    for p in portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-    {
-        let ms = structured_measurements(p);
-        let mut rows: Vec<(&str, Vec<(String, MeasCell)>)> = Vec::new();
-        for m in &ms {
-            let cell = match (&m.runtime, m.efficiency) {
-                (Ok(_), Some(e)) => MeasCell::Efficiency(e),
-                (Err(k), _) => MeasCell::Failed(*k),
-                _ => MeasCell::Failed(sycl_sim::FailureKind::RuntimeCrash),
-            };
-            match rows.iter_mut().find(|(k, _)| *k == m.app) {
-                Some((_, cells)) => cells.push((m.variant.label(), cell)),
-                None => rows.push((m.app, vec![(m.variant.label(), cell)])),
-            }
-        }
-        out.push_str(&format_table(p.label(), &rows));
+fn app_key(m: &Measurement) -> &'static str {
+    m.app
+}
+
+fn scheme_key(m: &Measurement) -> &'static str {
+    m.scheme.map(|s| s.label()).unwrap_or("-")
+}
+
+/// Rows keyed by scheme for the MG-CFD cells, by app for the
+/// structured ones.
+fn row_key(mgcfd_rows: bool) -> fn(&Measurement) -> &'static str {
+    if mgcfd_rows {
+        scheme_key
+    } else {
+        app_key
+    }
+}
+
+/// One platform's runtime panel over its structured or MG-CFD cells.
+fn runtime_figure(title: &str, table: &[Measurement], p: PlatformId, mgcfd_rows: bool) -> String {
+    let cells = table
+        .iter()
+        .filter(|m| m.platform == p && m.scheme.is_some() == mgcfd_rows);
+    let title = format!(
+        "{title} on {} (simulated seconds)",
+        sycl_sim::Platform::get(p).name
+    );
+    grouped_table(&title, cells, row_key(mgcfd_rows), runtime_cell)
+}
+
+/// One efficiency panel per platform over its structured or MG-CFD
+/// cells.
+fn efficiency_figure(title: &str, table: &[Measurement], mgcfd_rows: bool) -> String {
+    let mut out = format!("## {title}\n");
+    for p in paper_platforms() {
+        let cells = table
+            .iter()
+            .filter(|m| m.platform == p && m.scheme.is_some() == mgcfd_rows);
+        out.push_str(&grouped_table(
+            p.label(),
+            cells,
+            row_key(mgcfd_rows),
+            efficiency_cell,
+        ));
         out.push('\n');
     }
     out
 }
 
+/// Figures 2–7: structured-app runtime table for one platform.
+pub fn figure_structured_text(table: &[Measurement], platform: PlatformId) -> String {
+    runtime_figure("Structured-mesh app runtimes", table, platform, false)
+}
+
+/// Figures 8–9: MG-CFD runtime table for one platform (rows = schemes).
+pub fn figure_mgcfd_text(table: &[Measurement], platform: PlatformId) -> String {
+    runtime_figure("MG-CFD (Rotor37) runtimes", table, platform, true)
+}
+
+/// Figure 10: efficiency (fraction of STREAM) per structured app ×
+/// platform × variant.
+pub fn figure10_text(table: &[Measurement]) -> String {
+    efficiency_figure(
+        "Figure 10: achieved architectural efficiency (structured)",
+        table,
+        false,
+    )
+}
+
 /// Figure 11: MG-CFD efficiency per platform × variant × scheme.
-pub fn figure11_text() -> String {
-    let mut out = String::from("## Figure 11: achieved efficiency, MG-CFD (effective BW rule)\n");
-    for p in portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-    {
-        let ms = unstructured_measurements(p);
-        let mut rows: Vec<(&str, Vec<(String, MeasCell)>)> = Vec::new();
-        for m in &ms {
-            let key = m.scheme.map(|s| s.label()).unwrap_or("-");
-            let cell = match (&m.runtime, m.efficiency) {
-                (Ok(_), Some(e)) => MeasCell::Efficiency(e),
-                (Err(k), _) => MeasCell::Failed(*k),
-                _ => MeasCell::Failed(sycl_sim::FailureKind::RuntimeCrash),
-            };
-            match rows.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, cells)) => cells.push((m.variant.label(), cell)),
-                None => rows.push((key, vec![(m.variant.label(), cell)])),
-            }
-        }
-        out.push_str(&format_table(p.label(), &rows));
-        out.push('\n');
-    }
-    out
+pub fn figure11_text(table: &[Measurement]) -> String {
+    efficiency_figure(
+        "Figure 11: achieved efficiency, MG-CFD (effective BW rule)",
+        table,
+        true,
+    )
 }
 
 /// §4.4's headline aggregates, computed exactly as the paper describes.
@@ -174,52 +221,25 @@ pub struct SummaryStats {
     /// Mean for the flat variants.
     pub dpcpp_flat_eff: (f64, f64),
     pub opensycl_flat_eff: (f64, f64),
-    /// PP̄ over all six platforms, failures ignored (paper §4.4):
-    /// (DPC++ nd, OpenSYCL nd, DPC++ flat, OpenSYCL flat).
-    pub pp_structured: [f64; 4],
-    /// MG-CFD PP̄ for OpenSYCL+atomics, and for best-per-platform.
-    pub pp_mgcfd_opensycl_atomics: f64,
-    pub pp_mgcfd_best: f64,
+    /// The six labelled PP̄ rows of [`portability::pp_rows`]: the four
+    /// structured SYCL variants (failures ignored, paper §4.4), then
+    /// MG-CFD OpenSYCL+atomics and best-per-platform SYCL.
+    pub pp: Vec<(String, f64)>,
 }
 
-/// Collect every structured measurement across all platforms.
-pub fn all_structured() -> Vec<Measurement> {
-    portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-        .flat_map(structured_measurements)
-        .collect()
-}
-
-/// Collect every MG-CFD measurement across all platforms.
-pub fn all_mgcfd() -> Vec<Measurement> {
-    portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-        .flat_map(unstructured_measurements)
-        .collect()
-}
-
-/// Compute the summary statistics.
-pub fn summary_stats() -> SummaryStats {
-    let all = all_structured();
+/// Compute the summary statistics over the paper table.
+pub fn summary_stats(table: &[Measurement]) -> SummaryStats {
     let apps: Vec<&str> = {
-        let mut v: Vec<&str> = all.iter().map(|m| m.app).collect();
+        let mut v = structured_apps(table);
         v.sort();
-        v.dedup();
         v
     };
-    let platforms: Vec<PlatformId> = portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-        .collect();
 
     // Best-native efficiency per (app, platform).
     let mut native = Vec::new();
     for &app in &apps {
-        for &p in &platforms {
-            let best = all
-                .iter()
+        for p in paper_platforms() {
+            let best = structured(table)
                 .filter(|m| m.app == app && m.platform == p && m.variant.is_native())
                 .filter_map(|m| m.efficiency)
                 .fold(f64::NAN, f64::max);
@@ -229,95 +249,35 @@ pub fn summary_stats() -> SummaryStats {
         }
     }
 
-    let sycl_effs = |tc: Toolchain, nd: bool| -> Vec<f64> {
-        all.iter()
-            .filter(|m| m.variant.toolchain == tc && m.variant.nd_range == nd)
+    let sycl_effs = |toolchain: Toolchain, nd_range: bool| -> (f64, f64) {
+        let variant = StudyVariant {
+            toolchain,
+            nd_range,
+        };
+        let effs: Vec<f64> = structured(table)
+            .filter(|m| m.variant == variant)
             .filter_map(|m| m.efficiency)
-            .collect()
-    };
-    let d_nd = sycl_effs(Toolchain::Dpcpp, true);
-    let o_nd = sycl_effs(Toolchain::OpenSycl, true);
-    let d_fl = sycl_effs(Toolchain::Dpcpp, false);
-    let o_fl = sycl_effs(Toolchain::OpenSycl, false);
-
-    // PP̄ per app, averaged over apps (failures ignored, §4.4).
-    let pp_for = |tc: Toolchain, nd: bool| -> f64 {
-        let per_app: Vec<f64> = apps
-            .iter()
-            .map(|&app| {
-                let es: Vec<Option<f64>> = platforms
-                    .iter()
-                    .map(|&p| {
-                        all.iter()
-                            .find(|m| {
-                                m.app == app
-                                    && m.platform == p
-                                    && m.variant.toolchain == tc
-                                    && m.variant.nd_range == nd
-                            })
-                            .and_then(|m| m.efficiency)
-                    })
-                    .collect();
-                pennycook(&es, true)
-            })
             .collect();
-        mean(&per_app)
+        (mean(&effs), std_dev(&effs))
     };
-
-    // MG-CFD PP̄s.
-    let mg = all_mgcfd();
-    let mg_eff = |p: PlatformId, tc: Toolchain, scheme: Scheme| -> Option<f64> {
-        mg.iter()
-            .filter(|m| m.platform == p && m.variant.toolchain == tc && m.scheme == Some(scheme))
-            .filter_map(|m| m.efficiency)
-            .fold(None, |acc: Option<f64>, e| {
-                Some(acc.map_or(e, |a| a.max(e)))
-            })
-    };
-    let pp_osa = {
-        let es: Vec<Option<f64>> = platforms
-            .iter()
-            .map(|&p| mg_eff(p, Toolchain::OpenSycl, Scheme::Atomics))
-            .collect();
-        pennycook(&es, false)
-    };
-    let pp_best = {
-        let es: Vec<Option<f64>> = platforms
-            .iter()
-            .map(|&p| {
-                mg.iter()
-                    .filter(|m| m.platform == p && m.variant.toolchain.is_sycl())
-                    .filter_map(|m| m.efficiency)
-                    .fold(None, |acc: Option<f64>, e| {
-                        Some(acc.map_or(e, |a| a.max(e)))
-                    })
-            })
-            .collect();
-        pennycook(&es, false)
-    };
+    let cells: Vec<PpCell> = table.iter().map(PpCell::from).collect();
 
     SummaryStats {
         native_eff: (mean(&native), std_dev(&native)),
-        dpcpp_nd_eff: (mean(&d_nd), std_dev(&d_nd)),
-        opensycl_nd_eff: (mean(&o_nd), std_dev(&o_nd)),
-        dpcpp_flat_eff: (mean(&d_fl), std_dev(&d_fl)),
-        opensycl_flat_eff: (mean(&o_fl), std_dev(&o_fl)),
-        pp_structured: [
-            pp_for(Toolchain::Dpcpp, true),
-            pp_for(Toolchain::OpenSycl, true),
-            pp_for(Toolchain::Dpcpp, false),
-            pp_for(Toolchain::OpenSycl, false),
-        ],
-        pp_mgcfd_opensycl_atomics: pp_osa,
-        pp_mgcfd_best: pp_best,
+        dpcpp_nd_eff: sycl_effs(Toolchain::Dpcpp, true),
+        opensycl_nd_eff: sycl_effs(Toolchain::OpenSycl, true),
+        dpcpp_flat_eff: sycl_effs(Toolchain::Dpcpp, false),
+        opensycl_flat_eff: sycl_effs(Toolchain::OpenSycl, false),
+        pp: pp_rows(&cells),
     }
 }
 
 /// Render the summary with the paper's reference values alongside.
-pub fn summary_text() -> String {
-    let s = summary_stats();
+pub fn summary_text(table: &[Measurement]) -> String {
+    let s = summary_stats(table);
     let pct = |x: f64| format!("{:.0}%", x * 100.0);
     let pair = |(m, sd): (f64, f64)| format!("{} (std {})", pct(m), pct(sd));
+    let pp: Vec<f64> = s.pp.iter().map(|(_, v)| *v).collect();
     format!(
         "## §4.4 summary aggregates (simulated vs paper)\n\
          native best          : {:24} paper: 59% (std 21%)\n\
@@ -336,38 +296,37 @@ pub fn summary_text() -> String {
         pair(s.opensycl_nd_eff),
         pair(s.dpcpp_flat_eff),
         pair(s.opensycl_flat_eff),
-        s.pp_structured[0],
-        s.pp_structured[1],
-        s.pp_structured[2],
-        s.pp_structured[3],
-        s.pp_mgcfd_opensycl_atomics,
-        s.pp_mgcfd_best,
+        pp[0],
+        pp[1],
+        pp[2],
+        pp[3],
+        pp[4],
+        pp[5],
     )
 }
 
 /// §4.1's average SYCL-vs-native runtime gaps on one GPU: the mean over
 /// the structured apps of `t_sycl / t_native − 1` (positive = slower).
-pub fn gpu_gap(platform: PlatformId, tc: Toolchain, nd: bool, baseline: Toolchain) -> f64 {
-    let apps = miniapps::paper_structured_apps();
+pub fn gpu_gap(
+    table: &[Measurement],
+    platform: PlatformId,
+    tc: Toolchain,
+    nd: bool,
+    baseline: Toolchain,
+) -> f64 {
+    let runtime = |app: &str, toolchain: Toolchain, nd_range: bool| {
+        let variant = StudyVariant {
+            toolchain,
+            nd_range,
+        };
+        structured(table)
+            .find(|m| m.app == app && m.platform == platform && m.variant == variant)
+            .map(|m| m.runtime)
+    };
     let mut gaps = Vec::new();
-    for app in &apps {
-        let base = portability::measure_structured(
-            app.as_ref(),
-            platform,
-            portability::StudyVariant {
-                toolchain: baseline,
-                nd_range: false,
-            },
-        );
-        let sycl = portability::measure_structured(
-            app.as_ref(),
-            platform,
-            portability::StudyVariant {
-                toolchain: tc,
-                nd_range: nd,
-            },
-        );
-        if let (Ok(tb), Ok(ts)) = (base.runtime, sycl.runtime) {
+    for app in structured_apps(table) {
+        if let (Some(Ok(tb)), Some(Ok(ts))) = (runtime(app, baseline, false), runtime(app, tc, nd))
+        {
             gaps.push(ts / tb - 1.0);
         }
     }
@@ -375,8 +334,10 @@ pub fn gpu_gap(platform: PlatformId, tc: Toolchain, nd: bool, baseline: Toolchai
 }
 
 /// Render §4.1's gap aggregates with the paper's values alongside.
-pub fn gpu_gaps_text() -> String {
-    let pct = |x: f64| format!("{:+.1}%", x * 100.0);
+pub fn gpu_gaps_text(table: &[Measurement]) -> String {
+    use PlatformId::{Max1100, Mi250x, A100};
+    use Toolchain::{Dpcpp, NativeCuda, NativeHip, OmpOffload, OpenSycl};
+    let gap = |p, tc, baseline| format!("{:+.1}%", gpu_gap(table, p, tc, true, baseline) * 100.0);
     format!(
         "## §4.1 average SYCL nd_range runtime gap vs native (structured apps)
          A100    : DPC++ {:8} (paper +1.2%) | OpenSYCL {:8} (paper +5.3%)
@@ -384,54 +345,14 @@ pub fn gpu_gaps_text() -> String {
          MI250X vs Cray offload: DPC++ {:8} (paper +2.3%) | OpenSYCL {:8} (paper -9.1%)
          Max 1100 vs OMP offload: DPC++ {:8} (paper -30.2%) | OpenSYCL {:8} (paper -27.6%)
 ",
-        pct(gpu_gap(
-            PlatformId::A100,
-            Toolchain::Dpcpp,
-            true,
-            Toolchain::NativeCuda
-        )),
-        pct(gpu_gap(
-            PlatformId::A100,
-            Toolchain::OpenSycl,
-            true,
-            Toolchain::NativeCuda
-        )),
-        pct(gpu_gap(
-            PlatformId::Mi250x,
-            Toolchain::Dpcpp,
-            true,
-            Toolchain::NativeHip
-        )),
-        pct(gpu_gap(
-            PlatformId::Mi250x,
-            Toolchain::OpenSycl,
-            true,
-            Toolchain::NativeHip
-        )),
-        pct(gpu_gap(
-            PlatformId::Mi250x,
-            Toolchain::Dpcpp,
-            true,
-            Toolchain::OmpOffload
-        )),
-        pct(gpu_gap(
-            PlatformId::Mi250x,
-            Toolchain::OpenSycl,
-            true,
-            Toolchain::OmpOffload
-        )),
-        pct(gpu_gap(
-            PlatformId::Max1100,
-            Toolchain::Dpcpp,
-            true,
-            Toolchain::OmpOffload
-        )),
-        pct(gpu_gap(
-            PlatformId::Max1100,
-            Toolchain::OpenSycl,
-            true,
-            Toolchain::OmpOffload
-        )),
+        gap(A100, Dpcpp, NativeCuda),
+        gap(A100, OpenSycl, NativeCuda),
+        gap(Mi250x, Dpcpp, NativeHip),
+        gap(Mi250x, OpenSycl, NativeHip),
+        gap(Mi250x, Dpcpp, OmpOffload),
+        gap(Mi250x, OpenSycl, OmpOffload),
+        gap(Max1100, Dpcpp, OmpOffload),
+        gap(Max1100, OpenSycl, OmpOffload),
     )
 }
 
@@ -447,21 +368,15 @@ pub struct ConclusionStats {
 }
 
 /// Compute §5's numbers over all seven applications.
-pub fn conclusion_stats() -> ConclusionStats {
-    let mut structured = all_structured();
-    structured.extend(all_mgcfd());
-    let platforms: Vec<PlatformId> = portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-        .collect();
+pub fn conclusion_stats(table: &[Measurement]) -> ConclusionStats {
     let apps: Vec<&str> = {
-        let mut v: Vec<&str> = structured.iter().map(|m| m.app).collect();
+        let mut v: Vec<&str> = table.iter().map(|m| m.app).collect();
         v.sort();
         v.dedup();
         v
     };
     let best = |p: PlatformId, app: &str, native: bool| -> Option<f64> {
-        structured
+        table
             .iter()
             .filter(|m| m.platform == p && m.app == app && m.variant.is_native() == native)
             .filter_map(|m| m.efficiency)
@@ -470,10 +385,9 @@ pub fn conclusion_stats() -> ConclusionStats {
             })
     };
     let collect = |native: bool, gpus: Option<bool>| -> f64 {
-        let vals: Vec<f64> = platforms
-            .iter()
+        let vals: Vec<f64> = paper_platforms()
             .filter(|p| gpus.is_none_or(|g| p.is_gpu() == g))
-            .flat_map(|&p| apps.iter().filter_map(move |&a| best(p, a, native)))
+            .flat_map(|p| apps.iter().filter_map(move |&a| best(p, a, native)))
             .collect();
         mean(&vals)
     };
@@ -488,8 +402,8 @@ pub fn conclusion_stats() -> ConclusionStats {
 }
 
 /// Render §5's conclusions with the paper values alongside.
-pub fn conclusions_text() -> String {
-    let c = conclusion_stats();
+pub fn conclusions_text(table: &[Measurement]) -> String {
+    let c = conclusion_stats(table);
     let pct = |x: f64| format!("{:.1}%", x * 100.0);
     format!(
         "## §5 conclusions (best variant per app × platform)
@@ -508,21 +422,14 @@ pub fn conclusions_text() -> String {
 
 /// Boundary-loop time fractions (the paper's kernel-launch probe):
 /// CloverLeaf 2D/3D per platform and toolchain.
-pub fn boundary_fractions_text() -> String {
+pub fn boundary_fractions_text(table: &[Measurement]) -> String {
     let mut out = String::from(
         "## Boundary-loop time fractions (paper anchors: A100 1.5%/7.8%,
          ## MI250X 2.6%/11.1%, Max 0.9%/4.8%; Xeon DPC++ 5.4-8.7% vs
          ## MPI+OpenMP 0.34% and OpenSYCL 1.2-2.5%)
 ",
     );
-    let apps: [Box<dyn miniapps::App>; 2] = [
-        Box::new(miniapps::CloverLeaf2d::paper()),
-        Box::new(miniapps::CloverLeaf3d::paper()),
-    ];
-    for p in portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-    {
+    for p in paper_platforms() {
         out.push_str(&format!(
             "{}:
 ",
@@ -530,9 +437,11 @@ pub fn boundary_fractions_text() -> String {
         ));
         for variant in portability::variants_for(p) {
             let mut row = format!("  {:18}", variant.label());
-            for app in &apps {
-                let m = portability::measure_structured(app.as_ref(), p, variant);
-                match m.boundary_fraction {
+            for app in ["cloverleaf2d", "cloverleaf3d"] {
+                let fraction = structured(table)
+                    .find(|m| m.app == app && m.platform == p && m.variant == variant)
+                    .and_then(|m| m.boundary_fraction);
+                match fraction {
                     Some(f) => row.push_str(&format!(" {:>6.2}%", f * 100.0)),
                     None => row.push_str("    n/a"),
                 }
@@ -544,12 +453,48 @@ pub fn boundary_fractions_text() -> String {
     out
 }
 
-/// Parse a platform argument for the fig binaries.
-pub fn parse_platform_arg(default: PlatformId) -> PlatformId {
-    std::env::args()
-        .nth(1)
-        .and_then(|a| PlatformId::parse(&a))
-        .unwrap_or(default)
+/// Every artifact `regenerate_all` writes, as (file name, contents),
+/// rendered from the paper table (`portability::paper_measurements()`).
+/// Table 1 and the ablations price their own off-paper cells.
+pub fn artifacts(table: &[Measurement]) -> Vec<(String, String)> {
+    let mgcfd_panels = |platforms: [PlatformId; 3]| -> String {
+        platforms
+            .into_iter()
+            .map(|p| figure_mgcfd_text(table, p) + "\n")
+            .collect()
+    };
+    // Structured rows first, then MG-CFD, as the CSV always listed them.
+    let mgcfd_cells = table.iter().filter(|m| m.scheme.is_some());
+    let csv_rows: Vec<Measurement> = structured(table).chain(mgcfd_cells).cloned().collect();
+    let mut out = vec![("table1.txt".to_owned(), table1_text())];
+    out.extend(paper_platforms().map(|p| {
+        let name = format!("fig_structured_{}.txt", p.label());
+        (name, figure_structured_text(table, p))
+    }));
+    let named = [
+        (
+            "fig8_mgcfd_gpu.txt",
+            mgcfd_panels(portability::gpu_platforms()),
+        ),
+        (
+            "fig9_mgcfd_cpu.txt",
+            mgcfd_panels(portability::cpu_platforms()),
+        ),
+        ("fig10_efficiency.txt", figure10_text(table)),
+        ("fig11_efficiency_mgcfd.txt", figure11_text(table)),
+        ("summary_stats.txt", summary_text(table)),
+        ("gpu_gaps.txt", gpu_gaps_text(table)),
+        ("conclusions.txt", conclusions_text(table)),
+        ("consistency_stats.txt", ablation::consistency_text(table)),
+        ("boundary_fractions.txt", boundary_fractions_text(table)),
+        ("ablation_workgroup.txt", ablation::workgroup_sweep_text()),
+        ("ablation_ordering.txt", ablation::ordering_sweep_text()),
+        ("ablation_cache.txt", ablation::cache_sweep_text()),
+        ("ablation_blocksize.txt", ablation::block_size_sweep_text()),
+        ("measurements.csv", portability::write_csv(&csv_rows)),
+    ];
+    out.extend(named.map(|(name, text)| (name.to_owned(), text)));
+    out
 }
 
 /// The platform's best native toolchain (the Table-1 pairing), used by

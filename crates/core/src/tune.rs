@@ -3,7 +3,7 @@
 //! The paper tunes one nd_range shape per application ("in our tests we
 //! only tune for the best performing shape for the entire application",
 //! §3). This module provides that search over the machine model, plus
-//! the sweep data behind the `ablation_workgroup` bench target.
+//! the sweep data behind `results/ablation_workgroup.txt`.
 
 use crate::kernel::Kernel;
 use crate::toolchain::{SyclVariant, Toolchain};

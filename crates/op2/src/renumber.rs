@@ -4,7 +4,7 @@
 //! (§4.3). Real OP2 deployments renumber meshes with PT-Scotch/GPS-style
 //! bandwidth-reducing permutations; we provide RCM, which restores
 //! locality to arbitrarily scrambled meshes — and makes the ordering an
-//! ablatable axis (see the `ablation_ordering` bench).
+//! ablatable axis (see `results/ablation_ordering.txt`).
 
 use crate::map::Map;
 use crate::mesh::Mesh;

@@ -17,9 +17,9 @@ pub mod report;
 pub mod study;
 
 pub use heatmap::HeatCell;
-pub use metrics::{harmonic_mean, mean, pennycook, std_dev};
+pub use metrics::{harmonic_mean, mean, pennycook, pp_rows, std_dev, PpCell};
 pub use report::{format_table, write_csv, MeasCell};
 pub use study::{
-    cpu_platforms, gpu_platforms, measure_mgcfd, measure_structured, structured_measurements,
-    unstructured_measurements, variants_for, Measurement, StudyVariant,
+    cpu_platforms, gpu_platforms, measure_mgcfd, measure_structured, paper_measurements,
+    structured_measurements, unstructured_measurements, variants_for, Measurement, StudyVariant,
 };

@@ -1,5 +1,8 @@
 //! Aggregate metrics: means, deviations, and the Pennycook–Sewall PP̄.
 
+use crate::study::{cpu_platforms, gpu_platforms, Measurement, StudyVariant};
+use sycl_sim::{PlatformId, Scheme, Toolchain};
+
 /// Arithmetic mean; 0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -48,6 +51,120 @@ pub fn pennycook(efficiencies: &[Option<f64>], ignore_failures: bool) -> f64 {
         let all: Vec<f64> = efficiencies.iter().flatten().copied().collect();
         harmonic_mean(&all)
     }
+}
+
+/// One cross-product cell as the PP̄ table sees it: its key and its
+/// efficiency (`None` when the cell failed, is unsupported, or its
+/// study unit crashed).
+#[derive(Debug, Clone, Copy)]
+pub struct PpCell<'a> {
+    pub app: &'a str,
+    pub platform: PlatformId,
+    pub variant: StudyVariant,
+    /// `Some` for MG-CFD cells, `None` for the structured apps.
+    pub scheme: Option<Scheme>,
+    pub efficiency: Option<f64>,
+}
+
+impl<'a> From<&'a Measurement> for PpCell<'a> {
+    fn from(m: &'a Measurement) -> Self {
+        PpCell {
+            app: m.app,
+            platform: m.platform,
+            variant: m.variant,
+            scheme: m.scheme,
+            efficiency: m.efficiency,
+        }
+    }
+}
+
+/// The paper's §4.4 PP̄ rows over `cells`, labelled, in this order:
+///
+/// * `structured {DPC++, OpenSYCL} {ndrange, flat}` — per structured
+///   app, PP̄ of that SYCL variant over the platforms, failures
+///   ignored; then the mean over apps;
+/// * `mgcfd OpenSYCL atomics` and `mgcfd best SYCL` — PP̄ of MG-CFD's
+///   best efficiency per platform (over that variant, or over every
+///   SYCL variant and scheme), a failing platform zeroing it.
+///
+/// The platform set is the paper's platforms that appear in `cells`.
+/// The structured rows are omitted when `cells` hold no structured app,
+/// the MG-CFD rows when they hold no MG-CFD cell.
+pub fn pp_rows(cells: &[PpCell]) -> Vec<(String, f64)> {
+    let platforms: Vec<PlatformId> = gpu_platforms()
+        .into_iter()
+        .chain(cpu_platforms())
+        .filter(|p| cells.iter().any(|c| c.platform == *p))
+        .collect();
+    let apps: Vec<&str> = {
+        let mut v: Vec<&str> = cells
+            .iter()
+            .filter(|c| c.scheme.is_none())
+            .map(|c| c.app)
+            .collect();
+        v.sort();
+        v.dedup();
+        v
+    };
+    let mut rows = Vec::new();
+    for (tc, nd) in [
+        (Toolchain::Dpcpp, true),
+        (Toolchain::OpenSycl, true),
+        (Toolchain::Dpcpp, false),
+        (Toolchain::OpenSycl, false),
+    ] {
+        if apps.is_empty() {
+            break;
+        }
+        let variant = StudyVariant {
+            toolchain: tc,
+            nd_range: nd,
+        };
+        let per_app: Vec<f64> = apps
+            .iter()
+            .map(|&app| {
+                let es: Vec<Option<f64>> = platforms
+                    .iter()
+                    .map(|&p| {
+                        cells
+                            .iter()
+                            .find(|c| {
+                                c.scheme.is_none()
+                                    && c.app == app
+                                    && c.platform == p
+                                    && c.variant == variant
+                            })
+                            .and_then(|c| c.efficiency)
+                    })
+                    .collect();
+                pennycook(&es, true)
+            })
+            .collect();
+        rows.push((format!("structured {}", variant.label()), mean(&per_app)));
+    }
+    if cells.iter().any(|c| c.scheme.is_some()) {
+        let best = |keep: &dyn Fn(&PpCell) -> bool| -> Vec<Option<f64>> {
+            platforms
+                .iter()
+                .map(|&p| {
+                    cells
+                        .iter()
+                        .filter(|c| c.scheme.is_some() && c.platform == p && keep(c))
+                        .filter_map(|c| c.efficiency)
+                        .fold(None, |acc: Option<f64>, e| {
+                            Some(acc.map_or(e, |a| a.max(e)))
+                        })
+                })
+                .collect()
+        };
+        let osa = best(&|c| {
+            c.variant.toolchain == Toolchain::OpenSycl && c.scheme == Some(Scheme::Atomics)
+        });
+        rows.push(("mgcfd OpenSYCL atomics".into(), pennycook(&osa, false)));
+        let sycl = best(&|c| c.variant.toolchain.is_sycl());
+        rows.push(("mgcfd best SYCL".into(), pennycook(&sycl, false)));
+    }
+    rows
 }
 
 #[cfg(test)]

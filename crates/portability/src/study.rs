@@ -197,6 +197,21 @@ pub fn unstructured_measurements(platform: PlatformId) -> Vec<Measurement> {
     out
 }
 
+/// The paper's whole cross-product — 7 apps × 6 platforms × each
+/// platform's variant columns (× 3 schemes for MG-CFD), 306 cells — in
+/// the canonical order `study::paper_units()` enumerates: GPUs then
+/// CPUs in figure order; per platform the structured apps × variants,
+/// then MG-CFD × variants × schemes. Every figure, aggregate and CSV of
+/// the paper is a function of this one table.
+pub fn paper_measurements() -> Vec<Measurement> {
+    let mut out = Vec::new();
+    for p in gpu_platforms().into_iter().chain(cpu_platforms()) {
+        out.extend(structured_measurements(p));
+        out.extend(unstructured_measurements(p));
+    }
+    out
+}
+
 fn leak_name(name: &str) -> &'static str {
     // App names come from the fixed `quirks::apps` table.
     for known in apps::ALL {

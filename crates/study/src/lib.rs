@@ -18,7 +18,7 @@
 //!   worker processes, with typed messages (`hello`/`run`/`start`/
 //!   `done`/`exit`).
 //! * [`runner`] — executes one unit via the same
-//!   `portability::measure_*` calls the figure binaries use.
+//!   `portability::measure_*` calls `portability::paper_measurements` makes.
 //! * [`worker`] — the `--worker` mode this binary re-executes itself
 //!   into, plus the fault-injection hooks (`--chaos`, `--hang-once`)
 //!   that prove the recovery paths.

@@ -11,8 +11,7 @@
 use crate::orchestrator::StudyStats;
 use crate::record::{UnitRecord, UnitStatus};
 use crate::unit::Scope;
-use portability::{cpu_platforms, gpu_platforms, pennycook};
-use sycl_sim::{PlatformId, Scheme, Toolchain};
+use portability::PpCell;
 use telemetry::json::{self, Json, JsonWriter};
 
 pub const SCHEMA: &str = "sycl-study/v1";
@@ -181,90 +180,22 @@ pub fn merge_docs(parts: &[StudyDoc]) -> Result<StudyDoc, String> {
     })
 }
 
-/// The Pennycook–Sewall PP̄ table over the merged study, computed the
-/// way `bench_harness::summary_stats` does for the paper's §4.4 — but
-/// from journaled records, so it covers exactly what this study ran.
+/// The Pennycook–Sewall PP̄ table over the merged study: the same
+/// [`portability::pp_rows`] that `bench_harness::summary_stats` reports
+/// for the paper's §4.4, over the journaled records, so it covers
+/// exactly what this study ran (a crashed unit has no efficiency).
 pub fn pp_rows(records: &[UnitRecord]) -> Vec<(String, f64)> {
-    let platforms: Vec<PlatformId> = gpu_platforms()
-        .into_iter()
-        .chain(cpu_platforms())
-        .filter(|p| records.iter().any(|r| r.unit.platform == *p))
+    let cells: Vec<PpCell> = records
+        .iter()
+        .map(|r| PpCell {
+            app: &r.unit.app,
+            platform: r.unit.platform,
+            variant: r.unit.variant,
+            scheme: r.unit.scheme,
+            efficiency: r.efficiency,
+        })
         .collect();
-    let apps: Vec<&str> = {
-        let mut v: Vec<&str> = records
-            .iter()
-            .filter(|r| r.unit.scheme.is_none())
-            .map(|r| r.unit.app.as_str())
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let mut rows = Vec::new();
-    for (tc, nd) in [
-        (Toolchain::Dpcpp, true),
-        (Toolchain::OpenSycl, true),
-        (Toolchain::Dpcpp, false),
-        (Toolchain::OpenSycl, false),
-    ] {
-        if apps.is_empty() {
-            break;
-        }
-        let per_app: Vec<f64> = apps
-            .iter()
-            .map(|&app| {
-                let es: Vec<Option<f64>> = platforms
-                    .iter()
-                    .map(|&p| {
-                        records
-                            .iter()
-                            .find(|r| {
-                                r.unit.scheme.is_none()
-                                    && r.unit.app == app
-                                    && r.unit.platform == p
-                                    && r.unit.variant.toolchain == tc
-                                    && r.unit.variant.nd_range == nd
-                            })
-                            .and_then(|r| r.efficiency)
-                    })
-                    .collect();
-                pennycook(&es, true)
-            })
-            .collect();
-        let label = format!(
-            "structured {} {}",
-            tc.label(),
-            if nd { "ndrange" } else { "flat" }
-        );
-        rows.push((label, portability::mean(&per_app)));
-    }
-    let mgcfd_eff = |p: PlatformId, keep: &dyn Fn(&UnitRecord) -> bool| -> Option<f64> {
-        records
-            .iter()
-            .filter(|r| r.unit.scheme.is_some() && r.unit.platform == p && keep(r))
-            .filter_map(|r| r.efficiency)
-            .fold(None, |acc: Option<f64>, e| {
-                Some(acc.map_or(e, |a| a.max(e)))
-            })
-    };
-    if records.iter().any(|r| r.unit.scheme.is_some()) {
-        let osa: Vec<Option<f64>> = platforms
-            .iter()
-            .map(|&p| {
-                mgcfd_eff(p, &|r| {
-                    r.unit.variant.toolchain == Toolchain::OpenSycl
-                        && r.unit.scheme == Some(Scheme::Atomics)
-                })
-            })
-            .collect();
-        rows.push(("mgcfd OpenSYCL atomics".into(), pennycook(&osa, false)));
-        let best: Vec<Option<f64>> = platforms
-            .iter()
-            .map(|&p| mgcfd_eff(p, &|r| r.unit.variant.toolchain.is_sycl()))
-            .collect();
-        rows.push(("mgcfd best SYCL".into(), pennycook(&best, false)));
-    }
-    rows
+    portability::pp_rows(&cells)
 }
 
 #[cfg(test)]

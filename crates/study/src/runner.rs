@@ -1,7 +1,7 @@
 //! Executing one study unit (in whichever process it landed).
 //!
 //! The measurement itself is `portability::measure_structured` /
-//! `measure_mgcfd` — the same dry-run pricing the figure binaries use —
+//! `measure_mgcfd` — the same dry-run pricing the paper table uses —
 //! repeated `reps` times so the merged manifest carries a wall-clock
 //! distribution per cell. The *simulated* quantities (runtime,
 //! efficiency, GB/s) are deterministic; only the wall-clock samples

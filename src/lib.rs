@@ -34,8 +34,9 @@
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and the
-//! `bench-harness` crate for the binaries that regenerate every table
-//! and figure of the paper.
+//! `bench-harness` crate's `regenerate_all` binary, which prices the
+//! paper's cross-product once and writes every table and figure into
+//! `results/`.
 
 pub use babelstream;
 pub use machine_model;
