@@ -9,22 +9,24 @@
 //! execute back-to-back, and the whole sequence commits under **one**
 //! ledger lock acquisition. Each stage calls the same per-op function
 //! [`Session::launch`] does — only the locking differs — and phase
-//! spans exist only here.
+//! spans exist only here. The plan itself is the replay's ledger entry:
+//! commit appends one `Arc` clone of it instead of one record per
+//! launch, while each launch still advances the clock in turn.
 //!
 //! The non-negotiable invariant: a replayed graph leaves the ledger
 //! **bit-identical** to launching the same sequence eagerly. A plan
-//! holds exactly what per-launch lookups would return (graph ids are
-//! process-unique, a finished graph is immutable, and a price depends
-//! only on the session's fixed context and the kernel); commit applies
-//! ops in recorded order with the same floating-point accumulation, the
-//! same interning and the same observer ordering.
+//! holds exactly the records per-launch lookups would return (graph ids
+//! are process-unique, a finished graph is immutable, and a price
+//! depends only on the session's fixed context and the kernel); commit
+//! applies ops in recorded order with the same floating-point
+//! accumulation, the same interning and the same observer ordering, and
+//! every ledger reader walks the entries in that order.
 
 use crate::kernel::Kernel;
 use crate::launch::commit::{CommitLocks, Op};
 use crate::launch::execute::execute;
-use crate::launch::price::Priced;
 use crate::launch::record::{LaunchMeta, LaunchNode};
-use crate::session::Session;
+use crate::session::{LaunchRecord, Session};
 use machine_model::{Precision, TransferDir};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -93,16 +95,17 @@ impl<'a> GraphBuilder<'a> {
     /// their access sets record through
     /// [`GraphBuilder::launch_with_meta`] instead.
     pub fn launch(&mut self, kernel: &Kernel, body: impl Fn(bool) + Sync + 'a) {
-        self.launch_with_meta(kernel, LaunchMeta::opaque(), body);
+        self.launch_with_meta(kernel.clone(), LaunchMeta::opaque(), body);
     }
 
     /// Record one launch together with its declared access metadata.
     /// `meta` feeds the static dataflow analyzer only: it is not hashed
     /// into the pricing fingerprint and never reaches the ledger, so
-    /// recording it cannot change pricing or execution.
+    /// recording it cannot change pricing or execution. The graph keeps
+    /// `kernel` as its snapshot.
     pub fn launch_with_meta(
         &mut self,
-        kernel: &Kernel,
+        kernel: Kernel,
         meta: LaunchMeta,
         body: impl Fn(bool) + Sync + 'a,
     ) {
@@ -212,18 +215,19 @@ impl<'a> GraphBuilder<'a> {
 pub trait LaunchTarget<'a> {
     /// Launch (eagerly) or record (into a graph) one kernel. `body`
     /// receives `session.executes()`. A session drops `meta`: eager
-    /// launches declare no accesses, so they never touch residency.
-    fn launch_node(&mut self, kernel: &Kernel, meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a);
+    /// launches declare no accesses, so they never touch residency. A
+    /// graph keeps `kernel` as its snapshot, so recording never copies it.
+    fn launch_node(&mut self, kernel: Kernel, meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a);
 }
 
 impl<'a> LaunchTarget<'a> for &Session {
-    fn launch_node(&mut self, kernel: &Kernel, _meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a) {
-        self.launch(kernel, || body(self.executes()));
+    fn launch_node(&mut self, kernel: Kernel, _meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a) {
+        self.launch(&kernel, || body(self.executes()));
     }
 }
 
 impl<'a> LaunchTarget<'a> for GraphBuilder<'a> {
-    fn launch_node(&mut self, kernel: &Kernel, meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a) {
+    fn launch_node(&mut self, kernel: Kernel, meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a) {
         self.launch_with_meta(kernel, meta, body);
     }
 }
@@ -366,9 +370,11 @@ impl LaunchGraph<'_> {
     /// Replay the graph on `session`: fetch its priced plan (built on
     /// the session's first replay of this graph by per-launch lookups
     /// in the fingerprint cache, under a single lock), execute the
-    /// functional bodies, then append the whole sequence to the ledger
-    /// under a single lock acquisition. Launch observers fire per
-    /// record in ledger order after the lock is released.
+    /// functional bodies, then commit the whole sequence under a single
+    /// ledger lock acquisition: each launch advances the clock and
+    /// residency in recorded order, and the plan is appended to the
+    /// ledger as one entry. Launch observers fire per record in ledger
+    /// order after the lock is released.
     pub fn replay(&self, session: &Session) {
         self.notify_observer(session);
         let replay_span = telemetry::SpanTimer::start();
@@ -387,11 +393,10 @@ impl LaunchGraph<'_> {
         self.execute_stage(&plan, session.executes());
 
         let mut locks = CommitLocks::new(session);
-        locks.reserve(self.launches as usize);
         for (op, p) in self.ops.iter().zip(plan.iter()) {
             let op = match op {
                 GraphOp::Launch { meta, .. } => Op::Launch {
-                    priced: p.as_ref().expect("launch ops are priced"),
+                    record: p.as_ref().expect("launch ops are priced"),
                     meta: Some(meta),
                 },
                 GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
@@ -409,6 +414,7 @@ impl LaunchGraph<'_> {
             };
             locks.commit(op);
         }
+        locks.push_plan(plan, self.launches as usize);
         locks.release();
         if let Some(t) = replay_span {
             t.finish(
@@ -423,7 +429,7 @@ impl LaunchGraph<'_> {
     /// Execute stage: run the launch bodies in recorded order, with the
     /// phase spans bracketing them. Flight brackets (launch and phase)
     /// are written only when the session executes its bodies.
-    fn execute_stage(&self, priced: &[Option<Priced>], executes: bool) {
+    fn execute_stage(&self, priced: &[Option<LaunchRecord>], executes: bool) {
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
         let flight = executes && telemetry::flight::recording();
         for (op, p) in self.ops.iter().zip(priced) {
@@ -458,7 +464,7 @@ impl LaunchGraph<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{LaunchRecord, SessionConfig};
+    use crate::session::SessionConfig;
     use crate::toolchain::Toolchain;
     use machine_model::PlatformId;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -496,6 +502,107 @@ mod tests {
         }
         assert_eq!(batched.ledger_digest(), eager.ledger_digest());
         assert_eq!(batched.elapsed().to_bits(), eager.elapsed().to_bits());
+    }
+
+    /// Everything a ledger reader can see, for comparing two sessions:
+    /// the digests and f64 aggregates by bits, the transfer counts, and
+    /// each record's name and price in order.
+    type LedgerView = ([u64; 5], crate::TransferStats, Vec<(String, u64)>);
+
+    fn ledger_view(s: &Session) -> LedgerView {
+        let records = s.records();
+        let seq: Vec<(String, u64)> = records
+            .iter()
+            .map(|r| (r.name.to_string(), r.time.total.to_bits()))
+            .collect();
+        assert_eq!(records.len(), seq.len(), "len() counts every record");
+        drop(records);
+        let sums = [
+            s.ledger_digest(),
+            s.launch_digest(),
+            s.elapsed().to_bits(),
+            s.boundary_fraction().to_bits(),
+            s.effective_bandwidth().to_bits(),
+        ];
+        (sums, s.transfer_stats(), seq)
+    }
+
+    #[test]
+    fn entry_ledger_matches_eager_launches_in_order() {
+        let k1 = Kernel::streaming("triad", 1 << 20, 3e7, 2e6);
+        let k2 = Kernel::streaming("copy", 1 << 18, 4e6, 0.0);
+        let halo = Kernel::streaming("halo", 512, 2.0 * 8.0 * 512.0, 0.0);
+        let base = SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app("graph");
+        for cfg in [base.clone(), base.no_pricing_cache()] {
+            let replayed = Session::create(cfg.clone()).unwrap();
+            let eager = Session::create(cfg.clone()).unwrap();
+
+            let mut g = replayed.record();
+            g.phase("step");
+            g.launch(&k1, |_| {});
+            g.upload_dats(1e6, vec![1, 2]);
+            g.launch(&halo, |_| {});
+            g.exchange(1e6, 8);
+            g.download_dats(1e6, vec![1]);
+            g.launch(&k2, |_| {});
+            g.end_phase();
+            let g = g.finish();
+            let step = |s: &Session| {
+                s.launch(&k1, || ());
+                s.upload(1e6, &[1, 2]);
+                s.launch(&halo, || ());
+                s.exchange(1e6, 8);
+                s.download(1e6, &[1]);
+                s.launch(&k2, || ());
+            };
+            let mut g2 = replayed.record();
+            g2.launch(&k2, |_| {});
+            g2.transfer(1e5);
+            g2.launch(&halo, |_| {});
+            let g2 = g2.finish();
+            let step2 = |s: &Session| {
+                s.launch(&k2, || ());
+                s.transfer(1e5);
+                s.launch(&halo, || ());
+            };
+
+            for s in [&replayed, &eager] {
+                s.launch(&k1, || ());
+                s.launch(&halo, || ());
+            }
+            for _ in 0..3 {
+                g.replay(&replayed);
+                step(&eager);
+            }
+            replayed.launch(&k2, || ());
+            eager.launch(&k2, || ());
+            g2.replay(&replayed);
+            step2(&eager);
+            let before = ledger_view(&replayed);
+            assert_eq!(before, ledger_view(&eager), "{cfg:?}");
+            assert_eq!(before.2.len(), 2 + 3 * 3 + 1 + 2);
+
+            for s in [&replayed, &eager] {
+                s.reset();
+            }
+            assert_eq!(ledger_view(&replayed), ledger_view(&eager));
+            assert!(replayed.records().is_empty());
+            for _ in 0..2 {
+                g2.replay(&replayed);
+                step2(&eager);
+                g.replay(&replayed);
+                step(&eager);
+            }
+            eager.launch(&k1, || ());
+            replayed.launch(&k1, || ());
+            let after = ledger_view(&replayed);
+            assert_eq!(after, ledger_view(&eager), "{cfg:?}");
+            assert_eq!(after.2.len(), 2 * (2 + 3) + 1);
+            let records = replayed.records();
+            let last = records.get(records.len() - 1).unwrap();
+            assert_eq!(&*last.name, "triad");
+            assert!(records.get(records.len()).is_none());
+        }
     }
 
     #[test]
@@ -656,7 +763,7 @@ mod tests {
         let mut g = s.record();
         g.phase("step");
         g.launch_with_meta(
-            &k,
+            k.clone(),
             LaunchMeta::new(
                 vec![
                     DatAccess {
@@ -729,7 +836,7 @@ mod tests {
         let g1 = g1.finish();
         let mut g2 = tagged.record();
         g2.launch_with_meta(
-            &k,
+            k.clone(),
             LaunchMeta::new(
                 vec![DatAccess {
                     dat: 3,

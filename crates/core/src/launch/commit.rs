@@ -1,27 +1,52 @@
 //! Layer 4 — **commit**: apply one op to the session's committed state.
-//! A launch appends its priced record and applies its declared writes to
-//! residency; a transfer or exchange is priced here, in recorded order
-//! (residency decides whether it moves anything), and charged to the
-//! clock. [`Session::launch`](crate::Session::launch) commits one op at
-//! a time, graph replay a whole sequence under one `CommitLocks`. Only
-//! when a launch observer is installed are appended records copied
+//! A launch advances the clock by its priced time and applies its
+//! declared writes to residency; a transfer or exchange is priced here,
+//! in recorded order (residency decides whether it moves anything), and
+//! charged to the clock. The ledger is a list of entries: an eager
+//! launch appends its one record, a graph replay appends its shared
+//! plan as one entry, while its launches still advance the clock one by
+//! one. [`Session::launch`](crate::Session::launch) commits one op at a
+//! time, graph replay a whole sequence under one `CommitLocks`. Only
+//! when a launch observer is installed are committed records copied
 //! aside; the observer sees them after the locks are released.
 
-use crate::launch::price::{CommOp, PriceCache, Priced};
+use crate::launch::price::{CommOp, Plan, PriceCache};
 use crate::launch::record::LaunchMeta;
 use crate::launch::residency::ResidencyTracker;
 use crate::session::{LaunchObserver, LaunchRecord, Session};
 use machine_model::TransferDir;
 use parkit::sync::MutexGuard;
-use std::sync::Arc;
 
-/// The session's committed state: the simulated clock and the per-launch
+/// One ledger entry: the records one commit appended, in launch order.
+pub(crate) enum Entry {
+    /// An eager launch's record (always `Some`; stored as an `Option`
+    /// so it reads as a one-slot plan).
+    Launch(Option<LaunchRecord>),
+    /// One replay of a recorded graph: the plan it was priced with,
+    /// shared with the session's price cache and every other replay.
+    Replay(Plan),
+}
+
+impl Entry {
+    /// The entry's slots in recorded order: `Some` per launch, `None`
+    /// per non-launch op of a replayed graph.
+    pub fn slots(&self) -> &[Option<LaunchRecord>] {
+        match self {
+            Entry::Launch(record) => std::slice::from_ref(record),
+            Entry::Replay(plan) => plan,
+        }
+    }
+}
+
+/// The session's committed state: the simulated clock and the launch
 /// ledger. Lives behind `Session`'s ledger mutex; the pricing cache has
 /// its own lock, so a commit never waits on a cold pricing walk.
 pub(crate) struct Ledger {
     pub elapsed: f64,
     pub comm_time: f64,
-    pub records: Vec<LaunchRecord>,
+    entries: Vec<Entry>,
+    /// Launch records across `entries`.
+    len: usize,
     /// Optional per-launch observer (the verifier's footprint pass).
     /// Observes only — pricing and the ledger are unaffected. Invoked
     /// by the caller *after* the ledger lock is released.
@@ -33,24 +58,27 @@ impl Ledger {
         Ledger {
             elapsed: 0.0,
             comm_time: 0.0,
-            records: Vec::new(),
+            entries: Vec::new(),
+            len: 0,
             observer: None,
         }
     }
 
-    /// Append one priced launch: advance the clock, push the record.
-    /// Returns the appended record, for a caller that must copy it out
-    /// to an observer.
-    pub fn append(&mut self, p: &Priced) -> &LaunchRecord {
-        self.elapsed += p.time.total;
-        self.records.push(LaunchRecord {
-            name: Arc::clone(&p.name),
-            time: p.time,
-            items: p.items,
-            effective_bytes: p.effective_bytes,
-            boundary: p.boundary,
-        });
-        self.records.last().expect("just pushed")
+    /// Advance the clock by one committed launch.
+    pub fn advance(&mut self, record: &LaunchRecord) {
+        self.elapsed += record.time.total;
+    }
+
+    /// Append one eager launch's record.
+    pub fn push_launch(&mut self, record: LaunchRecord) {
+        self.len += 1;
+        self.entries.push(Entry::Launch(Some(record)));
+    }
+
+    /// Append one replay's plan, which holds `launches` records.
+    pub fn push_plan(&mut self, plan: Plan, launches: usize) {
+        self.len += launches;
+        self.entries.push(Entry::Replay(plan));
     }
 
     /// Charge communication time (transfers, halo exchanges).
@@ -58,14 +86,32 @@ impl Ledger {
         self.elapsed += t;
         self.comm_time += t;
     }
+
+    /// Launch records in the ledger.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Every launch record, in commit order.
+    pub fn records(&self) -> impl Iterator<Item = &LaunchRecord> {
+        self.entries.iter().flat_map(Entry::slots).flatten()
+    }
+
+    /// Zero the clock and drop every entry.
+    pub fn clear(&mut self) {
+        self.elapsed = 0.0;
+        self.comm_time = 0.0;
+        self.entries.clear();
+        self.len = 0;
+    }
 }
 
-/// One op as the commit stage sees it. Launches arrive priced; `meta`
-/// is the declared access set of a recorded launch (eager launches
-/// declare none, so they never change residency).
+/// One op as the commit stage sees it. Launches arrive priced as their
+/// ledger record; `meta` is the declared access set of a recorded launch
+/// (eager launches declare none, so they never change residency).
 pub(crate) enum Op<'o> {
     Launch {
-        priced: &'o Priced,
+        record: &'o LaunchRecord,
         meta: Option<&'o LaunchMeta>,
     },
     Transfer {
@@ -82,8 +128,8 @@ pub(crate) enum Op<'o> {
 /// The session locks the commit stage writes through. The ledger is
 /// locked up front; the price cache and residency tracker only when an
 /// op needs them, always in the order ledger → cache → residency. The
-/// launch observer is captured with the ledger lock, and appended
-/// records are kept for it only when it exists.
+/// launch observer is captured with the ledger lock, and committed
+/// records are copied for it only when it exists.
 pub(crate) struct CommitLocks<'s> {
     session: &'s Session,
     ledger: MutexGuard<'s, Ledger>,
@@ -107,11 +153,6 @@ impl<'s> CommitLocks<'s> {
         }
     }
 
-    /// Reserve ledger room for `launches` more records.
-    pub fn reserve(&mut self, launches: usize) {
-        self.ledger.records.reserve(launches);
-    }
-
     /// The price cache and residency tracker, locked on first use.
     fn cache_and_residency(&mut self) -> (&mut PriceCache, &mut ResidencyTracker) {
         let session = self.session;
@@ -122,17 +163,20 @@ impl<'s> CommitLocks<'s> {
         (cache, residency)
     }
 
-    /// Commit one op. A launch's record is kept for the observer, if
-    /// one is installed, until [`CommitLocks::release`] delivers it.
+    /// Commit one op. A launch advances the clock but appends nothing:
+    /// the caller appends its record (or its replay's plan) with
+    /// [`CommitLocks::push_launch`] or [`CommitLocks::push_plan`]. A
+    /// launch's record is copied for the observer, if one is installed,
+    /// until [`CommitLocks::release`] delivers it.
     pub fn commit(&mut self, op: Op<'_>) {
         let session = self.session;
         let pinned = session.config().pinned_transfers;
         let t = match op {
-            Op::Launch { priced, meta } => {
+            Op::Launch { record, meta } => {
                 if let Some(meta) = meta {
                     self.cache_and_residency().1.apply_launch(meta);
                 }
-                let record = self.ledger.append(priced);
+                self.ledger.advance(record);
                 if self.observer.is_some() {
                     self.observed.push(record.clone());
                 }
@@ -160,6 +204,16 @@ impl<'s> CommitLocks<'s> {
         }
     }
 
+    /// Append one eager launch's record to the ledger.
+    pub fn push_launch(&mut self, record: LaunchRecord) {
+        self.ledger.push_launch(record);
+    }
+
+    /// Append one replay's plan to the ledger as a single entry.
+    pub fn push_plan(&mut self, plan: Plan, launches: usize) {
+        self.ledger.push_plan(plan, launches);
+    }
+
     /// Release every lock, then hand the committed launch records to
     /// the observer captured in [`CommitLocks::new`], in ledger order.
     pub fn release(self) {
@@ -184,9 +238,10 @@ impl<'s> CommitLocks<'s> {
 mod tests {
     use super::*;
     use machine_model::KernelTime;
+    use std::sync::Arc;
 
-    fn priced(name: &str, total: f64) -> Priced {
-        Priced {
+    fn record(name: &str, total: f64) -> LaunchRecord {
+        LaunchRecord {
             time: KernelTime {
                 total,
                 memory: total,
@@ -210,11 +265,21 @@ mod tests {
     #[test]
     fn append_advances_the_clock_in_order() {
         let mut led = Ledger::new();
-        led.append(&priced("a", 1.0));
-        led.append(&priced("b", 2.0));
-        assert_eq!(led.elapsed, 3.0);
-        assert_eq!(led.records.len(), 2);
-        assert_eq!(&*led.records[1].name, "b");
+        let a = record("a", 1.0);
+        led.advance(&a);
+        led.push_launch(a);
+        let plan: Plan = Arc::from(vec![Some(record("b", 2.0)), None, Some(record("c", 4.0))]);
+        for r in plan.iter().flatten() {
+            led.advance(r);
+        }
+        led.push_plan(plan, 2);
+        assert_eq!(led.elapsed, 7.0);
+        assert_eq!(led.len(), 3);
+        let names: Vec<&str> = led.records().map(|r| &*r.name).collect();
+        assert_eq!(names, ["a", "b", "c"]);
         assert_eq!(led.comm_time, 0.0);
+        led.clear();
+        assert_eq!((led.len(), led.records().count()), (0, 0));
+        assert_eq!(led.elapsed, 0.0);
     }
 }

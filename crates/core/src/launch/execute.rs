@@ -6,7 +6,7 @@
 //! only: a dry-run launch runs an empty body, and timestamping it would
 //! cost more than the launch itself.
 
-use crate::launch::price::Priced;
+use crate::session::LaunchRecord;
 use std::sync::Arc;
 
 /// Execute one priced launch: run `body` inside the launch span and,
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// writes no bracket: a crash there is attributed to the enclosing unit
 /// span instead. Like the span, the bracket observes only and never
 /// feeds back into the ledger.
-pub(crate) fn execute<R>(p: &Priced, executes: bool, body: impl FnOnce() -> R) -> R {
+pub(crate) fn execute<R>(p: &LaunchRecord, executes: bool, body: impl FnOnce() -> R) -> R {
     let span = LaunchSpan::start();
     let flight = executes && telemetry::flight::recording();
     if flight {
@@ -30,12 +30,7 @@ pub(crate) fn execute<R>(p: &Priced, executes: bool, body: impl FnOnce() -> R) -
     if flight {
         telemetry::flight::span_close(telemetry::SpanKind::Launch, &p.name);
     }
-    span.finish(
-        Arc::clone(&p.name),
-        p.items,
-        p.effective_bytes,
-        p.time.total,
-    );
+    span.finish(&p.name, p.items, p.effective_bytes, p.time.total);
     r
 }
 
@@ -52,14 +47,14 @@ impl LaunchSpan {
     /// Finish the span: bump the launch counters and record a
     /// `LaunchSpan` carrying the kernel name, iteration count, effective
     /// bytes and the simulated seconds, so traces can report achieved
-    /// GB/s per kernel.
-    fn finish(self, name: Arc<str>, items: u64, effective_bytes: f64, sim_secs: f64) {
+    /// GB/s per kernel. The name is cloned only for a recorded span.
+    fn finish(self, name: &Arc<str>, items: u64, effective_bytes: f64, sim_secs: f64) {
         if let Some(t) = self.0 {
             telemetry::Counters::add(&telemetry::counters().launches, 1);
             telemetry::Counters::add(&telemetry::counters().bytes_moved, effective_bytes as u64);
             t.finish_timed(
                 telemetry::SpanKind::Launch,
-                name,
+                Arc::clone(name),
                 items,
                 effective_bytes,
                 sim_secs,
@@ -78,6 +73,12 @@ mod tests {
         // and finishing it must not record anything.
         let s = LaunchSpan::start();
         assert!(s.0.is_none());
-        s.finish(Arc::from("k"), 1, 8.0, 1e-6);
+        let name: Arc<str> = Arc::from("k");
+        s.finish(&name, 1, 8.0, 1e-6);
+        assert_eq!(
+            Arc::strong_count(&name),
+            1,
+            "no clone for an unrecorded span"
+        );
     }
 }

@@ -5,7 +5,8 @@
 //!    served by the fingerprint cache (and, for a replayed graph, by
 //!    the session's per-graph plan).
 //! 3. [`execute`] — the functional body on parkit, plus launch telemetry.
-//! 4. [`commit`] — one ledger append under the lock.
+//! 4. [`commit`] — advance the clock and append one ledger entry under
+//!    the lock: an eager launch's record, or a replay's whole plan.
 //!
 //! [`Session::launch`](crate::Session::launch) is the thin eager
 //! composition of the four; [`LaunchGraph`](crate::LaunchGraph) records a

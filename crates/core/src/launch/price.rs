@@ -4,6 +4,7 @@
 //! recorded graph so repeat replays cost one.
 
 use crate::kernel::{Kernel, KernelTraits};
+use crate::session::LaunchRecord;
 use crate::toolchain::{SyclVariant, Toolchain};
 use machine_model::{predict, AtomicKind, ExecProfile, KernelTime, Platform, TransferDir};
 use std::collections::HashMap;
@@ -11,7 +12,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Memoised pricing for one kernel fingerprint: everything the commit
-/// layer needs to append a ledger entry without re-walking the models.
+/// layer needs to build a ledger record without re-walking the models.
 struct CachedPrice {
     /// The full fingerprint, kept to verify hash-bucket hits exactly.
     footprint: machine_model::KernelFootprint,
@@ -32,21 +33,11 @@ impl CachedPrice {
     }
 }
 
-/// The output of the pricing layer for one launch: the simulated time
-/// plus the interned name and ledger fields the commit layer appends.
-#[derive(Debug, Clone)]
-pub(crate) struct Priced {
-    pub time: KernelTime,
-    pub name: Arc<str>,
-    pub items: u64,
-    pub effective_bytes: f64,
-    pub boundary: bool,
-}
-
-/// The priced ops of one recorded graph, in recorded order: `Some` for
-/// a launch, `None` for every other op. Shared by every replay of the
-/// graph on the session that priced it.
-pub(crate) type Plan = Arc<[Option<Priced>]>;
+/// The priced ops of one recorded graph, in recorded order: the ledger
+/// record of each launch, `None` for every other op. Shared by every
+/// replay of the graph on the session that priced it, and committed to
+/// the ledger as one entry per replay.
+pub(crate) type Plan = Arc<[Option<LaunchRecord>]>;
 
 /// The session pricing context the cold path needs (fixed per session).
 #[derive(Debug, Clone, Copy)]
@@ -244,18 +235,19 @@ impl PriceCache {
         time
     }
 
-    /// Price one launch under `key` (the kernel's fingerprint). Repeat
-    /// launches of a cached fingerprint cost a hash lookup; cold
-    /// launches walk the models once and memoise the result. The name
-    /// is interned, so records of repeat launches share one allocation.
-    pub fn price(&mut self, ctx: &PriceContext<'_>, kernel: &Kernel, key: u64) -> Priced {
+    /// Price one launch under `key` (the kernel's fingerprint) into its
+    /// ledger record. Repeat launches of a cached fingerprint cost a
+    /// hash lookup; cold launches walk the models once and memoise the
+    /// result. The name is interned, so records of repeat launches share
+    /// one allocation.
+    pub fn price(&mut self, ctx: &PriceContext<'_>, kernel: &Kernel, key: u64) -> LaunchRecord {
         if self.enabled {
             if let Some(c) = self.map.get(&key) {
                 if c.matches(kernel) {
                     if telemetry::enabled() {
                         telemetry::Counters::add(&telemetry::counters().pricing_cache_hits, 1);
                     }
-                    return Priced {
+                    return LaunchRecord {
                         time: c.time,
                         name: Arc::clone(&c.name),
                         items: c.footprint.items,
@@ -286,7 +278,7 @@ impl PriceCache {
                 },
             );
         }
-        Priced {
+        LaunchRecord {
             time,
             name,
             items: kernel.footprint.items,

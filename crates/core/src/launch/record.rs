@@ -163,11 +163,11 @@ pub struct LaunchNode {
 }
 
 impl LaunchNode {
-    /// Snapshot `kernel` and precompute its fingerprint.
-    pub fn new(kernel: &Kernel) -> LaunchNode {
+    /// Take `kernel` as the snapshot and precompute its fingerprint.
+    pub fn new(kernel: Kernel) -> LaunchNode {
         LaunchNode {
-            key: fingerprint(kernel),
-            kernel: kernel.clone(),
+            key: fingerprint(&kernel),
+            kernel,
         }
     }
 
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn node_snapshot_carries_the_kernel_fingerprint() {
         let k = Kernel::streaming("copy", 1 << 10, 2.0 * 8.0 * 1024.0, 0.0);
-        let n = LaunchNode::new(&k);
+        let n = LaunchNode::new(k.clone());
         assert_eq!(n.fingerprint(), fingerprint(&k));
         assert_eq!(n.kernel().footprint.name, "copy");
     }

@@ -5,19 +5,21 @@
 //! [`Session::launch`] call runs one op through the four launch layers
 //! in [`crate::launch`]: **record** fingerprints the kernel with no
 //! lock, **price** walks the quirk/toolchain/platform models (served by
-//! the fingerprint cache behind its own mutex), **commit** appends one
-//! ledger entry under the ledger mutex, and **execute** runs the kernel
-//! body *functionally* so the application's numerics are real.
+//! the fingerprint cache behind its own mutex), **commit** advances the
+//! clock and appends one ledger entry under the ledger mutex, and
+//! **execute** runs the kernel body *functionally* so the application's
+//! numerics are real.
 //! [`Session::transfer`], [`Session::upload`], [`Session::download`]
 //! and [`Session::exchange`] commit one data-movement op the same way.
 //! [`crate::LaunchGraph`] replay calls the same per-op stages over a
-//! recorded sequence, with one lock acquisition per stage per replay.
+//! recorded sequence, with one lock acquisition per stage per replay,
+//! and appends the replay's priced plan as one ledger entry.
 
 use crate::error::Failure;
 use crate::kernel::Kernel;
 use crate::launch::commit::{CommitLocks, Ledger, Op};
 use crate::launch::execute::execute;
-use crate::launch::price::{PriceCache, PriceContext, Priced};
+use crate::launch::price::{PriceCache, PriceContext};
 use crate::launch::record::fingerprint;
 use crate::launch::residency::{ResidencyTracker, TransferStats};
 use crate::quirks;
@@ -27,8 +29,9 @@ use parkit::sync::{Mutex, MutexGuard};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// One priced kernel launch. The name is interned (`Arc<str>`), so
-/// records of repeat launches share one allocation.
+/// One priced kernel launch: what the pricing layer returns and what
+/// the ledger holds. The name is interned (`Arc<str>`), so records of
+/// repeat launches share one allocation.
 #[derive(Debug, Clone)]
 pub struct LaunchRecord {
     pub name: Arc<str>,
@@ -149,25 +152,33 @@ pub struct Session {
 }
 
 /// Short-lived read view of the launch ledger, returned by
-/// [`Session::records`]. Derefs to `[LaunchRecord]` without cloning.
-/// The guard holds the ledger lock: drop it before calling any session
-/// method that appends (launch/transfer/exchange/reset).
+/// [`Session::records`]. It walks the ledger's entries in commit order
+/// (an eager launch's record, or every launch of a replay's shared
+/// plan) without cloning or collecting them. The guard holds the ledger
+/// lock: drop it before calling any session method that appends
+/// (launch/transfer/exchange/reset).
 pub struct Records<'a>(MutexGuard<'a, Ledger>);
 
-impl std::ops::Deref for Records<'_> {
-    type Target = [LaunchRecord];
-
-    fn deref(&self) -> &[LaunchRecord] {
-        &self.0.records
+impl Records<'_> {
+    /// Launch records in the ledger.
+    pub fn len(&self) -> usize {
+        self.0.len()
     }
-}
 
-impl<'a> IntoIterator for &'a Records<'_> {
-    type Item = &'a LaunchRecord;
-    type IntoIter = std::slice::Iter<'a, LaunchRecord>;
+    /// True when nothing has been launched since creation or reset.
+    pub fn is_empty(&self) -> bool {
+        self.0.len() == 0
+    }
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
+    /// Every launch record, in commit order.
+    pub fn iter(&self) -> impl Iterator<Item = &LaunchRecord> {
+        self.0.records()
+    }
+
+    /// The `i`-th launch record, if any. Walks the ledger from the
+    /// start, so it costs O(`i`).
+    pub fn get(&self, i: usize) -> Option<&LaunchRecord> {
+        self.iter().nth(i)
     }
 }
 
@@ -263,7 +274,7 @@ impl Session {
     /// Start recording a launch graph. Record methods on the builder
     /// capture kernels and functional bodies; [`crate::LaunchGraph::replay`]
     /// then prices the whole sequence once per session and commits it
-    /// under a single ledger lock per replay.
+    /// under a single ledger lock per replay, as one ledger entry.
     pub fn record(&self) -> crate::graph::GraphBuilder<'_> {
         crate::graph::GraphBuilder::new()
     }
@@ -276,18 +287,24 @@ impl Session {
         // record → price → commit → execute: the ledger entry lands
         // before the body runs. Eager launches declare no accesses, so
         // they leave residency alone.
-        let priced = self.price_launch(&mut self.cache.lock(), kernel, fingerprint(kernel));
+        let record = self.price_launch(&mut self.cache.lock(), kernel, fingerprint(kernel));
         let mut locks = CommitLocks::new(self);
         locks.commit(Op::Launch {
-            priced: &priced,
+            record: &record,
             meta: None,
         });
+        locks.push_launch(record.clone());
         locks.release();
-        (execute(&priced, self.executes(), body), priced.time)
+        (execute(&record, self.executes(), body), record.time)
     }
 
     /// Price stage for one launch, against a caller-held cache lock.
-    pub(crate) fn price_launch(&self, cache: &mut PriceCache, kernel: &Kernel, key: u64) -> Priced {
+    pub(crate) fn price_launch(
+        &self,
+        cache: &mut PriceCache,
+        kernel: &Kernel,
+        key: u64,
+    ) -> LaunchRecord {
         cache.price(&self.price_context(), kernel, key)
     }
 
@@ -376,8 +393,8 @@ impl Session {
     }
 
     /// Borrow the launch ledger without cloning it. The returned guard
-    /// derefs to `[LaunchRecord]`; observers and the verifier no longer
-    /// pay O(ledger) per call. Keep the guard short-lived.
+    /// iterates the records in commit order and knows their count, so
+    /// readers never copy the ledger. Keep the guard short-lived.
     pub fn records(&self) -> Records<'_> {
         Records(self.ledger.lock())
     }
@@ -391,7 +408,7 @@ impl Session {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         led.elapsed.to_bits().hash(&mut h);
         led.comm_time.to_bits().hash(&mut h);
-        hash_records(&led.records, &mut h);
+        hash_records(&led, &mut h);
         h.finish()
     }
 
@@ -403,7 +420,7 @@ impl Session {
     pub fn launch_digest(&self) -> u64 {
         let led = self.ledger.lock();
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        hash_records(&led.records, &mut h);
+        hash_records(&led, &mut h);
         h.finish()
     }
 
@@ -415,8 +432,7 @@ impl Session {
             return 0.0;
         }
         let b: f64 = led
-            .records
-            .iter()
+            .records()
             .filter(|r| r.boundary)
             .map(|r| r.time.total)
             .sum();
@@ -428,7 +444,7 @@ impl Session {
         use std::collections::HashMap;
         let led = self.ledger.lock();
         let mut agg: HashMap<&str, (f64, usize)> = HashMap::new();
-        for r in &led.records {
+        for r in led.records() {
             let e = agg.entry(&*r.name).or_insert((0.0, 0));
             e.0 += r.time.total;
             e.1 += 1;
@@ -445,7 +461,7 @@ impl Session {
     /// (the OP2 §4.3 reporting rule), bytes/s.
     pub fn effective_bandwidth(&self) -> f64 {
         let led = self.ledger.lock();
-        let bytes: f64 = led.records.iter().map(|r| r.effective_bytes).sum();
+        let bytes: f64 = led.records().map(|r| r.effective_bytes).sum();
         if led.elapsed > 0.0 {
             bytes / led.elapsed
         } else {
@@ -461,8 +477,7 @@ impl Session {
         let led = self.ledger.lock();
         let total = led.elapsed.max(1e-30);
         let boundary: f64 = led
-            .records
-            .iter()
+            .records()
             .filter(|r| r.boundary)
             .map(|r| r.time.total)
             .sum();
@@ -477,12 +492,12 @@ impl Session {
             self.cfg.toolchain.label(),
             self.cfg.variant.label(),
             total * 1e3,
-            led.records.len(),
+            led.len(),
             bfrac * 100.0
         );
         out.push_str("kernel                sec      %time  launches  GB/s(eff)\n");
         let mut agg: HashMap<&str, (f64, usize, f64)> = HashMap::new();
-        for r in &led.records {
+        for r in led.records() {
             let e = agg.entry(&*r.name).or_insert((0.0, 0, 0.0));
             e.0 += r.time.total;
             e.1 += 1;
@@ -508,18 +523,16 @@ impl Session {
     /// pricing cache survives: warm pricing is a property of the session
     /// config, not of the measured interval.
     pub fn reset(&self) {
-        let mut led = self.ledger.lock();
-        led.elapsed = 0.0;
-        led.comm_time = 0.0;
-        led.records.clear();
+        self.ledger.lock().clear();
     }
 }
 
-/// Hash every launch record into `h`, f64s by bit pattern (the shared
-/// body of [`Session::ledger_digest`] and [`Session::launch_digest`]).
-fn hash_records(records: &[LaunchRecord], h: &mut impl Hasher) {
-    records.len().hash(h);
-    for r in records {
+/// Hash every launch record into `h` in commit order, f64s by bit
+/// pattern (the shared body of [`Session::ledger_digest`] and
+/// [`Session::launch_digest`]).
+fn hash_records(led: &Ledger, h: &mut impl Hasher) {
+    led.len().hash(h);
+    for r in led.records() {
         r.name.as_bytes().hash(h);
         r.time.total.to_bits().hash(h);
         r.time.memory.to_bits().hash(h);
@@ -735,8 +748,9 @@ mod tests {
         s.launch(&small, || ());
         s.launch(&big, || ());
         let r = s.records();
-        assert!(r[0].time.total > r[1].time.total * 10.0);
-        assert_eq!(r[0].time.total.to_bits(), r[2].time.total.to_bits());
+        let t: Vec<f64> = r.iter().map(|rec| rec.time.total).collect();
+        assert!(t[0] > t[1] * 10.0);
+        assert_eq!(t[0].to_bits(), t[2].to_bits());
     }
 
     #[test]
@@ -744,24 +758,30 @@ mod tests {
         let s = session(PlatformId::A100, Toolchain::NativeCuda);
         let k = Kernel::streaming("triad", 1 << 20, 3e7, 0.0);
         s.launch(&k, || ());
-        let t0 = s.records()[0].time.total;
+        let t0 = s.records().get(0).unwrap().time.total;
         s.reset();
         s.launch(&k, || ());
         s.launch(&k, || ());
-        assert_eq!(s.records()[0].time.total.to_bits(), t0.to_bits());
+        assert_eq!(
+            s.records().get(0).unwrap().time.total.to_bits(),
+            t0.to_bits()
+        );
         // All records of one kernel share a single interned name.
         let r = s.records();
-        assert!(Arc::ptr_eq(&r[0].name, &r[1].name));
+        assert!(Arc::ptr_eq(
+            &r.get(0).unwrap().name,
+            &r.get(1).unwrap().name
+        ));
     }
 
     #[test]
-    fn records_guard_derefs_without_cloning() {
+    fn records_guard_iterates_without_cloning() {
         let s = session(PlatformId::A100, Toolchain::NativeCuda);
         s.launch(&Kernel::streaming("a", 1 << 16, 1e6, 0.0), || ());
         s.launch(&Kernel::streaming("b", 1 << 16, 1e6, 0.0), || ());
         let r = s.records();
         assert_eq!(r.len(), 2);
-        let names: Vec<&str> = r.into_iter().map(|rec| &*rec.name).collect();
+        let names: Vec<&str> = r.iter().map(|rec| &*rec.name).collect();
         assert_eq!(names, ["a", "b"]);
         drop(r);
         // Guard released: the session is usable again.

@@ -54,8 +54,8 @@ fn run_workload_on(dry_run: bool) -> (Vec<LaunchRecord>, f64, Vec<LaunchRecord>,
     }
     // One guard per statement: a `Records` guard held across `elapsed()`
     // would deadlock on the ledger lock.
-    let cached_records = cached.records().to_vec();
-    let uncached_records = uncached.records().to_vec();
+    let cached_records: Vec<LaunchRecord> = cached.records().iter().cloned().collect();
+    let uncached_records: Vec<LaunchRecord> = uncached.records().iter().cloned().collect();
     (
         cached_records,
         cached.elapsed(),

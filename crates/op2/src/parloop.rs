@@ -419,7 +419,7 @@ impl EdgeLoop {
             };
             let lp = Arc::clone(&lp);
             let body = Arc::clone(&body);
-            to.launch_node(&kernel, meta, move |executes| {
+            to.launch_node(kernel.clone(), meta, move |executes| {
                 let Some(colored) = mesh.filter(|_| executes) else {
                     return;
                 };
@@ -673,7 +673,7 @@ impl VertexLoop {
     /// `EXEC_CHUNK`-sized element ranges.
     fn emit<'a>(self, to: &mut impl LaunchTarget<'a>, body: impl Fn(usize, usize) + Sync + 'a) {
         let kernel = self.kernel(0);
-        to.launch_node(&kernel, LaunchMeta::opaque(), move |executes| {
+        to.launch_node(kernel, LaunchMeta::opaque(), move |executes| {
             self.shadowed(executes, |sh| {
                 if executes {
                     global_pool().for_range(self.set_size, EXEC_CHUNK, |lo, hi| {
@@ -700,7 +700,7 @@ impl VertexLoop {
     {
         let kernel = self.kernel(1);
         let bytes = kernel.footprint.effective_bytes;
-        to.launch_node(&kernel, LaunchMeta::opaque(), move |executes| {
+        to.launch_node(kernel, LaunchMeta::opaque(), move |executes| {
             self.shadowed(executes, |sh| {
                 let n = self.set_size;
                 let out = if executes {

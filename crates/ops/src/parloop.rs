@@ -360,7 +360,7 @@ impl ParLoop {
         let meta = self.launch_meta();
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
-        to.launch_node(&kernel, meta, move |executes| {
+        to.launch_node(kernel, meta, move |executes| {
             self.shadowed(executes, |sh| {
                 if executes {
                     global_pool().run_region(tiles, |_lane, t| {
@@ -390,7 +390,7 @@ impl ParLoop {
         let meta = self.launch_meta();
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
-        to.launch_node(&kernel, meta, move |executes| {
+        to.launch_node(kernel, meta, move |executes| {
             self.shadowed(executes, |sh| {
                 let out = if executes {
                     telemetry::reduce_span(&self.name, tiles, bytes, || {
@@ -562,7 +562,8 @@ mod tests {
             );
         let expect = u.interior_sum(&b);
         assert!((total - expect).abs() < 1e-9);
-        let rec = &s.records()[0];
+        let records = s.records();
+        let rec = records.get(0).unwrap();
         assert!(rec.time.reduction > 0.0 || rec.time.total > 0.0);
     }
 
@@ -779,6 +780,6 @@ mod tests {
                     w.set(i, j, k, 1.0);
                 }
             });
-        assert!(s.records()[0].boundary);
+        assert!(s.records().get(0).unwrap().boundary);
     }
 }
