@@ -208,7 +208,9 @@ impl App for Mgcfd {
                     .transcendentals(1.0)
                     .block_size(block);
                 if let Some(colored) = colored {
-                    let edges = colored.mesh.edges.clone();
+                    // The body borrows the level's edge map: the graph
+                    // lives no longer than the levels it was recorded on.
+                    let edges = &colored.mesh.edges;
                     // Binding the views lets the loop prefetch the rows
                     // its edges gather, in the scheme's order.
                     let acc = rv.to_accum(lp.uses_atomics());
@@ -379,7 +381,7 @@ impl Mgcfd {
             .flops(110.0)
             .block_size(64);
         let atomic = lp.uses_atomics();
-        let edges = colored.mesh.edges.clone();
+        let edges = &colored.mesh.edges;
         {
             let qr = q.reader();
             let acc = res.accum(atomic);

@@ -1,6 +1,21 @@
 //! Edge colouring: the two colour-based race-resolution schemes.
 
 use crate::map::Map;
+use crate::prefetch;
+
+/// The indices of `colors` grouped by colour, each group in index order
+/// and sized by a count pass before it is filled.
+fn group_by_color(colors: &[u32], n_colors: usize) -> Vec<Vec<u32>> {
+    let mut counts = vec![0usize; n_colors];
+    for &c in colors {
+        counts[c as usize] += 1;
+    }
+    let mut groups: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (i, &c) in colors.iter().enumerate() {
+        groups[c as usize].push(i as u32);
+    }
+    groups
+}
 
 /// Global greedy colouring: no two edges of one colour share a target.
 #[derive(Debug, Clone)]
@@ -17,26 +32,27 @@ impl GlobalColoring {
         // For each target, a bitmask of colours already used by incident
         // elements (greedy needs ≤ max_degree·arity colours ≤ 64 for all
         // our meshes).
+        let n = map.from_size();
         let mut used: Vec<u64> = vec![0; map.to_size()];
-        let mut color = vec![0u32; map.from_size()];
+        let mut color = vec![0u32; n];
         let mut n_colors = 0usize;
-        for e in 0..map.from_size() {
-            let mut mask = 0u64;
-            for &t in map.row(e) {
-                mask |= used[t as usize];
+        for e in 0..n {
+            if e + prefetch::DISTANCE < n {
+                for &t in map.row(e + prefetch::DISTANCE) {
+                    prefetch::slot(&used, t as usize);
+                }
             }
+            let row = map.row(e);
+            let mask = row.iter().fold(0, |m, &t| m | used[t as usize]);
             let c = (!mask).trailing_zeros();
             assert!(c < 64, "colouring overflow: degree too high");
             color[e] = c;
             n_colors = n_colors.max(c as usize + 1);
-            for &t in map.row(e) {
+            for &t in row {
                 used[t as usize] |= 1 << c;
             }
         }
-        let mut by_color = vec![Vec::new(); n_colors];
-        for (e, &c) in color.iter().enumerate() {
-            by_color[c as usize].push(e as u32);
-        }
+        let by_color = group_by_color(&color, n_colors);
         GlobalColoring { color, by_color }
     }
 
@@ -94,63 +110,55 @@ impl HierColoring {
     /// Build with the given block size (paper: 256 on GPUs, 4096 on CPUs).
     pub fn build(map: &Map, block_size: usize) -> Self {
         let block_size = block_size.max(1);
-        let n_blocks = map.from_size().div_ceil(block_size);
+        let n = map.from_size();
+        let n_blocks = n.div_ceil(block_size);
 
-        // Colour blocks greedily via target → colours-used bitmask.
-        let mut used: Vec<u64> = vec![0; map.to_size()];
+        // Per target, two colour bitmasks side by side, so one cache
+        // line serves both: `[0]` holds the colours of earlier blocks
+        // touching it, `[1]` the intra colours of this block's earlier
+        // elements touching it (cleared when the block is done).
+        let mut marks: Vec<[u64; 2]> = vec![[0; 2]; map.to_size()];
         let mut block_color = vec![0u32; n_blocks];
+        let mut intra_color = vec![0u32; n];
         let mut n_colors = 0usize;
+        let mut max_intra = 0usize;
         for b in 0..n_blocks {
-            let lo = b * block_size;
-            let hi = ((b + 1) * block_size).min(map.from_size());
+            let (lo, hi) = (b * block_size, ((b + 1) * block_size).min(n));
+            // Greedy intra colours, and the block's conflict mask.
             let mut mask = 0u64;
             for e in lo..hi {
-                for &t in map.row(e) {
-                    mask |= used[t as usize];
+                if e + prefetch::DISTANCE < n {
+                    for &t in map.row(e + prefetch::DISTANCE) {
+                        prefetch::slot(&marks, t as usize);
+                    }
+                }
+                let row = map.row(e);
+                let mut intra_mask = 0u64;
+                for &t in row {
+                    let [block, intra] = marks[t as usize];
+                    mask |= block;
+                    intra_mask |= intra;
+                }
+                let c = (!intra_mask).trailing_zeros();
+                assert!(c < 64, "intra colouring overflow");
+                intra_color[e] = c;
+                max_intra = max_intra.max(c as usize + 1);
+                for &t in row {
+                    marks[t as usize][1] |= 1 << c;
                 }
             }
             let c = (!mask).trailing_zeros();
             assert!(c < 64, "block colouring overflow");
             block_color[b] = c;
             n_colors = n_colors.max(c as usize + 1);
+            // Mark the block's colour and clear its intra marks.
             for e in lo..hi {
                 for &t in map.row(e) {
-                    used[t as usize] |= 1 << c;
+                    marks[t as usize] = [marks[t as usize][0] | 1 << c, 0];
                 }
             }
         }
-        let mut blocks_by_color = vec![Vec::new(); n_colors];
-        for (b, &c) in block_color.iter().enumerate() {
-            blocks_by_color[c as usize].push(b as u32);
-        }
-
-        // Intra-block greedy colouring (fresh bitmask per block).
-        let mut intra_color = vec![0u32; map.from_size()];
-        let mut max_intra = 0usize;
-        let mut intra_used: Vec<u64> = vec![0; map.to_size()];
-        for b in 0..n_blocks {
-            let lo = b * block_size;
-            let hi = ((b + 1) * block_size).min(map.from_size());
-            for e in lo..hi {
-                let mut mask = 0u64;
-                for &t in map.row(e) {
-                    mask |= intra_used[t as usize];
-                }
-                let c = (!mask).trailing_zeros();
-                assert!(c < 64, "intra colouring overflow");
-                intra_color[e] = c;
-                max_intra = max_intra.max(c as usize + 1);
-                for &t in map.row(e) {
-                    intra_used[t as usize] |= 1 << c;
-                }
-            }
-            // Reset the marks this block made.
-            for e in lo..hi {
-                for &t in map.row(e) {
-                    intra_used[t as usize] = 0;
-                }
-            }
-        }
+        let blocks_by_color = group_by_color(&block_color, n_colors);
 
         HierColoring {
             block_size,

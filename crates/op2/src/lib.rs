@@ -33,6 +33,7 @@ pub mod map;
 pub mod mesh;
 pub mod parloop;
 pub mod partition;
+mod prefetch;
 pub mod renumber;
 
 pub use color::{GlobalColoring, HierColoring};

@@ -11,8 +11,30 @@ pub struct Map {
     table: Vec<u32>,
 }
 
+/// Whether `r` lies within 8 entries of `x`. With both below
+/// `2^32 − 8` ([`Map::new`]'s bound), `r − x + 8` lands in `0..=16`
+/// under wrapping arithmetic exactly when `|r − x| ≤ 8`.
+#[inline(always)]
+fn near(r: u32, x: u32) -> bool {
+    r.wrapping_sub(x).wrapping_add(8) <= 16
+}
+
+/// How many entries `t[k]`, `k ≥ width`, lie near one of the `width`
+/// entries before them. Each window is folded without an early exit,
+/// so the scan has no data-dependent branch.
+fn close_in_windows(t: &[u32], width: usize) -> usize {
+    t.windows(width + 1)
+        .map(|w| {
+            let (&x, before) = w.split_last().expect("windows are non-empty");
+            before.iter().fold(false, |hit, &r| hit | near(r, x)) as usize
+        })
+        .sum()
+}
+
 impl Map {
     /// Build a map; panics if the table shape or entries are invalid.
+    /// Targets are `u32` indices below `2^32 − 8`, the bound under which
+    /// [`Map::locality`]'s wrapping distance test is exact.
     pub fn new(
         name: &str,
         from_size: usize,
@@ -21,6 +43,10 @@ impl Map {
         table: Vec<u32>,
     ) -> Self {
         assert_eq!(table.len(), from_size * arity, "map table shape mismatch");
+        assert!(
+            to_size <= u32::MAX as usize - 7,
+            "map target set exceeds the u32 index range"
+        );
         debug_assert!(
             table.iter().all(|&t| (t as usize) < to_size),
             "map entry out of range"
@@ -73,6 +99,12 @@ impl Map {
     /// elements. A renumbered mesh turns its gathers into a handful of
     /// sequential streams and scores near 1; a shuffled mesh gathers
     /// randomly and scores near 0.
+    ///
+    /// Exactly: with `t` the row-major table and `w = 4 · arity`, the
+    /// score counts each entry `t[k]`, `k ≥ arity`, for which some `r`
+    /// in `t[k.saturating_sub(w)..k]` has `|r − t[k]| ≤ 8`, and divides
+    /// by the `t.len() − arity` entries tested (maps with fewer than two
+    /// elements score 1).
     pub fn locality(&self) -> f64 {
         if self.from_size < 2 {
             return 1.0;
@@ -82,19 +114,18 @@ impl Map {
         const WINDOW_ELEMS: usize = 4;
         let window = WINDOW_ELEMS * self.arity;
         let t = &self.table;
-        let close = (self.arity..t.len())
-            .filter(|&k| {
-                let x = t[k] as i64;
-                t[k.saturating_sub(window)..k]
-                    .iter()
-                    .any(|&r| (r as i64 - x).abs() <= 8)
-            })
+        // Targets whose window the table's start cuts short.
+        let head = window.min(t.len());
+        let short = (self.arity..head)
+            .filter(|&k| t[..k].iter().any(|&r| near(r, t[k])))
             .count();
+        // Every later target sees a full window.
+        let full = close_in_windows(t, window);
         let total = t.len() - self.arity;
         if total == 0 {
             1.0
         } else {
-            close as f64 / total as f64
+            (short + full) as f64 / total as f64
         }
     }
 

@@ -80,27 +80,29 @@ impl Mesh {
             }
         };
 
+        // Edges along i, j and k, counted up front so the table is
+        // allocated once.
+        let n_edges = (ni - 1) * nj * nk + ni * (nj - 1) * nk + ni * nj * (nk - 1);
         let vid = |i: usize, j: usize, k: usize| perm[(k * nj + j) * ni + i];
-        let mut table: Vec<u32> = Vec::new();
+        let mut table: Vec<u32> = Vec::with_capacity(2 * n_edges);
         let mut coords = vec![[0.0f32; 3]; n_vertices];
         for k in 0..nk {
             for j in 0..nj {
                 for i in 0..ni {
-                    let v = vid(i, j, k) as usize;
-                    coords[v] = [i as f32, j as f32, k as f32];
+                    let v = vid(i, j, k);
+                    coords[v as usize] = [i as f32, j as f32, k as f32];
                     if i + 1 < ni {
-                        table.extend_from_slice(&[vid(i, j, k), vid(i + 1, j, k)]);
+                        table.extend_from_slice(&[v, vid(i + 1, j, k)]);
                     }
                     if j + 1 < nj {
-                        table.extend_from_slice(&[vid(i, j, k), vid(i, j + 1, k)]);
+                        table.extend_from_slice(&[v, vid(i, j + 1, k)]);
                     }
                     if k + 1 < nk {
-                        table.extend_from_slice(&[vid(i, j, k), vid(i, j, k + 1)]);
+                        table.extend_from_slice(&[v, vid(i, j, k + 1)]);
                     }
                 }
             }
         }
-        let n_edges = table.len() / 2;
         Mesh {
             n_vertices,
             edges: Map::new("edge2vertex", n_edges, n_vertices, 2, table),

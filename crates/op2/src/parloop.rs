@@ -4,6 +4,7 @@
 use crate::color::{GlobalColoring, HierColoring};
 use crate::map::Map;
 use crate::mesh::{Mesh, MeshStats};
+use crate::prefetch;
 use parkit::global_pool;
 use std::sync::{Arc, OnceLock};
 use sycl_sim::{
@@ -29,10 +30,6 @@ const EST_BLOCK_COLORS: usize = 4;
 
 /// Chunk size for functional parallel execution.
 const EXEC_CHUNK: usize = 2048;
-
-/// How many edges ahead, in the scheme's execution order, an edge
-/// loop prefetches the vertex rows of its bound args.
-const PREFETCH_DISTANCE: usize = 16;
 
 /// A vertex dataset named by an [`EdgeLoop`] arg. A bare `usize`
 /// declares only the component count (enough to price the loop); a
@@ -75,24 +72,9 @@ impl Prefetch {
     #[inline(always)]
     fn row(&self, v: usize) {
         let first = self.addr.wrapping_add(v.wrapping_mul(self.row_bytes));
-        prefetch_line(first);
-        prefetch_line(first.wrapping_add(self.row_bytes - 1));
+        prefetch::line(first);
+        prefetch::line(first.wrapping_add(self.row_bytes - 1));
     }
-}
-
-/// Hint the cache to fetch the line holding `addr`.
-#[inline(always)]
-fn prefetch_line(addr: usize) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch is only a hint: it never faults, reads nothing
-    // into the program and has no effect on its semantics, whatever the
-    // address (a stale one merely wastes the hint).
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(addr as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = addr;
 }
 
 /// A loop over the edge set that indirectly increments vertex data.
@@ -441,7 +423,7 @@ impl EdgeLoop {
 
     /// Run `body` over the `n` edges `edge(0..n)`, in that order, while
     /// prefetching the bound vertex rows of the edge
-    /// `PREFETCH_DISTANCE` places ahead. The prefetch only warms the
+    /// `prefetch::DISTANCE` places ahead. The prefetch only warms the
     /// cache, so results are those of the bare loop.
     #[inline(always)]
     fn sweep(
@@ -452,8 +434,8 @@ impl EdgeLoop {
         body: &(impl Fn(usize) + Sync),
     ) {
         for i in 0..n {
-            if !self.prefetch.is_empty() && i + PREFETCH_DISTANCE < n {
-                let ahead = map.row(edge(i + PREFETCH_DISTANCE));
+            if !self.prefetch.is_empty() && i + prefetch::DISTANCE < n {
+                let ahead = map.row(edge(i + prefetch::DISTANCE));
                 for p in &self.prefetch {
                     for &v in ahead {
                         p.row(v as usize);

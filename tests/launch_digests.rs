@@ -10,6 +10,7 @@
 //! paste the table the failure message prints over `PINNED`.
 
 use miniapps::{Acoustic, App, CloverLeaf2d, CloverLeaf3d, Mgcfd, OpenSbli, Rtm, SbliVariant};
+use op2_dsl::Ordering;
 use sycl_sim::{PlatformId, Scheme, Session, SessionConfig, Toolchain};
 
 /// One pinned run: a label, the app, its scheme (MG-CFD only) and
@@ -30,8 +31,22 @@ fn cell(label: &'static str, app: impl App + 'static, scheme: Option<Scheme>, dr
     }
 }
 
-/// Every app at `::test()` size (MG-CFD under all three schemes), then
-/// one dry-run `::paper()` cell per app.
+/// MG-CFD on the benchmark's kind of numbering: a seed-shuffled mesh
+/// whose levels each span more than one exec chunk, so every colour and
+/// block runs across several lanes. Atomics is left out: its add order
+/// over several chunks varies from run to run.
+fn mgcfd_shuffled() -> Mgcfd {
+    Mgcfd {
+        grid: Some((24, 24, 12)),
+        levels: 3,
+        ordering: Ordering::Shuffled(5),
+        ..Mgcfd::test()
+    }
+}
+
+/// Every app at `::test()` size (MG-CFD under all three schemes, and
+/// shuffled under both colourings), then one dry-run `::paper()` cell
+/// per app.
 fn cells() -> Vec<Cell> {
     vec![
         cell("cloverleaf2d/test", CloverLeaf2d::test(), None, false),
@@ -65,6 +80,18 @@ fn cells() -> Vec<Cell> {
         cell(
             "mgcfd/hier/test",
             Mgcfd::test(),
+            Some(Scheme::HierColor),
+            false,
+        ),
+        cell(
+            "mgcfd/global/shuffled",
+            mgcfd_shuffled(),
+            Some(Scheme::GlobalColor),
+            false,
+        ),
+        cell(
+            "mgcfd/hier/shuffled",
+            mgcfd_shuffled(),
             Some(Scheme::HierColor),
             false,
         ),
@@ -127,6 +154,8 @@ const PINNED: &[&str] = &[
     "mgcfd/atomics/test ledger=ada8b4c400a010f0 launch=81403a9ee6602f37 elapsed=3f34f66b9607e581 validation=40ba4ba3516557cf real=7 elided=0",
     "mgcfd/global/test ledger=0a55f8377039a3e8 launch=73e6f6cf201e0570 elapsed=3f451f6379b5e682 validation=40ba4ba3516557cf real=7 elided=0",
     "mgcfd/hier/test ledger=1f172be1f293e155 launch=29fed93f77f3adda elapsed=3f398b5fd7dca575 validation=40ba4ba3516557cf real=7 elided=0",
+    "mgcfd/global/shuffled ledger=51541316a22d26e3 launch=7df4c3d5292877dc elapsed=3f483ed3e1763631 validation=40e3b8f2294adbed real=7 elided=0",
+    "mgcfd/hier/shuffled ledger=ca3be4a35ff3ee7f launch=08df7ab0e8bc2a1f elapsed=3f3fbe749bda7a10 validation=40e3b8f2294adbed real=7 elided=0",
     "cloverleaf2d/paper ledger=afbd3f0c015f67cb launch=fb1f9d1c03927a59 elapsed=3ff0053b025410e5 validation=7ff8000000000000 real=12 elided=0",
     "cloverleaf3d/paper ledger=5605c89a0190d281 launch=e63eb625721595c3 elapsed=3fecab58ed0309e6 validation=7ff8000000000000 real=11 elided=0",
     "opensbli_sa/paper ledger=ac8529db6ee1e2be launch=c003f4264a85caff elapsed=3ff15ee2892cb819 validation=7ff8000000000000 real=16 elided=0",
