@@ -63,9 +63,11 @@ impl App for Acoustic {
         let mut prev = ops_dsl::Dat::<f32>::zeroed(&ab, "p_prev");
         let mut curr = ops_dsl::Dat::<f32>::zeroed(&ab, "p_curr");
         let mut speed = ops_dsl::Dat::<f32>::zeroed(&ab, "speed");
-        speed.fill_with(|i, j, k| {
-            1.0 + 0.2 * (((i + j + k).max(0) as f32) / (3.0 * ab.dims[0] as f32))
-        });
+        if session.executes() {
+            speed.fill_with(|i, j, k| {
+                1.0 + 0.2 * (((i + j + k).max(0) as f32) / (3.0 * ab.dims[0] as f32))
+            });
+        }
         let src = (ab.dims[0] / 2) as i64;
 
         // The fused high-order kernel is long/branchy: OpenSYCL cannot

@@ -58,7 +58,9 @@ struct State {
 }
 
 impl State {
-    fn new(b: &Block) -> State {
+    /// Allocate the fields over `b`; write the initial condition only
+    /// when `fill` (no dry-run body reads a field).
+    fn new(b: &Block, fill: bool) -> State {
         let mut density = ops_dsl::Dat::zeroed(b, "density");
         let mut energy = ops_dsl::Dat::zeroed(b, "energy");
         let mut xvel = ops_dsl::Dat::zeroed(b, "xvel");
@@ -66,31 +68,33 @@ impl State {
         let (nx, ny) = (b.dims[0] as f64, b.dims[1] as f64);
         // A dense, hot square in a light ambient gas (the classic
         // CloverLeaf setup), gentle background velocity field.
-        density.fill_with(|i, j, _| {
-            let (x, y) = (i as f64 / nx, j as f64 / ny);
-            if x < 0.3 && y < 0.3 {
-                2.0
-            } else {
-                1.0
-            }
-        });
-        energy.fill_with(|i, j, _| {
-            let (x, y) = (i as f64 / nx, j as f64 / ny);
-            if x < 0.3 && y < 0.3 {
-                2.5
-            } else {
-                1.0
-            }
-        });
-        xvel.fill_with(|i, j, _| {
-            0.05 * ((i as f64 / nx) * std::f64::consts::TAU).sin()
-                * ((j as f64 / ny) * std::f64::consts::TAU).cos()
-        });
-        yvel.fill_with(|i, j, _| {
-            -0.05
-                * ((i as f64 / nx) * std::f64::consts::TAU).cos()
-                * ((j as f64 / ny) * std::f64::consts::TAU).sin()
-        });
+        if fill {
+            density.fill_with(|i, j, _| {
+                let (x, y) = (i as f64 / nx, j as f64 / ny);
+                if x < 0.3 && y < 0.3 {
+                    2.0
+                } else {
+                    1.0
+                }
+            });
+            energy.fill_with(|i, j, _| {
+                let (x, y) = (i as f64 / nx, j as f64 / ny);
+                if x < 0.3 && y < 0.3 {
+                    2.5
+                } else {
+                    1.0
+                }
+            });
+            xvel.fill_with(|i, j, _| {
+                0.05 * ((i as f64 / nx) * std::f64::consts::TAU).sin()
+                    * ((j as f64 / ny) * std::f64::consts::TAU).cos()
+            });
+            yvel.fill_with(|i, j, _| {
+                -0.05
+                    * ((i as f64 / nx) * std::f64::consts::TAU).cos()
+                    * ((j as f64 / ny) * std::f64::consts::TAU).sin()
+            });
+        }
         State {
             density,
             energy,
@@ -119,7 +123,7 @@ impl App for CloverLeaf2d {
         let _span = crate::common::app_span(self.name());
         let logical = self.logical_block();
         let ab = alloc_block(session, logical);
-        let mut st = State::new(&ab);
+        let mut st = State::new(&ab, session.executes());
         let interior = logical.interior();
         let nx = logical.dims[0] as i64;
         let ny = logical.dims[1] as i64;
@@ -533,7 +537,7 @@ mod tests {
         let s = live_session();
         // Total mass before = interior sum of the initial condition.
         let b = app.logical_block();
-        let init = State::new(&b);
+        let init = State::new(&b, true);
         let mass0 = init.density.interior_sum(&b);
         let run = app.run(&s);
         assert!(
@@ -582,7 +586,7 @@ mod tests {
         app.run(&s);
         // validation is the density sum; rerun manually for energy:
         let b = app.logical_block();
-        let st = State::new(&b);
+        let st = State::new(&b, true);
         assert!(st.energy.interior_sum(&b) > 0.0);
     }
 }

@@ -51,28 +51,32 @@ struct State {
 }
 
 impl State {
-    fn new(b: &Block) -> State {
+    /// Allocate the fields over `b`; write the initial condition only
+    /// when `fill` (no dry-run body reads a field).
+    fn new(b: &Block, fill: bool) -> State {
         let mut density = ops_dsl::Dat::zeroed(b, "density");
         let mut energy = ops_dsl::Dat::zeroed(b, "energy");
         let n = b.dims[0] as f64;
-        density.fill_with(|i, j, k| {
-            if (i as f64) < 0.3 * n && (j as f64) < 0.3 * n && (k as f64) < 0.3 * n {
-                2.0
-            } else {
-                1.0
-            }
-        });
-        energy.fill_with(|_, _, _| 1.0);
         let mut vel = [
             ops_dsl::Dat::zeroed(b, "xvel"),
             ops_dsl::Dat::zeroed(b, "yvel"),
             ops_dsl::Dat::zeroed(b, "zvel"),
         ];
-        for (d, v) in vel.iter_mut().enumerate() {
-            v.fill_with(|i, j, k| {
-                let t = (i + 2 * j + 3 * k) as f64 / n;
-                0.03 * (t * std::f64::consts::TAU + d as f64).sin()
+        if fill {
+            density.fill_with(|i, j, k| {
+                if (i as f64) < 0.3 * n && (j as f64) < 0.3 * n && (k as f64) < 0.3 * n {
+                    2.0
+                } else {
+                    1.0
+                }
             });
+            energy.fill_with(|_, _, _| 1.0);
+            for (d, v) in vel.iter_mut().enumerate() {
+                v.fill_with(|i, j, k| {
+                    let t = (i + 2 * j + 3 * k) as f64 / n;
+                    0.03 * (t * std::f64::consts::TAU + d as f64).sin()
+                });
+            }
         }
         State {
             density,
@@ -102,7 +106,7 @@ impl App for CloverLeaf3d {
         let _span = crate::common::app_span(self.name());
         let logical = self.logical_block();
         let ab = alloc_block(session, logical);
-        let mut st = State::new(&ab);
+        let mut st = State::new(&ab, session.executes());
         let interior = logical.interior();
         let n = logical.dims[0] as i64;
         let dx = 1.0 / n as f64;
@@ -391,7 +395,7 @@ mod tests {
         )
         .unwrap();
         let b = app.logical_block();
-        let mass0 = State::new(&b).density.interior_sum(&b);
+        let mass0 = State::new(&b, true).density.interior_sum(&b);
         let run = app.run(&s);
         assert!(
             (run.validation - mass0).abs() / mass0 < 1e-9,

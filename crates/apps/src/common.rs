@@ -80,6 +80,10 @@ pub fn phase_span(name: &'static str) -> PhaseSpan {
 
 /// The block used for *allocation*: full-size when the session executes
 /// kernels, tiny when dry-running (footprints never look at the data).
+/// A dry run still allocates and registers every dat at this size, so
+/// shadow ids, transfers and launch metadata match a live run, but the
+/// apps write no initial condition into it: they call `fill_with` only
+/// when [`Session::executes`].
 pub fn alloc_block(session: &Session, logical: Block) -> Block {
     if session.executes() {
         logical

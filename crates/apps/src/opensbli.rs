@@ -141,17 +141,20 @@ impl App for OpenSbli {
         let halo = HaloPlan::for_session(&logical, session, 2, 8.0);
         let dt = 1e-3;
 
-        // Five conserved fields with smooth initial data.
+        // Five conserved fields with smooth initial data (written only
+        // when the bodies run to read it).
         let mut q: Vec<ops_dsl::Dat<f64>> = (0..N_VARS)
             .map(|v| {
                 let mut d = ops_dsl::Dat::zeroed(&ab, &format!("q{v}"));
                 let n = ab.dims[0] as f64;
-                d.fill_with(|i, j, k| {
-                    1.0 + 0.1
-                        * ((i as f64 / n * std::f64::consts::TAU).sin()
-                            + (j as f64 / n * std::f64::consts::TAU + v as f64).cos()
-                            + (k as f64 / n * std::f64::consts::TAU).sin())
-                });
+                if session.executes() {
+                    d.fill_with(|i, j, k| {
+                        1.0 + 0.1
+                            * ((i as f64 / n * std::f64::consts::TAU).sin()
+                                + (j as f64 / n * std::f64::consts::TAU + v as f64).cos()
+                                + (k as f64 / n * std::f64::consts::TAU).sin())
+                    });
+                }
                 d
             })
             .collect();

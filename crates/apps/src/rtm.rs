@@ -72,10 +72,10 @@ impl App for Rtm {
         let mut prev = ops_dsl::Dat::<f32>::zeroed(&ab, "p_prev");
         let mut curr = ops_dsl::Dat::<f32>::zeroed(&ab, "p_curr");
         let mut vel = ops_dsl::Dat::<f32>::zeroed(&ab, "vel2");
-        vel.fill_with(|_, _, k| 1.0 + 0.5 * (k.max(0) as f32 / ab.dims[2] as f32));
-        // Point source at the centre.
+        // Velocity model and a point source at the centre.
         let c = (ab.dims[0] / 2) as i64;
         if session.executes() {
+            vel.fill_with(|_, _, k| 1.0 + 0.5 * (k.max(0) as f32 / ab.dims[2] as f32));
             curr.writer().set(c, c, c.min(ab.dims[2] as i64 - 1), 1.0);
         }
 

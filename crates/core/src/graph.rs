@@ -25,7 +25,7 @@
 use crate::kernel::Kernel;
 use crate::launch::commit::{CommitLocks, Op};
 use crate::launch::execute::execute;
-use crate::launch::record::{LaunchMeta, LaunchNode};
+use crate::launch::record::{DatAccess, LaunchMeta, LaunchNode};
 use crate::session::{LaunchRecord, Session};
 use machine_model::{Precision, TransferDir};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -193,15 +193,18 @@ impl<'a> GraphBuilder<'a> {
             self.phase_defects
                 .push(format!("phase `{name}` opened but never closed"));
         }
-        let launches = self
-            .ops
-            .iter()
-            .filter(|op| matches!(op, GraphOp::Launch { .. }))
-            .count() as u64;
+        let (mut launches, mut writes_named) = (0, false);
+        for op in &self.ops {
+            if let GraphOp::Launch { meta, .. } = op {
+                launches += 1;
+                writes_named |= meta.accesses.iter().any(DatAccess::writes_named);
+            }
+        }
         LaunchGraph {
             id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
             ops: self.ops,
             launches,
+            writes_named,
             phase_defects: self.phase_defects,
             observed_summary: OnceLock::new(),
         }
@@ -282,6 +285,10 @@ pub struct LaunchGraph<'a> {
     id: u64,
     ops: Vec<GraphOp<'a>>,
     launches: u64,
+    /// Some launch declares a write to a named dat
+    /// ([`DatAccess::writes_named`]). Without one, no launch can change
+    /// residency, so the commit stage skips every launch's access list.
+    writes_named: bool,
     phase_defects: Vec<String>,
     /// The summary graph observers see, built on the first observed
     /// replay and shared by every later one.
@@ -371,10 +378,11 @@ impl LaunchGraph<'_> {
     /// the session's first replay of this graph by per-launch lookups
     /// in the fingerprint cache, under a single lock), execute the
     /// functional bodies, then commit the whole sequence under a single
-    /// ledger lock acquisition: each launch advances the clock and
-    /// residency in recorded order, and the plan is appended to the
-    /// ledger as one entry. Launch observers fire per record in ledger
-    /// order after the lock is released.
+    /// ledger lock acquisition: each launch advances the clock in
+    /// recorded order (and residency, when the graph writes a named
+    /// dat; see [`GraphBuilder::finish`]), and the plan is appended to
+    /// the ledger as one entry. Launch observers fire per record in
+    /// ledger order after the lock is released.
     pub fn replay(&self, session: &Session) {
         self.notify_observer(session);
         let replay_span = telemetry::SpanTimer::start();
@@ -397,7 +405,7 @@ impl LaunchGraph<'_> {
             let op = match op {
                 GraphOp::Launch { meta, .. } => Op::Launch {
                     record: p.as_ref().expect("launch ops are priced"),
-                    meta: Some(meta),
+                    meta: self.writes_named.then_some(meta),
                 },
                 GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
                     bytes: *bytes,
@@ -428,8 +436,19 @@ impl LaunchGraph<'_> {
 
     /// Execute stage: run the launch bodies in recorded order, with the
     /// phase spans bracketing them. Flight brackets (launch and phase)
-    /// are written only when the session executes its bodies.
+    /// are written only when the session executes its bodies. A dry
+    /// run with telemetry off has neither to write, so it only calls
+    /// each body with `false`: a body still runs there, because a
+    /// reduce body hands its sink the identity.
     fn execute_stage(&self, priced: &[Option<LaunchRecord>], executes: bool) {
+        if !executes && !telemetry::enabled() {
+            for op in &self.ops {
+                if let GraphOp::Launch { body, .. } = op {
+                    body(false);
+                }
+            }
+            return;
+        }
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
         let flight = executes && telemetry::flight::recording();
         for (op, p) in self.ops.iter().zip(priced) {
@@ -467,7 +486,7 @@ mod tests {
     use crate::session::SessionConfig;
     use crate::toolchain::Toolchain;
     use machine_model::PlatformId;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
     fn session() -> Session {
@@ -629,6 +648,97 @@ mod tests {
         g.replay(&dry);
         assert_eq!(ran.load(Ordering::Relaxed), 2, "dry runs price only");
         assert_eq!(dry.records().len(), 1);
+    }
+
+    fn dry_session() -> Session {
+        Session::create(
+            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+                .app("graph")
+                .dry_run(),
+        )
+        .unwrap()
+    }
+
+    fn writes(dat: u32) -> LaunchMeta {
+        use crate::launch::record::AccessMode;
+        LaunchMeta::new(
+            vec![DatAccess {
+                dat,
+                mode: AccessMode::Write,
+                radius: [0; 3],
+                elem_bytes: 8.0,
+            }],
+            [0; 3],
+            [64, 1, 1],
+        )
+    }
+
+    #[test]
+    fn dry_replays_hand_reduce_sinks_the_identity() {
+        assert!(!telemetry::enabled(), "the span-free dry path");
+        let mut k = Kernel::streaming("dt", 1 << 16, 1e6, 0.0);
+        k.footprint.reductions = 1;
+        let sink = AtomicU64::new(0);
+        let dry = dry_session();
+        // A reduce body as the DSLs record it: fold when executing,
+        // otherwise hand the sink the identity (here min's, +inf).
+        let mut g = dry.record();
+        g.phase("step");
+        g.launch(&k, |executes| {
+            let out = if executes { 0.5f64 } else { f64::INFINITY };
+            sink.store(out.to_bits(), Ordering::Relaxed);
+        });
+        g.end_phase();
+        let g = g.finish();
+        for _ in 0..3 {
+            sink.store(7.0f64.to_bits(), Ordering::Relaxed);
+            g.replay(&dry);
+            assert_eq!(f64::from_bits(sink.load(Ordering::Relaxed)), f64::INFINITY);
+        }
+        assert_eq!(dry.records().len(), 3);
+        g.replay(&session());
+        assert_eq!(f64::from_bits(sink.load(Ordering::Relaxed)), 0.5);
+    }
+
+    #[test]
+    fn a_replayed_named_write_makes_a_later_download_real() {
+        let k = Kernel::streaming("w", 1 << 12, 1e5, 0.0);
+        for s in [session(), dry_session()] {
+            let mut g = s.record();
+            g.upload_dats(1e6, vec![5]);
+            g.launch_with_meta(k.clone(), writes(5), |_| {});
+            let g = g.finish();
+            for _ in 0..2 {
+                g.replay(&s);
+                s.download(1e6, &[5]);
+            }
+            // Upload, download, download real; the second upload elided.
+            let stats = s.transfer_stats();
+            assert_eq!((stats.real, stats.elided), (3, 1));
+        }
+    }
+
+    #[test]
+    fn anonymous_writes_leave_residency_as_eager_launches_do() {
+        let k = Kernel::streaming("w", 1 << 12, 1e5, 0.0);
+        let (replayed, eager) = (session(), session());
+        let mut g = replayed.record();
+        g.upload_dats(1e6, vec![5]);
+        g.launch_with_meta(k.clone(), writes(0), |_| {});
+        g.launch(&k, |_| {});
+        g.download_dats(1e6, vec![5]);
+        let g = g.finish();
+        for _ in 0..2 {
+            g.replay(&replayed);
+            eager.upload(1e6, &[5]);
+            eager.launch(&k, || ());
+            eager.launch(&k, || ());
+            eager.download(1e6, &[5]);
+        }
+        let stats = replayed.transfer_stats();
+        assert_eq!(stats, eager.transfer_stats());
+        assert_eq!((stats.real, stats.elided), (1, 3));
+        assert_eq!(replayed.ledger_digest(), eager.ledger_digest());
     }
 
     #[test]

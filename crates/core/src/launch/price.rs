@@ -4,12 +4,36 @@
 //! recorded graph so repeat replays cost one.
 
 use crate::kernel::{Kernel, KernelTraits};
+use crate::launch::record::KeyHasher;
 use crate::session::LaunchRecord;
 use crate::toolchain::{SyclVariant, Toolchain};
 use machine_model::{predict, AtomicKind, ExecProfile, KernelTime, Platform, TransferDir};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
+
+/// Hands a `u64` key to the table as its own hash. The cache's keys are
+/// already hashes (kernel and comm fingerprints) or process-unique
+/// graph ids, so hashing them again would buy nothing.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("price-cache keys are u64s");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A price-cache table keyed by a fingerprint or a graph id.
+type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<PassThrough>>;
 
 /// Memoised pricing for one kernel fingerprint: everything the commit
 /// layer needs to build a ledger record without re-walking the models.
@@ -130,7 +154,7 @@ impl CachedComm {
 }
 
 fn comm_fingerprint(op: CommOp, bytes: f64, messages: u64) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = KeyHasher::default();
     match op {
         CommOp::Transfer { dir, pinned } => {
             0u8.hash(&mut h);
@@ -159,18 +183,18 @@ fn comm_fingerprint(op: CommOp, bytes: f64, messages: u64) -> u64 {
 /// only on the session's fixed context and the kernel, so a stored plan
 /// holds exactly what the per-launch lookups would return.
 pub(crate) struct PriceCache {
-    map: HashMap<u64, CachedPrice>,
-    comm: HashMap<u64, CachedComm>,
-    plans: HashMap<u64, Plan>,
+    map: KeyMap<CachedPrice>,
+    comm: KeyMap<CachedComm>,
+    plans: KeyMap<Plan>,
     enabled: bool,
 }
 
 impl PriceCache {
     pub fn new(enabled: bool) -> PriceCache {
         PriceCache {
-            map: HashMap::new(),
-            comm: HashMap::new(),
-            plans: HashMap::new(),
+            map: KeyMap::default(),
+            comm: KeyMap::default(),
+            plans: KeyMap::default(),
             enabled,
         }
     }
@@ -206,6 +230,20 @@ impl PriceCache {
         messages: u64,
     ) -> Option<f64> {
         let key = comm_fingerprint(op, bytes, messages);
+        self.price_comm_under(ctx, key, op, bytes, messages)
+    }
+
+    /// [`PriceCache::price_comm`] under a given `key`. A stored entry
+    /// answers only if its fields match; otherwise the op is priced cold
+    /// and replaces it.
+    fn price_comm_under(
+        &mut self,
+        ctx: &PriceContext<'_>,
+        key: u64,
+        op: CommOp,
+        bytes: f64,
+        messages: u64,
+    ) -> Option<f64> {
         if self.enabled {
             if let Some(c) = self.comm.get(&key) {
                 if c.matches(op, bytes, messages) {
@@ -400,6 +438,65 @@ mod tests {
         assert!(off.plans.is_empty() && off.map.is_empty());
         let (a, b) = (a[0].as_ref().unwrap(), b[0].as_ref().unwrap());
         assert_eq!(a.time.total.to_bits(), b.time.total.to_bits());
+    }
+
+    #[test]
+    fn colliding_keys_cost_a_reprice_never_a_wrong_price() {
+        let p = Platform::get(PlatformId::A100);
+        let ctx = ctx(&p);
+        let kernels = [
+            Kernel::streaming("triad", 1 << 20, 3e7, 0.0),
+            Kernel::streaming("copy", 1 << 12, 4e4, 0.0),
+        ];
+        let comms = [
+            (
+                CommOp::Transfer {
+                    dir: TransferDir::H2D,
+                    pinned: true,
+                },
+                1e8,
+                0,
+            ),
+            (
+                CommOp::Exchange {
+                    ranks: 1,
+                    pinned: true,
+                },
+                4e6,
+                8,
+            ),
+        ];
+        // Each op's price on a cache that has seen nothing else.
+        let cold: Vec<u64> = kernels
+            .iter()
+            .map(|k| {
+                let r = PriceCache::new(true).price(&ctx, k, 42);
+                r.time.total.to_bits()
+            })
+            .collect();
+        let cold_comm: Vec<Option<u64>> = comms
+            .iter()
+            .map(|&(op, b, m)| {
+                let t = PriceCache::new(true).price_comm_under(&ctx, 42, op, b, m);
+                t.map(f64::to_bits)
+            })
+            .collect();
+        assert_ne!(cold[0], cold[1]);
+        assert_ne!(cold_comm[0], cold_comm[1]);
+
+        // Both of each kind under one forced key, in either order and
+        // back again: every lookup returns that op's own cold price.
+        for order in [[0, 1, 0, 1], [1, 0, 1, 0]] {
+            let mut cache = PriceCache::new(true);
+            for i in order {
+                let r = cache.price(&ctx, &kernels[i], 42);
+                assert_eq!(r.time.total.to_bits(), cold[i], "kernel {i}");
+                assert_eq!(&*r.name, kernels[i].footprint.name.as_str());
+                let (op, b, m) = comms[i];
+                let t = cache.price_comm_under(&ctx, 42, op, b, m);
+                assert_eq!(t.map(f64::to_bits), cold_comm[i], "comm op {i}");
+            }
+        }
     }
 
     #[test]

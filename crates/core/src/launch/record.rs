@@ -6,12 +6,61 @@
 use crate::kernel::Kernel;
 use std::hash::{Hash, Hasher};
 
+/// The hasher behind the pricing-cache keys: one rotate, xor and
+/// multiply per word (FxHash's step). It resists no adversary and need
+/// not: the cache verifies every hit field by field, so two inputs that
+/// share a key cost a re-price, never a wrong price. The ledger digests
+/// are pinned and keep `DefaultHasher`.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        const K: u64 = 0xf135_7aea_2e62_a9c5;
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunks")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The multiply leaves the high bits best mixed; rotate them down,
+    /// where a hash table picks its bucket.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Hash every pricing-relevant field of a kernel (f64s by bit pattern).
 /// The session variant/toolchain/platform are fixed per session, so they
 /// are not part of the key.
 pub(crate) fn fingerprint(kernel: &Kernel) -> u64 {
     use machine_model::AccessProfile;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = KeyHasher::default();
     let fp = &kernel.footprint;
     fp.name.hash(&mut h);
     fp.items.hash(&mut h);
@@ -89,6 +138,13 @@ impl DatAccess {
     /// Does this access write the dat?
     pub fn writes(&self) -> bool {
         matches!(self.mode, AccessMode::Write | AccessMode::ReadWrite)
+    }
+
+    /// Does this access write a named dat (id ≠ 0)? Only such a write
+    /// changes residency: anonymous dats share id 0 and are never
+    /// tracked.
+    pub(crate) fn writes_named(&self) -> bool {
+        self.dat != 0 && self.writes()
     }
 
     /// Does this access read beyond the own point?

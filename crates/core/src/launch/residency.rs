@@ -118,7 +118,7 @@ impl ResidencyTracker {
     /// launches declare nothing and change nothing.
     pub fn apply_launch(&mut self, meta: &LaunchMeta) {
         for a in &meta.accesses {
-            if a.dat != 0 && a.writes() {
+            if a.writes_named() {
                 self.map.insert(a.dat, Residency::DeviceOnly);
             }
         }

@@ -439,7 +439,8 @@ impl Session {
         b / led.elapsed
     }
 
-    /// Aggregate (kernel name → total seconds, launches), sorted by cost.
+    /// Aggregate (kernel name → total seconds, launches), sorted by cost,
+    /// ties by name.
     pub fn kernel_summary(&self) -> Vec<(String, f64, usize)> {
         use std::collections::HashMap;
         let led = self.ledger.lock();
@@ -453,7 +454,7 @@ impl Session {
             .into_iter()
             .map(|(k, (t, n))| (k.to_owned(), t, n))
             .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1));
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
 
@@ -471,7 +472,8 @@ impl Session {
 
     /// Render a per-kernel cost breakdown (the paper's per-kernel
     /// profiling view: where the time goes, boundary flags, effective
-    /// bandwidths). One lock acquisition for the whole render.
+    /// bandwidths). One lock acquisition for the whole render. Rows go
+    /// by cost, ties by name, so equal ledgers render equal text.
     pub fn explain(&self) -> String {
         use std::collections::HashMap;
         let led = self.ledger.lock();
@@ -505,7 +507,7 @@ impl Session {
         }
         let mut rows: Vec<(&str, f64, usize, f64)> =
             agg.into_iter().map(|(k, (t, n, b))| (k, t, n, b)).collect();
-        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         for (name, secs, count, bytes) in rows {
             out.push_str(&format!(
                 "{:20} {:9.5} {:6.1}% {:9} {:10.0}\n",
@@ -599,6 +601,33 @@ mod tests {
         assert_eq!(sum.len(), 2);
         assert_eq!(sum[0].0, "b", "bigger kernel sorts first");
         assert_eq!(sum[1].2, 3);
+    }
+
+    #[test]
+    fn summary_and_explain_break_cost_ties_by_name() {
+        // Identical kernels under different names cost the same bit for
+        // bit; a hash map's order must not reach the output.
+        let run = || {
+            let s = session(PlatformId::A100, Toolchain::NativeCuda);
+            for name in ["viscosity", "advec_cell", "ideal_gas", "zeta", "beta"] {
+                s.launch(&Kernel::streaming(name, 1 << 20, 3e7, 0.0), || ());
+            }
+            s.launch(&Kernel::streaming("big", 1 << 22, 1e9, 0.0), || ());
+            s
+        };
+        let s = run();
+        let names: Vec<String> = s.kernel_summary().into_iter().map(|r| r.0).collect();
+        let by_name = ["advec_cell", "beta", "ideal_gas", "viscosity", "zeta"];
+        assert_eq!(names[0], "big");
+        assert_eq!(names[1..], by_name);
+        let text = s.explain();
+        let rows: Vec<&str> = text
+            .lines()
+            .skip(2)
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(rows, names);
+        assert_eq!(text, run().explain(), "two fresh sessions render alike");
     }
 
     #[test]
