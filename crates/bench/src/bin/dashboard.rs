@@ -10,8 +10,7 @@
 //!   under (default `a100`);
 //! * `--out` — output path (default `results/DASHBOARD.html`);
 //! * `--skip-study` — omit the roofline scatter and portability heatmap
-//!   (skips the cross-product study; the trace tables and baseline
-//!   trajectory still render).
+//!   (skips the cross-product study; the trace tables still render).
 //!
 //! The output is ONE html file with every byte inline — CSS, SVG charts
 //! and a small sorting script — so it can be attached to a CI run or
@@ -36,15 +35,13 @@
 //!    recording inventory;
 //! 8. graph lint: the static dataflow findings from the last
 //!    `graphlint` run (`LINT_<app>.json`) — per-app severity tallies
-//!    plus every Error/Warning and fusion-candidate finding;
-//! 9. baseline trajectory across every stored `BENCH_*.json` manifest.
+//!    plus every Error/Warning and fusion-candidate finding.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use bench_harness::{make_app, native_toolchain, APP_NAMES};
 use machine_model::Platform;
-use metrics::{stats, RunManifest};
 use portability::{cpu_platforms, gpu_platforms, paper_measurements, pennycook, Measurement};
 use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
 use telemetry::export::KernelAgg;
@@ -60,13 +57,6 @@ struct AppTrace {
     validation: f64,
     aggs: Vec<KernelAgg>,
     delta: CounterSnapshot,
-}
-
-/// A manifest discovered on disk, tagged with where it came from.
-struct StoredManifest {
-    source: &'static str,
-    path: PathBuf,
-    manifest: RunManifest,
 }
 
 fn main() {
@@ -120,14 +110,12 @@ fn main() {
             .collect()
     };
 
-    let manifests = discover_manifests();
-
     let path = Path::new(&out);
     let out_dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
         _ => PathBuf::from("."),
     };
-    let html = render(&traces, &sched, &study, &manifests, &out_dir);
+    let html = render(&traces, &sched, &study, &out_dir);
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -141,10 +129,9 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "wrote {out} ({} traced apps, {} study platforms, {} stored manifests)",
+        "wrote {out} ({} traced apps, {} study platforms)",
         traces.len(),
-        study.len(),
-        manifests.len()
+        study.len()
     );
 }
 
@@ -174,39 +161,6 @@ fn trace_app(name: &str, platform: PlatformId) -> Option<AppTrace> {
         aggs: telemetry::export::aggregate(&events),
         delta,
     })
-}
-
-/// Every parseable `BENCH_*.json` under `results/` and
-/// `results/baselines/`, oldest first.
-fn discover_manifests() -> Vec<StoredManifest> {
-    let mut out = Vec::new();
-    for (source, dir) in [("current", "results"), ("baseline", "results/baselines")] {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-                continue;
-            }
-            // The transfer microbench document has its own schema
-            // (`transfer-bench/v1`) and its own dashboard section.
-            if name == "BENCH_transfer.json" {
-                continue;
-            }
-            match RunManifest::load(&path) {
-                Ok(manifest) => out.push(StoredManifest {
-                    source,
-                    path,
-                    manifest,
-                }),
-                Err(e) => eprintln!("note: skipping unreadable manifest {}: {e}", path.display()),
-            }
-        }
-    }
-    out.sort_by_key(|m| (m.manifest.name.clone(), m.manifest.created_unix_secs));
-    out
 }
 
 /// Escape text for embedding in HTML bodies and attributes.
@@ -247,7 +201,6 @@ fn render(
     traces: &[AppTrace],
     sched: &metrics::registry::Snapshot,
     study: &[(PlatformId, Vec<Measurement>)],
-    manifests: &[StoredManifest],
     out_dir: &Path,
 ) -> String {
     let mut h = String::with_capacity(1 << 18);
@@ -274,7 +227,6 @@ fn render(
     render_study_run(&mut h, out_dir);
     render_fleet_forensics(&mut h, out_dir);
     render_graphlint(&mut h, out_dir);
-    render_trajectory(&mut h, manifests);
 
     h.push_str(SCRIPT);
     h.push_str("</body></html>\n");
@@ -1258,209 +1210,6 @@ fn render_graphlint(h: &mut String, out_dir: &Path) {
     h.push_str("</section>");
 }
 
-/// Section 9: trajectory of per-kernel medians across stored manifests.
-fn render_trajectory(h: &mut String, manifests: &[StoredManifest]) {
-    h.push_str("<section><h2>Baseline trajectory</h2>");
-    if manifests.is_empty() {
-        h.push_str(
-            "<p>No <code>BENCH_*.json</code> manifests found under <code>results/</code> — \
-             run <code>bench_gate --quick --bless</code> to create baselines.</p></section>",
-        );
-        return;
-    }
-
-    h.push_str(
-        "<table><thead><tr><th>manifest</th><th>source</th><th>git</th><th>platform</th>\
-         <th>threads</th><th>reps</th><th>kernels</th><th>created</th></tr></thead><tbody>",
-    );
-    for sm in manifests {
-        let m = &sm.manifest;
-        let _ = write!(
-            h,
-            "<tr><td>{}</td><td>{}</td><td><code>{}</code></td><td>{}</td>\
-             <td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
-             <td><span class=\"ts\" data-unix=\"{}\"></span></td></tr>",
-            esc(&m.name),
-            sm.source,
-            esc(&m.git_rev),
-            esc(&m.platform),
-            m.threads,
-            m.repetitions,
-            m.kernels.len(),
-            m.created_unix_secs,
-        );
-    }
-    h.push_str("</tbody></table>");
-
-    // One chart per manifest name with ≥2 snapshots; otherwise a note.
-    let mut names: Vec<&str> = Vec::new();
-    for sm in manifests {
-        if !names.contains(&sm.manifest.name.as_str()) {
-            names.push(&sm.manifest.name);
-        }
-    }
-    for name in names {
-        let snaps: Vec<&StoredManifest> = manifests
-            .iter()
-            .filter(|m| m.manifest.name == name)
-            .collect();
-        let _ = write!(h, "<h3>{}</h3>", esc(name));
-        if snaps.len() < 2 {
-            let _ = write!(
-                h,
-                "<p>Only one snapshot stored ({}); the trajectory grows as baselines \
-                 are re-blessed over time.</p>",
-                esc(&snaps[0].path.display().to_string()),
-            );
-            render_snapshot_bars(h, snaps[0]);
-            continue;
-        }
-        render_trajectory_chart(h, &snaps);
-    }
-    h.push_str("</section>");
-}
-
-/// Horizontal bars of per-kernel medians for a single snapshot.
-fn render_snapshot_bars(h: &mut String, sm: &StoredManifest) {
-    let mut rows: Vec<(&str, f64)> = sm
-        .manifest
-        .kernels
-        .iter()
-        .map(|k| (k.name.as_str(), stats::median(&k.samples)))
-        .collect();
-    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    rows.truncate(12);
-    let max = rows.first().map(|r| r.1).unwrap_or(0.0).max(1e-12);
-    h.push_str("<table class=\"bars\"><tbody>");
-    for (name, med) in rows {
-        let _ = write!(
-            h,
-            "<tr><td>{}</td><td class=\"n\">{}</td>\
-             <td class=\"barcell\"><div class=\"bar\" style=\"width:{:.1}%\"></div></td></tr>",
-            esc(name),
-            fmt_secs(med),
-            (med / max * 100.0).clamp(0.5, 100.0),
-        );
-    }
-    h.push_str("</tbody></table>");
-}
-
-/// Line chart of per-kernel medians, normalised to the first snapshot.
-fn render_trajectory_chart(h: &mut String, snaps: &[&StoredManifest]) {
-    const W: f64 = 760.0;
-    const H: f64 = 260.0;
-    const ML: f64 = 46.0;
-    const MR: f64 = 170.0;
-    const MT: f64 = 14.0;
-    const MB: f64 = 34.0;
-    const PALETTE: [&str; 8] = [
-        "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#17becf",
-    ];
-
-    // Kernels present in the first snapshot, largest medians first.
-    let first = &snaps[0].manifest;
-    let mut kernels: Vec<&str> = first.kernels.iter().map(|k| k.name.as_str()).collect();
-    kernels.sort_by(|a, b| {
-        let med = |n: &str| {
-            first
-                .kernel(n)
-                .map(|k| stats::median(&k.samples))
-                .unwrap_or(0.0)
-        };
-        med(b)
-            .partial_cmp(&med(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    kernels.truncate(PALETTE.len());
-
-    // Series of (snapshot index, ratio-vs-first).
-    let mut series: Vec<(&str, Vec<(usize, f64)>)> = Vec::new();
-    let mut y_lo: f64 = 0.9;
-    let mut y_hi: f64 = 1.1;
-    for name in &kernels {
-        let base = first
-            .kernel(name)
-            .map(|k| stats::median(&k.samples))
-            .unwrap_or(0.0);
-        if base <= 0.0 {
-            continue;
-        }
-        let pts: Vec<(usize, f64)> = snaps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, sm)| {
-                sm.manifest
-                    .kernel(name)
-                    .map(|k| (i, stats::median(&k.samples) / base))
-            })
-            .collect();
-        for &(_, r) in &pts {
-            y_lo = y_lo.min(r);
-            y_hi = y_hi.max(r);
-        }
-        series.push((name, pts));
-    }
-    y_lo = (y_lo - 0.05).max(0.0);
-    y_hi += 0.05;
-
-    let sx = |i: usize| ML + (W - ML - MR) * (i as f64 + 0.5) / snaps.len() as f64;
-    let sy = |r: f64| MT + (H - MT - MB) * (1.0 - (r - y_lo) / (y_hi - y_lo));
-
-    let _ = write!(
-        h,
-        "<svg viewBox=\"0 0 {W} {H}\" role=\"img\">\
-         <line x1=\"{ML}\" y1=\"{MT}\" x2=\"{ML}\" y2=\"{0}\" class=\"axis\"/>\
-         <line x1=\"{ML}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" class=\"axis\"/>\
-         <line x1=\"{ML}\" y1=\"{2:.1}\" x2=\"{1}\" y2=\"{2:.1}\" class=\"roof\"/>\
-         <text x=\"{3:.1}\" y=\"{4:.1}\" class=\"tick\" text-anchor=\"end\">1.00×</text>",
-        H - MB,
-        W - MR,
-        sy(1.0),
-        ML - 4.0,
-        sy(1.0) + 3.0,
-    );
-    for (i, sm) in snaps.iter().enumerate() {
-        let _ = write!(
-            h,
-            "<text x=\"{:.1}\" y=\"{:.1}\" class=\"tick\" text-anchor=\"middle\">{} ({})</text>",
-            sx(i),
-            H - MB + 14.0,
-            esc(&sm.manifest.git_rev),
-            sm.source,
-        );
-    }
-    for (si, (name, pts)) in series.iter().enumerate() {
-        let colour = PALETTE[si % PALETTE.len()];
-        let mut d = String::new();
-        for &(i, r) in pts {
-            let _ = write!(d, "{:.1},{:.1} ", sx(i), sy(r));
-        }
-        let _ = write!(
-            h,
-            "<polyline points=\"{}\" fill=\"none\" stroke=\"{colour}\" stroke-width=\"1.6\"/>",
-            d.trim_end(),
-        );
-        for &(i, r) in pts {
-            let _ = write!(
-                h,
-                "<circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"2.6\" fill=\"{colour}\">\
-                 <title>{}: {r:.3}× vs first snapshot</title></circle>",
-                sx(i),
-                sy(r),
-                esc(name),
-            );
-        }
-        let _ = write!(
-            h,
-            "<text x=\"{:.1}\" y=\"{:.1}\" class=\"leg\" fill=\"{colour}\">{}</text>",
-            W - MR + 8.0,
-            MT + 12.0 + 13.0 * si as f64,
-            esc(name),
-        );
-    }
-    h.push_str("</svg>");
-}
-
 const HEAD: &str = r#"<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
 <title>sycl-sim performance dashboard</title>
@@ -1486,13 +1235,9 @@ svg .roof { stroke: #c0392b; stroke-width: 1; stroke-dasharray: 5 3; }
 svg .rooflab { fill: #c0392b; font-size: 9px; }
 svg .title { font-size: 11px; font-weight: 600; text-anchor: middle; fill: #1c2330; }
 svg .tick { font-size: 8.5px; fill: #5a6575; }
-svg .leg { font-size: 9.5px; }
 svg .pnat { fill: #1f77b4; opacity: .85; }
 svg .psyc { fill: #ff7f0e; opacity: .85; }
 details summary { margin: .5rem 0 .2rem; }
-.bars td { border: none; padding: .08rem .5rem; }
-.barcell { width: 340px; }
-.bar { background: #6699cc; height: .65rem; border-radius: 2px; }
 </style></head><body>
 "#;
 

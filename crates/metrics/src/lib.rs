@@ -1,13 +1,13 @@
-//! # metrics — watch the paper's numbers over time
+//! # metrics — histograms, a registry and run manifests
 //!
 //! The paper's whole argument is quantitative: runtimes, achieved
 //! fractions of STREAM-Triad bandwidth, the Pennycook–Sewall PP metric.
-//! The rest of the workspace *produces* those numbers; this crate makes
-//! them **trackable** — so a silent performance regression in `parkit`,
-//! the pricing cache or a toolchain model ships as a red CI gate, not a
-//! surprise three PRs later.
+//! The rest of the workspace *produces* those numbers; this crate gives
+//! the simulator's own measurements somewhere to go: distributions that
+//! merge across threads and processes, and a document that carries them
+//! from a bench run to the dashboard and the study merger.
 //!
-//! Four pieces, std-only like everything else here:
+//! Three pieces, std-only like everything else here:
 //!
 //! * **Histograms** ([`hist`]) — log-bucketed, mergeable distribution
 //!   sketches with exact count/mean/CI and bucketed p50/p90/p99/max.
@@ -19,33 +19,21 @@
 //!   is guarded by [`telemetry::enabled`], so the disabled path is the
 //!   same single relaxed-atomic branch every other instrumentation site
 //!   pays. [`registry::ingest_events`] folds a flushed telemetry trace
-//!   (launch / region / reduce / phase spans) into the registry, and
-//!   [`registry::kernel_stats`] summarises launch spans per kernel.
+//!   (launch / region / reduce / phase spans) into the registry.
 //! * **Manifests** ([`manifest`]) — one `BENCH_<name>.json` per bench
 //!   run: git revision, host, thread count, repetitions, per-kernel
 //!   histogram summaries *and* raw repetition samples, achieved GB/s,
 //!   and a counter snapshot. Manifests round-trip through the shared
-//!   JSON reader ([`telemetry::json::parse`]), so the gate and the
-//!   dashboard can read back what earlier runs wrote.
-//! * **The gate** ([`gate`], [`stats`]) — compares a current manifest
-//!   against a committed baseline with a proper statistical test:
-//!   interquartile-range overlap plus bootstrap resampling of
-//!   repetition medians, per kernel, under per-platform tolerance
-//!   bands. A regression is only *confirmed* when both tests agree, so
-//!   one noisy repetition cannot fail CI.
+//!   JSON reader ([`telemetry::json::parse`]), and
+//!   [`merge_manifests`] folds a fleet's per-worker manifests into one.
 //!
-//! The `bench_gate` and `dashboard` binaries in `bench-harness` are the
-//! user-facing ends of this crate; `results/baselines/` is the
-//! committed baseline store.
+//! `engine_bench` and the `study` orchestrator write manifests; the
+//! `dashboard` binary in `bench-harness` renders the registry.
 
-pub mod gate;
 pub mod hist;
 pub mod manifest;
 pub mod registry;
-pub mod stats;
 
-pub use gate::{GateConfig, GateReport, KernelVerdict, Verdict};
 pub use hist::{Histogram, Summary};
 pub use manifest::{merge_manifests, KernelSummary, Provenance, RunManifest};
-pub use registry::{ingest_events, kernel_stats, registry, Registry};
-pub use stats::{bootstrap_ratio_ci, median, quartiles, Tolerance};
+pub use registry::{ingest_events, registry, Registry};

@@ -1,19 +1,16 @@
-//! Run manifests: the `BENCH_<name>.json` files the bench binaries
-//! write and the baseline store keeps.
+//! Run manifests: the `BENCH_<name>.json` files the bench binaries and
+//! the study orchestrator write.
 //!
-//! A manifest records everything the gate and the dashboard need to
-//! re-interpret a run later: where it came from (git revision, platform
+//! A manifest records everything a reader needs to re-interpret a run
+//! later: where it came from (git revision, platform
 //! model, thread count), how hard it tried (repetitions), what it
 //! measured (per-kernel wall summaries *and* the raw per-repetition
-//! samples — the bootstrap needs the samples, the dashboard the
-//! summaries), and what the engine did while measuring (a counter
+//! samples — a merge rebuilds the summaries from the samples), and what the engine did while measuring (a counter
 //! snapshot delta). Manifests round-trip: [`RunManifest::to_json`]
 //! writes through the shared `JsonWriter`, [`RunManifest::parse`] reads
 //! back through [`telemetry::json::parse`].
 
 use crate::hist::Summary;
-use std::io;
-use std::path::Path;
 use telemetry::json::{self, Json, JsonWriter};
 use telemetry::CounterSnapshot;
 
@@ -47,7 +44,8 @@ pub struct KernelSummary {
     pub name: String,
     /// Distribution of the per-repetition timings (seconds).
     pub wall: Summary,
-    /// Raw per-repetition timings, seconds — what the gate bootstraps.
+    /// Raw per-repetition timings, seconds — what a merge rebuilds the
+    /// wall summary from.
     pub samples: Vec<f64>,
     /// Simulated seconds per repetition (0.0 when not priced).
     pub sim_secs: f64,
@@ -115,8 +113,8 @@ fn summary_parse(j: &Json) -> Result<Summary, String> {
         p50: f("p50")?,
         p90: f("p90")?,
         p99: f("p99")?,
-        // Optional: manifests written before the p999 field (committed
-        // baselines among them) parse with 0.0 rather than erroring.
+        // Optional: manifests written before the p999 field parse with
+        // 0.0 rather than erroring.
         p999: j.f64_of("p999").unwrap_or(0.0),
         min: f("min")?,
         max: f("max")?,
@@ -251,27 +249,6 @@ impl RunManifest {
             kernels,
             counters: counters_parse(doc.get("counters").ok_or("missing 'counters'")?)?,
         })
-    }
-
-    /// Read and parse a manifest file.
-    pub fn load(path: &Path) -> io::Result<RunManifest> {
-        let text = std::fs::read_to_string(path)?;
-        RunManifest::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{path:?}: {e}")))
-    }
-
-    /// Write the manifest document (plus trailing newline) to `path`,
-    /// creating parent directories.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_json() + "\n")
-    }
-
-    /// The kernel entry called `name`, if present.
-    pub fn kernel(&self, name: &str) -> Option<&KernelSummary> {
-        self.kernels.iter().find(|k| k.name == name)
     }
 }
 
@@ -433,24 +410,6 @@ mod tests {
         let back = RunManifest::parse(&text).unwrap();
         assert_eq!(back.kernels[0].wall.p999, 0.0);
         assert!(back.kernels[0].wall.p99 > 0.0);
-    }
-
-    #[test]
-    fn save_and_load_round_trip_via_disk() {
-        let m = sample_manifest();
-        let dir = std::env::temp_dir().join(format!("metrics-manifest-{}", std::process::id()));
-        let path = dir.join("nested").join("BENCH_engine.json");
-        m.save(&path).unwrap();
-        let back = RunManifest::load(&path).unwrap();
-        assert_eq!(back, m);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kernel_lookup_by_name() {
-        let m = sample_manifest();
-        assert!(m.kernel("halo").is_some());
-        assert!(m.kernel("absent").is_none());
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! so enabling metrics cannot perturb a session ledger.
 //!
 //! [`ingest_events`] folds a flushed telemetry trace into the registry
-//! (per-kernel launch-wall histograms, region/reduce/phase timings);
-//! [`kernel_stats`] summarises the launch spans of a trace per kernel,
-//! which is what run manifests store.
+//! (per-kernel launch-wall histograms, region/reduce/phase timings).
 
 use crate::hist::Histogram;
 use std::collections::HashMap;
@@ -177,50 +175,6 @@ pub fn ingest_events(events: &[Event]) {
     }
 }
 
-/// Per-kernel summary of the launch spans of a trace: the wall-clock
-/// distribution plus the priced seconds and effective bytes the
-/// launches carried.
-#[derive(Debug, Clone)]
-pub struct KernelStats {
-    pub name: String,
-    pub wall: Histogram,
-    pub sim_secs: f64,
-    pub bytes: f64,
-}
-
-impl KernelStats {
-    /// Achieved bandwidth under the simulated clock, GB/s.
-    pub fn sim_gbps(&self) -> f64 {
-        if self.sim_secs > 0.0 {
-            self.bytes / self.sim_secs / 1e9
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Summarise [`SpanKind::Launch`] spans per kernel, sorted by total
-/// wall time, descending.
-pub fn kernel_stats(events: &[Event]) -> Vec<KernelStats> {
-    let mut by_name: HashMap<&str, KernelStats> = HashMap::new();
-    for e in events.iter().filter(|e| e.kind == SpanKind::Launch) {
-        let s = by_name
-            .entry(e.name.as_str())
-            .or_insert_with(|| KernelStats {
-                name: e.name.as_str().to_owned(),
-                wall: Histogram::new(),
-                sim_secs: 0.0,
-                bytes: 0.0,
-            });
-        s.wall.record(e.dur_ns as f64 / 1e9);
-        s.sim_secs += e.sim_secs;
-        s.bytes += e.bytes;
-    }
-    let mut out: Vec<KernelStats> = by_name.into_values().collect();
-    out.sort_by(|a, b| b.wall.sum().total_cmp(&a.wall.sum()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,21 +262,5 @@ mod tests {
         assert_eq!(snap.hist("phase.wall_secs", "p").unwrap().count(), 1);
         assert_eq!(snap.hist("region.wall_secs", "").unwrap().count(), 1);
         assert_eq!(snap.hist("reduce.wall_secs", "").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn kernel_stats_aggregate_launches_only() {
-        let events = vec![
-            ev("hot", SpanKind::Launch, 10_000, 1e6, 1e-5),
-            ev("hot", SpanKind::Launch, 30_000, 1e6, 1e-5),
-            ev("cold", SpanKind::Launch, 5_000, 2e6, 2e-5),
-            ev("noise", SpanKind::Region, 999_999, 0.0, 0.0),
-        ];
-        let stats = kernel_stats(&events);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].name, "hot", "sorted by total wall");
-        assert_eq!(stats[0].wall.count(), 2);
-        assert!((stats[0].bytes - 2e6).abs() < 1.0);
-        assert!((stats[1].sim_gbps() - 2e6 / 2e-5 / 1e9).abs() < 1e-9);
     }
 }

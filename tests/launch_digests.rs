@@ -8,6 +8,10 @@
 //! committed moves one of these values, so a refactor of the launch path
 //! must leave every line unchanged. After an *intended* model change,
 //! paste the table the failure message prints over `PINNED`.
+//!
+//! `TRANSFER_PINNED` does the same for data movement: the priced seconds
+//! of one 64 MiB copy on each platform's link, per direction and host
+//! allocation, so a failure names the exact link that moved.
 
 use miniapps::{Acoustic, App, CloverLeaf2d, CloverLeaf3d, Mgcfd, OpenSbli, Rtm, SbliVariant};
 use op2_dsl::Ordering;
@@ -171,5 +175,113 @@ fn every_app_reproduces_its_pinned_launch_digests() {
     if got != PINNED {
         let table: String = got.iter().map(|l| format!("    \"{l}\",\n")).collect();
         panic!("launch digests moved; the new values are:\n{table}");
+    }
+}
+
+/// One 64 MiB copy per platform × direction × allocation, priced
+/// through the session's comm path on the platform's native toolchain:
+/// record one transfer node, replay it, read the comm clock's delta.
+/// Yields `(label, priced seconds, interconnect-model seconds)`, with
+/// labels `"{platform}/{dir}/{alloc}"` (alloc is `device` for D2D).
+fn transfer_cells() -> Vec<(String, f64, f64)> {
+    use machine_model::TransferDir;
+    const BYTES: f64 = 64.0 * 1024.0 * 1024.0;
+    let mut out = Vec::new();
+    for p in machine_model::all_platforms() {
+        for pinned in [true, false] {
+            let cfg = SessionConfig::new(p.id, bench_harness::native_toolchain(p.id))
+                .app("transfer-pins")
+                .dry_run();
+            let cfg = if pinned {
+                cfg
+            } else {
+                cfg.pageable_transfers()
+            };
+            let session = Session::create(cfg).expect("native toolchains run everywhere");
+            for dir in [TransferDir::H2D, TransferDir::D2H, TransferDir::D2D] {
+                if dir == TransferDir::D2D && !pinned {
+                    continue; // no host allocation to pin
+                }
+                let before = session.comm_time();
+                let mut g = session.record();
+                g.transfer_dir(BYTES, Vec::new(), dir);
+                g.finish().replay(&session);
+                let secs = session.comm_time() - before;
+                let alloc = match (dir, pinned) {
+                    (TransferDir::D2D, _) => "device",
+                    (_, true) => "pinned",
+                    (_, false) => "pageable",
+                };
+                let model = p.interconnect.transfer_time(dir, pinned, BYTES);
+                out.push((
+                    format!("{}/{}/{alloc}", p.id.label(), dir.label()),
+                    secs,
+                    model,
+                ));
+            }
+        }
+    }
+    out
+}
+
+const TRANSFER_PINNED: &[&str] = &[
+    "a100/h2d/pinned secs=3f661278970247fe",
+    "a100/d2h/pinned secs=3f66fd0895bcac2e",
+    "a100/d2d/device secs=3f11c9808a675180",
+    "a100/h2d/pageable secs=3f7907a4f242c118",
+    "a100/d2h/pageable secs=3f7b875c349c2f70",
+    "mi250x/h2d/pinned secs=3f5eb07f82c3fa5e",
+    "mi250x/d2h/pinned secs=3f603e3656b95a64",
+    "mi250x/d2d/device secs=3f125a2948092460",
+    "mi250x/h2d/pageable secs=3f73abc6ab76c949",
+    "mi250x/d2h/pageable secs=3f752e6ae1a195d3",
+    "max1100/h2d/pinned secs=3f66149175f65ebc",
+    "max1100/d2h/pinned secs=3f67fe170400ed0c",
+    "max1100/d2d/device secs=3f1cc1235ca68e00",
+    "max1100/h2d/pageable secs=3f76f398aa7245d9",
+    "max1100/d2h/pageable secs=3f7908b161bccc77",
+    "xeon8360y/h2d/pinned secs=3f3dbfd206746659",
+    "xeon8360y/d2h/pinned secs=3f3dbfd206746659",
+    "xeon8360y/d2d/device secs=3f2dc8358244c14c",
+    "xeon8360y/h2d/pageable secs=3f3dbfd206746659",
+    "xeon8360y/d2h/pageable secs=3f3dbfd206746659",
+    "genoax/h2d/pinned secs=3f2f6c95838a82f8",
+    "genoax/d2h/pinned secs=3f2f6c95838a82f8",
+    "genoax/d2d/device secs=3f1f7d5c7b2b38e8",
+    "genoax/h2d/pageable secs=3f2f6c95838a82f8",
+    "genoax/d2h/pageable secs=3f2f6c95838a82f8",
+    "altra/h2d/pinned secs=3f4a5a1c23502b4e",
+    "altra/d2h/pinned secs=3f4a5a1c23502b4e",
+    "altra/d2d/device secs=3f3a5e4de13858c8",
+    "altra/h2d/pageable secs=3f4a5a1c23502b4e",
+    "altra/d2h/pageable secs=3f4a5a1c23502b4e",
+];
+
+/// Each price is pinned by bits, and must also equal the interconnect
+/// model: a change to how transfers are recorded, replayed or committed
+/// that leaves the model alone still fails here.
+#[test]
+fn every_transfer_reproduces_its_pinned_price() {
+    let cells = transfer_cells();
+    for (label, secs, model) in &cells {
+        let drift = (secs - model).abs() / model;
+        assert!(
+            drift <= 1e-9,
+            "{label}: priced at {secs:e} s but the interconnect model says {model:e} s"
+        );
+    }
+    let got: Vec<String> = cells
+        .iter()
+        .map(|(label, secs, _)| format!("{label} secs={:016x}", secs.to_bits()))
+        .collect();
+    if got != TRANSFER_PINNED {
+        let moved: Vec<&str> = got
+            .iter()
+            .zip(TRANSFER_PINNED)
+            .filter(|(g, p)| g != p)
+            .map(|(g, _)| g.split(' ').next().unwrap_or(g))
+            .collect();
+        let table: String = got.iter().map(|l| format!("    \"{l}\",\n")).collect();
+        panic!("transfer prices moved ({moved:?}); the new values are:\n{table}");
     }
 }
