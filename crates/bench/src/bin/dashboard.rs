@@ -30,10 +30,7 @@
 //!    bandwidth delta, and the CPU-vs-GPU crossover table;
 //! 6. the cross-product study from the last `study` run (`STUDY.json`):
 //!    per-cell status grid, retries, fleet utilisation and its PP̄ rows;
-//! 7. fleet forensics: the `blackbox` reconstruction of the last study
-//!    (`BLACKBOX_study.json`) — kill sites, tail kernels and the flight
-//!    recording inventory;
-//! 8. graph lint: the static dataflow findings from the last
+//! 7. graph lint: the static dataflow findings from the last
 //!    `graphlint` run (`LINT_<app>.json`) — per-app severity tallies
 //!    plus every Error/Warning and fusion-candidate finding.
 
@@ -225,7 +222,6 @@ fn render(
     }
     render_data_movement(&mut h, out_dir);
     render_study_run(&mut h, out_dir);
-    render_fleet_forensics(&mut h, out_dir);
     render_graphlint(&mut h, out_dir);
 
     h.push_str(SCRIPT);
@@ -954,178 +950,7 @@ fn render_study_run(h: &mut String, out_dir: &Path) {
     h.push_str("</section>");
 }
 
-/// Section 7: fleet forensics, the `blackbox` reconstruction of the
-/// last study — kill-site attribution for every crashed/timed-out unit,
-/// the straggler/tail kernel breakdown, and the per-process flight
-/// recording inventory.
-///
-/// Parsed generically from `BLACKBOX_study.json` (schema
-/// `sycl-blackbox/v1`) for the same layering reason as the study
-/// section: the study crate depends on this one.
-fn render_fleet_forensics(h: &mut String, out_dir: &Path) {
-    h.push_str("<section><h2>Fleet forensics</h2>");
-    let path = out_dir.join("BLACKBOX_study.json");
-    let doc = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|t| json::parse(&t).ok())
-        .filter(|d| d.str_of("schema") == Some("sycl-blackbox/v1"));
-    let Some(doc) = doc else {
-        h.push_str(
-            "<p>No <code>BLACKBOX_study.json</code> next to the dashboard — \
-             after a study, run <code>cargo run --release -p sycl-study \
-             --bin blackbox</code> to reconstruct crashes and stragglers \
-             from the flight recordings.</p></section>",
-        );
-        return;
-    };
-
-    let crashed = doc.u64_of("crashed").unwrap_or(0);
-    let unattributed = doc.u64_of("unattributed").unwrap_or(0);
-    let _ = write!(
-        h,
-        "<p>{} units ({} measured, {} holes, <b>{crashed}</b> crashed), \
-         reconstructed from the resume journal plus the crash-surviving \
-         flight recordings; the merged cross-process timeline is in \
-         <code>TRACE_study.json</code> (open in Perfetto — flow arrows \
-         join dispatch → execution → result across pids).</p>",
-        doc.u64_of("units").unwrap_or(0),
-        doc.u64_of("ok").unwrap_or(0),
-        doc.u64_of("holes").unwrap_or(0),
-    );
-    if crashed > 0 {
-        let _ = write!(
-            h,
-            "<p>Kill-site attribution: <b>{}</b> of {crashed} crashed \
-             unit(s) traced to the span they died in{}.</p>",
-            crashed - unattributed.min(crashed),
-            if unattributed > 0 {
-                format!(" — <b>{unattributed} unattributed</b>")
-            } else {
-                String::new()
-            },
-        );
-    }
-
-    if let Some(Json::Arr(attrs)) = doc.get("attributions") {
-        if !attrs.is_empty() {
-            h.push_str(
-                "<table><thead><tr><th>unit</th><th>worker</th>\
-                 <th>attempt</th><th>trace</th><th>died in</th>\
-                 <th>after</th><th>note</th></tr></thead><tbody>",
-            );
-            for a in attrs {
-                let site = match (a.str_of("spanKind"), a.str_of("spanName")) {
-                    (Some(k), Some(n)) => format!("{} <code>{}</code>", esc(k), esc(n)),
-                    _ => "<b>no recording</b>".to_owned(),
-                };
-                let _ = write!(
-                    h,
-                    "<tr><td><code>{}</code></td><td class=\"n\">{}</td>\
-                     <td class=\"n\">{}</td><td class=\"n\">{}</td>\
-                     <td>{site}</td><td class=\"n\">{}</td><td>{}</td></tr>",
-                    esc(a.str_of("id").unwrap_or("?")),
-                    a.u64_of("worker").unwrap_or(0),
-                    a.u64_of("attempt").unwrap_or(0),
-                    a.u64_of("trace").unwrap_or(0),
-                    a.f64_of("inSpanSecs")
-                        .map(fmt_secs)
-                        .unwrap_or_else(|| "-".to_owned()),
-                    esc(a.str_of("note").unwrap_or("")),
-                );
-            }
-            h.push_str("</tbody></table>");
-        }
-    }
-
-    let units = match doc.get("tailUnits") {
-        Some(Json::Arr(u)) => u
-            .iter()
-            .filter_map(|v| match v {
-                Json::Str(s) => Some(esc(s)),
-                _ => None,
-            })
-            .collect::<Vec<_>>()
-            .join(", "),
-        _ => String::new(),
-    };
-    let _ = write!(
-        h,
-        "<h3>Stragglers</h3><p>Units at or above the p99 wall time \
-         ({}): <code>{units}</code>.",
-        fmt_secs(doc.f64_of("tailP99Secs").unwrap_or(0.0)),
-    );
-    match doc.get("tailKernels") {
-        Some(Json::Arr(tails)) if !tails.is_empty() => {
-            h.push_str(
-                " Launch time inside those windows, by kernel:</p>\
-                 <table><thead><tr><th>kernel</th><th>seconds</th>\
-                 <th>share</th></tr></thead><tbody>",
-            );
-            for k in tails {
-                let _ = write!(
-                    h,
-                    "<tr><td><code>{}</code></td><td class=\"n\">{}</td>\
-                     <td class=\"n\">{:.1}%</td></tr>",
-                    esc(k.str_of("name").unwrap_or("?")),
-                    fmt_secs(k.f64_of("secs").unwrap_or(0.0)),
-                    k.f64_of("share").unwrap_or(0.0) * 100.0,
-                );
-            }
-            h.push_str("</tbody></table>");
-        }
-        _ => h.push_str(
-            " No launch spans inside those windows: dry-run studies \
-             record none, so there is no per-kernel breakdown.</p>",
-        ),
-    }
-
-    if let Some(Json::Arr(recs)) = doc.get("recordings") {
-        if !recs.is_empty() {
-            let _ = write!(
-                h,
-                "<h3>Flight recordings</h3><p>{} per-process recording(s); \
-                 <i>torn</i> marks a file whose writer died mid-record — \
-                 everything before the tear is still served.</p>\
-                 <table><thead><tr><th>process</th><th>pid</th>\
-                 <th>events</th><th>torn</th><th>peak RSS</th></tr></thead>\
-                 <tbody>",
-                recs.len()
-            );
-            for r in recs {
-                let who = if matches!(r.get("orchestrator"), Some(Json::Bool(true))) {
-                    "orchestrator".to_owned()
-                } else {
-                    format!("worker {}", r.u64_of("worker").unwrap_or(0))
-                };
-                let rss = r.u64_of("peakRssKb").unwrap_or(0);
-                let _ = write!(
-                    h,
-                    "<tr><td>{} <code>{}</code></td><td class=\"n\">{}</td>\
-                     <td class=\"n\">{}</td><td>{}</td>\
-                     <td class=\"n\">{}</td></tr>",
-                    who,
-                    esc(r.str_of("label").unwrap_or("")),
-                    r.u64_of("pid").unwrap_or(0),
-                    r.u64_of("events").unwrap_or(0),
-                    if matches!(r.get("torn"), Some(Json::Bool(true))) {
-                        "✂ torn"
-                    } else {
-                        "intact"
-                    },
-                    if rss > 0 {
-                        format!("{:.1} MiB", rss as f64 / 1024.0)
-                    } else {
-                        "-".to_owned()
-                    },
-                );
-            }
-            h.push_str("</tbody></table>");
-        }
-    }
-    h.push_str("</section>");
-}
-
-/// Section 8: static graph-lint findings from the last `graphlint` run.
+/// Section 7: static graph-lint findings from the last `graphlint` run.
 fn render_graphlint(h: &mut String, out_dir: &Path) {
     h.push_str("<section><h2>Graph lint</h2>");
     let docs: Vec<(&str, Json)> = APP_NAMES

@@ -5,7 +5,7 @@
 //! The rest of the workspace *produces* those numbers; this crate gives
 //! the simulator's own measurements somewhere to go: distributions that
 //! merge across threads and processes, and a document that carries them
-//! from a bench run to the dashboard and the study merger.
+//! from a bench run to the dashboard.
 //!
 //! Three pieces, std-only like everything else here:
 //!
@@ -14,12 +14,11 @@
 //!   Two histograms merge bucket-by-bucket, so per-thread shards or
 //!   per-run summaries combine without keeping raw samples.
 //! * **Registry** ([`registry()`]) — a process-wide, lock-light home for
-//!   named histograms and labelled counters. Recording goes to a
+//!   named, optionally labelled histograms. Recording goes to a
 //!   per-thread shard behind the recorder's own (uncontended) mutex and
 //!   is guarded by [`telemetry::enabled`], so the disabled path is the
 //!   same single relaxed-atomic branch every other instrumentation site
-//!   pays. [`registry::ingest_events`] folds a flushed telemetry trace
-//!   (launch / region / reduce / phase spans) into the registry.
+//!   pays.
 //! * **Manifests** ([`manifest`]) — one `BENCH_<name>.json` per bench
 //!   run: git revision, host, thread count, repetitions, per-kernel
 //!   histogram summaries *and* raw repetition samples, achieved GB/s,
@@ -36,4 +35,4 @@ pub mod registry;
 
 pub use hist::{Histogram, Summary};
 pub use manifest::{merge_manifests, KernelSummary, Provenance, RunManifest};
-pub use registry::{ingest_events, registry, Registry};
+pub use registry::{registry, Registry};

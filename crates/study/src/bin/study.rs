@@ -3,24 +3,19 @@
 //! ```text
 //! study --paper --workers 4            # the full study, 4 processes
 //! study --smoke                        # CI-sized subset
-//! study --paper --shard 1/2            # one CI shard
 //! study --paper --resume               # continue an interrupted run
 //! study --chaos 0.2 --chaos-seed 7     # fault-injected run
-//! study --merge OUT.json A.json B.json # merge shard documents
 //! study --no-flight                    # disable flight recordings
-//! study --retain 5                     # keep 5 runs' recordings
 //! ```
 //!
-//! Fleet runs keep crash-surviving flight recordings under
-//! `<out>/flight/` by default (`--flight-dir` moves them), one
-//! `run-<seq>-<journal>` subdirectory per run with the newest
-//! `--retain` runs kept (default 3) so `blackbox --diff` can compare a
-//! flaky unit across runs; run the `blackbox` binary afterwards to
-//! reconstruct crashes and stragglers.
+//! Each worker of a fleet run keeps a crash-surviving flight recording
+//! of its unit spans in `<out>/flight/` by default (`--flight-dir`
+//! moves them). A fresh run clears the previous run's recordings there;
+//! `--resume` keeps them.
 //!
-//! Writes `<out>/STUDY[_shard<i>of<n>].json` (the study document) and
-//! `<out>/BENCH_study[_shard<i>of<n>].json` (the merged manifest) and
-//! prints the per-status counts, fleet stats and PP̄ table.
+//! Writes `<out>/STUDY.json` (the study document) and
+//! `<out>/BENCH_study.json` (the merged manifest) and prints the
+//! per-status counts, fleet stats and PP̄ table.
 //!
 //! `--worker <id>` is the internal mode the orchestrator re-executes
 //! this binary into; it speaks the framed protocol on stdin/stdout.
@@ -29,23 +24,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use study::orchestrator::{run_study, StudyConfig};
-use study::report::{merge_docs, pp_rows, StudyDoc};
+use study::report::{pp_rows, StudyDoc};
 use study::unit::Scope;
-use study::{merged_manifest, worker_cli, UnitStatus};
+use study::{worker_cli, UnitStatus};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--worker") {
         return ExitCode::from(worker_cli(&args) as u8);
-    }
-    if args.first().map(String::as_str) == Some("--merge") {
-        return match merge_cli(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("study --merge: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
     match study_cli(&args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -70,17 +56,6 @@ fn study_cli(args: &[String]) -> Result<(), String> {
             "--smoke" => cfg.scope = Scope::Smoke,
             "--workers" => cfg.workers = parse(val("--workers")?)?,
             "--reps" => cfg.reps = parse(val("--reps")?)?,
-            "--shard" => {
-                let v = val("--shard")?;
-                let (i, n) = v
-                    .split_once('/')
-                    .ok_or_else(|| format!("--shard wants i/n, got '{v}'"))?;
-                let (i, n) = (parse::<usize>(i)?, parse::<usize>(n)?);
-                if n == 0 || i == 0 || i > n {
-                    return Err(format!("--shard {i}/{n} out of range"));
-                }
-                cfg.shard = Some((i, n));
-            }
             "--chaos" => cfg.chaos = parse(val("--chaos")?)?,
             "--chaos-seed" => cfg.chaos_seed = parse(val("--chaos-seed")?)?,
             "--timeout-secs" => cfg.timeout = Duration::from_secs(parse(val("--timeout-secs")?)?),
@@ -89,21 +64,15 @@ fn study_cli(args: &[String]) -> Result<(), String> {
             "--resume" => cfg.resume = true,
             "--flight-dir" => cfg.flight_dir = Some(PathBuf::from(val("--flight-dir")?)),
             "--no-flight" => no_flight = true,
-            "--retain" => cfg.retain = parse::<usize>(val("--retain")?)?.max(1),
             "--out" => out_dir = PathBuf::from(val("--out")?),
             other => return Err(format!("unknown flag '{other}' (see crate docs)")),
         }
     }
-    let suffix = match cfg.shard {
-        Some((i, n)) => format!("_shard{i}of{n}"),
-        None => String::new(),
-    };
     if cfg.journal.is_none() {
-        cfg.journal = Some(out_dir.join(format!("study{suffix}.journal")));
+        cfg.journal = Some(out_dir.join("study.journal"));
     }
-    // Flight recordings are on by default for fleet runs — they are
-    // what `blackbox` reconstructs crashes from — and live next to the
-    // other artefacts unless pointed elsewhere.
+    // Flight recordings are on by default for fleet runs and live next
+    // to the other artefacts unless pointed elsewhere.
     if no_flight {
         cfg.flight_dir = None;
     } else if cfg.flight_dir.is_none() && cfg.workers > 0 {
@@ -117,15 +86,14 @@ fn study_cli(args: &[String]) -> Result<(), String> {
     let outcome = run_study(&cfg)?;
     let doc = StudyDoc {
         scope: cfg.scope,
-        shard: cfg.shard,
         workers: cfg.workers as u32,
         stats: outcome.stats,
         records: outcome.records,
     };
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
-    let study_path = out_dir.join(format!("STUDY{suffix}.json"));
+    let study_path = out_dir.join("STUDY.json");
     std::fs::write(&study_path, doc.to_json()).map_err(|e| e.to_string())?;
-    let manifest_path = out_dir.join(format!("BENCH_study{suffix}.json"));
+    let manifest_path = out_dir.join("BENCH_study.json");
     std::fs::write(&manifest_path, outcome.merged.to_json()).map_err(|e| e.to_string())?;
 
     print_summary(&doc);
@@ -141,44 +109,11 @@ fn study_cli(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn merge_cli(args: &[String]) -> Result<(), String> {
-    let (out, inputs) = args
-        .split_first()
-        .ok_or("usage: study --merge OUT.json SHARD.json...")?;
-    if inputs.is_empty() {
-        return Err("usage: study --merge OUT.json SHARD.json...".into());
-    }
-    let docs = inputs
-        .iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
-            StudyDoc::parse(&text).map_err(|e| format!("{p}: {e}"))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let merged = merge_docs(&docs)?;
-    let manifest = merged_manifest("study", &merged.records);
-    std::fs::write(out, merged.to_json()).map_err(|e| format!("{out}: {e}"))?;
-    let manifest_out = PathBuf::from(out)
-        .with_file_name("BENCH_study.json")
-        .to_string_lossy()
-        .into_owned();
-    std::fs::write(&manifest_out, manifest.to_json())
-        .map_err(|e| format!("{manifest_out}: {e}"))?;
-    print_summary(&merged);
-    println!("\nwrote {out} and {manifest_out}");
-    Ok(())
-}
-
 fn print_summary(doc: &StudyDoc) {
     let (ok, holes, crashed) = doc.status_counts();
-    let shard = match doc.shard {
-        Some((i, n)) => format!(" shard {i}/{n}"),
-        None => String::new(),
-    };
     println!(
-        "study scope={}{} units={} ok={} holes={} crashed={}",
+        "study scope={} units={} ok={} holes={} crashed={}",
         doc.scope.label(),
-        shard,
         doc.records.len(),
         ok,
         holes,

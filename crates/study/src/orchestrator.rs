@@ -22,7 +22,7 @@
 use crate::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
 use crate::record::{worker_manifest, UnitRecord, UnitStatus};
 use crate::runner::run_unit;
-use crate::unit::{shard, Scope, StudyUnit};
+use crate::unit::{Scope, StudyUnit};
 use metrics::{merge_manifests, RunManifest};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -31,18 +31,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
-use telemetry::flight::{self, TraceRole};
-
-/// Worker-id sentinel the orchestrator uses for its own flight
-/// recording (real slots are 0-based and small).
-pub const ORCH_SLOT: u32 = u32::MAX;
 
 /// Everything a study run needs to know.
 #[derive(Debug, Clone)]
 pub struct StudyConfig {
     pub scope: Scope,
-    /// `Some((i, n))`: run only the canonical `i/n` shard (1-based).
-    pub shard: Option<(usize, usize)>,
     /// Worker processes; 0 runs every unit serially in-process.
     pub workers: usize,
     /// Timing repetitions per unit.
@@ -58,14 +51,12 @@ pub struct StudyConfig {
     pub journal: Option<PathBuf>,
     /// Replay the journal and skip already-terminal units.
     pub resume: bool,
-    /// Directory for crash-surviving flight recordings (orchestrator +
-    /// every worker). `None` disables flight recording. Each run writes
-    /// into its own `run-<seq>-<journal>` subdirectory so `blackbox`
-    /// can diff a flaky unit across runs; see [`StudyConfig::retain`].
+    /// Directory where each worker keeps its crash-surviving flight
+    /// recording (`flight-w<slot>-p<pid>.bin`). `None` disables flight
+    /// recording; a serial run has no workers and records nothing. A
+    /// fresh run clears the stale recordings there, a resumed run keeps
+    /// them.
     pub flight_dir: Option<PathBuf>,
-    /// How many runs' flight recordings to keep under `flight_dir`
-    /// (rolling retention, newest first). Clamped to at least 1.
-    pub retain: usize,
     /// Argv prefix used to spawn workers (the binary re-executes
     /// itself; tests point this at the test executable).
     pub worker_cmd: Vec<String>,
@@ -75,7 +66,6 @@ impl StudyConfig {
     pub fn new(scope: Scope) -> StudyConfig {
         StudyConfig {
             scope,
-            shard: None,
             workers: 4,
             reps: 3,
             timeout: Duration::from_secs(120),
@@ -85,18 +75,13 @@ impl StudyConfig {
             journal: None,
             resume: false,
             flight_dir: None,
-            retain: 3,
             worker_cmd: vec![],
         }
     }
 
     /// The units this run is responsible for.
     pub fn units(&self) -> Vec<StudyUnit> {
-        let all = self.scope.units();
-        match self.shard {
-            Some((i, n)) => shard(all, i, n),
-            None => all,
-        }
+        self.scope.units()
     }
 
     /// Paper-size apps for the paper scope, test-size for smoke.
@@ -181,76 +166,22 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, String> {
         .map(|u| (u.clone(), 1))
         .collect();
 
-    // The orchestrator keeps its own flight recording next to the
-    // workers': dispatch/result trace marks on this side, begin marks
-    // and unit spans on theirs, joined by the trace id. Each run gets
-    // its own `run-<seq>-<journal>` subdirectory — `blackbox` never
-    // mixes two runs, and the newest `cfg.retain` runs survive so a
-    // flaky unit can be diffed across them. A resumed run re-enters the
-    // newest matching run dir — its recordings are the crash evidence.
-    let flight_on = cfg.flight_dir.is_some();
-    let mut flight_run_dir: Option<PathBuf> = None;
-    if let Some(dir) = &cfg.flight_dir {
-        let run_dir = prepare_flight_run_dir(dir, cfg.journal.as_deref(), cfg.resume, cfg.retain)?;
-        let path = run_dir.join(format!("flight-orch-p{}.bin", std::process::id()));
-        if let Err(e) = flight::start(&path, ORCH_SLOT, "study-orchestrator") {
-            eprintln!("study: flight recorder unavailable: {e}");
+    if cfg.workers == 0 {
+        for (trace, (unit, attempt)) in (1..).zip(pending) {
+            let rec = run_unit(&unit, cfg.reps, cfg.paper_size(), 0, attempt, trace);
+            record_done(&rec, &mut stats)?;
+            done.insert(unit.index, rec);
         }
-        flight_run_dir = Some(run_dir);
-    }
-
-    let result = if cfg.workers == 0 {
-        let mut next_trace = 0u64;
-        let serial = || -> Result<(), String> {
-            for (unit, attempt) in pending {
-                next_trace += 1;
-                let id = unit.id();
-                flight::trace_mark(
-                    TraceRole::Dispatch,
-                    next_trace,
-                    unit.index as u32,
-                    attempt,
-                    &id,
-                );
-                flight::trace_mark(
-                    TraceRole::Begin,
-                    next_trace,
-                    unit.index as u32,
-                    attempt,
-                    &id,
-                );
-                flight::span_open(telemetry::SpanKind::Unit, &id);
-                let rec = run_unit(&unit, cfg.reps, cfg.paper_size(), 0, attempt, next_trace);
-                flight::span_close(telemetry::SpanKind::Unit, &id);
-                flight::trace_mark(
-                    TraceRole::Result,
-                    next_trace,
-                    unit.index as u32,
-                    attempt,
-                    rec.status.label(),
-                );
-                record_done(&rec, &mut stats)?;
-                done.insert(unit.index, rec);
-            }
-            Ok(())
-        };
-        serial()
     } else {
         run_fleet(
             cfg,
-            flight_run_dir.as_deref(),
             &units,
             pending,
             &mut done,
             &mut stats,
             &mut |rec, st| record_done(rec, st),
-        )
-    };
-    if flight_on {
-        flight::peak_rss(crate::worker::peak_rss_kb());
-        flight::stop();
+        )?;
     }
-    result?;
 
     stats.elapsed_secs = started.elapsed().as_secs_f64();
     debug_assert_eq!(done.len(), units.len());
@@ -312,7 +243,6 @@ struct Slot {
 
 fn run_fleet(
     cfg: &StudyConfig,
-    flight_run_dir: Option<&Path>,
     units: &[StudyUnit],
     mut pending: VecDeque<(StudyUnit, u32)>,
     done: &mut BTreeMap<usize, UnitRecord>,
@@ -324,6 +254,9 @@ fn run_fleet(
     }
     if pending.is_empty() {
         return Ok(());
+    }
+    if let Some(dir) = &cfg.flight_dir {
+        prepare_flight_dir(dir, cfg.resume)?;
     }
     let (tx, rx): (Sender<Ev>, Receiver<Ev>) = channel();
     let fleet = cfg.workers.min(pending.len().max(1));
@@ -351,7 +284,7 @@ fn run_fleet(
             cmd.args(["--chaos", &cfg.chaos.to_string()])
                 .args(["--chaos-seed", &cfg.chaos_seed.to_string()]);
         }
-        if let Some(dir) = flight_run_dir {
+        if let Some(dir) = &cfg.flight_dir {
             cmd.arg("--flight-dir").arg(dir);
         }
         let mut child = cmd
@@ -383,7 +316,7 @@ fn run_fleet(
     // with `exit` when the queue is dry). The handed unit becomes the
     // slot's in-flight with a fresh deadline and a fresh trace id —
     // every dispatch (including a retry of the same unit) gets its own
-    // id, so flight recordings never conflate two attempts.
+    // id, so the journal never conflates two attempts.
     fn assign(
         cfg: &StudyConfig,
         slot: &mut Slot,
@@ -403,13 +336,6 @@ fn run_fleet(
                     trace,
                 };
                 if write_frame(stdin, &msg.to_json()).is_ok() {
-                    flight::trace_mark(
-                        TraceRole::Dispatch,
-                        trace,
-                        unit.index as u32,
-                        attempt,
-                        &unit.id(),
-                    );
                     slot.inflight = Some(Inflight {
                         unit,
                         attempt,
@@ -442,13 +368,6 @@ fn run_fleet(
          record_done: &mut dyn FnMut(&UnitRecord, &mut StudyStats) -> Result<(), String>|
          -> Result<(), String> {
             if inf.attempt >= cfg.max_attempts {
-                flight::trace_mark(
-                    TraceRole::Result,
-                    inf.trace,
-                    inf.unit.index as u32,
-                    inf.attempt,
-                    "crashed",
-                );
                 let rec = UnitRecord {
                     unit: inf.unit.clone(),
                     status: UnitStatus::Crashed,
@@ -468,13 +387,6 @@ fn run_fleet(
                 record_done(&rec, stats)?;
                 done.insert(rec.unit.index, rec);
             } else {
-                flight::trace_mark(
-                    TraceRole::Result,
-                    inf.trace,
-                    inf.unit.index as u32,
-                    inf.attempt,
-                    "retry",
-                );
                 stats.retries += 1;
                 pending.push_front((inf.unit, inf.attempt + 1));
             }
@@ -517,13 +429,6 @@ fn run_fleet(
                     {
                         slots[s].inflight = None;
                     }
-                    flight::trace_mark(
-                        TraceRole::Result,
-                        rec.trace,
-                        rec.unit.index as u32,
-                        rec.attempt,
-                        rec.status.label(),
-                    );
                     record_done(&rec, stats)?;
                     done.insert(rec.unit.index, rec);
                     assign(cfg, &mut slots[s], &mut pending, &mut next_trace);
@@ -642,107 +547,22 @@ fn reap(slot: &mut Slot) {
 
 // ------------------------------------------------------- flight layout
 
-/// Parse a `run-<seq>-<tag>` directory name into its sequence number.
-fn run_seq(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("run-")?;
-    let (seq, _tag) = rest.split_once('-')?;
-    seq.parse().ok()
-}
-
-/// Per-run flight subdirectories under `dir`, oldest → newest.
-pub fn flight_run_dirs(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return vec![];
-    };
-    let mut runs: Vec<(u64, PathBuf)> = entries
-        .flatten()
-        .filter(|e| e.path().is_dir())
-        .filter_map(|e| run_seq(&e.file_name().to_string_lossy()).map(|seq| (seq, e.path())))
-        .collect();
-    runs.sort();
-    runs
-}
-
-/// The directory `blackbox` reads by default: the newest run
-/// subdirectory, or `dir` itself when no run subdirectory exists (the
-/// pre-retention flat layout).
-pub fn latest_flight_run(dir: &Path) -> PathBuf {
-    flight_run_dirs(dir)
-        .pop()
-        .map(|(_, p)| p)
-        .unwrap_or_else(|| dir.to_path_buf())
-}
-
-/// The run tag: the journal's file stem, sanitised for a path segment.
-/// Two studies with different journals never share a retention window.
-fn journal_tag(journal: Option<&Path>) -> String {
-    let stem = journal
-        .and_then(|p| p.file_stem())
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let tag: String = stem
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if tag.is_empty() {
-        "adhoc".into()
-    } else {
-        tag
-    }
-}
-
-/// Create (or, on resume, re-enter) this run's flight subdirectory and
-/// prune the rolling window to the newest `retain` runs. Legacy flat
-/// `flight-*.bin` files at the top level (the pre-retention layout)
-/// are removed on a fresh run.
-fn prepare_flight_run_dir(
-    dir: &Path,
-    journal: Option<&Path>,
-    resume: bool,
-    retain: usize,
-) -> Result<PathBuf, String> {
+/// Create the flight directory workers record into. A fresh run clears
+/// the stale `flight-*.bin` recordings a previous run left there; a
+/// resumed run keeps them, since they hold the interrupted run's spans.
+fn prepare_flight_dir(dir: &Path, resume: bool) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("flight dir: {e}"))?;
-    let tag = journal_tag(journal);
-    let runs = flight_run_dirs(dir);
     if resume {
-        // The newest run carrying this journal's tag holds the crash
-        // evidence of the interrupted run — append to it.
-        let newest_same_tag = runs.iter().rev().find(|(_, p)| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_prefix("run-"))
-                .and_then(|r| r.split_once('-'))
-                .is_some_and(|(_, t)| t == tag)
-        });
-        if let Some((_, path)) = newest_same_tag {
-            return Ok(path.clone());
-        }
-        // Nothing to resume into: fall through to a fresh run dir.
-    } else if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("flight-") && name.ends_with(".bin") {
-                let _ = std::fs::remove_file(entry.path());
-            }
+        return Ok(());
+    }
+    for entry in std::fs::read_dir(dir).map_err(|e| format!("flight dir: {e}"))? {
+        let path = entry.map_err(|e| format!("flight dir: {e}"))?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if name.starts_with("flight-") && name.ends_with(".bin") {
+            let _ = std::fs::remove_file(&path);
         }
     }
-    let seq = runs.last().map(|(s, _)| s + 1).unwrap_or(1);
-    let run_dir = dir.join(format!("run-{seq:04}-{tag}"));
-    std::fs::create_dir_all(&run_dir).map_err(|e| format!("flight run dir: {e}"))?;
-    // Rolling retention — the new run counts against the window.
-    let mut runs = flight_run_dirs(dir);
-    while runs.len() > retain.max(1) {
-        let (_, old) = runs.remove(0);
-        let _ = std::fs::remove_dir_all(&old);
-    }
-    Ok(run_dir)
+    Ok(())
 }
 
 // -------------------------------------------------------------- journal
@@ -839,37 +659,23 @@ mod tests {
     fn flight_retention_keeps_the_newest_runs_and_resume_reenters() {
         let dir = std::env::temp_dir().join(format!("study-flight-retain-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        // A legacy flat-layout recording to migrate away.
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("flight-orch-p1.bin"), b"stale").unwrap();
-        let journal = Some(dir.join("study.journal"));
+        let stale = dir.join("flight-w0-p1.bin");
+        let other = dir.join("notes.txt");
+        std::fs::write(&stale, b"stale").unwrap();
+        std::fs::write(&other, b"kept").unwrap();
 
-        for seq in 1..=4u64 {
-            let run = prepare_flight_run_dir(&dir, journal.as_deref(), false, 3).unwrap();
-            assert_eq!(
-                run.file_name().unwrap().to_str().unwrap(),
-                format!("run-{seq:04}-study")
-            );
-        }
-        assert!(
-            !dir.join("flight-orch-p1.bin").exists(),
-            "legacy flat recordings are cleared"
-        );
-        let runs = flight_run_dirs(&dir);
-        assert_eq!(
-            runs.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![2, 3, 4],
-            "retain=3 keeps the newest three runs"
-        );
-        assert_eq!(latest_flight_run(&dir), dir.join("run-0004-study"));
-
-        // Resume re-enters the newest run with the same journal tag…
-        let resumed = prepare_flight_run_dir(&dir, journal.as_deref(), true, 3).unwrap();
-        assert_eq!(resumed, dir.join("run-0004-study"));
-        // …while a different journal starts its own run (tag differs).
-        let other = Some(dir.join("study_shard1of2.journal"));
-        let fresh = prepare_flight_run_dir(&dir, other.as_deref(), true, 3).unwrap();
-        assert_eq!(fresh, dir.join("run-0005-study_shard1of2"));
+        // Resume keeps the interrupted run's recordings…
+        prepare_flight_dir(&dir, true).unwrap();
+        assert!(stale.exists(), "resume keeps the recordings");
+        // …while a fresh run clears them, and only them.
+        prepare_flight_dir(&dir, false).unwrap();
+        assert!(!stale.exists(), "a fresh run clears stale recordings");
+        assert!(other.exists(), "non-recordings are left alone");
+        // A missing directory is created.
+        let nested = dir.join("nested");
+        prepare_flight_dir(&nested, false).unwrap();
+        assert!(nested.is_dir());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,8 @@
-//! `STUDY.json`: the study-level artefact, and shard merging.
+//! `STUDY.json`: the study-level artefact.
 //!
 //! One document (`schema: "sycl-study/v1"`) holds the terminal record
 //! of every unit plus the fleet statistics; the dashboard's study
-//! section and the PP̄ table are derived from it. CI runs shards
-//! (`--shard 1/2`, `--shard 2/2`) in parallel jobs and merges their
-//! documents — [`merge_docs`] verifies the shards are disjoint and
-//! together cover the scope's full canonical enumeration, so a lost
-//! shard can never silently shrink the study.
+//! section and the PP̄ table are derived from it.
 
 use crate::orchestrator::StudyStats;
 use crate::record::{UnitRecord, UnitStatus};
@@ -20,8 +16,6 @@ pub const SCHEMA: &str = "sycl-study/v1";
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudyDoc {
     pub scope: Scope,
-    /// 1-based (index, count) when this document is one CI shard.
-    pub shard: Option<(usize, usize)>,
     pub workers: u32,
     pub stats: StudyStats,
     /// Terminal records, canonical (unit-index) order.
@@ -34,10 +28,6 @@ impl StudyDoc {
         w.begin_object();
         w.key("schema").string(SCHEMA);
         w.key("scope").string(self.scope.label());
-        if let Some((i, n)) = self.shard {
-            w.key("shardIndex").int(i as u64);
-            w.key("shardCount").int(n as u64);
-        }
         w.key("workers").int(self.workers as u64);
         w.key("stats").begin_object();
         w.key("elapsedSecs").number(self.stats.elapsed_secs);
@@ -76,11 +66,6 @@ impl StudyDoc {
             .str_of("scope")
             .and_then(Scope::parse)
             .ok_or("document missing a known 'scope'")?;
-        let shard = match (j.u64_of("shardIndex"), j.u64_of("shardCount")) {
-            (Some(i), Some(n)) => Some((i as usize, n as usize)),
-            (None, None) => None,
-            _ => return Err("shardIndex/shardCount must appear together".into()),
-        };
         let stats = j.get("stats").ok_or("document missing 'stats'")?;
         let stat_u64 = |k: &str| stats.u64_of(k).ok_or(format!("stats missing '{k}'"));
         let records = match j.get("records") {
@@ -92,7 +77,6 @@ impl StudyDoc {
         };
         Ok(StudyDoc {
             scope,
-            shard,
             workers: j.u64_of("workers").ok_or("document missing 'workers'")? as u32,
             stats: StudyStats {
                 elapsed_secs: stats.f64_of("elapsedSecs").unwrap_or(0.0),
@@ -123,63 +107,6 @@ impl StudyDoc {
     }
 }
 
-/// Merge CI shards into one full-scope document, verifying that they
-/// are pairwise disjoint and collectively cover the scope's canonical
-/// enumeration exactly.
-pub fn merge_docs(parts: &[StudyDoc]) -> Result<StudyDoc, String> {
-    let first = parts.first().ok_or("no documents to merge")?;
-    let scope = first.scope;
-    let mut records: Vec<UnitRecord> = Vec::new();
-    let mut stats = StudyStats::default();
-    let mut workers = 0;
-    for d in parts {
-        if d.scope != scope {
-            return Err(format!(
-                "scope mismatch: {} vs {}",
-                d.scope.label(),
-                scope.label()
-            ));
-        }
-        records.extend(d.records.iter().cloned());
-        workers += d.workers;
-        stats.elapsed_secs = stats.elapsed_secs.max(d.stats.elapsed_secs);
-        stats.busy_secs += d.stats.busy_secs;
-        stats.workers += d.stats.workers;
-        stats.retries += d.stats.retries;
-        stats.restarts += d.stats.restarts;
-        stats.timeouts += d.stats.timeouts;
-        stats.resumed += d.stats.resumed;
-        stats.peak_rss_kb = stats.peak_rss_kb.max(d.stats.peak_rss_kb);
-    }
-    records.sort_by_key(|r| r.unit.index);
-    let expected = scope.units();
-    if records.len() != expected.len() {
-        return Err(format!(
-            "merged shards hold {} records, scope '{}' has {} units",
-            records.len(),
-            scope.label(),
-            expected.len()
-        ));
-    }
-    for (r, u) in records.iter().zip(&expected) {
-        if r.unit != *u {
-            return Err(format!(
-                "record at index {} is {}, expected {} — shards overlap or a shard is missing",
-                u.index,
-                r.id(),
-                u.id()
-            ));
-        }
-    }
-    Ok(StudyDoc {
-        scope,
-        shard: None,
-        workers,
-        stats,
-        records,
-    })
-}
-
 /// The Pennycook–Sewall PP̄ table over the merged study: the same
 /// [`portability::pp_rows`] that `bench_harness::summary_stats` reports
 /// for the paper's §4.4, over the journaled records, so it covers
@@ -202,17 +129,15 @@ pub fn pp_rows(records: &[UnitRecord]) -> Vec<(String, f64)> {
 mod tests {
     use super::*;
     use crate::orchestrator::{run_study, StudyConfig};
-    use crate::unit::{shard, Scope};
+    use crate::unit::Scope;
 
-    fn smoke_doc(shard_of: Option<(usize, usize)>) -> StudyDoc {
+    fn smoke_doc() -> StudyDoc {
         let mut cfg = StudyConfig::new(Scope::Smoke);
         cfg.workers = 0;
         cfg.reps = 1;
-        cfg.shard = shard_of;
         let out = run_study(&cfg).unwrap();
         StudyDoc {
             scope: Scope::Smoke,
-            shard: shard_of,
             workers: 0,
             stats: out.stats,
             records: out.records,
@@ -221,7 +146,7 @@ mod tests {
 
     #[test]
     fn docs_round_trip() {
-        let doc = smoke_doc(None);
+        let doc = smoke_doc();
         let back = StudyDoc::parse(&doc.to_json()).unwrap();
         assert_eq!(back, doc);
         let (ok, holes, crashed) = back.status_counts();
@@ -231,30 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_restores_the_full_scope() {
-        let full = smoke_doc(None);
-        let merged = merge_docs(&[smoke_doc(Some((1, 2))), smoke_doc(Some((2, 2)))]).unwrap();
-        assert_eq!(merged.records.len(), full.records.len());
-        for (a, b) in merged.records.iter().zip(&full.records) {
-            assert_eq!(a.unit, b.unit);
-            assert_eq!(a.status, b.status);
-            assert_eq!(a.sim_secs, b.sim_secs, "{}", a.id());
-        }
-        assert_eq!(merged.shard, None);
-    }
-
-    #[test]
-    fn merge_rejects_overlap_and_gaps() {
-        let s1 = smoke_doc(Some((1, 2)));
-        let err = merge_docs(&[s1.clone(), s1.clone()]).unwrap_err();
-        assert!(err.contains("units") || err.contains("overlap"), "{err}");
-        let err = merge_docs(&[s1]).unwrap_err();
-        assert!(err.contains("records"), "{err}");
-    }
-
-    #[test]
     fn pp_rows_cover_sycl_combos_and_mgcfd() {
-        let doc = smoke_doc(None);
+        let doc = smoke_doc();
         let rows = pp_rows(&doc.records);
         let labels: Vec<&str> = rows.iter().map(|(l, _)| l.as_str()).collect();
         assert!(labels.contains(&"structured DPC++ ndrange"));
@@ -272,16 +175,5 @@ mod tests {
             .find(|(l, _)| l == "structured DPC++ ndrange")
             .unwrap();
         assert!(*nd > 0.0);
-    }
-
-    #[test]
-    fn shard_units_match_doc_shards() {
-        // The shard in a doc and the unit::shard helper agree.
-        let s2 = smoke_doc(Some((2, 2)));
-        let expect = shard(Scope::Smoke.units(), 2, 2);
-        assert_eq!(
-            s2.records.iter().map(|r| r.unit.index).collect::<Vec<_>>(),
-            expect.iter().map(|u| u.index).collect::<Vec<_>>()
-        );
     }
 }

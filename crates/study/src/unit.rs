@@ -1,12 +1,10 @@
-//! Enumerating and sharding the study's work units.
+//! Enumerating the study's work units.
 //!
 //! A *unit* is one cell of the paper's cross-product: (app, platform,
 //! variant[, scheme]). The enumeration order is a **determinism
 //! guarantee**: it depends only on the fixed platform/app/variant
-//! tables, never on timing, worker count or shard, so every process —
-//! orchestrator, worker, a CI shard on another machine — derives the
-//! same `index ↔ unit` mapping, and `--shard i/n` partitions by
-//! `index % n` into disjoint, collectively-exhaustive slices.
+//! tables, never on timing or worker count, so every process —
+//! orchestrator and worker — derives the same `index ↔ unit` mapping.
 
 use portability::{cpu_platforms, gpu_platforms, variants_for, StudyVariant};
 use sycl_sim::{PlatformId, Scheme, Toolchain};
@@ -14,7 +12,7 @@ use sycl_sim::{PlatformId, Scheme, Toolchain};
 /// One cell of the study cross-product.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StudyUnit {
-    /// Position in the full (unsharded) enumeration of its scope.
+    /// Position in the enumeration of its scope.
     pub index: usize,
     /// App name as accepted by `bench_harness::make_app`.
     pub app: String,
@@ -142,13 +140,6 @@ pub fn smoke_units() -> Vec<StudyUnit> {
     out
 }
 
-/// The `i/n` shard of `units` (1-based `i`): every unit whose canonical
-/// index is ≡ i−1 (mod n). Shards are disjoint and cover the input.
-pub fn shard(units: Vec<StudyUnit>, i: usize, n: usize) -> Vec<StudyUnit> {
-    assert!(n >= 1 && (1..=n).contains(&i), "shard {i}/{n} out of range");
-    units.into_iter().filter(|u| u.index % n == i - 1).collect()
-}
-
 /// Reconstruct a unit from its wire fields (the worker and merge sides
 /// of the protocol). Returns `None` on any unknown label.
 pub fn unit_from_wire(
@@ -197,18 +188,6 @@ mod tests {
     fn enumeration_is_deterministic() {
         assert_eq!(paper_units(), paper_units());
         assert_eq!(smoke_units(), smoke_units());
-    }
-
-    #[test]
-    fn shards_partition_the_scope() {
-        let all = paper_units();
-        let mut seen = HashSet::new();
-        for i in 1..=3 {
-            for u in shard(paper_units(), i, 3) {
-                assert!(seen.insert(u.index), "shards overlap at {}", u.id());
-            }
-        }
-        assert_eq!(seen.len(), all.len(), "shards cover the scope");
     }
 
     #[test]

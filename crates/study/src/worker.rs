@@ -9,10 +9,9 @@
 //! (unit, attempt) to retry.
 //!
 //! When the orchestrator passes `--flight-dir`, the worker keeps a
-//! crash-surviving flight recording there: the `begin` trace mark and
-//! the `unit` span open are flushed to disk *before* the fault-
-//! injection checks below, so even a unit that is killed or hangs
-//! instantly leaves its attribution on disk for `blackbox`.
+//! crash-surviving flight recording there: the `unit` span open is
+//! flushed to disk *before* the fault-injection checks below, so even a
+//! unit that is killed or hangs instantly leaves its open span on disk.
 //!
 //! Fault injection lives here too, behind flags the orchestrator (or a
 //! test) passes on the worker command line:
@@ -30,7 +29,7 @@ use crate::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
 use crate::runner::run_unit;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
-use telemetry::flight::{self, TraceRole};
+use telemetry::flight;
 use telemetry::SpanKind;
 
 /// Worker behaviour flags (all from the command line).
@@ -84,21 +83,18 @@ pub fn peak_rss_kb() -> u64 {
 /// Serve the worker loop over arbitrary streams (stdin/stdout in
 /// production, in-memory pipes in tests). Returns the exit code.
 pub fn serve(opts: &WorkerOpts, input: &mut impl Read, output: &mut impl Write) -> i32 {
-    telemetry::set_process_ident(opts.id, &format!("study-worker-{}", opts.id));
     if let Some(dir) = &opts.flight_dir {
         let path = dir.join(format!("flight-w{}-p{}.bin", opts.id, std::process::id()));
         if let Err(e) = flight::start(&path, opts.id, &format!("study-worker-{}", opts.id)) {
-            // Forensics are best-effort; losing them must not fail runs.
+            // Recording is best-effort; losing it must not fail runs.
             eprintln!("worker {}: flight recorder unavailable: {e}", opts.id);
         }
     }
     let send = |output: &mut dyn Write, m: &Msg| write_frame(&mut { output }, &m.to_json()).is_ok();
-    // Orderly shutdown: stamp peak RSS into the recording, close it,
-    // and send the `bye` exit frame. A crashed worker reaches none of
-    // this — the missing `bye` (and the open unit span on disk) is the
-    // post-mortem signal.
+    // Orderly shutdown: close the recording and send the `bye` exit
+    // frame. A crashed worker reaches neither — its recording ends with
+    // the unit span still open.
     let finish = |output: &mut dyn Write, opts: &WorkerOpts| -> i32 {
-        flight::peak_rss(peak_rss_kb());
         flight::stop();
         send(
             output,
@@ -149,10 +145,8 @@ pub fn serve(opts: &WorkerOpts, input: &mut impl Read, output: &mut impl Write) 
                     return 1;
                 }
                 let id = unit.id();
-                // Attribution anchor: both the trace mark and the unit
-                // span hit the disk (urgent flush) before any way this
-                // attempt can die, so a kill mid-unit is attributable.
-                flight::trace_mark(TraceRole::Begin, trace, unit.index as u32, attempt, &id);
+                // The unit span open hits the disk (urgent flush) before
+                // any way this attempt can die.
                 flight::span_open(SpanKind::Unit, &id);
                 if attempt == 1 && opts.hang_unit.as_deref() == Some(id.as_str()) {
                     std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -163,7 +157,6 @@ pub fn serve(opts: &WorkerOpts, input: &mut impl Read, output: &mut impl Write) 
                 }
                 let rec = run_unit(&unit, reps, paper, opts.id, attempt, trace);
                 flight::span_close(SpanKind::Unit, &id);
-                flight::counters_mark();
                 flight::flush();
                 if !send(output, &Msg::Done(rec)) {
                     return 1;

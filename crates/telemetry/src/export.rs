@@ -13,10 +13,8 @@ use crate::json::JsonWriter;
 use crate::ring::{Event, SpanKind};
 use std::collections::HashMap;
 
-/// Write one event as a Chrome `trace_event` object. `pid` is the
-/// process identity under which the event is attributed (the study
-/// worker slot in a multi-process run, 0 for a solo process).
-fn chrome_event(w: &mut JsonWriter, e: &Event, pid: u32) {
+/// Write one event as a Chrome `trace_event` object.
+fn chrome_event(w: &mut JsonWriter, e: &Event) {
     w.begin_object();
     w.key("name").string(e.name.as_str());
     w.key("cat").string(e.kind.label());
@@ -24,7 +22,7 @@ fn chrome_event(w: &mut JsonWriter, e: &Event, pid: u32) {
     // Chrome wants microseconds; keep sub-µs precision as a fraction.
     w.key("ts").number(e.start_ns as f64 / 1e3);
     w.key("dur").number(e.dur_ns as f64 / 1e3);
-    w.key("pid").int(pid as u64);
+    w.key("pid").int(0);
     w.key("tid").int(e.thread as u64);
     w.key("args").begin_object();
     w.key("items").int(e.items);
@@ -35,37 +33,12 @@ fn chrome_event(w: &mut JsonWriter, e: &Event, pid: u32) {
     w.end_object();
 }
 
-/// The `process_name` metadata record Perfetto uses to label a process
-/// track. Phase `"M"` events carry no duration; the `cat` key is kept
-/// so consumers that index every event by category don't have to
-/// special-case metadata.
-fn process_name_event(w: &mut JsonWriter, pid: u32, label: &str) {
-    w.begin_object();
-    w.key("name").string("process_name");
-    w.key("cat").string("meta");
-    w.key("ph").string("M");
-    w.key("pid").int(pid as u64);
-    w.key("tid").int(0);
-    w.key("args").begin_object();
-    w.key("name").string(label);
-    w.end_object();
-    w.end_object();
-}
-
 /// Write the `traceEvents` array (just the array — callers embed it in
-/// their own document, as the `profile` binary does). When a process
-/// identity has been installed ([`crate::set_process_ident`]) every
-/// span is attributed to that pid and the array opens with a
-/// `process_name` metadata event naming the worker.
+/// their own document, as the `profile` binary does).
 pub fn chrome_trace_events(w: &mut JsonWriter, events: &[Event]) {
-    let ident = crate::process_ident();
-    let pid = ident.as_ref().map_or(0, |(id, _)| *id);
     w.begin_array();
-    if let Some((id, label)) = &ident {
-        process_name_event(w, *id, label);
-    }
     for e in events {
-        chrome_event(w, e, pid);
+        chrome_event(w, e);
     }
     w.end_array();
 }
@@ -79,39 +52,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
     chrome_trace_events(&mut w, events);
     w.end_object();
     w.finish()
-}
-
-/// A Chrome flow-event *start* (`ph: "s"`). Paired with a
-/// [`flow_finish`] carrying the same `id`, Perfetto draws an arrow from
-/// the slice enclosing this point to the slice enclosing the finish —
-/// including across pids, which is how the fleet trace shows
-/// orchestrator-dispatch → worker-execution → result causality.
-pub fn flow_start(w: &mut JsonWriter, name: &str, id: u64, ts_us: f64, pid: u32, tid: u32) {
-    flow_event(w, "s", name, id, ts_us, pid, tid);
-}
-
-/// The matching flow-event *finish* (`ph: "f"`, binding to the
-/// enclosing slice via `bp: "e"`).
-pub fn flow_finish(w: &mut JsonWriter, name: &str, id: u64, ts_us: f64, pid: u32, tid: u32) {
-    flow_event(w, "f", name, id, ts_us, pid, tid);
-}
-
-fn flow_event(w: &mut JsonWriter, ph: &str, name: &str, id: u64, ts_us: f64, pid: u32, tid: u32) {
-    w.begin_object();
-    w.key("name").string(name);
-    w.key("cat").string("flow");
-    w.key("ph").string(ph);
-    if ph == "f" {
-        // Bind the arrow head to the *enclosing* slice, not the next
-        // one to start — the worker's unit slice is already open when
-        // the flow lands.
-        w.key("bp").string("e");
-    }
-    w.key("id").int(id);
-    w.key("ts").number(ts_us);
-    w.key("pid").int(pid as u64);
-    w.key("tid").int(tid as u64);
-    w.end_object();
 }
 
 /// Per-kernel aggregate over the launch spans of a trace.

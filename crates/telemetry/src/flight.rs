@@ -3,9 +3,10 @@
 //! The span rings ([`crate::ring`]) are in-memory: a SIGKILL'd study
 //! worker takes its trace with it, and the journal can only say *that*
 //! a unit died, never *what it was doing*. The flight recorder closes
-//! that gap: a compact binary append-only event log written straight
-//! through a small incremental-flush buffer, so whatever survives on
-//! disk after a kill is a readable prefix of the truth.
+//! that gap: a compact binary append-only log of span opens and closes,
+//! written straight through a small incremental-flush buffer, so
+//! whatever survives on disk after a kill is a readable prefix of the
+//! truth.
 //!
 //! ## Format (`SYFR`, version 1)
 //!
@@ -17,39 +18,36 @@
 //! |-----|-----------|------------------------------------------------------|
 //! | 1   | SpanOpen  | `t_ns u64, kind u8, name (u16 len + bytes)`          |
 //! | 2   | SpanClose | `t_ns u64, kind u8, name (u16 len + bytes)`          |
-//! | 3   | Counters  | `t_ns u64` + the 9 [`CounterSnapshot`] fields        |
-//! | 4   | TraceMark | `t_ns u64, role u8, trace u64, unit u32, attempt u32, tag (u16 len + bytes)` |
-//! | 5   | PeakRss   | `t_ns u64, kb u64`                                   |
+//!
+//! Tags 3, 4 and 5 belonged to retired record kinds (counter
+//! snapshots, trace marks, peak RSS) and stay unassigned: a record
+//! carrying one ends the decode like an unknown tag.
 //!
 //! All integers little-endian. Timestamps are **unix-epoch**
 //! nanoseconds (not the per-process [`crate::now_ns`] epoch) so
-//! recordings from different processes merge onto one fleet timeline.
+//! recordings from different processes share one timeline.
 //!
 //! ## Durability discipline
 //!
-//! Two classes of event. *Urgent* events — unit/phase span opens, trace
-//! marks, counter snapshots, peak-RSS — are `write(2)`'d to the file
-//! immediately: once the syscall returns, the bytes live in the kernel
-//! page cache and survive SIGKILL (only a machine crash loses them, and
-//! the study journal accepts that same risk). *Routine* events — launch
-//! opens and every close — sit in a small buffer flushed at
-//! [`FLUSH_THRESHOLD`] bytes and at unit boundaries, bounding syscall
-//! overhead on the launch hot path.
+//! Two classes of event. *Urgent* events — unit and phase span opens —
+//! are `write(2)`'d to the file immediately: once the syscall returns,
+//! the bytes live in the kernel page cache and survive SIGKILL (only a
+//! machine crash loses them, and the study journal accepts that same
+//! risk). *Routine* events — launch opens and every close — sit in a
+//! small buffer flushed at [`FLUSH_THRESHOLD`] bytes and at unit
+//! boundaries, bounding syscall overhead on the launch hot path.
 //!
 //! Launch and phase spans are recorded for executing sessions only:
 //! the launch core skips their brackets when a session is a dry run,
 //! whose bodies are empty, so a dry-run study unit writes just its unit
-//! span, trace marks and counters, and a crash inside it is attributed
-//! to the unit span. Either way the tail may be torn
-//! mid-record; the reader treats a torn tail as end-of-recording, the
-//! same tolerance discipline as the study journal
-//! (`study::orchestrator::read_journal`).
+//! span. Either way the tail may be torn mid-record; the reader treats
+//! a torn tail as end-of-recording, the same tolerance discipline as
+//! the study journal (`study::orchestrator::read_journal`).
 //!
 //! Like the span rings, the recorder observes and never feeds back:
 //! enabling it cannot change a session ledger bit
 //! (`crates/core/tests/telemetry_equiv.rs` proves this for both).
 
-use crate::counters::{counters, CounterSnapshot};
 use crate::ring::SpanKind;
 use std::fs::File;
 use std::io::Write;
@@ -67,48 +65,6 @@ pub const FLUSH_THRESHOLD: usize = 4096;
 
 const TAG_SPAN_OPEN: u8 = 1;
 const TAG_SPAN_CLOSE: u8 = 2;
-const TAG_COUNTERS: u8 = 3;
-const TAG_TRACE_MARK: u8 = 4;
-const TAG_PEAK_RSS: u8 = 5;
-
-/// Where a causal trace mark sits in a unit's dispatch→result arc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceRole {
-    /// Orchestrator handed the unit to a worker.
-    Dispatch,
-    /// Worker started executing the unit.
-    Begin,
-    /// Orchestrator received the unit's outcome.
-    Result,
-}
-
-impl TraceRole {
-    /// Lower-case label for exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceRole::Dispatch => "dispatch",
-            TraceRole::Begin => "begin",
-            TraceRole::Result => "result",
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            TraceRole::Dispatch => 0,
-            TraceRole::Begin => 1,
-            TraceRole::Result => 2,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<TraceRole> {
-        match c {
-            0 => Some(TraceRole::Dispatch),
-            1 => Some(TraceRole::Begin),
-            2 => Some(TraceRole::Result),
-            _ => None,
-        }
-    }
-}
 
 /// A span kind's SYFR v1 code. Code 5 belonged to a retired kind and
 /// stays unassigned, so no later kind is misread from an older
@@ -158,33 +114,13 @@ pub enum FlightEvent {
         kind: SpanKind,
         name: String,
     },
-    Counters {
-        t_ns: u64,
-        snap: CounterSnapshot,
-    },
-    TraceMark {
-        t_ns: u64,
-        role: TraceRole,
-        trace: u64,
-        unit: u32,
-        attempt: u32,
-        tag: String,
-    },
-    PeakRss {
-        t_ns: u64,
-        kb: u64,
-    },
 }
 
 impl FlightEvent {
     /// The event's timestamp, unix nanoseconds.
     pub fn t_ns(&self) -> u64 {
         match self {
-            FlightEvent::SpanOpen { t_ns, .. }
-            | FlightEvent::SpanClose { t_ns, .. }
-            | FlightEvent::Counters { t_ns, .. }
-            | FlightEvent::TraceMark { t_ns, .. }
-            | FlightEvent::PeakRss { t_ns, .. } => *t_ns,
+            FlightEvent::SpanOpen { t_ns, .. } | FlightEvent::SpanClose { t_ns, .. } => *t_ns,
         }
     }
 }
@@ -325,74 +261,6 @@ pub fn span_close(kind: SpanKind, name: &str) {
     span_record(TAG_SPAN_CLOSE, kind, name, false);
 }
 
-/// Record a causal trace mark (always urgent — marks are the evidence
-/// the cross-process flow arrows and crash attribution hang off).
-pub fn trace_mark(role: TraceRole, trace: u64, unit: u32, attempt: u32, tag: &str) {
-    if !recording() {
-        return;
-    }
-    let t = unix_now_ns();
-    append(
-        |buf| {
-            buf.push(TAG_TRACE_MARK);
-            push_u64(buf, t);
-            buf.push(role.code());
-            push_u64(buf, trace);
-            push_u32(buf, unit);
-            push_u32(buf, attempt);
-            push_name(buf, tag);
-        },
-        true,
-    );
-}
-
-/// Snapshot the process counters into the recording (urgent; callers
-/// invoke this at coarse period, e.g. once per unit).
-pub fn counters_mark() {
-    if !recording() {
-        return;
-    }
-    let t = unix_now_ns();
-    let c = counters().snapshot();
-    append(
-        |buf| {
-            buf.push(TAG_COUNTERS);
-            push_u64(buf, t);
-            for v in [
-                c.launches,
-                c.pricing_cache_hits,
-                c.pricing_cache_misses,
-                c.regions,
-                c.steals,
-                c.parks,
-                c.wakes,
-                c.bytes_moved,
-                c.spans_dropped,
-            ] {
-                push_u64(buf, v);
-            }
-        },
-        true,
-    );
-}
-
-/// Record the process's peak RSS in kilobytes (urgent; written once at
-/// worker exit).
-pub fn peak_rss(kb: u64) {
-    if !recording() {
-        return;
-    }
-    let t = unix_now_ns();
-    append(
-        |buf| {
-            buf.push(TAG_PEAK_RSS);
-            push_u64(buf, t);
-            push_u64(buf, kb);
-        },
-        true,
-    );
-}
-
 /// Flush buffered routine events through to the page cache (unit
 /// boundaries call this so a later crash can't orphan a whole unit's
 /// launch history).
@@ -510,107 +378,21 @@ impl FlightRecording {
     fn parse_record(c: &mut Cursor<'_>) -> Option<Option<FlightEvent>> {
         let tag = c.u8()?;
         let t_ns = c.u64()?;
-        let ev = match tag {
-            TAG_SPAN_OPEN | TAG_SPAN_CLOSE => {
-                let kind = kind_from_code(c.u8()?);
-                let name = c.name()?;
-                match kind {
-                    Some(kind) if tag == TAG_SPAN_OPEN => {
-                        FlightEvent::SpanOpen { t_ns, kind, name }
-                    }
-                    Some(kind) => FlightEvent::SpanClose { t_ns, kind, name },
-                    None => return Some(None),
-                }
-            }
-            TAG_COUNTERS => {
-                let mut f = [0u64; 9];
-                for v in f.iter_mut() {
-                    *v = c.u64()?;
-                }
-                FlightEvent::Counters {
-                    t_ns,
-                    snap: CounterSnapshot {
-                        launches: f[0],
-                        pricing_cache_hits: f[1],
-                        pricing_cache_misses: f[2],
-                        regions: f[3],
-                        steals: f[4],
-                        parks: f[5],
-                        wakes: f[6],
-                        bytes_moved: f[7],
-                        spans_dropped: f[8],
-                    },
-                }
-            }
-            TAG_TRACE_MARK => {
-                let role = TraceRole::from_code(c.u8()?);
-                let trace = c.u64()?;
-                let unit = c.u32()?;
-                let attempt = c.u32()?;
-                let tag_s = c.name()?;
-                match role {
-                    Some(role) => FlightEvent::TraceMark {
-                        t_ns,
-                        role,
-                        trace,
-                        unit,
-                        attempt,
-                        tag: tag_s,
-                    },
-                    None => return Some(None),
-                }
-            }
-            TAG_PEAK_RSS => FlightEvent::PeakRss { t_ns, kb: c.u64()? },
-            _ => return Some(None),
-        };
-        Some(Some(ev))
+        if tag != TAG_SPAN_OPEN && tag != TAG_SPAN_CLOSE {
+            return Some(None);
+        }
+        let kind = kind_from_code(c.u8()?);
+        let name = c.name()?;
+        Some(kind.map(|kind| match tag {
+            TAG_SPAN_OPEN => FlightEvent::SpanOpen { t_ns, kind, name },
+            _ => FlightEvent::SpanClose { t_ns, kind, name },
+        }))
     }
 
     /// Read and decode a recording file.
     pub fn read(path: &Path) -> Result<FlightRecording, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Self::parse(&bytes)
-    }
-
-    /// The spans still open when the recording ended, outermost first —
-    /// replayed from the open/close stream. Closes pop the most recent
-    /// matching open, so interleaved (non-LIFO) spans from concurrent
-    /// threads still resolve.
-    pub fn open_spans(&self) -> Vec<(SpanKind, &str, u64)> {
-        let mut stack: Vec<(SpanKind, &str, u64)> = Vec::new();
-        for ev in &self.events {
-            match ev {
-                FlightEvent::SpanOpen { t_ns, kind, name } => {
-                    stack.push((*kind, name.as_str(), *t_ns));
-                }
-                FlightEvent::SpanClose { kind, name, .. } => {
-                    if let Some(i) = stack
-                        .iter()
-                        .rposition(|(k, n, _)| k == kind && *n == name.as_str())
-                    {
-                        stack.remove(i);
-                    }
-                }
-                _ => {}
-            }
-        }
-        stack
-    }
-
-    /// The deepest span still open at the end of the recording — the
-    /// crash attribution: what the process was inside when it died.
-    pub fn last_open_span(&self) -> Option<(SpanKind, &str, u64)> {
-        self.open_spans().pop()
-    }
-
-    /// Timestamp of the last decoded event (unix ns); header start time
-    /// if the recording is empty.
-    pub fn last_event_ns(&self) -> u64 {
-        self.events
-            .iter()
-            .map(FlightEvent::t_ns)
-            .max()
-            .unwrap_or(self.start_unix_ns)
     }
 }
 
@@ -650,6 +432,33 @@ mod tests {
         }
         assert_eq!(kind_from_code(5), None, "code 5 stays retired");
         assert!((7..=u8::MAX).all(|c| kind_from_code(c).is_none()));
+
+        // Record tags 3, 4 and 5 stay retired too: one good span open,
+        // then a record under each retired tag (with a plausible
+        // payload) ends the decode exactly like an unknown tag.
+        let mut head = MAGIC.to_vec();
+        push_u16(&mut head, VERSION);
+        push_u32(&mut head, 0);
+        push_u32(&mut head, 1);
+        push_u64(&mut head, 0);
+        push_name(&mut head, "w");
+        head.push(TAG_SPAN_OPEN);
+        push_u64(&mut head, 1);
+        head.push(kind_code(SpanKind::Unit));
+        push_name(&mut head, "unit");
+        for tag in [3u8, 4, 5, 0xEE] {
+            let mut bytes = head.clone();
+            bytes.push(tag);
+            push_u64(&mut bytes, 2);
+            bytes.extend_from_slice(&[0; 64]);
+            let rec = FlightRecording::parse(&bytes).unwrap();
+            assert!(rec.torn, "tag {tag} must end the decode");
+            assert_eq!(
+                rec.events.len(),
+                1,
+                "tag {tag}: only the good open survives"
+            );
+        }
     }
 
     #[test]
@@ -658,54 +467,32 @@ mod tests {
         let path = tmp("roundtrip.bin");
         start(&path, 3, "worker-3").unwrap();
         span_open(SpanKind::Unit, "clover/a100/usm@dpcpp");
-        trace_mark(TraceRole::Begin, 42, 7, 1, "clover/a100/usm@dpcpp");
         span_open(SpanKind::Launch, "advec_cell");
         span_close(SpanKind::Launch, "advec_cell");
-        counters_mark();
-        peak_rss(12345);
         span_close(SpanKind::Unit, "clover/a100/usm@dpcpp");
-        assert_eq!(stop(), Some(7));
+        assert_eq!(stop(), Some(4));
         let rec = FlightRecording::read(&path).unwrap();
         assert_eq!(rec.worker, 3);
         assert_eq!(rec.pid, std::process::id());
         assert_eq!(rec.label, "worker-3");
         assert!(!rec.torn);
-        assert_eq!(rec.events.len(), 7);
-        assert!(rec.open_spans().is_empty());
-        assert!(matches!(
-            rec.events[1],
-            FlightEvent::TraceMark {
-                role: TraceRole::Begin,
-                trace: 42,
-                unit: 7,
-                attempt: 1,
-                ..
-            }
-        ));
-        assert!(matches!(
-            rec.events[5],
-            FlightEvent::PeakRss { kb: 12345, .. }
-        ));
-    }
-
-    #[test]
-    fn unclosed_spans_attribute_the_crash() {
-        let _g = serial();
-        let path = tmp("attrib.bin");
-        start(&path, 0, "w").unwrap();
-        span_open(SpanKind::Unit, "unit-id");
-        span_open(SpanKind::Phase, "advection");
-        span_open(SpanKind::Launch, "advec_mom");
-        span_close(SpanKind::Launch, "advec_mom");
-        span_open(SpanKind::Launch, "advec_cell");
-        stop();
-        let rec = FlightRecording::read(&path).unwrap();
-        let open = rec.open_spans();
-        assert_eq!(open.len(), 3);
-        let (kind, name, _) = rec.last_open_span().unwrap();
-        assert_eq!(kind, SpanKind::Launch);
-        assert_eq!(name, "advec_cell");
-        assert_eq!(open[0].1, "unit-id");
+        let decoded: Vec<(bool, SpanKind, &str)> = rec
+            .events
+            .iter()
+            .map(|e| match e {
+                FlightEvent::SpanOpen { kind, name, .. } => (true, *kind, name.as_str()),
+                FlightEvent::SpanClose { kind, name, .. } => (false, *kind, name.as_str()),
+            })
+            .collect();
+        assert_eq!(
+            decoded,
+            [
+                (true, SpanKind::Unit, "clover/a100/usm@dpcpp"),
+                (true, SpanKind::Launch, "advec_cell"),
+                (false, SpanKind::Launch, "advec_cell"),
+                (false, SpanKind::Unit, "clover/a100/usm@dpcpp"),
+            ]
+        );
     }
 
     #[test]
@@ -718,9 +505,17 @@ mod tests {
         span_close(SpanKind::Launch, "a"); // non-LIFO
         stop();
         let rec = FlightRecording::read(&path).unwrap();
-        let open = rec.open_spans();
-        assert_eq!(open.len(), 1);
-        assert_eq!(open[0].1, "b");
+        // A non-LIFO close decodes as written, naming the open it
+        // matches; `b` is left open.
+        let names: Vec<(bool, &str)> = rec
+            .events
+            .iter()
+            .map(|e| match e {
+                FlightEvent::SpanOpen { name, .. } => (true, name.as_str()),
+                FlightEvent::SpanClose { name, .. } => (false, name.as_str()),
+            })
+            .collect();
+        assert_eq!(names, [(true, "a"), (true, "b"), (false, "a")]);
     }
 
     #[test]
@@ -728,7 +523,6 @@ mod tests {
         let _g = serial();
         assert!(!recording());
         span_open(SpanKind::Launch, "nope");
-        trace_mark(TraceRole::Dispatch, 1, 0, 0, "nope");
         flush();
         assert_eq!(stop(), None);
     }

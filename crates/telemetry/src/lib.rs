@@ -24,11 +24,10 @@
 //!   (count, total/mean/p99 wall time, achieved GB/s from the footprint
 //!   bytes), built on the shared [`json`] writer.
 //! * **Flight recorder** ([`flight`]) — a crash-surviving binary
-//!   append-only event log for multi-process studies: span opens and
-//!   closes, causal trace marks, and counter snapshots written through
-//!   an incremental-flush buffer, so a SIGKILL'd worker still leaves a
-//!   readable, torn-tail-tolerant recording for post-mortem
-//!   attribution (`blackbox`).
+//!   append-only log of span opens and closes for multi-process
+//!   studies, written through an incremental-flush buffer, so a
+//!   SIGKILL'd worker still leaves a readable, torn-tail-tolerant
+//!   recording of the span it died in.
 //!
 //! ## Overhead budget
 //!
@@ -50,34 +49,14 @@ pub mod shadow;
 
 pub use counters::{counters, CounterSnapshot, Counters};
 pub use export::{aggregate, chrome_trace, chrome_trace_events};
-pub use flight::{FlightEvent, FlightRecording, TraceRole};
+pub use flight::{FlightEvent, FlightRecording};
 pub use ring::{flush, now_ns, reduce_span, Event, Name, SpanKind, SpanTimer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Process-wide on/off switch. Relaxed is enough: the flag is a pure
 /// hint — a racing reader at worst records or skips one span.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Who this process is in a multi-process run: a small stable id (the
-/// study worker slot) and a human label for trace viewers. Defaults to
-/// `(0, None)` — a solo process — so single-process traces are
-/// unchanged.
-static PROCESS_IDENT: Mutex<Option<(u32, String)>> = Mutex::new(None);
-
-/// Declare this process's identity for span attribution. Study workers
-/// call this once at startup so every Chrome-trace event they export
-/// carries their worker slot as the `pid`, and the trace names the
-/// process (e.g. `worker-3`) in Perfetto's process list.
-pub fn set_process_ident(id: u32, label: &str) {
-    *PROCESS_IDENT.lock().unwrap() = Some((id, label.to_owned()));
-}
-
-/// The identity installed by [`set_process_ident`], if any.
-pub fn process_ident() -> Option<(u32, String)> {
-    PROCESS_IDENT.lock().unwrap().clone()
-}
 
 /// Is telemetry recording? This is the single branch the disabled path
 /// pays at every instrumentation site.

@@ -14,7 +14,7 @@
 //! once behind a `OnceLock` and every test reads the same bytes.
 
 use std::sync::OnceLock;
-use telemetry::flight::{self, TraceRole, VERSION};
+use telemetry::flight::{self, VERSION};
 use telemetry::{FlightEvent, FlightRecording, SpanKind};
 
 const LABEL: &str = "torn-suite";
@@ -29,13 +29,12 @@ fn bytes() -> &'static [u8] {
     BYTES.get_or_init(|| {
         let path = std::env::temp_dir().join(format!("flight-torn-{}.bin", std::process::id()));
         flight::start(&path, WORKER, LABEL).expect("start recorder");
+        flight::span_open(SpanKind::Unit, "spmv@cpu");
         flight::span_open(SpanKind::Phase, "measure");
-        flight::trace_mark(TraceRole::Begin, 7, 3, 1, "spmv@cpu");
         flight::span_open(SpanKind::Launch, "spmv");
-        flight::counters_mark();
         flight::span_close(SpanKind::Launch, "spmv");
-        flight::peak_rss(12_345);
         flight::span_close(SpanKind::Phase, "measure");
+        flight::span_close(SpanKind::Unit, "spmv@cpu");
         flight::stop().expect("recorder was on");
         let raw = std::fs::read(&path).expect("read recording");
         std::fs::remove_file(&path).ok();
@@ -54,27 +53,28 @@ fn full_recording_round_trips() {
     assert_eq!(rec.worker, WORKER);
     assert_eq!(rec.pid, std::process::id());
     assert_eq!(rec.label, LABEL);
-    assert_eq!(rec.events.len(), 7, "every event made it to disk");
+    assert_eq!(rec.events.len(), 6, "every event made it to disk");
     assert!(matches!(
-        rec.events[0],
+        &rec.events[0],
         FlightEvent::SpanOpen {
-            kind: SpanKind::Phase,
+            kind: SpanKind::Unit,
+            name,
             ..
-        }
+        } if name == "spmv@cpu"
     ));
     assert!(matches!(
-        rec.events[1],
-        FlightEvent::TraceMark {
-            role: TraceRole::Begin,
-            trace: 7,
-            unit: 3,
-            attempt: 1,
+        rec.events[2],
+        FlightEvent::SpanOpen {
+            kind: SpanKind::Launch,
             ..
         }
     ));
     assert!(matches!(
         rec.events[5],
-        FlightEvent::PeakRss { kb: 12_345, .. }
+        FlightEvent::SpanClose {
+            kind: SpanKind::Unit,
+            ..
+        }
     ));
     // Timestamps are unix-epoch and monotone within the recording.
     let ts: Vec<u64> = rec.events.iter().map(|e| e.t_ns()).collect();
