@@ -29,53 +29,44 @@ pub trait App: Send + Sync {
     fn run(&self, session: &Session) -> AppRun;
 }
 
-/// RAII guard tracing one whole application run. Records a `RegionSpan`
-/// named after the app when dropped (so early returns and panics during
-/// a run still close the span); a no-op when telemetry is disabled.
+/// RAII guard tracing one span of an app: the whole run or one named
+/// phase. Records its span when dropped (so early returns and panics
+/// still close it); a single-branch no-op when telemetry is disabled,
+/// so the functional fast path and its ledger stay untouched.
 pub struct AppSpan {
     timer: Option<telemetry::SpanTimer>,
+    kind: telemetry::SpanKind,
     name: &'static str,
+}
+
+impl AppSpan {
+    fn open(kind: telemetry::SpanKind, name: &'static str) -> AppSpan {
+        AppSpan {
+            timer: telemetry::SpanTimer::start(),
+            kind,
+            name,
+        }
+    }
 }
 
 impl Drop for AppSpan {
     fn drop(&mut self) {
         if let Some(t) = self.timer.take() {
-            t.finish(telemetry::SpanKind::Region, self.name, 0, 0.0);
+            t.finish(self.kind, self.name, 0, 0.0);
         }
     }
 }
 
-/// Open the app-level span; hold the guard for the whole `run`.
+/// Open the app-level `Region` span, named after the app; hold the
+/// guard for the whole `run`.
 pub fn app_span(name: &'static str) -> AppSpan {
-    AppSpan {
-        timer: telemetry::SpanTimer::start(),
-        name,
-    }
+    AppSpan::open(telemetry::SpanKind::Region, name)
 }
 
-/// RAII guard tracing one named application phase — a group of launches
-/// under one algorithmic step (`advec_cell`, `flux_calc`, ...). Emits a
-/// `Phase` span when dropped; a single-branch no-op when telemetry is
-/// disabled, so the functional fast path and its ledger stay untouched.
-pub struct PhaseSpan {
-    timer: Option<telemetry::SpanTimer>,
-    name: &'static str,
-}
-
-impl Drop for PhaseSpan {
-    fn drop(&mut self) {
-        if let Some(t) = self.timer.take() {
-            t.finish(telemetry::SpanKind::Phase, self.name, 0, 0.0);
-        }
-    }
-}
-
-/// Open a phase-level span; hold the guard for the phase's launches.
-pub fn phase_span(name: &'static str) -> PhaseSpan {
-    PhaseSpan {
-        timer: telemetry::SpanTimer::start(),
-        name,
-    }
+/// Open a `Phase` span — a group of launches under one algorithmic step
+/// (`advec_cell`, `flux_calc`, ...); hold the guard for its launches.
+pub fn phase_span(name: &'static str) -> AppSpan {
+    AppSpan::open(telemetry::SpanKind::Phase, name)
 }
 
 /// The block used for *allocation*: full-size when the session executes

@@ -47,15 +47,3 @@ pub fn paper_structured_apps() -> Vec<Box<dyn App>> {
         Box::new(Acoustic::paper()),
     ]
 }
-
-/// The six structured-mesh apps at test sizes (functional validation).
-pub fn test_structured_apps() -> Vec<Box<dyn App>> {
-    vec![
-        Box::new(CloverLeaf2d::test()),
-        Box::new(CloverLeaf3d::test()),
-        Box::new(OpenSbli::test(SbliVariant::StoreAll)),
-        Box::new(OpenSbli::test(SbliVariant::StoreNone)),
-        Box::new(Rtm::test()),
-        Box::new(Acoustic::test()),
-    ]
-}

@@ -19,9 +19,8 @@
 //! 1. per-kernel wall/sim tables + counter deltas for each traced app,
 //!    with a deep-link into the matching `PROFILE_<app>.json` Perfetto
 //!    trace when one sits next to the dashboard;
-//! 2. scheduler health: the registry histograms the pool and the op2
-//!    colouring planner record while the apps run (steal latency,
-//!    chunks per region, colours and bytes per wave);
+//! 2. scheduler health: chunks per pool region and region wall time by
+//!    schedule, summarised from the traced runs' Region spans;
 //! 3. achieved-bandwidth scatter against each platform's STREAM roof;
 //! 4. the portability (efficiency) heatmap and PP̄ table;
 //! 5. data movement: the interconnect calibration from the last
@@ -34,16 +33,18 @@
 //!    `graphlint` run (`LINT_<app>.json`) — per-app severity tallies
 //!    plus every Error/Warning and fusion-candidate finding.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use bench_harness::{make_app, native_toolchain, APP_NAMES};
 use machine_model::Platform;
+use metrics::Histogram;
 use portability::{cpu_platforms, gpu_platforms, paper_measurements, pennycook, Measurement};
 use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
 use telemetry::export::KernelAgg;
 use telemetry::json::{self, Json};
-use telemetry::{CounterSnapshot, TelemetryConfig};
+use telemetry::{CounterSnapshot, Event, TelemetryConfig};
 
 /// One traced application run feeding the per-kernel tables.
 struct AppTrace {
@@ -55,6 +56,9 @@ struct AppTrace {
     aggs: Vec<KernelAgg>,
     delta: CounterSnapshot,
 }
+
+/// Scheduler-health histograms keyed by (metric, schedule).
+type SchedHists = BTreeMap<(&'static str, &'static str), Histogram>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,15 +85,13 @@ fn main() {
     }
 
     let mut traces = Vec::new();
+    let mut sched = SchedHists::new();
     for a in &apps {
-        match trace_app(a, platform) {
+        match trace_app(a, platform, &mut sched) {
             Some(t) => traces.push(t),
             None => eprintln!("note: {a} does not run on {}; skipped", platform.label()),
         }
     }
-    // Everything the pool and the colouring planner recorded into the
-    // metrics registry while the traces ran, merged across threads.
-    let sched = metrics::registry().flush();
 
     let study: Vec<(PlatformId, Vec<Measurement>)> = if skip_study {
         Vec::new()
@@ -132,8 +134,9 @@ fn main() {
     );
 }
 
-/// Run one app (test size, functional) under telemetry and aggregate.
-fn trace_app(name: &str, platform: PlatformId) -> Option<AppTrace> {
+/// Run one app (test size, functional) under telemetry and aggregate;
+/// its pool Region spans feed `sched`.
+fn trace_app(name: &str, platform: PlatformId, sched: &mut SchedHists) -> Option<AppTrace> {
     let app = make_app(name, false)?;
     let toolchain = native_toolchain(platform);
     let mut cfg = SessionConfig::new(platform, toolchain).app(app.name());
@@ -148,6 +151,7 @@ fn trace_app(name: &str, platform: PlatformId) -> Option<AppTrace> {
     let delta = telemetry::counters().snapshot().delta(&before);
     TelemetryConfig::disabled().install();
     let events = telemetry::flush();
+    record_regions(sched, &events);
 
     Some(AppTrace {
         app: name.to_owned(),
@@ -158,6 +162,27 @@ fn trace_app(name: &str, platform: PlatformId) -> Option<AppTrace> {
         aggs: telemetry::export::aggregate(&events),
         delta,
     })
+}
+
+/// Fold the pool's Region spans (`pool.region.<schedule>`) into
+/// per-schedule histograms: chunks per region (the span's item count)
+/// and region wall time.
+fn record_regions(sched: &mut SchedHists, events: &[Event]) {
+    for e in events {
+        let label = match e.name.as_str() {
+            "pool.region.dynamic" => "dynamic",
+            "pool.region.static" => "static",
+            _ => continue,
+        };
+        sched
+            .entry(("pool.chunks_per_region", label))
+            .or_default()
+            .record(e.items as f64);
+        sched
+            .entry(("pool.region_wall_us", label))
+            .or_default()
+            .record(e.dur_ns as f64 / 1e3);
+    }
 }
 
 /// Escape text for embedding in HTML bodies and attributes.
@@ -196,7 +221,7 @@ fn fmt_secs(s: f64) -> String {
 
 fn render(
     traces: &[AppTrace],
-    sched: &metrics::registry::Snapshot,
+    sched: &SchedHists,
     study: &[(PlatformId, Vec<Measurement>)],
     out_dir: &Path,
 ) -> String {
@@ -325,31 +350,25 @@ fn render_traces(h: &mut String, traces: &[AppTrace], out_dir: &Path) {
     h.push_str("</tbody></table></section>");
 }
 
-/// Section 2: scheduler health — the histograms the parkit pool and the
-/// op2 colouring planner record into the metrics registry while the
-/// traced apps run.
-fn render_scheduler(h: &mut String, snap: &metrics::registry::Snapshot) {
+/// Section 2: scheduler health — chunks per pool region and region
+/// wall time by schedule, over the traced apps' Region spans.
+fn render_scheduler(h: &mut String, sched: &SchedHists) {
     h.push_str(
         "<section><h2>Scheduler health</h2>\
-         <p>Registry histograms recorded during the traced runs: pool steal \
-         latency and region chunking, colouring-planner colour counts and \
-         bytes per conflict-free wave. Units are in \
-         the metric name; a colour count or steal latency drifting up across \
-         runs is scheduler degradation the per-kernel tables cannot show.</p>",
+         <p>Pool Region spans recorded during the traced runs, by schedule: \
+         chunks per region and region wall time. Units are in the metric \
+         name; many tiny regions or a wall time drifting up across runs is \
+         scheduler overhead the per-kernel tables cannot show.</p>",
     );
-    let keys = snap.hist_keys();
-    if keys.is_empty() {
-        h.push_str("<p>No scheduler metrics recorded.</p></section>");
+    if sched.is_empty() {
+        h.push_str("<p>No pool regions recorded.</p></section>");
         return;
     }
     h.push_str(
-        "<table class=\"sortable\"><thead><tr><th>metric</th><th>label</th>\
+        "<table class=\"sortable\"><thead><tr><th>metric</th><th>schedule</th>\
          <th>count</th><th>mean</th><th>p50</th><th>p95</th><th>max</th></tr></thead><tbody>",
     );
-    for key in keys {
-        let Some(hist) = snap.hist(&key.0, &key.1) else {
-            continue;
-        };
+    for ((metric, label), hist) in sched {
         let _ = write!(
             h,
             "<tr><td>{}</td><td>{}</td><td class=\"n\">{}</td>\
@@ -357,8 +376,8 @@ fn render_scheduler(h: &mut String, snap: &metrics::registry::Snapshot) {
              <td class=\"n\" data-v=\"{4}\">{4:.2}</td>\
              <td class=\"n\" data-v=\"{5}\">{5:.2}</td>\
              <td class=\"n\" data-v=\"{6}\">{6:.2}</td></tr>",
-            esc(&key.0),
-            esc(&key.1),
+            metric,
+            label,
             hist.count(),
             hist.mean(),
             hist.quantile(0.5),

@@ -365,14 +365,9 @@ fn indirect_class(passes: usize, samples: usize) -> (Entry, Entry, f64) {
 }
 
 /// What one observed launch costs: the same trivial streaming kernel
-/// is launched `launches` times under three observation regimes —
-/// telemetry off, counters+ring on, and ring plus the flight recorder
-/// streaming to a file. The deltas are the per-launch telemetry cost
-/// and the per-event recorder cost (each launch writes a span open +
-/// close, so flight events = 2 × launches; the flight entry's
-/// `launches` field holds the *event* count to keep ns/event derivable
-/// from the committed manifest).
-fn telemetry_class(launches: usize, samples: usize) -> (Entry, Entry, Entry, f64, f64) {
+/// is launched `launches` times with telemetry off and with counters
+/// and ring on. The delta is the per-launch telemetry cost.
+fn telemetry_class(launches: usize, samples: usize) -> (Entry, Entry, f64) {
     use sycl_sim::Kernel;
     let items = 1u64 << 12;
     let k = Kernel::streaming("probe", items, (items * 8) as f64, 0.0);
@@ -391,40 +386,19 @@ fn telemetry_class(launches: usize, samples: usize) -> (Entry, Entry, Entry, f64
 
     TelemetryConfig::enabled().install();
     let ring = time_samples(samples, || body(&session(true)));
-
-    let path = std::env::temp_dir().join(format!("engine-bench-flight-{}.bin", std::process::id()));
-    let flight = match telemetry::flight::start(&path, 0, "engine-bench") {
-        Ok(()) => {
-            let t = time_samples(samples, || body(&session(true)));
-            telemetry::flight::stop();
-            std::fs::remove_file(&path).ok();
-            t
-        }
-        Err(e) => {
-            eprintln!("flight recorder unavailable ({e}); reusing ring times");
-            ring.clone()
-        }
-    };
     TelemetryConfig::disabled().install();
     telemetry::flush(); // counters only; drop the probe spans
 
     let best = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
     let ring_ns_per_launch = (best(&ring) - best(&off)) / launches as f64 * 1e9;
-    let flight_ns_per_event = (best(&flight) - best(&ring)) / (2 * launches) as f64 * 1e9;
-    let mk = |phase: &'static str, samples: Vec<f64>, launches: usize| Entry {
+    let mk = |phase: &'static str, samples: Vec<f64>| Entry {
         class: "telemetry",
         phase,
         samples,
         bytes_moved: bytes,
         launches,
     };
-    (
-        mk("off", off, launches),
-        mk("ring", ring, launches),
-        mk("flight", flight, 2 * launches),
-        ring_ns_per_launch,
-        flight_ns_per_event,
-    )
+    (mk("off", off), mk("ring", ring), ring_ns_per_launch)
 }
 
 /// Persist the run as a `sycl-metrics` manifest.
@@ -500,8 +474,7 @@ fn main() {
     // would dilute exactly the overhead this class measures.
     let (ge, gr, g_sp) = replay_class(launches.max(32), 4 * passes.max(8), samples);
 
-    // Observation-cost probe: how much a launch pays for counters+ring,
-    // and what each flight-recorder event costs on top.
+    // Observation-cost probe: how much a launch pays for counters+ring.
     let probe_launches = if smoke {
         500
     } else if quick {
@@ -509,9 +482,9 @@ fn main() {
     } else {
         20_000
     };
-    let (to, tr, tf, ring_ns, flight_ns) = telemetry_class(probe_launches, samples);
+    let (to, tr, ring_ns) = telemetry_class(probe_launches, samples);
 
-    let entries = [sb, sf, rb, rf, ib, if_, ge, gr, to, tr, tf];
+    let entries = [sb, sf, rb, rf, ib, if_, ge, gr, to, tr];
     println!(
         "{:10} {:9} {:>10} {:>9} {:>14}",
         "class", "phase", "seconds", "GB/s", "launches/s"
@@ -536,7 +509,6 @@ fn main() {
         println!("speedup[{class}] = {sp:.2}x");
     }
     println!("overhead[ring] = {ring_ns:.1} ns/launch");
-    println!("overhead[flight] = {flight_ns:.1} ns/event");
     println!(
         "counters: {} launches, cache {} hits / {} misses, {} regions, {} steals",
         delta.launches,

@@ -435,43 +435,33 @@ impl LaunchGraph<'_> {
     }
 
     /// Execute stage: run the launch bodies in recorded order, with the
-    /// phase spans bracketing them. Flight brackets (launch and phase)
-    /// are written only when the session executes its bodies. A dry
-    /// run with telemetry off has neither to write, so it only calls
-    /// each body with `false`: a body still runs there, because a
-    /// reduce body hands its sink the identity.
+    /// phase spans bracketing them. With telemetry off there is no span
+    /// to write, so it only calls each body with `executes`: a dry-run
+    /// body still runs there, because a reduce body hands its sink the
+    /// identity.
     fn execute_stage(&self, priced: &[Option<LaunchRecord>], executes: bool) {
-        if !executes && !telemetry::enabled() {
+        if !telemetry::enabled() {
             for op in &self.ops {
                 if let GraphOp::Launch { body, .. } = op {
-                    body(false);
+                    body(executes);
                 }
             }
             return;
         }
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
-        let flight = executes && telemetry::flight::recording();
         for (op, p) in self.ops.iter().zip(priced) {
             match op {
                 GraphOp::Launch { body, .. } => {
-                    execute(p.as_ref().expect("launch ops are priced"), executes, || {
+                    execute(p.as_ref().expect("launch ops are priced"), || {
                         body(executes)
                     });
                 }
                 GraphOp::PhaseBegin { name } => {
-                    if flight {
-                        telemetry::flight::span_open(telemetry::SpanKind::Phase, name);
-                    }
                     phases.push((name, telemetry::SpanTimer::start()));
                 }
                 GraphOp::PhaseEnd => {
-                    if let Some((name, t)) = phases.pop() {
-                        if flight {
-                            telemetry::flight::span_close(telemetry::SpanKind::Phase, name);
-                        }
-                        if let Some(t) = t {
-                            t.finish(telemetry::SpanKind::Phase, name, 0, 0.0);
-                        }
+                    if let Some((name, Some(t))) = phases.pop() {
+                        t.finish(telemetry::SpanKind::Phase, name, 0, 0.0);
                     }
                 }
                 _ => {}

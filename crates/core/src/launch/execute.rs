@@ -1,35 +1,18 @@
 //! Layer 3 — **execute**: run the functional body (on parkit, via the
 //! caller's closure) and emit the launch telemetry that goes with it.
-//! This layer owns the wall-clock span, the flight bracket and the
-//! `launches`/`bytes_moved` counters; it never touches the ledger or the
-//! pricing cache. The flight bracket is written for executing sessions
-//! only: a dry-run launch runs an empty body, and timestamping it would
-//! cost more than the launch itself.
+//! This layer owns the wall-clock span and the `launches`/`bytes_moved`
+//! counters; it never touches the ledger or the pricing cache.
 
 use crate::session::LaunchRecord;
 use std::sync::Arc;
 
-/// Execute one priced launch: run `body` inside the launch span and,
-/// when the session executes its bodies, the flight bracket. The one
-/// execute stage behind both [`Session::launch`](crate::Session::launch)
-/// and graph replay.
-///
-/// Flight events bracket the body so a crash mid-kernel leaves the
-/// launch open on disk — that open is the post-mortem attribution. A
-/// dry-run session (`executes == false`) runs only empty bodies, so it
-/// writes no bracket: a crash there is attributed to the enclosing unit
-/// span instead. Like the span, the bracket observes only and never
-/// feeds back into the ledger.
-pub(crate) fn execute<R>(p: &LaunchRecord, executes: bool, body: impl FnOnce() -> R) -> R {
+/// Execute one priced launch: run `body` inside the launch span. The
+/// one execute stage behind both [`Session::launch`](crate::Session::launch)
+/// and graph replay. The span observes only and never feeds back into
+/// the ledger.
+pub(crate) fn execute<R>(p: &LaunchRecord, body: impl FnOnce() -> R) -> R {
     let span = LaunchSpan::start();
-    let flight = executes && telemetry::flight::recording();
-    if flight {
-        telemetry::flight::span_open(telemetry::SpanKind::Launch, &p.name);
-    }
     let r = body();
-    if flight {
-        telemetry::flight::span_close(telemetry::SpanKind::Launch, &p.name);
-    }
     span.finish(&p.name, p.items, p.effective_bytes, p.time.total);
     r
 }

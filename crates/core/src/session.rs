@@ -258,8 +258,7 @@ impl Session {
     /// Returns whatever the body returns.
     ///
     /// `body` is called in every session, but in a dry-run session (see
-    /// [`Session::executes`]) it is expected to do nothing, so the
-    /// flight recorder writes no launch bracket around it. Wall-clock
+    /// [`Session::executes`]) it is expected to do nothing. Wall-clock
     /// spans, counters and the ledger entry are recorded either way.
     pub fn launch<R>(&self, kernel: &Kernel, body: impl FnOnce() -> R) -> R {
         let (r, _) = self.launch_timed(kernel, body);
@@ -295,7 +294,7 @@ impl Session {
         });
         locks.push_launch(record.clone());
         locks.release();
-        (execute(&record, self.executes(), body), record.time)
+        (execute(&record, body), record.time)
     }
 
     /// Price stage for one launch, against a caller-held cache lock.

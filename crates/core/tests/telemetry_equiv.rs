@@ -38,8 +38,8 @@ fn run_workload_on(dry_run: bool) -> (Vec<LaunchRecord>, f64, Vec<LaunchRecord>,
         let mut reduce = Kernel::streaming("norm", 1 << 18, 8.0 * (1 << 18) as f64, 2e5);
         reduce.footprint.reductions = 1;
         for _ in 0..7 {
-            // The triad body runs a pool region, so the run reaches the
-            // pool's production registry series.
+            // The triad body runs a pool region, so an observed run
+            // records the pool's Region spans.
             s.launch(&triad, || {
                 parkit::global_pool().run_region(4, |_, _| ());
             });
@@ -141,115 +141,67 @@ fn disabled_and_enabled_telemetry_leave_ledgers_bit_identical() {
         .collect();
     assert!(triads.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])));
 
-    // 4. Enabled with the metrics registry actively recording: the
-    // histogram layer above telemetry must be just as invisible to the
-    // engine as the span layer itself.
-    TelemetryConfig::enabled().install();
-    metrics::registry().flush(); // drop anything earlier tests shed
-    let with_metrics = run_workload();
-    TelemetryConfig::disabled().install();
-    telemetry::flush();
-    let snap = metrics::registry().flush();
-
-    assert_bit_identical(&never, &with_metrics, "never-attached vs metrics-enabled");
-
-    // The registry really observed the run, through a series the
-    // production pool records for every region it runs.
-    let chunks: u64 = snap
-        .hists
-        .iter()
-        .filter(|((name, _), _)| name == "pool.chunks_per_region")
-        .map(|(_, h)| h.count())
-        .sum();
-    assert!(chunks > 0, "no pool region reached the registry");
+    // The production pool recorded a Region span for every region the
+    // triad bodies ran.
+    assert!(
+        events.iter().any(|e| e.kind == telemetry::SpanKind::Region),
+        "no pool region reached the span rings"
+    );
 }
 
-#[test]
-fn flight_recorder_leaves_ledgers_bit_identical() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    // Baseline: no observation of any kind.
-    let never = run_workload();
+/// Runs the workload once unobserved and once inside a flight recording
+/// that holds only an enclosing unit span, and checks that the ledgers are
+/// bit-identical and that the launch core wrote nothing into the recording.
+fn assert_flight_brackets_only_the_unit(dry_run: bool) {
+    let label = if dry_run { "dry" } else { "executing" };
+    let never = run_workload_on(dry_run);
+    assert!(!never.0.is_empty(), "{label}: the run prices every launch");
 
-    // Same workload with the flight recorder writing every launch to
-    // disk (the span rings stay off — flight is an independent switch).
-    let path = std::env::temp_dir().join(format!("flight-equiv-{}.bin", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("flight-equiv-{label}-{}.bin", std::process::id()));
     telemetry::flight::start(&path, 0, "equiv").unwrap();
     telemetry::flight::span_open(telemetry::SpanKind::Unit, "equiv-unit");
-    let with_flight = run_workload();
-    telemetry::flight::span_close(telemetry::SpanKind::Unit, "equiv-unit");
-    telemetry::flight::stop();
-
-    assert_bit_identical(&never, &with_flight, "never-attached vs flight-recorded");
-
-    // The recording really observed the run: one open/close pair per
-    // ledger record across both sessions, nothing left open.
-    let rec = telemetry::FlightRecording::read(&path).unwrap();
-    assert!(!rec.torn, "clean stop must not leave a torn tail");
-    let opens = rec
-        .events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                telemetry::FlightEvent::SpanOpen {
-                    kind: telemetry::SpanKind::Launch,
-                    ..
-                }
-            )
-        })
-        .count();
-    let per_session = never.0.len();
-    assert_eq!(opens, 2 * per_session);
-    assert_eq!(flight_opens(&rec, telemetry::SpanKind::Phase), 2);
-    assert_eq!(unclosed(&rec), 0);
-    std::fs::remove_file(&path).ok();
-}
-
-/// Span opens minus span closes in a flight recording.
-fn unclosed(rec: &telemetry::FlightRecording) -> usize {
-    let opens = rec
-        .events
-        .iter()
-        .filter(|e| matches!(e, telemetry::FlightEvent::SpanOpen { .. }))
-        .count();
-    opens - (rec.events.len() - opens)
-}
-
-/// Span opens of one kind in a flight recording.
-fn flight_opens(rec: &telemetry::FlightRecording, kind: telemetry::SpanKind) -> usize {
-    rec.events
-        .iter()
-        .filter(|e| matches!(e, telemetry::FlightEvent::SpanOpen { kind: k, .. } if *k == kind))
-        .count()
-}
-
-#[test]
-fn dry_run_flight_recording_brackets_only_the_unit() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    let never = run_workload_on(true);
-
-    // A dry-run session runs only empty bodies: with flight on it must
-    // leave its launches and phases unbracketed and its ledger unmoved.
-    let path = std::env::temp_dir().join(format!("flight-equiv-dry-{}.bin", std::process::id()));
-    telemetry::flight::start(&path, 0, "equiv-dry").unwrap();
-    telemetry::flight::span_open(telemetry::SpanKind::Unit, "equiv-unit");
-    let with_flight = run_workload_on(true);
+    let with_flight = run_workload_on(dry_run);
     telemetry::flight::span_close(telemetry::SpanKind::Unit, "equiv-unit");
     telemetry::flight::stop();
 
     assert_bit_identical(
         &never,
         &with_flight,
-        "dry run: never-attached vs flight-recorded",
+        &format!("{label}: never-attached vs flight-recorded"),
     );
-    assert!(!never.0.is_empty(), "the dry run still prices every launch");
-
     let rec = telemetry::FlightRecording::read(&path).unwrap();
-    assert!(!rec.torn, "clean stop must not leave a torn tail");
-    assert_eq!(flight_opens(&rec, telemetry::SpanKind::Launch), 0);
-    assert_eq!(flight_opens(&rec, telemetry::SpanKind::Phase), 0);
-    // The enclosing unit span is present, and closed (nothing open).
-    assert_eq!(flight_opens(&rec, telemetry::SpanKind::Unit), 1);
-    assert_eq!(unclosed(&rec), 0);
     std::fs::remove_file(&path).ok();
+    assert!(!rec.torn, "{label}: clean stop must not leave a torn tail");
+    let spans: Vec<(bool, telemetry::SpanKind)> = rec
+        .events
+        .iter()
+        .map(|e| match e {
+            telemetry::FlightEvent::SpanOpen { kind, .. } => (true, *kind),
+            telemetry::FlightEvent::SpanClose { kind, .. } => (false, *kind),
+        })
+        .collect();
+    assert_eq!(
+        spans,
+        [
+            (true, telemetry::SpanKind::Unit),
+            (false, telemetry::SpanKind::Unit)
+        ],
+        "{label}: one unit open and close, no launch or phase span"
+    );
+}
+
+#[test]
+fn flight_recorder_leaves_ledgers_bit_identical() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // The launch core writes no flight records for an executing session.
+    assert_flight_brackets_only_the_unit(false);
+}
+
+#[test]
+fn dry_run_flight_recording_brackets_only_the_unit() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // A dry-run session runs only empty bodies: with flight on it leaves
+    // its launches and phases unbracketed and its ledger unmoved.
+    assert_flight_brackets_only_the_unit(true);
 }

@@ -8,9 +8,8 @@
 //! and the 95 % confidence interval carry no bucketing error.
 //!
 //! Histograms **merge**: two sketches combine bucket-by-bucket
-//! ([`Histogram::merge`]), which is what lets the registry keep one
-//! shard per thread and fold them on flush, and lets manifests combine
-//! per-repetition summaries without keeping raw samples.
+//! ([`Histogram::merge`]), which lets manifests combine per-repetition
+//! summaries without keeping raw samples.
 
 /// Sub-buckets per power of two.
 const SUB: usize = 8;

@@ -73,12 +73,6 @@ impl<T: Real> DatU<T> {
         self.data[e * self.dim + c]
     }
 
-    /// Mutable host access for setup/validation.
-    pub fn host_mut(&mut self) -> &mut [T] {
-        shadow::mark_all_init(self.sid);
-        &mut self.data
-    }
-
     /// Host access for validation.
     pub fn host(&self) -> &[T] {
         &self.data

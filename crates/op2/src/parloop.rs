@@ -383,11 +383,6 @@ impl EdgeLoop {
     ) {
         let passes = self.passes(mesh);
         let kernel = self.pass_kernel(1.0 / passes as f64);
-        metrics::registry().record_labelled(
-            "op2.bytes_per_wave",
-            scheme_label(self.scheme),
-            self.bytes_per_wave(64.0),
-        );
         let scheme = self.scheme;
         let lp = Arc::new(self);
         let body = Arc::new(body);
@@ -508,17 +503,6 @@ impl ColoredMesh {
         let global = (scheme == Scheme::GlobalColor).then(|| GlobalColoring::build(&mesh.edges));
         let hier =
             (scheme == Scheme::HierColor).then(|| HierColoring::build(&mesh.edges, block_size));
-        // Colour-count histograms per level for the scheduler-health
-        // dashboard: a level whose colour count drifts up is a mesh
-        // whose conflict structure is degrading.
-        let reg = metrics::registry();
-        if let Some(gc) = &global {
-            reg.record_labelled("op2.colors", "global", gc.n_colors() as f64);
-        }
-        if let Some(hc) = &hier {
-            reg.record_labelled("op2.colors", "hier-block", hc.n_colors() as f64);
-            reg.record_labelled("op2.colors", "hier-intra", hc.max_intra_colors as f64);
-        }
         ColoredMesh { mesh, global, hier }
     }
 }

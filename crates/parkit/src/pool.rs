@@ -85,9 +85,6 @@ struct Region {
     /// Set if any chunk panicked; the payload of the first panic is kept.
     panicked: AtomicBool,
     panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// When the region span started (ns since the trace epoch); 0 when
-    /// telemetry is disabled. Used to derive steal-latency histograms.
-    born_ns: u64,
     /// The chunk body: called with (lane, chunk_index). The 'static here is
     /// a lie told via transmute; the completion barrier in `run_region`
     /// guarantees the real borrow outlives all uses.
@@ -320,7 +317,6 @@ impl ThreadPool {
             active: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
-            born_ns: span.as_ref().map(|s| s.start_ns()).unwrap_or(0),
             body: wide,
         };
 
@@ -611,12 +607,6 @@ fn drain_region(region: &Region, lane: usize) {
         if chunk >= region.n_chunks {
             break;
         }
-        if claimed == 0 && lane != 0 && region.born_ns > 0 {
-            // Publish-to-first-claim latency of this worker lane: how
-            // long work sat on the cursor before a thief arrived.
-            let lat_ns = telemetry::now_ns().saturating_sub(region.born_ns);
-            metrics::registry().record("pool.steal_latency_us", lat_ns as f64 / 1_000.0);
-        }
         claimed += 1;
         run_chunk(region, lane, chunk);
     }
@@ -627,16 +617,15 @@ fn drain_region(region: &Region, lane: usize) {
     }
 }
 
-/// Close a region's telemetry span, bump the region counter, and feed
-/// the per-region chunk-count histogram (scheduler-health dashboards).
+/// Close a region's telemetry span (its item count is the region's
+/// chunk count) and bump the region counter.
 fn finish_region_span(span: Option<telemetry::SpanTimer>, sched: Schedule, n_chunks: usize) {
     if let Some(t) = span {
         telemetry::Counters::add(&telemetry::counters().regions, 1);
-        let (name, label) = match sched {
-            Schedule::Dynamic => ("pool.region.dynamic", "dynamic"),
-            Schedule::Static => ("pool.region.static", "static"),
+        let name = match sched {
+            Schedule::Dynamic => "pool.region.dynamic",
+            Schedule::Static => "pool.region.static",
         };
-        metrics::registry().record_labelled("pool.chunks_per_region", label, n_chunks as f64);
         t.finish(telemetry::SpanKind::Region, name, n_chunks as u64, 0.0);
     }
 }

@@ -15,12 +15,15 @@
 //!
 //! Writes `<out>/STUDY.json` (the study document) and
 //! `<out>/BENCH_study.json` (the merged manifest) and prints the
-//! per-status counts, fleet stats and PP̄ table.
+//! per-status counts, fleet stats and PP̄ table. If stdout closes early
+//! (`study ... | head`), the summary stops there and the exit code is
+//! non-zero; the artefacts are already written.
 //!
 //! `--worker <id>` is the internal mode the orchestrator re-executes
 //! this binary into; it speaks the framed protocol on stdin/stdout.
 
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 use study::orchestrator::{run_study, StudyConfig};
@@ -33,16 +36,27 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--worker") {
         return ExitCode::from(worker_cli(&args) as u8);
     }
-    match study_cli(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+    let (doc, study_path, manifest_path) = match study_cli(&args) {
+        Ok(done) => done,
         Err(e) => {
             eprintln!("study: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match print_summary(&mut io::stdout().lock(), &doc, &study_path, &manifest_path) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that went away (`study | head`) wants no more output.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("study: stdout: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn study_cli(args: &[String]) -> Result<(), String> {
+/// Run the study and write its artefacts. Returns the study document
+/// and the two paths written.
+fn study_cli(args: &[String]) -> Result<(StudyDoc, PathBuf, PathBuf), String> {
     let mut cfg = StudyConfig::new(Scope::Smoke);
     let mut out_dir = PathBuf::from("results");
     let mut no_flight = false;
@@ -95,56 +109,57 @@ fn study_cli(args: &[String]) -> Result<(), String> {
     std::fs::write(&study_path, doc.to_json()).map_err(|e| e.to_string())?;
     let manifest_path = out_dir.join("BENCH_study.json");
     std::fs::write(&manifest_path, outcome.merged.to_json()).map_err(|e| e.to_string())?;
-
-    print_summary(&doc);
-    println!(
-        "\nwrote {} and {}",
-        study_path.display(),
-        manifest_path.display()
-    );
-    let (_, _, crashed) = doc.status_counts();
-    if crashed > 0 {
-        println!("note: {crashed} unit(s) crashed after bounded retries — see 'crashed' records");
-    }
-    Ok(())
+    Ok((doc, study_path, manifest_path))
 }
 
-fn print_summary(doc: &StudyDoc) {
+fn print_summary(
+    out: &mut impl Write,
+    doc: &StudyDoc,
+    study_path: &Path,
+    manifest_path: &Path,
+) -> io::Result<()> {
     let (ok, holes, crashed) = doc.status_counts();
-    println!(
+    writeln!(
+        out,
         "study scope={} units={} ok={} holes={} crashed={}",
         doc.scope.label(),
         doc.records.len(),
         ok,
         holes,
         crashed
-    );
+    )?;
     let s = &doc.stats;
     let util = if s.workers > 0 && s.elapsed_secs > 0.0 {
         s.busy_secs / (s.workers as f64 * s.elapsed_secs)
     } else {
         0.0
     };
-    println!(
+    writeln!(
+        out,
         "fleet: workers={} elapsed={:.2}s busy={:.2}s utilisation={:.0}% retries={} restarts={} timeouts={} resumed={}",
         s.workers, s.elapsed_secs, s.busy_secs, util * 100.0, s.retries, s.restarts, s.timeouts, s.resumed
-    );
+    )?;
     if s.peak_rss_kb > 0 {
-        println!(
+        writeln!(
+            out,
             "memory: peak worker RSS {:.1} MiB",
             s.peak_rss_kb as f64 / 1024.0
-        );
+        )?;
     }
     let max_attempt = doc.records.iter().map(|r| r.attempt).max().unwrap_or(1);
     if max_attempt > 1 {
         let retried = doc.records.iter().filter(|r| r.attempt > 1).count();
-        println!(
+        writeln!(
+            out,
             "recovery: {retried} unit(s) completed on attempt > 1 (max attempt {max_attempt})"
-        );
+        )?;
     }
-    println!("\nPP̄ over the merged study (harmonic mean of efficiencies):");
+    writeln!(
+        out,
+        "\nPP̄ over the merged study (harmonic mean of efficiencies):"
+    )?;
     for (label, value) in pp_rows(&doc.records) {
-        println!("  {label:28} {value:.2}");
+        writeln!(out, "  {label:28} {value:.2}")?;
     }
     let crashed_ids: Vec<String> = doc
         .records
@@ -153,8 +168,21 @@ fn print_summary(doc: &StudyDoc) {
         .map(|r| r.id())
         .collect();
     if !crashed_ids.is_empty() {
-        println!("\ncrashed units: {}", crashed_ids.join(", "));
+        writeln!(out, "\ncrashed units: {}", crashed_ids.join(", "))?;
     }
+    writeln!(
+        out,
+        "\nwrote {} and {}",
+        study_path.display(),
+        manifest_path.display()
+    )?;
+    if crashed > 0 {
+        writeln!(
+            out,
+            "note: {crashed} unit(s) crashed after bounded retries — see 'crashed' records"
+        )?;
+    }
+    out.flush()
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {

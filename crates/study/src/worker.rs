@@ -10,7 +10,7 @@
 //!
 //! When the orchestrator passes `--flight-dir`, the worker keeps a
 //! crash-surviving flight recording there: the `unit` span open is
-//! flushed to disk *before* the fault-injection checks below, so even a
+//! written to disk *before* the fault-injection checks below, so even a
 //! unit that is killed or hangs instantly leaves its open span on disk.
 //!
 //! Fault injection lives here too, behind flags the orchestrator (or a
@@ -145,8 +145,8 @@ pub fn serve(opts: &WorkerOpts, input: &mut impl Read, output: &mut impl Write) 
                     return 1;
                 }
                 let id = unit.id();
-                // The unit span open hits the disk (urgent flush) before
-                // any way this attempt can die.
+                // The unit span open hits the disk (written through)
+                // before any way this attempt can die.
                 flight::span_open(SpanKind::Unit, &id);
                 if attempt == 1 && opts.hang_unit.as_deref() == Some(id.as_str()) {
                     std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -157,7 +157,6 @@ pub fn serve(opts: &WorkerOpts, input: &mut impl Read, output: &mut impl Write) 
                 }
                 let rec = run_unit(&unit, reps, paper, opts.id, attempt, trace);
                 flight::span_close(SpanKind::Unit, &id);
-                flight::flush();
                 if !send(output, &Msg::Done(rec)) {
                     return 1;
                 }

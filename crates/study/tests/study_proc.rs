@@ -6,6 +6,7 @@
 //! the production `study` binary uses.
 
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 use study::orchestrator::{run_study, StudyConfig, StudyOutcome};
 use study::record::UnitStatus;
@@ -32,7 +33,9 @@ fn main() {
     println!("test crashed_units_are_attributed_to_their_kill_site ... ok");
     stale_worker_binaries_are_rejected_at_hello();
     println!("test stale_worker_binaries_are_rejected_at_hello ... ok");
-    println!("study_proc: 6 passed");
+    a_closed_stdout_exits_non_zero_without_a_panic();
+    println!("test a_closed_stdout_exits_non_zero_without_a_panic ... ok");
+    println!("study_proc: 7 passed");
 }
 
 fn base_config() -> StudyConfig {
@@ -269,4 +272,25 @@ fn hung_workers_hit_the_deadline_and_the_unit_is_retried() {
         !matches!(rec.status, UnitStatus::Crashed),
         "retry measured the unit"
     );
+}
+
+/// `study ... | head`: the reader closes the pipe before the summary is
+/// printed. The artefacts are written, and the binary exits non-zero
+/// instead of panicking on the broken pipe.
+fn a_closed_stdout_exits_non_zero_without_a_panic() {
+    let out = tmp_dir("closed-stdout");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_study"))
+        .args(["--smoke", "--workers", "0", "--out"])
+        .arg(&out)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn study");
+    drop(child.stdout.take());
+    let done = child.wait_with_output().expect("wait for study");
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert!(!done.status.success(), "a closed stdout must fail the run");
+    assert!(!stderr.contains("panicked"), "study panicked:\n{stderr}");
+    assert!(out.join("STUDY.json").is_file(), "STUDY.json not written");
+    std::fs::remove_dir_all(&out).ok();
 }

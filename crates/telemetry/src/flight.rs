@@ -1,12 +1,12 @@
-//! Crash-surviving per-process flight recorder.
+//! Crash-surviving per-process flight recorder: the study worker's
+//! unit log.
 //!
 //! The span rings ([`crate::ring`]) are in-memory: a SIGKILL'd study
 //! worker takes its trace with it, and the journal can only say *that*
 //! a unit died, never *what it was doing*. The flight recorder closes
 //! that gap: a compact binary append-only log of span opens and closes,
-//! written straight through a small incremental-flush buffer, so
-//! whatever survives on disk after a kill is a readable prefix of the
-//! truth.
+//! each written straight through to the file, so whatever survives on
+//! disk after a kill is a readable prefix of the truth.
 //!
 //! ## Format (`SYFR`, version 1)
 //!
@@ -29,20 +29,15 @@
 //!
 //! ## Durability discipline
 //!
-//! Two classes of event. *Urgent* events — unit and phase span opens —
-//! are `write(2)`'d to the file immediately: once the syscall returns,
-//! the bytes live in the kernel page cache and survive SIGKILL (only a
-//! machine crash loses them, and the study journal accepts that same
-//! risk). *Routine* events — launch opens and every close — sit in a
-//! small buffer flushed at [`FLUSH_THRESHOLD`] bytes and at unit
-//! boundaries, bounding syscall overhead on the launch hot path.
-//!
-//! Launch and phase spans are recorded for executing sessions only:
-//! the launch core skips their brackets when a session is a dry run,
-//! whose bodies are empty, so a dry-run study unit writes just its unit
-//! span. Either way the tail may be torn mid-record; the reader treats
-//! a torn tail as end-of-recording, the same tolerance discipline as
-//! the study journal (`study::orchestrator::read_journal`).
+//! Every record is `write(2)`'d to the file as it is made: once the
+//! syscall returns, the bytes live in the kernel page cache and survive
+//! SIGKILL (only a machine crash loses them, and the study journal
+//! accepts that same risk). The study worker is the one writer: it
+//! opens a unit span before any code that can die and closes it after
+//! the unit, so a unit costs two writes. The launch core writes no
+//! flight records. A tail may still be torn mid-record; the reader
+//! treats a torn tail as end-of-recording, the same tolerance
+//! discipline as the study journal (`study::orchestrator::read_journal`).
 //!
 //! Like the span rings, the recorder observes and never feeds back:
 //! enabling it cannot change a session ledger bit
@@ -60,8 +55,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 pub const MAGIC: [u8; 4] = *b"SYFR";
 /// Format version written by this build.
 pub const VERSION: u16 = 1;
-/// Routine events are flushed once the buffer holds this many bytes.
-pub const FLUSH_THRESHOLD: usize = 4096;
 
 const TAG_SPAN_OPEN: u8 = 1;
 const TAG_SPAN_CLOSE: u8 = 2;
@@ -127,21 +120,7 @@ impl FlightEvent {
 
 struct Writer {
     file: File,
-    buf: Vec<u8>,
     events: u64,
-}
-
-impl Writer {
-    /// Move the buffer into the kernel page cache. Short of a machine
-    /// crash these bytes now survive any process death.
-    fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            // A failed write (disk full) silently drops the tail: the
-            // recorder must never panic the process it is observing.
-            let _ = self.file.write_all(&self.buf);
-            self.buf.clear();
-        }
-    }
 }
 
 /// Single branch every instrumentation site pays when the recorder is
@@ -183,7 +162,7 @@ fn push_name(buf: &mut Vec<u8>, name: &str) {
 /// Begin recording to `path`. The header (including `worker` slot and
 /// `label`, which exporters use to name the process track) is written
 /// through to disk before this returns. An already-running recording is
-/// flushed and closed first.
+/// closed first.
 pub fn start(path: &Path, worker: u32, label: &str) -> std::io::Result<()> {
     let mut file = File::create(path)?;
     let mut hdr = Vec::with_capacity(64);
@@ -194,83 +173,44 @@ pub fn start(path: &Path, worker: u32, label: &str) -> std::io::Result<()> {
     push_u64(&mut hdr, unix_now_ns());
     push_name(&mut hdr, label);
     file.write_all(&hdr)?;
-    let mut g = lock();
-    if let Some(old) = g.as_mut() {
-        old.flush();
-    }
-    *g = Some(Writer {
-        file,
-        buf: Vec::with_capacity(FLUSH_THRESHOLD * 2),
-        events: 0,
-    });
-    drop(g);
+    *lock() = Some(Writer { file, events: 0 });
     RECORDING.store(true, Ordering::Relaxed);
     Ok(())
 }
 
-/// Stop recording: flush the tail and close the file. Returns the
-/// number of events the recording captured, or `None` if no recording
-/// was running.
+/// Stop recording and close the file. Returns the number of events the
+/// recording captured, or `None` if no recording was running.
 pub fn stop() -> Option<u64> {
     RECORDING.store(false, Ordering::Relaxed);
-    let mut g = lock();
-    g.take().map(|mut w| {
-        w.flush();
-        w.events
-    })
+    lock().take().map(|w| w.events)
 }
 
-/// Append one encoded record, flushing according to urgency.
-fn append(encode: impl FnOnce(&mut Vec<u8>), urgent: bool) {
-    let mut g = lock();
-    if let Some(w) = g.as_mut() {
-        encode(&mut w.buf);
-        w.events += 1;
-        if urgent || w.buf.len() >= FLUSH_THRESHOLD {
-            w.flush();
-        }
-    }
-}
-
-fn span_record(tag: u8, kind: SpanKind, name: &str, urgent: bool) {
+/// Encode one span record and write it through to the file.
+fn span_record(tag: u8, kind: SpanKind, name: &str) {
     if !recording() {
         return;
     }
-    let t = unix_now_ns();
-    append(
-        |buf| {
-            buf.push(tag);
-            push_u64(buf, t);
-            buf.push(kind_code(kind));
-            push_name(buf, name);
-        },
-        urgent,
-    );
-}
-
-/// Record a span opening. Unit and phase opens are urgent (they are the
-/// crash-attribution anchors); launch opens ride the buffer.
-pub fn span_open(kind: SpanKind, name: &str) {
-    let urgent = matches!(kind, SpanKind::Unit | SpanKind::Phase);
-    span_record(TAG_SPAN_OPEN, kind, name, urgent);
-}
-
-/// Record a span closing. Closes are never urgent: a lost close reads
-/// as "still inside", which is the conservative answer post-mortem.
-pub fn span_close(kind: SpanKind, name: &str) {
-    span_record(TAG_SPAN_CLOSE, kind, name, false);
-}
-
-/// Flush buffered routine events through to the page cache (unit
-/// boundaries call this so a later crash can't orphan a whole unit's
-/// launch history).
-pub fn flush() {
-    if !recording() {
-        return;
-    }
+    let mut rec = Vec::with_capacity(16 + name.len());
+    rec.push(tag);
+    push_u64(&mut rec, unix_now_ns());
+    rec.push(kind_code(kind));
+    push_name(&mut rec, name);
     if let Some(w) = lock().as_mut() {
-        w.flush();
+        // A failed write (disk full) silently drops the record: the
+        // recorder must never panic the process it is observing.
+        let _ = w.file.write_all(&rec);
+        w.events += 1;
     }
+}
+
+/// Record a span opening.
+pub fn span_open(kind: SpanKind, name: &str) {
+    span_record(TAG_SPAN_OPEN, kind, name);
+}
+
+/// Record a span closing.
+pub fn span_close(kind: SpanKind, name: &str) {
+    span_record(TAG_SPAN_CLOSE, kind, name);
 }
 
 // ---------------------------------------------------------------------
@@ -523,7 +463,6 @@ mod tests {
         let _g = serial();
         assert!(!recording());
         span_open(SpanKind::Launch, "nope");
-        flush();
         assert_eq!(stop(), None);
     }
 

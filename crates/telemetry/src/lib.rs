@@ -6,7 +6,7 @@
 //! bandwidth fractions, so the execution engine records where its time
 //! goes as a first-class artifact instead of a black box.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * **Spans** ([`SpanTimer`], [`Event`]) — nanosecond wall-clock spans
 //!   recorded into per-thread ring buffers ([`ring`]). A span is one
@@ -23,11 +23,11 @@
 //!   `chrome://tracing` / Perfetto) and a per-kernel aggregate table
 //!   (count, total/mean/p99 wall time, achieved GB/s from the footprint
 //!   bytes), built on the shared [`json`] writer.
-//! * **Flight recorder** ([`flight`]) — a crash-surviving binary
-//!   append-only log of span opens and closes for multi-process
-//!   studies, written through an incremental-flush buffer, so a
-//!   SIGKILL'd worker still leaves a readable, torn-tail-tolerant
-//!   recording of the span it died in.
+//! * **Flight recorder** ([`flight`]) — the study worker's unit log: a
+//!   crash-surviving binary append-only file of unit span opens and
+//!   closes, each written straight through, so a SIGKILL'd worker still
+//!   leaves a readable, torn-tail-tolerant record of the unit it died
+//!   in. The launch core writes nothing to it.
 //!
 //! ## Overhead budget
 //!

@@ -65,8 +65,8 @@ pub enum SpanKind {
     /// session's plan for the graph and committed under a single ledger
     /// lock).
     Replay,
-    /// One study unit executing on a worker (the outermost span a
-    /// worker's flight recording opens — the crash-attribution anchor).
+    /// One study unit executing on a worker (the span a worker's flight
+    /// recording opens and closes — the crash-attribution anchor).
     Unit,
 }
 
@@ -212,11 +212,6 @@ impl SpanTimer {
             return None;
         }
         Some(SpanTimer { start: now_ns() })
-    }
-
-    /// When the span began (ns since the trace epoch).
-    pub fn start_ns(&self) -> u64 {
-        self.start
     }
 
     /// Finish the span and record it on the calling thread's ring.
