@@ -1,7 +1,7 @@
 //! `analyze` — run every application under the `sycl-verify` passes.
 //!
 //! ```text
-//! analyze [--app <name>] [--platform <label>] [--smoke] [--deny-warnings]
+//! analyze [--app <name>] [--platform <label>] [--deny-warnings]
 //! ```
 //!
 //! * default — verify all seven applications (`mgcfd` under all three
@@ -10,185 +10,75 @@
 //!   `opensbli_sa`, `opensbli_sn`, `rtm`, `acoustic`, `mgcfd`;
 //! * `--platform` — `a100` (default), `mi250x`, `max1100`, `xeon8360y`,
 //!   `genoax`, `altra`; the platform's best native toolchain is used;
-//! * `--smoke` — the CI subset: CloverLeaf 2D plus MG-CFD under all
-//!   three schemes;
 //! * `--deny-warnings` — treat `Warning` findings like `Error`s for the
 //!   exit status.
 //!
 //! Each app runs its functional test size with shadow-access recording
-//! attached; the access / plan / footprint findings land on stdout and
-//! in `results/VERIFY_<app>.json`. Exit status: 2 for an unknown app,
-//! 1 when any `Error`-severity diagnostic was found, 0 otherwise.
+//! attached ([`bench_harness::reports::verify`]); the access / plan /
+//! footprint findings land on stdout. The A100 findings are also the
+//! committed `results/VERIFY_<app>.json`, which `regenerate_all`
+//! writes. Exit status: 2 for an unknown app or one that does not run
+//! on the platform, 1 when any `Error`-severity diagnostic was found,
+//! 0 otherwise.
 
-use bench_harness::json::{validate, write_results_file};
-use miniapps::{Acoustic, App, CloverLeaf2d, CloverLeaf3d, Mgcfd, OpenSbli, Rtm, SbliVariant};
-use sycl_sim::{PlatformId, Scheme, Session, SessionConfig, Toolchain};
-use verify::{report, Diagnostic, Severity, Verifier};
-
-/// The platform's best native toolchain (the Table-1 pairing).
-fn native_toolchain(p: PlatformId) -> Toolchain {
-    match p {
-        PlatformId::A100 => Toolchain::NativeCuda,
-        PlatformId::Mi250x => Toolchain::NativeHip,
-        PlatformId::Max1100 => Toolchain::Dpcpp,
-        PlatformId::Xeon8360Y | PlatformId::GenoaX => Toolchain::MpiOpenMp,
-        PlatformId::Altra => Toolchain::OpenMp,
-    }
-}
-
-fn make_app(name: &str) -> Option<Box<dyn App>> {
-    Some(match name {
-        "cloverleaf2d" => Box::new(CloverLeaf2d::test()),
-        "cloverleaf3d" => Box::new(CloverLeaf3d::test()),
-        "opensbli_sa" => Box::new(OpenSbli::test(SbliVariant::StoreAll)),
-        "opensbli_sn" => Box::new(OpenSbli::test(SbliVariant::StoreNone)),
-        "rtm" => Box::new(Rtm::test()),
-        "acoustic" => Box::new(Acoustic::test()),
-        "mgcfd" => Box::new(Mgcfd::test()),
-        _ => return None,
-    })
-}
-
-/// One verification target: an app, under one scheme if it has one.
-struct Target {
-    app: &'static str,
-    scheme: Option<Scheme>,
-}
-
-fn targets_for(app: &str) -> Vec<Target> {
-    if app == "mgcfd" {
-        [Scheme::Atomics, Scheme::GlobalColor, Scheme::HierColor]
-            .into_iter()
-            .map(|s| Target {
-                app: "mgcfd",
-                scheme: Some(s),
-            })
-            .collect()
-    } else {
-        vec![Target {
-            app: match app {
-                "cloverleaf2d" => "cloverleaf2d",
-                "cloverleaf3d" => "cloverleaf3d",
-                "opensbli_sa" => "opensbli_sa",
-                "opensbli_sn" => "opensbli_sn",
-                "rtm" => "rtm",
-                "acoustic" => "acoustic",
-                _ => unreachable!(),
-            },
-            scheme: None,
-        }]
-    }
-}
+use bench_harness::{native_toolchain, reports, APP_NAMES};
+use sycl_sim::PlatformId;
+use verify::{report, Severity};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    let platform = args
-        .iter()
-        .position(|a| a == "--platform")
-        .and_then(|i| args.get(i + 1))
+    let flag = |name: &str| {
+        args.iter()
+            .position(|a| a == name)
+            .and_then(|i| args.get(i + 1))
+    };
+    let platform = flag("--platform")
         .and_then(|s| PlatformId::parse(s))
         .unwrap_or(PlatformId::A100);
-    let only = args
-        .iter()
-        .position(|a| a == "--app")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let app_names: Vec<&str> = match (&only, smoke) {
-        (Some(name), _) => match make_app(name) {
-            Some(_) => vec![match name.as_str() {
-                "cloverleaf2d" => "cloverleaf2d",
-                "cloverleaf3d" => "cloverleaf3d",
-                "opensbli_sa" => "opensbli_sa",
-                "opensbli_sn" => "opensbli_sn",
-                "rtm" => "rtm",
-                "acoustic" => "acoustic",
-                "mgcfd" => "mgcfd",
-                _ => unreachable!(),
-            }],
-            None => {
-                eprintln!(
-                    "unknown app {name:?}; expected one of cloverleaf2d, cloverleaf3d, \
-                     opensbli_sa, opensbli_sn, rtm, acoustic, mgcfd"
-                );
-                std::process::exit(2);
-            }
-        },
-        (None, true) => vec!["cloverleaf2d", "mgcfd"],
-        (None, false) => vec![
-            "cloverleaf2d",
-            "cloverleaf3d",
-            "opensbli_sa",
-            "opensbli_sn",
-            "rtm",
-            "acoustic",
-            "mgcfd",
-        ],
+    let apps: Vec<&str> = match flag("--app") {
+        Some(name) if APP_NAMES.contains(&name.as_str()) => vec![name],
+        Some(name) => {
+            eprintln!(
+                "unknown app {name:?}; expected one of {}",
+                APP_NAMES.join(", ")
+            );
+            std::process::exit(2);
+        }
+        None => APP_NAMES.to_vec(),
     };
 
-    let toolchain = native_toolchain(platform);
-    let mut any_errors = false;
-
-    for app_name in app_names {
-        let mut app_diags: Vec<Diagnostic> = Vec::new();
-        for target in targets_for(app_name) {
-            let mut cfg = SessionConfig::new(platform, toolchain).app(target.app);
-            if let Some(s) = target.scheme {
-                cfg = cfg.scheme(s);
-            }
-            let session = match Session::create(cfg) {
-                Ok(s) => s,
-                Err(fail) => {
-                    eprintln!("{app_name} does not run on {}: {fail}", platform.label());
-                    std::process::exit(2);
-                }
-            };
-            // Attach before the app allocates: datasets only register
-            // with the shadow layer at creation time.
-            let verifier = Verifier::attach(&session);
-            let app = make_app(target.app).expect("validated above");
-            let run = app.run(&session);
-            let diags = verifier.finish(&session);
-
-            let (errors, warnings, infos) = report::tally(&diags);
-            let label = match target.scheme {
-                Some(s) => format!("{app_name} [{}]", s.label()),
-                None => app_name.to_owned(),
+    let mut failing = false;
+    for app in apps {
+        let runs = reports::verify(app, platform).unwrap_or_else(|fail| {
+            eprintln!("{app} does not run on {}: {fail}", platform.label());
+            std::process::exit(2);
+        });
+        for run in runs {
+            let diags = &run.diagnostics;
+            let (errors, warnings, infos) = report::tally(diags);
+            let label = match run.scheme {
+                Some(s) => format!("{app} [{}]", s.label()),
+                None => app.to_owned(),
             };
             println!(
                 "# {label} on {} ({}): {} launches, validation {:.3e} — \
                  {errors} error(s), {warnings} warning(s), {infos} info(s)",
-                session.platform().name,
-                toolchain.label(),
-                session.records().len(),
+                platform.label(),
+                native_toolchain(platform).label(),
+                run.launches,
                 run.validation,
             );
-            for d in &diags {
+            for d in diags {
                 println!("  [{}] {} `{}`: {}", d.severity, d.pass, d.kernel, d.detail);
             }
-            any_errors |= verify::has_errors(&diags)
-                || (deny_warnings && diags.iter().any(|d| d.severity >= Severity::Warning));
-            app_diags.extend(diags);
-        }
-
-        // mgcfd merges its three scheme runs into one document; the
-        // writer collapses the repeats the schemes share into counted
-        // entries.
-        let doc = report::render_app_report(app_name, &app_diags);
-        debug_assert!(validate(&doc).is_ok());
-        let file = format!("VERIFY_{app_name}.json");
-        match write_results_file(&file, &doc) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("could not write results/{file}: {e}");
-                std::process::exit(1);
-            }
+            failing |= diags.iter().any(|d| {
+                d.severity == Severity::Error || (deny_warnings && d.severity == Severity::Warning)
+            });
         }
     }
 
-    if any_errors {
+    if failing {
         eprintln!("analyze: failing findings (see above)");
         std::process::exit(1);
     }

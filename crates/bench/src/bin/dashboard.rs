@@ -23,21 +23,22 @@
 //!    schedule, summarised from the traced runs' Region spans;
 //! 3. achieved-bandwidth scatter against each platform's STREAM roof;
 //! 4. the portability (efficiency) heatmap and PP̄ table;
-//! 5. data movement: the interconnect calibration from the last
-//!    `transfer_bench` run (`BENCH_transfer.json`) — stacked
+//! 5. data movement: the interconnect pricing of
+//!    `bench_harness::transfer` (the rows of `TRANSFER.json`) — stacked
 //!    kernel-vs-transfer time per app × platform, the pinned-vs-pageable
 //!    bandwidth delta, and the CPU-vs-GPU crossover table;
 //! 6. the cross-product study from the last `study` run (`STUDY.json`):
 //!    per-cell status grid, retries, fleet utilisation and its PP̄ rows;
-//! 7. graph lint: the static dataflow findings from the last
-//!    `graphlint` run (`LINT_<app>.json`) — per-app severity tallies
-//!    plus every Error/Warning and fusion-candidate finding.
+//! 7. graph lint: the static dataflow findings of
+//!    `bench_harness::reports::lint` on the A100 (the findings of
+//!    `LINT_<app>.json`) — per-app severity tallies plus every
+//!    Error/Warning and fusion-candidate finding.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use bench_harness::{make_app, native_toolchain, APP_NAMES};
+use bench_harness::{make_app, native_toolchain, reports, transfer, APP_NAMES};
 use machine_model::Platform;
 use metrics::Histogram;
 use portability::{cpu_platforms, gpu_platforms, paper_measurements, pennycook, Measurement};
@@ -45,6 +46,7 @@ use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
 use telemetry::export::KernelAgg;
 use telemetry::json::{self, Json};
 use telemetry::{CounterSnapshot, Event, TelemetryConfig};
+use verify::{report, Diagnostic, Severity};
 
 /// One traced application run feeding the per-kernel tables.
 struct AppTrace {
@@ -245,9 +247,9 @@ fn render(
         render_roofline(&mut h, study);
         render_heatmap(&mut h, study);
     }
-    render_data_movement(&mut h, out_dir);
+    render_data_movement(&mut h);
     render_study_run(&mut h, out_dir);
-    render_graphlint(&mut h, out_dir);
+    render_graphlint(&mut h);
 
     h.push_str(SCRIPT);
     h.push_str("</body></html>\n");
@@ -625,38 +627,16 @@ fn render_heatmap(h: &mut String, study: &[(PlatformId, Vec<Measurement>)]) {
 }
 
 /// Section 5 — "Data movement": what the interconnect costs every app,
-/// from the last `transfer_bench` run (`BENCH_transfer.json`, schema
-/// `transfer-bench/v1`) — stacked kernel-vs-transfer bars per app ×
-/// platform, the pinned-vs-pageable bandwidth delta per link, and the
-/// CPU-vs-GPU crossover table with and without transfers priced.
-fn render_data_movement(h: &mut String, out_dir: &Path) {
+/// priced by [`bench_harness::transfer`] (the rows of `TRANSFER.json`)
+/// — stacked kernel-vs-transfer bars per app × platform, the
+/// pinned-vs-pageable bandwidth delta per link, and the CPU-vs-GPU
+/// crossover table with and without transfers priced.
+fn render_data_movement(h: &mut String) {
     h.push_str("<section><h2>Data movement</h2>");
-    let path = out_dir.join("BENCH_transfer.json");
-    let doc = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|t| json::parse(&t).ok())
-        .filter(|d| d.str_of("schema") == Some("transfer-bench/v1"));
-    let Some(doc) = doc else {
-        h.push_str(
-            "<p>No <code>BENCH_transfer.json</code> next to the dashboard — run \
-             <code>cargo run --release -p bench-harness --bin transfer_bench</code> \
-             to calibrate the interconnect curves and price every app's \
-             staging traffic.</p></section>",
-        );
-        return;
-    };
 
     // Stacked kernel-vs-transfer bars, one panel per app, one bar per
     // platform (total run time, interconnect share on top).
-    let splits: &[Json] = doc.get("apps").and_then(Json::as_arr).unwrap_or(&[]);
-    let mut apps: Vec<&str> = Vec::new();
-    for s in splits {
-        if let Some(a) = s.str_of("app") {
-            if !apps.contains(&a) {
-                apps.push(a);
-            }
-        }
-    }
+    let splits = transfer::app_splits();
     h.push_str(
         "<p>Per-app kernel vs interconnect time (native toolchains, paper sizes, \
          pinned allocations): <span style=\"color:#1f77b4\">&#9632;</span> kernels, \
@@ -664,19 +644,9 @@ fn render_data_movement(h: &mut String, out_dir: &Path) {
          The historic model gave the orange share away for free.</p>\
          <div class=\"panels\">",
     );
-    for app in &apps {
-        let rows: Vec<(&str, f64, f64)> = splits
-            .iter()
-            .filter(|s| s.str_of("app") == Some(app))
-            .filter_map(|s| {
-                Some((
-                    s.str_of("platform")?,
-                    s.f64_of("kernelSecs")?,
-                    s.f64_of("transferSecs")?,
-                ))
-            })
-            .collect();
-        let max_total = rows.iter().map(|&(_, k, t)| k + t).fold(1e-12f64, f64::max);
+    for app in APP_NAMES {
+        let rows: Vec<&transfer::AppSplit> = splits.iter().filter(|s| s.app == app).collect();
+        let max_total = rows.iter().map(|s| s.total_secs).fold(1e-12f64, f64::max);
         const W: f64 = 380.0;
         const H: f64 = 230.0;
         const ML: f64 = 10.0;
@@ -690,11 +660,12 @@ fn render_data_movement(h: &mut String, out_dir: &Path) {
             W / 2.0,
             esc(app),
         );
-        for (i, (platform, kernel, transfer)) in rows.iter().enumerate() {
+        for (i, s) in rows.iter().enumerate() {
+            let platform = s.platform.label();
             let x = ML + bw * i as f64 + bw * 0.12;
             let wid = bw * 0.76;
-            let hk = (H - MT - MB) * kernel / max_total;
-            let ht = (H - MT - MB) * transfer / max_total;
+            let hk = (H - MT - MB) * s.kernel_secs / max_total;
+            let ht = (H - MT - MB) * s.transfer_secs / max_total;
             let y_t = H - MB - hk - ht;
             let _ = write!(
                 h,
@@ -704,8 +675,8 @@ fn render_data_movement(h: &mut String, out_dir: &Path) {
                  <title>{platform} transfers: {}</title></rect>\
                  <text x=\"{:.1}\" y=\"{:.1}\" class=\"tick\" text-anchor=\"middle\">{platform}</text>",
                 H - MB - hk,
-                fmt_secs(*kernel),
-                fmt_secs(*transfer),
+                fmt_secs(s.kernel_secs),
+                fmt_secs(s.transfer_secs),
                 x + wid / 2.0,
                 H - MB + 12.0,
             );
@@ -722,19 +693,16 @@ fn render_data_movement(h: &mut String, out_dir: &Path) {
          <table><thead><tr><th>platform</th><th>dir</th><th>pinned GB/s</th>\
          <th>pageable GB/s</th><th>pinned speedup</th></tr></thead><tbody>",
     );
-    if let Some(Json::Arr(deltas)) = doc.get("pinnedDelta") {
-        for d in deltas {
-            let speedup = d.f64_of("speedup").unwrap_or(1.0);
-            let _ = write!(
-                h,
-                "<tr><td>{}</td><td><code>{}</code></td><td class=\"n\">{:.1}</td>\
-                 <td class=\"n\">{:.1}</td><td class=\"n\">{speedup:.2}&times;</td></tr>",
-                esc(d.str_of("platform").unwrap_or("?")),
-                esc(d.str_of("dir").unwrap_or("?")),
-                d.f64_of("pinnedGbps").unwrap_or(0.0),
-                d.f64_of("pageableGbps").unwrap_or(0.0),
-            );
-        }
+    let curves = transfer::curves(&transfer::LADDER);
+    for (platform, dir, pin, page) in transfer::pinned_deltas(&curves) {
+        let _ = write!(
+            h,
+            "<tr><td>{}</td><td><code>{}</code></td><td class=\"n\">{pin:.1}</td>\
+             <td class=\"n\">{page:.1}</td><td class=\"n\">{:.2}&times;</td></tr>",
+            platform.label(),
+            dir.label(),
+            pin / page,
+        );
     }
     h.push_str("</tbody></table>");
 
@@ -750,26 +718,23 @@ fn render_data_movement(h: &mut String, out_dir: &Path) {
          <th>speedup (kernels)</th><th>speedup (priced)</th><th>shift</th>\
          </tr></thead><tbody>",
     );
-    if let Some(Json::Arr(rows)) = doc.get("crossover") {
-        for c in rows {
-            let kernels = c.f64_of("gpuSpeedupKernels").unwrap_or(0.0);
-            let priced = c.f64_of("gpuSpeedupTotal").unwrap_or(0.0);
-            let shift = c.f64_of("shiftPct").unwrap_or(0.0);
-            // A crossover *flip* (GPU wins one model, loses the other)
-            // is the headline finding — flag the row.
-            let flipped = (kernels > 1.0) != (priced > 1.0);
-            let cls = if flipped { "n bad" } else { "n" };
-            let _ = write!(
-                h,
-                "<tr><td><code>{}</code></td><td>{}</td><td>{}</td>\
-                 <td class=\"n\">{kernels:.2}&times;</td><td class=\"n\">{priced:.2}&times;</td>\
-                 <td class=\"{cls}\">{shift:+.1}%{}</td></tr>",
-                esc(c.str_of("app").unwrap_or("?")),
-                esc(c.str_of("bestGpu").unwrap_or("?")),
-                esc(c.str_of("bestCpu").unwrap_or("?")),
-                if flipped { " (crossover flips)" } else { "" },
-            );
-        }
+    for c in transfer::crossovers(&splits) {
+        let (kernels, priced) = (c.speedup_kernels(), c.speedup_total());
+        // A crossover *flip* (GPU wins one model, loses the other)
+        // is the headline finding — flag the row.
+        let flipped = (kernels > 1.0) != (priced > 1.0);
+        let cls = if flipped { "n bad" } else { "n" };
+        let _ = write!(
+            h,
+            "<tr><td><code>{}</code></td><td>{}</td><td>{}</td>\
+             <td class=\"n\">{kernels:.2}&times;</td><td class=\"n\">{priced:.2}&times;</td>\
+             <td class=\"{cls}\">{:+.1}%{}</td></tr>",
+            c.cpu.app,
+            c.gpu.platform.label(),
+            c.cpu.platform.label(),
+            c.shift_pct(),
+            if flipped { " (crossover flips)" } else { "" },
+        );
     }
     h.push_str("</tbody></table></section>");
 }
@@ -969,45 +934,34 @@ fn render_study_run(h: &mut String, out_dir: &Path) {
     h.push_str("</section>");
 }
 
-/// Section 7: static graph-lint findings from the last `graphlint` run.
-fn render_graphlint(h: &mut String, out_dir: &Path) {
-    h.push_str("<section><h2>Graph lint</h2>");
-    let docs: Vec<(&str, Json)> = APP_NAMES
-        .iter()
-        .filter_map(|app| {
-            let path = out_dir.join(format!("LINT_{app}.json"));
-            let doc = std::fs::read_to_string(path)
-                .ok()
-                .and_then(|t| json::parse(&t).ok())?;
-            Some((*app, doc))
-        })
-        .collect();
-    if docs.is_empty() {
-        h.push_str(
-            "<p>No <code>LINT_*.json</code> next to the dashboard — run \
-             <code>cargo run --release -p bench-harness --bin graphlint</code> \
-             to statically lint every application's recorded launch \
-             graphs.</p></section>",
-        );
-        return;
-    }
-
+/// Section 7: static graph-lint findings over every app on the A100.
+fn render_graphlint(h: &mut String) {
     h.push_str(
-        "<p>Static dataflow analysis over the recorded launch graphs: \
+        "<section><h2>Graph lint</h2>\
+         <p>Static dataflow analysis over the recorded launch graphs: \
          hazards, halo-exchange coverage, dead code and fusion \
          candidates with modelled savings.</p>\
          <table><thead><tr><th>app</th><th>errors</th><th>warnings</th>\
          <th>infos</th></tr></thead><tbody>",
     );
-    for (app, doc) in &docs {
-        let errors = doc.u64_of("errors").unwrap_or(0);
+    let linted: Vec<(&str, Vec<Diagnostic>)> = APP_NAMES
+        .iter()
+        .map(|&app| {
+            let runs = reports::lint(app, PlatformId::A100).expect("paper apps run on the A100");
+            (app, runs.into_iter().flat_map(|r| r.diagnostics).collect())
+        })
+        .collect();
+    for (app, diags) in &linted {
+        let unique = report::dedup(diags);
+        let tally = |s: Severity| unique.iter().filter(|(d, _)| d.severity == s).count();
+        let errors = tally(Severity::Error);
         let cls = if errors > 0 { " class=\"bad\"" } else { "" };
         let _ = write!(
             h,
             "<tr><td><code>{}</code></td><td{cls}>{errors}</td><td>{}</td><td>{}</td></tr>",
             esc(app),
-            doc.u64_of("warnings").unwrap_or(0),
-            doc.u64_of("infos").unwrap_or(0),
+            tally(Severity::Warning),
+            tally(Severity::Info),
         );
     }
     h.push_str("</tbody></table>");
@@ -1015,14 +969,10 @@ fn render_graphlint(h: &mut String, out_dir: &Path) {
     // Every Error/Warning, plus the fusion candidates: the findings a
     // reader acts on.
     let mut shown = false;
-    for (app, doc) in &docs {
-        let Some(Json::Arr(diags)) = doc.get("diagnostics") else {
-            continue;
-        };
-        for d in diags {
-            let severity = d.str_of("severity").unwrap_or("?");
-            let detail = d.str_of("detail").unwrap_or("");
-            let interesting = severity != "info" || detail.starts_with("fusion candidate");
+    for (app, diags) in &linted {
+        for (d, count) in report::dedup(diags) {
+            let interesting =
+                d.severity != Severity::Info || d.detail.starts_with("fusion candidate");
             if !interesting {
                 continue;
             }
@@ -1030,7 +980,6 @@ fn render_graphlint(h: &mut String, out_dir: &Path) {
                 h.push_str("<ul>");
                 shown = true;
             }
-            let count = d.u64_of("count").unwrap_or(1);
             let times = if count > 1 {
                 format!(" (&times;{count})")
             } else {
@@ -1039,10 +988,10 @@ fn render_graphlint(h: &mut String, out_dir: &Path) {
             let _ = write!(
                 h,
                 "<li><b>{}</b> <code>{}</code> <code>{}</code>: {}{times}</li>",
-                esc(severity),
+                d.severity,
                 esc(app),
-                esc(d.str_of("kernel").unwrap_or("?")),
-                esc(detail),
+                esc(&d.kernel),
+                esc(&d.detail),
             );
         }
     }

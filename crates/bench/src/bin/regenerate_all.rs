@@ -1,6 +1,7 @@
 //! One-command reproduction: price the paper's cross-product once and
-//! write every table, figure, in-text aggregate, ablation and the CSV
-//! into `results/` (see `bench_harness::artifacts` for the file map).
+//! write every table, figure, in-text aggregate, ablation, the CSV, the
+//! lint and verify reports and the transfer document into `results/`
+//! (see `bench_harness::artifacts` for the file map).
 //!
 //!     cargo run --release -p bench-harness --bin regenerate_all [outdir]
 

@@ -21,12 +21,19 @@
 //! | `boundary_fractions.txt` | the boundary-loop (kernel-launch) probe of §4.1–§4.2 |
 //! | `ablation_*.txt` | the [`ablation`] sweeps over off-paper cells |
 //! | `measurements.csv` | every cell of the table |
+//! | `LINT_<app>.json` | [`reports::lint_report`] — static dataflow findings over the app's recorded graphs |
+//! | `VERIFY_<app>.json` | [`reports::verify_report`] — shadow-verifier findings of a live test-size run |
+//! | `TRANSFER.json` | [`transfer::transfer_json`] — interconnect curves, app splits and CPU-vs-GPU crossovers |
 //!
-//! The same functions are exercised by the benches in
+//! Every other `results/` file is a wall-clock record: `BENCH_engine.json`,
+//! `BENCH_study.json`, `PROFILE_cloverleaf2d.json`, `STUDY.json` and
+//! `DASHBOARD.html`. The same functions are exercised by the benches in
 //! `benches/figures.rs`.
 
 pub mod ablation;
 pub mod json;
+pub mod reports;
+pub mod transfer;
 
 use babelstream::BabelStream;
 use portability::{
@@ -455,7 +462,8 @@ pub fn boundary_fractions_text(table: &[Measurement]) -> String {
 
 /// Every artifact `regenerate_all` writes, as (file name, contents),
 /// rendered from the paper table (`portability::paper_measurements()`).
-/// Table 1 and the ablations price their own off-paper cells.
+/// Table 1, the ablations, the lint and verify reports and the transfer
+/// document price their own runs.
 pub fn artifacts(table: &[Measurement]) -> Vec<(String, String)> {
     let mgcfd_panels = |platforms: [PlatformId; 3]| -> String {
         platforms
@@ -494,11 +502,30 @@ pub fn artifacts(table: &[Measurement]) -> Vec<(String, String)> {
         ("measurements.csv", portability::write_csv(&csv_rows)),
     ];
     out.extend(named.map(|(name, text)| (name.to_owned(), text)));
+    // One thread per app, because the live verifier runs dominate the
+    // debug build's wall time. A shadow is scoped to the thread that
+    // enters it, so each report still numbers its dats from 1.
+    let reports: Vec<[(String, String); 2]> = std::thread::scope(|s| {
+        let threads = APP_NAMES.map(|app| {
+            s.spawn(move || {
+                [
+                    (format!("LINT_{app}.json"), reports::lint_report(app)),
+                    (format!("VERIFY_{app}.json"), reports::verify_report(app)),
+                ]
+            })
+        });
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("a report thread panicked"))
+            .collect()
+    });
+    out.extend(reports.into_iter().flatten());
+    out.push(("TRANSFER.json".to_owned(), transfer::transfer_json()));
     out
 }
 
-/// The platform's best native toolchain (the Table-1 pairing), used by
-/// the `profile` and `dashboard` binaries when tracing an app.
+/// The platform's best native toolchain (the Table-1 pairing): what
+/// the reports, the transfer document and the tracing binaries run.
 pub fn native_toolchain(p: PlatformId) -> Toolchain {
     match p {
         PlatformId::A100 => Toolchain::NativeCuda,

@@ -1,57 +1,20 @@
-//! End-to-end graphlint checks against the real applications.
-//!
-//! These mirror the `graphlint` binary's pipeline — dry-run session,
-//! shadow registry on before the app allocates, graph observer, static
-//! lint — and pin the two acceptance properties: the paper apps lint
-//! clean, and the analysis finds the known-fusable CloverLeaf 2D
-//! kernel pair with a modelled saving.
+//! End-to-end graphlint checks against the real applications, through
+//! the pipeline behind `graphlint` and `results/LINT_<app>.json`
+//! ([`bench_harness::reports::lint`]). They pin the two acceptance
+//! properties: the paper apps lint clean, and the analysis finds the
+//! known-fusable CloverLeaf 2D kernel pair with a modelled saving.
 
-use bench_harness::{make_app, native_toolchain, APP_NAMES};
-use std::sync::{Arc, Mutex};
-use sycl_sim::{AtomicKind, GraphSummary, PlatformId, Session, SessionConfig};
-use telemetry::shadow::Shadow;
-use verify::dataflow::{lint_graph, LintContext};
+use bench_harness::{reports, APP_NAMES};
+use sycl_sim::PlatformId;
 use verify::{Diagnostic, Severity};
 
-/// Run `app` at test size on a dry-run session and lint every graph it
-/// records, exactly as the `graphlint` binary does.
+/// Every finding of `app`'s recorded graphs on `platform`.
 fn lint_app(app_name: &str, platform: PlatformId) -> Vec<Diagnostic> {
-    let toolchain = native_toolchain(platform);
-    let session = Session::create(
-        SessionConfig::new(platform, toolchain)
-            .app(app_name)
-            .dry_run(),
-    )
-    .unwrap();
-    let shadow = Shadow::enter(None);
-
-    let summaries: Arc<Mutex<Vec<GraphSummary>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&summaries);
-    session.set_graph_observer(Some(Arc::new(move |s: &GraphSummary| {
-        let mut v = sink.lock().unwrap_or_else(|e| e.into_inner());
-        if !v.iter().any(|g| g.id == s.id) {
-            v.push(s.clone());
-        }
-    })));
-    let app = make_app(app_name, false).expect("known app");
-    app.run(&session);
-    session.set_graph_observer(None);
-
-    let ctx = LintContext {
-        ranks: session.ranks(),
-        stream_bw: session.platform().mem.stream_bw,
-        launch_overhead: toolchain
-            .backend(session.config().platform)
-            .launch_overhead(session.platform()),
-        cas_atomics: session.atomic_kind() == AtomicKind::CasLoop,
-        platform: session.platform().name.to_owned(),
-    };
-    let summaries = summaries.lock().unwrap_or_else(|e| e.into_inner());
-    let diags = summaries
-        .iter()
-        .flat_map(|g| lint_graph(g, &ctx, &|id| shadow.dat_name(id)))
-        .collect();
-    diags
+    reports::lint(app_name, platform)
+        .expect("paper apps run on their platform's native toolchain")
+        .into_iter()
+        .flat_map(|r| r.diagnostics)
+        .collect()
 }
 
 /// The acceptance fusion chain: CloverLeaf 2D's `ideal_gas` and

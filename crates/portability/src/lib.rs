@@ -11,12 +11,10 @@
 //!   harmonic mean of efficiencies over the platform set) — §4.4;
 //! * means/standard deviations of efficiencies — the in-text aggregates.
 
-pub mod heatmap;
 pub mod metrics;
 pub mod report;
 pub mod study;
 
-pub use heatmap::HeatCell;
 pub use metrics::{harmonic_mean, mean, pennycook, pp_rows, std_dev, PpCell};
 pub use report::{format_table, write_csv, MeasCell};
 pub use study::{

@@ -679,11 +679,11 @@ fn fusion_candidates(
             .filter(|(_, (n, _))| *n > 1)
             .map(|(&d, &(n, eb))| (d, n, eb))
             .collect();
+        // Folded from +0.0: `f64::sum` starts from -0.0, so an empty
+        // chain would print `-0.00` in builds that keep the sign.
         let bytes_saved = shared
             .iter()
-            .map(|&(_, n, eb)| (n - 1) as f64 * points * eb)
-            .sum::<f64>()
-            .max(0.0);
+            .fold(0.0, |acc, &(_, n, eb)| acc + (n - 1) as f64 * points * eb);
         let launch_saved = (c.len() - 1) as f64 * ctx.launch_overhead;
         let bw_saved = bytes_saved / ctx.stream_bw;
         let names: Vec<&str> = c.iter().map(|l| l.kernel).collect();

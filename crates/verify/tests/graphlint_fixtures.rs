@@ -258,3 +258,34 @@ fn a_duplicated_exchange_is_a_redundancy_warning() {
         "{diags:?}"
     );
 }
+
+/// Two point-wise launches over disjoint dats fuse for launch overhead
+/// alone: the saving prints as a plain zero in every build profile,
+/// never `-0.00`.
+#[test]
+fn a_chain_sharing_no_dats_saves_exactly_zero_bytes() {
+    let (s, shadow) = shadow_session("fix_disjoint");
+    let block = Block::new_2d(8, 8, 2);
+    let a = ops_dsl::Dat::<f64>::zeroed(&block, "a");
+    let b = ops_dsl::Dat::<f64>::zeroed(&block, "b");
+    let mut g = s.record();
+    ParLoop::new("fill_a", block.interior())
+        .write(a.meta())
+        .flops(1.0)
+        .record(&mut g, |_t| {});
+    ParLoop::new("fill_b", block.interior())
+        .write(b.meta())
+        .flops(1.0)
+        .record(&mut g, |_t| {});
+    let summary = g.finish().summary();
+    drop(s);
+
+    let diags = lint(&shadow, &summary);
+    let d = diags
+        .iter()
+        .find(|d| d.detail.contains("fusion candidate"))
+        .expect("fill_a+fill_b fusion candidate");
+    assert!(d.detail.contains("share no datasets"), "{}", d.detail);
+    assert!(d.detail.contains("saves ~0.00 MB"), "{}", d.detail);
+    assert!(d.detail.contains("(0.0 us bandwidth"), "{}", d.detail);
+}

@@ -11,7 +11,8 @@
 //!
 //! `TRANSFER_PINNED` does the same for data movement: the priced seconds
 //! of one 64 MiB copy on each platform's link, per direction and host
-//! allocation, so a failure names the exact link that moved.
+//! allocation, so a failure names the exact link that moved. Every
+//! other ladder size is held to the interconnect model.
 
 use miniapps::{Acoustic, App, CloverLeaf2d, CloverLeaf3d, Mgcfd, OpenSbli, Rtm, SbliVariant};
 use op2_dsl::Ordering;
@@ -178,52 +179,6 @@ fn every_app_reproduces_its_pinned_launch_digests() {
     }
 }
 
-/// One 64 MiB copy per platform × direction × allocation, priced
-/// through the session's comm path on the platform's native toolchain:
-/// record one transfer node, replay it, read the comm clock's delta.
-/// Yields `(label, priced seconds, interconnect-model seconds)`, with
-/// labels `"{platform}/{dir}/{alloc}"` (alloc is `device` for D2D).
-fn transfer_cells() -> Vec<(String, f64, f64)> {
-    use machine_model::TransferDir;
-    const BYTES: f64 = 64.0 * 1024.0 * 1024.0;
-    let mut out = Vec::new();
-    for p in machine_model::all_platforms() {
-        for pinned in [true, false] {
-            let cfg = SessionConfig::new(p.id, bench_harness::native_toolchain(p.id))
-                .app("transfer-pins")
-                .dry_run();
-            let cfg = if pinned {
-                cfg
-            } else {
-                cfg.pageable_transfers()
-            };
-            let session = Session::create(cfg).expect("native toolchains run everywhere");
-            for dir in [TransferDir::H2D, TransferDir::D2H, TransferDir::D2D] {
-                if dir == TransferDir::D2D && !pinned {
-                    continue; // no host allocation to pin
-                }
-                let before = session.comm_time();
-                let mut g = session.record();
-                g.transfer_dir(BYTES, Vec::new(), dir);
-                g.finish().replay(&session);
-                let secs = session.comm_time() - before;
-                let alloc = match (dir, pinned) {
-                    (TransferDir::D2D, _) => "device",
-                    (_, true) => "pinned",
-                    (_, false) => "pageable",
-                };
-                let model = p.interconnect.transfer_time(dir, pinned, BYTES);
-                out.push((
-                    format!("{}/{}/{alloc}", p.id.label(), dir.label()),
-                    secs,
-                    model,
-                ));
-            }
-        }
-    }
-    out
-}
-
 const TRANSFER_PINNED: &[&str] = &[
     "a100/h2d/pinned secs=3f661278970247fe",
     "a100/d2h/pinned secs=3f66fd0895bcac2e",
@@ -257,22 +212,36 @@ const TRANSFER_PINNED: &[&str] = &[
     "altra/d2h/pageable secs=3f4a5a1c23502b4e",
 ];
 
-/// Each price is pinned by bits, and must also equal the interconnect
-/// model: a change to how transfers are recorded, replayed or committed
-/// that leaves the model alone still fails here.
+/// Every point of the transfer curves `TRANSFER.json` reports
+/// ([`bench_harness::transfer::curves`]: each link priced through the
+/// session's comm path) must equal the interconnect model, and a
+/// 64 MiB copy per link is pinned by bits: a change to how transfers
+/// are recorded, replayed or committed that leaves the model alone
+/// still fails here.
 #[test]
 fn every_transfer_reproduces_its_pinned_price() {
-    let cells = transfer_cells();
-    for (label, secs, model) in &cells {
-        let drift = (secs - model).abs() / model;
-        assert!(
-            drift <= 1e-9,
-            "{label}: priced at {secs:e} s but the interconnect model says {model:e} s"
-        );
+    use bench_harness::transfer::{curves, LADDER};
+    for c in curves(&LADDER) {
+        let link = machine_model::Platform::get(c.platform).interconnect;
+        for &(bytes, secs) in &c.points {
+            let model = link.transfer_time(c.dir, c.pinned, bytes);
+            let drift = (secs - model).abs() / model;
+            assert!(
+                drift <= 1e-9,
+                "{}/{}/{} {bytes} B: priced at {secs:e} s but the interconnect model says {model:e} s",
+                c.platform.label(),
+                c.dir.label(),
+                c.alloc(),
+            );
+        }
     }
-    let got: Vec<String> = cells
+    let got: Vec<String> = curves(&[64.0 * 1024.0 * 1024.0])
         .iter()
-        .map(|(label, secs, _)| format!("{label} secs={:016x}", secs.to_bits()))
+        .map(|c| {
+            let (_, secs) = c.points[0];
+            let (p, d, a) = (c.platform.label(), c.dir.label(), c.alloc());
+            format!("{p}/{d}/{a} secs={:016x}", secs.to_bits())
+        })
         .collect();
     if got != TRANSFER_PINNED {
         let moved: Vec<&str> = got
