@@ -17,27 +17,26 @@
 //! attached ([`bench_harness::reports::verify`]); the access / plan /
 //! footprint findings land on stdout. The A100 findings are also the
 //! committed `results/VERIFY_<app>.json`, which `regenerate_all`
-//! writes. Exit status: 2 for an unknown app or one that does not run
-//! on the platform, 1 when any `Error`-severity diagnostic was found,
-//! 0 otherwise.
+//! writes. Exit status: 2 for an unknown flag, platform or app, a flag
+//! missing its value, or an app that does not run on the platform; 1
+//! when any `Error`-severity diagnostic was found; 0 otherwise.
 
+use bench_harness::cli::Cli;
 use bench_harness::{native_toolchain, reports, APP_NAMES};
-use sycl_sim::PlatformId;
 use verify::{report, Severity};
 
+const CLI: Cli = Cli {
+    usage: "analyze [--app <name>] [--platform <label>] [--deny-warnings]",
+    switches: &["--deny-warnings"],
+    options: &["--app", "--platform"],
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let platform = flag("--platform")
-        .and_then(|s| PlatformId::parse(s))
-        .unwrap_or(PlatformId::A100);
-    let apps: Vec<&str> = match flag("--app") {
-        Some(name) if APP_NAMES.contains(&name.as_str()) => vec![name],
+    let flags = CLI.from_env();
+    let deny_warnings = flags.has("--deny-warnings");
+    let platform = CLI.platform(&flags);
+    let apps: Vec<&str> = match flags.value("--app") {
+        Some(name) if APP_NAMES.contains(&name) => vec![name],
         Some(name) => {
             eprintln!(
                 "unknown app {name:?}; expected one of {}",

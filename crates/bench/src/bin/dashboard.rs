@@ -12,6 +12,8 @@
 //! * `--skip-study` — omit the roofline scatter and portability heatmap
 //!   (skips the cross-product study; the trace tables still render).
 //!
+//! An unknown flag, platform or app, or a flag missing its value, exits 2.
+//!
 //! The output is ONE html file with every byte inline — CSS, SVG charts
 //! and a small sorting script — so it can be attached to a CI run or
 //! mailed around and opened offline. Sections:
@@ -38,6 +40,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use bench_harness::cli::Cli;
 use bench_harness::{make_app, native_toolchain, reports, transfer, APP_NAMES};
 use machine_model::Platform;
 use metrics::Histogram;
@@ -62,22 +65,21 @@ struct AppTrace {
 /// Scheduler-health histograms keyed by (metric, schedule).
 type SchedHists = BTreeMap<(&'static str, &'static str), Histogram>;
 
+const CLI: Cli = Cli {
+    usage: "dashboard [--apps <a,b,...>] [--platform <label>] [--out <path>] [--skip-study]",
+    switches: &["--skip-study"],
+    options: &["--apps", "--platform", "--out"],
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let skip_study = args.iter().any(|a| a == "--skip-study");
-    let platform = flag_value("--platform")
-        .and_then(|s| PlatformId::parse(&s))
-        .unwrap_or(PlatformId::A100);
-    let apps: Vec<String> = flag_value("--apps")
+    let flags = CLI.from_env();
+    let skip_study = flags.has("--skip-study");
+    let platform = CLI.platform(&flags);
+    let apps: Vec<String> = flags
+        .value("--apps")
         .map(|s| s.split(',').map(|a| a.trim().to_owned()).collect())
         .unwrap_or_else(|| APP_NAMES.iter().map(|s| (*s).to_owned()).collect());
-    let out = flag_value("--out").unwrap_or_else(|| "results/DASHBOARD.html".to_owned());
+    let out = flags.value("--out").unwrap_or("results/DASHBOARD.html");
 
     for a in &apps {
         if !APP_NAMES.contains(&a.as_str()) {

@@ -31,6 +31,7 @@
 //! `benches/figures.rs`.
 
 pub mod ablation;
+pub mod cli;
 pub mod json;
 pub mod reports;
 pub mod transfer;

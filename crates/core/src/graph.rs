@@ -13,6 +13,12 @@
 //! commit appends one `Arc` clone of it instead of one record per
 //! launch, while each launch still advances the clock in turn.
 //!
+//! A graph recorded on a dry-run session keeps only the bodies a dry
+//! replay calls: those of reducing kernels, which hand their sink the
+//! identity. Every other body would return at once, so the builder
+//! drops it at record time, and such a graph refuses to replay on an
+//! executing session rather than skip work.
+//!
 //! The non-negotiable invariant: a replayed graph leaves the ledger
 //! **bit-identical** to launching the same sequence eagerly. A plan
 //! holds exactly the records per-launch lookups would return (graph ids
@@ -31,20 +37,20 @@ use machine_model::{Precision, TransferDir};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+/// A kept functional kernel body; it receives `session.executes()` at
+/// replay time.
+type Body<'a> = Box<dyn Fn(bool) + Sync + 'a>;
+
 /// One recorded operation.
 // Launch dominates real graphs (phases/exchanges are bookkeeping), so
 // the large variant stays inline rather than paying a Box per node.
 #[allow(clippy::large_enum_variant)]
-enum GraphOp<'a> {
-    /// A kernel launch: the fingerprinted node plus its functional body.
-    /// The body receives `session.executes()` at replay time. `meta` is
-    /// the declarative access metadata for static analysis; it never
-    /// enters pricing or the ledger.
-    Launch {
-        node: LaunchNode,
-        meta: LaunchMeta,
-        body: Box<dyn Fn(bool) + Sync + 'a>,
-    },
+enum GraphOp {
+    /// A kernel launch: the fingerprinted node. `meta` is the
+    /// declarative access metadata for static analysis; it never enters
+    /// pricing or the ledger. Its body, if kept, is in the graph's
+    /// body list.
+    Launch { node: LaunchNode, meta: LaunchMeta },
     /// A halo exchange (`Session::exchange` equivalent). `dats` lists
     /// the shadow-registry ids of the exchanged datasets (empty when
     /// the recorder declared only a volume).
@@ -66,15 +72,30 @@ enum GraphOp<'a> {
     PhaseEnd,
 }
 
+impl GraphOp {
+    /// A launch's declared accesses.
+    fn meta(&self) -> Option<&LaunchMeta> {
+        match self {
+            GraphOp::Launch { meta, .. } => Some(meta),
+            _ => None,
+        }
+    }
+}
+
 /// Graph ids are process-unique so observers can dedup repeated replays
 /// of the same recorded graph.
 static NEXT_GRAPH_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Records a launch sequence; [`GraphBuilder::finish`] freezes it into a
 /// [`LaunchGraph`]. Obtained from [`Session::record`].
-#[derive(Default)]
 pub struct GraphBuilder<'a> {
-    ops: Vec<GraphOp<'a>>,
+    ops: Vec<GraphOp>,
+    /// The kept bodies with the index of their launch op, in recorded
+    /// order.
+    bodies: Vec<(usize, Body<'a>)>,
+    /// The recording session executes bodies. When it does not, only
+    /// reducing kernels keep theirs.
+    executes: bool,
     /// Names of currently-open phases, for defect reporting.
     open_phases: Vec<&'static str>,
     /// Structural phase-nesting defects observed while recording.
@@ -82,13 +103,23 @@ pub struct GraphBuilder<'a> {
 }
 
 impl<'a> GraphBuilder<'a> {
-    pub(crate) fn new() -> GraphBuilder<'a> {
-        GraphBuilder::default()
+    pub(crate) fn new(executes: bool) -> GraphBuilder<'a> {
+        GraphBuilder {
+            ops: Vec::new(),
+            bodies: Vec::new(),
+            executes,
+            open_phases: Vec::new(),
+            phase_defects: Vec::new(),
+        }
     }
 
     /// Record one launch. `body` is the functional kernel body; it is
     /// called on every replay with `session.executes()` as its argument
-    /// (dry-run sessions replay pricing without running bodies).
+    /// (dry-run sessions replay pricing without running bodies). On a
+    /// dry-run session the builder keeps `body` only when the kernel
+    /// declares reductions, since a reduce body still hands its sink the
+    /// identity; any other body is dropped here, unboxed and never
+    /// called.
     ///
     /// The launch carries [`LaunchMeta::opaque`] metadata — static
     /// analysis will not reason about its data accesses. DSLs that know
@@ -102,17 +133,20 @@ impl<'a> GraphBuilder<'a> {
     /// `meta` feeds the static dataflow analyzer only: it is not hashed
     /// into the pricing fingerprint and never reaches the ledger, so
     /// recording it cannot change pricing or execution. The graph keeps
-    /// `kernel` as its snapshot.
+    /// `kernel` as its snapshot, and `body` as [`GraphBuilder::launch`]
+    /// does.
     pub fn launch_with_meta(
         &mut self,
         kernel: Kernel,
         meta: LaunchMeta,
         body: impl Fn(bool) + Sync + 'a,
     ) {
+        if self.executes || kernel.footprint.reductions > 0 {
+            self.bodies.push((self.ops.len(), Box::new(body)));
+        }
         self.ops.push(GraphOp::Launch {
             node: LaunchNode::new(kernel),
             meta,
-            body: Box::new(body),
         });
     }
 
@@ -203,6 +237,7 @@ impl<'a> GraphBuilder<'a> {
         LaunchGraph {
             id: NEXT_GRAPH_ID.fetch_add(1, Ordering::Relaxed),
             ops: self.ops,
+            bodies: self.bodies,
             launches,
             writes_named,
             phase_defects: self.phase_defects,
@@ -219,7 +254,9 @@ pub trait LaunchTarget<'a> {
     /// Launch (eagerly) or record (into a graph) one kernel. `body`
     /// receives `session.executes()`. A session drops `meta`: eager
     /// launches declare no accesses, so they never touch residency. A
-    /// graph keeps `kernel` as its snapshot, so recording never copies it.
+    /// graph keeps `kernel` as its snapshot, so recording never copies
+    /// it; a graph recorded on a dry-run session keeps `body` only for a
+    /// reducing kernel (see [`GraphBuilder::launch`]).
     fn launch_node(&mut self, kernel: Kernel, meta: LaunchMeta, body: impl Fn(bool) + Sync + 'a);
 }
 
@@ -283,7 +320,10 @@ pub struct GraphSummary {
 /// session whose config the recorded kernels are valid for.
 pub struct LaunchGraph<'a> {
     id: u64,
-    ops: Vec<GraphOp<'a>>,
+    ops: Vec<GraphOp>,
+    /// The kept bodies with their launch op's index, in recorded order.
+    /// Fewer than `launches` only on a graph recorded dry.
+    bodies: Vec<(usize, Body<'a>)>,
     launches: u64,
     /// Some launch declares a write to a named dat
     /// ([`DatAccess::writes_named`]). Without one, no launch can change
@@ -331,7 +371,7 @@ impl LaunchGraph<'_> {
                 GraphOp::Launch { node, meta, .. } => {
                     let fp = &node.kernel.footprint;
                     GraphNodeInfo::Launch {
-                        kernel: fp.name.clone(),
+                        kernel: fp.name.to_string(),
                         items: fp.items,
                         effective_bytes: fp.effective_bytes,
                         reductions: fp.reductions,
@@ -383,7 +423,20 @@ impl LaunchGraph<'_> {
     /// dat; see [`GraphBuilder::finish`]), and the plan is appended to
     /// the ledger as one entry. Launch observers fire per record in
     /// ledger order after the lock is released.
+    ///
+    /// # Panics
+    ///
+    /// If `session` executes and the graph was recorded on a dry-run
+    /// session that dropped a body: replaying it would skip that work.
     pub fn replay(&self, session: &Session) {
+        assert!(
+            !session.executes() || self.bodies.len() as u64 == self.launches,
+            "graph {} was recorded on a dry-run session, which dropped {} of its {} \
+             kernel bodies; record it on an executing session to replay it there",
+            self.id,
+            self.launches - self.bodies.len() as u64,
+            self.launches,
+        );
         self.notify_observer(session);
         let replay_span = telemetry::SpanTimer::start();
         let plan = session.price_cache().plan(self.id, self.launches, |cache| {
@@ -400,25 +453,33 @@ impl LaunchGraph<'_> {
 
         self.execute_stage(&plan, session.executes());
 
+        // Commit walks the plan: a launch commits its priced record and
+        // reads its op only for the access list a named write needs.
         let mut locks = CommitLocks::new(session);
-        for (op, p) in self.ops.iter().zip(plan.iter()) {
-            let op = match op {
-                GraphOp::Launch { meta, .. } => Op::Launch {
-                    record: p.as_ref().expect("launch ops are priced"),
-                    meta: self.writes_named.then_some(meta),
+        for (i, slot) in plan.iter().enumerate() {
+            let op = match slot {
+                Some(record) => Op::Launch {
+                    record,
+                    meta: if self.writes_named {
+                        self.ops[i].meta()
+                    } else {
+                        None
+                    },
                 },
-                GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
-                    bytes: *bytes,
-                    dats,
-                    dir: *dir,
+                None => match &self.ops[i] {
+                    GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
+                        bytes: *bytes,
+                        dats,
+                        dir: *dir,
+                    },
+                    GraphOp::Exchange {
+                        bytes, messages, ..
+                    } => Op::Exchange {
+                        bytes: *bytes,
+                        messages: *messages,
+                    },
+                    _ => continue,
                 },
-                GraphOp::Exchange {
-                    bytes, messages, ..
-                } => Op::Exchange {
-                    bytes: *bytes,
-                    messages: *messages,
-                },
-                GraphOp::PhaseBegin { .. } | GraphOp::PhaseEnd => continue,
             };
             locks.commit(op);
         }
@@ -434,26 +495,29 @@ impl LaunchGraph<'_> {
         }
     }
 
-    /// Execute stage: run the launch bodies in recorded order, with the
+    /// Execute stage: run the kept bodies in recorded order, with the
     /// phase spans bracketing them. With telemetry off there is no span
-    /// to write, so it only calls each body with `executes`: a dry-run
-    /// body still runs there, because a reduce body hands its sink the
-    /// identity.
+    /// to write, so it only calls each kept body with `executes`: on a
+    /// dry-recorded graph those are the reduce bodies, which hand their
+    /// sink the identity. With telemetry on, every launch writes its
+    /// span, whether or not its body was kept.
     fn execute_stage(&self, priced: &[Option<LaunchRecord>], executes: bool) {
         if !telemetry::enabled() {
-            for op in &self.ops {
-                if let GraphOp::Launch { body, .. } = op {
-                    body(executes);
-                }
+            for (_, body) in &self.bodies {
+                body(executes);
             }
             return;
         }
+        let mut bodies = self.bodies.iter().peekable();
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
-        for (op, p) in self.ops.iter().zip(priced) {
+        for (i, (op, p)) in self.ops.iter().zip(priced).enumerate() {
             match op {
-                GraphOp::Launch { body, .. } => {
+                GraphOp::Launch { .. } => {
+                    let body = bodies.next_if(|&&(at, _)| at == i);
                     execute(p.as_ref().expect("launch ops are priced"), || {
-                        body(executes)
+                        if let Some((_, body)) = body {
+                            body(executes);
+                        }
                     });
                 }
                 GraphOp::PhaseBegin { name } => {
@@ -688,6 +752,47 @@ mod tests {
         assert_eq!(dry.records().len(), 3);
         g.replay(&session());
         assert_eq!(f64::from_bits(sink.load(Ordering::Relaxed)), 0.5);
+    }
+
+    #[test]
+    fn dry_graphs_keep_only_reduce_bodies() {
+        let plain = Kernel::streaming("x", 1 << 16, 1e6, 0.0);
+        let mut reduce = Kernel::streaming("dt", 1 << 16, 1e6, 0.0);
+        reduce.footprint.reductions = 1;
+        let token = Arc::new(());
+        let calls = AtomicUsize::new(0);
+        let dry = dry_session();
+        let mut g = dry.record();
+        let held = Arc::clone(&token);
+        g.launch(&plain, move |_| {
+            let _ = &held;
+            unreachable!("a dry replay never calls a plain body");
+        });
+        assert_eq!(Arc::strong_count(&token), 1, "dropped at record time");
+        g.launch(&reduce, |executes| {
+            assert!(!executes);
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        let g = g.finish();
+        assert_eq!(g.n_launches(), 2);
+        for _ in 0..3 {
+            g.replay(&dry);
+        }
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            3,
+            "the reduce body runs per replay"
+        );
+        assert_eq!(dry.records().len(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded on a dry-run session")]
+    fn a_dry_recorded_graph_refuses_an_executing_session() {
+        let dry = dry_session();
+        let mut g = dry.record();
+        g.launch(&Kernel::streaming("x", 1 << 16, 1e6, 0.0), |_| {});
+        g.finish().replay(&session());
     }
 
     #[test]

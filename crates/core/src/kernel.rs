@@ -54,7 +54,12 @@ impl Kernel {
     }
 
     /// Convenience constructor for simple streaming kernels (f64).
-    pub fn streaming(name: &str, items: u64, bytes: f64, flops: f64) -> Self {
+    pub fn streaming(
+        name: impl Into<std::borrow::Cow<'static, str>>,
+        items: u64,
+        bytes: f64,
+        flops: f64,
+    ) -> Self {
         Kernel::new(KernelFootprint::streaming(
             name,
             items,

@@ -300,7 +300,7 @@ impl PriceCache {
         }
 
         let (time, exec) = price_cold(ctx, kernel);
-        let name: Arc<str> = Arc::from(kernel.footprint.name.as_str());
+        let name: Arc<str> = Arc::from(&*kernel.footprint.name);
         let boundary = kernel.footprint.is_boundary();
         if self.enabled {
             self.map.insert(
@@ -491,7 +491,7 @@ mod tests {
             for i in order {
                 let r = cache.price(&ctx, &kernels[i], 42);
                 assert_eq!(r.time.total.to_bits(), cold[i], "kernel {i}");
-                assert_eq!(&*r.name, kernels[i].footprint.name.as_str());
+                assert_eq!(*r.name, *kernels[i].footprint.name);
                 let (op, b, m) = comms[i];
                 let t = cache.price_comm_under(&ctx, 42, op, b, m);
                 assert_eq!(t.map(f64::to_bits), cold_comm[i], "comm op {i}");

@@ -275,7 +275,7 @@ impl Session {
     /// then prices the whole sequence once per session and commits it
     /// under a single ledger lock per replay, as one ledger entry.
     pub fn record(&self) -> crate::graph::GraphBuilder<'_> {
-        crate::graph::GraphBuilder::new()
+        crate::graph::GraphBuilder::new(self.executes())
     }
 
     /// Like [`Session::launch`], also returning the simulated timing.

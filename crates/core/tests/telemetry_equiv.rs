@@ -149,6 +149,33 @@ fn disabled_and_enabled_telemetry_leave_ledgers_bit_identical() {
     );
 }
 
+#[test]
+fn traced_dry_replays_write_one_launch_span_per_launch() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let never = run_workload_on(true);
+    TelemetryConfig::enabled().install();
+    let counters_before = telemetry::counters().snapshot();
+    let traced = run_workload_on(true);
+    let delta = telemetry::counters().snapshot().since(&counters_before);
+    TelemetryConfig::disabled().install();
+    let events = telemetry::flush();
+
+    // A dry-recorded graph drops its plain bodies, yet every launch,
+    // the replayed one included, still writes its span.
+    assert_bit_identical(&never, &traced, "dry: never-attached vs traced");
+    assert_eq!(delta.launches, 2 * never.0.len() as u64);
+    assert_eq!(
+        events
+            .iter()
+            .filter(|e| e.kind == telemetry::SpanKind::Launch)
+            .count() as u64,
+        delta.launches
+    );
+    assert!(events
+        .iter()
+        .any(|e| e.kind == telemetry::SpanKind::Launch && e.name.as_str() == "stencil"));
+}
+
 /// Runs the workload once unobserved and once inside a flight recording
 /// that holds only an enclosing unit span, and checks that the ledgers are
 /// bit-identical and that the launch core wrote nothing into the recording.

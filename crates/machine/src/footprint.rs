@@ -6,6 +6,8 @@
 //! mapping tables used. Everything else describes *structure* (stencil
 //! radii, indirection, atomics) that the cache and throughput models need.
 
+use std::borrow::Cow;
+
 /// Floating-point width of a kernel's primary datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
@@ -103,8 +105,10 @@ pub struct AtomicProfile {
 /// A complete, backend-independent description of one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelFootprint {
-    /// Kernel name (for reports and per-kernel breakdowns).
-    pub name: String,
+    /// Kernel name (for reports and per-kernel breakdowns). The DSLs
+    /// name their loops with literals, so a footprint borrows the name
+    /// and building one per launch copies nothing.
+    pub name: Cow<'static, str>,
     /// Iteration count (mesh points / set elements).
     pub items: u64,
     /// Compulsory DRAM bytes by the paper's effective-bytes rule: datasets
@@ -124,7 +128,7 @@ pub struct KernelFootprint {
 impl KernelFootprint {
     /// A streaming kernel touching `bytes` with `flops` total FLOPs.
     pub fn streaming(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         items: u64,
         bytes: f64,
         flops: f64,

@@ -80,7 +80,7 @@ impl Prefetch {
 /// A loop over the edge set that indirectly increments vertex data.
 #[derive(Debug, Clone)]
 pub struct EdgeLoop {
-    name: String,
+    name: &'static str,
     stats: MeshStats,
     scheme: Scheme,
     precision: Precision,
@@ -103,9 +103,9 @@ pub struct EdgeLoop {
 impl EdgeLoop {
     /// Start an edge loop. `stats` gives set sizes and ordering quality;
     /// `scheme` picks the race-resolution strategy.
-    pub fn new(name: &str, stats: MeshStats, scheme: Scheme, precision: Precision) -> Self {
+    pub fn new(name: &'static str, stats: MeshStats, scheme: Scheme, precision: Precision) -> Self {
         EdgeLoop {
-            name: name.to_owned(),
+            name,
             stats,
             scheme,
             precision,
@@ -260,7 +260,7 @@ impl EdgeLoop {
         let n_edges = self.stats.n_edges as f64;
         let map_bytes = n_edges * 2.0 * 4.0;
         let fp = KernelFootprint {
-            name: self.name.clone(),
+            name: self.name.into(),
             items: (n_edges * fraction).round().max(1.0) as u64,
             effective_bytes: (self.direct_bytes + self.indirect_bytes + map_bytes) * fraction,
             flops: self.flops_pp * n_edges * fraction,
@@ -313,7 +313,7 @@ impl EdgeLoop {
     /// validator part of `sycl-verify`).
     fn begin_shadow_loop(&self, sh: &Shadow, colored: &ColoredMesh) {
         sh.begin_loop(shadow::LoopDecl {
-            kernel: self.name.clone(),
+            kernel: self.name.to_owned(),
             structured: false,
             lo: [0; 3],
             hi: [0; 3],
@@ -510,7 +510,7 @@ impl ColoredMesh {
 /// A direct loop over a set (vertex updates, residuals, reductions).
 #[derive(Debug, Clone)]
 pub struct VertexLoop {
-    name: String,
+    name: &'static str,
     set_size: usize,
     precision: Precision,
     bytes: f64,
@@ -521,9 +521,9 @@ pub struct VertexLoop {
 
 impl VertexLoop {
     /// Start a direct loop over `set_size` elements.
-    pub fn new(name: &str, set_size: usize, precision: Precision) -> Self {
+    pub fn new(name: &'static str, set_size: usize, precision: Precision) -> Self {
         VertexLoop {
-            name: name.to_owned(),
+            name,
             set_size,
             precision,
             bytes: 0.0,
@@ -577,7 +577,7 @@ impl VertexLoop {
 
     fn kernel(&self, reductions: usize) -> Kernel {
         Kernel::new(KernelFootprint {
-            name: self.name.clone(),
+            name: self.name.into(),
             items: self.set_size as u64,
             effective_bytes: self.bytes,
             flops: self.flops_pp * self.set_size as f64,
@@ -671,7 +671,7 @@ impl VertexLoop {
                 let n = self.set_size;
                 let out = if executes {
                     let chunks = n.div_ceil(EXEC_CHUNK);
-                    telemetry::reduce_span(&self.name, chunks, bytes, || {
+                    telemetry::reduce_span(self.name, chunks, bytes, || {
                         global_pool().reduce(n, EXEC_CHUNK, identity.clone(), &combine, |r| {
                             shadow::unit(sh, || body(r.start, r.end))
                         })
@@ -691,7 +691,7 @@ impl VertexLoop {
         let sh = executes.then(shadow::current).flatten();
         if let Some(sh) = &sh {
             sh.begin_loop(shadow::LoopDecl {
-                kernel: self.name.clone(),
+                kernel: self.name.to_owned(),
                 structured: false,
                 lo: [0; 3],
                 hi: [0; 3],
@@ -1129,6 +1129,65 @@ mod tests {
         assert_eq!(defects.len(), 1, "{defects:?}");
         assert!(defects[0].contains("vertex_read binds"), "{defects:?}");
         assert_eq!((bits, digest), (global_dims.0, global_dims.1));
+    }
+
+    #[test]
+    fn dry_graphs_drop_edge_and_vertex_bodies_but_feed_reduce_sinks() {
+        use std::sync::atomic::{AtomicU64, Ordering as Mem};
+
+        let dry = Session::create(
+            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+                .app("op2-dry")
+                .dry_run(),
+        )
+        .unwrap();
+        let schemes = [Scheme::Atomics, Scheme::GlobalColor, Scheme::HierColor];
+        let meshes: Vec<ColoredMesh> = schemes
+            .iter()
+            .map(|&s| ColoredMesh::prepare(Mesh::grid(6, 6, 3, Ordering::Natural), s, 64))
+            .collect();
+        let n = meshes[0].mesh.n_vertices;
+        let token = Arc::new(());
+        let sum = AtomicU64::new(0);
+        let mut g = dry.record();
+        for (&scheme, colored) in schemes.iter().zip(&meshes) {
+            let held = Arc::clone(&token);
+            EdgeLoop::new("degree", colored.mesh.stats(), scheme, Precision::F64)
+                .vertex_inc(1)
+                .block_size(64)
+                .record(&mut g, Some(colored), move |_| {
+                    let _ = &held;
+                    unreachable!("a dry replay never calls an edge body");
+                });
+        }
+        let held = Arc::clone(&token);
+        VertexLoop::new("scale", n, Precision::F64)
+            .arg(1)
+            .record(&mut g, move |_, _| {
+                let _ = &held;
+                unreachable!("a dry replay never calls a plain body");
+            });
+        assert_eq!(Arc::strong_count(&token), 1, "dropped at record time");
+        VertexLoop::new("norm", n, Precision::F64)
+            .arg(1)
+            .record_reduce(
+                &mut g,
+                -0.0f64,
+                |a, b| a + b,
+                |_, _| unreachable!("a dry replay folds nothing"),
+                |v: f64| sum.store(v.to_bits(), Mem::Relaxed),
+            );
+        let g = g.finish();
+        assert!(
+            g.n_launches() > 5,
+            "colouring schemes record a launch per pass"
+        );
+        for _ in 0..2 {
+            sum.store(u64::MAX, Mem::Relaxed);
+            g.replay(&dry);
+            assert_eq!(sum.load(Mem::Relaxed), (-0.0f64).to_bits());
+        }
+        assert_eq!(dry.records().len() as u64, 2 * g.n_launches());
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn exec_tile(range: &Range3) -> [usize; 3] {
 /// Builder for one structured-mesh parallel loop.
 #[derive(Debug, Clone)]
 pub struct ParLoop {
-    name: String,
+    name: &'static str,
     range: Range3,
     reads: Vec<(DatMeta, Stencil)>,
     writes: Vec<DatMeta>,
@@ -49,9 +49,9 @@ pub struct ParLoop {
 
 impl ParLoop {
     /// Start a loop over `range`.
-    pub fn new(name: &str, range: Range3) -> Self {
+    pub fn new(name: &'static str, range: Range3) -> Self {
         ParLoop {
-            name: name.to_owned(),
+            name,
             range,
             reads: Vec::new(),
             writes: Vec::new(),
@@ -147,7 +147,7 @@ impl ParLoop {
             Precision::F32
         };
         let fp = KernelFootprint {
-            name: self.name.clone(),
+            name: self.name.into(),
             items: self.range.points() as u64,
             effective_bytes: bytes,
             flops: self.flops_pp * pts,
@@ -196,7 +196,7 @@ impl ParLoop {
             });
         }
         shadow::LoopDecl {
-            kernel: self.name.clone(),
+            kernel: self.name.to_owned(),
             structured: true,
             lo: self.range.lo,
             hi: self.range.hi,
@@ -393,7 +393,7 @@ impl ParLoop {
         to.launch_node(kernel, meta, move |executes| {
             self.shadowed(executes, |sh| {
                 let out = if executes {
-                    telemetry::reduce_span(&self.name, tiles, bytes, || {
+                    telemetry::reduce_span(self.name, tiles, bytes, || {
                         global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
                             shadow::unit(sh, || body(self.range.tile(shape, t)))
                         })
@@ -764,6 +764,67 @@ mod tests {
             replayed.ledger_digest(),
             "eager and replayed ledgers must be bit-identical"
         );
+    }
+
+    #[test]
+    fn dry_graphs_drop_plain_bodies_and_feed_reduce_sinks() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        let dry = Session::create(
+            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+                .app("parloop-test")
+                .dry_run(),
+        )
+        .unwrap();
+        let b = Block::new_2d(32, 16, 1);
+        let u = Dat::<f64>::zeroed(&b, "u");
+        let token = Arc::new(());
+        let (by_point, by_row) = (AtomicU64::new(0), AtomicU64::new(0));
+        let mut g = dry.record();
+        let held = Arc::clone(&token);
+        ParLoop::new("fill", b.interior())
+            .write(u.meta())
+            .record(&mut g, move |_| {
+                let _ = &held;
+                unreachable!("a dry replay never calls a plain body");
+            });
+        let held = Arc::clone(&token);
+        ParLoop::new("fill_rows", b.interior())
+            .write(u.meta())
+            .record_rows(&mut g, move |_| {
+                let _ = &held;
+                unreachable!("a dry replay never calls a plain body");
+            });
+        assert_eq!(Arc::strong_count(&token), 1, "dropped at record time");
+        ParLoop::new("min", b.interior())
+            .read(u.meta(), Stencil::point())
+            .record_reduce(
+                &mut g,
+                f64::INFINITY,
+                f64::min,
+                |_| unreachable!("a dry replay folds nothing"),
+                |v| by_point.store(v.to_bits(), Ordering::Relaxed),
+            );
+        ParLoop::new("min_rows", b.interior())
+            .read(u.meta(), Stencil::point())
+            .record_rows_reduce(
+                &mut g,
+                f64::INFINITY,
+                f64::min,
+                |_, _| unreachable!("a dry replay folds nothing"),
+                |v| by_row.store(v.to_bits(), Ordering::Relaxed),
+            );
+        let g = g.finish();
+        for _ in 0..2 {
+            by_point.store(0, Ordering::Relaxed);
+            by_row.store(0, Ordering::Relaxed);
+            g.replay(&dry);
+            for sink in [&by_point, &by_row] {
+                assert_eq!(f64::from_bits(sink.load(Ordering::Relaxed)), f64::INFINITY);
+            }
+        }
+        assert_eq!(dry.records().len(), 8);
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn an_unattached_thread_never_reaches_an_attached_verifier() {
 }
 
 /// Run one loop that writes `b` without declaring it, named `kernel`.
-fn undeclared_write(s: &Session, kernel: &str) {
+fn undeclared_write(s: &Session, kernel: &'static str) {
     let block = Block::new_3d(8, 8, 1, 2);
     let mut a = ops_dsl::Dat::<f64>::zeroed(&block, "a");
     let mut b = ops_dsl::Dat::<f64>::zeroed(&block, "b");
@@ -137,7 +137,11 @@ fn undeclared_write(s: &Session, kernel: &str) {
 
 /// Attach a verifier, wait until the other thread has attached one
 /// too, run a seeded defect named `kernel`, and return the findings.
-fn verify_while_other_attached(kernel: &str, tx: Sender<()>, rx: Receiver<()>) -> Vec<Diagnostic> {
+fn verify_while_other_attached(
+    kernel: &'static str,
+    tx: Sender<()>,
+    rx: Receiver<()>,
+) -> Vec<Diagnostic> {
     let s = live("fixture_write");
     let v = Verifier::attach(&s);
     tx.send(()).unwrap();
