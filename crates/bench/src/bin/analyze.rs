@@ -27,6 +27,7 @@ use verify::{report, Severity};
 
 const CLI: Cli = Cli {
     usage: "analyze [--app <name>] [--platform <label>] [--deny-warnings]",
+    operand: false,
     switches: &["--deny-warnings"],
     options: &["--app", "--platform"],
 };

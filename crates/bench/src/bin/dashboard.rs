@@ -21,8 +21,8 @@
 //! 1. per-kernel wall/sim tables + counter deltas for each traced app,
 //!    with a deep-link into the matching `PROFILE_<app>.json` Perfetto
 //!    trace when one sits next to the dashboard;
-//! 2. scheduler health: chunks per pool region and region wall time by
-//!    schedule, summarised from the traced runs' Region spans;
+//! 2. scheduler health: chunks per pool region and region wall time,
+//!    summarised from the traced runs' Region spans;
 //! 3. achieved-bandwidth scatter against each platform's STREAM roof;
 //! 4. the portability (efficiency) heatmap and PP̄ table;
 //! 5. data movement: the interconnect pricing of
@@ -62,11 +62,12 @@ struct AppTrace {
     delta: CounterSnapshot,
 }
 
-/// Scheduler-health histograms keyed by (metric, schedule).
-type SchedHists = BTreeMap<(&'static str, &'static str), Histogram>;
+/// Scheduler-health histograms keyed by metric.
+type SchedHists = BTreeMap<&'static str, Histogram>;
 
 const CLI: Cli = Cli {
     usage: "dashboard [--apps <a,b,...>] [--platform <label>] [--out <path>] [--skip-study]",
+    operand: false,
     switches: &["--skip-study"],
     options: &["--apps", "--platform", "--out"],
 };
@@ -168,22 +169,17 @@ fn trace_app(name: &str, platform: PlatformId, sched: &mut SchedHists) -> Option
     })
 }
 
-/// Fold the pool's Region spans (`pool.region.<schedule>`) into
-/// per-schedule histograms: chunks per region (the span's item count)
+/// Fold the pool's Region spans (`pool.region`) into histograms:
+/// chunks per region (the span's item count)
 /// and region wall time.
 fn record_regions(sched: &mut SchedHists, events: &[Event]) {
-    for e in events {
-        let label = match e.name.as_str() {
-            "pool.region.dynamic" => "dynamic",
-            "pool.region.static" => "static",
-            _ => continue,
-        };
+    for e in events.iter().filter(|e| e.name.as_str() == "pool.region") {
         sched
-            .entry(("pool.chunks_per_region", label))
+            .entry("pool.chunks_per_region")
             .or_default()
             .record(e.items as f64);
         sched
-            .entry(("pool.region_wall_us", label))
+            .entry("pool.region_wall_us")
             .or_default()
             .record(e.dur_ns as f64 / 1e3);
     }
@@ -355,11 +351,11 @@ fn render_traces(h: &mut String, traces: &[AppTrace], out_dir: &Path) {
 }
 
 /// Section 2: scheduler health — chunks per pool region and region
-/// wall time by schedule, over the traced apps' Region spans.
+/// wall time, over the traced apps' Region spans.
 fn render_scheduler(h: &mut String, sched: &SchedHists) {
     h.push_str(
         "<section><h2>Scheduler health</h2>\
-         <p>Pool Region spans recorded during the traced runs, by schedule: \
+         <p>Pool Region spans recorded during the traced runs: \
          chunks per region and region wall time. Units are in the metric \
          name; many tiny regions or a wall time drifting up across runs is \
          scheduler overhead the per-kernel tables cannot show.</p>",
@@ -369,19 +365,18 @@ fn render_scheduler(h: &mut String, sched: &SchedHists) {
         return;
     }
     h.push_str(
-        "<table class=\"sortable\"><thead><tr><th>metric</th><th>schedule</th>\
+        "<table class=\"sortable\"><thead><tr><th>metric</th>\
          <th>count</th><th>mean</th><th>p50</th><th>p95</th><th>max</th></tr></thead><tbody>",
     );
-    for ((metric, label), hist) in sched {
+    for (metric, hist) in sched {
         let _ = write!(
             h,
-            "<tr><td>{}</td><td>{}</td><td class=\"n\">{}</td>\
+            "<tr><td>{}</td><td class=\"n\">{}</td>\
+             <td class=\"n\" data-v=\"{2}\">{2:.2}</td>\
              <td class=\"n\" data-v=\"{3}\">{3:.2}</td>\
              <td class=\"n\" data-v=\"{4}\">{4:.2}</td>\
-             <td class=\"n\" data-v=\"{5}\">{5:.2}</td>\
-             <td class=\"n\" data-v=\"{6}\">{6:.2}</td></tr>",
+             <td class=\"n\" data-v=\"{5}\">{5:.2}</td></tr>",
             metric,
-            label,
             hist.count(),
             hist.mean(),
             hist.quantile(0.5),

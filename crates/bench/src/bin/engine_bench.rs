@@ -1,35 +1,34 @@
 //! `engine_bench` — wall-clock benchmark of the functional execution
 //! engine itself (not the simulated clocks): row-sliced kernels vs
-//! per-point bodies, the launch-pricing cache vs cold pricing, and
-//! static vs dynamic pool scheduling on an indirect scatter.
+//! per-point bodies, the launch-pricing cache vs cold pricing, graph
+//! replay vs eager launching, and what telemetry costs a launch.
 //!
-//! Three bandwidth-bound kernel classes are timed in both engine
-//! configurations:
+//! ```text
+//! engine_bench [--quick] [--smoke]
+//! ```
+//!
+//! Four kernel classes are timed, each in two configurations:
 //!
 //! * `stencil`  — repeated launches of a 2-D star-1 average
 //!   (baseline: per-point body + cold pricing; fast: `run_rows` +
 //!   pricing cache);
 //! * `reduce`   — repeated sum reductions over a field (baseline:
 //!   `run_reduce` + cold pricing; fast: `run_rows_reduce` + cache);
-//! * `indirect` — colour-ordered edge scatter on an unstructured mesh,
-//!   comparing the pool's two scheduling modes (dynamic chunk cursor vs
-//!   static partition). Colour regions are many and small, so this one
-//!   documents the *tradeoff*: dynamic wins whenever a parked lane's
-//!   wake latency would serialise a static span — static exists for
-//!   lane-pinned determinism and cache affinity, not raw speed here.
+//! * `replay`   — one recorded launch graph replayed vs the same
+//!   launches made eagerly;
+//! * `telemetry` — one trivial launch with telemetry off vs counters
+//!   and ring on.
 //!
 //! Results (GB/s of bytes actually moved, launches/sec, speedup) print
 //! as a table, and the run is persisted as a `sycl-metrics` manifest at
 //! `results/BENCH_engine.json` — per-entry repetition samples, wall
 //! summaries and the engine counter delta. CI reads it back and asserts
 //! that replaying a recorded graph beats eager launching by at least 2×.
+//! An unknown flag prints the usage and exits 2.
 
+use bench_harness::cli::Cli;
 use metrics::{Histogram, KernelSummary, RunManifest};
-use op2_dsl::color::HierColoring;
-use op2_dsl::mesh::{Mesh, Ordering};
-use op2_dsl::DatU;
 use ops_dsl::prelude::*;
-use parkit::Schedule;
 use std::time::Instant;
 use sycl_sim::{PlatformId, Session, SessionConfig, Toolchain};
 use telemetry::TelemetryConfig;
@@ -312,58 +311,6 @@ fn replay_class(launches: usize, replays: usize, samples: usize) -> (Entry, Entr
     )
 }
 
-/// Colour-ordered indirect scatter: per-colour pool regions, dynamic
-/// cursor vs static partition scheduling.
-fn indirect_class(passes: usize, samples: usize) -> (Entry, Entry, f64) {
-    let mesh = Mesh::grid(64, 64, 16, Ordering::Natural);
-    let coloring = HierColoring::build(&mesh.edges, 256);
-    let pool = parkit::ThreadPool::new(4);
-    let n_edges = mesh.n_edges();
-    // Per edge: read 2 endpoint ids (8 B) + accumulate 2 f64 (read+write).
-    let bytes = (passes * n_edges) as f64 * (8.0 + 4.0 * 8.0);
-    let launches: usize = passes * coloring.blocks_by_color.len();
-
-    let run_with = |sched: Schedule| {
-        let mut out = DatU::<f64>::zeroed("deg", mesh.n_vertices, 1);
-        let acc = out.accum(false);
-        time_samples(samples, || {
-            for _ in 0..passes {
-                for group in &coloring.blocks_by_color {
-                    pool.run_region_sched(group.len(), sched, |_lane, gi| {
-                        let (lo, hi) = coloring.block_range(group[gi] as usize, n_edges);
-                        for e in lo..hi {
-                            acc.add(mesh.edges.at(e, 0), 0, 1.0);
-                            acc.add(mesh.edges.at(e, 1), 0, 1.0);
-                        }
-                    });
-                }
-            }
-        })
-    };
-    let dynamic = run_with(Schedule::Dynamic);
-    let static_ = run_with(Schedule::Static);
-
-    let speedup = static_.iter().copied().fold(f64::INFINITY, f64::min)
-        / dynamic.iter().copied().fold(f64::INFINITY, f64::min);
-    (
-        Entry {
-            class: "indirect",
-            phase: "dynamic",
-            samples: dynamic,
-            bytes_moved: bytes,
-            launches,
-        },
-        Entry {
-            class: "indirect",
-            phase: "static",
-            samples: static_,
-            bytes_moved: bytes,
-            launches,
-        },
-        speedup,
-    )
-}
-
 /// What one observed launch costs: the same trivial streaming kernel
 /// is launched `launches` times with telemetry off and with counters
 /// and ring on. The delta is the per-launch telemetry cost.
@@ -435,10 +382,17 @@ fn manifest(entries: &[Entry], reps: u32, counters: telemetry::CounterSnapshot) 
     }
 }
 
+const CLI: Cli = Cli {
+    usage: "engine_bench [--quick] [--smoke]",
+    operand: false,
+    switches: &["--quick", "--smoke"],
+    options: &[],
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let quick = args.iter().any(|a| a == "--quick");
+    let flags = CLI.from_env();
+    let smoke = flags.has("--smoke");
+    let quick = flags.has("--quick");
     // --smoke: minimal sizes, one sample — a seconds-long CI sanity pass.
     let (n, launches, samples) = if smoke {
         (32, 6, 1)
@@ -463,7 +417,6 @@ fn main() {
 
     let (sb, sf, s_sp) = stencil_class(n, launches, samples);
     let (rb, rf, r_sp) = reduce_class(n, launches, samples);
-    let (ib, if_, i_sp) = indirect_class(passes, samples);
 
     let delta = telemetry::counters().snapshot().delta(&before);
     TelemetryConfig::disabled().install();
@@ -484,7 +437,7 @@ fn main() {
     };
     let (to, tr, ring_ns) = telemetry_class(probe_launches, samples);
 
-    let entries = [sb, sf, rb, rf, ib, if_, ge, gr, to, tr];
+    let entries = [sb, sf, rb, rf, ge, gr, to, tr];
     println!(
         "{:10} {:9} {:>10} {:>9} {:>14}",
         "class", "phase", "seconds", "GB/s", "launches/s"
@@ -502,7 +455,6 @@ fn main() {
     let speedups = [
         ("stencil", s_sp),
         ("reduce", r_sp),
-        ("indirect_dynamic_over_static", i_sp),
         ("replay_over_eager", g_sp),
     ];
     for (class, sp) in &speedups {

@@ -37,6 +37,7 @@ use verify::{report, Diagnostic, Severity};
 
 const CLI: Cli = Cli {
     usage: "graphlint [--app <name>] [--platform <label>] [--deny-warnings] [--cross-check]",
+    operand: false,
     switches: &["--deny-warnings", "--cross-check"],
     options: &["--app", "--platform"],
 };

@@ -20,42 +20,35 @@
 //! `results/PROFILE_<app>.json` — a Chrome `trace_event` document
 //! (loadable as-is in Perfetto / `chrome://tracing`) whose extra
 //! top-level keys carry the aggregate table and the engine counters.
+//!
+//! An unknown flag or platform, a second operand, or `--platform`
+//! without its value prints the usage and exits 2.
 
+use bench_harness::cli::Cli;
 use bench_harness::json::{validate, write_results_file, JsonWriter};
 use bench_harness::{make_app, native_toolchain};
-use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
+use sycl_sim::{Scheme, Session, SessionConfig};
 use telemetry::TelemetryConfig;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let paper = args.iter().any(|a| a == "--paper");
-    let platform = args
-        .iter()
-        .position(|a| a == "--platform")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| PlatformId::parse(s))
-        .unwrap_or(PlatformId::A100);
-    let app_name = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .filter(|a| {
-            Some(a.as_str())
-                != args
-                    .iter()
-                    .position(|x| x == "--platform")
-                    .and_then(|i| args.get(i + 1))
-                    .map(|s| s.as_str())
-        })
-        .cloned()
-        .unwrap_or_else(|| "cloverleaf2d".to_owned());
+const CLI: Cli = Cli {
+    usage: "profile [<app>] [--platform <label>] [--paper] [--smoke]",
+    operand: true,
+    switches: &["--paper", "--smoke"],
+    options: &["--platform"],
+};
 
-    let Some(app) = make_app(&app_name, paper) else {
-        eprintln!(
+fn main() {
+    let flags = CLI.from_env();
+    let smoke = flags.has("--smoke");
+    let paper = flags.has("--paper");
+    let platform = CLI.platform(&flags);
+    let app_name = flags.operand().unwrap_or("cloverleaf2d");
+
+    let Some(app) = make_app(app_name, paper) else {
+        CLI.fail(&format!(
             "unknown app {app_name:?}; expected one of cloverleaf2d, cloverleaf3d, \
              opensbli_sa, opensbli_sn, rtm, acoustic, mgcfd"
-        );
-        std::process::exit(2);
+        ));
     };
 
     let toolchain = native_toolchain(platform);

@@ -1,8 +1,9 @@
 //! The one flag parser of the harness's command-line tools (`analyze`,
-//! `graphlint`, `dashboard`).
+//! `graphlint`, `dashboard`, `engine_bench`, `profile`).
 //!
-//! Each tool names the switches and the valued flags it takes. Any other
-//! argument, or a valued flag without its value, is a usage error: the
+//! Each tool names the switches and the valued flags it takes, and
+//! whether it takes one positional operand. Any other argument, or a
+//! valued flag without its value, is a usage error: the
 //! tool prints the error and its usage and exits 2. So a script that
 //! still passes a deleted flag fails instead of running as if the flag
 //! were absent.
@@ -13,15 +14,20 @@ use sycl_sim::PlatformId;
 pub struct Cli {
     /// The usage line printed with a usage error.
     pub usage: &'static str,
+    /// Whether the tool takes one optional positional operand.
+    pub operand: bool,
     /// Flags that take no value.
     pub switches: &'static [&'static str],
     /// Flags followed by exactly one value.
     pub options: &'static [&'static str],
 }
 
-/// The flags given on one command line, in order.
+/// The flags given on one command line, in order, and the operand.
 #[derive(Debug, Default)]
-pub struct Flags(Vec<(&'static str, Option<String>)>);
+pub struct Flags {
+    given: Vec<(&'static str, Option<String>)>,
+    operand: Option<String>,
+}
 
 impl Cli {
     /// Parse `args`, the command line without the program name.
@@ -30,12 +36,16 @@ impl Cli {
         let mut flags = Flags::default();
         while let Some(arg) = args.next() {
             if let Some(&name) = self.switches.iter().find(|&&s| s == arg) {
-                flags.0.push((name, None));
+                flags.given.push((name, None));
             } else if let Some(&name) = self.options.iter().find(|&&s| s == arg) {
                 match args.next() {
-                    Some(value) if !value.starts_with("--") => flags.0.push((name, Some(value))),
+                    Some(value) if !value.starts_with("--") => {
+                        flags.given.push((name, Some(value)))
+                    }
                     _ => return Err(format!("{name} needs a value")),
                 }
+            } else if self.operand && flags.operand.is_none() && !arg.starts_with('-') {
+                flags.operand = Some(arg);
             } else {
                 return Err(format!("unknown argument {arg:?}"));
             }
@@ -69,15 +79,20 @@ impl Cli {
 impl Flags {
     /// Was switch `name` given?
     pub fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|(n, _)| *n == name)
+        self.given.iter().any(|(n, _)| *n == name)
     }
 
     /// The value of the first `name` flag given.
     pub fn value(&self, name: &str) -> Option<&str> {
-        self.0
+        self.given
             .iter()
             .find(|(n, _)| *n == name)
             .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The positional operand, if one was given.
+    pub fn operand(&self) -> Option<&str> {
+        self.operand.as_deref()
     }
 }
 
@@ -87,6 +102,7 @@ mod tests {
 
     const CLI: Cli = Cli {
         usage: "tool [--app <name>] [--deny-warnings]",
+        operand: false,
         switches: &["--deny-warnings"],
         options: &["--app"],
     };
@@ -112,5 +128,22 @@ mod tests {
         assert!(err(&["rtm"]).contains("rtm"));
         assert!(err(&["--app"]).contains("--app needs a value"));
         assert!(err(&["--app", "--deny-warnings"]).contains("--app needs a value"));
+    }
+
+    #[test]
+    fn a_tool_with_an_operand_takes_exactly_one() {
+        let cli = Cli {
+            operand: true,
+            ..CLI
+        };
+        let parse = |args: &[&str]| cli.parse(args.iter().map(|a| (*a).to_owned()));
+        let flags = parse(&["--deny-warnings", "rtm"]).unwrap();
+        assert_eq!(flags.operand(), Some("rtm"));
+        assert!(flags.has("--deny-warnings"));
+        assert_eq!(parse(&[]).unwrap().operand(), None);
+        assert!(parse(&["rtm", "acoustic"])
+            .unwrap_err()
+            .contains("acoustic"));
+        assert!(parse(&["rtm", "--bogus"]).unwrap_err().contains("--bogus"));
     }
 }

@@ -16,16 +16,10 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-/// `bin` (named `name` in its usage line) exits 2 with its usage on an
-/// unknown flag, a valued flag at the end of the line, and a valued flag
-/// followed by another flag.
-fn rejects_bad_command_lines(bin: &str, name: &str, valued: &str) {
-    for args in [
-        &["--smoke", "--app", "rtm"][..],
-        &[valued],
-        &[valued, "--platform", "a100"],
-        &["--platform", "a1000"],
-    ] {
+/// `bin` (named `name` in its usage line) exits 2 with its usage on
+/// every one of `lines`.
+fn exits_with_usage(bin: &str, name: &str, lines: &[&[&str]]) {
+    for args in lines {
         let (code, stderr) = run(bin, args);
         assert_eq!(code, Some(2), "{name} {args:?}: {stderr}");
         assert!(
@@ -33,6 +27,22 @@ fn rejects_bad_command_lines(bin: &str, name: &str, valued: &str) {
             "{name} {args:?}: {stderr}"
         );
     }
+}
+
+/// `bin` exits 2 with its usage on an unknown flag, a valued flag at the
+/// end of the line, a valued flag followed by another flag, and an
+/// unknown platform.
+fn rejects_bad_command_lines(bin: &str, name: &str, valued: &str) {
+    exits_with_usage(
+        bin,
+        name,
+        &[
+            &["--smoke", "--app", "rtm"],
+            &[valued],
+            &[valued, "--platform", "a100"],
+            &["--platform", "a1000"],
+        ],
+    );
 }
 
 #[test]
@@ -48,4 +58,33 @@ fn graphlint_rejects_unknown_flags_and_missing_values() {
 #[test]
 fn dashboard_rejects_unknown_flags_and_missing_values() {
     rejects_bad_command_lines(env!("CARGO_BIN_EXE_dashboard"), "dashboard", "--out");
+}
+
+#[test]
+fn profile_rejects_unknown_flags_platforms_and_operands() {
+    let bin = env!("CARGO_BIN_EXE_profile");
+    rejects_bad_command_lines(bin, "profile", "--platform");
+    exits_with_usage(
+        bin,
+        "profile",
+        &[
+            &["cloverleaf2d", "--smoke", "--bogus"],
+            &["cloverleaf2d", "mgcfd"],
+            &["nosuchapp"],
+        ],
+    );
+}
+
+#[test]
+fn engine_bench_rejects_unknown_flags_and_operands() {
+    exits_with_usage(
+        env!("CARGO_BIN_EXE_engine_bench"),
+        "engine_bench",
+        &[
+            &["--bogus"],
+            &["--smoke", "--bogus"],
+            &["--platform", "a100"],
+            &["stencil"],
+        ],
+    );
 }

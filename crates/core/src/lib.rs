@@ -4,10 +4,11 @@
 //! This crate is the reproduction's analogue of "SYCL + its two compilers".
 //! It provides:
 //!
-//! * a **portable execution model** — queues, buffers, 1/2/3-D ranges,
-//!   `parallel_for` in both the *flat* (`range`) and *nd_range*
-//!   (work-group-shaped) formulations, and reductions — mirroring the SYCL
-//!   constructs the paper contrasts;
+//! * a **portable execution model** — a [`Session`] (the queue analogue:
+//!   launches, transfers and a per-kernel ledger) and recorded
+//!   [`LaunchGraph`]s, with kernels in both the *flat* (`range`) and
+//!   *nd_range* (work-group-shaped) formulations ([`SyclVariant`]) —
+//!   mirroring the SYCL constructs the paper contrasts;
 //! * **functional execution**: every launch really runs its kernel body on
 //!   a host thread pool ([`parkit`]), so all application numerics are real
 //!   and validated;
@@ -48,7 +49,6 @@
 //! assert!(session.elapsed() > 0.0);
 //! ```
 
-pub mod buffer;
 pub mod error;
 pub mod graph;
 pub mod kernel;
@@ -59,7 +59,6 @@ pub mod session;
 pub mod toolchain;
 pub mod tune;
 
-pub use buffer::Buffer;
 pub use error::{Failure, FailureKind};
 pub use graph::{GraphBuilder, GraphNodeInfo, GraphSummary, LaunchGraph, LaunchTarget};
 pub use kernel::{Kernel, KernelTraits};
@@ -78,7 +77,7 @@ pub use machine_model::{
 /// Convenience prelude for examples and apps.
 pub mod prelude {
     pub use crate::{
-        Buffer, Failure, FailureKind, Kernel, KernelTraits, PlatformId, Precision, Real, Scheme,
-        Session, SessionConfig, SyclVariant, Toolchain,
+        Failure, FailureKind, Kernel, KernelTraits, PlatformId, Precision, Real, Scheme, Session,
+        SessionConfig, SyclVariant, Toolchain,
     };
 }

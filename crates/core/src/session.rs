@@ -26,6 +26,7 @@ use crate::quirks;
 use crate::toolchain::{Scheme, SyclVariant, Toolchain};
 use machine_model::{KernelTime, Platform, PlatformId, TransferDir};
 use parkit::sync::{Mutex, MutexGuard};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -441,20 +442,10 @@ impl Session {
     /// Aggregate (kernel name → total seconds, launches), sorted by cost,
     /// ties by name.
     pub fn kernel_summary(&self) -> Vec<(String, f64, usize)> {
-        use std::collections::HashMap;
-        let led = self.ledger.lock();
-        let mut agg: HashMap<&str, (f64, usize)> = HashMap::new();
-        for r in led.records() {
-            let e = agg.entry(&*r.name).or_insert((0.0, 0));
-            e.0 += r.time.total;
-            e.1 += 1;
-        }
-        let mut out: Vec<(String, f64, usize)> = agg
+        per_kernel(&self.ledger.lock())
             .into_iter()
-            .map(|(k, (t, n))| (k.to_owned(), t, n))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
+            .map(|k| (k.name.to_owned(), k.secs, k.launches))
+            .collect()
     }
 
     /// Weighted-average effective bandwidth over all launches
@@ -474,7 +465,6 @@ impl Session {
     /// bandwidths). One lock acquisition for the whole render. Rows go
     /// by cost, ties by name, so equal ledgers render equal text.
     pub fn explain(&self) -> String {
-        use std::collections::HashMap;
         let led = self.ledger.lock();
         let total = led.elapsed.max(1e-30);
         let boundary: f64 = led
@@ -497,24 +487,14 @@ impl Session {
             bfrac * 100.0
         );
         out.push_str("kernel                sec      %time  launches  GB/s(eff)\n");
-        let mut agg: HashMap<&str, (f64, usize, f64)> = HashMap::new();
-        for r in led.records() {
-            let e = agg.entry(&*r.name).or_insert((0.0, 0, 0.0));
-            e.0 += r.time.total;
-            e.1 += 1;
-            e.2 += r.effective_bytes;
-        }
-        let mut rows: Vec<(&str, f64, usize, f64)> =
-            agg.into_iter().map(|(k, (t, n, b))| (k, t, n, b)).collect();
-        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        for (name, secs, count, bytes) in rows {
+        for k in per_kernel(&led) {
             out.push_str(&format!(
                 "{:20} {:9.5} {:6.1}% {:9} {:10.0}\n",
-                name,
-                secs,
-                secs / total * 100.0,
-                count,
-                bytes / secs.max(1e-30) / 1e9
+                k.name,
+                k.secs,
+                k.secs / total * 100.0,
+                k.launches,
+                k.bytes / k.secs.max(1e-30) / 1e9
             ));
         }
         out
@@ -526,6 +506,35 @@ impl Session {
     pub fn reset(&self) {
         self.ledger.lock().clear();
     }
+}
+
+/// One kernel name's share of the ledger.
+struct KernelRow<'a> {
+    name: &'a str,
+    secs: f64,
+    launches: usize,
+    bytes: f64,
+}
+
+/// Fold the ledger by kernel name, summing in commit order, and sort the
+/// rows by cost, ties by name (the shared body of
+/// [`Session::kernel_summary`] and [`Session::explain`]).
+fn per_kernel(led: &Ledger) -> Vec<KernelRow<'_>> {
+    let mut agg: HashMap<&str, KernelRow<'_>> = HashMap::new();
+    for r in led.records() {
+        let k = agg.entry(&*r.name).or_insert(KernelRow {
+            name: &r.name,
+            secs: 0.0,
+            launches: 0,
+            bytes: 0.0,
+        });
+        k.secs += r.time.total;
+        k.launches += 1;
+        k.bytes += r.effective_bytes;
+    }
+    let mut rows: Vec<KernelRow<'_>> = agg.into_values().collect();
+    rows.sort_by(|a, b| b.secs.total_cmp(&a.secs).then_with(|| a.name.cmp(b.name)));
+    rows
 }
 
 /// Hash every launch record into `h` in commit order, f64s by bit

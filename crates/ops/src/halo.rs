@@ -58,19 +58,11 @@ impl HaloPlan {
         }
     }
 
-    /// Record one exchange of `n_dats` datasets into a launch graph.
-    /// Mirrors [`HaloPlan::exchange`], including the zero-volume guard,
-    /// so eager and replayed ledgers stay bit-identical.
-    pub fn record_exchange(&self, g: &mut sycl_sim::GraphBuilder<'_>, n_dats: usize) {
-        if self.bytes_per_dat > 0.0 {
-            g.exchange(self.bytes_per_dat * n_dats as f64, self.messages);
-        }
-    }
-
-    /// Record one exchange declaring *which* datasets it refreshes, so
-    /// the static dataflow lint can prove halo-read coverage. Charges
-    /// exactly what [`HaloPlan::record_exchange`] charges for
-    /// `dats.len()` datasets — the declaration never changes pricing.
+    /// Record one exchange into a launch graph, declaring *which*
+    /// datasets it refreshes so the static dataflow lint can prove
+    /// halo-read coverage. Charges exactly what [`HaloPlan::exchange`]
+    /// charges for `dats.len()` datasets, including the zero-volume
+    /// guard, so eager and replayed ledgers stay bit-identical.
     pub fn record_exchange_for(&self, g: &mut sycl_sim::GraphBuilder<'_>, dats: &[crate::DatMeta]) {
         if self.bytes_per_dat > 0.0 {
             g.exchange_dats(

@@ -9,14 +9,17 @@
 //! Design notes:
 //!
 //! * A fixed pool of worker threads executes *parallel regions*: a region is
-//!   a set of chunks drained from a shared atomic cursor (dynamic / guided
-//!   scheduling, like OpenMP `schedule(dynamic)`) or pinned to lanes in
-//!   near-equal spans ([`Schedule::Static`]).
+//!   a set of chunks drained from one shared atomic cursor (like OpenMP
+//!   `schedule(dynamic)`). Every DSL loop, BabelStream and the apps reach
+//!   the pool this way.
 //! * Workers use spin-then-park wakeup: a bounded spin on a lock-free epoch
 //!   hint before falling back to a condvar, so back-to-back regions skip
 //!   the sleep/wake round-trip.
-//! * The calling thread participates in the region, so `ThreadPool::new(n)`
-//!   spawns `n - 1` workers and the caller is the final lane.
+//! * The calling thread participates in the region as lane 0, so
+//!   `ThreadPool::new(n)` spawns `n - 1` workers. One region holds the
+//!   workers at a time: a region started while another is in flight (from
+//!   another thread, or nested inside a region body) runs its chunks
+//!   inline on lane 0.
 //! * Reductions are **deterministic**: each chunk writes a partial into its
 //!   own slot and partials are combined in a fixed pairwise tree, so results
 //!   do not depend on thread scheduling. This mirrors the "user-defined
@@ -44,13 +47,11 @@
 //! ```
 
 mod pool;
-mod range;
 mod reduce;
 mod slice;
 pub mod sync;
 
-pub use pool::{PoolConfig, Schedule, ThreadPool};
-pub use range::{split_evenly, Chunks, Tile2, Tile3};
+pub use pool::ThreadPool;
 
 use std::sync::OnceLock;
 

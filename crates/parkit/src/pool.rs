@@ -2,10 +2,8 @@
 //!
 //! The pool executes one *parallel region* at a time (launches from the DSL
 //! layer are always serialised through a queue, so this matches the usage
-//! pattern). A region is described by a chunk count and a closure; with
-//! [`Schedule::Dynamic`] workers and the calling thread drain chunk indices
-//! from an atomic cursor, with [`Schedule::Static`] each lane owns a fixed
-//! contiguous span of chunk indices (no cursor contention).
+//! pattern). A region is described by a chunk count and a closure; workers
+//! and the calling thread drain chunk indices from one atomic cursor.
 //!
 //! Wakeup is spin-then-park: workers watch a lock-free epoch hint for a
 //! bounded number of spin iterations before parking on the condvar, so
@@ -24,62 +22,18 @@ const SPIN_BEFORE_PARK: u32 = 1 << 12;
 /// Spin iterations the caller burns watching completion before parking.
 const SPIN_BEFORE_JOIN: u32 = 1 << 12;
 
-/// Process-unique, nonzero id for the calling thread (0 means "no owner"
-/// in [`ThreadPool::region_owner`]).
-fn thread_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TOKEN.with(|t| *t)
-}
-
-/// Configuration for a [`ThreadPool`].
-#[derive(Debug, Clone)]
-pub struct PoolConfig {
-    /// Total parallel lanes, including the calling thread. Minimum 1.
-    pub lanes: usize,
-    /// Base name for worker threads (suffixed with the worker index).
-    pub thread_name: String,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            lanes: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            thread_name: "parkit-worker".to_owned(),
-        }
-    }
-}
-
-/// How chunk indices are assigned to lanes within a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Lanes drain a shared atomic cursor (work-stealing-ish, load-balanced).
-    #[default]
-    Dynamic,
-    /// Each lane owns a fixed near-equal contiguous span of chunks (the
-    /// OpenMP `schedule(static)` shape). Best for uniform chunk costs:
-    /// zero cursor contention and reproducible lane→chunk affinity.
-    Static,
-}
-
 /// A handle to an in-flight parallel region.
 ///
 /// Lives on the caller's stack; workers reach it through a raw pointer that
 /// is only published while the caller is blocked waiting for completion, so
 /// the borrow can never dangle.
 struct Region {
-    /// Next chunk index to execute (dynamic schedule only).
+    /// Next chunk index to execute.
     cursor: AtomicUsize,
     /// Chunks fully executed.
     completed: AtomicUsize,
     /// Total chunks in the region.
     n_chunks: usize,
-    /// Lane count used for the static span split; 0 means dynamic.
-    static_lanes: usize,
     /// Workers currently inside the region body.
     active: AtomicUsize,
     /// Set if any chunk panicked; the payload of the first panic is kept.
@@ -128,46 +82,18 @@ pub struct ThreadPool {
     /// Reusable word-aligned scratch for reduction partials, so steady-state
     /// `reduce` calls allocate nothing once the arena has grown.
     arena: Mutex<Vec<u64>>,
-    /// Token of the thread currently entitled to publish regions (0 = no
-    /// owner). Held either for the duration of one `run_region*` call or
-    /// across many of them by a [`RegionHandle`].
-    region_owner: AtomicU64,
-    /// True while the owning thread has a region published; only ever
-    /// written by the owner, so relaxed ordering suffices. Nested
-    /// `run_region*` calls from inside a region body see it set and fall
-    /// back to inline execution instead of clobbering the slot.
-    owner_in_region: AtomicBool,
-}
-
-/// Exclusive claim on a pool's worker lanes; see [`ThreadPool::reserve`].
-///
-/// While a handle is held, `run_region*` calls from the owning thread are
-/// serviced by the workers as usual, and calls from every other thread
-/// fall back to inline execution on their own stack. Dropping the handle
-/// releases the claim.
-pub struct RegionHandle<'p> {
-    pool: &'p ThreadPool,
-}
-
-impl Drop for RegionHandle<'_> {
-    fn drop(&mut self) {
-        self.pool.region_owner.store(0, Ordering::Release);
-    }
+    /// True while a region is published. The caller that flips it from
+    /// false to true owns the workers until the region drains; every other
+    /// call (another thread's, or one nested inside a region body) runs
+    /// its chunks inline instead of clobbering the slot.
+    busy: AtomicBool,
 }
 
 impl ThreadPool {
     /// Create a pool with `lanes` total parallel lanes (including the
-    /// calling thread). `lanes == 1` runs everything inline.
+    /// calling thread). `lanes <= 1` runs everything inline.
     pub fn new(lanes: usize) -> Self {
-        Self::with_config(PoolConfig {
-            lanes,
-            ..PoolConfig::default()
-        })
-    }
-
-    /// Create a pool from an explicit [`PoolConfig`].
-    pub fn with_config(cfg: PoolConfig) -> Self {
-        let lanes = cfg.lanes.max(1);
+        let lanes = lanes.max(1);
         let shared = std::sync::Arc::new(Shared {
             slot: Mutex::new(Slot {
                 epoch: 0,
@@ -182,7 +108,7 @@ impl ThreadPool {
             .map(|lane| {
                 let shared = std::sync::Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("{}-{}", cfg.thread_name, lane))
+                    .name(format!("parkit-worker-{lane}"))
                     .spawn(move || worker_loop(&shared, lane))
                     .expect("failed to spawn parkit worker")
             })
@@ -192,51 +118,13 @@ impl ThreadPool {
             workers,
             lanes,
             arena: Mutex::new(Vec::new()),
-            region_owner: AtomicU64::new(0),
-            owner_in_region: AtomicBool::new(false),
+            busy: AtomicBool::new(false),
         }
     }
 
     /// Total parallel lanes (workers + the calling thread).
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// Claim the worker lanes for the calling thread, spinning (with
-    /// periodic yields) until the current owner releases them.
-    ///
-    /// A shard replaying a launch graph takes one handle for the whole
-    /// replay so its regions run back-to-back under a single claim
-    /// instead of contending per region; other shards' regions execute
-    /// inline on their own submitter threads in the meantime (work-
-    /// conserving, and bit-identical for reductions because partials are
-    /// combined by a fixed tree regardless of who ran the chunks).
-    ///
-    /// Claims are not reentrant: a thread that already owns the lanes
-    /// (including from inside a region body) must not call `reserve`
-    /// again — doing so would deadlock on its own claim.
-    pub fn reserve(&self) -> RegionHandle<'_> {
-        let me = thread_token();
-        debug_assert_ne!(
-            self.region_owner.load(Ordering::Relaxed),
-            me,
-            "ThreadPool::reserve is not reentrant"
-        );
-        let mut spins = 0u32;
-        while self
-            .region_owner
-            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            spins += 1;
-            if spins >= SPIN_BEFORE_JOIN {
-                spins = 0;
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        RegionHandle { pool: self }
     }
 
     /// Execute `n_chunks` invocations of `body(lane, chunk)` across the
@@ -248,72 +136,40 @@ impl ThreadPool {
     where
         F: Fn(usize, usize) + Sync,
     {
-        self.run_region_sched(n_chunks, Schedule::Dynamic, body);
-    }
-
-    /// [`ThreadPool::run_region`] with an explicit [`Schedule`].
-    pub fn run_region_sched<F>(&self, n_chunks: usize, sched: Schedule, body: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
         if n_chunks == 0 {
             return;
         }
         // One branch when telemetry is off; a RegionSpan otherwise.
         let span = telemetry::SpanTimer::start();
-        if self.lanes == 1 || n_chunks == 1 {
-            // Inline fast path: no publication, no synchronisation.
+        // Claim the workers. A call that finds them busy — a different
+        // thread whose region is in flight, or a nested call from inside
+        // a region body — runs every chunk inline on its own stack, as do
+        // single-lane pools and single-chunk regions. The inline path is
+        // work-conserving, and reductions stay bit-identical because
+        // per-chunk partials are combined by a fixed tree regardless of
+        // which thread produced them.
+        if self.lanes == 1
+            || n_chunks == 1
+            || self
+                .busy
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
             for chunk in 0..n_chunks {
                 body(0, chunk);
             }
-            finish_region_span(span, sched, n_chunks);
+            finish_region_span(span, n_chunks);
             return;
         }
 
-        // Claim the worker lanes. A thread that already owns them (via
-        // `reserve`) publishes without re-acquiring; anyone else — a
-        // different thread whose region is in flight, or a nested call
-        // from inside a region body — runs every chunk inline on its own
-        // stack. The inline fallback is work-conserving, and reductions
-        // stay bit-identical because per-chunk partials are combined by a
-        // fixed tree regardless of which thread produced them.
-        let me = thread_token();
-        let acquired = if self.region_owner.load(Ordering::Relaxed) == me {
-            if self.owner_in_region.load(Ordering::Relaxed) {
-                for chunk in 0..n_chunks {
-                    body(0, chunk);
-                }
-                finish_region_span(span, sched, n_chunks);
-                return;
-            }
-            false
-        } else if self
-            .region_owner
-            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            true
-        } else {
-            for chunk in 0..n_chunks {
-                body(0, chunk);
-            }
-            finish_region_span(span, sched, n_chunks);
-            return;
-        };
-        self.owner_in_region.store(true, Ordering::Relaxed);
-
         let wide: &(dyn Fn(usize, usize) + Sync) = &body;
-        // SAFETY: lifetime erasure only; `run_region_sched` blocks until
-        // every worker has exited the region before `body` goes out of scope.
+        // SAFETY: lifetime erasure only; `run_region` blocks until every
+        // worker has exited the region before `body` goes out of scope.
         let wide: &'static (dyn Fn(usize, usize) + Sync) = unsafe { std::mem::transmute(wide) };
         let region = Region {
             cursor: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             n_chunks,
-            static_lanes: match sched {
-                Schedule::Dynamic => 0,
-                Schedule::Static => self.lanes,
-            },
             active: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
@@ -334,54 +190,32 @@ impl ThreadPool {
         // The caller is lane 0.
         drain_region(&region, 0);
 
+        // Unpublish first (no new adopters), then spin briefly for
+        // stragglers mid-chunk before parking on the condvar.
+        {
+            let mut slot = self.shared.slot.lock();
+            slot.region = None;
+        }
         let done = || {
             region.active.load(Ordering::Acquire) == 0
                 && region.completed.load(Ordering::Acquire) == n_chunks
         };
-        match sched {
-            Schedule::Dynamic => {
-                // Unpublish first (no new adopters), then spin briefly for
-                // stragglers mid-chunk before parking on the condvar.
-                {
-                    let mut slot = self.shared.slot.lock();
-                    slot.region = None;
-                }
-                let mut spins = 0u32;
-                while !done() && spins < SPIN_BEFORE_JOIN {
-                    spins += 1;
-                    std::hint::spin_loop();
-                }
-                if !done() {
-                    let mut slot = self.shared.slot.lock();
-                    while !done() {
-                        self.shared.region_done.wait(&mut slot);
-                    }
-                }
-            }
-            Schedule::Static => {
-                // Every lane owns chunks, so the region must stay published
-                // until every worker has adopted and drained its span; only
-                // then is it safe to retire the pointer.
-                let mut spins = 0u32;
-                while !done() && spins < SPIN_BEFORE_JOIN {
-                    spins += 1;
-                    std::hint::spin_loop();
-                }
-                let mut slot = self.shared.slot.lock();
-                while !done() {
-                    self.shared.region_done.wait(&mut slot);
-                }
-                slot.region = None;
+        let mut spins = 0u32;
+        while !done() && spins < SPIN_BEFORE_JOIN {
+            spins += 1;
+            std::hint::spin_loop();
+        }
+        if !done() {
+            let mut slot = self.shared.slot.lock();
+            while !done() {
+                self.shared.region_done.wait(&mut slot);
             }
         }
 
         // Release the claim before the panic check so a panicking region
-        // never leaks ownership (a leaked claim would force every later
-        // region from other threads down the inline path forever).
-        self.owner_in_region.store(false, Ordering::Relaxed);
-        if acquired {
-            self.region_owner.store(0, Ordering::Release);
-        }
+        // never leaks it (a leaked claim would force every later region
+        // down the inline path forever).
+        self.busy.store(false, Ordering::Release);
 
         if region.panicked.load(Ordering::Acquire) {
             let payload = region
@@ -391,7 +225,7 @@ impl ThreadPool {
                 .unwrap_or_else(|| Box::new("panic in parkit region"));
             resume_unwind(payload);
         }
-        finish_region_span(span, sched, n_chunks);
+        finish_region_span(span, n_chunks);
     }
 
     /// Parallel loop over `0..total` in chunks of at most `grain`,
@@ -406,22 +240,6 @@ impl ThreadPool {
             let start = chunk * grain;
             let end = (start + grain).min(total);
             f(start, end);
-        });
-    }
-
-    /// Statically-scheduled parallel loop: `0..total` is split into
-    /// exactly `lanes()` near-equal spans, one per lane (the OpenMP
-    /// `schedule(static)` shape — NUMA-friendly first-touch order).
-    pub fn for_range_static<F>(&self, total: usize, f: F)
-    where
-        F: Fn(usize, usize, usize) + Sync,
-    {
-        let lanes = self.lanes;
-        self.run_region_sched(lanes, Schedule::Static, |_lane, part| {
-            let (start, end) = crate::range::split_evenly(total, lanes, part);
-            if start < end {
-                f(part, start, end);
-            }
         });
     }
 
@@ -594,13 +412,6 @@ fn worker_loop(shared: &Shared, lane: usize) {
 }
 
 fn drain_region(region: &Region, lane: usize) {
-    if region.static_lanes > 0 {
-        let (lo, hi) = crate::range::split_evenly(region.n_chunks, region.static_lanes, lane);
-        for chunk in lo..hi {
-            run_chunk(region, lane, chunk);
-        }
-        return;
-    }
     let mut claimed = 0u64;
     loop {
         let chunk = region.cursor.fetch_add(1, Ordering::Relaxed);
@@ -619,14 +430,15 @@ fn drain_region(region: &Region, lane: usize) {
 
 /// Close a region's telemetry span (its item count is the region's
 /// chunk count) and bump the region counter.
-fn finish_region_span(span: Option<telemetry::SpanTimer>, sched: Schedule, n_chunks: usize) {
+fn finish_region_span(span: Option<telemetry::SpanTimer>, n_chunks: usize) {
     if let Some(t) = span {
         telemetry::Counters::add(&telemetry::counters().regions, 1);
-        let name = match sched {
-            Schedule::Dynamic => "pool.region.dynamic",
-            Schedule::Static => "pool.region.static",
-        };
-        t.finish(telemetry::SpanKind::Region, name, n_chunks as u64, 0.0);
+        t.finish(
+            telemetry::SpanKind::Region,
+            "pool.region",
+            n_chunks as u64,
+            0.0,
+        );
     }
 }
 
@@ -656,6 +468,9 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
+    /// Named for the retired static schedule: the chunk counts it split
+    /// across lanes (fewer than the lanes, as many, more, and uneven) now
+    /// all drain the one cursor.
     #[test]
     fn static_schedule_runs_every_chunk_exactly_once() {
         let pool = ThreadPool::new(4);
@@ -663,32 +478,13 @@ mod tests {
             let hits = (0..n_chunks)
                 .map(|_| AtomicUsize::new(0))
                 .collect::<Vec<_>>();
-            pool.run_region_sched(n_chunks, Schedule::Static, |_lane, chunk| {
+            pool.run_region(n_chunks, |_lane, chunk| {
                 hits[chunk].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "static schedule missed chunks at n_chunks={n_chunks}"
+                "missed chunks at n_chunks={n_chunks}"
             );
-        }
-    }
-
-    #[test]
-    fn static_schedule_pins_chunks_to_their_lane() {
-        let lanes = 4;
-        let n_chunks = 17;
-        let pool = ThreadPool::new(lanes);
-        let seen_lane: Vec<AtomicUsize> = (0..n_chunks)
-            .map(|_| AtomicUsize::new(usize::MAX))
-            .collect();
-        pool.run_region_sched(n_chunks, Schedule::Static, |lane, chunk| {
-            seen_lane[chunk].store(lane, Ordering::Relaxed);
-        });
-        for lane in 0..lanes {
-            let (lo, hi) = crate::range::split_evenly(n_chunks, lanes, lane);
-            for seen in &seen_lane[lo..hi] {
-                assert_eq!(seen.load(Ordering::Relaxed), lane);
-            }
         }
     }
 
@@ -725,21 +521,6 @@ mod tests {
             }
         });
         assert!(v.iter().enumerate().all(|(i, &x)| x == i));
-    }
-
-    #[test]
-    fn static_schedule_partitions_exactly_once_per_lane() {
-        let pool = ThreadPool::new(5);
-        let marks = (0..1001).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
-        let lanes_seen = (0..5).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
-        pool.for_range_static(1001, |lane, s, e| {
-            lanes_seen[lane].fetch_add(1, Ordering::Relaxed);
-            for m in &marks[s..e] {
-                m.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(marks.iter().all(|m| m.load(Ordering::Relaxed) == 1));
-        assert!(lanes_seen.iter().all(|l| l.load(Ordering::Relaxed) <= 1));
     }
 
     #[test]
@@ -793,6 +574,24 @@ mod tests {
         assert_eq!(got, 450);
     }
 
+    /// Lane 0 waits in its chunk until a worker lane has run the other
+    /// one; a deadline turns a pool stuck on the inline path into a failure.
+    fn assert_runs_pooled(pool: &ThreadPool) {
+        use std::time::{Duration, Instant};
+        let pooled = AtomicBool::new(false);
+        pool.run_region(2, |lane, _c| {
+            if lane == 0 {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while !pooled.load(Ordering::Acquire) {
+                    assert!(Instant::now() < deadline, "no worker lane ran a chunk");
+                    std::thread::yield_now();
+                }
+            } else {
+                pooled.store(true, Ordering::Release);
+            }
+        });
+    }
+
     #[test]
     fn panics_propagate_and_pool_survives() {
         let pool = ThreadPool::new(4);
@@ -812,11 +611,14 @@ mod tests {
         assert_eq!(n.load(Ordering::Relaxed), 64);
     }
 
+    /// Named for the retired static schedule, whose last lane owned the
+    /// final chunk: a panic there, after the cursor has run dry, still
+    /// propagates and releases the claim, so the next region is pooled.
     #[test]
     fn panics_propagate_from_static_regions_too() {
         let pool = ThreadPool::new(4);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_region_sched(64, Schedule::Static, |_l, chunk| {
+            pool.run_region(64, |_l, chunk| {
                 if chunk == 63 {
                     panic!("boom");
                 }
@@ -824,10 +626,11 @@ mod tests {
         }));
         assert!(caught.is_err());
         let n = AtomicUsize::new(0);
-        pool.run_region_sched(64, Schedule::Static, |_l, _c| {
+        pool.run_region(64, |_l, _c| {
             n.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(n.load(Ordering::Relaxed), 64);
+        assert_runs_pooled(&pool);
     }
 
     #[test]
@@ -842,7 +645,7 @@ mod tests {
         let before = telemetry::counters().snapshot();
         let pool = ThreadPool::new(3);
         pool.run_region(61, |_l, _c| {});
-        pool.run_region_sched(61, Schedule::Static, |_l, _c| {});
+        pool.run_region(61, |_l, _c| {});
         let delta = telemetry::counters().snapshot().since(&before);
         let regions: Vec<_> = telemetry::flush()
             .into_iter()
@@ -851,12 +654,7 @@ mod tests {
         telemetry::TelemetryConfig::disabled().install();
         assert!(delta.regions >= 2);
         assert!(regions.len() >= 2, "one RegionSpan per region");
-        assert!(regions
-            .iter()
-            .any(|e| e.name.as_str() == "pool.region.dynamic"));
-        assert!(regions
-            .iter()
-            .any(|e| e.name.as_str() == "pool.region.static"));
+        assert!(regions.iter().all(|e| e.name.as_str() == "pool.region"));
     }
 
     #[test]
@@ -869,6 +667,25 @@ mod tests {
             });
             assert_eq!(n.load(Ordering::Relaxed), round + 1);
         }
+    }
+
+    /// The two paths a region can take now, published to the workers or
+    /// run inline (a single chunk), alternate without leaking the claim.
+    #[test]
+    fn mixed_schedules_back_to_back() {
+        let pool = ThreadPool::new(4);
+        for round in 0..50 {
+            let n_chunks = if round % 2 == 0 { round + 2 } else { 1 };
+            let n = AtomicUsize::new(0);
+            pool.run_region(n_chunks, |lane, _c| {
+                if n_chunks == 1 {
+                    assert_eq!(lane, 0, "a single-chunk region runs inline");
+                }
+                n.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(n.load(Ordering::Relaxed), n_chunks);
+        }
+        assert_runs_pooled(&pool);
     }
 
     #[test]
@@ -909,38 +726,45 @@ mod tests {
     }
 
     #[test]
-    fn reserve_diverts_other_threads_and_keeps_the_owner_pooled() {
+    fn other_threads_run_inline_while_a_region_is_in_flight() {
+        use std::time::{Duration, Instant};
         let pool = ThreadPool::new(4);
-        let handle = pool.reserve();
-        // Another thread's region completes inline while the claim is held.
+        let held = AtomicBool::new(false);
+        let release = AtomicBool::new(false);
+        let wait_for = |flag: &AtomicBool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !flag.load(Ordering::Acquire) {
+                assert!(Instant::now() < deadline, "timed out");
+                std::thread::yield_now();
+            }
+        };
         std::thread::scope(|s| {
+            // Thread A holds its region in flight until B is done.
             s.spawn(|| {
-                let n = AtomicUsize::new(0);
-                pool.run_region(16, |lane, _c| {
-                    assert_eq!(lane, 0, "non-owner regions must run inline");
-                    n.fetch_add(1, Ordering::Relaxed);
+                pool.run_region(2, |_l, chunk| {
+                    if chunk == 0 {
+                        held.store(true, Ordering::Release);
+                        wait_for(&release);
+                    }
                 });
-                assert_eq!(n.load(Ordering::Relaxed), 16);
             });
-        });
-        // The owner's own regions still use the workers.
-        let n = AtomicUsize::new(0);
-        pool.run_region(64, |_l, _c| {
-            n.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(n.load(Ordering::Relaxed), 64);
-        drop(handle);
-        // Released: another thread can claim and run pooled again.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _h = pool.reserve();
-                let n = AtomicUsize::new(0);
-                pool.run_region(32, |_l, _c| {
-                    n.fetch_add(1, Ordering::Relaxed);
-                });
-                assert_eq!(n.load(Ordering::Relaxed), 32);
+            wait_for(&held);
+            // Thread B's region runs entirely inline on lane 0. Its first
+            // chunk lingers, so a worker would adopt the rest were the
+            // region published.
+            let n = AtomicUsize::new(0);
+            pool.run_region(16, |lane, chunk| {
+                assert_eq!(lane, 0, "a region behind a busy pool must run inline");
+                if chunk == 0 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                n.fetch_add(1, Ordering::Relaxed);
             });
+            assert_eq!(n.load(Ordering::Relaxed), 16);
+            release.store(true, Ordering::Release);
         });
+        // A's region drained: the pool runs pooled again.
+        assert_runs_pooled(&pool);
     }
 
     #[test]
@@ -976,22 +800,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn mixed_schedules_back_to_back() {
-        let pool = ThreadPool::new(4);
-        for round in 0..50 {
-            let sched = if round % 2 == 0 {
-                Schedule::Dynamic
-            } else {
-                Schedule::Static
-            };
-            let n = AtomicUsize::new(0);
-            pool.run_region_sched(round + 2, sched, |_l, _c| {
-                n.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(n.load(Ordering::Relaxed), round + 2);
-        }
     }
 }

@@ -1,8 +1,8 @@
-//! Property-style tests of the pool and range helpers, driven by
+//! Property-style tests of the pool, driven by
 //! deterministic parameter sweeps (no external property-test framework:
 //! the workspace builds offline with the standard library alone).
 
-use parkit::{split_evenly, Chunks, Schedule, ThreadPool, Tile2, Tile3};
+use parkit::ThreadPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Deterministic xorshift64* stream for test inputs.
@@ -98,106 +98,19 @@ fn float_reduction_is_bit_stable_across_lane_counts() {
 }
 
 #[test]
-fn static_and_dynamic_schedules_cover_identically() {
+fn run_region_covers_every_chunk_exactly_once() {
     let mut rng = XorShift::new(59);
     for _ in 0..12 {
         let n_chunks = rng.in_range(1, 300);
         let lanes = rng.in_range(1, 9);
         let pool = ThreadPool::new(lanes);
-        for sched in [Schedule::Dynamic, Schedule::Static] {
-            let marks: Vec<AtomicUsize> = (0..n_chunks).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_region_sched(n_chunks, sched, |_l, c| {
-                marks[c].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                marks.iter().all(|m| m.load(Ordering::Relaxed) == 1),
-                "{sched:?} n_chunks={n_chunks} lanes={lanes}"
-            );
-        }
-    }
-}
-
-#[test]
-fn split_evenly_partitions_any_domain() {
-    let mut rng = XorShift::new(71);
-    for _ in 0..200 {
-        let total = rng.in_range(0, 10_000);
-        let parts = rng.in_range(1, 40);
-        let mut prev_end = 0;
-        let mut covered = 0;
-        let mut max_len = 0usize;
-        let mut min_len = usize::MAX;
-        for p in 0..parts {
-            let (s, e) = split_evenly(total, parts, p);
-            assert_eq!(s, prev_end, "spans must be contiguous");
-            assert!(e >= s);
-            covered += e - s;
-            max_len = max_len.max(e - s);
-            min_len = min_len.min(e - s);
-            prev_end = e;
-        }
-        assert_eq!(covered, total);
-        assert!(max_len - min_len <= 1, "near-equal spans");
-    }
-}
-
-#[test]
-fn chunks_partition_any_domain() {
-    let mut rng = XorShift::new(83);
-    for _ in 0..200 {
-        let total = rng.in_range(0, 10_000);
-        let grain = rng.in_range(1, 500);
-        let spans: Vec<_> = Chunks::new(total, grain).collect();
-        assert_eq!(spans.len(), Chunks::count_chunks(total, grain));
-        let mut prev_end = 0;
-        for &(s, e) in &spans {
-            assert_eq!(s, prev_end);
-            assert!(e > s && e - s <= grain);
-            prev_end = e;
-        }
-        assert_eq!(prev_end, total);
-        let covered: usize = spans.iter().map(|(s, e)| e - s).sum();
-        assert_eq!(covered, total);
-    }
-}
-
-#[test]
-fn tile2_partitions_any_domain() {
-    let mut rng = XorShift::new(97);
-    for _ in 0..100 {
-        let nx = rng.in_range(1, 200);
-        let ny = rng.in_range(1, 100);
-        let tx = rng.in_range(1, 64);
-        let ty = rng.in_range(1, 32);
-        let n = Tile2::count(nx, ny, tx, ty);
-        let mut covered = 0;
-        for t in 0..n {
-            let tile = Tile2::index(nx, ny, tx, ty, t);
-            assert!(tile.x1 <= nx && tile.y1 <= ny);
-            assert!(!tile.is_empty());
-            covered += tile.len();
-        }
-        assert_eq!(covered, nx * ny, "nx={nx} ny={ny} tx={tx} ty={ty}");
-    }
-}
-
-#[test]
-fn tile3_partitions_any_domain() {
-    let mut rng = XorShift::new(103);
-    for _ in 0..100 {
-        let (nx, ny, nz) = (
-            rng.in_range(1, 80),
-            rng.in_range(1, 60),
-            rng.in_range(1, 40),
+        let marks: Vec<AtomicUsize> = (0..n_chunks).map(|_| AtomicUsize::new(0)).collect();
+        pool.run_region(n_chunks, |_l, c| {
+            marks[c].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(
+            marks.iter().all(|m| m.load(Ordering::Relaxed) == 1),
+            "n_chunks={n_chunks} lanes={lanes}"
         );
-        let (tx, ty, tz) = (rng.in_range(1, 32), rng.in_range(1, 16), rng.in_range(1, 8));
-        let n = Tile3::count(nx, ny, nz, tx, ty, tz);
-        let mut covered = 0;
-        for t in 0..n {
-            let tile = Tile3::index(nx, ny, nz, tx, ty, tz, t);
-            assert!(tile.x1 <= nx && tile.y1 <= ny && tile.z1 <= nz);
-            covered += tile.len();
-        }
-        assert_eq!(covered, nx * ny * nz);
     }
 }
