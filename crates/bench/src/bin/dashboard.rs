@@ -41,9 +41,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use bench_harness::cli::Cli;
+use bench_harness::hist::Histogram;
 use bench_harness::{make_app, native_toolchain, reports, transfer, APP_NAMES};
 use machine_model::Platform;
-use metrics::Histogram;
 use portability::{cpu_platforms, gpu_platforms, paper_measurements, pennycook, Measurement};
 use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
 use telemetry::export::KernelAgg;
@@ -207,6 +207,42 @@ fn eff_colour(eff: f64) -> String {
     format!("hsl({hue:.0}, 70%, {:.0}%)", 88.0 - 38.0 * t)
 }
 
+/// The distinct items, in first-seen order.
+fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut seen = Vec::new();
+    for x in items {
+        if !seen.contains(&x) {
+            seen.push(x);
+        }
+    }
+    seen
+}
+
+/// One `<table>`: a header row of the escaped `head` labels, then
+/// `rows`, each a whole `<tr>…</tr>`. An empty `class` writes a plain
+/// table.
+fn table<S: AsRef<str>>(
+    h: &mut String,
+    class: &str,
+    head: impl IntoIterator<Item = S>,
+    rows: impl IntoIterator<Item = String>,
+) {
+    if class.is_empty() {
+        h.push_str("<table>");
+    } else {
+        let _ = write!(h, "<table class=\"{class}\">");
+    }
+    h.push_str("<thead><tr>");
+    for th in head {
+        let _ = write!(h, "<th>{}</th>", esc(th.as_ref()));
+    }
+    h.push_str("</tr></thead><tbody>");
+    for row in rows {
+        h.push_str(&row);
+    }
+    h.push_str("</tbody></table>");
+}
+
 fn fmt_secs(s: f64) -> String {
     if s == 0.0 {
         "0".to_owned()
@@ -232,7 +268,7 @@ fn render(
         "<header><h1>sycl-sim performance dashboard</h1>\
          <p class=\"meta\">git <code>{}</code> · generated at unix \
          <span class=\"ts\" data-unix=\"{}\"></span> · self-contained, no network</p></header>",
-        esc(&metrics::manifest::git_rev()),
+        esc(&bench_harness::manifest::git_rev()),
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -291,14 +327,18 @@ fn render_traces(h: &mut String, traces: &[AppTrace], out_dir: &Path) {
                 t.delta.spans_dropped
             );
         }
-        h.push_str(
-            "<table class=\"sortable\"><thead><tr><th>kernel</th><th>launches</th>\
-             <th>total wall</th><th>p50</th><th>p95</th><th>p99</th>\
-             <th>sim time</th><th>sim GB/s</th></tr></thead><tbody>",
-        );
-        for a in &t.aggs {
-            let _ = write!(
-                h,
+        let head = [
+            "kernel",
+            "launches",
+            "total wall",
+            "p50",
+            "p95",
+            "p99",
+            "sim time",
+            "sim GB/s",
+        ];
+        let rows = t.aggs.iter().map(|a| {
+            format!(
                 "<tr><td>{}</td><td class=\"n\">{}</td><td class=\"n\" data-v=\"{}\">{}</td>\
                  <td class=\"n\" data-v=\"{}\">{}</td><td class=\"n\" data-v=\"{}\">{}</td>\
                  <td class=\"n\" data-v=\"{}\">{}</td><td class=\"n\" data-v=\"{}\">{}</td>\
@@ -316,21 +356,28 @@ fn render_traces(h: &mut String, traces: &[AppTrace], out_dir: &Path) {
                 a.sim_secs,
                 fmt_secs(a.sim_secs),
                 a.sim_gbps(),
-            );
-        }
-        h.push_str("</tbody></table></details>");
+            )
+        });
+        table(h, "sortable", head, rows);
+        h.push_str("</details>");
     }
 
-    h.push_str(
-        "<h3>Counter deltas per run</h3>\
-         <table><thead><tr><th>app</th><th>launches</th><th>cache hits</th>\
-         <th>cache misses</th><th>regions</th><th>steals</th><th>parks</th>\
-         <th>wakes</th><th>bytes moved</th><th>spans dropped</th></tr></thead><tbody>",
-    );
-    for t in traces {
+    h.push_str("<h3>Counter deltas per run</h3>");
+    let head = [
+        "app",
+        "launches",
+        "cache hits",
+        "cache misses",
+        "regions",
+        "steals",
+        "parks",
+        "wakes",
+        "bytes moved",
+        "spans dropped",
+    ];
+    let rows = traces.iter().map(|t| {
         let d = &t.delta;
-        let _ = write!(
-            h,
+        format!(
             "<tr><td>{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
              <td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
              <td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
@@ -345,9 +392,10 @@ fn render_traces(h: &mut String, traces: &[AppTrace], out_dir: &Path) {
             d.wakes,
             d.bytes_moved,
             d.spans_dropped,
-        );
-    }
-    h.push_str("</tbody></table></section>");
+        )
+    });
+    table(h, "", head, rows);
+    h.push_str("</section>");
 }
 
 /// Section 2: scheduler health — chunks per pool region and region
@@ -364,13 +412,8 @@ fn render_scheduler(h: &mut String, sched: &SchedHists) {
         h.push_str("<p>No pool regions recorded.</p></section>");
         return;
     }
-    h.push_str(
-        "<table class=\"sortable\"><thead><tr><th>metric</th>\
-         <th>count</th><th>mean</th><th>p50</th><th>p95</th><th>max</th></tr></thead><tbody>",
-    );
-    for (metric, hist) in sched {
-        let _ = write!(
-            h,
+    let rows = sched.iter().map(|(metric, hist)| {
+        format!(
             "<tr><td>{}</td><td class=\"n\">{}</td>\
              <td class=\"n\" data-v=\"{2}\">{2:.2}</td>\
              <td class=\"n\" data-v=\"{3}\">{3:.2}</td>\
@@ -382,9 +425,11 @@ fn render_scheduler(h: &mut String, sched: &SchedHists) {
             hist.quantile(0.5),
             hist.quantile(0.95),
             hist.max(),
-        );
-    }
-    h.push_str("</tbody></table></section>");
+        )
+    });
+    let head = ["metric", "count", "mean", "p50", "p95", "max"];
+    table(h, "sortable", head, rows);
+    h.push_str("</section>");
 }
 
 /// Section 3: achieved GB/s per (app, variant) against the STREAM roof.
@@ -406,15 +451,7 @@ fn render_roofline(h: &mut String, study: &[(PlatformId, Vec<Measurement>)]) {
         let plat = Platform::get(*pid);
         let roof = plat.mem.stream_bw / 1e9;
         let y_max = roof * 1.18;
-        let apps: Vec<&str> = {
-            let mut v: Vec<&str> = Vec::new();
-            for m in ms {
-                if !v.contains(&m.app) {
-                    v.push(m.app);
-                }
-            }
-            v
-        };
+        let apps = distinct(ms.iter().map(|m| m.app));
         let sx = |slot: f64| ML + (W - ML - MR) * slot;
         let sy = |gbps: f64| MT + (H - MT - MB) * (1.0 - (gbps / y_max).clamp(0.0, 1.0));
         let _ = write!(
@@ -520,83 +557,43 @@ fn render_heatmap(h: &mut String, study: &[(PlatformId, Vec<Measurement>)]) {
     );
     for (pid, ms) in study {
         let plat = Platform::get(*pid);
-        let variants: Vec<String> = {
-            let mut v = Vec::new();
-            for m in ms {
-                let l = m.variant.label();
-                if !v.contains(&l) {
-                    v.push(l);
-                }
-            }
-            v
-        };
-        let apps: Vec<&str> = {
-            let mut v: Vec<&str> = Vec::new();
-            for m in ms {
-                if !v.contains(&m.app) {
-                    v.push(m.app);
-                }
-            }
-            v
-        };
-        let _ = write!(
-            h,
-            "<h3>{}</h3><table class=\"heat\"><thead><tr><th></th>",
-            esc(plat.name)
-        );
-        for v in &variants {
-            let _ = write!(h, "<th>{}</th>", esc(v));
-        }
-        h.push_str("</tr></thead><tbody>");
-        for app in &apps {
-            let _ = write!(h, "<tr><td>{}</td>", esc(app));
+        let variants = distinct(ms.iter().map(|m| m.variant.label()));
+        let rows = distinct(ms.iter().map(|m| m.app)).into_iter().map(|app| {
+            let mut row = format!("<tr><td>{}</td>", esc(app));
             for v in &variants {
-                match best_cell(ms, app, v) {
-                    Some(m) => match (&m.runtime, m.efficiency) {
-                        (Ok(_), Some(eff)) => {
-                            let _ = write!(
-                                h,
-                                "<td class=\"n\" style=\"background:{}\">{:.0}%</td>",
-                                eff_colour(eff),
-                                eff * 100.0,
-                            );
-                        }
-                        (Err(k), _) => {
-                            let _ = write!(h, "<td class=\"hole\">{k:?}</td>");
-                        }
-                        _ => h.push_str("<td class=\"hole\">?</td>"),
-                    },
-                    None => h.push_str("<td class=\"hole\">-</td>"),
+                match best_cell(ms, app, v).map(|m| (&m.runtime, m.efficiency)) {
+                    Some((Ok(_), Some(eff))) => {
+                        let _ = write!(
+                            row,
+                            "<td class=\"n\" style=\"background:{}\">{:.0}%</td>",
+                            eff_colour(eff),
+                            eff * 100.0,
+                        );
+                    }
+                    Some((Err(k), _)) => {
+                        let _ = write!(row, "<td class=\"hole\">{k:?}</td>");
+                    }
+                    Some(_) => row.push_str("<td class=\"hole\">?</td>"),
+                    None => row.push_str("<td class=\"hole\">-</td>"),
                 }
             }
-            h.push_str("</tr>");
-        }
-        h.push_str("</tbody></table>");
+            row + "</tr>"
+        });
+        let _ = write!(h, "<h3>{}</h3>", esc(plat.name));
+        let head = std::iter::once("").chain(variants.iter().map(String::as_str));
+        table(h, "heat", head, rows);
     }
 
     // PP̄ across the full platform set, per app: best-native vs best-SYCL.
-    h.push_str(
-        "<h3>Pennycook PP̄ across all six platforms</h3>\
-         <table><thead><tr><th>app</th><th>best native</th><th>best SYCL</th></tr></thead><tbody>",
-    );
-    let apps: Vec<&str> = {
-        let mut v: Vec<&str> = Vec::new();
-        for (_, ms) in study {
-            for m in ms {
-                if !v.contains(&m.app) {
-                    v.push(m.app);
-                }
-            }
-        }
-        v
-    };
-    for app in &apps {
+    h.push_str("<h3>Pennycook PP̄ across all six platforms</h3>");
+    let apps = distinct(study.iter().flat_map(|(_, ms)| ms.iter().map(|m| m.app)));
+    let rows = apps.into_iter().map(|app| {
         let best = |native: bool| -> Vec<Option<f64>> {
             study
                 .iter()
                 .map(|(_, ms)| {
                     ms.iter()
-                        .filter(|m| m.app == *app && m.variant.is_native() == native)
+                        .filter(|m| m.app == app && m.variant.is_native() == native)
                         .filter_map(|m| m.efficiency)
                         .fold(None, |acc: Option<f64>, e| {
                             Some(acc.map_or(e, |a| a.max(e)))
@@ -612,15 +609,15 @@ fn render_heatmap(h: &mut String, study: &[(PlatformId, Vec<Measurement>)]) {
                 format!("{:.0}%", pp * 100.0)
             }
         };
-        let _ = write!(
-            h,
+        format!(
             "<tr><td>{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td></tr>",
             esc(app),
             fmt_pp(best(true)),
             fmt_pp(best(false)),
-        );
-    }
-    h.push_str("</tbody></table></section>");
+        )
+    });
+    table(h, "", ["app", "best native", "best SYCL"], rows);
+    h.push_str("</section>");
 }
 
 /// Section 5 — "Data movement": what the interconnect costs every app,
@@ -686,22 +683,28 @@ fn render_data_movement(h: &mut String) {
     h.push_str(
         "<h3>Pinned vs pageable host allocations</h3>\
          <p>Sustained link bandwidth at the largest calibrated copy; in-package \
-         (CPU) links have no allocation distinction.</p>\
-         <table><thead><tr><th>platform</th><th>dir</th><th>pinned GB/s</th>\
-         <th>pageable GB/s</th><th>pinned speedup</th></tr></thead><tbody>",
+         (CPU) links have no allocation distinction.</p>",
     );
     let curves = transfer::curves(&transfer::LADDER);
-    for (platform, dir, pin, page) in transfer::pinned_deltas(&curves) {
-        let _ = write!(
-            h,
-            "<tr><td>{}</td><td><code>{}</code></td><td class=\"n\">{pin:.1}</td>\
-             <td class=\"n\">{page:.1}</td><td class=\"n\">{:.2}&times;</td></tr>",
-            platform.label(),
-            dir.label(),
-            pin / page,
-        );
-    }
-    h.push_str("</tbody></table>");
+    let rows = transfer::pinned_deltas(&curves)
+        .into_iter()
+        .map(|(platform, dir, pin, page)| {
+            format!(
+                "<tr><td>{}</td><td><code>{}</code></td><td class=\"n\">{pin:.1}</td>\
+                 <td class=\"n\">{page:.1}</td><td class=\"n\">{:.2}&times;</td></tr>",
+                platform.label(),
+                dir.label(),
+                pin / page,
+            )
+        });
+    let head = [
+        "platform",
+        "dir",
+        "pinned GB/s",
+        "pageable GB/s",
+        "pinned speedup",
+    ];
+    table(h, "", head, rows);
 
     // The crossover table: how pricing data movement shifts the best
     // CPU vs best GPU comparison per app.
@@ -710,19 +713,15 @@ fn render_data_movement(h: &mut String) {
          <p>GPU speedup over the best CPU (&gt; 1 = GPU wins), kernels only \
          (the historic free-transfer comparison) against the full priced \
          clock. A negative shift means the GPU advantage shrank once its \
-         staging traffic was priced.</p>\
-         <table><thead><tr><th>app</th><th>best GPU</th><th>best CPU</th>\
-         <th>speedup (kernels)</th><th>speedup (priced)</th><th>shift</th>\
-         </tr></thead><tbody>",
+         staging traffic was priced.</p>",
     );
-    for c in transfer::crossovers(&splits) {
+    let rows = transfer::crossovers(&splits).into_iter().map(|c| {
         let (kernels, priced) = (c.speedup_kernels(), c.speedup_total());
         // A crossover *flip* (GPU wins one model, loses the other)
         // is the headline finding — flag the row.
         let flipped = (kernels > 1.0) != (priced > 1.0);
         let cls = if flipped { "n bad" } else { "n" };
-        let _ = write!(
-            h,
+        format!(
             "<tr><td><code>{}</code></td><td>{}</td><td>{}</td>\
              <td class=\"n\">{kernels:.2}&times;</td><td class=\"n\">{priced:.2}&times;</td>\
              <td class=\"{cls}\">{:+.1}%{}</td></tr>",
@@ -731,9 +730,18 @@ fn render_data_movement(h: &mut String) {
             c.cpu.platform.label(),
             c.shift_pct(),
             if flipped { " (crossover flips)" } else { "" },
-        );
-    }
-    h.push_str("</tbody></table></section>");
+        )
+    });
+    let head = [
+        "app",
+        "best GPU",
+        "best CPU",
+        "speedup (kernels)",
+        "speedup (priced)",
+        "shift",
+    ];
+    table(h, "", head, rows);
+    h.push_str("</section>");
 }
 
 /// Section 6: the cross-product study from the last `study` run — a
@@ -828,34 +836,17 @@ fn render_study_run(h: &mut String, out_dir: &Path) {
     // Status grid: apps × platforms, each cell summarising that cell's
     // variant column ("measured/total", ✗ if any variant crashed, ⟲ if
     // any needed a retry; hover for the per-variant breakdown).
-    let mut platforms: Vec<&str> = Vec::new();
-    let mut apps: Vec<&str> = Vec::new();
-    for r in &records {
-        if let Some(p) = r.str_of("platform") {
-            if !platforms.contains(&p) {
-                platforms.push(p);
-            }
-        }
-        if let Some(a) = r.str_of("app") {
-            if !apps.contains(&a) {
-                apps.push(a);
-            }
-        }
-    }
-    h.push_str("<table class=\"heat\"><thead><tr><th></th>");
-    for p in &platforms {
-        let _ = write!(h, "<th>{}</th>", esc(p));
-    }
-    h.push_str("</tr></thead><tbody>");
-    for app in &apps {
-        let _ = write!(h, "<tr><td>{}</td>", esc(app));
-        for plat in &platforms {
+    let platforms = distinct(records.iter().filter_map(|r| r.str_of("platform")));
+    let apps = distinct(records.iter().filter_map(|r| r.str_of("app")));
+    let rows = apps.into_iter().map(|app| {
+        let mut row = format!("<tr><td>{}</td>", esc(app));
+        for &plat in &platforms {
             let cell: Vec<&&Json> = records
                 .iter()
                 .filter(|r| r.str_of("app") == Some(app) && r.str_of("platform") == Some(plat))
                 .collect();
             if cell.is_empty() {
-                h.push_str("<td class=\"hole\">-</td>");
+                row.push_str("<td class=\"hole\">-</td>");
                 continue;
             }
             let c_ok = cell
@@ -896,7 +887,7 @@ fn render_study_run(h: &mut String, out_dir: &Path) {
                 eff_colour(c_ok as f64 / cell.len() as f64)
             };
             let _ = write!(
-                h,
+                row,
                 "<td class=\"n\" style=\"background:{bg}\" title=\"{}\">{c_ok}/{}{}{}</td>",
                 esc(tip.trim_end()),
                 cell.len(),
@@ -904,28 +895,27 @@ fn render_study_run(h: &mut String, out_dir: &Path) {
                 if c_retry > 0 { " ⟲" } else { "" },
             );
         }
-        h.push_str("</tr>");
-    }
-    h.push_str("</tbody></table>");
+        row + "</tr>"
+    });
+    let head = std::iter::once("").chain(platforms.iter().copied());
+    table(h, "heat", head, rows);
 
     if let Some(Json::Arr(pp)) = doc.get("pp") {
         if !pp.is_empty() {
             h.push_str(
-                "<h3>PP̄ over the merged study</h3>\
+                "<h3>PP̄ over the study</h3>\
                  <p>Harmonic-mean performance portability computed from the \
                  journaled records — exactly the cells this study ran, crashes \
-                 excluded.</p>\
-                 <table><thead><tr><th>configuration</th><th>PP̄</th></tr></thead><tbody>",
+                 excluded.</p>",
             );
-            for row in pp {
-                let _ = write!(
-                    h,
+            let rows = pp.iter().map(|row| {
+                format!(
                     "<tr><td>{}</td><td class=\"n\">{:.2}</td></tr>",
                     esc(row.str_of("label").unwrap_or("?")),
                     row.f64_of("value").unwrap_or(0.0),
-                );
-            }
-            h.push_str("</tbody></table>");
+                )
+            });
+            table(h, "", ["configuration", "PP̄"], rows);
         }
     }
     h.push_str("</section>");
@@ -937,9 +927,7 @@ fn render_graphlint(h: &mut String) {
         "<section><h2>Graph lint</h2>\
          <p>Static dataflow analysis over the recorded launch graphs: \
          hazards, halo-exchange coverage, dead code and fusion \
-         candidates with modelled savings.</p>\
-         <table><thead><tr><th>app</th><th>errors</th><th>warnings</th>\
-         <th>infos</th></tr></thead><tbody>",
+         candidates with modelled savings.</p>",
     );
     let linted: Vec<(&str, Vec<Diagnostic>)> = APP_NAMES
         .iter()
@@ -948,20 +936,19 @@ fn render_graphlint(h: &mut String) {
             (app, runs.into_iter().flat_map(|r| r.diagnostics).collect())
         })
         .collect();
-    for (app, diags) in &linted {
+    let rows = linted.iter().map(|(app, diags)| {
         let unique = report::dedup(diags);
         let tally = |s: Severity| unique.iter().filter(|(d, _)| d.severity == s).count();
         let errors = tally(Severity::Error);
         let cls = if errors > 0 { " class=\"bad\"" } else { "" };
-        let _ = write!(
-            h,
+        format!(
             "<tr><td><code>{}</code></td><td{cls}>{errors}</td><td>{}</td><td>{}</td></tr>",
             esc(app),
             tally(Severity::Warning),
             tally(Severity::Info),
-        );
-    }
-    h.push_str("</tbody></table>");
+        )
+    });
+    table(h, "", ["app", "errors", "warnings", "infos"], rows);
 
     // Every Error/Warning, plus the fusion candidates: the findings a
     // reader acts on.

@@ -20,14 +20,15 @@
 //!   and ring on.
 //!
 //! Results (GB/s of bytes actually moved, launches/sec, speedup) print
-//! as a table, and the run is persisted as a `sycl-metrics` manifest at
+//! as a table, and the run is persisted as a [`RunManifest`] at
 //! `results/BENCH_engine.json` — per-entry repetition samples, wall
 //! summaries and the engine counter delta. CI reads it back and asserts
 //! that replaying a recorded graph beats eager launching by at least 2×.
 //! An unknown flag prints the usage and exits 2.
 
 use bench_harness::cli::Cli;
-use metrics::{Histogram, KernelSummary, RunManifest};
+use bench_harness::hist::Histogram;
+use bench_harness::manifest::{git_rev, KernelSummary, RunManifest};
 use ops_dsl::prelude::*;
 use std::time::Instant;
 use sycl_sim::{PlatformId, Session, SessionConfig, Toolchain};
@@ -348,7 +349,7 @@ fn telemetry_class(launches: usize, samples: usize) -> (Entry, Entry, f64) {
     (mk("off", off), mk("ring", ring), ring_ns_per_launch)
 }
 
-/// Persist the run as a `sycl-metrics` manifest.
+/// The run as the `BENCH_engine.json` manifest.
 fn manifest(entries: &[Entry], reps: u32, counters: telemetry::CounterSnapshot) -> RunManifest {
     let kernels = entries
         .iter()
@@ -364,13 +365,12 @@ fn manifest(entries: &[Entry], reps: u32, counters: telemetry::CounterSnapshot) 
                 sim_secs: 0.0,
                 bytes: e.bytes_moved,
                 gbps: e.gbps(),
-                origin: None,
             }
         })
         .collect();
     RunManifest {
         name: "engine".to_owned(),
-        git_rev: metrics::manifest::git_rev(),
+        git_rev: git_rev(),
         platform: "host-wall".to_owned(),
         threads: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
         repetitions: reps,
@@ -471,7 +471,7 @@ fn main() {
     );
 
     let m = manifest(&entries, samples as u32, delta);
-    match bench_harness::json::write_results_file("BENCH_engine.json", &(m.to_json() + "\n")) {
+    match bench_harness::write_results_file("BENCH_engine.json", &(m.to_json() + "\n")) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results/BENCH_engine.json: {e}"),
     }

@@ -25,9 +25,9 @@
 //! without its value prints the usage and exits 2.
 
 use bench_harness::cli::Cli;
-use bench_harness::json::{validate, write_results_file, JsonWriter};
-use bench_harness::{make_app, native_toolchain};
+use bench_harness::{make_app, native_toolchain, write_results_file};
 use sycl_sim::{Scheme, Session, SessionConfig};
+use telemetry::json::{validate, JsonWriter};
 use telemetry::TelemetryConfig;
 
 const CLI: Cli = Cli {

@@ -1,4 +1,4 @@
-//! Log-bucketed, mergeable histograms.
+//! Log-bucketed histograms.
 //!
 //! A [`Histogram`] sketches a distribution of positive values in
 //! logarithmic buckets: 8 sub-buckets per octave, covering 2⁻⁴⁰..2⁴⁰
@@ -6,10 +6,6 @@
 //! value (half a sub-bucket) at any scale — nanoseconds or gigabytes.
 //! Count, sum, sum-of-squares, min and max are tracked exactly, so mean
 //! and the 95 % confidence interval carry no bucketing error.
-//!
-//! Histograms **merge**: two sketches combine bucket-by-bucket
-//! ([`Histogram::merge`]), which lets manifests combine per-repetition
-//! summaries without keeping raw samples.
 
 /// Sub-buckets per power of two.
 const SUB: usize = 8;
@@ -20,7 +16,7 @@ const OCTAVES: usize = 80;
 /// Total bucket count.
 const BUCKETS: usize = SUB * OCTAVES;
 
-/// A mergeable log-bucketed distribution sketch.
+/// A log-bucketed distribution sketch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Bucket occupancy; allocated on first record (empty = all zero).
@@ -81,24 +77,6 @@ impl Histogram {
         self.sum_sq += v * v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Fold `other` into `self`, bucket by bucket.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Recorded values.
@@ -201,8 +179,7 @@ pub struct Summary {
     pub p50: f64,
     pub p90: f64,
     pub p99: f64,
-    /// 99.9th percentile. Parses as 0.0 from manifests written before
-    /// it existed.
+    /// 99.9th percentile.
     pub p999: f64,
     pub min: f64,
     pub max: f64,
@@ -239,42 +216,6 @@ mod tests {
         }
         assert_eq!(h.max(), 1000e-6);
         assert!((h.mean() - 500.5e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for i in 0..500 {
-            let v = (i as f64 * 0.37).sin().abs() + 0.01;
-            if i % 2 == 0 { &mut a } else { &mut b }.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        // Buckets and exact fields match; the float sums may differ in
-        // the last ulp (different summation order).
-        assert_eq!(a.counts, whole.counts);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        assert!((a.sum() - whole.sum()).abs() < 1e-9 * whole.sum().abs());
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_into_empty_adopts_other() {
-        let mut src = Histogram::new();
-        src.record(3.0);
-        src.record(5.0);
-        let mut dst = Histogram::new();
-        dst.merge(&src);
-        assert_eq!(dst.count(), 2);
-        assert_eq!(dst.min(), 3.0);
-        assert_eq!(dst.max(), 5.0);
-        // Merging an empty one changes nothing.
-        dst.merge(&Histogram::new());
-        assert_eq!(dst.count(), 2);
     }
 
     #[test]

@@ -25,14 +25,17 @@
 //! | `VERIFY_<app>.json` | [`reports::verify_report`] — shadow-verifier findings of a live test-size run |
 //! | `TRANSFER.json` | [`transfer::transfer_json`] — interconnect curves, app splits and CPU-vs-GPU crossovers |
 //!
-//! Every other `results/` file is a wall-clock record: `BENCH_engine.json`,
-//! `BENCH_study.json`, `PROFILE_cloverleaf2d.json`, `STUDY.json` and
-//! `DASHBOARD.html`. The same functions are exercised by the benches in
+//! Every other `results/` file is a wall-clock record:
+//! `BENCH_engine.json` (the [`manifest`] `engine_bench` writes),
+//! `PROFILE_<app>.json`, `STUDY.json` and `DASHBOARD.html` (whose
+//! scheduler table summarises region spans with a [`hist::Histogram`]).
+//! The same functions are exercised by the benches in
 //! `benches/figures.rs`.
 
 pub mod ablation;
 pub mod cli;
-pub mod json;
+pub mod hist;
+pub mod manifest;
 pub mod reports;
 pub mod transfer;
 
@@ -40,7 +43,19 @@ use babelstream::BabelStream;
 use portability::{
     format_table, mean, pp_rows, std_dev, MeasCell, Measurement, PpCell, StudyVariant,
 };
+use std::io;
+use std::path::{Path, PathBuf};
 use sycl_sim::{FailureKind, PlatformId, Session, SessionConfig, Toolchain};
+
+/// Write `contents` to `results/<name>`, creating the directory first.
+/// Returns the path written.
+pub fn write_results_file(name: &str, contents: &str) -> io::Result<PathBuf> {
+    let dir = Path::new("results");
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(name);
+    std::fs::write(&path, contents)?;
+    Ok(path)
+}
 
 /// Table 1: (platform, native toolchain, simulated Triad GB/s).
 pub fn table1_rows() -> Vec<(PlatformId, Toolchain, f64)> {

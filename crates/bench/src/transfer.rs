@@ -13,9 +13,10 @@
 //! once their staging traffic is priced. [`transfer_json`] renders all
 //! of it as `results/TRANSFER.json`.
 
-use crate::{json::JsonWriter, make_app, native_toolchain, APP_NAMES};
+use crate::{make_app, native_toolchain, APP_NAMES};
 use machine_model::{all_platforms, Platform, TransferDir};
 use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
+use telemetry::json::JsonWriter;
 
 const KIB: f64 = 1024.0;
 const MIB: f64 = 1024.0 * KIB;

@@ -13,11 +13,10 @@
 //! moves them). A fresh run clears the previous run's recordings there;
 //! `--resume` keeps them.
 //!
-//! Writes `<out>/STUDY.json` (the study document) and
-//! `<out>/BENCH_study.json` (the merged manifest) and prints the
+//! Writes `<out>/STUDY.json` (the study document) and prints the
 //! per-status counts, fleet stats and PP̄ table. If stdout closes early
 //! (`study ... | head`), the summary stops there and the exit code is
-//! non-zero; the artefacts are already written.
+//! non-zero; the document is already written.
 //!
 //! `--worker <id>` is the internal mode the orchestrator re-executes
 //! this binary into; it speaks the framed protocol on stdin/stdout.
@@ -36,14 +35,14 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--worker") {
         return ExitCode::from(worker_cli(&args) as u8);
     }
-    let (doc, study_path, manifest_path) = match study_cli(&args) {
+    let (doc, study_path) = match study_cli(&args) {
         Ok(done) => done,
         Err(e) => {
             eprintln!("study: {e}");
             return ExitCode::FAILURE;
         }
     };
-    match print_summary(&mut io::stdout().lock(), &doc, &study_path, &manifest_path) {
+    match print_summary(&mut io::stdout().lock(), &doc, &study_path) {
         Ok(()) => ExitCode::SUCCESS,
         // A reader that went away (`study | head`) wants no more output.
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::FAILURE,
@@ -54,9 +53,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run the study and write its artefacts. Returns the study document
-/// and the two paths written.
-fn study_cli(args: &[String]) -> Result<(StudyDoc, PathBuf, PathBuf), String> {
+/// Run the study and write its document. Returns the document and the
+/// path written.
+fn study_cli(args: &[String]) -> Result<(StudyDoc, PathBuf), String> {
     let mut cfg = StudyConfig::new(Scope::Smoke);
     let mut out_dir = PathBuf::from("results");
     let mut no_flight = false;
@@ -107,17 +106,10 @@ fn study_cli(args: &[String]) -> Result<(StudyDoc, PathBuf, PathBuf), String> {
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
     let study_path = out_dir.join("STUDY.json");
     std::fs::write(&study_path, doc.to_json()).map_err(|e| e.to_string())?;
-    let manifest_path = out_dir.join("BENCH_study.json");
-    std::fs::write(&manifest_path, outcome.merged.to_json()).map_err(|e| e.to_string())?;
-    Ok((doc, study_path, manifest_path))
+    Ok((doc, study_path))
 }
 
-fn print_summary(
-    out: &mut impl Write,
-    doc: &StudyDoc,
-    study_path: &Path,
-    manifest_path: &Path,
-) -> io::Result<()> {
+fn print_summary(out: &mut impl Write, doc: &StudyDoc, study_path: &Path) -> io::Result<()> {
     let (ok, holes, crashed) = doc.status_counts();
     writeln!(
         out,
@@ -154,10 +146,7 @@ fn print_summary(
             "recovery: {retried} unit(s) completed on attempt > 1 (max attempt {max_attempt})"
         )?;
     }
-    writeln!(
-        out,
-        "\nPP̄ over the merged study (harmonic mean of efficiencies):"
-    )?;
+    writeln!(out, "\nPP̄ over the study (harmonic mean of efficiencies):")?;
     for (label, value) in pp_rows(&doc.records) {
         writeln!(out, "  {label:28} {value:.2}")?;
     }
@@ -170,12 +159,7 @@ fn print_summary(
     if !crashed_ids.is_empty() {
         writeln!(out, "\ncrashed units: {}", crashed_ids.join(", "))?;
     }
-    writeln!(
-        out,
-        "\nwrote {} and {}",
-        study_path.display(),
-        manifest_path.display()
-    )?;
+    writeln!(out, "\nwrote {}", study_path.display())?;
     if crashed > 0 {
         writeln!(
             out,

@@ -24,17 +24,17 @@
 //!   worker keeps a crash-surviving recording of its unit spans there
 //!   (`telemetry::flight`).
 //! * [`orchestrator`] — the event loop: per-unit deadlines, bounded
-//!   retries, worker respawn with generation counters, an append-only
-//!   resume journal, and the lossless merge of every worker's
-//!   manifest rows (with [`metrics::Provenance`] of which worker and
-//!   attempt produced each cell).
-//! * [`report`] — `results/STUDY.json` (status per cell, fleet stats,
-//!   the PP̄ table over the merged study).
+//!   retries, worker respawn with generation counters, and an
+//!   append-only resume journal.
+//! * [`report`] — `results/STUDY.json`, the one document a study
+//!   writes: each cell's status, samples and the worker, attempt and
+//!   trace id that produced it, the fleet stats, and the PP̄ table
+//!   over the study.
 //!
 //! The hard invariant, proven by the process-level tests in
 //! `tests/study_proc.rs`: **every unit ends terminal** — measured, a
 //! modelled paper hole, or `crashed` after bounded retries — even
-//! under `--chaos 0.2` worker kills, and the merged manifest accounts
+//! under `--chaos 0.2` worker kills, and the study's records account
 //! for all of them.
 
 pub mod orchestrator;
@@ -45,7 +45,7 @@ pub mod runner;
 pub mod unit;
 pub mod worker;
 
-pub use orchestrator::{merged_manifest, run_study, StudyConfig, StudyOutcome, StudyStats};
+pub use orchestrator::{run_study, StudyConfig, StudyOutcome, StudyStats};
 pub use record::{UnitRecord, UnitStatus};
 pub use report::StudyDoc;
 pub use unit::{paper_units, smoke_units, Scope, StudyUnit};

@@ -20,10 +20,9 @@
 //! write that was in flight when the previous study died).
 
 use crate::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
-use crate::record::{worker_manifest, UnitRecord, UnitStatus};
+use crate::record::{UnitRecord, UnitStatus};
 use crate::runner::run_unit;
 use crate::unit::{Scope, StudyUnit};
-use metrics::{merge_manifests, RunManifest};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -111,13 +110,11 @@ pub struct StudyStats {
     pub peak_rss_kb: u64,
 }
 
-/// A completed study: every unit terminal, manifests merged.
+/// A completed study: every unit terminal.
 #[derive(Debug)]
 pub struct StudyOutcome {
     /// Terminal records in canonical (unit-index) order.
     pub records: Vec<UnitRecord>,
-    /// The lossless merge of every worker's manifest rows.
-    pub merged: RunManifest,
     pub stats: StudyStats,
 }
 
@@ -185,37 +182,10 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, String> {
 
     stats.elapsed_secs = started.elapsed().as_secs_f64();
     debug_assert_eq!(done.len(), units.len());
-    let records: Vec<UnitRecord> = done.into_values().collect();
-    let mut merged = merged_manifest("study", &records);
-    merged.threads = cfg.workers.max(1) as u32;
     Ok(StudyOutcome {
-        records,
-        merged,
+        records: done.into_values().collect(),
         stats,
     })
-}
-
-/// Merge per-worker manifest parts losslessly, then order kernels by
-/// canonical unit index so the result is independent of completion
-/// order and worker count.
-pub fn merged_manifest(name: &str, records: &[UnitRecord]) -> RunManifest {
-    let mut by_worker: BTreeMap<u32, Vec<&UnitRecord>> = BTreeMap::new();
-    for r in records {
-        by_worker.entry(r.worker).or_default().push(r);
-    }
-    let parts: Vec<RunManifest> = by_worker
-        .iter()
-        .map(|(&w, recs)| worker_manifest(name, w, recs))
-        .collect();
-    let mut merged = merge_manifests(name, &parts);
-    let order: BTreeMap<String, usize> = records
-        .iter()
-        .map(|r| (format!("study/{}", r.id()), r.unit.index))
-        .collect();
-    merged
-        .kernels
-        .sort_by_key(|k| order.get(&k.name).copied().unwrap_or(usize::MAX));
-    merged
 }
 
 // ---------------------------------------------------------------- fleet
@@ -602,7 +572,7 @@ mod tests {
     use super::*;
     use crate::record::UnitStatus;
 
-    /// Serial mode exercises journal/merge plumbing without processes
+    /// Serial mode exercises journal plumbing without processes
     /// (the multi-process paths live in `tests/study_proc.rs`).
     #[test]
     fn serial_study_completes_every_unit() {
@@ -616,7 +586,6 @@ mod tests {
             assert_eq!(&r.unit, u, "records in canonical order");
             assert!(!matches!(r.status, UnitStatus::Crashed));
         }
-        assert_eq!(out.merged.kernels.len(), units.len());
         assert!(out.stats.busy_secs > 0.0);
     }
 
@@ -677,23 +646,5 @@ mod tests {
         prepare_flight_dir(&nested, false).unwrap();
         assert!(nested.is_dir());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merged_manifest_is_ordered_by_unit_index() {
-        let mut cfg = StudyConfig::new(Scope::Smoke);
-        cfg.workers = 0;
-        cfg.reps = 1;
-        let out = run_study(&cfg).unwrap();
-        let names: Vec<&str> = out.merged.kernels.iter().map(|k| k.name.as_str()).collect();
-        let expected: Vec<String> = cfg
-            .units()
-            .iter()
-            .map(|u| format!("study/{}", u.id()))
-            .collect();
-        assert_eq!(
-            names,
-            expected.iter().map(|s| s.as_str()).collect::<Vec<_>>()
-        );
     }
 }

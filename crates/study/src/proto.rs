@@ -144,7 +144,7 @@ pub enum Msg {
     /// the version handshake).
     Hello { worker: u32, pid: u32, proto: u32 },
     /// Execute one unit. `trace` is the orchestrator-stamped causal
-    /// trace id carried through spans, flight events, and manifests.
+    /// trace id carried through spans, flight events, and records.
     Run {
         unit: StudyUnit,
         attempt: u32,

@@ -1,14 +1,12 @@
-//! The terminal result of one study unit, as journaled and merged.
+//! The terminal result of one study unit, as journaled and reported.
 //!
 //! A [`UnitRecord`] is the unit of crash-tolerance: it is written to
 //! the journal the moment it becomes terminal (measured, a paper hole,
 //! or exhausted after bounded retries), it is what a resumed study
-//! skips, and it is the row from which the merged [`RunManifest`] is
-//! rebuilt — carrying [`Provenance`] of which worker and attempt
-//! produced it.
+//! skips, and it is the row `STUDY.json` reports — carrying which
+//! worker, attempt and trace produced it.
 
 use crate::unit::{unit_from_wire, StudyUnit};
-use metrics::{Histogram, KernelSummary, Provenance, RunManifest};
 use sycl_sim::FailureKind;
 use telemetry::json::{self, Json, JsonWriter};
 
@@ -184,52 +182,6 @@ impl UnitRecord {
             gbps: j.f64_of("gbps"),
         })
     }
-
-    /// The manifest row this record contributes: kernel `study/<id>`
-    /// with the wall-clock samples (empty for holes/crashes, so *every*
-    /// unit is accounted for in the merged manifest) and the worker/
-    /// attempt provenance.
-    pub fn kernel_summary(&self) -> KernelSummary {
-        let mut h = Histogram::new();
-        for &s in &self.samples {
-            h.record(s);
-        }
-        KernelSummary {
-            name: format!("study/{}", self.id()),
-            wall: h.summary(),
-            samples: self.samples.clone(),
-            sim_secs: self.sim_secs.unwrap_or(0.0),
-            bytes: 0.0,
-            gbps: self.gbps.unwrap_or(0.0),
-            origin: Some(Provenance {
-                worker: self.worker,
-                attempt: self.attempt,
-                trace: self.trace,
-            }),
-        }
-    }
-}
-
-/// Build one worker's partial manifest from the records it produced.
-pub fn worker_manifest(study_name: &str, worker: u32, records: &[&UnitRecord]) -> RunManifest {
-    let reps = records.iter().map(|r| r.samples.len()).max().unwrap_or(0);
-    RunManifest {
-        name: format!("{study_name}-w{worker}"),
-        git_rev: metrics::manifest::git_rev(),
-        platform: "cross-product".into(),
-        threads: 1,
-        repetitions: reps as u32,
-        created_unix_secs: now_unix(),
-        kernels: records.iter().map(|r| r.kernel_summary()).collect(),
-        counters: Default::default(),
-    }
-}
-
-pub(crate) fn now_unix() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -275,46 +227,5 @@ mod tests {
             ..hole.clone()
         };
         assert_eq!(UnitRecord::parse(&crashed.to_json()).unwrap(), crashed);
-    }
-
-    #[test]
-    fn kernel_summary_carries_provenance_and_accounts_for_holes() {
-        let r = sample_record();
-        let k = r.kernel_summary();
-        assert_eq!(k.name, format!("study/{}", r.id()));
-        assert_eq!(
-            k.origin,
-            Some(Provenance {
-                worker: 2,
-                attempt: 3,
-                trace: 11,
-            })
-        );
-        assert_eq!(k.wall.count, 2);
-
-        let hole = UnitRecord {
-            status: UnitStatus::Hole(FailureKind::Unsupported),
-            samples: vec![],
-            ..sample_record()
-        };
-        let k = hole.kernel_summary();
-        assert_eq!(k.wall.count, 0, "holes still appear, with empty walls");
-    }
-
-    #[test]
-    fn worker_manifests_group_rows() {
-        let a = sample_record();
-        let m = worker_manifest("study", 2, &[&a]);
-        assert_eq!(m.name, "study-w2");
-        assert_eq!(m.kernels.len(), 1);
-        let back = RunManifest::parse(&m.to_json()).unwrap();
-        assert_eq!(
-            back.kernels[0].origin,
-            Some(Provenance {
-                worker: 2,
-                attempt: 3,
-                trace: 11,
-            })
-        );
     }
 }

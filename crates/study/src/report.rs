@@ -107,7 +107,7 @@ impl StudyDoc {
     }
 }
 
-/// The Pennycook–Sewall PP̄ table over the merged study: the same
+/// The Pennycook–Sewall PP̄ table over the study: the same
 /// [`portability::pp_rows`] that `bench_harness::summary_stats` reports
 /// for the paper's §4.4, over the journaled records, so it covers
 /// exactly what this study ran (a crashed unit has no efficiency).

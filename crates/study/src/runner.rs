@@ -2,11 +2,11 @@
 //!
 //! The measurement itself is `portability::measure_structured` /
 //! `measure_mgcfd` — the same dry-run pricing the paper table uses —
-//! repeated `reps` times so the merged manifest carries a wall-clock
-//! distribution per cell. The *simulated* quantities (runtime,
-//! efficiency, GB/s) are deterministic; only the wall-clock samples
-//! vary between runs, which is exactly the "identical modulo timing
-//! samples" determinism contract the merge layer tests.
+//! repeated `reps` times so each record carries a wall-clock sample
+//! per repetition. The *simulated* quantities (runtime, efficiency,
+//! GB/s) are deterministic; only the wall-clock samples vary between
+//! runs, which is exactly the "identical modulo timing samples"
+//! determinism contract `tests/study_proc.rs` checks.
 
 use crate::record::{UnitRecord, UnitStatus};
 use crate::unit::StudyUnit;

@@ -7,10 +7,9 @@
 //! invalid documents, and [`parse`], a std-only recursive-descent
 //! parser into a plain [`Json`] tree — strict enough for the writer's
 //! output (UTF-8, finite numbers, `\uXXXX` escapes), with a depth limit
-//! so a malformed file cannot blow the stack. Manifests, the study
-//! protocol and the dashboard read JSON back through it; [`validate`]
-//! is a parse that discards the tree. `bench_harness::json` re-exports
-//! the writer and [`validate`] for the harness binaries.
+//! so a malformed file cannot blow the stack. The study protocol and
+//! the dashboard read JSON back through it; [`validate`] is a parse
+//! that discards the tree.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -3,53 +3,52 @@
 //! The study runner's worker protocol ships JSON documents over pipes
 //! in length-prefixed frames. A crashing or killed worker can leave the
 //! orchestrator holding *partially received* bytes, and a buggy peer
-//! can claim absurd lengths — so the value parser behind
-//! `RunManifest::parse` must reject every truncation of a valid
-//! document with an error (never a panic or a wrong value), and must
-//! stay robust when fed oversized-but-valid payloads.
+//! can claim absurd lengths — so the value parser must reject every
+//! truncation of a valid document with an error (never a panic or a
+//! wrong value), and must stay robust when fed oversized-but-valid
+//! payloads.
 
-use metrics::{Histogram, KernelSummary, Provenance, RunManifest};
-use telemetry::json::{self, Json};
-use telemetry::CounterSnapshot;
+use telemetry::json::{self, Json, JsonWriter};
 
-/// A realistic study-cell manifest: escapes, provenance, samples.
-fn wire_manifest() -> RunManifest {
-    let samples = vec![1.25e-3, 9.0e-4, 1.5e-3, 1.1e-3];
-    let mut h = Histogram::new();
-    for &s in &samples {
-        h.record(s);
+/// A realistic study-cell document: escapes, provenance, samples.
+fn wire_doc(samples: &[f64]) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("schema").string("sycl-study/v1");
+    w.key("name")
+        .string("study/cloverleaf2d@a100/DPC++ \"ndrange\"");
+    w.key("worker").int(2);
+    w.key("attempt").int(3);
+    w.key("trace").int(41);
+    w.key("simSecs").number(2.75);
+    w.key("bytes").number(1.9e11);
+    w.key("samples").begin_array();
+    for &s in samples {
+        w.number(s);
     }
-    RunManifest {
-        name: "study-shard1of2".into(),
-        git_rev: "abc1234".into(),
-        platform: "cross-product".into(),
-        threads: 4,
-        repetitions: 4,
-        created_unix_secs: 1_750_000_000,
-        kernels: vec![KernelSummary {
-            name: "study/cloverleaf2d@a100/DPC++ \"ndrange\"".into(),
-            wall: h.summary(),
-            samples,
-            sim_secs: 2.75,
-            bytes: 1.9e11,
-            gbps: 69.0,
-            origin: Some(Provenance {
-                worker: 2,
-                attempt: 3,
-                trace: 41,
-            }),
-        }],
-        counters: CounterSnapshot {
-            launches: 88,
-            bytes_moved: 1 << 33,
-            ..Default::default()
-        },
-    }
+    w.end_array();
+    w.key("counters").begin_object();
+    w.key("launches").int(88);
+    w.key("bytes_moved").int(1 << 33);
+    w.end_object();
+    w.end_object();
+    w.finish()
+}
+
+const SAMPLES: [f64; 4] = [1.25e-3, 9.0e-4, 1.5e-3, 1.1e-3];
+
+fn samples_of(doc: &Json) -> Vec<f64> {
+    doc.get("samples")
+        .and_then(Json::as_arr)
+        .expect("samples array")
+        .iter()
+        .map(|v| v.as_f64().expect("numeric sample"))
+        .collect()
 }
 
 #[test]
 fn every_truncation_of_a_manifest_errors_cleanly() {
-    let doc = wire_manifest().to_json();
+    let doc = wire_doc(&SAMPLES);
     // Cut at every byte boundary (skip cuts inside multi-byte UTF-8 —
     // the frame layer delivers whole UTF-8 strings or nothing).
     for cut in 0..doc.len() {
@@ -57,8 +56,7 @@ fn every_truncation_of_a_manifest_errors_cleanly() {
             continue;
         }
         let partial = &doc[..cut];
-        // The value parser must error (a truncated JSON document is
-        // never a complete object)...
+        // A truncated JSON document is never a complete object.
         let err = json::parse(partial).expect_err("truncated doc must not parse");
         assert!(
             err.at <= partial.len(),
@@ -66,11 +64,19 @@ fn every_truncation_of_a_manifest_errors_cleanly() {
             err.at,
             partial.len()
         );
-        // ...and the manifest layer must surface an error, not panic.
-        assert!(RunManifest::parse(partial).is_err());
     }
-    // The untruncated document still round-trips exactly.
-    assert_eq!(RunManifest::parse(&doc).unwrap(), wire_manifest());
+    // The untruncated document parses back to what was written.
+    let back = json::parse(&doc).unwrap();
+    assert_eq!(
+        back.str_of("name"),
+        Some("study/cloverleaf2d@a100/DPC++ \"ndrange\"")
+    );
+    assert_eq!(back.u64_of("trace"), Some(41));
+    assert_eq!(
+        back.get("counters").and_then(|c| c.u64_of("bytes_moved")),
+        Some(1 << 33)
+    );
+    assert_eq!(samples_of(&back), SAMPLES);
 }
 
 #[test]
@@ -93,19 +99,10 @@ fn truncation_inside_escapes_is_an_error_not_a_panic() {
 fn oversized_sample_arrays_parse_without_issue() {
     // A worker streaming a large unit (100k repetition samples) is
     // legitimate; size alone must not break the parser.
-    let mut m = wire_manifest();
     let big: Vec<f64> = (0..100_000).map(|i| 1e-6 + i as f64 * 1e-9).collect();
-    let mut h = Histogram::new();
-    for &s in &big {
-        h.record(s);
-    }
-    m.kernels[0].wall = h.summary();
-    m.kernels[0].samples = big;
-    let doc = m.to_json();
+    let doc = wire_doc(&big);
     assert!(doc.len() > 1_000_000, "document is actually large");
-    let back = RunManifest::parse(&doc).unwrap();
-    assert_eq!(back.kernels[0].samples.len(), 100_000);
-    assert_eq!(back, m);
+    assert_eq!(samples_of(&json::parse(&doc).unwrap()), big);
 }
 
 #[test]
@@ -141,13 +138,13 @@ fn nesting_bombs_error_instead_of_overflowing_the_stack() {
 
 #[test]
 fn garbage_prefixes_and_suffixes_error() {
-    let doc = wire_manifest().to_json();
+    let doc = wire_doc(&SAMPLES);
     for mangled in [
         format!("SYF1{doc}"),            // magic bytes leaked into payload
         format!("{doc}{doc}"),           // two frames glued together
         format!("{doc}\u{0}"),           // NUL-padded short read
         doc.replace("schema", "\u{8}x"), // control chars mid-document
     ] {
-        assert!(RunManifest::parse(&mangled).is_err());
+        assert!(json::parse(&mangled).is_err(), "should reject {mangled:?}");
     }
 }
