@@ -52,21 +52,22 @@ impl Curve {
     }
 }
 
-/// Price one anonymous copy through a session: record a one-node graph,
-/// replay it, and read the comm-clock delta.
+/// Price one anonymous copy through a session: reset its clock, record
+/// a one-node graph, replay it, and read the comm clock. The reset
+/// makes the reading the copy's price exactly, whatever was priced on
+/// the session before.
 fn priced_copy(session: &Session, dir: TransferDir, bytes: f64) -> f64 {
-    let before = session.comm_time();
+    session.reset();
     let mut g = session.record();
     g.transfer_dir(bytes, Vec::new(), dir);
     g.finish().replay(session);
-    session.comm_time() - before
+    session.comm_time()
 }
 
 /// Every platform × allocation × direction curve over `sizes`, pinned
 /// before pageable. D2D has no host allocation, so it has one curve per
 /// platform. One session prices a platform's copies per allocation in
-/// turn, so a price is a difference of its comm clock and depends, in
-/// its last bits, on the copies priced before it.
+/// turn.
 pub fn curves(sizes: &[f64]) -> Vec<Curve> {
     let mut out = Vec::new();
     for p in all_platforms() {

@@ -11,7 +11,11 @@
 //! [`Session::launch`] does — only the locking differs — and phase
 //! spans exist only here. The plan itself is the replay's ledger entry:
 //! commit appends one `Arc` clone of it instead of one record per
-//! launch, while each launch still advances the clock in turn.
+//! launch, while each launch still advances the clock, the boundary
+//! seconds and the effective bytes in turn, through the same inlined
+//! `CommitLocks::launch` an eager launch commits through. That walk
+//! is the only one a dry cell makes over its launches: its boundary
+//! fraction and effective bandwidth read the sums it kept.
 //!
 //! A graph recorded on a dry-run session keeps only the bodies a dry
 //! replay calls: those of reducing kernels, which hand their sink the
@@ -25,8 +29,9 @@
 //! are process-unique, a finished graph is immutable, and a price
 //! depends only on the session's fixed context and the kernel); commit
 //! applies ops in recorded order with the same floating-point
-//! accumulation, the same interning and the same observer ordering, and
-//! every ledger reader walks the entries in that order.
+//! accumulation (into the clock and the running sums alike), the same
+//! interning and the same observer ordering, and every ledger reader
+//! that walks the entries walks them in that order.
 
 use crate::kernel::Kernel;
 use crate::launch::commit::{CommitLocks, Op};
@@ -457,29 +462,28 @@ impl LaunchGraph<'_> {
         // reads its op only for the access list a named write needs.
         let mut locks = CommitLocks::new(session);
         for (i, slot) in plan.iter().enumerate() {
-            let op = match slot {
-                Some(record) => Op::Launch {
-                    record,
-                    meta: if self.writes_named {
-                        self.ops[i].meta()
-                    } else {
-                        None
-                    },
+            if let Some(record) = slot {
+                let meta = if self.writes_named {
+                    self.ops[i].meta()
+                } else {
+                    None
+                };
+                locks.launch(record, meta);
+                continue;
+            }
+            let op = match &self.ops[i] {
+                GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
+                    bytes: *bytes,
+                    dats,
+                    dir: *dir,
                 },
-                None => match &self.ops[i] {
-                    GraphOp::Transfer { bytes, dats, dir } => Op::Transfer {
-                        bytes: *bytes,
-                        dats,
-                        dir: *dir,
-                    },
-                    GraphOp::Exchange {
-                        bytes, messages, ..
-                    } => Op::Exchange {
-                        bytes: *bytes,
-                        messages: *messages,
-                    },
-                    _ => continue,
+                GraphOp::Exchange {
+                    bytes, messages, ..
+                } => Op::Exchange {
+                    bytes: *bytes,
+                    messages: *messages,
                 },
+                _ => continue,
             };
             locks.commit(op);
         }
@@ -888,6 +892,85 @@ mod tests {
             assert_eq!(s.ledger_digest(), eager.ledger_digest(), "{cfg:?}");
         }
         assert_ne!(replayed[0].ledger_digest(), replayed[1].ledger_digest());
+    }
+
+    /// Check the boundary fraction and bandwidth commit keeps as
+    /// running sums against a fresh fold over the ledger's records, by
+    /// bits.
+    fn assert_sums_fold_the_records(s: &Session, at: &str) {
+        let records = s.records();
+        let boundary: f64 = records
+            .iter()
+            .filter(|r| r.boundary)
+            .map(|r| r.time.total)
+            .sum();
+        let bytes: f64 = records.iter().map(|r| r.effective_bytes).sum();
+        drop(records);
+        let elapsed = s.elapsed();
+        let (fraction, bandwidth) = if elapsed > 0.0 {
+            (boundary / elapsed, bytes / elapsed)
+        } else {
+            (0.0, 0.0)
+        };
+        assert_eq!(s.boundary_fraction().to_bits(), fraction.to_bits(), "{at}");
+        assert_eq!(
+            s.effective_bandwidth().to_bits(),
+            bandwidth.to_bits(),
+            "{at}"
+        );
+    }
+
+    #[test]
+    fn running_sums_equal_a_fold_over_the_records() {
+        let triad = Kernel::streaming("triad", 1 << 20, 3e7, 2e6);
+        let halo = Kernel::streaming("halo", 512, 2.0 * 8.0 * 512.0, 0.0);
+        let seen = Arc::new(AtomicUsize::new(0));
+        for s in [session(), dry_session()] {
+            let counter = Arc::clone(&seen);
+            s.set_launch_observer(Some(Arc::new(move |_: &LaunchRecord| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            })));
+            let mut g = s.record();
+            g.launch(&halo, |_| {});
+            g.exchange(1e6, 8);
+            g.launch(&triad, |_| {});
+            let g = g.finish();
+            let mut named = s.record();
+            named.upload_dats(1e6, vec![5]);
+            named.launch_with_meta(halo.clone(), writes(5), |_| {});
+            let named = named.finish();
+
+            // Launches but no boundary launch: a fold reads -0.0 there.
+            for _ in 0..3 {
+                s.launch(&triad, || ());
+            }
+            assert_sums_fold_the_records(&s, "eager, no boundary launch");
+            assert_eq!(s.boundary_fraction().to_bits(), (-0.0f64).to_bits());
+            for _ in 0..2 {
+                g.replay(&s);
+                s.launch(&halo, || ());
+            }
+            assert_sums_fold_the_records(&s, "replays and eager launches");
+            named.replay(&s);
+            s.download(1e6, &[5]);
+            assert!(s.boundary_fraction() > 0.0);
+            assert_sums_fold_the_records(&s, "named-write replay");
+
+            s.reset();
+            assert_sums_fold_the_records(&s, "reset");
+            // Clock time but no launch: both folds are empty.
+            s.transfer(1e6);
+            assert_sums_fold_the_records(&s, "a transfer after reset");
+            assert_eq!(s.effective_bandwidth().to_bits(), (-0.0f64).to_bits());
+            g.replay(&s);
+            named.replay(&s);
+            s.launch(&triad, || ());
+            assert_sums_fold_the_records(&s, "after reset");
+        }
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            2 * (3 + 2 * 3 + 1 + 2 + 1 + 1)
+        );
     }
 
     #[test]

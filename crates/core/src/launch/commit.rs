@@ -5,10 +5,13 @@
 //! charged to the clock. The ledger is a list of entries: an eager
 //! launch appends its one record, a graph replay appends its shared
 //! plan as one entry, while its launches still advance the clock one by
-//! one. [`Session::launch`](crate::Session::launch) commits one op at a
-//! time, graph replay a whole sequence under one `CommitLocks`. Only
-//! when a launch observer is installed are committed records copied
-//! aside; the observer sees them after the locks are released.
+//! one. Next to the clock, each launch adds to two running sums (its
+//! boundary seconds and its effective bytes), so the session's boundary
+//! fraction and effective bandwidth read them without walking the
+//! entries. [`Session::launch`](crate::Session::launch) commits one op
+//! at a time, graph replay a whole sequence under one `CommitLocks`.
+//! Only when a launch observer is installed are committed records
+//! copied aside; the observer sees them after the locks are released.
 
 use crate::launch::price::{CommOp, Plan, PriceCache};
 use crate::launch::record::LaunchMeta;
@@ -44,6 +47,10 @@ impl Entry {
 pub(crate) struct Ledger {
     pub elapsed: f64,
     pub comm_time: f64,
+    /// Priced seconds of the boundary launches, summed in commit order.
+    pub boundary_secs: f64,
+    /// Effective bytes of every launch, summed in commit order.
+    pub effective_bytes: f64,
     entries: Vec<Entry>,
     /// Launch records across `entries`.
     len: usize,
@@ -53,20 +60,34 @@ pub(crate) struct Ledger {
     pub observer: Option<LaunchObserver>,
 }
 
+/// Where the running sums start: `-0.0`, the start of
+/// `Iterator::<f64>::sum`'s fold, so a sum over no launch (or over no
+/// boundary launch) keeps the sign bit a fold over the records gives.
+const EMPTY_SUM: f64 = -0.0;
+
 impl Ledger {
     pub fn new() -> Ledger {
         Ledger {
             elapsed: 0.0,
             comm_time: 0.0,
+            boundary_secs: EMPTY_SUM,
+            effective_bytes: EMPTY_SUM,
             entries: Vec::new(),
             len: 0,
             observer: None,
         }
     }
 
-    /// Advance the clock by one committed launch.
+    /// Advance the clock and the running sums by one committed launch.
+    /// A non-boundary launch leaves `boundary_secs` untouched: adding
+    /// `+0.0` would clear the sign of an empty sum.
+    #[inline]
     pub fn advance(&mut self, record: &LaunchRecord) {
         self.elapsed += record.time.total;
+        if record.boundary {
+            self.boundary_secs += record.time.total;
+        }
+        self.effective_bytes += record.effective_bytes;
     }
 
     /// Append one eager launch's record.
@@ -97,23 +118,20 @@ impl Ledger {
         self.entries.iter().flat_map(Entry::slots).flatten()
     }
 
-    /// Zero the clock and drop every entry.
+    /// Zero the clock and the running sums and drop every entry.
     pub fn clear(&mut self) {
         self.elapsed = 0.0;
         self.comm_time = 0.0;
+        self.boundary_secs = EMPTY_SUM;
+        self.effective_bytes = EMPTY_SUM;
         self.entries.clear();
         self.len = 0;
     }
 }
 
-/// One op as the commit stage sees it. Launches arrive priced as their
-/// ledger record; `meta` is the declared access set of a recorded launch
-/// (eager launches declare none, so they never change residency).
+/// One data-movement op as the commit stage sees it. Launches commit
+/// through [`CommitLocks::launch`] instead.
 pub(crate) enum Op<'o> {
-    Launch {
-        record: &'o LaunchRecord,
-        meta: Option<&'o LaunchMeta>,
-    },
     Transfer {
         bytes: f64,
         dats: &'o [u32],
@@ -163,25 +181,31 @@ impl<'s> CommitLocks<'s> {
         (cache, residency)
     }
 
-    /// Commit one op. A launch advances the clock but appends nothing:
-    /// the caller appends its record (or its replay's plan) with
-    /// [`CommitLocks::push_launch`] or [`CommitLocks::push_plan`]. A
-    /// launch's record is copied for the observer, if one is installed,
-    /// until [`CommitLocks::release`] delivers it.
+    /// Commit one priced launch. `meta` is the declared access set of a
+    /// recorded launch (eager launches declare none, so they never
+    /// change residency). The launch advances the clock and the running
+    /// sums but appends nothing: the caller appends its record (or its
+    /// replay's plan) with [`CommitLocks::push_launch`] or
+    /// [`CommitLocks::push_plan`]. The record is copied for the
+    /// observer, if one is installed, until [`CommitLocks::release`]
+    /// delivers it.
+    #[inline]
+    pub fn launch(&mut self, record: &LaunchRecord, meta: Option<&LaunchMeta>) {
+        if let Some(meta) = meta {
+            self.cache_and_residency().1.apply_launch(meta);
+        }
+        self.ledger.advance(record);
+        if self.observer.is_some() {
+            self.observed.push(record.clone());
+        }
+    }
+
+    /// Commit one transfer or exchange: price it (unless residency
+    /// elides a transfer) and charge it to the clock.
     pub fn commit(&mut self, op: Op<'_>) {
         let session = self.session;
         let pinned = session.config().pinned_transfers;
         let t = match op {
-            Op::Launch { record, meta } => {
-                if let Some(meta) = meta {
-                    self.cache_and_residency().1.apply_launch(meta);
-                }
-                self.ledger.advance(record);
-                if self.observer.is_some() {
-                    self.observed.push(record.clone());
-                }
-                return;
-            }
             Op::Transfer { bytes, dats, dir } => {
                 let (cache, residency) = self.cache_and_residency();
                 if !residency.apply_transfer(dir, dats) {

@@ -252,11 +252,65 @@ mod tests {
 
     #[test]
     fn fingerprint_separates_shape_and_name() {
+        use machine_model::{
+            AccessProfile, AtomicKind, AtomicProfile, IndirectProfile, Precision, StencilProfile,
+        };
         let a = Kernel::streaming("k", 1 << 10, 1e4, 0.0);
         let b = Kernel::streaming("k", 1 << 12, 1e4, 0.0);
         let c = Kernel::streaming("j", 1 << 10, 1e4, 0.0);
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&c));
         assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
+
+        // Each small field, changed alone, changes the key.
+        let atomics = |kind| {
+            Some(AtomicProfile {
+                updates: 1 << 10,
+                kind,
+            })
+        };
+        let mut base = a.clone();
+        base.footprint.atomics = atomics(AtomicKind::CasLoop);
+        let vary = |f: &dyn Fn(&mut Kernel)| {
+            let mut k = base.clone();
+            f(&mut k);
+            k
+        };
+        let variants = [
+            vary(&|k| k.footprint.precision = Precision::F32),
+            vary(&|k| {
+                k.footprint.access = AccessProfile::Stencil(StencilProfile {
+                    domain: [0; 3],
+                    radius: [0; 3],
+                    dats_read: 0,
+                    dats_written: 0,
+                })
+            }),
+            vary(&|k| {
+                k.footprint.access = AccessProfile::Indirect(IndirectProfile {
+                    from_size: 0,
+                    to_size: 0,
+                    arity: 0.0,
+                    locality: 0.0,
+                    indirect_bytes_per_item: 0.0,
+                })
+            }),
+            vary(&|k| k.footprint.atomics = None),
+            vary(&|k| k.footprint.atomics = atomics(AtomicKind::NativeFp)),
+            vary(&|k| k.traits.stride_one_inner ^= true),
+            vary(&|k| k.traits.indirect_writes ^= true),
+            vary(&|k| k.traits.complex_body ^= true),
+            vary(&|k| k.traits.hard_on_neon ^= true),
+            vary(&|k| k.nd_shape = Some([0; 3])),
+            vary(&|k| k.footprint.reductions = 1),
+        ];
+        let key = fingerprint(&base);
+        for (i, v) in variants.iter().enumerate() {
+            assert_ne!(fingerprint(v), key, "variant {i} kept the base key");
+        }
+        let mut keys: Vec<u64> = variants.iter().map(fingerprint).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), variants.len(), "every variant has its own key");
     }
 }

@@ -289,10 +289,7 @@ impl Session {
         // they leave residency alone.
         let record = self.price_launch(&mut self.cache.lock(), kernel, fingerprint(kernel));
         let mut locks = CommitLocks::new(self);
-        locks.commit(Op::Launch {
-            record: &record,
-            meta: None,
-        });
+        locks.launch(&record, None);
         locks.push_launch(record.clone());
         locks.release();
         (execute(&record, body), record.time)
@@ -426,17 +423,13 @@ impl Session {
 
     /// Fraction of simulated time spent in boundary-style loops — the
     /// quantity the paper uses to expose launch overheads.
+    /// Reads the boundary seconds commit sums, so it costs one lock.
     pub fn boundary_fraction(&self) -> f64 {
         let led = self.ledger.lock();
         if led.elapsed <= 0.0 {
             return 0.0;
         }
-        let b: f64 = led
-            .records()
-            .filter(|r| r.boundary)
-            .map(|r| r.time.total)
-            .sum();
-        b / led.elapsed
+        led.boundary_secs / led.elapsed
     }
 
     /// Aggregate (kernel name → total seconds, launches), sorted by cost,
@@ -449,12 +442,12 @@ impl Session {
     }
 
     /// Weighted-average effective bandwidth over all launches
-    /// (the OP2 §4.3 reporting rule), bytes/s.
+    /// (the OP2 §4.3 reporting rule), bytes/s. Reads the effective
+    /// bytes commit sums, so it costs one lock.
     pub fn effective_bandwidth(&self) -> f64 {
         let led = self.ledger.lock();
-        let bytes: f64 = led.records().map(|r| r.effective_bytes).sum();
         if led.elapsed > 0.0 {
-            bytes / led.elapsed
+            led.effective_bytes / led.elapsed
         } else {
             0.0
         }
@@ -467,13 +460,8 @@ impl Session {
     pub fn explain(&self) -> String {
         let led = self.ledger.lock();
         let total = led.elapsed.max(1e-30);
-        let boundary: f64 = led
-            .records()
-            .filter(|r| r.boundary)
-            .map(|r| r.time.total)
-            .sum();
         let bfrac = if led.elapsed > 0.0 {
-            boundary / led.elapsed
+            led.boundary_secs / led.elapsed
         } else {
             0.0
         };

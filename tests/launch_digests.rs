@@ -10,9 +10,10 @@
 //! paste the table the failure message prints over `PINNED`.
 //!
 //! `TRANSFER_PINNED` does the same for data movement: the priced seconds
-//! of one 64 MiB copy on each platform's link, per direction and host
-//! allocation, so a failure names the exact link that moved. Every
-//! other ladder size is held to the interconnect model.
+//! of the transfer ladder's 64 MiB copy on each platform's link, per
+//! direction and host allocation, so a failure names the exact link that
+//! moved. Every ladder point is held bit-equal to the interconnect
+//! model.
 
 use miniapps::{Acoustic, App, CloverLeaf2d, CloverLeaf3d, Mgcfd, OpenSbli, Rtm, SbliVariant};
 use op2_dsl::Ordering;
@@ -181,53 +182,55 @@ fn every_app_reproduces_its_pinned_launch_digests() {
 
 const TRANSFER_PINNED: &[&str] = &[
     "a100/h2d/pinned secs=3f661278970247fe",
-    "a100/d2h/pinned secs=3f66fd0895bcac2e",
-    "a100/d2d/device secs=3f11c9808a675180",
+    "a100/d2h/pinned secs=3f66fd0895bcac2f",
+    "a100/d2d/device secs=3f11c9808a675162",
     "a100/h2d/pageable secs=3f7907a4f242c118",
-    "a100/d2h/pageable secs=3f7b875c349c2f70",
+    "a100/d2h/pageable secs=3f7b875c349c2f6f",
     "mi250x/h2d/pinned secs=3f5eb07f82c3fa5e",
     "mi250x/d2h/pinned secs=3f603e3656b95a64",
     "mi250x/d2d/device secs=3f125a2948092460",
     "mi250x/h2d/pageable secs=3f73abc6ab76c949",
-    "mi250x/d2h/pageable secs=3f752e6ae1a195d3",
+    "mi250x/d2h/pageable secs=3f752e6ae1a195d2",
     "max1100/h2d/pinned secs=3f66149175f65ebc",
     "max1100/d2h/pinned secs=3f67fe170400ed0c",
-    "max1100/d2d/device secs=3f1cc1235ca68e00",
+    "max1100/d2d/device secs=3f1cc1235ca68dfc",
     "max1100/h2d/pageable secs=3f76f398aa7245d9",
     "max1100/d2h/pageable secs=3f7908b161bccc77",
     "xeon8360y/h2d/pinned secs=3f3dbfd206746659",
     "xeon8360y/d2h/pinned secs=3f3dbfd206746659",
-    "xeon8360y/d2d/device secs=3f2dc8358244c14c",
+    "xeon8360y/d2d/device secs=3f2dc8358244c150",
     "xeon8360y/h2d/pageable secs=3f3dbfd206746659",
     "xeon8360y/d2h/pageable secs=3f3dbfd206746659",
     "genoax/h2d/pinned secs=3f2f6c95838a82f8",
     "genoax/d2h/pinned secs=3f2f6c95838a82f8",
-    "genoax/d2d/device secs=3f1f7d5c7b2b38e8",
+    "genoax/d2d/device secs=3f1f7d5c7b2b38e5",
     "genoax/h2d/pageable secs=3f2f6c95838a82f8",
     "genoax/d2h/pageable secs=3f2f6c95838a82f8",
     "altra/h2d/pinned secs=3f4a5a1c23502b4e",
     "altra/d2h/pinned secs=3f4a5a1c23502b4e",
-    "altra/d2d/device secs=3f3a5e4de13858c8",
+    "altra/d2d/device secs=3f3a5e4de13858ca",
     "altra/h2d/pageable secs=3f4a5a1c23502b4e",
     "altra/d2h/pageable secs=3f4a5a1c23502b4e",
 ];
 
 /// Every point of the transfer curves `TRANSFER.json` reports
 /// ([`bench_harness::transfer::curves`]: each link priced through the
-/// session's comm path) must equal the interconnect model, and a
-/// 64 MiB copy per link is pinned by bits: a change to how transfers
-/// are recorded, replayed or committed that leaves the model alone
-/// still fails here.
+/// session's comm path) must equal the interconnect model bit for bit,
+/// and the ladder's 64 MiB copy per link is pinned by bits: a change to
+/// how transfers are recorded, replayed or committed that leaves the
+/// model alone still fails here.
 #[test]
 fn every_transfer_reproduces_its_pinned_price() {
     use bench_harness::transfer::{curves, LADDER};
-    for c in curves(&LADDER) {
+    const PINNED_BYTES: f64 = 64.0 * 1024.0 * 1024.0;
+    let curves = curves(&LADDER);
+    for c in &curves {
         let link = machine_model::Platform::get(c.platform).interconnect;
         for &(bytes, secs) in &c.points {
             let model = link.transfer_time(c.dir, c.pinned, bytes);
-            let drift = (secs - model).abs() / model;
-            assert!(
-                drift <= 1e-9,
+            assert_eq!(
+                secs.to_bits(),
+                model.to_bits(),
                 "{}/{}/{} {bytes} B: priced at {secs:e} s but the interconnect model says {model:e} s",
                 c.platform.label(),
                 c.dir.label(),
@@ -235,10 +238,14 @@ fn every_transfer_reproduces_its_pinned_price() {
             );
         }
     }
-    let got: Vec<String> = curves(&[64.0 * 1024.0 * 1024.0])
+    let got: Vec<String> = curves
         .iter()
         .map(|c| {
-            let (_, secs) = c.points[0];
+            let &(_, secs) = c
+                .points
+                .iter()
+                .find(|&&(bytes, _)| bytes == PINNED_BYTES)
+                .expect("the ladder has a 64 MiB point");
             let (p, d, a) = (c.platform.label(), c.dir.label(), c.alloc());
             format!("{p}/{d}/{a} secs={:016x}", secs.to_bits())
         })
