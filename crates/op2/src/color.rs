@@ -99,8 +99,12 @@ pub struct HierColoring {
     pub block_color: Vec<u32>,
     /// Blocks grouped by colour.
     pub blocks_by_color: Vec<Vec<u32>>,
-    /// Intra-block colour of each element (execution order inside a
-    /// block follows these colours).
+    /// Intra-block colour of each element: no two elements of one
+    /// block with the same colour share a target. Execution does not
+    /// read them (a block runs its elements serially, in index order);
+    /// they are the block-local plan that
+    /// [`Self::first_intra_conflict`] validates and `max_intra_colors`
+    /// summarises.
     pub intra_color: Vec<u32>,
     /// Max intra-block colours over all blocks.
     pub max_intra_colors: usize,

@@ -1,5 +1,7 @@
 //! Mapping tables between sets.
 
+use parkit::global_pool;
+
 /// A fixed-arity mapping from one set to another (e.g. edge → 2 vertices).
 #[derive(Debug, Clone)]
 pub struct Map {
@@ -30,6 +32,9 @@ fn close_in_windows(t: &[u32], width: usize) -> usize {
         })
         .sum()
 }
+
+/// Windows per pool chunk of [`Map::locality`]'s count.
+const WINDOW_CHUNK: usize = 1 << 16;
 
 impl Map {
     /// Build a map; panics if the table shape or entries are invalid.
@@ -119,8 +124,17 @@ impl Map {
         let short = (self.arity..head)
             .filter(|&k| t[..k].iter().any(|&r| near(r, t[k])))
             .count();
-        // Every later target sees a full window.
-        let full = close_in_windows(t, window);
+        // Every later target sees a full window. The windows are
+        // counted in pool chunks; the counts are integers, so their sum
+        // is exact in any order.
+        let n_windows = t.len().saturating_sub(window);
+        let full = global_pool().reduce(
+            n_windows,
+            WINDOW_CHUNK,
+            0,
+            |a, b| a + b,
+            |r| close_in_windows(&t[r.start..r.end + window], window),
+        );
         let total = t.len() - self.arity;
         if total == 0 {
             1.0

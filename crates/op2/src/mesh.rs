@@ -9,6 +9,28 @@
 //! coordinates and mapping tables only), with controllable ordering.
 
 use crate::map::Map;
+use parkit::global_pool;
+
+/// The base of `Mesh::grid`'s coordinate array, shared by the plane
+/// chunks, each of which writes the disjoint set of vertices its plane
+/// numbers.
+#[derive(Clone, Copy)]
+struct Scatter(*mut [f32; 3]);
+
+// SAFETY: the chunks write disjoint elements (see `Scatter::write`).
+unsafe impl Send for Scatter {}
+unsafe impl Sync for Scatter {}
+
+impl Scatter {
+    /// Store `value` at index `v`.
+    ///
+    /// # Safety
+    /// `v` must be in bounds, and no other thread may access index `v`
+    /// while the array is shared.
+    unsafe fn write(self, v: usize, value: [f32; 3]) {
+        *self.0.add(v) = value;
+    }
+}
 
 /// Seeded xorshift64* generator driving the deterministic shuffle below
 /// (replaces an external RNG crate; the exact stream only needs to be
@@ -81,28 +103,42 @@ impl Mesh {
         };
 
         // Edges along i, j and k, counted up front so the table is
-        // allocated once.
-        let n_edges = (ni - 1) * nj * nk + ni * (nj - 1) * nk + ni * nj * (nk - 1);
+        // allocated once. Every k-plane but the last holds `per_plane`
+        // edges, so plane k's slice of the table starts at
+        // `k * per_plane` edges and the planes fill on the pool, one
+        // plane per chunk, in the order a sequential scan would write.
+        let per_plane = (ni - 1) * nj + ni * (nj - 1) + ni * nj;
+        let n_edges = per_plane * (nk - 1) + (ni - 1) * nj + ni * (nj - 1);
         let vid = |i: usize, j: usize, k: usize| perm[(k * nj + j) * ni + i];
-        let mut table: Vec<u32> = Vec::with_capacity(2 * n_edges);
+        let mut table = vec![0u32; 2 * n_edges];
         let mut coords = vec![[0.0f32; 3]; n_vertices];
-        for k in 0..nk {
+        let coords_at = Scatter(coords.as_mut_ptr());
+        global_pool().for_each_chunk(&mut table, 2 * per_plane, |start, plane| {
+            let k = start / (2 * per_plane);
+            let mut out = plane.chunks_exact_mut(2);
+            let mut edge = |a: u32, b: u32| {
+                out.next()
+                    .expect("plane slice holds its edges")
+                    .copy_from_slice(&[a, b])
+            };
             for j in 0..nj {
                 for i in 0..ni {
                     let v = vid(i, j, k);
-                    coords[v as usize] = [i as f32, j as f32, k as f32];
+                    // SAFETY: `perm` is a permutation, so each vertex is
+                    // written by exactly one (i, j, k), in one chunk.
+                    unsafe { coords_at.write(v as usize, [i as f32, j as f32, k as f32]) };
                     if i + 1 < ni {
-                        table.extend_from_slice(&[v, vid(i + 1, j, k)]);
+                        edge(v, vid(i + 1, j, k));
                     }
                     if j + 1 < nj {
-                        table.extend_from_slice(&[v, vid(i, j + 1, k)]);
+                        edge(v, vid(i, j + 1, k));
                     }
                     if k + 1 < nk {
-                        table.extend_from_slice(&[v, vid(i, j, k + 1)]);
+                        edge(v, vid(i, j, k + 1));
                     }
                 }
             }
-        }
+        });
         Mesh {
             n_vertices,
             edges: Map::new("edge2vertex", n_edges, n_vertices, 2, table),

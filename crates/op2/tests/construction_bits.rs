@@ -62,15 +62,30 @@ fn observe() -> Vec<String> {
         .flat_map(|c| big.row(c).iter().map(|&v| (v as u64 * 7919 % n) as u32))
         .collect();
     let strided = Map::new("cell2vertex", big.from_size(), big.to_size(), 8, strided);
-    let coords: Vec<[u32; 3]> = mesh.coords.iter().map(|c| c.map(f32::to_bits)).collect();
+    // Large enough that every parallel split of construction runs on
+    // several pool chunks: 24 k-planes for the table and coordinates,
+    // and a table of 864,768 entries for the locality count.
+    let large = Mesh::grid(96, 64, 24, Ordering::Shuffled(11));
+    let coords =
+        |m: &Mesh| -> Vec<[u32; 3]> { m.coords.iter().map(|c| c.map(f32::to_bits)).collect() };
     vec![
         format!(
             "grid edges={} table={:016x} coords={:016x}",
             mesh.n_edges(),
             table_digest(&mesh.edges),
-            digest(&coords),
+            digest(coords(&mesh)),
         ),
         format!("grid locality={:016x}", mesh.edges.locality().to_bits()),
+        format!(
+            "large grid edges={} table={:016x} coords={:016x}",
+            large.n_edges(),
+            table_digest(&large.edges),
+            digest(coords(&large)),
+        ),
+        format!(
+            "large grid locality={:016x}",
+            large.edges.locality().to_bits()
+        ),
         format!(
             "hex_cells table={:016x} locality={:016x}",
             table_digest(&cells),
@@ -90,6 +105,8 @@ fn observe() -> Vec<String> {
 const PINNED: &[&str] = &[
     "grid edges=14136 table=69e2a0311cc41eef coords=580045d564b8704f",
     "grid locality=3fe022c5f43a5152",
+    "large grid edges=432384 table=c6a1733630843074 coords=434b79ff5e33cb67",
+    "large grid locality=3fdfe76d44454eb5",
     "hex_cells table=df5e899568c45eaf locality=3ff0000000000000",
     "hex_cells/strided locality=3fde9cd04f810011",
     "grid global colors=6 color=e0356c23c327e141 by_color=0cdc5c7dfe75cd1c",
