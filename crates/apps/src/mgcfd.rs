@@ -121,11 +121,17 @@ impl App for Mgcfd {
                     let n = mesh.n_vertices;
                     let mut q = DatU::zeroed("q", n, N_VARS);
                     q.fill_with(|e, c| 1.0 + 0.01 * ((e * 7 + c * 3) % 17) as f64);
+                    // The residual is first read (an atomic add's load, a
+                    // read-modify-write). Writing its zeros first faults
+                    // each page once; a read of an untouched page maps the
+                    // shared zero page, and the write after it faults again.
+                    let mut res = DatU::zeroed("res", n, N_VARS);
+                    res.fill_with(|_, _| 0.0);
                     Level {
                         stats,
                         colored: Some(ColoredMesh::prepare(mesh, scheme, block)),
                         q,
-                        res: DatU::zeroed("res", n, N_VARS),
+                        res,
                     }
                 })
                 .collect()

@@ -5,28 +5,8 @@ use parkit::global_pool;
 use sycl_sim::Real;
 use telemetry::shadow;
 
-/// Values per pool chunk when a field is zeroed or filled (256 KiB of
-/// `f64`). Fields of at most one chunk, every dry-run field among them,
-/// are zeroed and filled on the calling thread.
+/// Values per pool chunk when a field is filled (256 KiB of `f64`).
 const DAT_CHUNK: usize = 1 << 15;
-
-/// `len` zeros, written on the pool in chunks of [`DAT_CHUNK`].
-#[inline(never)]
-fn zeroed_on_pool<T: Real>(len: usize) -> Vec<T> {
-    let mut data = Vec::with_capacity(len);
-    global_pool().for_each_chunk(
-        &mut data.spare_capacity_mut()[..len],
-        DAT_CHUNK,
-        |_, chunk| {
-            for v in chunk {
-                v.write(T::zero());
-            }
-        },
-    );
-    // SAFETY: the region above wrote all `len` values before returning.
-    unsafe { data.set_len(len) };
-    data
-}
 
 /// A field with `dim` components per set element.
 #[derive(Debug, Clone)]
@@ -40,11 +20,7 @@ pub struct DatU<T> {
 }
 
 impl<T: Real> DatU<T> {
-    /// Allocate a zeroed field. A field of more than one pool chunk
-    /// (2^15 values) is zeroed by plain writes on the pool, so
-    /// each page is first touched by a write and faulted once; a read
-    /// first (an atomic add's load, a read-modify-write) would map the
-    /// shared zero page and fault again on the write.
+    /// Allocate a zeroed field.
     pub fn zeroed(name: &str, set_size: usize, dim: usize) -> Self {
         let sid = shadow::register_dat(
             name,
@@ -54,41 +30,29 @@ impl<T: Real> DatU<T> {
                 dim,
             },
         );
-        let len = set_size * dim;
-        let data = if len <= DAT_CHUNK {
-            vec![T::zero(); len]
-        } else {
-            zeroed_on_pool(len)
-        };
         DatU {
             name: name.to_owned(),
             set_size,
             dim,
-            data,
+            data: vec![T::zero(); set_size * dim],
             sid,
         }
     }
 
-    /// Fill from an (element, component) function; a field of more than
-    /// one pool chunk fills on the pool, whole elements per chunk.
+    /// Fill from an (element, component) function, on the pool in
+    /// chunks of whole elements. Each value is written once, so a
+    /// fresh field's pages are first touched by these writes.
     pub fn fill_with(&mut self, f: impl Fn(usize, usize) -> T + Sync) {
         // A zero-dim field holds no values; `max` keeps the chunking valid.
         let dim = self.dim.max(1);
-        let fill = |first: usize, values: &mut [T]| {
+        let grain = (DAT_CHUNK / dim).max(1) * dim;
+        global_pool().for_each_chunk(&mut self.data, grain, |start, values| {
             for (i, row) in values.chunks_exact_mut(dim).enumerate() {
                 for (c, v) in row.iter_mut().enumerate() {
-                    *v = f(first + i, c);
+                    *v = f(start / dim + i, c);
                 }
             }
-        };
-        if self.data.len() <= DAT_CHUNK {
-            fill(0, &mut self.data);
-        } else {
-            let grain = (DAT_CHUNK / dim).max(1) * dim;
-            global_pool().for_each_chunk(&mut self.data, grain, |start, values| {
-                fill(start / dim, values)
-            });
-        }
+        });
         shadow::mark_all_init(self.sid);
     }
 
@@ -387,11 +351,6 @@ mod tests {
                 assert_eq!(d.at(e, c).to_bits(), f(e, c).to_bits(), "({e}, {c})");
             }
         }
-        // A small field keeps the calling thread's path and reads alike.
-        let mut s = DatU::<f32>::zeroed("s", 3, 2);
-        assert_eq!(s.host(), &[0.0; 6]);
-        s.fill_with(|e, c| (10 * e + c) as f32);
-        assert_eq!(s.host(), &[0.0, 1.0, 10.0, 11.0, 20.0, 21.0]);
     }
 
     #[test]
