@@ -36,14 +36,41 @@ pub use mgcfd::Mgcfd;
 pub use opensbli::{OpenSbli, SbliVariant};
 pub use rtm::Rtm;
 
-/// The six structured-mesh apps at paper sizes, figure order.
-pub fn paper_structured_apps() -> Vec<Box<dyn App>> {
-    vec![
-        Box::new(CloverLeaf2d::paper()),
-        Box::new(CloverLeaf3d::paper()),
-        Box::new(OpenSbli::paper(SbliVariant::StoreAll)),
-        Box::new(OpenSbli::paper(SbliVariant::StoreNone)),
-        Box::new(Rtm::paper()),
-        Box::new(Acoustic::paper()),
-    ]
+/// Instantiate an app by its name in `sycl_sim::quirks::apps` at paper
+/// or test size; `None` for any other name.
+pub fn make_app(name: &str, paper: bool) -> Option<Box<dyn App>> {
+    use sycl_sim::quirks::apps::*;
+    Some(match (name, paper) {
+        (CLOVERLEAF2D, true) => Box::new(CloverLeaf2d::paper()),
+        (CLOVERLEAF2D, false) => Box::new(CloverLeaf2d::test()),
+        (CLOVERLEAF3D, true) => Box::new(CloverLeaf3d::paper()),
+        (CLOVERLEAF3D, false) => Box::new(CloverLeaf3d::test()),
+        (OPENSBLI_SA, true) => Box::new(OpenSbli::paper(SbliVariant::StoreAll)),
+        (OPENSBLI_SA, false) => Box::new(OpenSbli::test(SbliVariant::StoreAll)),
+        (OPENSBLI_SN, true) => Box::new(OpenSbli::paper(SbliVariant::StoreNone)),
+        (OPENSBLI_SN, false) => Box::new(OpenSbli::test(SbliVariant::StoreNone)),
+        (RTM, true) => Box::new(Rtm::paper()),
+        (RTM, false) => Box::new(Rtm::test()),
+        (ACOUSTIC, true) => Box::new(Acoustic::paper()),
+        (ACOUSTIC, false) => Box::new(Acoustic::test()),
+        (MGCFD, true) => Box::new(Mgcfd::paper()),
+        (MGCFD, false) => Box::new(Mgcfd::test()),
+        _ => return None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use sycl_sim::quirks::apps;
+
+    #[test]
+    fn every_app_name_resolves_at_both_sizes_to_its_own_app() {
+        for name in apps::ALL {
+            for paper in [true, false] {
+                let app = super::make_app(name, paper).expect("a paper app name");
+                assert_eq!(app.name(), name);
+            }
+        }
+        assert!(super::make_app("lulesh", true).is_none());
+    }
 }

@@ -3,7 +3,7 @@
 //! cost ordering (interior sweeps dominate, boundary loops are flagged).
 
 use miniapps::App;
-use sycl_sim::{PlatformId, Scheme, Session, SessionConfig, Toolchain};
+use sycl_sim::{quirks::apps, PlatformId, Scheme, Session, SessionConfig, Toolchain};
 
 fn dry(app: &str, scheme: Option<Scheme>) -> Session {
     let mut cfg = SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
@@ -148,7 +148,8 @@ fn explain_output_shows_the_costliest_kernel_first() {
 #[test]
 fn every_app_prices_identically_across_repeat_runs() {
     // Determinism of the whole pricing pipeline.
-    for app in miniapps::paper_structured_apps() {
+    for name in apps::STRUCTURED {
+        let app = miniapps::make_app(name, true).expect("a paper app");
         let t1 = {
             let s = dry(app.name(), None);
             app.run(&s).elapsed

@@ -75,14 +75,7 @@ fn transfers_and_exchanges_are_nonzero_on_every_platform() {
         PlatformId::Max1100 => Toolchain::Dpcpp,
         _ => Toolchain::OpenMp,
     };
-    for p in [
-        PlatformId::A100,
-        PlatformId::Mi250x,
-        PlatformId::Max1100,
-        PlatformId::Xeon8360Y,
-        PlatformId::GenoaX,
-        PlatformId::Altra,
-    ] {
+    for p in PlatformId::ALL {
         let s = Session::create(
             SessionConfig::new(p, toolchain_for(p))
                 .app("cloverleaf2d")

@@ -196,9 +196,8 @@ pub fn block_size_sweep_text() -> String {
 /// deviation of the best variant's efficiency over the structured apps,
 /// summed in the table's app order.
 pub fn consistency_rows(table: &[Measurement]) -> Vec<(PlatformId, f64, f64)> {
-    portability::gpu_platforms()
+    PlatformId::ALL
         .into_iter()
-        .chain(portability::cpu_platforms())
         .map(|p| {
             let mut best_per_app: Vec<(&str, f64)> = Vec::new();
             for m in table

@@ -22,7 +22,7 @@
 //! when any `Error`-severity diagnostic was found; 0 otherwise.
 
 use bench_harness::cli::Cli;
-use bench_harness::{native_toolchain, reports, APP_NAMES};
+use bench_harness::{native_toolchain, reports};
 use verify::{report, Severity};
 
 const CLI: Cli = Cli {
@@ -36,17 +36,7 @@ fn main() {
     let flags = CLI.from_env();
     let deny_warnings = flags.has("--deny-warnings");
     let platform = CLI.platform(&flags);
-    let apps: Vec<&str> = match flags.value("--app") {
-        Some(name) if APP_NAMES.contains(&name) => vec![name],
-        Some(name) => {
-            eprintln!(
-                "unknown app {name:?}; expected one of {}",
-                APP_NAMES.join(", ")
-            );
-            std::process::exit(2);
-        }
-        None => APP_NAMES.to_vec(),
-    };
+    let apps = CLI.apps(&flags);
 
     let mut failing = false;
     for app in apps {

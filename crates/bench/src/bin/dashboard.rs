@@ -42,10 +42,11 @@ use std::path::{Path, PathBuf};
 
 use bench_harness::cli::Cli;
 use bench_harness::hist::Histogram;
-use bench_harness::{make_app, native_toolchain, reports, transfer, APP_NAMES};
+use bench_harness::{native_toolchain, reports, transfer};
 use machine_model::Platform;
-use portability::{cpu_platforms, gpu_platforms, paper_measurements, pennycook, Measurement};
-use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
+use miniapps::make_app;
+use portability::{paper_measurements, pennycook, Measurement};
+use sycl_sim::{quirks::apps, PlatformId, Scheme, Session, SessionConfig};
 use telemetry::export::KernelAgg;
 use telemetry::json::{self, Json};
 use telemetry::{CounterSnapshot, Event, TelemetryConfig};
@@ -79,12 +80,12 @@ fn main() {
     let apps: Vec<String> = flags
         .value("--apps")
         .map(|s| s.split(',').map(|a| a.trim().to_owned()).collect())
-        .unwrap_or_else(|| APP_NAMES.iter().map(|s| (*s).to_owned()).collect());
+        .unwrap_or_else(|| apps::ALL.iter().map(|s| (*s).to_owned()).collect());
     let out = flags.value("--out").unwrap_or("results/DASHBOARD.html");
 
     for a in &apps {
-        if !APP_NAMES.contains(&a.as_str()) {
-            eprintln!("unknown app {a:?}; expected one of {APP_NAMES:?}");
+        if !apps::ALL.contains(&a.as_str()) {
+            eprintln!("unknown app {a:?}; expected one of {:?}", apps::ALL);
             std::process::exit(2);
         }
     }
@@ -102,9 +103,8 @@ fn main() {
         Vec::new()
     } else {
         let table = paper_measurements();
-        gpu_platforms()
+        PlatformId::ALL
             .into_iter()
-            .chain(cpu_platforms())
             .map(|p| {
                 (
                     p,
@@ -638,7 +638,7 @@ fn render_data_movement(h: &mut String) {
          The historic model gave the orange share away for free.</p>\
          <div class=\"panels\">",
     );
-    for app in APP_NAMES {
+    for app in apps::ALL {
         let rows: Vec<&transfer::AppSplit> = splits.iter().filter(|s| s.app == app).collect();
         let max_total = rows.iter().map(|s| s.total_secs).fold(1e-12f64, f64::max);
         const W: f64 = 380.0;
@@ -929,7 +929,7 @@ fn render_graphlint(h: &mut String) {
          hazards, halo-exchange coverage, dead code and fusion \
          candidates with modelled savings.</p>",
     );
-    let linted: Vec<(&str, Vec<Diagnostic>)> = APP_NAMES
+    let linted: Vec<(&str, Vec<Diagnostic>)> = apps::ALL
         .iter()
         .map(|&app| {
             let runs = reports::lint(app, PlatformId::A100).expect("paper apps run on the A100");

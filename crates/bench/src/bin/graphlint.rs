@@ -31,7 +31,7 @@
 //! warning under `--deny-warnings`) was found; 0 otherwise.
 
 use bench_harness::cli::Cli;
-use bench_harness::{native_toolchain, reports, APP_NAMES};
+use bench_harness::{native_toolchain, reports};
 use verify::dataflow::cross_check;
 use verify::{report, Diagnostic, Severity};
 
@@ -47,17 +47,7 @@ fn main() {
     let deny_warnings = flags.has("--deny-warnings");
     let do_cross = flags.has("--cross-check");
     let platform = CLI.platform(&flags);
-    let apps: Vec<&str> = match flags.value("--app") {
-        Some(name) if APP_NAMES.contains(&name) => vec![name],
-        Some(name) => {
-            eprintln!(
-                "unknown app {name:?}; expected one of {}",
-                APP_NAMES.join(", ")
-            );
-            std::process::exit(2);
-        }
-        None => APP_NAMES.to_vec(),
-    };
+    let apps = CLI.apps(&flags);
     let does_not_run = |app: &str, fail| -> ! {
         eprintln!("{app} does not run on {}: {fail}", platform.label());
         std::process::exit(2);

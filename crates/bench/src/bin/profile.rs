@@ -25,7 +25,8 @@
 //! without its value prints the usage and exits 2.
 
 use bench_harness::cli::Cli;
-use bench_harness::{make_app, native_toolchain, write_results_file};
+use bench_harness::{native_toolchain, write_results_file};
+use miniapps::make_app;
 use sycl_sim::{Scheme, Session, SessionConfig};
 use telemetry::json::{validate, JsonWriter};
 use telemetry::TelemetryConfig;

@@ -8,7 +8,7 @@
 //! still passes a deleted flag fails instead of running as if the flag
 //! were absent.
 
-use sycl_sim::PlatformId;
+use sycl_sim::{quirks::apps, PlatformId};
 
 /// The flags one tool accepts.
 pub struct Cli {
@@ -72,6 +72,21 @@ impl Cli {
             None => PlatformId::A100,
             Some(label) => PlatformId::parse(label)
                 .unwrap_or_else(|| self.fail(&format!("unknown platform {label:?}"))),
+        }
+    }
+
+    /// The app `--app` names, or every app when it is absent. An
+    /// unknown name is a usage error.
+    pub fn apps(&self, flags: &Flags) -> Vec<&'static str> {
+        let Some(name) = flags.value("--app") else {
+            return apps::ALL.to_vec();
+        };
+        match apps::ALL.into_iter().find(|&a| a == name) {
+            Some(app) => vec![app],
+            None => self.fail(&format!(
+                "unknown app {name:?}; expected one of {}",
+                apps::ALL.join(", ")
+            )),
         }
     }
 }

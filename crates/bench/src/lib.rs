@@ -29,8 +29,6 @@
 //! `BENCH_engine.json` (the [`manifest`] `engine_bench` writes),
 //! `PROFILE_<app>.json`, `STUDY.json` and `DASHBOARD.html` (whose
 //! scheduler table summarises region spans with a [`hist::Histogram`]).
-//! The same functions are exercised by the benches in
-//! `benches/figures.rs`.
 
 pub mod ablation;
 pub mod cli;
@@ -45,7 +43,7 @@ use portability::{
 };
 use std::io;
 use std::path::{Path, PathBuf};
-use sycl_sim::{FailureKind, PlatformId, Session, SessionConfig, Toolchain};
+use sycl_sim::{quirks::apps, FailureKind, PlatformId, Session, SessionConfig, Toolchain};
 
 /// Write `contents` to `results/<name>`, creating the directory first.
 /// Returns the path written.
@@ -57,19 +55,14 @@ pub fn write_results_file(name: &str, contents: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Table 1: (platform, native toolchain, simulated Triad GB/s).
+/// Table 1: (platform, native toolchain, simulated Triad GB/s), in the
+/// table's row order (the MI250X first).
 pub fn table1_rows() -> Vec<(PlatformId, Toolchain, f64)> {
-    let cases = [
-        (PlatformId::Mi250x, Toolchain::NativeHip),
-        (PlatformId::A100, Toolchain::NativeCuda),
-        (PlatformId::Max1100, Toolchain::Dpcpp),
-        (PlatformId::Xeon8360Y, Toolchain::MpiOpenMp),
-        (PlatformId::GenoaX, Toolchain::MpiOpenMp),
-        (PlatformId::Altra, Toolchain::OpenMp),
-    ];
-    cases
+    use PlatformId::*;
+    [Mi250x, A100, Max1100, Xeon8360Y, GenoaX, Altra]
         .into_iter()
-        .map(|(p, tc)| {
+        .map(|p| {
+            let tc = native_toolchain(p);
             let session = Session::create(SessionConfig::new(p, tc).app("babelstream").dry_run())
                 .expect("the Table-1 toolchains run BabelStream everywhere");
             let n = babelstream::table1_len(session.platform());
@@ -91,13 +84,6 @@ pub fn table1_text() -> String {
         ));
     }
     out
-}
-
-/// The paper's platforms, figure order: GPUs then CPUs.
-fn paper_platforms() -> impl Iterator<Item = PlatformId> {
-    portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
 }
 
 /// The table's structured-app cells, in table order.
@@ -188,7 +174,7 @@ fn runtime_figure(title: &str, table: &[Measurement], p: PlatformId, mgcfd_rows:
 /// cells.
 fn efficiency_figure(title: &str, table: &[Measurement], mgcfd_rows: bool) -> String {
     let mut out = format!("## {title}\n");
-    for p in paper_platforms() {
+    for p in PlatformId::ALL {
         let cells = table
             .iter()
             .filter(|m| m.platform == p && m.scheme.is_some() == mgcfd_rows);
@@ -261,7 +247,7 @@ pub fn summary_stats(table: &[Measurement]) -> SummaryStats {
     // Best-native efficiency per (app, platform).
     let mut native = Vec::new();
     for &app in &apps {
-        for p in paper_platforms() {
+        for p in PlatformId::ALL {
             let best = structured(table)
                 .filter(|m| m.app == app && m.platform == p && m.variant.is_native())
                 .filter_map(|m| m.efficiency)
@@ -408,7 +394,8 @@ pub fn conclusion_stats(table: &[Measurement]) -> ConclusionStats {
             })
     };
     let collect = |native: bool, gpus: Option<bool>| -> f64 {
-        let vals: Vec<f64> = paper_platforms()
+        let vals: Vec<f64> = PlatformId::ALL
+            .into_iter()
             .filter(|p| gpus.is_none_or(|g| p.is_gpu() == g))
             .flat_map(|p| apps.iter().filter_map(move |&a| best(p, a, native)))
             .collect();
@@ -452,7 +439,7 @@ pub fn boundary_fractions_text(table: &[Measurement]) -> String {
          ## MPI+OpenMP 0.34% and OpenSYCL 1.2-2.5%)
 ",
     );
-    for p in paper_platforms() {
+    for p in PlatformId::ALL {
         out.push_str(&format!(
             "{}:
 ",
@@ -481,9 +468,10 @@ pub fn boundary_fractions_text(table: &[Measurement]) -> String {
 /// Table 1, the ablations, the lint and verify reports and the transfer
 /// document price their own runs.
 pub fn artifacts(table: &[Measurement]) -> Vec<(String, String)> {
-    let mgcfd_panels = |platforms: [PlatformId; 3]| -> String {
-        platforms
+    let mgcfd_panels = |gpus: bool| -> String {
+        PlatformId::ALL
             .into_iter()
+            .filter(|p| p.is_gpu() == gpus)
             .map(|p| figure_mgcfd_text(table, p) + "\n")
             .collect()
     };
@@ -491,19 +479,13 @@ pub fn artifacts(table: &[Measurement]) -> Vec<(String, String)> {
     let mgcfd_cells = table.iter().filter(|m| m.scheme.is_some());
     let csv_rows: Vec<Measurement> = structured(table).chain(mgcfd_cells).cloned().collect();
     let mut out = vec![("table1.txt".to_owned(), table1_text())];
-    out.extend(paper_platforms().map(|p| {
+    out.extend(PlatformId::ALL.map(|p| {
         let name = format!("fig_structured_{}.txt", p.label());
         (name, figure_structured_text(table, p))
     }));
     let named = [
-        (
-            "fig8_mgcfd_gpu.txt",
-            mgcfd_panels(portability::gpu_platforms()),
-        ),
-        (
-            "fig9_mgcfd_cpu.txt",
-            mgcfd_panels(portability::cpu_platforms()),
-        ),
+        ("fig8_mgcfd_gpu.txt", mgcfd_panels(true)),
+        ("fig9_mgcfd_cpu.txt", mgcfd_panels(false)),
         ("fig10_efficiency.txt", figure10_text(table)),
         ("fig11_efficiency_mgcfd.txt", figure11_text(table)),
         ("summary_stats.txt", summary_text(table)),
@@ -522,7 +504,7 @@ pub fn artifacts(table: &[Measurement]) -> Vec<(String, String)> {
     // debug build's wall time. A shadow is scoped to the thread that
     // enters it, so each report still numbers its dats from 1.
     let reports: Vec<[(String, String); 2]> = std::thread::scope(|s| {
-        let threads = APP_NAMES.map(|app| {
+        let threads = apps::ALL.map(|app| {
             s.spawn(move || {
                 [
                     (format!("LINT_{app}.json"), reports::lint_report(app)),
@@ -552,35 +534,6 @@ pub fn native_toolchain(p: PlatformId) -> Toolchain {
     }
 }
 
-/// All app names `make_app` accepts, in paper order.
-pub const APP_NAMES: [&str; 7] = [
-    "cloverleaf2d",
-    "cloverleaf3d",
-    "opensbli_sa",
-    "opensbli_sn",
-    "rtm",
-    "acoustic",
-    "mgcfd",
-];
-
-/// Instantiate an app by CLI name at paper or test size.
-pub fn make_app(name: &str, paper: bool) -> Option<Box<dyn miniapps::App>> {
-    use miniapps::{Acoustic, CloverLeaf2d, CloverLeaf3d, Mgcfd, OpenSbli, Rtm, SbliVariant};
-    Some(match (name, paper) {
-        ("cloverleaf2d", true) => Box::new(CloverLeaf2d::paper()),
-        ("cloverleaf2d", false) => Box::new(CloverLeaf2d::test()),
-        ("cloverleaf3d", true) => Box::new(CloverLeaf3d::paper()),
-        ("cloverleaf3d", false) => Box::new(CloverLeaf3d::test()),
-        ("opensbli_sa", true) => Box::new(OpenSbli::paper(SbliVariant::StoreAll)),
-        ("opensbli_sa", false) => Box::new(OpenSbli::test(SbliVariant::StoreAll)),
-        ("opensbli_sn", true) => Box::new(OpenSbli::paper(SbliVariant::StoreNone)),
-        ("opensbli_sn", false) => Box::new(OpenSbli::test(SbliVariant::StoreNone)),
-        ("rtm", true) => Box::new(Rtm::paper()),
-        ("rtm", false) => Box::new(Rtm::test()),
-        ("acoustic", true) => Box::new(Acoustic::paper()),
-        ("acoustic", false) => Box::new(Acoustic::test()),
-        ("mgcfd", true) => Box::new(Mgcfd::paper()),
-        ("mgcfd", false) => Box::new(Mgcfd::test()),
-        _ => return None,
-    })
-}
+/// `miniapps::make_app`, re-exported for the benchmark, which builds
+/// its cells with it.
+pub use miniapps::make_app;

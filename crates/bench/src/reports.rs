@@ -9,7 +9,8 @@
 //! and `results/VERIFY_<app>.json` (A100); the `graphlint` and
 //! `analyze` binaries print the same findings for any platform.
 
-use crate::{make_app, native_toolchain};
+use crate::native_toolchain;
+use miniapps::make_app;
 use std::sync::{Arc, Mutex};
 use sycl_sim::{AtomicKind, Failure, GraphSummary, PlatformId, Scheme, Session, SessionConfig};
 use telemetry::shadow::Shadow;
@@ -73,7 +74,7 @@ fn lint_context(session: &Session) -> LintContext {
     }
 }
 
-/// Lint every distinct graph `app` (one of [`crate::APP_NAMES`])
+/// Lint every distinct graph `app` (one of `quirks::apps::ALL`)
 /// replays at its paper size on `platform`. Fails if the app does not
 /// run there.
 pub fn lint(app: &str, platform: PlatformId) -> Result<Vec<Linted>, Failure> {
@@ -111,7 +112,7 @@ pub fn lint(app: &str, platform: PlatformId) -> Result<Vec<Linted>, Failure> {
         .collect()
 }
 
-/// Run `app` (one of [`crate::APP_NAMES`]) live at its test size on
+/// Run `app` (one of `quirks::apps::ALL`) live at its test size on
 /// `platform` under the access, plan and footprint passes. Fails if
 /// the app does not run there.
 pub fn verify(app: &str, platform: PlatformId) -> Result<Vec<Verified>, Failure> {

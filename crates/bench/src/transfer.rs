@@ -13,9 +13,10 @@
 //! once their staging traffic is priced. [`transfer_json`] renders all
 //! of it as `results/TRANSFER.json`.
 
-use crate::{make_app, native_toolchain, APP_NAMES};
+use crate::native_toolchain;
 use machine_model::{all_platforms, Platform, TransferDir};
-use sycl_sim::{PlatformId, Scheme, Session, SessionConfig};
+use miniapps::make_app;
+use sycl_sim::{quirks::apps, PlatformId, Scheme, Session, SessionConfig};
 use telemetry::json::JsonWriter;
 
 const KIB: f64 = 1024.0;
@@ -133,8 +134,8 @@ pub struct AppSplit {
 /// interconnect time.
 pub fn app_splits() -> Vec<AppSplit> {
     let mut out = Vec::new();
-    for app in APP_NAMES {
-        let run = make_app(app, true).expect("APP_NAMES entries are exhaustive");
+    for app in apps::ALL {
+        let run = make_app(app, true).expect("every app name resolves");
         for p in all_platforms() {
             let mut cfg = SessionConfig::new(p.id, native_toolchain(p.id))
                 .app(app)
@@ -184,9 +185,9 @@ impl Crossover<'_> {
     }
 }
 
-/// The crossover row of every app, in [`APP_NAMES`] order.
+/// The crossover row of every app, in `apps::ALL` order.
 pub fn crossovers(splits: &[AppSplit]) -> Vec<Crossover<'_>> {
-    APP_NAMES
+    apps::ALL
         .iter()
         .filter_map(|&app| {
             let best = |gpu: bool| {

@@ -4,8 +4,8 @@
 //! properties: the paper apps lint clean, and the analysis finds the
 //! known-fusable CloverLeaf 2D kernel pair with a modelled saving.
 
-use bench_harness::{reports, APP_NAMES};
-use sycl_sim::PlatformId;
+use bench_harness::reports;
+use sycl_sim::{quirks::apps, PlatformId};
 use verify::{Diagnostic, Severity};
 
 /// Every finding of `app`'s recorded graphs on `platform`.
@@ -47,7 +47,7 @@ fn cloverleaf2d_reports_the_known_fusable_kernel_pair() {
 #[test]
 fn every_app_lints_clean_on_gpu_and_cpu() {
     for platform in [PlatformId::A100, PlatformId::Xeon8360Y] {
-        for app_name in APP_NAMES {
+        for app_name in apps::ALL {
             let diags = lint_app(app_name, platform);
             let errors: Vec<&Diagnostic> = diags
                 .iter()

@@ -195,14 +195,7 @@ mod tests {
     #[test]
     fn opensycl_atomics_works_on_every_platform() {
         // This combination anchors the paper's PP̄ = 0.42 claim.
-        for p in [
-            PlatformId::A100,
-            PlatformId::Mi250x,
-            PlatformId::Max1100,
-            PlatformId::Xeon8360Y,
-            PlatformId::GenoaX,
-            PlatformId::Altra,
-        ] {
+        for p in PlatformId::ALL {
             assert!(
                 check(
                     apps::MGCFD,
@@ -280,14 +273,7 @@ mod tests {
         // §4.4: "there is at least one compiler and SYCL formulation that
         // works across all architectures and applications."
         for app in apps::ALL {
-            for p in [
-                PlatformId::A100,
-                PlatformId::Mi250x,
-                PlatformId::Max1100,
-                PlatformId::Xeon8360Y,
-                PlatformId::GenoaX,
-                PlatformId::Altra,
-            ] {
+            for p in PlatformId::ALL {
                 let schemes: &[Option<Scheme>] = if app == apps::MGCFD {
                     &[
                         Some(Scheme::Atomics),

@@ -7,15 +7,6 @@ use sycl_sim::{
     Kernel, KernelTraits, Platform, PlatformId, Session, SessionConfig, SyclVariant, Toolchain,
 };
 
-const ALL_PLATFORMS: [PlatformId; 6] = [
-    PlatformId::A100,
-    PlatformId::Mi250x,
-    PlatformId::Max1100,
-    PlatformId::Xeon8360Y,
-    PlatformId::GenoaX,
-    PlatformId::Altra,
-];
-
 const ALL_TOOLCHAINS: [Toolchain; 8] = [
     Toolchain::NativeCuda,
     Toolchain::NativeHip,
@@ -91,7 +82,7 @@ fn workgroups_fit_the_domain() {
         } else {
             SyclVariant::Flat
         };
-        for pid in ALL_PLATFORMS {
+        for pid in PlatformId::ALL {
             let p = Platform::get(pid);
             let wg = tc.workgroup(&p, variant, &kernel);
             assert!(wg[0] >= 1 && wg[1] >= 1 && wg[2] >= 1);
@@ -122,7 +113,7 @@ fn vector_efficiency_bounds() {
                 complex_body: bits & 4 != 0,
                 hard_on_neon: bits & 8 != 0,
             };
-            for pid in ALL_PLATFORMS {
+            for pid in PlatformId::ALL {
                 let p = Platform::get(pid);
                 let eff = tc.vector_efficiency(&p, &kernel);
                 if pid.is_gpu() {
@@ -138,7 +129,7 @@ fn vector_efficiency_bounds() {
 #[test]
 fn session_creation_is_total() {
     // Exhaustive: 6 platforms × 8 toolchains × 2 variants × 7 apps × 4 schemes.
-    for pid in ALL_PLATFORMS {
+    for pid in PlatformId::ALL {
         for tc in ALL_TOOLCHAINS {
             for nd in [false, true] {
                 for app in sycl_sim::quirks::apps::ALL {
@@ -189,7 +180,7 @@ fn launches_keep_the_ledger_consistent() {
 
 #[test]
 fn backend_matches_platform_kind() {
-    for pid in ALL_PLATFORMS {
+    for pid in PlatformId::ALL {
         for tc in ALL_TOOLCHAINS {
             if tc.supports(pid) {
                 let backend = tc.backend(pid);

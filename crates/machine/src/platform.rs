@@ -25,6 +25,18 @@ pub enum PlatformId {
 }
 
 impl PlatformId {
+    /// All six platforms in the paper's presentation order: the GPUs,
+    /// then the CPUs, each in figure order. Every list of platforms in
+    /// the workspace is this one, or a filter of it.
+    pub const ALL: [PlatformId; 6] = [
+        PlatformId::A100,
+        PlatformId::Mi250x,
+        PlatformId::Max1100,
+        PlatformId::Xeon8360Y,
+        PlatformId::GenoaX,
+        PlatformId::Altra,
+    ];
+
     /// Short machine-readable label used in reports and benches.
     pub fn label(self) -> &'static str {
         match self {
@@ -39,15 +51,7 @@ impl PlatformId {
 
     /// Parse a label as produced by [`PlatformId::label`].
     pub fn parse(s: &str) -> Option<PlatformId> {
-        Some(match s {
-            "a100" => PlatformId::A100,
-            "mi250x" => PlatformId::Mi250x,
-            "max1100" => PlatformId::Max1100,
-            "xeon8360y" => PlatformId::Xeon8360Y,
-            "genoax" => PlatformId::GenoaX,
-            "altra" => PlatformId::Altra,
-            _ => return None,
-        })
+        PlatformId::ALL.into_iter().find(|p| p.label() == s)
     }
 
     /// True for the three GPU platforms.
@@ -213,9 +217,9 @@ impl Platform {
     }
 }
 
-/// All six platforms in the paper's presentation order.
+/// The models of [`PlatformId::ALL`], in its order.
 pub fn all_platforms() -> Vec<Platform> {
-    vec![a100(), mi250x(), max1100(), xeon8360y(), genoax(), altra()]
+    PlatformId::ALL.map(Platform::get).to_vec()
 }
 
 /// NVIDIA A100 40 GB PCIe: 108 SMs @ 1.41 GHz, 19.49 FP32 TFLOP/s,

@@ -1,8 +1,10 @@
-//! # portability — the study harness and its metrics
+//! # portability — the paper's cells and their metrics
 //!
-//! Orchestrates the full cross-product the paper measures — seven
-//! applications × six platforms × the programming approaches available
-//! on each — and computes the derived quantities its figures report:
+//! Owns the one list of the cross-product the paper measures —
+//! [`paper_cells`]: seven applications × six platforms × the
+//! programming approaches available on each — prices it
+//! ([`paper_measurements`]) and computes the derived quantities its
+//! figures report:
 //!
 //! * **runtime** per (app, platform, variant) — Figures 2–9;
 //! * **achieved architectural efficiency** = effective bandwidth /
@@ -18,6 +20,6 @@ pub mod study;
 pub use metrics::{harmonic_mean, mean, pennycook, pp_rows, std_dev, PpCell};
 pub use report::{format_table, write_csv, MeasCell};
 pub use study::{
-    cpu_platforms, gpu_platforms, measure_mgcfd, measure_structured, paper_measurements,
-    structured_measurements, unstructured_measurements, variants_for, Measurement, StudyVariant,
+    measure, measure_mgcfd, measure_structured, paper_cells, paper_measurements, variants_for,
+    Measurement, PaperCell, StudyVariant,
 };

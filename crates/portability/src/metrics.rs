@@ -1,6 +1,6 @@
 //! Aggregate metrics: means, deviations, and the Pennycook–Sewall PP̄.
 
-use crate::study::{cpu_platforms, gpu_platforms, Measurement, StudyVariant};
+use crate::study::{Measurement, StudyVariant};
 use sycl_sim::{PlatformId, Scheme, Toolchain};
 
 /// Arithmetic mean; 0 for empty input.
@@ -91,9 +91,8 @@ impl<'a> From<&'a Measurement> for PpCell<'a> {
 /// The structured rows are omitted when `cells` hold no structured app,
 /// the MG-CFD rows when they hold no MG-CFD cell.
 pub fn pp_rows(cells: &[PpCell]) -> Vec<(String, f64)> {
-    let platforms: Vec<PlatformId> = gpu_platforms()
+    let platforms: Vec<PlatformId> = PlatformId::ALL
         .into_iter()
-        .chain(cpu_platforms())
         .filter(|p| cells.iter().any(|c| c.platform == *p))
         .collect();
     let apps: Vec<&str> = {

@@ -42,16 +42,6 @@ impl StudyVariant {
     }
 }
 
-/// The GPU platforms, figure order.
-pub fn gpu_platforms() -> [PlatformId; 3] {
-    [PlatformId::A100, PlatformId::Mi250x, PlatformId::Max1100]
-}
-
-/// The CPU platforms, figure order.
-pub fn cpu_platforms() -> [PlatformId; 3] {
-    [PlatformId::Xeon8360Y, PlatformId::GenoaX, PlatformId::Altra]
-}
-
 /// The variant columns the paper shows for a platform (Figures 2–7).
 pub fn variants_for(platform: PlatformId) -> Vec<StudyVariant> {
     use Toolchain::*;
@@ -104,122 +94,109 @@ impl Measurement {
     }
 }
 
-/// Run one structured-mesh app configuration (dry-run pricing at paper
+/// One cell of the paper's cross-product: an app on a platform in one
+/// variant column, with a race-resolution scheme for MG-CFD.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PaperCell {
+    pub app: &'static str,
+    pub platform: PlatformId,
+    pub variant: StudyVariant,
+    /// `Some` for MG-CFD, `None` for the structured-mesh apps.
+    pub scheme: Option<Scheme>,
+}
+
+/// The paper's whole cross-product — 7 apps × 6 platforms × each
+/// platform's variant columns (× 3 schemes for MG-CFD), 306 cells — in
+/// canonical order: platforms in [`PlatformId::ALL`] order; per
+/// platform the structured apps × variants, then MG-CFD × variants ×
+/// schemes. This is the one enumeration of the study: the priced table
+/// and `study`'s units are both this list.
+pub fn paper_cells() -> Vec<PaperCell> {
+    let mut out = Vec::new();
+    for platform in PlatformId::ALL {
+        let variants = variants_for(platform);
+        for app in apps::STRUCTURED {
+            out.extend(variants.iter().map(|&variant| PaperCell {
+                app,
+                platform,
+                variant,
+                scheme: None,
+            }));
+        }
+        for &variant in &variants {
+            out.extend(Scheme::all().map(|scheme| PaperCell {
+                app: apps::MGCFD,
+                platform,
+                variant,
+                scheme: Some(scheme),
+            }));
+        }
+    }
+    out
+}
+
+/// Price one cell of `app` by a dry run — its runtime, or why it has
+/// none. `scheme` is MG-CFD's race-resolution scheme.
+pub fn measure(
+    app: &dyn App,
+    platform: PlatformId,
+    variant: StudyVariant,
+    scheme: Option<Scheme>,
+) -> Measurement {
+    let mut cfg = SessionConfig::new(platform, variant.toolchain)
+        .variant(variant.sycl_variant(app.nd_shape()))
+        .app(app.name())
+        .dry_run();
+    if let Some(scheme) = scheme {
+        cfg = cfg.scheme(scheme);
+    }
+    let (runtime, efficiency, boundary_fraction) = match Session::create(cfg) {
+        Err(fail) => (Err(fail.kind), None, None),
+        Ok(session) => {
+            let run = app.run(&session);
+            (
+                Ok(run.elapsed),
+                Some(run.effective_bandwidth / session.platform().mem.stream_bw),
+                Some(run.boundary_fraction),
+            )
+        }
+    };
+    Measurement {
+        app: app.name(),
+        platform,
+        variant,
+        scheme,
+        runtime,
+        efficiency,
+        boundary_fraction,
+    }
+}
+
+/// Price one structured-mesh app configuration (dry run, at the app's
 /// size).
 pub fn measure_structured(
     app: &dyn App,
     platform: PlatformId,
     variant: StudyVariant,
 ) -> Measurement {
-    let cfg = SessionConfig::new(platform, variant.toolchain)
-        .variant(variant.sycl_variant(app.nd_shape()))
-        .app(app.name())
-        .dry_run();
-    match Session::create(cfg) {
-        Err(fail) => Measurement {
-            app: leak_name(app.name()),
-            platform,
-            variant,
-            scheme: None,
-            runtime: Err(fail.kind),
-            efficiency: None,
-            boundary_fraction: None,
-        },
-        Ok(session) => {
-            let run = app.run(&session);
-            Measurement {
-                app: leak_name(app.name()),
-                platform,
-                variant,
-                scheme: None,
-                runtime: Ok(run.elapsed),
-                efficiency: Some(run.effective_bandwidth / session.platform().mem.stream_bw),
-                boundary_fraction: Some(run.boundary_fraction),
-            }
-        }
-    }
+    measure(app, platform, variant, None)
 }
 
-/// Run one MG-CFD configuration (dry-run pricing at Rotor37 size).
+/// Price one MG-CFD configuration (dry run at Rotor37 size).
 pub fn measure_mgcfd(platform: PlatformId, variant: StudyVariant, scheme: Scheme) -> Measurement {
-    let app = Mgcfd::paper();
-    let cfg = SessionConfig::new(platform, variant.toolchain)
-        .variant(variant.sycl_variant(app.nd_shape()))
-        .app(apps::MGCFD)
-        .scheme(scheme)
-        .dry_run();
-    match Session::create(cfg) {
-        Err(fail) => Measurement {
-            app: apps::MGCFD,
-            platform,
-            variant,
-            scheme: Some(scheme),
-            runtime: Err(fail.kind),
-            efficiency: None,
-            boundary_fraction: None,
-        },
-        Ok(session) => {
-            let run = app.run(&session);
-            Measurement {
-                app: apps::MGCFD,
-                platform,
-                variant,
-                scheme: Some(scheme),
-                runtime: Ok(run.elapsed),
-                efficiency: Some(run.effective_bandwidth / session.platform().mem.stream_bw),
-                boundary_fraction: Some(run.boundary_fraction),
-            }
-        }
-    }
+    measure(&Mgcfd::paper(), platform, variant, Some(scheme))
 }
 
-/// All structured-mesh measurements for one platform (one figure).
-pub fn structured_measurements(platform: PlatformId) -> Vec<Measurement> {
-    let apps = miniapps::paper_structured_apps();
-    let mut out = Vec::new();
-    for app in &apps {
-        for variant in variants_for(platform) {
-            out.push(measure_structured(app.as_ref(), platform, variant));
-        }
-    }
-    out
-}
-
-/// All MG-CFD measurements for one platform (Figures 8/9): every
-/// variant × every scheme.
-pub fn unstructured_measurements(platform: PlatformId) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for variant in variants_for(platform) {
-        for scheme in Scheme::all() {
-            out.push(measure_mgcfd(platform, variant, scheme));
-        }
-    }
-    out
-}
-
-/// The paper's whole cross-product — 7 apps × 6 platforms × each
-/// platform's variant columns (× 3 schemes for MG-CFD), 306 cells — in
-/// the canonical order `study::paper_units()` enumerates: GPUs then
-/// CPUs in figure order; per platform the structured apps × variants,
-/// then MG-CFD × variants × schemes. Every figure, aggregate and CSV of
-/// the paper is a function of this one table.
+/// [`paper_cells`] priced at paper size: the table every figure,
+/// aggregate and CSV of the paper is a function of.
 pub fn paper_measurements() -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for p in gpu_platforms().into_iter().chain(cpu_platforms()) {
-        out.extend(structured_measurements(p));
-        out.extend(unstructured_measurements(p));
-    }
-    out
-}
-
-fn leak_name(name: &str) -> &'static str {
-    // App names come from the fixed `quirks::apps` table.
-    for known in apps::ALL {
-        if known == name {
-            return known;
-        }
-    }
-    "unknown"
+    paper_cells()
+        .into_iter()
+        .map(|c| {
+            let app = miniapps::make_app(c.app, true).expect("paper app names resolve");
+            measure(app.as_ref(), c.platform, c.variant, c.scheme)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -240,7 +217,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique_per_platform() {
-        for p in gpu_platforms().into_iter().chain(cpu_platforms()) {
+        for p in PlatformId::ALL {
             let labels: Vec<String> = variants_for(p).iter().map(|v| v.label()).collect();
             let mut dedup = labels.clone();
             dedup.sort();

@@ -9,15 +9,16 @@
 //!
 //! The moving parts, bottom-up:
 //!
-//! * [`unit`](mod@unit) — the canonical enumeration of the cross-product. Unit
-//!   indices depend only on the fixed platform/app/variant tables, so
-//!   the orchestrator and every worker agree on `index ↔ cell`.
+//! * [`unit`](mod@unit) — numbers `portability::paper_cells`, the
+//!   canonical enumeration of the cross-product. Unit indices depend
+//!   only on the fixed platform/app/variant tables, so the orchestrator
+//!   and every worker agree on `index ↔ cell`.
 //! * [`proto`] — the length-prefixed framed pipe protocol (magic
 //!   `SYF1` + u32 length + JSON) between the orchestrator and its
 //!   worker processes, with typed messages (`hello`/`run`/`start`/
 //!   `done`/`exit`).
-//! * [`runner`] — executes one unit via the same
-//!   `portability::measure_*` calls `portability::paper_measurements` makes.
+//! * [`runner`] — executes one unit through `portability::measure`,
+//!   the pricing `portability::paper_measurements` does.
 //! * [`worker`] — the `--worker` mode this binary re-executes itself
 //!   into, plus the fault-injection hooks (`--chaos`, `--hang-once`)
 //!   that prove the recovery paths. Given a flight directory, each

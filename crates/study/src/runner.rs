@@ -1,16 +1,17 @@
 //! Executing one study unit (in whichever process it landed).
 //!
-//! The measurement itself is `portability::measure_structured` /
-//! `measure_mgcfd` — the same dry-run pricing the paper table uses —
-//! repeated `reps` times so each record carries a wall-clock sample
-//! per repetition. The *simulated* quantities (runtime, efficiency,
+//! The measurement itself is `portability::measure` on the unit's app
+//! from `miniapps::make_app` — the same dry-run pricing the paper table
+//! uses, at paper or test size — repeated `reps` times so each record
+//! carries a wall-clock sample per repetition. The *simulated* quantities (runtime, efficiency,
 //! GB/s) are deterministic; only the wall-clock samples vary between
 //! runs, which is exactly the "identical modulo timing samples"
 //! determinism contract `tests/study_proc.rs` checks.
 
 use crate::record::{UnitRecord, UnitStatus};
 use crate::unit::StudyUnit;
-use portability::{measure_mgcfd, measure_structured, Measurement};
+use miniapps::make_app;
+use portability::{measure, Measurement};
 use std::time::Instant;
 
 /// Run one unit to a terminal record (`Ok` or `Hole` — `Crashed` can
@@ -26,31 +27,26 @@ pub fn run_unit(
     trace: u64,
 ) -> UnitRecord {
     let started = Instant::now();
+    let Some(app) = make_app(&unit.app, paper) else {
+        return UnitRecord {
+            unit: unit.clone(),
+            status: UnitStatus::Crashed,
+            note: Some(format!("unknown app '{}'", unit.app)),
+            worker,
+            attempt,
+            trace,
+            wall_secs: started.elapsed().as_secs_f64(),
+            samples: vec![],
+            sim_secs: None,
+            efficiency: None,
+            gbps: None,
+        };
+    };
     let mut samples = Vec::with_capacity(reps.max(1) as usize);
     let mut last: Option<Measurement> = None;
     for _ in 0..reps.max(1) {
         let rep_start = Instant::now();
-        let m = match unit.scheme {
-            Some(scheme) => measure_mgcfd(unit.platform, unit.variant, scheme),
-            None => match bench_harness::make_app(&unit.app, paper) {
-                Some(app) => measure_structured(app.as_ref(), unit.platform, unit.variant),
-                None => {
-                    return UnitRecord {
-                        unit: unit.clone(),
-                        status: UnitStatus::Crashed,
-                        note: Some(format!("unknown app '{}'", unit.app)),
-                        worker,
-                        attempt,
-                        trace,
-                        wall_secs: started.elapsed().as_secs_f64(),
-                        samples: vec![],
-                        sim_secs: None,
-                        efficiency: None,
-                        gbps: None,
-                    }
-                }
-            },
-        };
+        let m = measure(app.as_ref(), unit.platform, unit.variant, unit.scheme);
         samples.push(rep_start.elapsed().as_secs_f64());
         last = Some(m);
     }
@@ -79,7 +75,8 @@ pub fn run_unit(
 mod tests {
     use super::*;
     use crate::unit::smoke_units;
-    use sycl_sim::{FailureKind, PlatformId, Toolchain};
+    use miniapps::{App, Mgcfd};
+    use sycl_sim::{FailureKind, PlatformId, Scheme, Session, SessionConfig, Toolchain};
 
     #[test]
     fn a_supported_unit_measures_ok() {
@@ -115,6 +112,26 @@ mod tests {
         let rec = run_unit(&unit, 1, false, 0, 1, 0);
         assert_eq!(rec.status, UnitStatus::Hole(FailureKind::Unsupported));
         assert!(rec.sim_secs.is_none() && rec.efficiency.is_none());
+    }
+
+    #[test]
+    fn a_smoke_mgcfd_unit_is_priced_at_test_size() {
+        let unit = smoke_units()
+            .into_iter()
+            .find(|u| u.id() == "mgcfd@a100/CUDA#atomics")
+            .unwrap();
+        let dry = |app: Mgcfd| {
+            let cfg = SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+                .app(app.name())
+                .scheme(Scheme::Atomics)
+                .dry_run();
+            app.run(&Session::create(cfg).unwrap()).elapsed
+        };
+        let smoke = run_unit(&unit, 1, false, 0, 1, 0).sim_secs.unwrap();
+        assert_eq!(smoke.to_bits(), dry(Mgcfd::test()).to_bits());
+        assert_ne!(smoke, dry(Mgcfd::paper()));
+        let paper = run_unit(&unit, 1, true, 0, 1, 0).sim_secs.unwrap();
+        assert_eq!(paper.to_bits(), dry(Mgcfd::paper()).to_bits());
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! tables, never on timing or worker count, so every process —
 //! orchestrator and worker — derives the same `index ↔ unit` mapping.
 
-use portability::{cpu_platforms, gpu_platforms, variants_for, StudyVariant};
-use sycl_sim::{PlatformId, Scheme, Toolchain};
+use portability::{paper_cells, StudyVariant};
+use sycl_sim::{quirks::apps, PlatformId, Scheme, Toolchain};
 
 /// One cell of the study cross-product.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StudyUnit {
     /// Position in the enumeration of its scope.
     pub index: usize,
-    /// App name as accepted by `bench_harness::make_app`.
+    /// App name as accepted by `miniapps::make_app`.
     pub app: String,
     pub platform: PlatformId,
     pub variant: StudyVariant,
@@ -77,67 +77,32 @@ impl Scope {
     }
 }
 
-/// The structured-mesh app names, paper order (MG-CFD is enumerated
-/// separately because its cells carry a scheme).
-fn structured_app_names() -> Vec<&'static str> {
-    bench_harness::APP_NAMES
+/// The full paper cross-product, numbered in `portability::paper_cells`'
+/// canonical order.
+pub fn paper_units() -> Vec<StudyUnit> {
+    paper_cells()
         .into_iter()
-        .filter(|&a| a != "mgcfd")
+        .enumerate()
+        .map(|(index, c)| StudyUnit {
+            index,
+            app: c.app.to_owned(),
+            platform: c.platform,
+            variant: c.variant,
+            scheme: c.scheme,
+        })
         .collect()
 }
 
-fn push_platform_units(
-    out: &mut Vec<StudyUnit>,
-    platform: PlatformId,
-    apps: &[&str],
-    mgcfd_schemes: &[Scheme],
-) {
-    for &app in apps {
-        for variant in variants_for(platform) {
-            let index = out.len();
-            out.push(StudyUnit {
-                index,
-                app: app.to_owned(),
-                platform,
-                variant,
-                scheme: None,
-            });
-        }
-    }
-    for variant in variants_for(platform) {
-        for &scheme in mgcfd_schemes {
-            let index = out.len();
-            out.push(StudyUnit {
-                index,
-                app: "mgcfd".to_owned(),
-                platform,
-                variant,
-                scheme: Some(scheme),
-            });
-        }
-    }
-}
-
-/// The full paper cross-product, canonical order: GPUs then CPUs in
-/// figure order; per platform the six structured apps × variants, then
-/// MG-CFD × variants × schemes.
-pub fn paper_units() -> Vec<StudyUnit> {
-    let apps = structured_app_names();
-    let mut out = Vec::new();
-    for p in gpu_platforms().into_iter().chain(cpu_platforms()) {
-        push_platform_units(&mut out, p, &apps, &Scheme::all());
-    }
-    out
-}
-
-/// The smoke subset: one GPU + one CPU, CloverLeaf 2D across variants
-/// plus MG-CFD with atomics.
+/// The smoke subset of the paper units, renumbered: the A100 and the
+/// Xeon, CloverLeaf 2D across variants plus MG-CFD with atomics.
 pub fn smoke_units() -> Vec<StudyUnit> {
-    let mut out = Vec::new();
-    for p in [PlatformId::A100, PlatformId::Xeon8360Y] {
-        push_platform_units(&mut out, p, &["cloverleaf2d"], &[Scheme::Atomics]);
-    }
-    out
+    paper_units()
+        .into_iter()
+        .filter(|u| matches!(u.platform, PlatformId::A100 | PlatformId::Xeon8360Y))
+        .filter(|u| u.app == apps::CLOVERLEAF2D || u.scheme == Some(Scheme::Atomics))
+        .enumerate()
+        .map(|(index, u)| StudyUnit { index, ..u })
+        .collect()
 }
 
 /// Reconstruct a unit from its wire fields (the worker and merge sides
@@ -210,10 +175,39 @@ mod tests {
 
     #[test]
     fn ids_name_the_cell_like_the_figures() {
-        let units = smoke_units();
-        assert!(units.iter().any(|u| u.id() == "cloverleaf2d@a100/CUDA"));
-        assert!(units
-            .iter()
-            .any(|u| u.id() == "mgcfd@xeon8360y/DPC++ ndrange#atomics"));
+        // CI's study smoke and the fleet tests run exactly these units,
+        // in this order: CloverLeaf 2D, then MG-CFD with atomics, on
+        // the A100 (5 variant columns) and on the Xeon (6).
+        let ids: Vec<String> = smoke_units().iter().map(StudyUnit::id).collect();
+        assert_eq!(
+            ids,
+            [
+                "cloverleaf2d@a100/CUDA",
+                "cloverleaf2d@a100/DPC++ flat",
+                "cloverleaf2d@a100/DPC++ ndrange",
+                "cloverleaf2d@a100/OpenSYCL flat",
+                "cloverleaf2d@a100/OpenSYCL ndrange",
+                "mgcfd@a100/CUDA#atomics",
+                "mgcfd@a100/DPC++ flat#atomics",
+                "mgcfd@a100/DPC++ ndrange#atomics",
+                "mgcfd@a100/OpenSYCL flat#atomics",
+                "mgcfd@a100/OpenSYCL ndrange#atomics",
+                "cloverleaf2d@xeon8360y/MPI",
+                "cloverleaf2d@xeon8360y/MPI+OpenMP",
+                "cloverleaf2d@xeon8360y/DPC++ flat",
+                "cloverleaf2d@xeon8360y/DPC++ ndrange",
+                "cloverleaf2d@xeon8360y/OpenSYCL flat",
+                "cloverleaf2d@xeon8360y/OpenSYCL ndrange",
+                "mgcfd@xeon8360y/MPI#atomics",
+                "mgcfd@xeon8360y/MPI+OpenMP#atomics",
+                "mgcfd@xeon8360y/DPC++ flat#atomics",
+                "mgcfd@xeon8360y/DPC++ ndrange#atomics",
+                "mgcfd@xeon8360y/OpenSYCL flat#atomics",
+                "mgcfd@xeon8360y/OpenSYCL ndrange#atomics",
+            ]
+        );
+        for (i, u) in smoke_units().iter().enumerate() {
+            assert_eq!(u.index, i, "smoke units are numbered densely");
+        }
     }
 }

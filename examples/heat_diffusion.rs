@@ -78,20 +78,11 @@ fn main() {
     let n = 512;
     let steps = 20;
 
-    let platforms = [
-        PlatformId::A100,
-        PlatformId::Mi250x,
-        PlatformId::Max1100,
-        PlatformId::Xeon8360Y,
-        PlatformId::GenoaX,
-        PlatformId::Altra,
-    ];
-
     println!(
         "{:12} {:10} {:>12} {:>12} {:>14}",
         "platform", "toolchain", "flat", "nd[128,2]", "residual"
     );
-    for p in platforms {
+    for p in PlatformId::ALL {
         for tc in [Toolchain::Dpcpp, Toolchain::OpenSycl] {
             let run = |variant: SyclVariant, nd: Option<[usize; 3]>| -> Option<(f64, f64)> {
                 let s =

@@ -11,15 +11,6 @@ use sycl_sim::Toolchain;
 
 fn main() {
     let app = miniapps::CloverLeaf2d::paper();
-    let platforms = [
-        PlatformId::A100,
-        PlatformId::Mi250x,
-        PlatformId::Max1100,
-        PlatformId::Xeon8360Y,
-        PlatformId::GenoaX,
-        PlatformId::Altra,
-    ];
-
     println!("=== CloverLeaf 2D (7680^2, 50 iter) across all platforms ===\n");
     println!(
         "{:12} {:18} {:>12} {:>12} {:>10}",
@@ -30,7 +21,7 @@ fn main() {
     let mut dpcpp_nd: Vec<Option<f64>> = Vec::new();
     let mut opensycl_nd: Vec<Option<f64>> = Vec::new();
 
-    for platform in platforms {
+    for platform in PlatformId::ALL {
         for variant in variants_for(platform) {
             let m = measure_structured(&app, platform, variant);
             match (&m.runtime, m.efficiency) {

@@ -6,10 +6,10 @@
 //! every committed `results/` file is either rendered or a named
 //! wall-clock record.
 
-use bench_harness::APP_NAMES;
 use portability::{write_csv, Measurement};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use sycl_sim::quirks::apps;
 use telemetry::json::{self, Json};
 
 /// The paper's cross-product, priced once for this test binary.
@@ -51,7 +51,7 @@ const WALL_CLOCK_RECORDS: [&str; 4] = [
 /// (`PROFILE_<app>.json`; only CloverLeaf 2D's is committed).
 fn is_wall_clock_record(name: &str) -> bool {
     WALL_CLOCK_RECORDS.contains(&name)
-        || APP_NAMES
+        || apps::ALL
             .iter()
             .any(|app| name == format!("PROFILE_{app}.json"))
 }
@@ -92,7 +92,7 @@ fn every_committed_result_is_rendered_or_a_wall_clock_record() {
 #[test]
 fn lint_reports_are_clean_and_surface_fusion_candidates() {
     let mut fused = 0;
-    for app in APP_NAMES {
+    for app in apps::ALL {
         let doc = rendered_json(&format!("LINT_{app}.json"));
         assert_eq!(doc.str_of("app"), Some(app));
         assert_eq!(doc.u64_of("errors"), Some(0), "LINT_{app}.json has errors");

@@ -6,7 +6,14 @@
 //! models) without allocating paper-sized fields.
 
 use portability::{measure_structured, variants_for, StudyVariant};
-use sycl_sim::{PlatformId, Scheme, Toolchain};
+use sycl_sim::{quirks::apps, PlatformId, Scheme, Toolchain};
+
+/// The six structured-mesh apps at paper size, figure order.
+fn structured_apps() -> impl Iterator<Item = Box<dyn miniapps::App>> {
+    apps::STRUCTURED
+        .into_iter()
+        .map(|name| miniapps::make_app(name, true).expect("a paper app"))
+}
 
 fn runtime(app: &dyn miniapps::App, p: PlatformId, tc: Toolchain, nd: bool) -> Option<f64> {
     measure_structured(
@@ -78,7 +85,7 @@ fn bench_harness_rows() -> Vec<(PlatformId, Toolchain, f64)> {
 fn fig2_a100_native_cuda_wins_but_sycl_ndrange_is_within_10pct() {
     // §4.1: "While the native CUDA does perform best, the SYCL nd_range
     // versions with both compilers are within 10%."
-    for app in miniapps::paper_structured_apps() {
+    for app in structured_apps() {
         let cuda = runtime(app.as_ref(), PlatformId::A100, Toolchain::NativeCuda, false).unwrap();
         for tc in [Toolchain::Dpcpp, Toolchain::OpenSycl] {
             let sycl = runtime(app.as_ref(), PlatformId::A100, tc, true).unwrap();
@@ -133,7 +140,7 @@ fn fig2_dpcpp_outperforms_cuda_on_acoustic() {
 fn fig3_mi250x_efficiency_is_consistently_below_the_a100() {
     // §4.1: "in contrast to the A100, the achieved architectural
     // efficiency is consistently lower" on the MI250X.
-    for app in miniapps::paper_structured_apps() {
+    for app in structured_apps() {
         let a100 = efficiency(app.as_ref(), PlatformId::A100, Toolchain::NativeCuda, false);
         let mi = efficiency(
             app.as_ref(),
@@ -155,7 +162,7 @@ fn fig3_mi250x_efficiency_is_consistently_below_the_a100() {
 fn fig3_cray_offload_fails_only_cloverleaf3d() {
     // §4.1: OpenMP offload (Cray) is competitive "though failing on
     // CloverLeaf 3D".
-    for app in miniapps::paper_structured_apps() {
+    for app in structured_apps() {
         let r = measure_structured(
             app.as_ref(),
             PlatformId::Mi250x,
@@ -177,7 +184,7 @@ fn fig4_max1100_sycl_ndrange_beats_omp_offload_by_about_30pct() {
     // §4.1: "On average, the DPC++ compiler with nd_range is 30.2%
     // faster than OpenMP offload."
     let mut ratios = Vec::new();
-    for app in miniapps::paper_structured_apps() {
+    for app in structured_apps() {
         let omp = runtime(
             app.as_ref(),
             PlatformId::Max1100,
@@ -401,15 +408,8 @@ fn fig9_cpu_mgcfd_mpi_beats_every_sycl_variant() {
 fn section44_there_is_a_working_sycl_config_everywhere() {
     // §4.4: "there is at least one compiler and SYCL formulation that
     // works across all architectures and applications."
-    for app in miniapps::paper_structured_apps() {
-        for p in [
-            PlatformId::A100,
-            PlatformId::Mi250x,
-            PlatformId::Max1100,
-            PlatformId::Xeon8360Y,
-            PlatformId::GenoaX,
-            PlatformId::Altra,
-        ] {
+    for app in structured_apps() {
+        for p in PlatformId::ALL {
             let works = variants_for(p)
                 .into_iter()
                 .filter(|v| v.toolchain.is_sycl())
@@ -423,7 +423,7 @@ fn section44_there_is_a_working_sycl_config_everywhere() {
 fn section44_nd_range_is_never_slower_than_flat() {
     // Tuned shapes can only help (the paper's iterative-development
     // recommendation rests on this).
-    for app in miniapps::paper_structured_apps() {
+    for app in structured_apps() {
         for p in [PlatformId::A100, PlatformId::Mi250x, PlatformId::Max1100] {
             for tc in [Toolchain::Dpcpp, Toolchain::OpenSycl] {
                 let (Some(flat), Some(nd)) = (
