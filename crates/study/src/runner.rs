@@ -3,10 +3,11 @@
 //! The measurement itself is `portability::measure` on the unit's app
 //! from `miniapps::make_app` — the same dry-run pricing the paper table
 //! uses, at paper or test size — repeated `reps` times so each record
-//! carries a wall-clock sample per repetition. The *simulated* quantities (runtime, efficiency,
-//! GB/s) are deterministic; only the wall-clock samples vary between
-//! runs, which is exactly the "identical modulo timing samples"
-//! determinism contract `tests/study_proc.rs` checks.
+//! carries a wall-clock sample per repetition. The *simulated*
+//! quantities (runtime, efficiency, GB/s) are deterministic; only the
+//! wall-clock samples vary between runs, which is exactly the
+//! "identical modulo timing samples" determinism contract
+//! `tests/study_proc.rs` checks.
 
 use crate::record::{UnitRecord, UnitStatus};
 use crate::unit::StudyUnit;
@@ -14,10 +15,12 @@ use miniapps::make_app;
 use portability::{measure, Measurement};
 use std::time::Instant;
 
-/// Run one unit to a terminal record (`Ok` or `Hole` — `Crashed` can
-/// only be decided by the orchestrator, after retries are exhausted).
-/// `trace` is the causal trace id stamped on the dispatch (0 when no
-/// orchestrator is involved).
+/// Run one unit to a terminal record: `Ok` or `Hole`, or `Crashed` when
+/// its app name (which may arrive over the worker pipe) resolves to no
+/// app. A unit whose worker dies is marked `Crashed` by the
+/// orchestrator, after retries are exhausted. `trace` is the causal
+/// trace id stamped on the dispatch (0 when no orchestrator is
+/// involved). `paper` picks the apps' paper or test size.
 pub fn run_unit(
     unit: &StudyUnit,
     reps: u32,
@@ -112,6 +115,17 @@ mod tests {
         let rec = run_unit(&unit, 1, false, 0, 1, 0);
         assert_eq!(rec.status, UnitStatus::Hole(FailureKind::Unsupported));
         assert!(rec.sim_secs.is_none() && rec.efficiency.is_none());
+    }
+
+    #[test]
+    fn an_unknown_app_is_a_crashed_record() {
+        let unit = StudyUnit {
+            app: "lulesh".into(),
+            ..smoke_units().swap_remove(0)
+        };
+        let rec = run_unit(&unit, 2, false, 0, 1, 0);
+        assert_eq!(rec.status, UnitStatus::Crashed);
+        assert!(rec.samples.is_empty() && rec.sim_secs.is_none());
     }
 
     #[test]
