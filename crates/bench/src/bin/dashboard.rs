@@ -60,6 +60,9 @@ struct AppTrace {
     sim_secs: f64,
     validation: f64,
     aggs: Vec<KernelAgg>,
+    /// The session ledger's launch count and effective bytes.
+    launches: usize,
+    bytes: f64,
     delta: CounterSnapshot,
 }
 
@@ -83,11 +86,11 @@ fn main() {
         .unwrap_or_else(|| apps::ALL.iter().map(|s| (*s).to_owned()).collect());
     let out = flags.value("--out").unwrap_or("results/DASHBOARD.html");
 
-    for a in &apps {
-        if !apps::ALL.contains(&a.as_str()) {
-            eprintln!("unknown app {a:?}; expected one of {:?}", apps::ALL);
-            std::process::exit(2);
-        }
+    if let Some(a) = apps.iter().find(|a| !apps::ALL.contains(&a.as_str())) {
+        CLI.fail(&format!(
+            "unknown app {a:?}; expected one of {}",
+            apps::ALL.join(", ")
+        ));
     }
 
     let mut traces = Vec::new();
@@ -153,10 +156,11 @@ fn trace_app(name: &str, platform: PlatformId, sched: &mut SchedHists) -> Option
     TelemetryConfig::enabled().install();
     let before = telemetry::counters().snapshot();
     let run = app.run(&session);
-    let delta = telemetry::counters().snapshot().delta(&before);
+    let delta = telemetry::counters().snapshot().since(&before);
     TelemetryConfig::disabled().install();
     let events = telemetry::flush();
     record_regions(sched, &events);
+    let records = session.records();
 
     Some(AppTrace {
         app: name.to_owned(),
@@ -165,6 +169,8 @@ fn trace_app(name: &str, platform: PlatformId, sched: &mut SchedHists) -> Option
         sim_secs: run.elapsed,
         validation: run.validation,
         aggs: telemetry::export::aggregate(&events),
+        launches: records.len(),
+        bytes: records.iter().map(|r| r.effective_bytes).sum(),
         delta,
     })
 }
@@ -377,22 +383,21 @@ fn render_traces(h: &mut String, traces: &[AppTrace], out_dir: &Path) {
     ];
     let rows = traces.iter().map(|t| {
         let d = &t.delta;
-        format!(
-            "<tr><td>{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
-             <td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
-             <td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
-             <td class=\"n\">{}</td></tr>",
-            esc(&t.app),
-            d.launches,
+        let cells: String = [
+            t.launches as u64,
             d.pricing_cache_hits,
             d.pricing_cache_misses,
             d.regions,
             d.steals,
             d.parks,
             d.wakes,
-            d.bytes_moved,
+            t.bytes as u64,
             d.spans_dropped,
-        )
+        ]
+        .iter()
+        .map(|n| format!("<td class=\"n\">{n}</td>"))
+        .collect();
+        format!("<tr><td>{}</td>{cells}</tr>", esc(&t.app))
     });
     table(h, "", head, rows);
     h.push_str("</section>");

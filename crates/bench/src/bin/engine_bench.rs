@@ -58,6 +58,22 @@ impl Entry {
         self.launches as f64 / self.seconds()
     }
 
+    fn new(
+        class: &'static str,
+        phase: &'static str,
+        samples: Vec<f64>,
+        bytes_moved: f64,
+        launches: usize,
+    ) -> Entry {
+        Entry {
+            class,
+            phase,
+            samples,
+            bytes_moved,
+            launches,
+        }
+    }
+
     /// `class/phase`, the name the gate matches kernels by.
     fn key(&self) -> String {
         format!("{}/{}", self.class, self.phase)
@@ -84,7 +100,7 @@ fn time_samples(samples: usize, mut f: impl FnMut()) -> Vec<f64> {
 /// Repeated-launch star-1 stencil: the workload the pricing cache and
 /// the row slices both target. Ping-pongs so every launch reads what
 /// the previous one wrote.
-fn stencil_class(n: usize, launches: usize, samples: usize) -> (Entry, Entry, f64) {
+fn stencil_class(n: usize, launches: usize, samples: usize) -> [Entry; 2] {
     let b = Block::new_2d(n, n, 1);
     let mut a = Dat::<f64>::zeroed(&b, "a");
     let mut c = Dat::<f64>::zeroed(&b, "c");
@@ -147,29 +163,14 @@ fn stencil_class(n: usize, launches: usize, samples: usize) -> (Entry, Entry, f6
         }
     });
 
-    let speedup = baseline.iter().copied().fold(f64::INFINITY, f64::min)
-        / fast.iter().copied().fold(f64::INFINITY, f64::min);
-    (
-        Entry {
-            class: "stencil",
-            phase: "baseline",
-            samples: baseline,
-            bytes_moved: bytes,
-            launches,
-        },
-        Entry {
-            class: "stencil",
-            phase: "fast",
-            samples: fast,
-            bytes_moved: bytes,
-            launches,
-        },
-        speedup,
-    )
+    [
+        Entry::new("stencil", "baseline", baseline, bytes, launches),
+        Entry::new("stencil", "fast", fast, bytes, launches),
+    ]
 }
 
 /// Repeated sum reductions (arena-backed partials on the fast path).
-fn reduce_class(n: usize, launches: usize, samples: usize) -> (Entry, Entry, f64) {
+fn reduce_class(n: usize, launches: usize, samples: usize) -> [Entry; 2] {
     let b = Block::new_2d(n, n, 1);
     let mut u = Dat::<f64>::zeroed(&b, "u");
     u.fill_with(|i, j, _| ((i * 31 + j * 17) % 97) as f64 * 0.001);
@@ -222,25 +223,10 @@ fn reduce_class(n: usize, launches: usize, samples: usize) -> (Entry, Entry, f64
         (sink2 / sink2.round().max(1.0)).is_finite()
     );
 
-    let speedup = baseline.iter().copied().fold(f64::INFINITY, f64::min)
-        / fast.iter().copied().fold(f64::INFINITY, f64::min);
-    (
-        Entry {
-            class: "reduce",
-            phase: "baseline",
-            samples: baseline,
-            bytes_moved: bytes,
-            launches,
-        },
-        Entry {
-            class: "reduce",
-            phase: "fast",
-            samples: fast,
-            bytes_moved: bytes,
-            launches,
-        },
-        speedup,
-    )
+    [
+        Entry::new("reduce", "baseline", baseline, bytes, launches),
+        Entry::new("reduce", "fast", fast, bytes, launches),
+    ]
 }
 
 /// Record-once/replay-many vs eager per-launch over the same sequence
@@ -250,7 +236,7 @@ fn reduce_class(n: usize, launches: usize, samples: usize) -> (Entry, Entry, f64
 /// the sequence once per session (later replays reuse that plan with
 /// one lookup) and commits each replay under one ledger lock, copying
 /// no record aside because no launch observer is installed.
-fn replay_class(launches: usize, replays: usize, samples: usize) -> (Entry, Entry, f64) {
+fn replay_class(launches: usize, replays: usize, samples: usize) -> [Entry; 2] {
     use sycl_sim::Kernel;
     let ks: Vec<Kernel> = (0..launches)
         .map(|i| {
@@ -260,7 +246,6 @@ fn replay_class(launches: usize, replays: usize, samples: usize) -> (Entry, Entr
         .collect();
     // Simulated footprint bytes: what each launch prices, per replay.
     let bytes = replays as f64 * (launches as f64) * ((1u64 << 11) * 8) as f64;
-    let total_launches = replays * launches;
     let sink = std::sync::atomic::AtomicU64::new(0);
 
     let eager = time_samples(samples, || {
@@ -291,31 +276,17 @@ fn replay_class(launches: usize, replays: usize, samples: usize) -> (Entry, Entr
         }
     });
 
-    let speedup = eager.iter().copied().fold(f64::INFINITY, f64::min)
-        / replay.iter().copied().fold(f64::INFINITY, f64::min);
-    (
-        Entry {
-            class: "replay",
-            phase: "eager",
-            samples: eager,
-            bytes_moved: bytes,
-            launches: total_launches,
-        },
-        Entry {
-            class: "replay",
-            phase: "replayed",
-            samples: replay,
-            bytes_moved: bytes,
-            launches: total_launches,
-        },
-        speedup,
-    )
+    [
+        Entry::new("replay", "eager", eager, bytes, replays * launches),
+        Entry::new("replay", "replayed", replay, bytes, replays * launches),
+    ]
 }
 
 /// What one observed launch costs: the same trivial streaming kernel
 /// is launched `launches` times with telemetry off and with counters
-/// and ring on. The delta is the per-launch telemetry cost.
-fn telemetry_class(launches: usize, samples: usize) -> (Entry, Entry, f64) {
+/// and ring on. The difference of their best walls, per launch, is the
+/// telemetry cost.
+fn telemetry_class(launches: usize, samples: usize) -> [Entry; 2] {
     use sycl_sim::Kernel;
     let items = 1u64 << 12;
     let k = Kernel::streaming("probe", items, (items * 8) as f64, 0.0);
@@ -337,16 +308,10 @@ fn telemetry_class(launches: usize, samples: usize) -> (Entry, Entry, f64) {
     TelemetryConfig::disabled().install();
     telemetry::flush(); // counters only; drop the probe spans
 
-    let best = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-    let ring_ns_per_launch = (best(&ring) - best(&off)) / launches as f64 * 1e9;
-    let mk = |phase: &'static str, samples: Vec<f64>| Entry {
-        class: "telemetry",
-        phase,
-        samples,
-        bytes_moved: bytes,
-        launches,
-    };
-    (mk("off", off), mk("ring", ring), ring_ns_per_launch)
+    [
+        Entry::new("telemetry", "off", off, bytes, launches),
+        Entry::new("telemetry", "ring", ring, bytes, launches),
+    ]
 }
 
 /// The run as the `BENCH_engine.json` manifest.
@@ -415,17 +380,17 @@ fn main() {
     TelemetryConfig::enabled().install();
     let before = telemetry::counters().snapshot();
 
-    let (sb, sf, s_sp) = stencil_class(n, launches, samples);
-    let (rb, rf, r_sp) = reduce_class(n, launches, samples);
+    let [sb, sf] = stencil_class(n, launches, samples);
+    let [rb, rf] = reduce_class(n, launches, samples);
 
-    let delta = telemetry::counters().snapshot().delta(&before);
+    let delta = telemetry::counters().snapshot().since(&before);
     TelemetryConfig::disabled().install();
     telemetry::flush(); // drop the trace; this bench keeps counters only
 
     // Replay runs with telemetry off: its phases differ only in the
     // launch layers, and a per-launch span (paid identically by both)
     // would dilute exactly the overhead this class measures.
-    let (ge, gr, g_sp) = replay_class(launches.max(32), 4 * passes.max(8), samples);
+    let [ge, gr] = replay_class(launches.max(32), 4 * passes.max(8), samples);
 
     // Observation-cost probe: how much a launch pays for counters+ring.
     let probe_launches = if smoke {
@@ -435,7 +400,8 @@ fn main() {
     } else {
         20_000
     };
-    let (to, tr, ring_ns) = telemetry_class(probe_launches, samples);
+    let [to, tr] = telemetry_class(probe_launches, samples);
+    let ring_ns = (tr.seconds() - to.seconds()) / probe_launches as f64 * 1e9;
 
     let entries = [sb, sf, rb, rf, ge, gr, to, tr];
     println!(
@@ -452,22 +418,15 @@ fn main() {
             e.launches_per_sec()
         );
     }
-    let speedups = [
-        ("stencil", s_sp),
-        ("reduce", r_sp),
-        ("replay_over_eager", g_sp),
-    ];
-    for (class, sp) in &speedups {
-        println!("speedup[{class}] = {sp:.2}x");
+    // Each class's first phase's best wall over its second's.
+    for (class, i) in [("stencil", 0), ("reduce", 2), ("replay_over_eager", 4)] {
+        let speedup = entries[i].seconds() / entries[i + 1].seconds();
+        println!("speedup[{class}] = {speedup:.2}x");
     }
     println!("overhead[ring] = {ring_ns:.1} ns/launch");
     println!(
-        "counters: {} launches, cache {} hits / {} misses, {} regions, {} steals",
-        delta.launches,
-        delta.pricing_cache_hits,
-        delta.pricing_cache_misses,
-        delta.regions,
-        delta.steals,
+        "counters: cache {} hits / {} misses, {} regions, {} steals",
+        delta.pricing_cache_hits, delta.pricing_cache_misses, delta.regions, delta.steals,
     );
 
     let m = manifest(&entries, samples as u32, delta);

@@ -12,14 +12,17 @@
 //!   toolchain, like Table 1;
 //! * `--paper` — price the paper-sized problem through a dry-run
 //!   session instead of executing the test-sized one functionally;
-//! * `--smoke` — self-checking mode for CI: after the run, exit
-//!   non-zero unless the trace parses as JSON, contains at least one
-//!   launch span, and the aggregate table is non-empty.
+//! * `--smoke` — self-checking mode for CI: exit non-zero unless the
+//!   trace parses as JSON and the ledger table is non-empty, and a
+//!   functional run wrote one launch span per ledger record (and a
+//!   non-empty aggregate) while a `--paper` run wrote none.
 //!
-//! Output: the per-kernel aggregate table on stdout, and
-//! `results/PROFILE_<app>.json` — a Chrome `trace_event` document
-//! (loadable as-is in Perfetto / `chrome://tracing`) whose extra
-//! top-level keys carry the aggregate table and the engine counters.
+//! Output: on stdout the span aggregate, or for a `--paper` run, whose
+//! launches run no body and write no span, the ledger's per-kernel
+//! table ([`Session::explain`]); and `results/PROFILE_<app>.json`, a
+//! Chrome `trace_event` document (loadable as-is in Perfetto /
+//! `chrome://tracing`) whose extra top-level keys carry the ledger
+//! table, the span aggregate and the engine counters.
 //!
 //! An unknown flag or platform, a second operand, or `--platform`
 //! without its value prints the usage and exits 2.
@@ -27,7 +30,7 @@
 use bench_harness::cli::Cli;
 use bench_harness::{native_toolchain, write_results_file};
 use miniapps::make_app;
-use sycl_sim::{Scheme, Session, SessionConfig};
+use sycl_sim::{quirks::apps, Scheme, Session, SessionConfig};
 use telemetry::json::{validate, JsonWriter};
 use telemetry::TelemetryConfig;
 
@@ -47,8 +50,8 @@ fn main() {
 
     let Some(app) = make_app(app_name, paper) else {
         CLI.fail(&format!(
-            "unknown app {app_name:?}; expected one of cloverleaf2d, cloverleaf3d, \
-             opensbli_sa, opensbli_sn, rtm, acoustic, mgcfd"
+            "unknown app {app_name:?}; expected one of {}",
+            apps::ALL.join(", ")
         ));
     };
 
@@ -71,7 +74,7 @@ fn main() {
     TelemetryConfig::enabled().install();
     let before = telemetry::counters().snapshot();
     let run = app.run(&session);
-    let delta = telemetry::counters().snapshot().delta(&before);
+    let delta = telemetry::counters().snapshot().since(&before);
     TelemetryConfig::disabled().install();
     let events = telemetry::flush();
 
@@ -80,25 +83,31 @@ fn main() {
         .iter()
         .filter(|e| e.kind == telemetry::SpanKind::Launch)
         .count();
+    let ledger = session.kernel_summary();
+    let records = session.records().len();
 
+    let (mode, size) = if paper {
+        ("paper", "paper size (dry run)")
+    } else {
+        ("test", "test size (functional)")
+    };
     println!(
-        "# {} on {} ({}), {} — sim {:.3} ms, {} launches, {} trace events",
+        "# {} on {} ({}), {size} — sim {:.3} ms, {} launches, {} trace events",
         app.name(),
         session.platform().name,
         toolchain.label(),
-        if paper {
-            "paper size (dry run)"
-        } else {
-            "test size (functional)"
-        },
         run.elapsed * 1e3,
-        session.records().len(),
+        records,
         events.len(),
     );
-    print!(
-        "{}",
-        telemetry::export::aggregate_text(&aggs, delta.spans_dropped)
-    );
+    if paper {
+        print!("{}", session.explain());
+    } else {
+        print!(
+            "{}",
+            telemetry::export::aggregate_text(&aggs, delta.spans_dropped)
+        );
+    }
     println!(
         "cache {} hits / {} misses | {} regions, {} steals, {} parks, {} wakes | {} spans dropped",
         delta.pricing_cache_hits,
@@ -115,10 +124,19 @@ fn main() {
     w.key("app").string(app.name());
     w.key("platform").string(platform.label());
     w.key("toolchain").string(toolchain.label());
-    w.key("mode").string(if paper { "paper" } else { "test" });
+    w.key("mode").string(mode);
     w.key("sim_elapsed_secs").number(run.elapsed);
-    w.key("ledger_launches").int(session.records().len() as u64);
+    w.key("ledger_launches").int(records as u64);
     w.key("validation").number(run.validation);
+    w.key("ledger").begin_array();
+    for (kernel, secs, launches) in &ledger {
+        w.begin_object();
+        w.key("kernel").string(kernel);
+        w.key("launches").int(*launches as u64);
+        w.key("sim_secs").number(*secs);
+        w.end_object();
+    }
+    w.end_array();
     w.key("counters");
     telemetry::export::counters_json(&mut w, &delta);
     w.key("aggregate");
@@ -143,23 +161,20 @@ fn main() {
             eprintln!("smoke: trace document is malformed JSON: {e}");
             std::process::exit(1);
         }
-        if launch_spans == 0 || aggs.is_empty() {
-            eprintln!(
-                "smoke: empty trace ({launch_spans} launch spans, {} aggregate rows)",
-                aggs.len()
-            );
-            std::process::exit(1);
-        }
-        if launch_spans != session.records().len() {
-            eprintln!(
-                "smoke: {} ledger records but {launch_spans} launch spans",
-                session.records().len()
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "smoke OK: {launch_spans} launch spans across {} kernels",
+        let spans_ok = if paper {
+            launch_spans == 0
+        } else {
+            launch_spans == records && !aggs.is_empty()
+        };
+        let tally = format!(
+            "{launch_spans} launch spans, {records} ledger records, {} ledger rows, {} aggregate rows",
+            ledger.len(),
             aggs.len()
         );
+        if !spans_ok || ledger.is_empty() {
+            eprintln!("smoke: {tally}");
+            std::process::exit(1);
+        }
+        println!("smoke OK: {tally}");
     }
 }

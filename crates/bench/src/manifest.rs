@@ -144,8 +144,8 @@ mod tests {
                 gbps: 96.0,
             }],
             counters: CounterSnapshot {
-                launches: 42,
-                bytes_moved: 1 << 30,
+                pricing_cache_hits: 42,
+                regions: 1 << 30,
                 ..Default::default()
             },
         };
@@ -155,8 +155,8 @@ mod tests {
         assert_eq!(doc.u64_of("threads"), Some(8));
         assert_eq!(doc.u64_of("createdUnixSecs"), Some(1_700_000_000));
         let counters = doc.get("counters").unwrap();
-        assert_eq!(counters.u64_of("launches"), Some(42));
-        assert_eq!(counters.u64_of("bytes_moved"), Some(1 << 30));
+        assert_eq!(counters.u64_of("pricing_cache_hits"), Some(42));
+        assert_eq!(counters.u64_of("regions"), Some(1 << 30));
         let k = &doc.get("kernels").and_then(json::Json::as_arr).unwrap()[0];
         assert_eq!(k.str_of("name"), Some("triad \"hot\""));
         assert_eq!(k.f64_of("gbps"), Some(96.0));

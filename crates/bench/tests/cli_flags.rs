@@ -1,6 +1,6 @@
 //! The command-line tools reject what they do not parse: an unknown
-//! flag, or a flag missing its value, prints the usage and exits 2
-//! before any work starts.
+//! flag, platform or app, or a flag missing its value, prints the usage
+//! and exits 2 before any work starts.
 
 use std::process::Command;
 
@@ -57,7 +57,9 @@ fn graphlint_rejects_unknown_flags_and_missing_values() {
 
 #[test]
 fn dashboard_rejects_unknown_flags_and_missing_values() {
-    rejects_bad_command_lines(env!("CARGO_BIN_EXE_dashboard"), "dashboard", "--out");
+    let bin = env!("CARGO_BIN_EXE_dashboard");
+    rejects_bad_command_lines(bin, "dashboard", "--out");
+    exits_with_usage(bin, "dashboard", &[&["--apps", "nosuchapp"]]);
 }
 
 #[test]

@@ -9,13 +9,16 @@
 //! execute back-to-back, and the whole sequence commits under **one**
 //! ledger lock acquisition. Each stage calls the same per-op function
 //! [`Session::launch`] does — only the locking differs — and phase
-//! spans exist only here. The plan itself is the replay's ledger entry:
-//! commit appends one `Arc` clone of it instead of one record per
-//! launch, while each launch still advances the clock, the boundary
-//! seconds and the effective bytes in turn, through the same inlined
-//! `CommitLocks::launch` an eager launch commits through. That walk
-//! is the only one a dry cell makes over its launches: its boundary
-//! fraction and effective bandwidth read the sums it kept.
+//! spans exist only here. Like an eager launch, a replay writes its
+//! `Launch` and `Phase` spans only when telemetry is on and the session
+//! executes; a dry replay writes just its one `Replay` span. The plan
+//! itself is the replay's ledger entry: commit appends one `Arc` clone
+//! of it instead of one record per launch, while each launch still
+//! advances the clock, the boundary seconds and the effective bytes in
+//! turn, through the same inlined `CommitLocks::launch` an eager launch
+//! commits through. That walk is the only one a dry cell makes over
+//! its launches: its boundary fraction and effective bandwidth read the
+//! sums it kept.
 //!
 //! A graph recorded on a dry-run session keeps only the bodies a dry
 //! replay calls: those of reducing kernels, which hand their sink the
@@ -95,9 +98,8 @@ static NEXT_GRAPH_ID: AtomicU64 = AtomicU64::new(1);
 /// [`LaunchGraph`]. Obtained from [`Session::record`].
 pub struct GraphBuilder<'a> {
     ops: Vec<GraphOp>,
-    /// The kept bodies with the index of their launch op, in recorded
-    /// order.
-    bodies: Vec<(usize, Body<'a>)>,
+    /// The kept bodies, in recorded order.
+    bodies: Vec<Body<'a>>,
     /// The recording session executes bodies. When it does not, only
     /// reducing kernels keep theirs.
     executes: bool,
@@ -147,7 +149,7 @@ impl<'a> GraphBuilder<'a> {
         body: impl Fn(bool) + Sync + 'a,
     ) {
         if self.executes || kernel.footprint.reductions > 0 {
-            self.bodies.push((self.ops.len(), Box::new(body)));
+            self.bodies.push(Box::new(body));
         }
         self.ops.push(GraphOp::Launch {
             node: LaunchNode::new(kernel),
@@ -196,7 +198,8 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// Open a named phase span covering the ops recorded until the
-    /// matching [`GraphBuilder::end_phase`].
+    /// matching [`GraphBuilder::end_phase`]. A replay writes it only
+    /// when traced on an executing session.
     pub fn phase(&mut self, name: &'static str) {
         self.open_phases.push(name);
         self.ops.push(GraphOp::PhaseBegin { name });
@@ -326,9 +329,9 @@ pub struct GraphSummary {
 pub struct LaunchGraph<'a> {
     id: u64,
     ops: Vec<GraphOp>,
-    /// The kept bodies with their launch op's index, in recorded order.
-    /// Fewer than `launches` only on a graph recorded dry.
-    bodies: Vec<(usize, Body<'a>)>,
+    /// The kept bodies, in recorded order. Fewer than `launches` only
+    /// on a graph recorded dry.
+    bodies: Vec<Body<'a>>,
     launches: u64,
     /// Some launch declares a write to a named dat
     /// ([`DatAccess::writes_named`]). Without one, no launch can change
@@ -499,29 +502,27 @@ impl LaunchGraph<'_> {
         }
     }
 
-    /// Execute stage: run the kept bodies in recorded order, with the
-    /// phase spans bracketing them. With telemetry off there is no span
-    /// to write, so it only calls each kept body with `executes`: on a
-    /// dry-recorded graph those are the reduce bodies, which hand their
-    /// sink the identity. With telemetry on, every launch writes its
-    /// span, whether or not its body was kept.
+    /// Execute stage: run the kept bodies in recorded order. Untraced,
+    /// or on a dry session, there is no span to write, so it only calls
+    /// each kept body with `executes`: on a dry-recorded graph those are
+    /// the reduce bodies, which hand their sink the identity. A traced
+    /// executing replay keeps every body and times each launch as one
+    /// `Launch` span, with the phase spans bracketing them.
     fn execute_stage(&self, priced: &[Option<LaunchRecord>], executes: bool) {
-        if !telemetry::enabled() {
-            for (_, body) in &self.bodies {
+        if !(telemetry::enabled() && executes) {
+            for body in &self.bodies {
                 body(executes);
             }
             return;
         }
-        let mut bodies = self.bodies.iter().peekable();
+        let mut bodies = self.bodies.iter();
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
-        for (i, (op, p)) in self.ops.iter().zip(priced).enumerate() {
+        for (op, p) in self.ops.iter().zip(priced) {
             match op {
                 GraphOp::Launch { .. } => {
-                    let body = bodies.next_if(|&&(at, _)| at == i);
-                    execute(p.as_ref().expect("launch ops are priced"), || {
-                        if let Some((_, body)) = body {
-                            body(executes);
-                        }
+                    let body = bodies.next().expect("an executing replay keeps every body");
+                    execute(p.as_ref().expect("launch ops are priced"), true, || {
+                        body(true)
                     });
                 }
                 GraphOp::PhaseBegin { name } => {
@@ -733,7 +734,6 @@ mod tests {
 
     #[test]
     fn dry_replays_hand_reduce_sinks_the_identity() {
-        assert!(!telemetry::enabled(), "the span-free dry path");
         let mut k = Kernel::streaming("dt", 1 << 16, 1e6, 0.0);
         k.footprint.reductions = 1;
         let sink = AtomicU64::new(0);

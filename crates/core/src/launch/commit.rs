@@ -259,12 +259,13 @@ impl<'s> CommitLocks<'s> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use machine_model::KernelTime;
     use std::sync::Arc;
 
-    fn record(name: &str, total: f64) -> LaunchRecord {
+    /// A launch record priced at `total` seconds (7 items, 56 bytes).
+    pub(crate) fn record(name: &str, total: f64) -> LaunchRecord {
         LaunchRecord {
             time: KernelTime {
                 total,

@@ -4,7 +4,8 @@
 //! 2. [`price`] — quirks + toolchain `ExecProfile` + platform model,
 //!    served by the fingerprint cache (and, for a replayed graph, by
 //!    the session's per-graph plan).
-//! 3. [`execute`] — the functional body on parkit, plus launch telemetry.
+//! 3. [`execute`] — the functional body on parkit, timed as a `Launch`
+//!    span when telemetry is on and the session executes.
 //! 4. [`commit`] — advance the clock and append one ledger entry under
 //!    the lock: an eager launch's record, or a replay's whole plan.
 //!

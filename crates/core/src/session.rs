@@ -259,8 +259,9 @@ impl Session {
     /// Returns whatever the body returns.
     ///
     /// `body` is called in every session, but in a dry-run session (see
-    /// [`Session::executes`]) it is expected to do nothing. Wall-clock
-    /// spans, counters and the ledger entry are recorded either way.
+    /// [`Session::executes`]) it is expected to do nothing. The ledger
+    /// entry is recorded either way; a `Launch` span only when the
+    /// session executes.
     pub fn launch<R>(&self, kernel: &Kernel, body: impl FnOnce() -> R) -> R {
         let (r, _) = self.launch_timed(kernel, body);
         r
@@ -280,9 +281,10 @@ impl Session {
     }
 
     /// Like [`Session::launch`], also returning the simulated timing.
-    /// When [`telemetry`] is enabled the launch records a `LaunchSpan`
-    /// carrying the kernel name, iteration count, effective bytes and the
-    /// simulated seconds, so traces can report achieved GB/s per kernel.
+    /// When [`telemetry`] is enabled and the session executes, the launch
+    /// writes a `Launch` span carrying the kernel name, iteration count,
+    /// effective bytes and the simulated seconds, so traces can report
+    /// achieved GB/s per kernel.
     pub fn launch_timed<R>(&self, kernel: &Kernel, body: impl FnOnce() -> R) -> (R, KernelTime) {
         // record → price → commit → execute: the ledger entry lands
         // before the body runs. Eager launches declare no accesses, so
@@ -292,7 +294,7 @@ impl Session {
         locks.launch(&record, None);
         locks.push_launch(record.clone());
         locks.release();
-        (execute(&record, body), record.time)
+        (execute(&record, self.executes(), body), record.time)
     }
 
     /// Price stage for one launch, against a caller-held cache lock.

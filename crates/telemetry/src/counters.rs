@@ -1,4 +1,6 @@
-//! Process-wide engine counters.
+//! Process-wide engine counters: pricing-cache traffic, pool
+//! scheduling and dropped spans. Launches and their effective bytes
+//! are not counted here: a session's ledger is their one record.
 //!
 //! Plain relaxed `AtomicU64`s: increments never order against anything —
 //! they are statistics, not synchronisation. Every bump site is guarded
@@ -11,8 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [snapshots](Counters::snapshot) to measure an interval).
 #[derive(Debug, Default)]
 pub struct Counters {
-    /// Kernel launches priced through a session.
-    pub launches: AtomicU64,
     /// Launch-pricing cache hits (fingerprint found and field-verified).
     pub pricing_cache_hits: AtomicU64,
     /// Launch-pricing cache misses (cache enabled, but a full
@@ -27,8 +27,6 @@ pub struct Counters {
     pub parks: AtomicU64,
     /// Times a parked worker woke to adopt a region.
     pub wakes: AtomicU64,
-    /// Effective (compulsory-DRAM-rule) bytes of all priced launches.
-    pub bytes_moved: AtomicU64,
     /// Span events overwritten by ring wrap before they were flushed.
     pub spans_dropped: AtomicU64,
 }
@@ -46,14 +44,12 @@ impl Counters {
     pub fn snapshot(&self) -> CounterSnapshot {
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         CounterSnapshot {
-            launches: g(&self.launches),
             pricing_cache_hits: g(&self.pricing_cache_hits),
             pricing_cache_misses: g(&self.pricing_cache_misses),
             regions: g(&self.regions),
             steals: g(&self.steals),
             parks: g(&self.parks),
             wakes: g(&self.wakes),
-            bytes_moved: g(&self.bytes_moved),
             spans_dropped: g(&self.spans_dropped),
         }
     }
@@ -62,14 +58,12 @@ impl Counters {
 /// Plain-value copy of [`Counters`] at one moment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSnapshot {
-    pub launches: u64,
     pub pricing_cache_hits: u64,
     pub pricing_cache_misses: u64,
     pub regions: u64,
     pub steals: u64,
     pub parks: u64,
     pub wakes: u64,
-    pub bytes_moved: u64,
     pub spans_dropped: u64,
 }
 
@@ -77,38 +71,26 @@ impl CounterSnapshot {
     /// Field-by-field difference against an earlier snapshot.
     pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
         CounterSnapshot {
-            launches: self.launches - earlier.launches,
             pricing_cache_hits: self.pricing_cache_hits - earlier.pricing_cache_hits,
             pricing_cache_misses: self.pricing_cache_misses - earlier.pricing_cache_misses,
             regions: self.regions - earlier.regions,
             steals: self.steals - earlier.steals,
             parks: self.parks - earlier.parks,
             wakes: self.wakes - earlier.wakes,
-            bytes_moved: self.bytes_moved - earlier.bytes_moved,
             spans_dropped: self.spans_dropped - earlier.spans_dropped,
         }
-    }
-
-    /// Per-interval counters for a bench iteration: what happened
-    /// between `earlier` and this snapshot. (Alias of
-    /// [`CounterSnapshot::since`] under the name bench loops read
-    /// naturally: `after.delta(&before)`.)
-    pub fn delta(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        self.since(earlier)
     }
 }
 
 /// The process-wide counter set.
 pub fn counters() -> &'static Counters {
     static COUNTERS: Counters = Counters {
-        launches: AtomicU64::new(0),
         pricing_cache_hits: AtomicU64::new(0),
         pricing_cache_misses: AtomicU64::new(0),
         regions: AtomicU64::new(0),
         steals: AtomicU64::new(0),
         parks: AtomicU64::new(0),
         wakes: AtomicU64::new(0),
-        bytes_moved: AtomicU64::new(0),
         spans_dropped: AtomicU64::new(0),
     };
     &COUNTERS
@@ -121,18 +103,18 @@ mod tests {
     #[test]
     fn snapshot_diff_is_per_field() {
         let a = CounterSnapshot {
-            launches: 10,
+            regions: 10,
             steals: 3,
             ..Default::default()
         };
         let b = CounterSnapshot {
-            launches: 25,
+            regions: 25,
             steals: 7,
             wakes: 2,
             ..Default::default()
         };
         let d = b.since(&a);
-        assert_eq!(d.launches, 15);
+        assert_eq!(d.regions, 15);
         assert_eq!(d.steals, 4);
         assert_eq!(d.wakes, 2);
         assert_eq!(d.parks, 0);
@@ -141,9 +123,9 @@ mod tests {
     #[test]
     fn global_counters_accumulate() {
         let before = counters().snapshot();
-        Counters::add(&counters().bytes_moved, 128);
-        Counters::add(&counters().bytes_moved, 72);
+        Counters::add(&counters().pricing_cache_hits, 128);
+        Counters::add(&counters().pricing_cache_hits, 72);
         let after = counters().snapshot();
-        assert!(after.since(&before).bytes_moved >= 200);
+        assert!(after.since(&before).pricing_cache_hits >= 200);
     }
 }

@@ -190,14 +190,12 @@ pub fn aggregate_json(w: &mut JsonWriter, aggs: &[KernelAgg], spans_dropped: u64
 /// Write a counter snapshot as a JSON object.
 pub fn counters_json(w: &mut JsonWriter, c: &CounterSnapshot) {
     w.begin_object();
-    w.key("launches").int(c.launches);
     w.key("pricing_cache_hits").int(c.pricing_cache_hits);
     w.key("pricing_cache_misses").int(c.pricing_cache_misses);
     w.key("regions").int(c.regions);
     w.key("steals").int(c.steals);
     w.key("parks").int(c.parks);
     w.key("wakes").int(c.wakes);
-    w.key("bytes_moved").int(c.bytes_moved);
     w.key("spans_dropped").int(c.spans_dropped);
     w.end_object();
 }
@@ -298,12 +296,12 @@ mod tests {
         counters_json(
             &mut w,
             &CounterSnapshot {
-                launches: 3,
+                steals: 3,
                 ..Default::default()
             },
         );
         let doc = w.finish();
         crate::json::validate(&doc).unwrap();
-        assert!(doc.contains("\"launches\": 3"));
+        assert!(doc.contains("\"steals\": 3"));
     }
 }

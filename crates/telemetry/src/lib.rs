@@ -10,15 +10,20 @@
 //!
 //! * **Spans** ([`SpanTimer`], [`Event`]) — nanosecond wall-clock spans
 //!   recorded into per-thread ring buffers ([`ring`]). A span is one
-//!   kernel launch ([`SpanKind::Launch`]), one pool region
-//!   ([`SpanKind::Region`]) or one deterministic reduction
-//!   ([`SpanKind::Reduce`]), carrying the kernel name, item count and
-//!   footprint bytes. [`flush`] drains every thread's ring into one
+//!   kernel launch that ran its body ([`SpanKind::Launch`], eager or
+//!   replayed on an executing session, carrying the kernel name, item
+//!   count, effective bytes and simulated seconds), one pool or app
+//!   region ([`SpanKind::Region`]), one deterministic reduction
+//!   ([`SpanKind::Reduce`]), one named phase ([`SpanKind::Phase`]) or
+//!   one graph replay ([`SpanKind::Replay`], written by dry replays
+//!   too). A dry-run launch times nothing and writes no span.
+//!   [`flush`] drains every thread's ring into one
 //!   monotonically-ordered event list (ordered by a global finish
 //!   sequence, so cross-thread ordering is exact, not approximate).
 //! * **Counters** ([`counters()`]) — process-wide relaxed atomics:
-//!   launches, pricing-cache hits/misses, pool regions, steals,
-//!   parks/wakes, effective bytes moved, spans dropped on ring wrap.
+//!   pricing-cache hits/misses, pool regions, steals, parks/wakes and
+//!   spans dropped on ring wrap. Launches and their effective bytes
+//!   are counted by the session ledger, not here.
 //! * **Exporters** ([`export`]) — Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) and a per-kernel aggregate table
 //!   (count, total/mean/p99 wall time, achieved GB/s from the footprint

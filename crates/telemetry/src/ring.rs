@@ -52,7 +52,9 @@ pub fn now_ns() -> u64 {
 /// What a span measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// One kernel launch through a session (pricing + functional body).
+    /// One kernel launch that ran its functional body: an eager or
+    /// replayed launch on an executing session. A dry-run launch writes
+    /// none.
     Launch,
     /// One parallel region on the thread pool.
     Region,
@@ -63,7 +65,7 @@ pub enum SpanKind {
     Phase,
     /// One launch-graph replay (a batch of launches priced from the
     /// session's plan for the graph and committed under a single ledger
-    /// lock).
+    /// lock), on a dry-run session too.
     Replay,
     /// One study unit executing on a worker (the span a worker's flight
     /// recording opens and closes — the crash-attribution anchor).
