@@ -1,16 +1,14 @@
 //! `dashboard` — build the self-contained HTML performance dashboard.
 //!
 //! ```text
-//! dashboard [--apps <a,b,...>] [--platform <label>] [--out <path>] [--skip-study]
+//! dashboard [--apps <a,b,...>] [--platform <label>] [--out <path>]
 //! ```
 //!
 //! * `--apps` — comma-separated list of apps to trace for the per-kernel
 //!   tables (default: all seven paper apps);
 //! * `--platform` — platform whose native toolchain the traced apps run
 //!   under (default `a100`);
-//! * `--out` — output path (default `results/DASHBOARD.html`);
-//! * `--skip-study` — omit the roofline scatter and portability heatmap
-//!   (skips the cross-product study; the trace tables still render).
+//! * `--out` — output path (default `results/DASHBOARD.html`).
 //!
 //! An unknown flag, platform or app, or a flag missing its value, exits 2.
 //!
@@ -20,7 +18,8 @@
 //!
 //! 1. per-kernel wall/sim tables + counter deltas for each traced app,
 //!    with a deep-link into the matching `PROFILE_<app>.json` Perfetto
-//!    trace when one sits next to the dashboard;
+//!    trace when one sits next to the dashboard and records the same
+//!    kind of run (test size, on the dashboard's platform);
 //! 2. scheduler health: chunks per pool region and region wall time,
 //!    summarised from the traced runs' Region spans;
 //! 3. achieved-bandwidth scatter against each platform's STREAM roof;
@@ -70,15 +69,14 @@ struct AppTrace {
 type SchedHists = BTreeMap<&'static str, Histogram>;
 
 const CLI: Cli = Cli {
-    usage: "dashboard [--apps <a,b,...>] [--platform <label>] [--out <path>] [--skip-study]",
+    usage: "dashboard [--apps <a,b,...>] [--platform <label>] [--out <path>]",
     operand: false,
-    switches: &["--skip-study"],
+    switches: &[],
     options: &["--apps", "--platform", "--out"],
 };
 
 fn main() {
     let flags = CLI.from_env();
-    let skip_study = flags.has("--skip-study");
     let platform = CLI.platform(&flags);
     let apps: Vec<String> = flags
         .value("--apps")
@@ -102,20 +100,16 @@ fn main() {
         }
     }
 
-    let study: Vec<(PlatformId, Vec<Measurement>)> = if skip_study {
-        Vec::new()
-    } else {
-        let table = paper_measurements();
-        PlatformId::ALL
-            .into_iter()
-            .map(|p| {
-                (
-                    p,
-                    table.iter().filter(|m| m.platform == p).cloned().collect(),
-                )
-            })
-            .collect()
-    };
+    let table = paper_measurements();
+    let study: Vec<(PlatformId, Vec<Measurement>)> = PlatformId::ALL
+        .into_iter()
+        .map(|p| {
+            (
+                p,
+                table.iter().filter(|m| m.platform == p).cloned().collect(),
+            )
+        })
+        .collect();
 
     let path = Path::new(&out);
     let out_dir = match path.parent() {
@@ -283,10 +277,8 @@ fn render(
 
     render_traces(&mut h, traces, out_dir);
     render_scheduler(&mut h, sched);
-    if !study.is_empty() {
-        render_roofline(&mut h, study);
-        render_heatmap(&mut h, study);
-    }
+    render_roofline(&mut h, study);
+    render_heatmap(&mut h, study);
     render_data_movement(&mut h);
     render_study_run(&mut h, out_dir);
     render_graphlint(&mut h);
@@ -294,6 +286,17 @@ fn render(
     h.push_str(SCRIPT);
     h.push_str("</body></html>\n");
     h
+}
+
+/// Does the `profile` document `text` record a functional test-size run
+/// on `platform`, the run a trace table tabulates? `profile --paper`
+/// writes a dry paper-size trace under the same file name, and a trace
+/// from another platform prices other kernels; neither is linked.
+fn traces_test_run(text: &str, platform: &str) -> bool {
+    json::parse(text).is_ok_and(|doc| {
+        doc.get("mode").and_then(Json::as_str) == Some("test")
+            && doc.get("platform").and_then(Json::as_str) == Some(platform)
+    })
 }
 
 /// Section 1: per-kernel aggregates and counter deltas per traced app.
@@ -314,10 +317,11 @@ fn render_traces(h: &mut String, traces: &[AppTrace], out_dir: &Path) {
             t.validation,
         );
         // Deep-link to the app's Chrome-trace document when `profile`
-        // left one next to the dashboard: a relative href (the file is
-        // a sibling), loadable in Perfetto / chrome://tracing.
+        // left one of this run next to the dashboard: a relative href
+        // (the file is a sibling), loadable in Perfetto / chrome://tracing.
         let trace_file = format!("PROFILE_{}.json", t.app);
-        if out_dir.join(&trace_file).is_file() {
+        let trace = std::fs::read_to_string(out_dir.join(&trace_file));
+        if trace.is_ok_and(|text| traces_test_run(&text, &t.platform)) {
             let _ = write!(
                 h,
                 " — <a href=\"{0}\" download=\"{0}\">Perfetto trace</a>",
@@ -1048,3 +1052,21 @@ for (const th of document.querySelectorAll('table.sortable th')) {
 }
 </script>
 "#;
+
+#[cfg(test)]
+mod tests {
+    use super::traces_test_run;
+
+    #[test]
+    fn only_a_test_size_trace_of_the_same_platform_is_linked() {
+        let doc = |mode: &str, platform: &str| {
+            format!(
+                r#"{{"app": "mgcfd", "platform": "{platform}", "mode": "{mode}", "traceEvents": []}}"#
+            )
+        };
+        assert!(traces_test_run(&doc("test", "a100"), "a100"));
+        assert!(!traces_test_run(&doc("paper", "a100"), "a100"));
+        assert!(!traces_test_run(&doc("test", "genoax"), "a100"));
+        assert!(!traces_test_run("{\"mode\": \"test\"", "a100"));
+    }
+}

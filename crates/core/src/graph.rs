@@ -39,7 +39,7 @@
 use crate::kernel::Kernel;
 use crate::launch::commit::{CommitLocks, Op};
 use crate::launch::execute::execute;
-use crate::launch::record::{DatAccess, LaunchMeta, LaunchNode};
+use crate::launch::{DatAccess, LaunchMeta, LaunchNode};
 use crate::session::{LaunchRecord, Session};
 use machine_model::{Precision, TransferDir};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -719,7 +719,7 @@ mod tests {
     }
 
     fn writes(dat: u32) -> LaunchMeta {
-        use crate::launch::record::AccessMode;
+        use crate::launch::AccessMode;
         LaunchMeta::new(
             vec![DatAccess {
                 dat,
@@ -1045,7 +1045,7 @@ mod tests {
 
     #[test]
     fn summary_mirrors_ops_with_metadata_and_without_bodies() {
-        use crate::launch::record::{AccessMode, DatAccess, LaunchMeta};
+        use crate::launch::{AccessMode, DatAccess, LaunchMeta};
         let s = session();
         let k = Kernel::streaming("triad", 1 << 12, 1e5, 0.0);
         let mut g = s.record();
@@ -1111,7 +1111,7 @@ mod tests {
 
     #[test]
     fn graph_observer_sees_each_replay_and_metadata_changes_nothing() {
-        use crate::launch::record::{AccessMode, DatAccess, LaunchMeta};
+        use crate::launch::{AccessMode, DatAccess, LaunchMeta};
         let k = Kernel::streaming("triad", 1 << 20, 3e7, 2e6);
 
         // Identical sequences, one with metadata, one without: the

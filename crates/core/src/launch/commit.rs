@@ -14,8 +14,8 @@
 //! copied aside; the observer sees them after the locks are released.
 
 use crate::launch::price::{CommOp, Plan, PriceCache};
-use crate::launch::record::LaunchMeta;
 use crate::launch::residency::ResidencyTracker;
+use crate::launch::LaunchMeta;
 use crate::session::{LaunchObserver, LaunchRecord, Session};
 use machine_model::TransferDir;
 use parkit::sync::MutexGuard;

@@ -19,5 +19,6 @@ pub mod price;
 pub mod record;
 pub mod residency;
 
-pub use record::{AccessMode, DatAccess, LaunchMeta, LaunchNode};
+pub use record::LaunchNode;
 pub use residency::{Residency, TransferStats};
+pub use telemetry::shadow::{AccessMode, DatAccess, LaunchMeta};

@@ -107,108 +107,6 @@ pub(crate) fn fingerprint(kernel: &Kernel) -> u64 {
     h.finish()
 }
 
-/// How a recorded launch accesses one dataset — the declared mode, not
-/// an observation. Mirrors the DSL argument kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessMode {
-    Read,
-    Write,
-    ReadWrite,
-}
-
-/// One declared per-dat access of a recorded launch. `dat` is the
-/// shadow-registry id (0 = anonymous: no shadow was current when the
-/// dataset was created, so the access cannot be tracked across launches).
-#[derive(Debug, Clone, Copy)]
-pub struct DatAccess {
-    pub dat: u32,
-    pub mode: AccessMode,
-    /// Declared stencil radius of the reads; writes are own-point.
-    pub radius: [usize; 3],
-    /// Bytes per element, for modelled-traffic estimates.
-    pub elem_bytes: f64,
-}
-
-impl DatAccess {
-    /// Does this access read the dat (plain or as part of an RMW)?
-    pub fn reads(&self) -> bool {
-        matches!(self.mode, AccessMode::Read | AccessMode::ReadWrite)
-    }
-
-    /// Does this access write the dat?
-    pub fn writes(&self) -> bool {
-        matches!(self.mode, AccessMode::Write | AccessMode::ReadWrite)
-    }
-
-    /// Does this access write a named dat (id ≠ 0)? Only such a write
-    /// changes residency: anonymous dats share id 0 and are never
-    /// tracked.
-    pub(crate) fn writes_named(&self) -> bool {
-        self.dat != 0 && self.writes()
-    }
-
-    /// Does this access read beyond the own point?
-    pub fn stencil(&self) -> bool {
-        self.radius != [0; 3]
-    }
-}
-
-/// Declarative metadata captured alongside a recorded launch. It never
-/// enters the pricing fingerprint or the ledger — it exists purely for
-/// static analysis over the recorded graph (`graphlint`).
-///
-/// `opaque` marks launches whose access list is *not* exhaustive (op2
-/// indirect loops with anonymous args, or plain [`GraphBuilder::launch`](crate::GraphBuilder::launch)
-/// calls that declared nothing). Opaque launches suppress dat-level
-/// hazard lints and break fusion chains — the analyzer must not claim
-/// knowledge it does not have.
-#[derive(Debug, Clone)]
-pub struct LaunchMeta {
-    pub accesses: Vec<DatAccess>,
-    /// Iteration range, inclusive-exclusive, as the DSL declared it.
-    pub lo: [i64; 3],
-    pub hi: [i64; 3],
-    /// op2 race-resolution scheme label ("atomics", "global", "hier").
-    pub scheme: Option<&'static str>,
-    pub opaque: bool,
-}
-
-impl LaunchMeta {
-    /// A fully-declared launch: `accesses` is the complete access set.
-    pub fn new(accesses: Vec<DatAccess>, lo: [i64; 3], hi: [i64; 3]) -> LaunchMeta {
-        LaunchMeta {
-            accesses,
-            lo,
-            hi,
-            scheme: None,
-            opaque: false,
-        }
-    }
-
-    /// A launch the analyzer must treat as touching unknown data.
-    pub fn opaque() -> LaunchMeta {
-        LaunchMeta {
-            accesses: Vec::new(),
-            lo: [0; 3],
-            hi: [0; 3],
-            scheme: None,
-            opaque: true,
-        }
-    }
-
-    /// Tag with the op2 scheme label.
-    pub fn with_scheme(mut self, scheme: &'static str) -> LaunchMeta {
-        self.scheme = Some(scheme);
-        self
-    }
-
-    /// True when every access is identified well enough for dat-level
-    /// dataflow (non-opaque, at least one access, no anonymous ids).
-    pub fn transparent(&self) -> bool {
-        !self.opaque && !self.accesses.is_empty() && self.accesses.iter().all(|a| a.dat != 0)
-    }
-}
-
 /// A recorded launch: an owned kernel snapshot plus its pricing
 /// fingerprint. Building one touches no session state, so recording can
 /// happen outside every lock.

@@ -25,7 +25,7 @@
 //! through the same session helpers, in the same recorded order — the
 //! bit-identical-ledger invariant extends to elision.
 
-use crate::launch::record::LaunchMeta;
+use crate::launch::LaunchMeta;
 use machine_model::TransferDir;
 use std::collections::HashMap;
 
@@ -133,7 +133,7 @@ impl ResidencyTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::launch::record::{AccessMode, DatAccess};
+    use crate::launch::{AccessMode, DatAccess};
 
     fn write_meta(dat: u32) -> LaunchMeta {
         LaunchMeta::new(

@@ -217,14 +217,9 @@ impl HierColoring {
         None
     }
 
-    /// Validate the intra-block colours (block-local serial phases): no
-    /// two elements of one block with the same intra colour may share a
-    /// vertex.
-    pub fn is_valid_intra(&self, map: &Map) -> bool {
-        self.first_intra_conflict(map).is_none()
-    }
-
-    /// First intra-block violation as `(edge_a, edge_b, shared_vertex)`.
+    /// First intra-block violation as `(edge_a, edge_b, shared_vertex)`:
+    /// two elements of one block with the same intra colour (one
+    /// block-local serial phase) that share a vertex.
     pub fn first_intra_conflict(&self, map: &Map) -> Option<(u32, u32, u32)> {
         let n_blocks = map.from_size().div_ceil(self.block_size);
         let mut touches: Vec<(u32, u32, u32)> = Vec::new();

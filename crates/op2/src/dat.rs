@@ -3,7 +3,7 @@
 use crate::parloop::{VertexArg, VertexRows};
 use parkit::global_pool;
 use sycl_sim::Real;
-use telemetry::shadow;
+use telemetry::shadow::{self, Touch};
 
 /// Values per pool chunk when a field is filled (256 KiB of `f64`).
 const DAT_CHUNK: usize = 1 << 15;
@@ -157,9 +157,7 @@ impl<T: Real> UReadView<'_, T> {
     pub fn at(&self, e: usize, c: usize) -> T {
         let idx = e * self.dim + c;
         debug_assert!(idx < self.len);
-        if self.sid != 0 {
-            shadow::record_read(self.sid, idx, self.len);
-        }
+        shadow::record(self.sid, idx, 1, Touch::Read);
         // SAFETY: bounds guaranteed by set sizes (debug-checked).
         unsafe { *self.ptr.add(idx) }
     }
@@ -190,9 +188,7 @@ impl<'a, T: Real> UWriteView<'a, T> {
     pub fn set(&self, e: usize, c: usize, v: T) {
         let idx = e * self.dim + c;
         debug_assert!(idx < self.len);
-        if self.sid != 0 {
-            shadow::record_write(self.sid, idx, self.len);
-        }
+        shadow::record(self.sid, idx, 1, Touch::Write);
         // SAFETY: sole writer of element `e` per the loop contract.
         unsafe { *self.ptr.add(idx) = v };
     }
@@ -202,9 +198,7 @@ impl<'a, T: Real> UWriteView<'a, T> {
     pub fn get(&self, e: usize, c: usize) -> T {
         let idx = e * self.dim + c;
         debug_assert!(idx < self.len);
-        if self.sid != 0 {
-            shadow::record_read(self.sid, idx, self.len);
-        }
+        shadow::record(self.sid, idx, 1, Touch::Read);
         // SAFETY: as `set`.
         unsafe { *self.ptr.add(idx) }
     }
@@ -253,21 +247,15 @@ impl<T: Real> Accum<'_, T> {
     pub fn add(&self, e: usize, c: usize, v: T) {
         let idx = e * self.dim + c;
         debug_assert!(idx < self.len);
-        if self.sid != 0 {
-            if self.atomic {
-                shadow::record_atomic(self.sid, idx, self.len);
-            } else {
-                // A plain increment is a read-modify-write: record both
-                // sides so overlap between concurrent units surfaces.
-                shadow::record_read(self.sid, idx, self.len);
-                shadow::record_write(self.sid, idx, self.len);
-            }
-        }
         if self.atomic {
+            shadow::record(self.sid, idx, 1, Touch::Atomic);
             // SAFETY: all concurrent accesses in atomic mode go through
             // `atomic_add`.
             unsafe { T::atomic_add(self.ptr.add(idx), v) };
         } else {
+            // A plain increment is a read-modify-write: record both
+            // sides so overlap between concurrent units surfaces.
+            shadow::record(self.sid, idx, 1, Touch::ReadWrite);
             // SAFETY: colouring guarantees no two concurrent adds touch
             // the same element.
             unsafe { *self.ptr.add(idx) = *self.ptr.add(idx) + v };

@@ -11,10 +11,10 @@ use sycl_sim::{
     AccessProfile, AtomicKind, AtomicProfile, GraphBuilder, IndirectProfile, Kernel,
     KernelFootprint, KernelTraits, LaunchMeta, LaunchTarget, Precision, Scheme, Session,
 };
-use telemetry::shadow::{self, Shadow};
+use telemetry::shadow::{self, LoopDecl, Shadow};
 
-/// Scheme label carried in shadow traces (telemetry sits below
-/// `sycl-sim` in the crate DAG, so it gets a string, not the enum).
+/// Scheme label carried in launch metadata (telemetry, below `sycl-sim`
+/// in the crate DAG, holds it as a string, not the enum).
 fn scheme_label(s: Scheme) -> &'static str {
     match s {
         Scheme::Atomics => "atomics",
@@ -308,19 +308,23 @@ impl EdgeLoop {
         self.emit(&mut { session }, mesh, body);
     }
 
+    /// The loop's one access declaration. Its args are anonymous, so it
+    /// is opaque (no dat-level dataflow); the scheme label lets the
+    /// dataflow lint name the scheme of a launch with atomic updates and
+    /// the verifier pick its footprint tolerance.
+    fn launch_meta(&self) -> LaunchMeta {
+        LaunchMeta::opaque().with_scheme(scheme_label(self.scheme))
+    }
+
     /// Open the shadow trace for this loop: declaration, builder
-    /// defects, and an up-front proof of the colouring plan (the plan
-    /// validator part of `sycl-verify`).
+    /// defects, and an up-front proof of the colouring plan. A broken
+    /// plan reaches the verifier as a `PlanViolation` note.
     fn begin_shadow_loop(&self, sh: &Shadow, colored: &ColoredMesh) {
-        sh.begin_loop(shadow::LoopDecl {
-            kernel: self.name.to_owned(),
-            structured: false,
-            lo: [0; 3],
-            hi: [0; 3],
-            args: Vec::new(),
+        sh.begin_loop(LoopDecl {
+            kernel: self.name,
+            meta: self.launch_meta(),
             flops_pp: self.flops_pp,
             transc_pp: self.transc_pp,
-            scheme: Some(scheme_label(self.scheme)),
         });
         for d in &self.defects {
             sh.note(shadow::NoteKind::DeclDefect, d.clone());
@@ -383,17 +387,10 @@ impl EdgeLoop {
     ) {
         let passes = self.passes(mesh);
         let kernel = self.pass_kernel(1.0 / passes as f64);
-        let scheme = self.scheme;
         let lp = Arc::new(self);
         let body = Arc::new(body);
         for pass in 0..passes {
-            // Indirect loops have anonymous args: the meta is opaque (no
-            // dat-level dataflow), but the single atomics launch carries
-            // the scheme label for the per-platform legality lint.
-            let meta = match scheme {
-                Scheme::Atomics => LaunchMeta::opaque().with_scheme(scheme_label(scheme)),
-                _ => LaunchMeta::opaque(),
-            };
+            let meta = lp.launch_meta();
             let lp = Arc::clone(&lp);
             let body = Arc::clone(&body);
             to.launch_node(kernel.clone(), meta, move |executes| {
@@ -408,7 +405,7 @@ impl EdgeLoop {
                         sh.next_phase();
                     }
                 }
-                lp.run_pass(colored, pass, sh.as_deref(), &*body);
+                lp.run_pass(colored, pass, sh.as_ref(), &*body);
                 if let Some(sh) = sh.filter(|_| pass == passes - 1) {
                     sh.end_loop();
                 }
@@ -447,7 +444,7 @@ impl EdgeLoop {
         &self,
         colored: &ColoredMesh,
         pass: usize,
-        sh: Option<&Shadow>,
+        sh: Option<&Arc<Shadow>>,
         body: &(impl Fn(usize) + Sync),
     ) {
         let map = &colored.mesh.edges;
@@ -640,13 +637,17 @@ impl VertexLoop {
     fn emit<'a>(self, to: &mut impl LaunchTarget<'a>, body: impl Fn(usize, usize) + Sync + 'a) {
         let kernel = self.kernel(0);
         to.launch_node(kernel, LaunchMeta::opaque(), move |executes| {
-            self.shadowed(executes, |sh| {
-                if executes {
-                    global_pool().for_range(self.set_size, EXEC_CHUNK, |lo, hi| {
-                        shadow::unit(sh, || body(lo, hi));
-                    });
-                }
-            });
+            shadow::bracket(
+                executes,
+                |sh| self.begin_shadow_loop(sh),
+                |sh| {
+                    if executes {
+                        global_pool().for_range(self.set_size, EXEC_CHUNK, |lo, hi| {
+                            shadow::unit(sh, || body(lo, hi));
+                        });
+                    }
+                },
+            );
         });
     }
 
@@ -667,46 +668,38 @@ impl VertexLoop {
         let kernel = self.kernel(1);
         let bytes = kernel.footprint.effective_bytes;
         to.launch_node(kernel, LaunchMeta::opaque(), move |executes| {
-            self.shadowed(executes, |sh| {
-                let n = self.set_size;
-                let out = if executes {
-                    let chunks = n.div_ceil(EXEC_CHUNK);
-                    telemetry::reduce_span(self.name, chunks, bytes, || {
-                        global_pool().reduce(n, EXEC_CHUNK, identity.clone(), &combine, |r| {
-                            shadow::unit(sh, || body(r.start, r.end))
+            shadow::bracket(
+                executes,
+                |sh| self.begin_shadow_loop(sh),
+                |sh| {
+                    let n = self.set_size;
+                    let out = if executes {
+                        let chunks = n.div_ceil(EXEC_CHUNK);
+                        telemetry::reduce_span(self.name, chunks, bytes, || {
+                            global_pool().reduce(n, EXEC_CHUNK, identity.clone(), &combine, |r| {
+                                shadow::unit(sh, || body(r.start, r.end))
+                            })
                         })
-                    })
-                } else {
-                    identity.clone()
-                };
-                sink(out);
-            });
+                    } else {
+                        identity.clone()
+                    };
+                    sink(out);
+                },
+            );
         });
     }
 
-    /// Run `f` inside this loop's shadow-access bracket when the calling
-    /// thread has a shadow current and the body executes; `f` gets that
-    /// shadow to hand to its units.
-    fn shadowed(&self, executes: bool, f: impl FnOnce(Option<&Shadow>)) {
-        let sh = executes.then(shadow::current).flatten();
-        if let Some(sh) = &sh {
-            sh.begin_loop(shadow::LoopDecl {
-                kernel: self.name.to_owned(),
-                structured: false,
-                lo: [0; 3],
-                hi: [0; 3],
-                args: Vec::new(),
-                flops_pp: self.flops_pp,
-                transc_pp: self.transc_pp,
-                scheme: None,
-            });
-            for d in &self.defects {
-                sh.note(shadow::NoteKind::DeclDefect, d.clone());
-            }
-        }
-        f(sh.as_deref());
-        if let Some(sh) = &sh {
-            sh.end_loop();
+    /// Open the shadow trace for this loop: declaration and builder
+    /// defects. A direct loop declares no dat, so its metadata is opaque.
+    fn begin_shadow_loop(&self, sh: &Shadow) {
+        sh.begin_loop(LoopDecl {
+            kernel: self.name,
+            meta: LaunchMeta::opaque(),
+            flops_pp: self.flops_pp,
+            transc_pp: self.transc_pp,
+        });
+        for d in &self.defects {
+            sh.note(shadow::NoteKind::DeclDefect, d.clone());
         }
     }
 }

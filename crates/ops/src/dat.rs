@@ -3,7 +3,7 @@
 use crate::block::Block;
 use crate::range::Row;
 use sycl_sim::Real;
-use telemetry::shadow;
+use telemetry::shadow::{self, Touch};
 
 /// Metadata handed to loop descriptors (cheap to copy before borrowing
 /// the data for views).
@@ -196,9 +196,7 @@ impl<T: Real> ReadView<'_, T> {
             self.pad
         );
         let idx = ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize;
-        if self.sid != 0 {
-            shadow::record_read(self.sid, idx, self.pad[0] * self.pad[1] * self.pad[2]);
-        }
+        shadow::record(self.sid, idx, 1, Touch::Read);
         // SAFETY: bounds checked above (debug) / guaranteed by the loop
         // ranges the DSL constructs (release).
         unsafe { *self.ptr.add(idx) }
@@ -228,9 +226,7 @@ impl<T: Real> ReadView<'_, T> {
             self.pad
         );
         let base = ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize;
-        if self.sid != 0 {
-            shadow::record_read_span(self.sid, base, len, self.pad[0] * self.pad[1] * self.pad[2]);
-        }
+        shadow::record(self.sid, base, len, Touch::Read);
         // SAFETY: the whole span is in the padded allocation (debug-checked
         // above, guaranteed by the DSL's ranges in release).
         unsafe { std::slice::from_raw_parts(self.ptr.add(base), len) }
@@ -281,9 +277,7 @@ impl<T: Real> WriteView<'_, T> {
     #[inline]
     pub fn set(&self, i: i64, j: i64, k: i64, v: T) {
         let idx = self.index(i, j, k);
-        if self.sid != 0 {
-            shadow::record_write(self.sid, idx, self.pad[0] * self.pad[1] * self.pad[2]);
-        }
+        shadow::record(self.sid, idx, 1, Touch::Write);
         // SAFETY: disjoint-write contract; bounds as in `index`.
         unsafe { *self.ptr.add(idx) = v };
     }
@@ -292,9 +286,7 @@ impl<T: Real> WriteView<'_, T> {
     #[inline]
     pub fn get(&self, i: i64, j: i64, k: i64) -> T {
         let idx = self.index(i, j, k);
-        if self.sid != 0 {
-            shadow::record_read(self.sid, idx, self.pad[0] * self.pad[1] * self.pad[2]);
-        }
+        shadow::record(self.sid, idx, 1, Touch::Read);
         // SAFETY: as `set`.
         unsafe { *self.ptr.add(idx) }
     }
@@ -325,9 +317,7 @@ impl<T: Real> WriteView<'_, T> {
             self.pad
         );
         let base = ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize;
-        if self.sid != 0 {
-            shadow::record_read_span(self.sid, base, len, self.pad[0] * self.pad[1] * self.pad[2]);
-        }
+        shadow::record(self.sid, base, len, Touch::Read);
         // SAFETY: span in bounds as above; shared reads of a view whose
         // writes are disjoint per the tiling contract.
         unsafe { std::slice::from_raw_parts(self.ptr.add(base), len) }
@@ -361,10 +351,8 @@ impl<T: Real> WriteView<'_, T> {
             self.pad
         );
         let base = ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize;
-        if self.sid != 0 {
-            // A mutable span may be both read and written by the body.
-            shadow::record_write_span(self.sid, base, len, self.pad[0] * self.pad[1] * self.pad[2]);
-        }
+        // A mutable span may be both read and written by the body.
+        shadow::record(self.sid, base, len, Touch::ReadWrite);
         // SAFETY: span in bounds as above; exclusivity per the
         // disjoint-write contract documented on the method.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(base), len) }

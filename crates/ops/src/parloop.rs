@@ -14,7 +14,7 @@ use sycl_sim::{
     AccessMode, AccessProfile, DatAccess, GraphBuilder, Kernel, KernelFootprint, KernelTraits,
     LaunchMeta, LaunchTarget, Precision, Session, StencilProfile,
 };
-use telemetry::shadow::{self, Shadow};
+use telemetry::shadow::{self, LoopDecl, Shadow};
 
 /// Functional tile shape for `range` (execution only — the *modelled*
 /// work-group shape comes from the toolchain, so this choice never
@@ -169,48 +169,11 @@ impl ParLoop {
         k
     }
 
-    /// The declaration as the shadow-access checker sees it. Unlike the
+    /// The loop's one access declaration: the launch graph keeps it for
+    /// static dataflow analysis (`graphlint`), and a shadowed launch
+    /// hands it to the verifier. It never enters pricing. Unlike the
     /// priced radius, rw stencils *do* count here — the verifier checks
     /// actual reads against what each argument individually declared.
-    fn loop_decl(&self) -> shadow::LoopDecl {
-        let mut args = Vec::with_capacity(self.reads.len() + self.writes.len() + self.rws.len());
-        for (m, s) in &self.reads {
-            args.push(shadow::ArgDecl {
-                dat: m.id,
-                access: shadow::Access::Read,
-                radius: s.radius,
-            });
-        }
-        for m in &self.writes {
-            args.push(shadow::ArgDecl {
-                dat: m.id,
-                access: shadow::Access::Write,
-                radius: [0; 3],
-            });
-        }
-        for (m, s) in &self.rws {
-            args.push(shadow::ArgDecl {
-                dat: m.id,
-                access: shadow::Access::ReadWrite,
-                radius: s.radius,
-            });
-        }
-        shadow::LoopDecl {
-            kernel: self.name.to_owned(),
-            structured: true,
-            lo: self.range.lo,
-            hi: self.range.hi,
-            args,
-            flops_pp: self.flops_pp,
-            transc_pp: self.transc_pp,
-            scheme: None,
-        }
-    }
-
-    /// The declarative access metadata recorded with launch-graph nodes
-    /// for static dataflow analysis (`graphlint`). Mirrors
-    /// [`ParLoop::loop_decl`] with element sizes attached; like the
-    /// shadow declaration it never enters pricing.
     fn launch_meta(&self) -> LaunchMeta {
         let mut accesses =
             Vec::with_capacity(self.reads.len() + self.writes.len() + self.rws.len());
@@ -239,6 +202,17 @@ impl ParLoop {
             });
         }
         LaunchMeta::new(accesses, self.range.lo, self.range.hi)
+    }
+
+    /// Open the shadow trace for this loop: its launch metadata and
+    /// per-point compute.
+    fn begin_shadow_loop(&self, sh: &Shadow) {
+        sh.begin_loop(LoopDecl {
+            kernel: self.name,
+            meta: self.launch_meta(),
+            flops_pp: self.flops_pp,
+            transc_pp: self.transc_pp,
+        });
     }
 
     /// Price the launch on `session` and run `body` over parallel tiles.
@@ -361,13 +335,17 @@ impl ParLoop {
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
         to.launch_node(kernel, meta, move |executes| {
-            self.shadowed(executes, |sh| {
-                if executes {
-                    global_pool().run_region(tiles, |_lane, t| {
-                        shadow::unit(sh, || body(self.range.tile(shape, t)));
-                    });
-                }
-            });
+            shadow::bracket(
+                executes,
+                |sh| self.begin_shadow_loop(sh),
+                |sh| {
+                    if executes {
+                        global_pool().run_region(tiles, |_lane, t| {
+                            shadow::unit(sh, || body(self.range.tile(shape, t)));
+                        });
+                    }
+                },
+            );
         });
     }
 
@@ -391,33 +369,23 @@ impl ParLoop {
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
         to.launch_node(kernel, meta, move |executes| {
-            self.shadowed(executes, |sh| {
-                let out = if executes {
-                    telemetry::reduce_span(self.name, tiles, bytes, || {
-                        global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                            shadow::unit(sh, || body(self.range.tile(shape, t)))
+            shadow::bracket(
+                executes,
+                |sh| self.begin_shadow_loop(sh),
+                |sh| {
+                    let out = if executes {
+                        telemetry::reduce_span(self.name, tiles, bytes, || {
+                            global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
+                                shadow::unit(sh, || body(self.range.tile(shape, t)))
+                            })
                         })
-                    })
-                } else {
-                    identity.clone()
-                };
-                sink(out);
-            });
+                    } else {
+                        identity.clone()
+                    };
+                    sink(out);
+                },
+            );
         });
-    }
-
-    /// Run `f` inside this loop's shadow-access bracket when the calling
-    /// thread has a shadow current and the body executes; `f` gets that
-    /// shadow to hand to its units.
-    fn shadowed(&self, executes: bool, f: impl FnOnce(Option<&Shadow>)) {
-        let sh = executes.then(shadow::current).flatten();
-        if let Some(sh) = &sh {
-            sh.begin_loop(self.loop_decl());
-        }
-        f(sh.as_deref());
-        if let Some(sh) = &sh {
-            sh.end_loop();
-        }
     }
 }
 

@@ -1,19 +1,26 @@
 //! Shadow-access recording: the data-collection half of `sycl-verify`.
 //!
+//! A loop is declared once. The DSLs build one [`LaunchMeta`] per loop
+//! (its per-dat [`DatAccess`]es, iteration box and op2 scheme label);
+//! the launch graph stores it for static analysis, and a shadowed
+//! launch wraps the same metadata in its [`LoopDecl`]. `sycl-sim`
+//! re-exports the three declaration types under their own names.
+//!
 //! A [`Shadow`] (dat registry, active loop, trace sink) is current on
 //! the thread that [entered](Shadow::enter) it. Datasets created there
-//! register with it; the DSL emitters read it once per launch and pass
-//! it to every pool unit through [`unit()`], so each view access
-//! (`ReadView::at`, `WriteView::set`, `Accum::add`, the row-sliced
-//! spans, the op2 gather/scatter paths) records the touched linear
-//! index into a **per-thread bitmap** for the unit (tile / chunk /
-//! block) running it, whichever lane that is. When a unit finishes, its
-//! bitmaps merge into the launching shadow's loop under one lock; the
-//! merge also detects write–write and read–write overlap *between*
-//! units — exactly the races no race-resolution scheme covers, because
-//! units of one launch may run concurrently. Atomic accumulations get
-//! their own bitmap: atomic/atomic overlap is accepted, atomic/plain
-//! is not.
+//! register with it, and the registry sizes every bitmap the shadow
+//! keeps for them. The DSL emitters open a loop's [`bracket`] once per
+//! launch and pass the shadow to every pool unit through [`unit()`], so
+//! each view access (`ReadView::at`, `WriteView::set`, `Accum::add`, the
+//! row-sliced spans, the op2 gather/scatter paths) calls [`record`] with
+//! the touched span and its [`Touch`] kind. That sets bits in a
+//! **per-thread bitmap** for the unit (tile / chunk / block) running it,
+//! whichever lane that is. When a unit finishes, its bitmaps merge into
+//! the launching shadow's loop under one lock; the merge also detects
+//! write–write and read–write overlap *between* units — exactly the
+//! races no race-resolution scheme covers, because units of one launch
+//! may run concurrently. Atomic accumulations get their own bitmap:
+//! atomic/atomic overlap is accepted, atomic/plain is not.
 //!
 //! This module records and unions; `sycl-verify` supplies the [`Sink`]
 //! that turns each [`LoopTrace`] into diagnostics. Uninstrumented runs
@@ -24,7 +31,7 @@
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -32,7 +39,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 // ---------------------------------------------------------------- bits
 
-/// A growable bitmap over a dataset's linear cell indices.
+/// A bitmap over a dataset's linear cell indices. Bits past the end are
+/// ignored when set and read as clear.
 #[derive(Debug, Clone, Default)]
 pub struct Bits {
     words: Vec<u64>,
@@ -41,19 +49,26 @@ pub struct Bits {
 impl Bits {
     /// Sized for `cells` bits, all zero.
     pub fn with_cells(cells: usize) -> Bits {
+        Bits::with_words(cells.div_ceil(64))
+    }
+
+    fn with_words(words: usize) -> Bits {
         Bits {
-            words: vec![0; cells.div_ceil(64)],
+            words: vec![0; words],
         }
     }
 
     #[inline]
     pub fn set(&mut self, i: usize) {
-        self.words[i >> 6] |= 1u64 << (i & 63);
+        if let Some(w) = self.words.get_mut(i >> 6) {
+            *w |= 1u64 << (i & 63);
+        }
     }
 
     /// Set `len` consecutive bits starting at `i` (row spans).
     pub fn set_span(&mut self, i: usize, len: usize) {
-        let (mut w, end) = (i, i + len);
+        let end = (i + len).min(self.words.len() << 6);
+        let mut w = i;
         while w < end {
             let word = w >> 6;
             let lo = w & 63;
@@ -127,17 +142,6 @@ impl Bits {
             *w = 0;
         }
     }
-
-    /// Grow to hold at least `cells` bits, keeping contents. Needed
-    /// because per-thread unit bitmaps are cached by shadow id, and ids
-    /// restart in every [`Shadow`] — the same id may name a larger
-    /// dataset in the next run.
-    pub fn ensure_cells(&mut self, cells: usize) {
-        let need = cells.div_ceil(64);
-        if self.words.len() < need {
-            self.words.resize(need, 0);
-        }
-    }
 }
 
 // ------------------------------------------------------------ registry
@@ -164,10 +168,8 @@ impl DatGeom {
     /// Logical coordinates of a linear index, for diagnostics.
     pub fn locate(&self, idx: usize) -> String {
         match self {
-            DatGeom::Grid { pad, off } => {
-                let x = (idx % pad[0]) as i64 - off[0];
-                let y = ((idx / pad[0]) % pad[1]) as i64 - off[1];
-                let z = (idx / (pad[0] * pad[1])) as i64 - off[2];
+            DatGeom::Grid { .. } => {
+                let [x, y, z] = self.grid_coords(idx).unwrap_or_default();
                 format!("({x}, {y}, {z})")
             }
             DatGeom::Set { dim, .. } => {
@@ -232,38 +234,118 @@ pub fn mark_all_init(id: u32) {
 
 // ------------------------------------------------------- declarations
 
-/// How a loop argument was declared.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Access {
+/// How a loop declares it accesses one dataset — the declared mode, not
+/// an observation. Mirrors the DSL argument kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AccessMode {
     Read,
     Write,
     ReadWrite,
 }
 
-/// One declared loop argument, linked to a dataset by shadow id
-/// (`dat == 0` when the declaration used an anonymous meta).
-#[derive(Debug, Clone)]
-pub struct ArgDecl {
+/// One declared per-dat access of a loop. `dat` is the shadow-registry
+/// id (0 = anonymous: no shadow was current when the dataset was
+/// created, so the access cannot be tracked across launches).
+#[derive(Debug, Clone, Copy)]
+pub struct DatAccess {
     pub dat: u32,
-    pub access: Access,
+    pub mode: AccessMode,
+    /// Declared stencil radius of the reads; writes are own-point.
     pub radius: [usize; 3],
+    /// Bytes per element, for modelled-traffic estimates.
+    pub elem_bytes: f64,
 }
 
-/// The declaration side of one parallel loop, captured at launch.
+impl DatAccess {
+    /// Does this access read the dat (plain or as part of an RMW)?
+    pub fn reads(&self) -> bool {
+        matches!(self.mode, AccessMode::Read | AccessMode::ReadWrite)
+    }
+
+    /// Does this access write the dat?
+    pub fn writes(&self) -> bool {
+        matches!(self.mode, AccessMode::Write | AccessMode::ReadWrite)
+    }
+
+    /// Does this access write a named dat (id ≠ 0)? Only such a write
+    /// changes residency: anonymous dats share id 0 and are never
+    /// tracked.
+    pub fn writes_named(&self) -> bool {
+        self.dat != 0 && self.writes()
+    }
+
+    /// Does this access read beyond the own point?
+    pub fn stencil(&self) -> bool {
+        self.radius != [0; 3]
+    }
+}
+
+/// A loop's declared accesses, as the DSL built them once per loop. It
+/// never enters the pricing fingerprint or the ledger: the launch graph
+/// keeps it for static analysis (`graphlint`), and a shadowed launch
+/// hands it to the verifier in its [`LoopDecl`].
+///
+/// `opaque` marks launches whose access list is *not* exhaustive (op2
+/// loops with anonymous args, or plain `GraphBuilder::launch` calls that
+/// declared nothing). Opaque launches suppress dat-level hazard lints
+/// and break fusion chains, and the shadow checker compares no observed
+/// access against them — no analysis may claim knowledge it does not
+/// have.
 #[derive(Debug, Clone)]
-pub struct LoopDecl {
-    pub kernel: String,
-    /// Structured (OPS) loops carry a real iteration box and dat-linked
-    /// args; unstructured (OP2) loops only carry races/notes/footprint.
-    pub structured: bool,
+pub struct LaunchMeta {
+    pub accesses: Vec<DatAccess>,
+    /// Iteration range, inclusive-exclusive, as the DSL declared it.
     pub lo: [i64; 3],
     pub hi: [i64; 3],
-    pub args: Vec<ArgDecl>,
+    /// op2 race-resolution scheme label ("atomics", "global", "hier").
+    pub scheme: Option<&'static str>,
+    pub opaque: bool,
+}
+
+impl LaunchMeta {
+    /// A fully-declared launch: `accesses` is the complete access set.
+    pub fn new(accesses: Vec<DatAccess>, lo: [i64; 3], hi: [i64; 3]) -> LaunchMeta {
+        LaunchMeta {
+            accesses,
+            lo,
+            hi,
+            scheme: None,
+            opaque: false,
+        }
+    }
+
+    /// A launch the analyzers must treat as touching unknown data.
+    pub fn opaque() -> LaunchMeta {
+        LaunchMeta {
+            accesses: Vec::new(),
+            lo: [0; 3],
+            hi: [0; 3],
+            scheme: None,
+            opaque: true,
+        }
+    }
+
+    /// Tag with the op2 scheme label.
+    pub fn with_scheme(mut self, scheme: &'static str) -> LaunchMeta {
+        self.scheme = Some(scheme);
+        self
+    }
+
+    /// True when every access is identified well enough for dat-level
+    /// dataflow (non-opaque, at least one access, no anonymous ids).
+    pub fn transparent(&self) -> bool {
+        !self.opaque && !self.accesses.is_empty() && self.accesses.iter().all(|a| a.dat != 0)
+    }
+}
+
+/// The declaration side of one shadowed loop: its launch metadata plus
+/// the per-point compute the structural lints read.
+#[derive(Debug, Clone)]
+pub struct LoopDecl {
+    pub kernel: &'static str,
+    pub meta: LaunchMeta,
     pub flops_pp: f64,
     pub transc_pp: f64,
-    /// Race-resolution scheme label for op2 loops (`None` = structured
-    /// or direct loop).
-    pub scheme: Option<&'static str>,
 }
 
 /// Classes of free-form observations instrumented code can attach to
@@ -314,14 +396,14 @@ struct LoopTouch {
 }
 
 impl LoopTouch {
-    fn new(cells: usize) -> LoopTouch {
+    fn new(words: usize) -> LoopTouch {
         LoopTouch {
-            read: Bits::with_cells(cells),
-            write: Bits::with_cells(cells),
-            atomic: Bits::with_cells(cells),
-            phase_read: Bits::with_cells(cells),
-            phase_write: Bits::with_cells(cells),
-            phase_atomic: Bits::with_cells(cells),
+            read: Bits::with_words(words),
+            write: Bits::with_words(words),
+            atomic: Bits::with_words(words),
+            phase_read: Bits::with_words(words),
+            phase_write: Bits::with_words(words),
+            phase_atomic: Bits::with_words(words),
         }
     }
 }
@@ -332,10 +414,10 @@ const MAX_CONFLICTS: usize = 16;
 
 struct ActiveLoop {
     decl: LoopDecl,
-    dats: Vec<(u32, LoopTouch)>,
+    /// Slot `id - 1` holds dat `id`'s unions once a unit touched it.
+    dats: Vec<Option<LoopTouch>>,
     conflicts: Vec<Conflict>,
     notes: Vec<Note>,
-    phases: u32,
 }
 
 // ------------------------------------------------------------- traces
@@ -363,12 +445,10 @@ pub struct LoopTrace {
     pub dats: Vec<DatTrace>,
     pub conflicts: Vec<Conflict>,
     pub notes: Vec<Note>,
-    pub phases: u32,
 }
 
 /// Consumer of finished loop traces (supplied by `sycl-verify`).
 pub type Sink = Box<dyn Fn(LoopTrace) + Send + Sync>;
-
 // -------------------------------------------------------------- shadow
 
 /// One instrumented run's shadow state: the dataset registry, the loop
@@ -453,7 +533,6 @@ impl Shadow {
             dats: Vec::new(),
             conflicts: Vec::new(),
             notes: Vec::new(),
-            phases: 1,
         });
     }
 
@@ -461,8 +540,7 @@ impl Shadow {
     /// groups): conflict unions reset, total unions persist.
     pub fn next_phase(&self) {
         if let Some(al) = lock(&self.active).as_mut() {
-            al.phases += 1;
-            for (_, t) in &mut al.dats {
+            for t in al.dats.iter_mut().flatten() {
                 t.phase_read.clear();
                 t.phase_write.clear();
                 t.phase_atomic.clear();
@@ -483,15 +561,14 @@ impl Shadow {
     /// first-touch order would make the verifier's report vary from run
     /// to run.
     pub fn end_loop(&self) {
-        let Some(mut al) = lock(&self.active).take() else {
+        let Some(al) = lock(&self.active).take() else {
             return;
         };
-        al.dats.sort_unstable_by_key(|&(id, _)| id);
-        let mut dats = Vec::with_capacity(al.dats.len());
+        let mut dats = Vec::new();
         {
             let mut reg = lock(&self.registry);
-            for (id, t) in al.dats {
-                let Some(rec) = reg.get_mut(id as usize - 1) else {
+            for (slot, t) in al.dats.into_iter().enumerate() {
+                let (Some(t), Some(rec)) = (t, reg.get_mut(slot)) else {
                     continue;
                 };
                 let mut uninit_reads = 0;
@@ -507,7 +584,7 @@ impl Shadow {
                 rec.init.union(&t.write);
                 rec.init.union(&t.atomic);
                 dats.push(DatTrace {
-                    id,
+                    id: slot as u32 + 1,
                     name: rec.name.clone(),
                     elem_bytes: rec.elem_bytes,
                     geom: rec.geom,
@@ -525,7 +602,6 @@ impl Shadow {
                 dats,
                 conflicts: al.conflicts,
                 notes: al.notes,
-                phases: al.phases,
             });
         }
     }
@@ -534,20 +610,16 @@ impl Shadow {
     /// overlap against the units already merged in this phase, and
     /// clear them for the thread's next unit.
     fn merge(&self, u: &mut UnitState) {
+        let UnitState { slots, touched, .. } = u;
         let mut active = lock(&self.active);
-        if let Some(al) = active.as_mut() {
-            for t in u.dats.iter().filter(|t| t.touched) {
-                let lt = match al.dats.iter_mut().find(|(id, _)| *id == t.id) {
-                    Some((_, lt)) => lt,
-                    None => {
-                        let cells = lock(&self.registry)
-                            .get(t.id as usize - 1)
-                            .map(|r| r.geom.cells())
-                            .unwrap_or(0);
-                        al.dats.push((t.id, LoopTouch::new(cells)));
-                        &mut al.dats.last_mut().unwrap().1
-                    }
-                };
+        for &id in touched.iter() {
+            let slot = id as usize - 1;
+            let t = slots[slot].as_mut().expect("a touched dat has a slot");
+            if let Some(al) = active.as_mut() {
+                if al.dats.len() <= slot {
+                    al.dats.resize_with(slot + 1, || None);
+                }
+                let lt = al.dats[slot].get_or_insert_with(|| LoopTouch::new(t.read.words.len()));
                 if al.conflicts.len() < MAX_CONFLICTS {
                     let found = Bits::first_and(&t.write, &lt.phase_write)
                         .map(|c| (c, ConflictKind::WriteWrite))
@@ -563,10 +635,10 @@ impl Shadow {
                                 .or_else(|| Bits::first_and(&t.read, &lt.phase_atomic))
                                 .map(|c| (c, ConflictKind::AtomicPlain))
                         });
-                    if let Some((cell_idx, kind)) = found {
+                    if let Some((cell, kind)) = found {
                         al.conflicts.push(Conflict {
-                            dat: t.id,
-                            cell: cell_idx,
+                            dat: id,
+                            cell,
                             kind,
                         });
                     }
@@ -578,21 +650,36 @@ impl Shadow {
                 lt.phase_write.union(&t.write);
                 lt.phase_atomic.union(&t.atomic);
             }
-        }
-        drop(active);
-        for t in &mut u.dats {
             t.read.clear();
             t.write.clear();
             t.atomic.clear();
             t.touched = false;
         }
+        drop(active);
+        touched.clear();
+    }
+}
+
+/// Run `f` inside one loop's shadow bracket: when the body executes and
+/// the calling thread has a shadow current, `open` begins the loop on
+/// it (declaration and notes), `f` gets the shadow to hand to its
+/// units, and the loop ends after `f`. Otherwise `f` gets `None` and
+/// `open` never runs, so a dry launch builds no declaration.
+pub fn bracket(executes: bool, open: impl FnOnce(&Shadow), f: impl FnOnce(Option<&Arc<Shadow>>)) {
+    let sh = executes.then(current).flatten();
+    if let Some(sh) = &sh {
+        open(sh);
+    }
+    f(sh.as_ref());
+    if let Some(sh) = &sh {
+        sh.end_loop();
     }
 }
 
 // ----------------------------------------------------- unit recording
 
+/// One dat's bitmaps for the unit running on this thread.
 struct UnitTouch {
-    id: u32,
     touched: bool,
     read: Bits,
     write: Bits,
@@ -602,7 +689,44 @@ struct UnitTouch {
 #[derive(Default)]
 struct UnitState {
     depth: u32,
-    dats: Vec<UnitTouch>,
+    /// The shadow whose ids key `slots`. Ids restart in every shadow, so
+    /// the slots are dropped when a unit runs under another one; the
+    /// weak handle keeps the shadow's allocation, so no later shadow can
+    /// take its address while the slots are kept.
+    shadow: Weak<Shadow>,
+    /// Slot `id - 1` holds dat `id`'s bitmaps, sized from the registry
+    /// when this thread first touches the dat.
+    slots: Vec<Option<UnitTouch>>,
+    /// Ids the running unit touched, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl UnitState {
+    /// Dat `id`'s bitmaps, marked touched by the running unit; `None`
+    /// when `id` is not in the registry of the shadow the unit runs
+    /// under.
+    fn slot(&mut self, id: u32) -> Option<&mut UnitTouch> {
+        let slot = id as usize - 1;
+        if self.slots.get(slot).is_none_or(Option::is_none) {
+            let sh = self.shadow.upgrade()?;
+            let reg = lock(&sh.registry);
+            let words = reg.get(slot)?.geom.cells().div_ceil(64);
+            self.slots
+                .resize_with(reg.len().max(self.slots.len()), || None);
+            self.slots[slot] = Some(UnitTouch {
+                touched: false,
+                read: Bits::with_words(words),
+                write: Bits::with_words(words),
+                atomic: Bits::with_words(words),
+            });
+        }
+        let t = self.slots[slot].as_mut()?;
+        if !t.touched {
+            t.touched = true;
+            self.touched.push(id);
+        }
+        Some(t)
+    }
 }
 
 thread_local! {
@@ -616,37 +740,63 @@ thread_local! {
 /// merge into that shadow's active loop, and no other, when the
 /// outermost unit ends.
 #[inline]
-pub fn unit<R>(sh: Option<&Shadow>, f: impl FnOnce() -> R) -> R {
-    if sh.is_some() {
-        UNIT.with(|u| u.borrow_mut().depth += 1);
-    }
+pub fn unit<R>(sh: Option<&Arc<Shadow>>, f: impl FnOnce() -> R) -> R {
+    let Some(sh) = sh else {
+        return f();
+    };
+    UNIT.with(|cell| {
+        let mut u = cell.borrow_mut();
+        if u.depth == 0 && !std::ptr::eq(u.shadow.as_ptr(), Arc::as_ptr(sh)) {
+            u.shadow = Arc::downgrade(sh);
+            u.slots.clear();
+        }
+        u.depth += 1;
+    });
     let out = f();
-    if let Some(sh) = sh {
-        UNIT.with(|cell| {
-            let mut u = cell.borrow_mut();
-            u.depth -= 1;
-            if u.depth == 0 {
-                sh.merge(&mut u);
-            }
-        });
-    }
+    UNIT.with(|cell| {
+        let mut u = cell.borrow_mut();
+        u.depth -= 1;
+        if u.depth == 0 {
+            sh.merge(&mut u);
+        }
+    });
     out
 }
 
-#[derive(Clone, Copy)]
-enum Kind {
+/// What a view access did to the cells it names.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Touch {
     Read,
     Write,
+    /// Read and written: a plain increment, or a mutable row span the
+    /// body may read through.
+    ReadWrite,
+    /// An atomic read-modify-write.
     Atomic,
 }
 
-fn record(id: u32, idx: usize, len: usize, cells: usize, kind: Kind) {
+/// Record that the running unit touched cells `idx..idx + len` of dat
+/// `sid`. Dats created with no shadow current (`sid == 0`) cost this
+/// one branch. Outside any unit, a write initializes the cells and a
+/// read is unchecked (setup and validation code).
+#[inline]
+pub fn record(sid: u32, idx: usize, len: usize, touch: Touch) {
+    if sid != 0 {
+        record_span(sid, idx, len, touch);
+    }
+}
+
+/// The recording half of [`record`], kept out of line so that an
+/// uninstrumented view access stays one compare and an untaken call.
+#[inline(never)]
+fn record_span(id: u32, idx: usize, len: usize, touch: Touch) {
+    if len == 0 {
+        return;
+    }
     UNIT.with(|cell| {
         let mut u = cell.borrow_mut();
         if u.depth == 0 {
-            // Ambient access (setup/validation outside any loop):
-            // writes initialize, reads are unchecked.
-            if matches!(kind, Kind::Write) {
+            if matches!(touch, Touch::Write | Touch::ReadWrite) {
                 with_current(|sh| {
                     if let Some(r) = lock(&sh.registry).get_mut(id as usize - 1) {
                         r.init.set_span(idx, len);
@@ -655,79 +805,26 @@ fn record(id: u32, idx: usize, len: usize, cells: usize, kind: Kind) {
             }
             return;
         }
-        let t = match u.dats.iter_mut().position(|t| t.id == id) {
-            Some(p) => {
-                let t = &mut u.dats[p];
-                t.read.ensure_cells(cells);
-                t.write.ensure_cells(cells);
-                t.atomic.ensure_cells(cells);
-                t
-            }
-            None => {
-                u.dats.push(UnitTouch {
-                    id,
-                    touched: false,
-                    read: Bits::with_cells(cells),
-                    write: Bits::with_cells(cells),
-                    atomic: Bits::with_cells(cells),
-                });
-                u.dats.last_mut().unwrap()
+        let Some(t) = u.slot(id) else {
+            return;
+        };
+        let set = |bits: &mut Bits| {
+            if len == 1 {
+                bits.set(idx);
+            } else {
+                bits.set_span(idx, len);
             }
         };
-        t.touched = true;
-        let bits = match kind {
-            Kind::Read => &mut t.read,
-            Kind::Write => &mut t.write,
-            Kind::Atomic => &mut t.atomic,
-        };
-        if len == 1 {
-            bits.set(idx);
-        } else {
-            bits.set_span(idx, len);
+        match touch {
+            Touch::Read => set(&mut t.read),
+            Touch::Write => set(&mut t.write),
+            Touch::ReadWrite => {
+                set(&mut t.read);
+                set(&mut t.write);
+            }
+            Touch::Atomic => set(&mut t.atomic),
         }
     });
-}
-
-/// Record a single-cell read. `cells` sizes the bitmap on first touch.
-#[inline]
-pub fn record_read(id: u32, idx: usize, cells: usize) {
-    if id != 0 {
-        record(id, idx, 1, cells, Kind::Read);
-    }
-}
-
-/// Record a contiguous read span (row slices).
-#[inline]
-pub fn record_read_span(id: u32, idx: usize, len: usize, cells: usize) {
-    if id != 0 && len > 0 {
-        record(id, idx, len, cells, Kind::Read);
-    }
-}
-
-/// Record a single-cell plain write.
-#[inline]
-pub fn record_write(id: u32, idx: usize, cells: usize) {
-    if id != 0 {
-        record(id, idx, 1, cells, Kind::Write);
-    }
-}
-
-/// Record a contiguous write span (mutable row slices — conservatively
-/// also a read span, since the body may read through the slice).
-#[inline]
-pub fn record_write_span(id: u32, idx: usize, len: usize, cells: usize) {
-    if id != 0 && len > 0 {
-        record(id, idx, len, cells, Kind::Read);
-        record(id, idx, len, cells, Kind::Write);
-    }
-}
-
-/// Record an atomic read-modify-write.
-#[inline]
-pub fn record_atomic(id: u32, idx: usize, cells: usize) {
-    if id != 0 {
-        record(id, idx, 1, cells, Kind::Atomic);
-    }
 }
 
 #[cfg(test)]
@@ -741,25 +838,21 @@ mod tests {
         }
     }
 
-    fn decl(kernel: &str) -> LoopDecl {
+    fn decl(kernel: &'static str) -> LoopDecl {
         LoopDecl {
-            kernel: kernel.to_owned(),
-            structured: true,
-            lo: [0, 0, 0],
-            hi: [4, 4, 1],
-            args: Vec::new(),
+            kernel,
+            meta: LaunchMeta::new(Vec::new(), [0, 0, 0], [4, 4, 1]),
             flops_pp: 0.0,
             transc_pp: 0.0,
-            scheme: None,
         }
     }
 
-    fn capture(run: impl FnOnce(&Shadow)) -> Vec<LoopTrace> {
+    fn capture(run: impl FnOnce(&Arc<Shadow>)) -> Vec<LoopTrace> {
         let traces = Arc::new(Mutex::new(Vec::new()));
         let sink_traces = Arc::clone(&traces);
-        let shadow = Shadow::enter(Some(Box::new(move |t| lock(&sink_traces).push(t))));
-        run(&shadow);
-        drop(shadow);
+        let scope = Shadow::enter(Some(Box::new(move |t| lock(&sink_traces).push(t))));
+        run(&scope.shadow);
+        drop(scope);
         let out = lock(&traces).clone();
         out
     }
@@ -774,6 +867,10 @@ mod tests {
         let mut c = Bits::with_cells(200);
         c.set(100);
         assert_eq!(Bits::first_and(&b, &c), Some(100));
+        // Bits past the end are dropped, not a panic.
+        c.set(256);
+        c.set_span(250, 20);
+        assert_eq!(c.count(), 7);
     }
 
     #[test]
@@ -782,11 +879,11 @@ mod tests {
             let id = register_dat("u", 8.0, grid4());
             sh.begin_loop(decl("k"));
             unit(Some(sh), || {
-                record_write(id, 3, 16);
-                record_read(id, 2, 16);
+                record(id, 3, 1, Touch::Write);
+                record(id, 2, 1, Touch::Read);
             });
             unit(Some(sh), || {
-                record_write(id, 3, 16); // same cell as unit 1: WW race
+                record(id, 3, 1, Touch::Write); // same cell as unit 1: WW race
             });
             sh.end_loop();
         });
@@ -805,19 +902,19 @@ mod tests {
             let id = register_dat("acc", 8.0, DatGeom::Set { size: 8, dim: 1 });
             sh.begin_loop(decl("flux"));
             for _ in 0..2 {
-                unit(Some(sh), || {
-                    record_atomic(id, 5, 8);
-                });
+                unit(Some(sh), || record(id, 5, 1, Touch::Atomic));
             }
-            // New phase: a plain write over the old cells is legal.
+            // New phase: a plain increment over the old cells is legal.
             sh.next_phase();
-            unit(Some(sh), || {
-                record_write(id, 5, 8);
-            });
+            unit(Some(sh), || record(id, 5, 1, Touch::ReadWrite));
             sh.end_loop();
         });
         assert!(traces[0].conflicts.is_empty(), "{:?}", traces[0].conflicts);
-        assert_eq!(traces[0].phases, 2);
+        let d = &traces[0].dats[0];
+        assert_eq!(
+            (d.atomic.count(), d.read.count(), d.write.count()),
+            (1, 1, 1)
+        );
     }
 
     #[test]
@@ -826,13 +923,13 @@ mod tests {
             let id = register_dat("u", 8.0, grid4());
             sh.begin_loop(decl("first"));
             unit(Some(sh), || {
-                record_read(id, 7, 16); // never initialized
-                record_write(id, 1, 16);
+                record(id, 7, 1, Touch::Read); // never initialized
+                record(id, 1, 1, Touch::Write);
             });
             sh.end_loop();
             sh.begin_loop(decl("second"));
             unit(Some(sh), || {
-                record_read(id, 1, 16); // initialized by loop "first"
+                record(id, 1, 1, Touch::Read); // initialized by loop "first"
             });
             sh.end_loop();
         });
@@ -850,22 +947,65 @@ mod tests {
     fn ambient_writes_initialize_without_a_loop() {
         let traces = capture(|sh| {
             let id = register_dat("u", 8.0, grid4());
-            record_write(id, 9, 16); // setup outside any loop
+            record(id, 9, 1, Touch::Write); // setup outside any loop
             sh.begin_loop(decl("k"));
-            unit(Some(sh), || {
-                record_read(id, 9, 16);
-            });
+            unit(Some(sh), || record(id, 9, 1, Touch::Read));
             sh.end_loop();
         });
         assert_eq!(traces[0].dats[0].uninit_reads, 0);
     }
 
     #[test]
+    fn unit_bitmaps_are_sized_by_the_shadow_they_run_under() {
+        // Dat 1 is small in the first shadow and large in the second, on
+        // the same thread: the second run's bitmaps must hold its cells.
+        for cells in [16, 4096] {
+            let traces = capture(|sh| {
+                let id = register_dat(
+                    "u",
+                    8.0,
+                    DatGeom::Set {
+                        size: cells,
+                        dim: 1,
+                    },
+                );
+                sh.begin_loop(decl("k"));
+                unit(Some(sh), || record(id, 0, cells, Touch::Write));
+                sh.end_loop();
+            });
+            assert_eq!(traces[0].dats[0].write.count(), cells);
+        }
+    }
+
+    #[test]
+    fn a_bracket_builds_its_declaration_only_when_shadowed() {
+        let traces = capture(|_| {
+            bracket(
+                false,
+                |_| unreachable!("a dry launch builds no declaration"),
+                |sh| assert!(sh.is_none()),
+            );
+            bracket(
+                true,
+                |sh| sh.begin_loop(decl("k")),
+                |sh| assert!(sh.is_some()),
+            );
+        });
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].decl.kernel, "k");
+    }
+
+    #[test]
     fn disabled_mode_records_nothing() {
         assert!(current().is_none());
         assert_eq!(register_dat("u", 8.0, grid4()), 0);
-        record_read(0, 3, 16);
+        record(0, 3, 1, Touch::Read);
         assert_eq!(unit(None, || 7), 7);
+        bracket(
+            true,
+            |_| unreachable!("no shadow is current"),
+            |sh| assert!(sh.is_none()),
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The shadow-access checker: one finished [`LoopTrace`] in, findings
-//! out. Structured (OPS) traces carry a real iteration box and dat-
-//! linked arg declarations, so they get the full comparison; op2 traces
-//! contribute conflicts, notes, and uninit counts.
+//! out. A loop whose launch metadata is exhaustive (OPS: a real
+//! iteration box and dat-linked accesses) gets the full comparison of
+//! observed against declared accesses; opaque (op2) loops contribute
+//! conflicts, notes, and uninit counts.
 
 use crate::{Collector, Pass, Severity};
-use telemetry::shadow::{Access, ArgDecl, ConflictKind, DatTrace, LoopTrace, NoteKind};
+use telemetry::shadow::{AccessMode, Bits, ConflictKind, DatAccess, DatTrace, LoopTrace, NoteKind};
 
 pub(crate) fn check_trace(trace: &LoopTrace, out: &mut Collector) {
     for note in &trace.notes {
@@ -14,7 +15,7 @@ pub(crate) fn check_trace(trace: &LoopTrace, out: &mut Collector) {
         };
         out.emit(
             Severity::Error,
-            &trace.decl.kernel,
+            trace.decl.kernel,
             pass,
             format!("{tag}: {}", note.text),
             note.text.clone(),
@@ -32,7 +33,7 @@ pub(crate) fn check_trace(trace: &LoopTrace, out: &mut Collector) {
                 .unwrap_or_default();
             out.emit(
                 Severity::Info,
-                &trace.decl.kernel,
+                trace.decl.kernel,
                 Pass::Access,
                 format!("uninit:{}", d.name),
                 format!(
@@ -42,7 +43,7 @@ pub(crate) fn check_trace(trace: &LoopTrace, out: &mut Collector) {
                 ),
             );
         }
-        if trace.decl.structured {
+        if !trace.decl.meta.opaque {
             check_structured_dat(trace, d, out);
         }
     }
@@ -63,7 +64,7 @@ fn check_conflicts(trace: &LoopTrace, out: &mut Collector) {
             ConflictKind::ReadWrite => "read-write",
             ConflictKind::AtomicPlain => "atomic/plain",
         };
-        let (pass, detail) = match trace.decl.scheme {
+        let (pass, detail) = match trace.decl.meta.scheme {
             Some("atomics") => (
                 Pass::Plan,
                 format!(
@@ -88,7 +89,7 @@ fn check_conflicts(trace: &LoopTrace, out: &mut Collector) {
         };
         out.emit(
             Severity::Error,
-            &trace.decl.kernel,
+            trace.decl.kernel,
             pass,
             format!("conflict:{kind}:{name}"),
             detail,
@@ -99,10 +100,11 @@ fn check_conflicts(trace: &LoopTrace, out: &mut Collector) {
 /// Structural lints that need only the declaration.
 fn check_decl_lints(trace: &LoopTrace, out: &mut Collector) {
     let decl = &trace.decl;
+    let meta = &decl.meta;
     if decl.transc_pp > 0.0 && decl.flops_pp <= 0.0 {
         out.emit(
             Severity::Warning,
-            &decl.kernel,
+            decl.kernel,
             Pass::Footprint,
             "transc-no-flops".to_owned(),
             format!(
@@ -113,17 +115,17 @@ fn check_decl_lints(trace: &LoopTrace, out: &mut Collector) {
             ),
         );
     }
-    if !decl.structured {
+    if meta.opaque {
         return;
     }
     for (dim, name) in ["x", "y", "z"].iter().enumerate() {
-        let extent = decl.hi[dim] - decl.lo[dim];
+        let extent = meta.hi[dim] - meta.lo[dim];
         if extent == 1 {
-            for arg in &decl.args {
+            for arg in &meta.accesses {
                 if arg.radius[dim] > 0 {
                     out.emit(
                         Severity::Warning,
-                        &decl.kernel,
+                        decl.kernel,
                         Pass::Footprint,
                         format!("zero-extent-radius:{name}"),
                         format!(
@@ -142,19 +144,19 @@ fn check_decl_lints(trace: &LoopTrace, out: &mut Collector) {
     // bytes rule prices that as 1+1 instead of the 2x a read_write
     // declaration makes explicit, and hides the RMW from race analysis.
     let mut ids: Vec<u32> = Vec::new();
-    for arg in &decl.args {
+    for arg in &meta.accesses {
         if arg.dat == 0 || ids.contains(&arg.dat) {
             continue;
         }
         ids.push(arg.dat);
-        let reads = decl
-            .args
+        let reads = meta
+            .accesses
             .iter()
-            .any(|a| a.dat == arg.dat && a.access == Access::Read);
-        let writes = decl
-            .args
+            .any(|a| a.dat == arg.dat && a.mode == AccessMode::Read);
+        let writes = meta
+            .accesses
             .iter()
-            .any(|a| a.dat == arg.dat && a.access == Access::Write);
+            .any(|a| a.dat == arg.dat && a.mode == AccessMode::Write);
         if reads && writes {
             let name = trace
                 .dats
@@ -164,7 +166,7 @@ fn check_decl_lints(trace: &LoopTrace, out: &mut Collector) {
                 .unwrap_or("?");
             out.emit(
                 Severity::Warning,
-                &decl.kernel,
+                decl.kernel,
                 Pass::Access,
                 format!("split-rw:{name}"),
                 format!(
@@ -179,10 +181,10 @@ fn check_decl_lints(trace: &LoopTrace, out: &mut Collector) {
 
 /// Max declared read radius per dim for `dat`, or `None` when no arg
 /// declares it readable.
-fn read_radius(args: &[ArgDecl], dat: u32) -> Option<[usize; 3]> {
+fn read_radius(args: &[DatAccess], dat: u32) -> Option<[usize; 3]> {
     let mut r: Option<[usize; 3]> = None;
     for a in args {
-        if a.dat == dat && matches!(a.access, Access::Read | Access::ReadWrite) {
+        if a.dat == dat && a.reads() {
             let acc = r.get_or_insert([0; 3]);
             for (m, &radius) in acc.iter_mut().zip(&a.radius) {
                 *m = (*m).max(radius);
@@ -192,21 +194,23 @@ fn read_radius(args: &[ArgDecl], dat: u32) -> Option<[usize; 3]> {
     r
 }
 
+/// Where the first cell set in `bits` lies in `d`, for messages.
+fn first_at(d: &DatTrace, bits: &Bits) -> String {
+    bits.ones()
+        .next()
+        .map(|i| d.geom.locate(i))
+        .unwrap_or_default()
+}
+
 fn check_structured_dat(trace: &LoopTrace, d: &DatTrace, out: &mut Collector) {
-    let decl = &trace.decl;
-    let kernel = &decl.kernel;
-    let args: Vec<&ArgDecl> = decl.args.iter().filter(|a| a.dat == d.id).collect();
+    let kernel = trace.decl.kernel;
+    let decl = &trace.decl.meta;
+    let args: Vec<&DatAccess> = decl.accesses.iter().filter(|a| a.dat == d.id).collect();
 
     if args.is_empty() {
         // Touched but never declared: the pricing never saw this dat.
         if d.write.any() || d.atomic.any() {
-            let at = d
-                .write
-                .ones()
-                .chain(d.atomic.ones())
-                .next()
-                .map(|i| d.geom.locate(i))
-                .unwrap_or_default();
+            let at = first_at(d, if d.write.any() { &d.write } else { &d.atomic });
             out.emit(
                 Severity::Error,
                 kernel,
@@ -220,12 +224,7 @@ fn check_structured_dat(trace: &LoopTrace, d: &DatTrace, out: &mut Collector) {
                 ),
             );
         } else if d.read.any() {
-            let at = d
-                .read
-                .ones()
-                .next()
-                .map(|i| d.geom.locate(i))
-                .unwrap_or_default();
+            let at = first_at(d, &d.read);
             out.emit(
                 Severity::Warning,
                 kernel,
@@ -241,21 +240,14 @@ fn check_structured_dat(trace: &LoopTrace, d: &DatTrace, out: &mut Collector) {
         return;
     }
 
-    let declared_write = args
-        .iter()
-        .any(|a| matches!(a.access, Access::Write | Access::ReadWrite));
-    let radius = read_radius(&decl.args, d.id);
+    let declared_write = args.iter().any(|a| a.writes());
+    let radius = read_radius(&decl.accesses, d.id);
 
     // Writes: must be declared, and must stay inside the iteration box
     // (every unit writes only its own points; anything else races with
     // the tile that owns the cell).
     if d.write.any() && !declared_write {
-        let at = d
-            .write
-            .ones()
-            .next()
-            .map(|i| d.geom.locate(i))
-            .unwrap_or_default();
+        let at = first_at(d, &d.write);
         out.emit(
             Severity::Error,
             kernel,

@@ -3,17 +3,23 @@
 //! The execution engine *trusts* every loop declaration: `ops::ParLoop`
 //! stencils size the priced footprint, `op2::EdgeLoop` args price the
 //! gather volume, and the colouring plans justify unsynchronised writes.
-//! This crate checks those contracts instead of assuming them, with
-//! three passes over an instrumented ("shadow") run:
+//! This crate checks those contracts instead of assuming them. Each
+//! shadowed loop hands the sink one [`shadow::LoopTrace`]: its
+//! declaration (the same [`sycl_sim::LaunchMeta`] the launch graph
+//! keeps), what its views recorded, unit overlaps and notes. Three
+//! passes read it:
 //!
 //! * **Access** — per-dat touched-index bitmaps (recorded by
 //!   `telemetry::shadow` inside the views) are compared against the
-//!   declaration: undeclared writes, stencil under-declaration, reads of
+//!   declared accesses of every loop whose meta is exhaustive:
+//!   undeclared writes, stencil under-declaration, reads of
 //!   never-initialised cells, and write–write / read–write overlap
 //!   between execution units that no race-resolution scheme covers.
-//! * **Plan** — every `GlobalColoring` / `HierColoring` attached to a
-//!   loop is proven conflict-free (block-locally too), and atomics-
-//!   scheme loops whose trace shows non-atomic RMW overlap are flagged.
+//! * **Plan** — a shadowed `op2::EdgeLoop` checks its `GlobalColoring`
+//!   / `HierColoring` (block and intra-block colours) when it opens,
+//!   and a conflict reaches this crate as a `PlanViolation` note; loops
+//!   whose trace shows overlap under their scheme (non-atomic RMW under
+//!   atomics, a colour group that raced) are flagged too.
 //! * **Footprint** — the declared-bytes `KernelFootprint` (observed via
 //!   [`Session::set_launch_observer`]) is cross-checked against shadow-
 //!   counted unique bytes with a per-scheme tolerance, plus structural
@@ -46,10 +52,7 @@ use telemetry::shadow;
 
 mod access;
 pub mod dataflow;
-pub mod plan;
 pub mod report;
-
-pub use plan::{check_global_coloring, check_hier_coloring};
 
 /// How bad a finding is. `Error` findings fail `analyze` (and CI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -146,12 +149,12 @@ impl Collector {
         }
         let e = self
             .touched
-            .entry(trace.decl.kernel.clone())
+            .entry(trace.decl.kernel.to_owned())
             .or_insert((0.0, 0));
         e.0 += bytes;
         e.1 += 1;
-        if let Some(s) = trace.decl.scheme {
-            self.schemes.insert(trace.decl.kernel.clone(), s);
+        if let Some(s) = trace.decl.meta.scheme {
+            self.schemes.insert(trace.decl.kernel.to_owned(), s);
         }
         access::check_trace(trace, self);
     }
@@ -226,10 +229,9 @@ fn tolerance(scheme: Option<&str>) -> (f64, f64) {
     match scheme {
         // Atomics keeps one launch per loop; tightest band.
         Some("atomics") => (0.4, 2.5),
-        // Colour passes split the dataset unevenly across launches.
-        Some(_) => (0.3, 3.0),
-        // Structured loops: halo shells and rw double-counting.
-        None => (0.3, 3.0),
+        // Colour passes split the dataset unevenly across launches;
+        // structured loops have halo shells and rw double-counting.
+        _ => (0.3, 3.0),
     }
 }
 

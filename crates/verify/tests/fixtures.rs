@@ -3,23 +3,75 @@
 //!
 //! Each fixture plants exactly one defect — a tampered colouring plan,
 //! an under-declared stencil, an undeclared write — and asserts the
-//! corresponding pass reports it as an Error naming the kernel.
+//! corresponding pass reports it as an Error naming the kernel. The
+//! plans are checked the way a verified run checks them: an edge loop
+//! runs over the tampered mesh under an attached verifier.
 
-use op2_dsl::{GlobalColoring, HierColoring, Mesh, Ordering};
+use op2_dsl::parloop::ColoredMesh;
+use op2_dsl::{DatU, EdgeLoop, GlobalColoring, HierColoring, Mesh, Ordering};
 use ops_dsl::prelude::*;
-use sycl_sim::{PlatformId, Session, SessionConfig, Toolchain};
-use verify::{has_errors, Pass, Severity, Verifier};
+use sycl_sim::{PlatformId, Precision, Scheme, Session, SessionConfig, Toolchain};
+use verify::{has_errors, Diagnostic, Pass, Severity, Verifier};
 
 fn live(app: &str) -> Session {
     Session::create(SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app(app)).unwrap()
 }
 
+fn mesh() -> Mesh {
+    Mesh::grid(6, 6, 2, Ordering::Natural)
+}
+
+/// Run an edge loop named `res_calc` over `mesh` with one of the two
+/// colourings under a verifier, gathering both vertices of every edge,
+/// and return the findings.
+fn verify_edge_loop(
+    mesh: &Mesh,
+    global: Option<GlobalColoring>,
+    hier: Option<HierColoring>,
+) -> Vec<Diagnostic> {
+    let scheme = match global {
+        Some(_) => Scheme::GlobalColor,
+        None => Scheme::HierColor,
+    };
+    let colored = ColoredMesh {
+        mesh: mesh.clone(),
+        global,
+        hier,
+    };
+    let s = live("fixture_plan");
+    let v = Verifier::attach(&s);
+    let mut q = DatU::<f64>::zeroed("q", mesh.n_vertices, 1);
+    q.fill_with(|e, _| e as f64);
+    let r = q.reader();
+    EdgeLoop::new("res_calc", mesh.stats(), scheme, Precision::F64)
+        .vertex_read(r)
+        .flops(1.0)
+        .run(&s, Some(&colored), |e| {
+            for &vertex in mesh.edges.row(e) {
+                let _ = r.at(vertex as usize, 0);
+            }
+        });
+    v.finish(&s)
+}
+
+/// The verified run must report a plan Error naming `res_calc` whose
+/// detail contains `needle`.
+fn assert_plan_error(diags: &[Diagnostic], needle: &str) {
+    assert!(
+        diags.iter().any(|d| d.severity == Severity::Error
+            && d.pass == Pass::Plan
+            && d.kernel == "res_calc"
+            && d.detail.contains(needle)),
+        "no plan error mentioning {needle:?}: {diags:?}"
+    );
+}
+
 #[test]
 fn a_tampered_global_colouring_is_a_plan_error_naming_the_kernel() {
-    let mesh = Mesh::grid(6, 6, 2, Ordering::Natural);
+    let mesh = mesh();
     let mut g = GlobalColoring::build(&mesh.edges);
-    assert!(g.is_valid(&mesh.edges), "builder must start conflict-free");
-    assert!(verify::check_global_coloring("res_calc", &g, &mesh.edges).is_empty());
+    let clean = verify_edge_loop(&mesh, Some(g.clone()), None);
+    assert!(!has_errors(&clean), "the built plan runs clean: {clean:?}");
 
     // Force a vertex-sharing edge into edge 0's colour group.
     let v = mesh.edges.row(0)[0];
@@ -32,51 +84,62 @@ fn a_tampered_global_colouring_is_a_plan_error_naming_the_kernel() {
     g.by_color[c_old].retain(|&e| e as usize != other);
     g.by_color[c0].push(other as u32);
 
-    let diags = verify::check_global_coloring("res_calc", &g, &mesh.edges);
-    assert!(has_errors(&diags), "the tampered plan must be rejected");
-    let d = &diags[0];
-    assert_eq!(d.severity, Severity::Error);
-    assert_eq!(d.pass, Pass::Plan);
-    assert_eq!(d.kernel, "res_calc");
-    assert!(d.detail.contains("share a colour"), "{}", d.detail);
+    let diags = verify_edge_loop(&mesh, Some(g), None);
+    assert_plan_error(&diags, "global colouring invalid");
+}
+
+#[test]
+fn a_tampered_hierarchical_block_colouring_is_a_plan_error() {
+    let mesh = mesh();
+    let mut h = HierColoring::build(&mesh.edges, 8);
+    let clean = verify_edge_loop(&mesh, None, Some(h.clone()));
+    assert!(!has_errors(&clean), "the built plan runs clean: {clean:?}");
+
+    // Move a block that shares a vertex with block 0 into block 0's
+    // colour: the two now run concurrently in one pass.
+    let vertices = |b: usize| {
+        let (lo, hi) = h.block_range(b, mesh.n_edges());
+        (lo..hi)
+            .flat_map(|e| mesh.edges.row(e).to_vec())
+            .collect::<Vec<_>>()
+    };
+    let first = vertices(0);
+    let other = (1..mesh.n_edges().div_ceil(h.block_size))
+        .find(|&b| {
+            h.block_color[b] != h.block_color[0] && vertices(b).iter().any(|v| first.contains(v))
+        })
+        .expect("block 0 has a vertex-sharing neighbour of another colour");
+    let (c0, c_old) = (h.block_color[0] as usize, h.block_color[other] as usize);
+    h.block_color[other] = c0 as u32;
+    h.blocks_by_color[c_old].retain(|&b| b as usize != other);
+    h.blocks_by_color[c0].push(other as u32);
+
+    let diags = verify_edge_loop(&mesh, None, Some(h));
+    assert_plan_error(&diags, "hierarchical colouring invalid: blocks");
 }
 
 #[test]
 fn a_tampered_hierarchical_colouring_is_a_plan_error() {
-    let mesh = Mesh::grid(6, 6, 2, Ordering::Natural);
+    let mesh = mesh();
     let mut h = HierColoring::build(&mesh.edges, 8);
-    assert!(h.is_valid(&mesh.edges) && h.is_valid_intra(&mesh.edges));
-    assert!(verify::check_hier_coloring("res_calc", &h, &mesh.edges).is_empty());
 
     // Within block 0, force two vertex-sharing edges onto one intra
     // colour — the block's sequential-by-colour schedule now races.
     let (lo, hi) = h.block_range(0, mesh.n_edges());
-    let mut pair = None;
-    'outer: for a in lo..hi {
-        for b in (a + 1)..hi {
-            let shares = mesh
-                .edges
-                .row(a)
-                .iter()
-                .any(|v| mesh.edges.row(b).contains(v));
-            if shares && h.intra_color[a] != h.intra_color[b] {
-                pair = Some((a, b));
-                break 'outer;
-            }
-        }
-    }
-    let (a, b) = pair.expect("block 0 has adjacent edges on different intra colours");
+    let shares = |a: usize, b: usize| {
+        mesh.edges
+            .row(a)
+            .iter()
+            .any(|v| mesh.edges.row(b).contains(v))
+    };
+    let (a, b) = (lo..hi)
+        .flat_map(|a| (a + 1..hi).map(move |b| (a, b)))
+        .find(|&(a, b)| shares(a, b) && h.intra_color[a] != h.intra_color[b])
+        .expect("block 0 has adjacent edges on different intra colours");
     h.intra_color[b] = h.intra_color[a];
 
-    let diags = verify::check_hier_coloring("res_calc", &h, &mesh.edges);
-    assert!(has_errors(&diags), "the tampered plan must be rejected");
-    assert!(
-        diags.iter().any(|d| d.severity == Severity::Error
-            && d.pass == Pass::Plan
-            && d.kernel == "res_calc"
-            && d.detail.contains("intra-block")),
-        "{diags:?}"
-    );
+    let diags = verify_edge_loop(&mesh, None, Some(h));
+    assert_plan_error(&diags, "intra-block colouring invalid");
 }
 
 #[test]

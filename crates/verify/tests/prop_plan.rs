@@ -1,6 +1,8 @@
-//! Property tests for the plan validator: colourings built from random
-//! meshes must always be conflict-free, and the §4.3 bytes-per-wave
-//! model must preserve the paper's scheme ordering on the Rotor37 mesh.
+//! Property tests for the colouring plans a verified edge loop checks:
+//! colourings built from random meshes must always be conflict-free
+//! (every `first_*_conflict` finds nothing), and the §4.3
+//! bytes-per-wave model must preserve the paper's scheme ordering on
+//! the Rotor37 mesh.
 
 use op2_dsl::{EdgeLoop, GlobalColoring, HierColoring, Mesh, MeshStats, Ordering};
 use sycl_sim::{Precision, Scheme};
@@ -38,28 +40,23 @@ fn random_meshes_always_colour_conflict_free() {
         let mesh = Mesh::grid(ni, nj, nk, ordering);
 
         let g = GlobalColoring::build(&mesh.edges);
-        assert!(
-            g.is_valid(&mesh.edges),
+        assert_eq!(
+            g.first_conflict(&mesh.edges),
+            None,
             "trial {trial} ({ni}x{nj}x{nk}): global colouring invalid"
-        );
-        assert!(
-            verify::check_global_coloring("k", &g, &mesh.edges).is_empty(),
-            "trial {trial}: validator disagrees with is_valid"
         );
 
         let block_size = 1 + (rng.next_u64() % 16) as usize;
         let h = HierColoring::build(&mesh.edges, block_size);
-        assert!(
-            h.is_valid(&mesh.edges),
+        assert_eq!(
+            h.first_block_conflict(&mesh.edges),
+            None,
             "trial {trial} (bs {block_size}): block colouring invalid"
         );
-        assert!(
-            h.is_valid_intra(&mesh.edges),
+        assert_eq!(
+            h.first_intra_conflict(&mesh.edges),
+            None,
             "trial {trial} (bs {block_size}): intra-block colouring invalid"
-        );
-        assert!(
-            verify::check_hier_coloring("k", &h, &mesh.edges).is_empty(),
-            "trial {trial}: validator disagrees with is_valid"
         );
     }
 }
