@@ -468,6 +468,34 @@ mod tests {
         assert!((a - g).abs() / g.abs() < 1e-9, "{a} vs {g}");
     }
 
+    /// The finest `q` of a 64×64×32 grid is 5 MiB, which always holds a
+    /// whole 2 MiB page, so unlike the 12×12×8 test grid (46 KiB fields)
+    /// its fields take the huge-page advice.
+    #[test]
+    fn huge_page_advised_fields_keep_every_schemes_result() {
+        let run_with = |scheme| {
+            let s = Session::create(
+                SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+                    .app(apps::MGCFD)
+                    .scheme(scheme),
+            )
+            .unwrap();
+            let mut app = Mgcfd::test();
+            app.grid = Some((64, 64, 32));
+            app.levels = 2;
+            app.iterations = 1;
+            app.run(&s).validation
+        };
+        let a = run_with(Scheme::Atomics);
+        let g = run_with(Scheme::GlobalColor);
+        let h = run_with(Scheme::HierColor);
+        // The bits both colourings gave before their fields were advised.
+        const BITS: u64 = 0x4127601f1a6a936c;
+        assert_eq!(g.to_bits(), BITS, "global colouring: {g}");
+        assert_eq!(h.to_bits(), BITS, "hierarchical colouring: {h}");
+        assert!((a - g).abs() / g.abs() < 1e-9, "{a} vs {g}");
+    }
+
     #[test]
     fn paper_size_dry_run_prices_the_hierarchy() {
         let s = Session::create(

@@ -30,11 +30,15 @@ impl<T: Real> DatU<T> {
                 dim,
             },
         );
+        // A zeroed allocation leaves a fresh mapping untouched, so the
+        // advice lands before `fill_with`'s first-touch writes.
+        let mut data = vec![T::zero(); set_size * dim];
+        parkit::mem::advise_huge_pages(&mut data);
         DatU {
             name: name.to_owned(),
             set_size,
             dim,
-            data: vec![T::zero(); set_size * dim],
+            data,
             sid,
         }
     }

@@ -52,9 +52,13 @@ impl<T: Real> Dat<T> {
             }
         });
         let sid = shadow::register_dat(name, T::BYTES, shadow::DatGeom::Grid { pad, off });
+        // A zeroed allocation leaves a fresh mapping untouched, so the
+        // advice lands before the first fill or kernel write.
+        let mut data = vec![T::zero(); pad[0] * pad[1] * pad[2]];
+        parkit::mem::advise_huge_pages(&mut data);
         Dat {
             name: name.to_owned(),
-            data: vec![T::zero(); pad[0] * pad[1] * pad[2]],
+            data,
             pad,
             off,
             sid,

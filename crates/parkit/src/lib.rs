@@ -30,6 +30,9 @@
 //!   `RegionSpan` on the calling thread, and the pool counts chunk steals
 //!   (dynamic-cursor chunks claimed by worker lanes), parks and wakes.
 //!   Disabled, each site costs a single branch.
+//! * [`mem::advise_huge_pages`] asks for transparent huge pages on a
+//!   large buffer before its first touch (the DSLs' fields). It holds
+//!   the workspace's one foreign call.
 //!
 //! ```
 //! use parkit::ThreadPool;
@@ -46,6 +49,7 @@
 //! assert_eq!(total, 1000 * 999 / 2);
 //! ```
 
+pub mod mem;
 mod pool;
 mod reduce;
 mod slice;
