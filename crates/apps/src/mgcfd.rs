@@ -232,10 +232,8 @@ impl App for Mgcfd {
                         }
                         let mut f = [0.0; N_VARS];
                         rusanov(&ql, &qb, &mut f);
-                        for v in 0..N_VARS {
-                            acc.add(a, v, -f[v]);
-                            acc.add(b, v, f[v]);
-                        }
+                        acc.add_row(a, &f.map(|x| -x));
+                        acc.add_row(b, &f);
                     });
                 } else {
                     lp.vertex_read(N_VARS)
@@ -402,10 +400,8 @@ impl Mgcfd {
                 }
                 let mut f = [0.0; N_VARS];
                 rusanov(&ql, &qb, &mut f);
-                for v in 0..N_VARS {
-                    acc.add(a, v, -f[v]);
-                    acc.add(b, v, f[v]);
-                }
+                acc.add_row(a, &f.map(|x| -x));
+                acc.add_row(b, &f);
             });
         }
         res.total()

@@ -51,17 +51,33 @@ pub struct RunManifest {
 }
 
 /// Best-effort short git revision of the working tree ("unknown" when
-/// git is unavailable).
+/// git is unavailable), suffixed `-dirty` when tracked files differ
+/// from it.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_owned();
+    };
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+        .is_some_and(|s| !s.trim().is_empty());
+    rev_label(rev.trim(), dirty)
+}
+
+/// The label for revision `rev`: `-dirty` marks uncommitted tracked
+/// changes, and an empty revision reads "unknown".
+fn rev_label(rev: &str, dirty: bool) -> String {
+    match (rev.is_empty(), dirty) {
+        (true, _) => "unknown".to_owned(),
+        (false, true) => format!("{rev}-dirty"),
+        (false, false) => rev.to_owned(),
+    }
 }
 
 fn summary_json(w: &mut JsonWriter, s: &Summary) {
@@ -177,5 +193,13 @@ mod tests {
     fn git_rev_never_panics() {
         let r = git_rev();
         assert!(!r.is_empty());
+    }
+
+    #[test]
+    fn rev_label_marks_a_dirty_tree() {
+        assert_eq!(rev_label("abc1234", false), "abc1234");
+        assert_eq!(rev_label("abc1234", true), "abc1234-dirty");
+        assert_eq!(rev_label("", false), "unknown");
+        assert_eq!(rev_label("", true), "unknown");
     }
 }

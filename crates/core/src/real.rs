@@ -32,14 +32,6 @@ pub trait Real:
     fn sqrt(self) -> Self;
     fn min2(self, other: Self) -> Self;
     fn max2(self, other: Self) -> Self;
-
-    /// Atomically `*ptr += val` via a CAS loop on the bit pattern — the
-    /// "safe atomics" path every CPU (and OpenSYCL on the MI250X) uses.
-    ///
-    /// # Safety
-    /// `ptr` must be valid, properly aligned, and only accessed atomically
-    /// (or not at all) by other threads for the duration of the call.
-    unsafe fn atomic_add(ptr: *mut Self, val: Self);
 }
 
 impl Real for f32 {
@@ -69,20 +61,6 @@ impl Real for f32 {
     }
     fn max2(self, other: Self) -> Self {
         f32::max(self, other)
-    }
-
-    unsafe fn atomic_add(ptr: *mut Self, val: Self) {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        // SAFETY: caller guarantees validity/alignment/atomic access.
-        let atom = unsafe { AtomicU32::from_ptr(ptr.cast::<u32>()) };
-        let mut cur = atom.load(Ordering::Relaxed);
-        loop {
-            let next = (f32::from_bits(cur) + val).to_bits();
-            match atom.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(observed) => cur = observed,
-            }
-        }
     }
 }
 
@@ -114,20 +92,6 @@ impl Real for f64 {
     fn max2(self, other: Self) -> Self {
         f64::max(self, other)
     }
-
-    unsafe fn atomic_add(ptr: *mut Self, val: Self) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // SAFETY: caller guarantees validity/alignment/atomic access.
-        let atom = unsafe { AtomicU64::from_ptr(ptr.cast::<u64>()) };
-        let mut cur = atom.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + val).to_bits();
-            match atom.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(observed) => cur = observed,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,37 +106,6 @@ mod tests {
         assert_eq!(T::from_f64(9.0).sqrt().to_f64(), 3.0);
         assert_eq!(T::from_f64(1.0).min2(T::from_f64(2.0)).to_f64(), 1.0);
         assert_eq!(T::from_f64(1.0).max2(T::from_f64(2.0)).to_f64(), 2.0);
-    }
-
-    #[test]
-    fn atomic_adds_accumulate_under_contention() {
-        let mut target = 0.0f64;
-        let p = std::ptr::addr_of_mut!(target) as usize;
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        // SAFETY: all threads use only atomic_add on this location.
-                        unsafe { f64::atomic_add(p as *mut f64, 1.0) };
-                    }
-                });
-            }
-        });
-        assert_eq!(target, 4000.0);
-
-        let mut t32 = 0.0f32;
-        let p32 = std::ptr::addr_of_mut!(t32) as usize;
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        // SAFETY: as above.
-                        unsafe { f32::atomic_add(p32 as *mut f32, 0.5) };
-                    }
-                });
-            }
-        });
-        assert_eq!(t32, 200.0);
     }
 
     #[test]

@@ -2,11 +2,61 @@
 
 use crate::parloop::{VertexArg, VertexRows};
 use parkit::global_pool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use sycl_sim::Real;
 use telemetry::shadow::{self, Touch};
 
 /// Values per pool chunk when a field is filled (256 KiB of `f64`).
 const DAT_CHUNK: usize = 1 << 15;
+
+/// log2 of the number of row-lock stripes.
+const STRIPE_BITS: u32 = 16;
+
+/// One-byte locks that serialise atomic-mode increments (64 KiB, shared
+/// by every dat in the process). A row takes the stripe its address
+/// hashes to, so rows of any dat can share a stripe, which only costs
+/// an occasional wait.
+static STRIPES: [AtomicBool; 1 << STRIPE_BITS] =
+    [const { AtomicBool::new(false) }; 1 << STRIPE_BITS];
+
+/// Spins on a held stripe before a waiter starts yielding its core: with
+/// more threads than cores, a holder descheduled mid-row must not stall
+/// a spinner for a whole timeslice.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
+/// Run `f` holding the stripe lock of the row at `row` (a Fibonacci hash
+/// of its address picks the stripe).
+#[inline]
+fn with_row_locked<T>(row: *const T, f: impl FnOnce()) {
+    let hash = (row as usize as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let lock = &STRIPES[(hash >> (64 - STRIPE_BITS)) as usize];
+    if lock.swap(true, Ordering::Acquire) {
+        acquire_contended(lock);
+    }
+    f();
+    lock.store(false, Ordering::Release);
+}
+
+/// Wait for a held stripe and take it: spin while it stays held, then
+/// yield the core between polls.
+#[cold]
+#[inline(never)]
+fn acquire_contended(lock: &AtomicBool) {
+    let mut spins = 0;
+    loop {
+        while lock.load(Ordering::Relaxed) {
+            if spins < SPINS_BEFORE_YIELD {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        if !lock.swap(true, Ordering::Acquire) {
+            return;
+        }
+    }
+}
 
 /// A field with `dim` components per set element.
 #[derive(Debug, Clone)]
@@ -121,8 +171,8 @@ impl<T: Real> DatU<T> {
         }
     }
 
-    /// Accumulation view for indirect increments. `atomic` chooses the
-    /// CAS path (atomics scheme) vs plain adds (colour-serialised
+    /// Accumulation view for indirect increments. `atomic` chooses
+    /// row-locked adds (atomics scheme) vs plain adds (colour-serialised
     /// schemes, where the colouring invariant makes races impossible).
     pub fn accum(&mut self, atomic: bool) -> Accum<'_, T> {
         Accum {
@@ -223,8 +273,13 @@ impl<'a, T: Real> UWriteView<'a, T> {
     }
 }
 
-/// Indirect-increment view: `add` resolves races either atomically or by
-/// relying on a colouring invariant.
+/// Indirect-increment view: `add` and `add_row` resolve races either
+/// atomically or by relying on a colouring invariant.
+///
+/// The model prices an atomic increment as the platform's FP-atomic or
+/// CAS update, one per component. The host runs it as plain adds under
+/// the row's stripe lock: one locked operation per row instead of one
+/// CAS loop per component.
 pub struct Accum<'a, T> {
     ptr: *mut T,
     dim: usize,
@@ -240,8 +295,9 @@ impl<T> Clone for Accum<'_, T> {
         *self
     }
 }
-// SAFETY: atomic mode is race-free by construction; plain mode relies on
-// the colouring invariant enforced (and property-tested) by `color`.
+// SAFETY: atomic mode is race-free by the row stripe locks; plain mode
+// relies on the colouring invariant enforced (and property-tested) by
+// `color`.
 unsafe impl<T: Send> Send for Accum<'_, T> {}
 unsafe impl<T: Send> Sync for Accum<'_, T> {}
 
@@ -251,18 +307,44 @@ impl<T: Real> Accum<'_, T> {
     pub fn add(&self, e: usize, c: usize, v: T) {
         let idx = e * self.dim + c;
         debug_assert!(idx < self.len);
+        // SAFETY: bounds guaranteed by set sizes (debug-checked).
+        let (row, p) = unsafe { (self.ptr.add(e * self.dim), self.ptr.add(idx)) };
+        // SAFETY (both arms): in atomic mode every access to the row
+        // holds its stripe lock; otherwise colouring guarantees no two
+        // concurrent adds touch the same element.
         if self.atomic {
             shadow::record(self.sid, idx, 1, Touch::Atomic);
-            // SAFETY: all concurrent accesses in atomic mode go through
-            // `atomic_add`.
-            unsafe { T::atomic_add(self.ptr.add(idx), v) };
+            with_row_locked(row, || unsafe { *p += v });
         } else {
             // A plain increment is a read-modify-write: record both
             // sides so overlap between concurrent units surfaces.
             shadow::record(self.sid, idx, 1, Touch::ReadWrite);
-            // SAFETY: colouring guarantees no two concurrent adds touch
-            // the same element.
-            unsafe { *self.ptr.add(idx) = *self.ptr.add(idx) + v };
+            unsafe { *p += v };
+        }
+    }
+
+    /// `data[e][c] += v[c]` for the whole row of element `e`, in
+    /// component order. `N` is the dat's dim; keeping it a constant
+    /// lets the adds unroll.
+    #[inline]
+    pub fn add_row<const N: usize>(&self, e: usize, v: &[T; N]) {
+        debug_assert_eq!(N, self.dim);
+        let base = e * self.dim;
+        debug_assert!(base + N <= self.len);
+        // SAFETY: bounds guaranteed by set sizes (debug-checked).
+        let row = unsafe { self.ptr.add(base) };
+        // SAFETY: as in `add`, for each component of the row.
+        let add_all = || {
+            for c in 0..N {
+                unsafe { *row.add(c) += v[c] };
+            }
+        };
+        if self.atomic {
+            shadow::record(self.sid, base, N, Touch::Atomic);
+            with_row_locked(row, add_all);
+        } else {
+            shadow::record(self.sid, base, N, Touch::ReadWrite);
+            add_all();
         }
     }
 
@@ -356,23 +438,80 @@ mod tests {
         assert_eq!(d.at(5, 1), 2.5);
     }
 
-    #[test]
-    fn atomic_accum_is_correct_under_contention() {
-        let mut d = DatU::<f64>::zeroed("acc", 4, 1);
+    /// Every chunk adds `[1, 2, 3]` to each of three rows with `add_row`
+    /// and `1` to each component with `add`. The values are small
+    /// integers, so the totals are exact in any order and a lost update
+    /// shows as a wrong total.
+    fn mixed_atomic_adds_reach_exact_totals<T: Real>() {
+        let chunks = 1000;
+        let mut d = DatU::<T>::zeroed("acc", 3, 3);
         let pool = ThreadPool::new(4);
         {
             let acc = d.accum(true);
             assert!(acc.is_atomic());
-            // 1000 chunks all incrementing the same 4 elements.
-            pool.run_region(1000, |_l, _c| {
-                for e in 0..4 {
-                    acc.add(e, 0, 1.0);
+            let row = [1.0, 2.0, 3.0].map(T::from_f64);
+            pool.run_region(chunks, |_l, _c| {
+                for e in 0..3 {
+                    acc.add_row(e, &row);
+                    for c in 0..3 {
+                        acc.add(e, c, T::one());
+                    }
                 }
             });
         }
-        for e in 0..4 {
-            assert_eq!(d.at(e, 0), 1000.0);
+        for e in 0..3 {
+            for c in 0..3 {
+                let want = (chunks * (c + 2)) as f64;
+                assert_eq!(d.at(e, c).to_f64(), want, "({e}, {c})");
+            }
         }
+    }
+
+    #[test]
+    fn atomic_accum_is_correct_under_contention() {
+        mixed_atomic_adds_reach_exact_totals::<f64>();
+        mixed_atomic_adds_reach_exact_totals::<f32>();
+    }
+
+    #[test]
+    fn plain_add_row_is_bit_identical_to_per_component_adds() {
+        let (n, dim) = (37, 5);
+        let mut by_row = DatU::<f64>::zeroed("r", n, dim);
+        by_row.fill_with(|e, c| 0.1 * (e * dim + c) as f64);
+        let mut by_comp = by_row.clone();
+        let (rows, comps) = (by_row.accum(false), by_comp.accum(false));
+        for k in 0..500usize {
+            let e = (k * 17 + 3) % n;
+            let v: [f64; 5] = std::array::from_fn(|c| ((k + c) as f64).sin() / 3.0);
+            rows.add_row(e, &v);
+            for c in 0..dim {
+                comps.add(e, c, v[c]);
+            }
+        }
+        let bits = |d: &DatU<f64>| d.host().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_row), bits(&by_comp));
+    }
+
+    #[test]
+    fn eight_threads_on_one_stripe_all_finish() {
+        // One row is one stripe: more threads than cores contend for
+        // it, so a descheduled holder must not stall the spinners.
+        let (threads, adds) = (8, 20_000);
+        let mut d = DatU::<f64>::zeroed("acc", 1, 2);
+        {
+            let acc = d.accum(true);
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        for _ in 0..adds {
+                            acc.add_row(0, &[1.0, 0.5]);
+                        }
+                    });
+                }
+            });
+        }
+        assert_eq!(d.at(0, 0), (threads * adds) as f64);
+        assert_eq!(d.at(0, 1), (threads * adds) as f64 / 2.0);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! paper's three resolution schemes (Figure 1):
 //!
 //! * **atomics** — every edge runs concurrently, updates go through
-//!   atomic adds (hardware FP atomics on GPUs, CAS loops on CPUs);
+//!   atomic adds. The model prices them as hardware FP atomics on GPUs
+//!   and CAS loops on CPUs; the host runs each row's adds under one
+//!   striped lock ([`Accum::add_row`]);
 //! * **global colouring** — edges are coloured so no two edges of one
 //!   colour share a vertex; colours execute as separate, race-free
 //!   passes. Simple, but adjacent edges land in different colours, so

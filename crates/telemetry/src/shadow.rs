@@ -11,7 +11,7 @@
 //! register with it, and the registry sizes every bitmap the shadow
 //! keeps for them. The DSL emitters open a loop's [`bracket`] once per
 //! launch and pass the shadow to every pool unit through [`unit()`], so
-//! each view access (`ReadView::at`, `WriteView::set`, `Accum::add`, the
+//! each view access (`ReadView::at`, `WriteView::set`, `Accum::add_row`, the
 //! row-sliced spans, the op2 gather/scatter paths) calls [`record`] with
 //! the touched span and its [`Touch`] kind. That sets bits in a
 //! **per-thread bitmap** for the unit (tile / chunk / block) running it,

@@ -4,8 +4,15 @@
 //! hardware's atomics throughput and the mesh ordering.
 //!
 //!     cargo run --release --example mgcfd_schemes
+//!
+//! Exits nonzero when the schemes' final states disagree by more than
+//! the atomics' reordering allows.
 
 use sycl_portability::prelude::*;
+
+/// Widest relative spread of the final residual norm across the three
+/// schemes (`schemes_agree_on_the_final_state` holds the same bound).
+const SPREAD_TOLERANCE: f64 = 1e-9;
 
 fn main() {
     println!("=== MG-CFD race-resolution schemes ===\n");
@@ -31,8 +38,14 @@ fn main() {
     }
     let spread = (finals.iter().cloned().fold(f64::MIN, f64::max)
         - finals.iter().cloned().fold(f64::MAX, f64::min))
-        / finals[0];
+        / finals[0].abs();
     println!("  relative spread across schemes: {spread:.2e} (atomics reorder sums)\n");
+    // The schemes agree up to the atomics' reordered sums; anything wider
+    // is a race or a lost update.
+    if spread.is_nan() || spread > SPREAD_TOLERANCE {
+        eprintln!("schemes disagree: relative spread {spread:.2e} > {SPREAD_TOLERANCE:.0e}");
+        std::process::exit(1);
+    }
 
     // Modelled cost at Rotor37 size on two very different machines.
     for platform in [PlatformId::A100, PlatformId::Xeon8360Y] {
