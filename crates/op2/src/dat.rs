@@ -2,61 +2,12 @@
 
 use crate::parloop::{VertexArg, VertexRows};
 use parkit::global_pool;
-use std::sync::atomic::{AtomicBool, Ordering};
+use parkit::view::{Exclusive, Shared, View};
 use sycl_sim::Real;
-use telemetry::shadow::{self, Touch};
+use telemetry::shadow;
 
 /// Values per pool chunk when a field is filled (256 KiB of `f64`).
 const DAT_CHUNK: usize = 1 << 15;
-
-/// log2 of the number of row-lock stripes.
-const STRIPE_BITS: u32 = 16;
-
-/// One-byte locks that serialise atomic-mode increments (64 KiB, shared
-/// by every dat in the process). A row takes the stripe its address
-/// hashes to, so rows of any dat can share a stripe, which only costs
-/// an occasional wait.
-static STRIPES: [AtomicBool; 1 << STRIPE_BITS] =
-    [const { AtomicBool::new(false) }; 1 << STRIPE_BITS];
-
-/// Spins on a held stripe before a waiter starts yielding its core: with
-/// more threads than cores, a holder descheduled mid-row must not stall
-/// a spinner for a whole timeslice.
-const SPINS_BEFORE_YIELD: u32 = 64;
-
-/// Run `f` holding the stripe lock of the row at `row` (a Fibonacci hash
-/// of its address picks the stripe).
-#[inline]
-fn with_row_locked<T>(row: *const T, f: impl FnOnce()) {
-    let hash = (row as usize as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let lock = &STRIPES[(hash >> (64 - STRIPE_BITS)) as usize];
-    if lock.swap(true, Ordering::Acquire) {
-        acquire_contended(lock);
-    }
-    f();
-    lock.store(false, Ordering::Release);
-}
-
-/// Wait for a held stripe and take it: spin while it stays held, then
-/// yield the core between polls.
-#[cold]
-#[inline(never)]
-fn acquire_contended(lock: &AtomicBool) {
-    let mut spins = 0;
-    loop {
-        while lock.load(Ordering::Relaxed) {
-            if spins < SPINS_BEFORE_YIELD {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        if !lock.swap(true, Ordering::Acquire) {
-            return;
-        }
-    }
-}
 
 /// A field with `dim` components per set element.
 #[derive(Debug, Clone)]
@@ -150,24 +101,18 @@ impl<T: Real> DatU<T> {
 
     /// Shared read view for kernels.
     pub fn reader(&self) -> UReadView<'_, T> {
-        UReadView {
-            ptr: self.data.as_ptr(),
+        UView {
+            raw: View::shared(&self.data, self.sid),
             dim: self.dim,
-            len: self.data.len(),
-            sid: self.sid,
-            _marker: std::marker::PhantomData,
         }
     }
 
     /// Exclusive write view (one writer per element; disjoint by the
     /// loop's iteration contract).
     pub fn writer(&mut self) -> UWriteView<'_, T> {
-        UWriteView {
-            ptr: self.data.as_mut_ptr(),
+        UView {
+            raw: View::exclusive(&mut self.data, self.sid),
             dim: self.dim,
-            len: self.data.len(),
-            sid: self.sid,
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -175,86 +120,43 @@ impl<T: Real> DatU<T> {
     /// row-locked adds (atomics scheme) vs plain adds (colour-serialised
     /// schemes, where the colouring invariant makes races impossible).
     pub fn accum(&mut self, atomic: bool) -> Accum<'_, T> {
-        Accum {
-            ptr: self.data.as_mut_ptr(),
-            dim: self.dim,
-            len: self.data.len(),
-            atomic,
-            sid: self.sid,
-            _marker: std::marker::PhantomData,
-        }
+        self.writer().to_accum(atomic)
     }
 }
 
-/// Shared read view; `Copy` so kernel closures can capture it.
-pub struct UReadView<'a, T> {
-    ptr: *const T,
+/// A view into a [`DatU`] over (element, component); `Copy` so kernel
+/// closures can capture it. `M` is the [`parkit::view`] mode.
+#[derive(Clone, Copy)]
+pub struct UView<'a, T, M> {
+    raw: View<'a, T, M>,
     dim: usize,
-    len: usize,
-    sid: u32,
-    _marker: std::marker::PhantomData<&'a [T]>,
 }
 
-impl<T> Copy for UReadView<'_, T> {}
-impl<T> Clone for UReadView<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-// SAFETY: read-only aliasing of an immutable borrow.
-unsafe impl<T: Sync> Send for UReadView<'_, T> {}
-unsafe impl<T: Sync> Sync for UReadView<'_, T> {}
+/// Shared read view.
+pub type UReadView<'a, T> = UView<'a, T, Shared>;
+
+/// Exclusive write view; disjoint element writes per the loop contract.
+pub type UWriteView<'a, T> = UView<'a, T, Exclusive>;
 
 impl<T: Real> UReadView<'_, T> {
     /// Component `c` of element `e`.
     #[inline]
     pub fn at(&self, e: usize, c: usize) -> T {
-        let idx = e * self.dim + c;
-        debug_assert!(idx < self.len);
-        shadow::record(self.sid, idx, 1, Touch::Read);
-        // SAFETY: bounds guaranteed by set sizes (debug-checked).
-        unsafe { *self.ptr.add(idx) }
+        self.raw.read(e * self.dim + c)
     }
 }
-
-/// Exclusive write view; disjoint element writes per the loop contract.
-pub struct UWriteView<'a, T> {
-    ptr: *mut T,
-    dim: usize,
-    len: usize,
-    sid: u32,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<T> Copy for UWriteView<'_, T> {}
-impl<T> Clone for UWriteView<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-// SAFETY: disjoint-write contract as in ops-dsl views.
-unsafe impl<T: Send> Send for UWriteView<'_, T> {}
-unsafe impl<T: Send> Sync for UWriteView<'_, T> {}
 
 impl<'a, T: Real> UWriteView<'a, T> {
     /// Store component `c` of element `e`.
     #[inline]
     pub fn set(&self, e: usize, c: usize, v: T) {
-        let idx = e * self.dim + c;
-        debug_assert!(idx < self.len);
-        shadow::record(self.sid, idx, 1, Touch::Write);
-        // SAFETY: sole writer of element `e` per the loop contract.
-        unsafe { *self.ptr.add(idx) = v };
+        self.raw.write(e * self.dim + c, v);
     }
 
     /// Read back component `c` of element `e` (read-write args).
     #[inline]
     pub fn get(&self, e: usize, c: usize) -> T {
-        let idx = e * self.dim + c;
-        debug_assert!(idx < self.len);
-        shadow::record(self.sid, idx, 1, Touch::Read);
-        // SAFETY: as `set`.
-        unsafe { *self.ptr.add(idx) }
+        self.raw.read(e * self.dim + c)
     }
 
     /// Convert into an accumulation view over the same dat. Lets a graph
@@ -262,89 +164,44 @@ impl<'a, T: Real> UWriteView<'a, T> {
     /// writes and indirect increments across recorded loops (a second
     /// `DatU::accum` borrow would conflict with the live writer).
     pub fn to_accum(self, atomic: bool) -> Accum<'a, T> {
-        Accum {
-            ptr: self.ptr,
-            dim: self.dim,
-            len: self.len,
-            atomic,
-            sid: self.sid,
-            _marker: std::marker::PhantomData,
-        }
+        Accum { rows: self, atomic }
     }
 }
 
 /// Indirect-increment view: `add` and `add_row` resolve races either
-/// atomically or by relying on a colouring invariant.
-///
-/// The model prices an atomic increment as the platform's FP-atomic or
-/// CAS update, one per component. The host runs it as plain adds under
-/// the row's stripe lock: one locked operation per row instead of one
-/// CAS loop per component.
+/// atomically ([`View::add_locked`]) or by relying on a colouring
+/// invariant enforced (and property-tested) by `color`.
+#[derive(Clone, Copy)]
 pub struct Accum<'a, T> {
-    ptr: *mut T,
-    dim: usize,
-    len: usize,
+    rows: UWriteView<'a, T>,
     atomic: bool,
-    sid: u32,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
 }
-
-impl<T> Copy for Accum<'_, T> {}
-impl<T> Clone for Accum<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-// SAFETY: atomic mode is race-free by the row stripe locks; plain mode
-// relies on the colouring invariant enforced (and property-tested) by
-// `color`.
-unsafe impl<T: Send> Send for Accum<'_, T> {}
-unsafe impl<T: Send> Sync for Accum<'_, T> {}
 
 impl<T: Real> Accum<'_, T> {
     /// `data[e][c] += v`.
     #[inline]
     pub fn add(&self, e: usize, c: usize, v: T) {
-        let idx = e * self.dim + c;
-        debug_assert!(idx < self.len);
-        // SAFETY: bounds guaranteed by set sizes (debug-checked).
-        let (row, p) = unsafe { (self.ptr.add(e * self.dim), self.ptr.add(idx)) };
-        // SAFETY (both arms): in atomic mode every access to the row
-        // holds its stripe lock; otherwise colouring guarantees no two
-        // concurrent adds touch the same element.
+        let row = e * self.rows.dim;
         if self.atomic {
-            shadow::record(self.sid, idx, 1, Touch::Atomic);
-            with_row_locked(row, || unsafe { *p += v });
+            self.rows.raw.add_locked(row, row + c, &[v]);
         } else {
-            // A plain increment is a read-modify-write: record both
-            // sides so overlap between concurrent units surfaces.
-            shadow::record(self.sid, idx, 1, Touch::ReadWrite);
-            unsafe { *p += v };
+            self.rows.raw.add(row + c, &[v]);
         }
     }
 
     /// `data[e][c] += v[c]` for the whole row of element `e`, in
     /// component order. `N` is the dat's dim; keeping it a constant
-    /// lets the adds unroll.
-    #[inline]
+    /// lets the adds unroll. Always inlined: with `#[inline]` alone the
+    /// compiler kept it out of line, and MG-CFD's flux steps ran
+    /// 15–55 % slower.
+    #[inline(always)]
     pub fn add_row<const N: usize>(&self, e: usize, v: &[T; N]) {
-        debug_assert_eq!(N, self.dim);
-        let base = e * self.dim;
-        debug_assert!(base + N <= self.len);
-        // SAFETY: bounds guaranteed by set sizes (debug-checked).
-        let row = unsafe { self.ptr.add(base) };
-        // SAFETY: as in `add`, for each component of the row.
-        let add_all = || {
-            for c in 0..N {
-                unsafe { *row.add(c) += v[c] };
-            }
-        };
+        debug_assert_eq!(N, self.rows.dim);
+        let row = e * self.rows.dim;
         if self.atomic {
-            shadow::record(self.sid, base, N, Touch::Atomic);
-            with_row_locked(row, add_all);
+            self.rows.raw.add_locked(row, row, v);
         } else {
-            shadow::record(self.sid, base, N, Touch::ReadWrite);
-            add_all();
+            self.rows.raw.add(row, v);
         }
     }
 
@@ -355,41 +212,27 @@ impl<T: Real> Accum<'_, T> {
 }
 
 /// Where a view's data lives, for an edge loop's prefetcher.
-fn rows_of<T: Real>(ptr: *const T, len: usize) -> Option<VertexRows> {
-    Some(VertexRows {
-        addr: ptr as usize,
-        len,
-        elem_bytes: std::mem::size_of::<T>(),
-    })
-}
-
-impl<T: Real> VertexArg for UReadView<'_, T> {
+impl<T: Real, M> VertexArg for UView<'_, T, M> {
     fn dim(&self) -> usize {
         self.dim
     }
 
     fn rows(&self) -> Option<VertexRows> {
-        rows_of(self.ptr, self.len)
-    }
-}
-
-impl<T: Real> VertexArg for UWriteView<'_, T> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn rows(&self) -> Option<VertexRows> {
-        rows_of(self.ptr, self.len)
+        Some(VertexRows {
+            addr: self.raw.addr(),
+            len: self.raw.len(),
+            elem_bytes: std::mem::size_of::<T>(),
+        })
     }
 }
 
 impl<T: Real> VertexArg for Accum<'_, T> {
     fn dim(&self) -> usize {
-        self.dim
+        self.rows.dim
     }
 
     fn rows(&self) -> Option<VertexRows> {
-        rows_of(self.ptr, self.len)
+        self.rows.rows()
     }
 }
 

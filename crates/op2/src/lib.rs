@@ -9,7 +9,8 @@
 //! * **atomics** — every edge runs concurrently, updates go through
 //!   atomic adds. The model prices them as hardware FP atomics on GPUs
 //!   and CAS loops on CPUs; the host runs each row's adds under one
-//!   striped lock ([`Accum::add_row`]);
+//!   striped lock ([`Accum::add_row`], through parkit's raw view, which
+//!   holds every raw access of this crate);
 //! * **global colouring** — edges are coloured so no two edges of one
 //!   colour share a vertex; colours execute as separate, race-free
 //!   passes. Simple, but adjacent edges land in different colours, so
@@ -28,6 +29,7 @@
 // Kernel bodies index several parallel arrays by the same element id —
 // the HPC idiom clippy's needless_range_loop lint dislikes.
 #![allow(clippy::needless_range_loop)]
+#![forbid(unsafe_code)]
 
 pub mod color;
 pub mod dat;

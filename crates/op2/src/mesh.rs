@@ -10,27 +10,7 @@
 
 use crate::map::Map;
 use parkit::global_pool;
-
-/// The base of `Mesh::grid`'s coordinate array, shared by the plane
-/// chunks, each of which writes the disjoint set of vertices its plane
-/// numbers.
-#[derive(Clone, Copy)]
-struct Scatter(*mut [f32; 3]);
-
-// SAFETY: the chunks write disjoint elements (see `Scatter::write`).
-unsafe impl Send for Scatter {}
-unsafe impl Sync for Scatter {}
-
-impl Scatter {
-    /// Store `value` at index `v`.
-    ///
-    /// # Safety
-    /// `v` must be in bounds, and no other thread may access index `v`
-    /// while the array is shared.
-    unsafe fn write(self, v: usize, value: [f32; 3]) {
-        *self.0.add(v) = value;
-    }
-}
+use parkit::view::View;
 
 /// Seeded xorshift64* generator driving the deterministic shuffle below
 /// (replaces an external RNG crate; the exact stream only needs to be
@@ -112,7 +92,9 @@ impl Mesh {
         let vid = |i: usize, j: usize, k: usize| perm[(k * nj + j) * ni + i];
         let mut table = vec![0u32; 2 * n_edges];
         let mut coords = vec![[0.0f32; 3]; n_vertices];
-        let coords_at = Scatter(coords.as_mut_ptr());
+        // The plane chunks share the coordinate array: each writes the
+        // disjoint set of vertices its plane numbers.
+        let coords_at = View::exclusive(&mut coords, 0);
         global_pool().for_each_chunk(&mut table, 2 * per_plane, |start, plane| {
             let k = start / (2 * per_plane);
             let mut out = plane.chunks_exact_mut(2);
@@ -124,9 +106,9 @@ impl Mesh {
             for j in 0..nj {
                 for i in 0..ni {
                     let v = vid(i, j, k);
-                    // SAFETY: `perm` is a permutation, so each vertex is
-                    // written by exactly one (i, j, k), in one chunk.
-                    unsafe { coords_at.write(v as usize, [i as f32, j as f32, k as f32]) };
+                    // `perm` is a permutation, so each vertex is written
+                    // by exactly one (i, j, k), in one chunk.
+                    coords_at.write(v as usize, [i as f32, j as f32, k as f32]);
                     if i + 1 < ni {
                         edge(v, vid(i + 1, j, k));
                     }

@@ -7,19 +7,7 @@
 pub(crate) const DISTANCE: usize = 16;
 
 /// Hint the cache to fetch the line holding `addr`.
-#[inline(always)]
-pub(crate) fn line(addr: usize) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch is only a hint: it never faults, reads nothing
-    // into the program and has no effect on its semantics, whatever the
-    // address (a stale one merely wastes the hint).
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(addr as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = addr;
-}
+pub(crate) use parkit::mem::prefetch as line;
 
 /// Hint the cache to fetch `items[i]`.
 #[inline(always)]

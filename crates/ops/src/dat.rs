@@ -2,8 +2,9 @@
 
 use crate::block::Block;
 use crate::range::Row;
+use parkit::view::{Exclusive, Shared, View};
 use sycl_sim::Real;
-use telemetry::shadow::{self, Touch};
+use telemetry::shadow;
 
 /// Metadata handed to loop descriptors (cheap to copy before borrowing
 /// the data for views).
@@ -32,12 +33,40 @@ impl DatMeta {
 pub struct Dat<T> {
     name: String,
     data: Vec<T>,
+    geom: Padded,
+    /// Shadow-registry id (0 when no shadow was current at creation).
+    sid: u32,
+}
+
+/// Where a padded field keeps point (i, j, k).
+#[derive(Debug, Clone, Copy)]
+struct Padded {
     /// Padded extents.
     pad: [usize; 3],
     /// Index offset per dimension (halo depth, 0 on degenerate dims).
     off: [i64; 3],
-    /// Shadow-registry id (0 when no shadow was current at creation).
-    sid: u32,
+}
+
+impl Padded {
+    /// The linear index of (i, j, k), the first of `len` points along
+    /// x. Debug builds check that all of them lie in the padded box,
+    /// naming the field `name` returns if not.
+    #[inline]
+    fn index(&self, i: i64, j: i64, k: i64, len: usize, name: impl FnOnce() -> String) -> usize {
+        let [x, y, z] = [i + self.off[0], j + self.off[1], k + self.off[2]];
+        debug_assert!(
+            x >= 0
+                && (x as usize) + len <= self.pad[0]
+                && y >= 0
+                && (y as usize) < self.pad[1]
+                && z >= 0
+                && (z as usize) < self.pad[2],
+            "{}: ({i},{j},{k}) span {len} out of padded bounds {:?}",
+            name(),
+            self.pad
+        );
+        ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize
+    }
 }
 
 impl<T: Real> Dat<T> {
@@ -59,8 +88,7 @@ impl<T: Real> Dat<T> {
         Dat {
             name: name.to_owned(),
             data,
-            pad,
-            off,
+            geom: Padded { pad, off },
             sid,
         }
     }
@@ -69,15 +97,12 @@ impl<T: Real> Dat<T> {
     /// coordinates (halo points receive their own negative/overflow
     /// indices, convenient for initialisation).
     pub fn fill_with(&mut self, mut f: impl FnMut(i64, i64, i64) -> T) {
-        for z in 0..self.pad[2] {
-            for y in 0..self.pad[1] {
-                for x in 0..self.pad[0] {
-                    let idx = (z * self.pad[1] + y) * self.pad[0] + x;
-                    self.data[idx] = f(
-                        x as i64 - self.off[0],
-                        y as i64 - self.off[1],
-                        z as i64 - self.off[2],
-                    );
+        let Padded { pad, off } = self.geom;
+        for z in 0..pad[2] {
+            for y in 0..pad[1] {
+                for x in 0..pad[0] {
+                    let idx = (z * pad[1] + y) * pad[0] + x;
+                    self.data[idx] = f(x as i64 - off[0], y as i64 - off[1], z as i64 - off[2]);
                 }
             }
         }
@@ -102,33 +127,11 @@ impl<T: Real> Dat<T> {
         self.data.len() as f64 * T::BYTES
     }
 
-    #[inline]
-    fn index(&self, i: i64, j: i64, k: i64) -> usize {
-        let x = i + self.off[0];
-        let y = j + self.off[1];
-        let z = k + self.off[2];
-        debug_assert!(
-            x >= 0
-                && (x as usize) < self.pad[0]
-                && y >= 0
-                && (y as usize) < self.pad[1]
-                && z >= 0
-                && (z as usize) < self.pad[2],
-            "{}: index ({i},{j},{k}) out of padded bounds {:?}",
-            self.name,
-            self.pad
-        );
-        ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize
-    }
-
     /// Shared read view (usable concurrently from any number of tiles).
     pub fn reader(&self) -> ReadView<'_, T> {
-        ReadView {
-            ptr: self.data.as_ptr(),
-            pad: self.pad,
-            off: self.off,
-            sid: self.sid,
-            _marker: std::marker::PhantomData,
+        GridView {
+            raw: View::shared(&self.data, self.sid),
+            geom: self.geom,
         }
     }
 
@@ -139,18 +142,15 @@ impl<T: Real> Dat<T> {
     /// by exactly one tile, and no reader views of the same dat coexist
     /// with the writer (the `&mut` borrow enforces the latter).
     pub fn writer(&mut self) -> WriteView<'_, T> {
-        WriteView {
-            ptr: self.data.as_mut_ptr(),
-            pad: self.pad,
-            off: self.off,
-            sid: self.sid,
-            _marker: std::marker::PhantomData,
+        GridView {
+            raw: View::exclusive(&mut self.data, self.sid),
+            geom: self.geom,
         }
     }
 
     /// Direct sampled access for tests/validation.
     pub fn at(&self, i: i64, j: i64, k: i64) -> T {
-        self.data[self.index(i, j, k)]
+        self.data[self.geom.index(i, j, k, 1, || self.name.clone())]
     }
 
     /// Sum over the interior of `block` (for conservation checks).
@@ -163,172 +163,63 @@ impl<T: Real> Dat<T> {
     }
 }
 
-/// Shared read view into a [`Dat`]; `Copy` so closures can capture it.
-pub struct ReadView<'a, T> {
-    ptr: *const T,
-    pad: [usize; 3],
-    off: [i64; 3],
-    sid: u32,
-    _marker: std::marker::PhantomData<&'a [T]>,
+/// A view into a [`Dat`] over `(i, j, k)` and [`Row`]s; `Copy` so
+/// closures can capture it. `M` is the [`parkit::view`] mode.
+#[derive(Clone, Copy)]
+pub struct GridView<'a, T, M> {
+    raw: View<'a, T, M>,
+    geom: Padded,
 }
 
-impl<T> Copy for ReadView<'_, T> {}
-impl<T> Clone for ReadView<'_, T> {
-    fn clone(&self) -> Self {
-        *self
+/// Shared read view into a [`Dat`].
+pub type ReadView<'a, T> = GridView<'a, T, Shared>;
+
+/// Exclusive write view into a [`Dat`]; `Copy + Sync` under the tiling
+/// contract (disjoint writes per tile).
+pub type WriteView<'a, T> = GridView<'a, T, Exclusive>;
+
+impl<T: Real, M> GridView<'_, T, M> {
+    #[inline]
+    fn index(&self, i: i64, j: i64, k: i64, len: usize) -> usize {
+        self.geom.index(i, j, k, len, || self.raw.name())
+    }
+
+    /// Contiguous slice of one x-row; halo spans are valid. The base
+    /// index is computed once for the whole span — the fast path whose
+    /// cost [`ReadView::at`] pays per element. On a [`WriteView`] this
+    /// is the read half of a read-write dat: graph-recorded bodies
+    /// capture one `WriteView` per read-write argument and use this for
+    /// the reads, so replays need no separate `ReadView` aliasing the
+    /// same dat.
+    #[inline]
+    pub fn row(&self, r: Row) -> &[T] {
+        self.raw.span(self.index(r.i0, r.j, r.k, r.len()), r.len())
     }
 }
-// SAFETY: read-only aliasing of a live immutable borrow.
-unsafe impl<T: Sync> Send for ReadView<'_, T> {}
-unsafe impl<T: Sync> Sync for ReadView<'_, T> {}
 
 impl<T: Real> ReadView<'_, T> {
     /// Value at (i, j, k); halo indices are valid.
     #[inline]
     pub fn at(&self, i: i64, j: i64, k: i64) -> T {
-        let x = i + self.off[0];
-        let y = j + self.off[1];
-        let z = k + self.off[2];
-        debug_assert!(
-            x >= 0
-                && (x as usize) < self.pad[0]
-                && y >= 0
-                && (y as usize) < self.pad[1]
-                && z >= 0
-                && (z as usize) < self.pad[2],
-            "read ({i},{j},{k}) out of padded bounds {:?}",
-            self.pad
-        );
-        let idx = ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize;
-        shadow::record(self.sid, idx, 1, Touch::Read);
-        // SAFETY: bounds checked above (debug) / guaranteed by the loop
-        // ranges the DSL constructs (release).
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    /// Contiguous slice of one x-row; halo spans are valid. The base
-    /// index is computed once for the whole span — the fast path whose
-    /// cost [`ReadView::at`] pays per element.
-    #[inline]
-    pub fn row(&self, r: Row) -> &[T] {
-        let x = r.i0 + self.off[0];
-        let y = r.j + self.off[1];
-        let z = r.k + self.off[2];
-        let len = r.len();
-        debug_assert!(
-            x >= 0
-                && (x as usize) + len <= self.pad[0]
-                && y >= 0
-                && (y as usize) < self.pad[1]
-                && z >= 0
-                && (z as usize) < self.pad[2],
-            "row [{}, {}) at ({}, {}) out of padded bounds {:?}",
-            r.i0,
-            r.i1,
-            r.j,
-            r.k,
-            self.pad
-        );
-        let base = ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize;
-        shadow::record(self.sid, base, len, Touch::Read);
-        // SAFETY: the whole span is in the padded allocation (debug-checked
-        // above, guaranteed by the DSL's ranges in release).
-        unsafe { std::slice::from_raw_parts(self.ptr.add(base), len) }
+        self.raw.read(self.index(i, j, k, 1))
     }
 }
-
-/// Exclusive write view into a [`Dat`]; `Copy + Sync` under the tiling
-/// contract (disjoint writes per tile).
-pub struct WriteView<'a, T> {
-    ptr: *mut T,
-    pad: [usize; 3],
-    off: [i64; 3],
-    sid: u32,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<T> Copy for WriteView<'_, T> {}
-impl<T> Clone for WriteView<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-// SAFETY: tiles write disjoint points (DSL contract); the `&mut` borrow
-// prevents any concurrent readers of the same dat.
-unsafe impl<T: Send> Send for WriteView<'_, T> {}
-unsafe impl<T: Send> Sync for WriteView<'_, T> {}
 
 impl<T: Real> WriteView<'_, T> {
-    #[inline]
-    fn index(&self, i: i64, j: i64, k: i64) -> usize {
-        let x = i + self.off[0];
-        let y = j + self.off[1];
-        let z = k + self.off[2];
-        debug_assert!(
-            x >= 0
-                && (x as usize) < self.pad[0]
-                && y >= 0
-                && (y as usize) < self.pad[1]
-                && z >= 0
-                && (z as usize) < self.pad[2],
-            "write ({i},{j},{k}) out of padded bounds {:?}",
-            self.pad
-        );
-        ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize
-    }
-
     /// Store `v` at (i, j, k).
     #[inline]
     pub fn set(&self, i: i64, j: i64, k: i64, v: T) {
-        let idx = self.index(i, j, k);
-        shadow::record(self.sid, idx, 1, Touch::Write);
-        // SAFETY: disjoint-write contract; bounds as in `index`.
-        unsafe { *self.ptr.add(idx) = v };
+        self.raw.write(self.index(i, j, k, 1), v);
     }
 
     /// Read back a value this loop wrote (read-write dats).
     #[inline]
     pub fn get(&self, i: i64, j: i64, k: i64) -> T {
-        let idx = self.index(i, j, k);
-        shadow::record(self.sid, idx, 1, Touch::Read);
-        // SAFETY: as `set`.
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    /// Shared contiguous slice of one x-row: the read half of a
-    /// read-write dat (base index computed once, as [`ReadView::row`]).
-    /// Graph-recorded bodies capture one `WriteView` per read-write
-    /// argument and use this for the reads, so replays need no separate
-    /// `ReadView` aliasing the same dat.
-    #[inline]
-    pub fn row(&self, r: Row) -> &[T] {
-        let x = r.i0 + self.off[0];
-        let y = r.j + self.off[1];
-        let z = r.k + self.off[2];
-        let len = r.len();
-        debug_assert!(
-            x >= 0
-                && (x as usize) + len <= self.pad[0]
-                && y >= 0
-                && (y as usize) < self.pad[1]
-                && z >= 0
-                && (z as usize) < self.pad[2],
-            "row [{}, {}) at ({}, {}) out of padded bounds {:?}",
-            r.i0,
-            r.i1,
-            r.j,
-            r.k,
-            self.pad
-        );
-        let base = ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize;
-        shadow::record(self.sid, base, len, Touch::Read);
-        // SAFETY: span in bounds as above; shared reads of a view whose
-        // writes are disjoint per the tiling contract.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(base), len) }
+        self.raw.read(self.index(i, j, k, 1))
     }
 
     /// Mutable contiguous slice of one x-row, base index computed once
-    /// for the span (see [`ReadView::row`]).
+    /// for the span (see [`GridView::row`]).
     ///
     /// Aliasing contract as for [`WriteView::set`]: the tiling contract
     /// makes every point belong to exactly one tile, and a kernel body
@@ -336,30 +227,8 @@ impl<T: Real> WriteView<'_, T> {
     #[inline]
     #[allow(clippy::mut_from_ref)] // the view is the DSL's sanctioned aliasing hole, as `set` is
     pub fn row_mut(&self, r: Row) -> &mut [T] {
-        let x = r.i0 + self.off[0];
-        let y = r.j + self.off[1];
-        let z = r.k + self.off[2];
-        let len = r.len();
-        debug_assert!(
-            x >= 0
-                && (x as usize) + len <= self.pad[0]
-                && y >= 0
-                && (y as usize) < self.pad[1]
-                && z >= 0
-                && (z as usize) < self.pad[2],
-            "row [{}, {}) at ({}, {}) out of padded bounds {:?}",
-            r.i0,
-            r.i1,
-            r.j,
-            r.k,
-            self.pad
-        );
-        let base = ((z as usize) * self.pad[1] + y as usize) * self.pad[0] + x as usize;
-        // A mutable span may be both read and written by the body.
-        shadow::record(self.sid, base, len, Touch::ReadWrite);
-        // SAFETY: span in bounds as above; exclusivity per the
-        // disjoint-write contract documented on the method.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(base), len) }
+        self.raw
+            .span_mut(self.index(r.i0, r.j, r.k, r.len()), r.len())
     }
 }
 

@@ -44,6 +44,8 @@
 //! assert_eq!(u.reader().at(3, 4, 0), 7.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod dat;
 pub mod halo;

@@ -32,7 +32,10 @@
 //!   Disabled, each site costs a single branch.
 //! * [`mem::advise_huge_pages`] asks for transparent huge pages on a
 //!   large buffer before its first touch (the DSLs' fields). It holds
-//!   the workspace's one foreign call.
+//!   the workspace's one foreign call, beside the [`mem::prefetch`] hint.
+//! * [`view::View`] is the raw view under both DSLs' field views: the
+//!   only code that dereferences a field's pointer, claims `Send` and
+//!   `Sync` for it, and records accesses for the shadow verifier.
 //!
 //! ```
 //! use parkit::ThreadPool;
@@ -49,11 +52,14 @@
 //! assert_eq!(total, 1000 * 999 / 2);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod mem;
 mod pool;
 mod reduce;
 mod slice;
 pub mod sync;
+pub mod view;
 
 pub use pool::ThreadPool;
 

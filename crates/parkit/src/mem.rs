@@ -1,4 +1,4 @@
-//! Page advice for the DSLs' large host buffers.
+//! Page advice and cache hints for the DSLs' large host buffers.
 //!
 //! A field reached at random (MG-CFD's shuffled gathers) misses the TLB
 //! on nearly every row when it sits on 4 KiB pages, and a fresh mapping
@@ -7,6 +7,9 @@
 //! pages instead. It is a hint: contents never change, a kernel with
 //! THP set to `never` keeps 4 KiB pages, and buffers too small to hold
 //! one aligned 2 MiB page issue no system call at all.
+//!
+//! [`prefetch`] asks the cache for one line ahead of a gather; like the
+//! page advice, it never changes a result, only when data arrives.
 
 use std::ops::Range;
 
@@ -59,6 +62,21 @@ fn madvise_hugepage(range: Range<usize>) {
 
 #[cfg(not(target_os = "linux"))]
 fn madvise_hugepage(_range: Range<usize>) {}
+
+/// Hint the cache to fetch the line holding `addr`.
+#[inline(always)]
+pub fn prefetch(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is only a hint: it never faults, reads nothing
+    // into the program and has no effect on its semantics, whatever the
+    // address (a stale one merely wastes the hint).
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(addr as *const i8);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
+}
 
 #[cfg(test)]
 mod tests {

@@ -49,6 +49,8 @@ struct Region {
 // region because the caller blocks until `active == 0 && completed ==
 // n_chunks` before returning. The Fn is Sync so shared calls are fine.
 unsafe impl Send for Region {}
+// SAFETY: shared access only reads `body` (a `Sync` Fn) and the
+// atomics; the payload sits behind its mutex.
 unsafe impl Sync for Region {}
 
 struct Slot {

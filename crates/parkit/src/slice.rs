@@ -14,6 +14,8 @@ impl<T> Clone for SendPtr<T> {
 
 // SAFETY: callers only dereference disjoint ranges (see `for_each_chunk`).
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: sharing the pointer only copies it; the dereferences it
+// allows are the disjoint ones `Send` relies on.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {

@@ -11,10 +11,10 @@
 //! register with it, and the registry sizes every bitmap the shadow
 //! keeps for them. The DSL emitters open a loop's [`bracket`] once per
 //! launch and pass the shadow to every pool unit through [`unit()`], so
-//! each view access (`ReadView::at`, `WriteView::set`, `Accum::add_row`, the
-//! row-sliced spans, the op2 gather/scatter paths) calls [`record`] with
-//! the touched span and its [`Touch`] kind. That sets bits in a
-//! **per-thread bitmap** for the unit (tile / chunk / block) running it,
+//! each view access (`ReadView::at`, `WriteView::set`, `Accum::add_row`,
+//! the row-sliced spans) reaches `parkit::view::View`, the only caller
+//! of [`record`], with the touched span and its [`Touch`] kind. That
+//! sets bits in a **per-thread bitmap** for the unit (tile / chunk / block) running it,
 //! whichever lane that is. When a unit finishes, its bitmaps merge into
 //! the launching shadow's loop under one lock; the merge also detects
 //! write–write and read–write overlap *between* units — exactly the
@@ -773,6 +773,17 @@ pub enum Touch {
     ReadWrite,
     /// An atomic read-modify-write.
     Atomic,
+}
+
+/// The name dat `id` was registered under, for a diagnostic raised by
+/// an access: looked up in the shadow of the unit running on this
+/// thread, else in the thread's current shadow.
+pub fn name_of(id: u32) -> Option<String> {
+    let running = UNIT.with(|cell| {
+        let u = cell.try_borrow().ok()?;
+        (u.depth > 0).then(|| u.shadow.upgrade()).flatten()
+    });
+    running.or_else(current)?.dat_name(id)
 }
 
 /// Record that the running unit touched cells `idx..idx + len` of dat
