@@ -121,10 +121,11 @@ impl App for Mgcfd {
                     let n = mesh.n_vertices;
                     let mut q = DatU::zeroed("q", n, N_VARS);
                     q.fill_with(|e, c| 1.0 + 0.01 * ((e * 7 + c * 3) % 17) as f64);
-                    // The residual is first read (an atomic add's load, a
-                    // read-modify-write). Writing its zeros first faults
-                    // each page once; a read of an untouched page maps the
-                    // shared zero page, and the write after it faults again.
+                    // The residual is first touched by a row add's read
+                    // (row-locked or colour-serialised, a read-modify-write).
+                    // Writing its zeros first faults each page once; a read
+                    // of an untouched page maps the shared zero page, and
+                    // the write after it faults again.
                     let mut res = DatU::zeroed("res", n, N_VARS);
                     res.fill_with(|_, _| 0.0);
                     Level {
@@ -464,29 +465,50 @@ mod tests {
         assert!((a - g).abs() / g.abs() < 1e-9, "{a} vs {g}");
     }
 
+    /// The validation of a 2-level, 1-iteration run on `grid` under
+    /// `scheme`.
+    fn short_run(scheme: Scheme, grid: (usize, usize, usize), ordering: Ordering) -> f64 {
+        let s = Session::create(
+            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+                .app(apps::MGCFD)
+                .scheme(scheme),
+        )
+        .unwrap();
+        let mut app = Mgcfd::test();
+        app.grid = Some(grid);
+        app.levels = 2;
+        app.iterations = 1;
+        app.ordering = ordering;
+        app.run(&s).validation
+    }
+
     /// The finest `q` of a 64×64×32 grid is 5 MiB, which always holds a
     /// whole 2 MiB page, so unlike the 12×12×8 test grid (46 KiB fields)
     /// its fields take the huge-page advice.
     #[test]
     fn huge_page_advised_fields_keep_every_schemes_result() {
-        let run_with = |scheme| {
-            let s = Session::create(
-                SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
-                    .app(apps::MGCFD)
-                    .scheme(scheme),
-            )
-            .unwrap();
-            let mut app = Mgcfd::test();
-            app.grid = Some((64, 64, 32));
-            app.levels = 2;
-            app.iterations = 1;
-            app.run(&s).validation
-        };
+        let run_with = |scheme| short_run(scheme, (64, 64, 32), Ordering::Natural);
         let a = run_with(Scheme::Atomics);
         let g = run_with(Scheme::GlobalColor);
         let h = run_with(Scheme::HierColor);
         // The bits both colourings gave before their fields were advised.
         const BITS: u64 = 0x4127601f1a6a936c;
+        assert_eq!(g.to_bits(), BITS, "global colouring: {g}");
+        assert_eq!(h.to_bits(), BITS, "hierarchical colouring: {h}");
+        assert!((a - g).abs() / g.abs() < 1e-9, "{a} vs {g}");
+    }
+
+    /// A shuffled numbering, as the benchmark runs: global colouring
+    /// gathers across the whole table, and hierarchical blocks span
+    /// far-apart vertices.
+    #[test]
+    fn a_shuffled_mesh_keeps_every_schemes_result() {
+        let run_with = |scheme| short_run(scheme, (48, 48, 24), Ordering::Shuffled(7));
+        let a = run_with(Scheme::Atomics);
+        let g = run_with(Scheme::GlobalColor);
+        let h = run_with(Scheme::HierColor);
+        // The bits both colourings gave before the colour-major plan.
+        const BITS: u64 = 0x4113b921a857bbe4;
         assert_eq!(g.to_bits(), BITS, "global colouring: {g}");
         assert_eq!(h.to_bits(), BITS, "hierarchical colouring: {h}");
         assert!((a - g).abs() / g.abs() < 1e-9, "{a} vs {g}");

@@ -222,17 +222,23 @@ impl<T: Real, M> VertexArg for UView<'_, T, M> {
             addr: self.raw.addr(),
             len: self.raw.len(),
             elem_bytes: std::mem::size_of::<T>(),
+            locked: false,
         })
     }
 }
 
+/// An atomic accumulator's rows come with their stripe locks.
 impl<T: Real> VertexArg for Accum<'_, T> {
     fn dim(&self) -> usize {
         self.rows.dim
     }
 
     fn rows(&self) -> Option<VertexRows> {
-        self.rows.rows()
+        let rows = self.rows.rows()?;
+        Some(VertexRows {
+            locked: self.atomic,
+            ..rows
+        })
     }
 }
 

@@ -93,6 +93,11 @@ impl Map {
         &self.table[e * self.arity..(e + 1) * self.arity]
     }
 
+    /// The row-major table, for a renumbering that permutes its rows.
+    pub(crate) fn table_mut(&mut self) -> &mut [u32] {
+        &mut self.table
+    }
+
     /// Bytes of this table (part of the paper's effective-bytes rule).
     pub fn bytes(&self) -> f64 {
         (self.table.len() * std::mem::size_of::<u32>()) as f64

@@ -52,12 +52,14 @@ impl VertexArg for usize {
 }
 
 /// Base address, length in elements and element size of bound vertex
-/// data: enough to prefetch its rows, never to access them.
+/// data, and whether its rows are added to under their stripe locks:
+/// enough to prefetch its rows and locks, never to access them.
 #[derive(Debug, Clone, Copy)]
 pub struct VertexRows {
     pub(crate) addr: usize,
     pub(crate) len: usize,
     pub(crate) elem_bytes: usize,
+    pub(crate) locked: bool,
 }
 
 /// One bound arg's rows as the prefetcher sees them.
@@ -65,15 +67,21 @@ pub struct VertexRows {
 struct Prefetch {
     addr: usize,
     row_bytes: usize,
+    /// Whether each row's stripe lock is prefetched too.
+    lock: bool,
 }
 
 impl Prefetch {
-    /// Prefetch the first and last cache line of vertex `v`'s row.
+    /// Prefetch the first and last cache line of vertex `v`'s row and,
+    /// for a row-locked accumulator, the row's stripe lock for write.
     #[inline(always)]
     fn row(&self, v: usize) {
         let first = self.addr.wrapping_add(v.wrapping_mul(self.row_bytes));
         prefetch::line(first);
         prefetch::line(first.wrapping_add(self.row_bytes - 1));
+        if self.lock {
+            parkit::view::prefetch_row_lock(first);
+        }
     }
 }
 
@@ -157,6 +165,7 @@ impl EdgeLoop {
                 self.prefetch.push(Prefetch {
                     addr: rows.addr,
                     row_bytes: dim * rows.elem_bytes,
+                    lock: rows.locked,
                 });
             } else {
                 self.defects.push(format!(
@@ -487,6 +496,14 @@ impl EdgeLoop {
 }
 
 /// A mesh together with the colourings the schemes need.
+///
+/// Under global colouring, [`ColoredMesh::prepare`] renumbers the
+/// mesh's edges colour-major ([`GlobalColoring::build_color_major`]), so
+/// a global plan's edge ids are in plan order, not the input's: a body
+/// must reach an edge's vertices through `mesh.edges`, as MG-CFD's
+/// does, and an edge-indexed dat must follow the same numbering. The
+/// vertices keep their numbers, and every scheme's results keep their
+/// bits.
 #[derive(Debug, Clone)]
 pub struct ColoredMesh {
     pub mesh: Mesh,
@@ -496,8 +513,9 @@ pub struct ColoredMesh {
 
 impl ColoredMesh {
     /// Build the colourings needed by `scheme`.
-    pub fn prepare(mesh: Mesh, scheme: Scheme, block_size: usize) -> ColoredMesh {
-        let global = (scheme == Scheme::GlobalColor).then(|| GlobalColoring::build(&mesh.edges));
+    pub fn prepare(mut mesh: Mesh, scheme: Scheme, block_size: usize) -> ColoredMesh {
+        let global = (scheme == Scheme::GlobalColor)
+            .then(|| GlobalColoring::build_color_major(&mut mesh.edges));
         let hier =
             (scheme == Scheme::HierColor).then(|| HierColoring::build(&mesh.edges, block_size));
         ColoredMesh { mesh, global, hier }
@@ -1122,6 +1140,50 @@ mod tests {
         assert_eq!(defects.len(), 1, "{defects:?}");
         assert!(defects[0].contains("vertex_read binds"), "{defects:?}");
         assert_eq!((bits, digest), (global_dims.0, global_dims.1));
+    }
+
+    /// `ColoredMesh::prepare` renumbers a global plan's edges
+    /// colour-major; a loop over it computes what the same colouring
+    /// computes over the input's numbering, bit for bit.
+    #[test]
+    fn a_colour_major_plan_keeps_the_input_numberings_bits() {
+        let mesh = Mesh::grid(24, 24, 12, Ordering::Shuffled(5));
+        let original = ColoredMesh {
+            global: Some(GlobalColoring::build(&mesh.edges)),
+            hier: None,
+            mesh: mesh.clone(),
+        };
+        let plan = ColoredMesh::prepare(mesh.clone(), Scheme::GlobalColor, 64);
+        let global = plan.global.as_ref().unwrap();
+        let edges = &plan.mesh.edges;
+
+        // Each colour's edges form one contiguous ascending run.
+        let mut next = 0;
+        for group in &global.by_color {
+            assert!(group.len() > 1);
+            assert_eq!(
+                group,
+                &(next..next + group.len() as u32).collect::<Vec<_>>()
+            );
+            next += group.len() as u32;
+        }
+        assert_eq!(next as usize, mesh.n_edges());
+        // The table's rows are the input's, permuted.
+        fn rows(m: &Map) -> Vec<&[u32]> {
+            let mut rows: Vec<&[u32]> = (0..m.from_size()).map(|e| m.row(e)).collect();
+            rows.sort_unstable();
+            rows
+        }
+        assert_eq!(rows(edges), rows(&mesh.edges));
+        let moved = (0..mesh.n_edges()).filter(|&e| edges.row(e) != mesh.edges.row(e));
+        assert!(moved.count() > mesh.n_edges() / 2, "the edges moved");
+        assert_eq!(global.first_conflict(edges), None);
+        // Same increments in the same order per vertex: same bits, and
+        // the same prices.
+        assert_eq!(
+            flux_under(&plan, Scheme::GlobalColor, 64, Bind::Views, false),
+            flux_under(&original, Scheme::GlobalColor, 64, Bind::Views, false),
+        );
     }
 
     #[test]

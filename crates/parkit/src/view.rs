@@ -204,7 +204,18 @@ impl<T: Copy + AddAssign> View<'_, T, Exclusive> {
     #[inline]
     pub fn add_locked<const N: usize>(&self, row: usize, at: usize, v: &[T; N]) {
         self.touch(at, N, Touch::Atomic);
-        with_row_locked(self.ptr.wrapping_add(row), || self.add_unrecorded(at, v));
+        let lock = self.row_lock(row);
+        if lock.swap(true, Ordering::Acquire) {
+            acquire_contended(lock);
+        }
+        self.add_unrecorded(at, v);
+        lock.store(false, Ordering::Release);
+    }
+
+    /// The stripe lock of the row that starts at element `row`.
+    #[inline(always)]
+    fn row_lock(&self, row: usize) -> &'static AtomicBool {
+        stripe(self.ptr.wrapping_add(row) as usize)
     }
 
     #[inline]
@@ -233,17 +244,24 @@ static STRIPES: [AtomicBool; 1 << STRIPE_BITS] =
 /// a spinner for a whole timeslice.
 const SPINS_BEFORE_YIELD: u32 = 64;
 
-/// Run `f` holding the stripe lock of the row at `row` (a Fibonacci hash
-/// of its address picks the stripe).
-#[inline]
-fn with_row_locked<T>(row: *const T, f: impl FnOnce()) {
-    let hash = (row as usize as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let lock = &STRIPES[(hash >> (64 - STRIPE_BITS)) as usize];
-    if lock.swap(true, Ordering::Acquire) {
-        acquire_contended(lock);
-    }
-    f();
-    lock.store(false, Ordering::Release);
+/// The stripe lock of the row whose first element sits at address
+/// `row`: a Fibonacci hash of the address picks it. [`View::add_locked`]
+/// and [`prefetch_row_lock`] both name a stripe through it, so the lock
+/// a prefetch warms is the one the add takes.
+#[inline(always)]
+fn stripe(row: usize) -> &'static AtomicBool {
+    let hash = (row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    &STRIPES[(hash >> (64 - STRIPE_BITS)) as usize]
+}
+
+/// Prefetch, for write, the stripe lock that [`View::add_locked`] takes
+/// for the row whose first element sits at address `row` (the view's
+/// [`View::addr`] plus the row's byte offset). An edge loop issues it a
+/// few edges ahead, so the lock's line is in this core's cache when the
+/// add swaps it.
+#[inline(always)]
+pub fn prefetch_row_lock(row: usize) {
+    crate::mem::prefetch_write(stripe(row) as *const AtomicBool as usize);
 }
 
 /// Wait for a held stripe and take it: spin while it stays held, then
@@ -281,6 +299,23 @@ mod tests {
         w.add_locked(0, 1, &[1.0]);
         assert_eq!(w.span(0, 4), &[5.0, 7.0, 7.5, 5.0]);
         assert_eq!(View::shared(&data, 0).read(3), 5.0);
+    }
+
+    /// A prefetcher names a row by its address, `addr() + row * size`;
+    /// `add_locked` by its first element. Both must reach one stripe,
+    /// for rows of dats of either element size.
+    #[test]
+    fn a_row_lock_prefetch_names_the_stripe_add_locked_takes() {
+        fn check<T: Copy + AddAssign>(data: &mut [T], dim: usize) {
+            let v = View::exclusive(data, 0);
+            for e in 0..v.len() / dim {
+                let row = e * dim;
+                let addr = v.addr() + row * std::mem::size_of::<T>();
+                assert!(std::ptr::eq(v.row_lock(row), stripe(addr)), "row {e}");
+            }
+        }
+        check(&mut [0.0f64; 5 * 64], 5);
+        check(&mut [0.0f32; 3 * 64], 3);
     }
 
     /// No `cfg(debug_assertions)`: a recording view checks every build.
