@@ -126,33 +126,24 @@ impl App for Acoustic {
         read_back(session, &logical, &[field.meta()]);
 
         let _p = phase_span("energy");
-        let validation = if session.executes() {
-            let p = field.reader();
-            ParLoop::new("energy", interior)
-                .read(field.meta(), Stencil::point())
-                .flops(2.0)
-                .nd_shape(nd)
-                .run_rows_reduce(
-                    session,
-                    0.0f64,
-                    |a, b| a + b,
-                    |acc, row| {
-                        let mut s = acc;
-                        for &v in p.row(row) {
-                            let x = v as f64;
-                            s += x * x;
-                        }
-                        s
-                    },
-                )
-        } else {
-            ParLoop::new("energy", interior)
-                .read(field.meta(), Stencil::point())
-                .flops(2.0)
-                .nd_shape(nd)
-                .run_reduce(session, 0.0f64, |a, b| a + b, |_| 0.0);
-            f64::NAN
-        };
+        let p = field.reader();
+        let validation = ParLoop::new("energy", interior)
+            .read(field.meta(), Stencil::point())
+            .flops(2.0)
+            .nd_shape(nd)
+            .run_rows_reduce(
+                session,
+                0.0f64,
+                |a, b| a + b,
+                |acc, row| {
+                    let mut s = acc;
+                    for &v in p.row(row) {
+                        let x = v as f64;
+                        s += x * x;
+                    }
+                    s
+                },
+            );
 
         summarise(session, validation)
     }

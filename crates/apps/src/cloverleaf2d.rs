@@ -439,40 +439,28 @@ impl App for CloverLeaf2d {
         // valid ones after the timestep kernels wrote them.
         read_back(session, &logical, &[st.density.meta(), st.energy.meta()]);
 
-        let mut validation = f64::NAN;
-
         // -- field_summary: conserved quantities -------------------------
         let _p = phase_span("field_summary");
-        if session.executes() {
-            let d = st.density.reader();
-            let e = st.energy.reader();
-            validation = ParLoop::new("field_summary", interior)
-                .read(st.density.meta(), Stencil::point())
-                .read(st.energy.meta(), Stencil::point())
-                .flops(3.0)
-                .nd_shape(nd)
-                .run_reduce(
-                    session,
-                    0.0,
-                    |a, b| a + b,
-                    |tile| {
-                        let mut s = 0.0;
-                        for (i, j, k) in tile.iter() {
-                            s += d.at(i, j, k);
-                            let _ = e.at(i, j, k);
-                        }
-                        s
-                    },
-                );
-        } else {
-            // Still price the summary loop on dry runs.
-            let lp = ParLoop::new("field_summary", interior)
-                .read(st.density.meta(), Stencil::point())
-                .read(st.energy.meta(), Stencil::point())
-                .flops(3.0)
-                .nd_shape(nd);
-            lp.run_reduce(session, 0.0, |a, b| a + b, |_| 0.0);
-        }
+        let d = st.density.reader();
+        let e = st.energy.reader();
+        let validation = ParLoop::new("field_summary", interior)
+            .read(st.density.meta(), Stencil::point())
+            .read(st.energy.meta(), Stencil::point())
+            .flops(3.0)
+            .nd_shape(nd)
+            .run_reduce(
+                session,
+                0.0,
+                |a, b| a + b,
+                |tile| {
+                    let mut s = 0.0;
+                    for (i, j, k) in tile.iter() {
+                        s += d.at(i, j, k);
+                        let _ = e.at(i, j, k);
+                    }
+                    s
+                },
+            );
 
         summarise(session, validation)
     }

@@ -310,35 +310,25 @@ impl App for CloverLeaf3d {
         // Read the summarised field back before the host-side reduce.
         read_back(session, &logical, &[st.density.meta()]);
 
-        let mut validation = f64::NAN;
-
         // field_summary
         let _p = phase_span("field_summary");
-        if session.executes() {
-            let d = st.density.reader();
-            validation = ParLoop::new("field_summary", interior)
-                .read(st.density.meta(), Stencil::point())
-                .flops(2.0)
-                .nd_shape(nd)
-                .run_reduce(
-                    session,
-                    0.0,
-                    |a, b| a + b,
-                    |tile| {
-                        let mut s = 0.0;
-                        for (i, j, k) in tile.iter() {
-                            s += d.at(i, j, k);
-                        }
-                        s
-                    },
-                );
-        } else {
-            ParLoop::new("field_summary", interior)
-                .read(st.density.meta(), Stencil::point())
-                .flops(2.0)
-                .nd_shape(nd)
-                .run_reduce(session, 0.0, |a, b| a + b, |_| 0.0);
-        }
+        let d = st.density.reader();
+        let validation = ParLoop::new("field_summary", interior)
+            .read(st.density.meta(), Stencil::point())
+            .flops(2.0)
+            .nd_shape(nd)
+            .run_reduce(
+                session,
+                0.0,
+                |a, b| a + b,
+                |tile| {
+                    let mut s = 0.0;
+                    for (i, j, k) in tile.iter() {
+                        s += d.at(i, j, k);
+                    }
+                    s
+                },
+            );
 
         summarise(session, validation)
     }

@@ -126,13 +126,19 @@ pub fn read_back(session: &Session, logical: &Block, dats: &[DatMeta]) {
     g.finish().replay(session);
 }
 
-/// Finish a run: collect the session ledger into an [`AppRun`].
+/// Finish a run: collect the session ledger into an [`AppRun`]. The
+/// validation is NaN on a dry run, whose reductions return their
+/// identity: apps declare their validation loop once for both kinds.
 pub fn summarise(session: &Session, validation: f64) -> AppRun {
     AppRun {
         elapsed: session.elapsed(),
         boundary_fraction: session.boundary_fraction(),
         effective_bandwidth: session.effective_bandwidth(),
-        validation,
+        validation: if session.executes() {
+            validation
+        } else {
+            f64::NAN
+        },
     }
 }
 

@@ -12,7 +12,7 @@
 use crate::common::{summarise, App, AppRun};
 use op2_dsl::parloop::ColoredMesh;
 use op2_dsl::prelude::*;
-use op2_dsl::DatU;
+use op2_dsl::{Accum, DatU, UWriteView};
 use sycl_sim::{quirks::apps, Precision, Scheme, Session};
 
 const N_VARS: usize = 5;
@@ -20,9 +20,12 @@ const N_VARS: usize = 5;
 /// An MG-CFD instance.
 #[derive(Debug, Clone)]
 pub struct Mgcfd {
-    /// Finest-level mesh stats (dry/analytic runs).
+    /// Finest-level mesh stats of the analytic hierarchy; read only
+    /// when `grid` is `None`.
     pub finest: MeshStats,
-    /// Grid dims used when functional meshes are built.
+    /// Grid dims of the finest mesh. When set, every run, dry or live,
+    /// builds and colours the real hierarchy and prices it; when `None`,
+    /// the run is priced from `finest` and cannot execute.
     pub grid: Option<(usize, usize, usize)>,
     pub levels: usize,
     pub iterations: usize,
@@ -45,7 +48,7 @@ impl Mgcfd {
     pub fn test() -> Self {
         Mgcfd {
             finest: MeshStats {
-                n_vertices: 0, // filled from the real mesh
+                n_vertices: 0, // unread: `grid` is set
                 n_edges: 0,
                 locality: 0.0,
             },
@@ -85,6 +88,35 @@ fn rusanov(ql: &[f64; N_VARS], qr: &[f64; N_VARS], out: &mut [f64; N_VARS]) {
     }
 }
 
+/// The Rusanov edge body of the flux loop: gather both endpoints' flow
+/// states from `q` and add the flux into `acc`, minus at the first
+/// endpoint and plus at the second. Always inlined, as `Accum::add_row`
+/// is: the edge loop's sweep runs it in place, as its hottest code.
+#[inline(always)]
+fn flux_edge(edges: &Map, q: UWriteView<'_, f64>, acc: Accum<'_, f64>, e: usize) {
+    let a = edges.at(e, 0);
+    let b = edges.at(e, 1);
+    let mut ql = [0.0; N_VARS];
+    let mut qb = [0.0; N_VARS];
+    for v in 0..N_VARS {
+        ql[v] = q.get(a, v);
+        qb[v] = q.get(b, v);
+    }
+    let mut f = [0.0; N_VARS];
+    rusanov(&ql, &qb, &mut f);
+    acc.add_row(a, &f.map(|x| -x));
+    acc.add_row(b, &f);
+}
+
+/// The flux loop's declaration over a level of `stats`; its views are
+/// bound where the level has a mesh to run on.
+fn flux_loop(stats: MeshStats, scheme: Scheme, block: usize) -> EdgeLoop {
+    EdgeLoop::new("compute_flux", stats, scheme, Precision::F64)
+        .flops(110.0)
+        .transcendentals(1.0)
+        .block_size(block)
+}
+
 /// One multigrid level's state.
 struct Level {
     stats: MeshStats,
@@ -106,48 +138,48 @@ impl App for Mgcfd {
         let _span = crate::common::app_span(self.name());
         let scheme = Self::scheme(session);
         let block = Self::block_size(session);
-        let functional = session.executes() && self.grid.is_some();
+        assert!(
+            self.grid.is_some() || !session.executes(),
+            "a grid-less MG-CFD can only be priced: set `grid` to execute it"
+        );
 
-        // Build the hierarchy: real meshes for functional runs, analytic
-        // stats otherwise.
-        let mut levels: Vec<Level> = if functional {
-            let (ni, nj, nk) = self.grid.unwrap();
-            let h = MgHierarchy::build(ni, nj, nk, self.levels, self.ordering);
-            h.meshes
-                .expect("built hierarchies hold meshes")
-                .into_iter()
-                .zip(h.levels)
-                .map(|(mesh, stats)| {
-                    let n = mesh.n_vertices;
-                    let mut q = DatU::zeroed("q", n, N_VARS);
-                    q.fill_with(|e, c| 1.0 + 0.01 * ((e * 7 + c * 3) % 17) as f64);
-                    // The residual is first touched by a row add's read
-                    // (row-locked or colour-serialised, a read-modify-write).
-                    // Writing its zeros first faults each page once; a read
-                    // of an untouched page maps the shared zero page, and
-                    // the write after it faults again.
-                    let mut res = DatU::zeroed("res", n, N_VARS);
-                    res.fill_with(|_, _| 0.0);
-                    Level {
-                        stats,
-                        colored: Some(ColoredMesh::prepare(mesh, scheme, block)),
-                        q,
-                        res,
-                    }
-                })
-                .collect()
-        } else {
-            MgHierarchy::analytic(self.finest, self.levels)
-                .levels
-                .into_iter()
-                .map(|stats| Level {
-                    stats,
-                    colored: None,
-                    q: DatU::zeroed("q", 1, N_VARS),
-                    res: DatU::zeroed("res", 1, N_VARS),
-                })
-                .collect()
+        // Build the hierarchy: real meshes whenever a grid is set, dry or
+        // not, so a dry run prices the colour passes its live run
+        // launches; the analytic stats of `finest` otherwise. A level's
+        // dats are mesh-sized when it has a mesh and one row otherwise,
+        // and are filled only when the session executes.
+        let h = match self.grid {
+            Some((ni, nj, nk)) => MgHierarchy::build(ni, nj, nk, self.levels, self.ordering),
+            None => MgHierarchy::analytic(self.finest, self.levels),
         };
+        let mut meshes = h.meshes.unwrap_or_default().into_iter();
+        let mut levels: Vec<Level> = h
+            .levels
+            .into_iter()
+            .map(|stats| {
+                let mesh = meshes.next();
+                let n = mesh.as_ref().map_or(1, |m| m.n_vertices);
+                let mut q = DatU::zeroed("q", n, N_VARS);
+                if session.executes() {
+                    q.fill_with(|e, c| 1.0 + 0.01 * ((e * 7 + c * 3) % 17) as f64);
+                }
+                // The residual is first touched by a row add's read
+                // (row-locked or colour-serialised, a read-modify-write).
+                // Writing its zeros first faults each page once; a read
+                // of an untouched page maps the shared zero page, and
+                // the write after it faults again.
+                let mut res = DatU::zeroed("res", n, N_VARS);
+                if session.executes() {
+                    res.fill_with(|_, _| 0.0);
+                }
+                Level {
+                    stats,
+                    colored: mesh.map(|m| ColoredMesh::prepare(m, scheme, block)),
+                    q,
+                    res,
+                }
+            })
+            .collect();
 
         let dt = 1e-3;
         let ranks = session.ranks();
@@ -158,18 +190,13 @@ impl App for Mgcfd {
 
         // Stage the hierarchy's flow state and residuals. `DatU` carries
         // no shadow ids, so the uploads are anonymous (never elided) —
-        // one per dat per level, sized from the analytic stats on dry
-        // runs so the paper-size traffic is priced without allocating.
+        // one per dat per level, sized from the level's stats, so a
+        // grid-less run prices the paper-size traffic without allocating.
         {
             let mut g = session.record();
             g.phase("staging");
             for l in &levels {
-                let n = if functional {
-                    l.q.set_size()
-                } else {
-                    l.stats.n_vertices
-                };
-                let bytes = (n * N_VARS) as f64 * 8.0;
+                let bytes = (l.stats.n_vertices * N_VARS) as f64 * 8.0;
                 g.transfer(bytes); // q: initial flow state
                 g.transfer(bytes); // res: zeroed accumulator
             }
@@ -186,20 +213,12 @@ impl App for Mgcfd {
             // is the same res view, re-cast).
             let lvls: Vec<_> = levels
                 .iter_mut()
-                .map(|l| {
-                    (
-                        l.stats,
-                        l.colored.as_ref(),
-                        l.q.set_size(),
-                        l.q.writer(),
-                        l.res.writer(),
-                    )
-                })
+                .map(|l| (l.stats, l.colored.as_ref(), l.q.writer(), l.res.writer()))
                 .collect();
 
             let mut g = session.record();
-            for l in 0..lvls.len() {
-                let (stats, colored, q_n, qv, rv) = lvls[l];
+            for (l, &(stats, colored, qv, rv)) in lvls.iter().enumerate() {
+                let n = stats.n_vertices;
 
                 // MPI variants exchange the halo flow state before the
                 // flux sweep (owner-compute, §3 of the paper).
@@ -210,10 +229,7 @@ impl App for Mgcfd {
 
                 // -- compute_flux: the racy edge loop --------------------
                 g.phase("compute_flux");
-                let lp = EdgeLoop::new("compute_flux", stats, scheme, Precision::F64)
-                    .flops(110.0)
-                    .transcendentals(1.0)
-                    .block_size(block);
+                let lp = flux_loop(stats, scheme, block);
                 if let Some(colored) = colored {
                     // The body borrows the level's edge map: the graph
                     // lives no longer than the levels it was recorded on.
@@ -221,21 +237,9 @@ impl App for Mgcfd {
                     // Binding the views lets the loop prefetch the rows
                     // its edges gather, in the scheme's order.
                     let acc = rv.to_accum(lp.uses_atomics());
-                    let lp = lp.vertex_read(qv).vertex_inc(acc);
-                    lp.record(&mut g, Some(colored), move |e| {
-                        let a = edges.at(e, 0);
-                        let b = edges.at(e, 1);
-                        let mut ql = [0.0; N_VARS];
-                        let mut qb = [0.0; N_VARS];
-                        for v in 0..N_VARS {
-                            ql[v] = qv.get(a, v);
-                            qb[v] = qv.get(b, v);
-                        }
-                        let mut f = [0.0; N_VARS];
-                        rusanov(&ql, &qb, &mut f);
-                        acc.add_row(a, &f.map(|x| -x));
-                        acc.add_row(b, &f);
-                    });
+                    lp.vertex_read(qv)
+                        .vertex_inc(acc)
+                        .record(&mut g, Some(colored), move |e| flux_edge(edges, qv, acc, e));
                 } else {
                     lp.vertex_read(N_VARS)
                         .vertex_inc(N_VARS)
@@ -245,13 +249,11 @@ impl App for Mgcfd {
 
                 // -- time_step: apply and clear residuals ----------------
                 g.phase("time_step");
-                let n = if functional { q_n } else { stats.n_vertices };
-                let lp = VertexLoop::new("time_step", n, Precision::F64)
+                VertexLoop::new("time_step", n, Precision::F64)
                     .arg_rw(N_VARS)
                     .arg_rw(N_VARS)
-                    .flops(3.0 * N_VARS as f64);
-                if functional {
-                    lp.record(&mut g, move |lo, hi| {
+                    .flops(3.0 * N_VARS as f64)
+                    .record(&mut g, move |lo, hi| {
                         for e in lo..hi {
                             for v in 0..N_VARS {
                                 qv.set(e, v, qv.get(e, v) + dt * rv.get(e, v));
@@ -259,52 +261,36 @@ impl App for Mgcfd {
                             }
                         }
                     });
-                } else {
-                    lp.record(&mut g, |_, _| {});
-                }
                 g.end_phase();
 
                 // -- restrict to the next level (injection) --------------
-                if l + 1 < lvls.len() {
+                if let Some(&(coarse, _, cq, _)) = lvls.get(l + 1) {
                     g.phase("restrict");
-                    if functional {
-                        let coarse_n_real = lvls[l + 1].2;
-                        let fine_n = q_n;
-                        let cq = lvls[l + 1].3;
-                        let ratio_real = (fine_n / coarse_n_real.max(1)).max(1);
-                        VertexLoop::new("restrict", coarse_n_real, Precision::F64)
-                            .arg(N_VARS)
-                            .arg(N_VARS)
-                            .flops(N_VARS as f64)
-                            .record(&mut g, move |lo, hi| {
-                                for e in lo..hi {
-                                    let src = (e * ratio_real).min(fine_n - 1);
-                                    for v in 0..N_VARS {
-                                        cq.set(e, v, qv.get(src, v));
-                                    }
+                    let coarse_n = coarse.n_vertices;
+                    let ratio = (n / coarse_n.max(1)).max(1);
+                    VertexLoop::new("restrict", coarse_n, Precision::F64)
+                        .arg(N_VARS)
+                        .arg(N_VARS)
+                        .flops(N_VARS as f64)
+                        .record(&mut g, move |lo, hi| {
+                            for e in lo..hi {
+                                let src = (e * ratio).min(n - 1);
+                                for v in 0..N_VARS {
+                                    cq.set(e, v, qv.get(src, v));
                                 }
-                            });
-                    } else {
-                        let coarse_n = lvls[l + 1].0.n_vertices;
-                        VertexLoop::new("restrict", coarse_n, Precision::F64)
-                            .arg(N_VARS)
-                            .arg(N_VARS)
-                            .flops(N_VARS as f64)
-                            .record(&mut g, |_, _| {});
-                    }
+                            }
+                        });
                     g.end_phase();
                 }
             }
 
             // -- residual norm on the finest level (reduction) -----------
             g.phase("residual_norm");
-            let (stats, _, q_n, qv, _) = lvls[0];
-            let n = if functional { q_n } else { stats.n_vertices };
-            let lp = VertexLoop::new("residual_norm", n, Precision::F64)
+            let (stats, _, qv, _) = lvls[0];
+            VertexLoop::new("residual_norm", stats.n_vertices, Precision::F64)
                 .arg(N_VARS)
-                .flops(2.0 * N_VARS as f64);
-            if functional {
-                lp.record_reduce(
+                .flops(2.0 * N_VARS as f64)
+                .record_reduce(
                     &mut g,
                     0.0,
                     |a, b| a + b,
@@ -322,9 +308,6 @@ impl App for Mgcfd {
                         res_bits.store(s.to_bits(), std::sync::atomic::Ordering::Relaxed);
                     },
                 );
-            } else {
-                lp.record_reduce(&mut g, 0.0, |a, b| a + b, |_, _| 0.0, |_| {});
-            }
             g.end_phase();
 
             let g = g.finish();
@@ -335,15 +318,10 @@ impl App for Mgcfd {
 
         // Read the converged finest-level flow state back to the host.
         {
-            let n = if functional {
-                levels[0].q.set_size()
-            } else {
-                levels[0].stats.n_vertices
-            };
             let mut g = session.record();
             g.phase("readback");
             g.transfer_dir(
-                (n * N_VARS) as f64 * 8.0,
+                (levels[0].stats.n_vertices * N_VARS) as f64 * 8.0,
                 Vec::new(),
                 sycl_sim::TransferDir::D2H,
             );
@@ -351,61 +329,10 @@ impl App for Mgcfd {
             g.finish().replay(session);
         }
 
-        let last_residual = if functional {
-            f64::from_bits(res_bits.load(std::sync::atomic::Ordering::Relaxed))
-        } else {
-            f64::NAN
-        };
-        summarise(session, last_residual)
-    }
-}
-
-impl Mgcfd {
-    /// The total of all residual increments must vanish (flux
-    /// antisymmetry) — exposed for tests.
-    pub fn residual_total_after_flux(scheme: Scheme) -> f64 {
-        let mesh = Mesh::grid(10, 10, 6, Ordering::Natural);
-        let stats = mesh.stats();
-        let n = mesh.n_vertices;
-        let session = Session::create(
-            sycl_sim::SessionConfig::new(
-                sycl_sim::PlatformId::A100,
-                sycl_sim::Toolchain::NativeCuda,
-            )
-            .app(apps::MGCFD)
-            .scheme(scheme),
+        summarise(
+            session,
+            f64::from_bits(res_bits.load(std::sync::atomic::Ordering::Relaxed)),
         )
-        .unwrap();
-        let colored = ColoredMesh::prepare(mesh, scheme, 64);
-        let mut q = DatU::<f64>::zeroed("q", n, N_VARS);
-        q.fill_with(|e, c| 1.0 + 0.01 * ((e * 13 + c) % 23) as f64);
-        let mut res = DatU::<f64>::zeroed("res", n, N_VARS);
-        let lp = EdgeLoop::new("compute_flux", stats, scheme, Precision::F64)
-            .vertex_read(N_VARS)
-            .vertex_inc(N_VARS)
-            .flops(110.0)
-            .block_size(64);
-        let atomic = lp.uses_atomics();
-        let edges = &colored.mesh.edges;
-        {
-            let qr = q.reader();
-            let acc = res.accum(atomic);
-            lp.run(&session, Some(&colored), |e| {
-                let a = edges.at(e, 0);
-                let b = edges.at(e, 1);
-                let mut ql = [0.0; N_VARS];
-                let mut qb = [0.0; N_VARS];
-                for v in 0..N_VARS {
-                    ql[v] = qr.at(a, v);
-                    qb[v] = qr.at(b, v);
-                }
-                let mut f = [0.0; N_VARS];
-                rusanov(&ql, &qb, &mut f);
-                acc.add_row(a, &f.map(|x| -x));
-                acc.add_row(b, &f);
-            });
-        }
-        res.total()
     }
 }
 
@@ -414,10 +341,38 @@ mod tests {
     use super::*;
     use sycl_sim::{PlatformId, SessionConfig, Toolchain};
 
+    /// The total of all residual increments after one flux sweep over a
+    /// 10×10×6 grid under `scheme`: it must vanish (flux antisymmetry).
+    fn residual_total_after_flux(scheme: Scheme) -> f64 {
+        let mesh = Mesh::grid(10, 10, 6, Ordering::Natural);
+        let stats = mesh.stats();
+        let n = mesh.n_vertices;
+        let session = Session::create(
+            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+                .app(apps::MGCFD)
+                .scheme(scheme),
+        )
+        .unwrap();
+        let colored = ColoredMesh::prepare(mesh, scheme, 64);
+        let mut q = DatU::<f64>::zeroed("q", n, N_VARS);
+        q.fill_with(|e, c| 1.0 + 0.01 * ((e * 13 + c) % 23) as f64);
+        let mut res = DatU::<f64>::zeroed("res", n, N_VARS);
+        {
+            let lp = flux_loop(stats, scheme, 64);
+            let edges = &colored.mesh.edges;
+            let qv = q.writer();
+            let acc = res.accum(lp.uses_atomics());
+            lp.vertex_read(qv)
+                .vertex_inc(acc)
+                .run(&session, Some(&colored), |e| flux_edge(edges, qv, acc, e));
+        }
+        res.total()
+    }
+
     #[test]
     fn fluxes_are_conservative_under_every_scheme() {
         for scheme in Scheme::all() {
-            let total = Mgcfd::residual_total_after_flux(scheme);
+            let total = residual_total_after_flux(scheme);
             assert!(
                 total.abs() < 1e-9,
                 "{scheme:?}: residual total {total} must vanish"

@@ -340,32 +340,23 @@ impl App for OpenSbli {
         // Validation: total of q0 (the scheme is conservative under
         // periodic boundaries).
         let _p = phase_span("checksum");
-        let validation = if session.executes() {
-            let r = q[0].reader();
-            ParLoop::new("checksum", interior)
-                .read(q[0].meta(), Stencil::point())
-                .flops(1.0)
-                .nd_shape(nd)
-                .run_reduce(
-                    session,
-                    0.0,
-                    |a, b| a + b,
-                    |tile| {
-                        let mut s = 0.0;
-                        for (i, j, k) in tile.iter() {
-                            s += r.at(i, j, k);
-                        }
-                        s
-                    },
-                )
-        } else {
-            ParLoop::new("checksum", interior)
-                .read(q[0].meta(), Stencil::point())
-                .flops(1.0)
-                .nd_shape(nd)
-                .run_reduce(session, 0.0, |a, b| a + b, |_| 0.0);
-            f64::NAN
-        };
+        let r = q[0].reader();
+        let validation = ParLoop::new("checksum", interior)
+            .read(q[0].meta(), Stencil::point())
+            .flops(1.0)
+            .nd_shape(nd)
+            .run_reduce(
+                session,
+                0.0,
+                |a, b| a + b,
+                |tile| {
+                    let mut s = 0.0;
+                    for (i, j, k) in tile.iter() {
+                        s += r.at(i, j, k);
+                    }
+                    s
+                },
+            );
         let _ = &mut rhs_store;
         summarise(session, validation)
     }

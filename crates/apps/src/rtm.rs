@@ -123,33 +123,24 @@ impl App for Rtm {
         // Validation: wavefield energy (finite, non-zero once the source
         // has propagated).
         let _p = phase_span("image_energy");
-        let validation = if session.executes() {
-            let p = field.reader();
-            ParLoop::new("image_energy", interior)
-                .read(field.meta(), Stencil::point())
-                .flops(2.0)
-                .nd_shape(nd)
-                .run_reduce(
-                    session,
-                    0.0f64,
-                    |a, b| a + b,
-                    |tile| {
-                        let mut s = 0.0f64;
-                        for (i, j, k) in tile.iter() {
-                            let x = p.at(i, j, k) as f64;
-                            s += x * x;
-                        }
-                        s
-                    },
-                )
-        } else {
-            ParLoop::new("image_energy", interior)
-                .read(field.meta(), Stencil::point())
-                .flops(2.0)
-                .nd_shape(nd)
-                .run_reduce(session, 0.0f64, |a, b| a + b, |_| 0.0);
-            f64::NAN
-        };
+        let p = field.reader();
+        let validation = ParLoop::new("image_energy", interior)
+            .read(field.meta(), Stencil::point())
+            .flops(2.0)
+            .nd_shape(nd)
+            .run_reduce(
+                session,
+                0.0f64,
+                |a, b| a + b,
+                |tile| {
+                    let mut s = 0.0f64;
+                    for (i, j, k) in tile.iter() {
+                        let x = p.at(i, j, k) as f64;
+                        s += x * x;
+                    }
+                    s
+                },
+            );
 
         summarise(session, validation)
     }

@@ -141,74 +141,40 @@ impl BabelStream {
         Kernel::new(fp)
     }
 
-    /// Run one kernel once; returns the Dot result (0.0 otherwise).
+    /// Run one kernel once; returns the Dot result (0.0 otherwise, and
+    /// on a dry session, which prices the launch and runs no body).
     pub fn run(&mut self, session: &Session, k: StreamKernel) -> f64 {
         let kernel = self.kernel(k);
         let n = self.n;
         let (a, b, c) = (&mut self.a, &mut self.b, &mut self.c);
-        match k {
-            StreamKernel::Copy => {
-                session.launch(&kernel, || {
-                    if session.executes() {
-                        par_map(c, |i| a[i]);
-                    }
-                });
-                0.0
+        session.launch(&kernel, || {
+            if !session.executes() {
+                return 0.0;
             }
-            StreamKernel::Mul => {
-                session.launch(&kernel, || {
-                    if session.executes() {
-                        par_map(b, |i| SCALAR * c[i]);
-                    }
-                });
-                0.0
-            }
-            StreamKernel::Add => {
-                session.launch(&kernel, || {
-                    if session.executes() {
-                        par_map(c, |i| a[i] + b[i]);
-                    }
-                });
-                0.0
-            }
-            StreamKernel::Triad => {
-                session.launch(&kernel, || {
-                    if session.executes() {
-                        par_map(a, |i| b[i] + SCALAR * c[i]);
-                    }
-                });
-                0.0
-            }
-            StreamKernel::Nstream => {
-                let a_ref: &mut Vec<f64> = a;
-                session.launch(&kernel, || {
-                    if session.executes() {
-                        let b = &*b;
-                        let c = &*c;
-                        global_pool().for_each_chunk(a_ref, 1 << 14, |start, chunk| {
-                            for (i, x) in chunk.iter_mut().enumerate() {
-                                *x += b[start + i] + SCALAR * c[start + i];
-                            }
-                        });
-                    }
-                });
-                0.0
-            }
-            StreamKernel::Dot => session.launch(&kernel, || {
-                if !session.executes() {
-                    return 0.0;
+            match k {
+                StreamKernel::Copy => par_map(c, |i| a[i]),
+                StreamKernel::Mul => par_map(b, |i| SCALAR * c[i]),
+                StreamKernel::Add => par_map(c, |i| a[i] + b[i]),
+                StreamKernel::Triad => par_map(a, |i| b[i] + SCALAR * c[i]),
+                StreamKernel::Nstream => {
+                    global_pool().for_each_chunk(a, 1 << 14, |start, chunk| {
+                        for (i, x) in chunk.iter_mut().enumerate() {
+                            *x += b[start + i] + SCALAR * c[start + i];
+                        }
+                    });
                 }
-                let a = &*a;
-                let b = &*b;
-                global_pool().reduce(
-                    n,
-                    1 << 14,
-                    0.0,
-                    |x, y| x + y,
-                    |r| r.map(|i| a[i] * b[i]).sum::<f64>(),
-                )
-            }),
-        }
+                StreamKernel::Dot => {
+                    return global_pool().reduce(
+                        n,
+                        1 << 14,
+                        0.0,
+                        |x, y| x + y,
+                        |r| r.map(|i| a[i] * b[i]).sum::<f64>(),
+                    );
+                }
+            }
+            0.0
+        })
     }
 
     /// Run the full suite `reps` times (BabelStream default is 100) and

@@ -134,18 +134,21 @@ mod tests {
             .into_iter()
             .find(|u| u.id() == "mgcfd@a100/CUDA#atomics")
             .unwrap();
-        let dry = |app: Mgcfd| {
-            let cfg = SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
+        let elapsed = |app: Mgcfd, dry: bool| {
+            let mut cfg = SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
                 .app(app.name())
-                .scheme(Scheme::Atomics)
-                .dry_run();
+                .scheme(Scheme::Atomics);
+            if dry {
+                cfg = cfg.dry_run();
+            }
             app.run(&Session::create(cfg).unwrap()).elapsed
         };
+        // The smoke unit prices, by bits, the test-size run that executes.
         let smoke = run_unit(&unit, 1, false, 0, 1, 0).sim_secs.unwrap();
-        assert_eq!(smoke.to_bits(), dry(Mgcfd::test()).to_bits());
-        assert_ne!(smoke, dry(Mgcfd::paper()));
+        assert_eq!(smoke.to_bits(), elapsed(Mgcfd::test(), false).to_bits());
+        assert_ne!(smoke, elapsed(Mgcfd::paper(), true));
         let paper = run_unit(&unit, 1, true, 0, 1, 0).sim_secs.unwrap();
-        assert_eq!(paper.to_bits(), dry(Mgcfd::paper()).to_bits());
+        assert_eq!(paper.to_bits(), elapsed(Mgcfd::paper(), true).to_bits());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! the whole point of a portable programming model.
 
 use miniapps::App;
-use sycl_sim::{PlatformId, Scheme, Session, SessionConfig, SyclVariant, Toolchain};
+use op2_dsl::Ordering;
+use sycl_sim::{quirks::apps, PlatformId, Scheme, Session, SessionConfig, SyclVariant, Toolchain};
 
 /// Sessions spanning GPU/CPU, native/SYCL, flat/nd_range.
 fn sessions_for(app: &str) -> Vec<Session> {
@@ -113,26 +114,64 @@ fn timing_differs_even_when_numerics_agree() {
 
 #[test]
 fn dry_and_live_runs_price_identically() {
-    // The analytic (dry) path must charge exactly the same simulated
-    // time as the functional path — footprints depend only on sizes.
-    let app = miniapps::CloverLeaf2d::test();
-    let live = Session::create(
-        SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app(app.name()),
-    )
-    .unwrap();
-    let dry = Session::create(
-        SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
-            .app(app.name())
-            .dry_run(),
-    )
-    .unwrap();
-    let t_live = app.run(&live).elapsed;
-    let t_dry = app.run(&dry).elapsed;
+    // A dry run must commit, by bits, the ledger its executing run
+    // commits: footprints, colour passes and transfers depend only on
+    // sizes and meshes, never on the values a body computes. Every app
+    // at test size, MG-CFD under every scheme and on a shuffled mesh.
+    let mut cases: Vec<(String, Box<dyn App>, Option<Scheme>)> = Vec::new();
+    for name in apps::ALL {
+        let schemes = if name == apps::MGCFD {
+            Scheme::all().map(Some).to_vec()
+        } else {
+            vec![None]
+        };
+        for scheme in schemes {
+            let app = miniapps::make_app(name, false).expect("an app name");
+            cases.push((format!("{name}/{scheme:?}"), app, scheme));
+        }
+    }
+    for scheme in [Scheme::GlobalColor, Scheme::HierColor] {
+        let shuffled = miniapps::Mgcfd {
+            grid: Some((24, 24, 12)),
+            levels: 3,
+            ordering: Ordering::Shuffled(5),
+            ..miniapps::Mgcfd::test()
+        };
+        cases.push((
+            format!("mgcfd/shuffled/{scheme:?}"),
+            Box::new(shuffled),
+            Some(scheme),
+        ));
+    }
+    let mut differing = Vec::new();
+    for (label, app, scheme) in &cases {
+        let priced = |dry: bool| {
+            let mut cfg =
+                SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app(app.name());
+            if let Some(s) = scheme {
+                cfg = cfg.scheme(*s);
+            }
+            if dry {
+                cfg = cfg.dry_run();
+            }
+            let session = Session::create(cfg).unwrap();
+            let elapsed = app.run(&session).elapsed;
+            (
+                session.launch_digest(),
+                session.ledger_digest(),
+                elapsed.to_bits(),
+            )
+        };
+        let (live, dry) = (priced(false), priced(true));
+        if live != dry {
+            differing.push(format!("{label}: live {live:x?} vs dry {dry:x?}"));
+        }
+    }
     assert!(
-        ((t_live - t_dry) / t_live).abs() < 1e-12,
-        "live {t_live} vs dry {t_dry}"
+        differing.is_empty(),
+        "(launch digest, ledger digest, elapsed bits) differ:\n{}",
+        differing.join("\n")
     );
-    assert_eq!(live.records().len(), dry.records().len());
 }
 
 #[test]
