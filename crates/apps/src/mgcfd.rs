@@ -96,12 +96,8 @@ fn rusanov(ql: &[f64; N_VARS], qr: &[f64; N_VARS], out: &mut [f64; N_VARS]) {
 fn flux_edge(edges: &Map, q: UWriteView<'_, f64>, acc: Accum<'_, f64>, e: usize) {
     let a = edges.at(e, 0);
     let b = edges.at(e, 1);
-    let mut ql = [0.0; N_VARS];
-    let mut qb = [0.0; N_VARS];
-    for v in 0..N_VARS {
-        ql[v] = q.get(a, v);
-        qb[v] = q.get(b, v);
-    }
+    let ql = q.row::<N_VARS>(a);
+    let qb = q.row::<N_VARS>(b);
     let mut f = [0.0; N_VARS];
     rusanov(&ql, &qb, &mut f);
     acc.add_row(a, &f.map(|x| -x));
@@ -254,11 +250,10 @@ impl App for Mgcfd {
                     .arg_rw(N_VARS)
                     .flops(3.0 * N_VARS as f64)
                     .record(&mut g, move |lo, hi| {
-                        for e in lo..hi {
-                            for v in 0..N_VARS {
-                                qv.set(e, v, qv.get(e, v) + dt * rv.get(e, v));
-                                rv.set(e, v, 0.0);
-                            }
+                        let res = rv.rows_mut(lo, hi);
+                        for (q, r) in qv.rows_mut(lo, hi).iter_mut().zip(res) {
+                            *q += dt * *r;
+                            *r = 0.0;
                         }
                     });
                 g.end_phase();
@@ -273,11 +268,10 @@ impl App for Mgcfd {
                         .arg(N_VARS)
                         .flops(N_VARS as f64)
                         .record(&mut g, move |lo, hi| {
-                            for e in lo..hi {
+                            let rows = cq.rows_mut(lo, hi).chunks_exact_mut(N_VARS);
+                            for (e, row) in (lo..hi).zip(rows) {
                                 let src = (e * ratio).min(n - 1);
-                                for v in 0..N_VARS {
-                                    cq.set(e, v, qv.get(src, v));
-                                }
+                                row.copy_from_slice(&qv.row::<N_VARS>(src));
                             }
                         });
                     g.end_phase();
@@ -296,11 +290,8 @@ impl App for Mgcfd {
                     |a, b| a + b,
                     move |lo, hi| {
                         let mut s = 0.0;
-                        for e in lo..hi {
-                            for v in 0..N_VARS {
-                                let x = qv.get(e, v);
-                                s += x * x;
-                            }
+                        for &x in qv.rows(lo, hi) {
+                            s += x * x;
                         }
                         s
                     },

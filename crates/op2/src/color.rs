@@ -3,15 +3,16 @@
 use crate::map::Map;
 use crate::prefetch;
 use parkit::global_pool;
+use std::borrow::Cow;
 use std::ops::{BitOr, BitOrAssign};
 
 /// A per-target set of colours, one bit each. The builders run with
-/// one-byte masks, so a target's marks take one byte (two for
-/// hierarchical colouring) and a million shuffled targets' marks stay
-/// in a core's cache; a map that needs more than 8 colours is coloured
-/// again with 64-bit masks. First-fit picks the lowest free colour
-/// under either width, so the fallback gives the colours a 64-bit build
-/// from the start would.
+/// one-byte masks, so a target's marks take one byte and a million
+/// shuffled targets' marks stay in a core's cache; a map that needs
+/// more than 8 colours is coloured again with 64-bit masks. First-fit
+/// picks the lowest free colour under either width, so the fallback
+/// gives the colours a 64-bit build from the start would, and no
+/// colour exceeds 63.
 trait Mask: Copy + Default + BitOr<Output = Self> + BitOrAssign {
     /// The mask holding colour `c` alone.
     fn bit(c: u32) -> Self;
@@ -44,14 +45,14 @@ const RENUMBER_CHUNK: usize = 1 << 16;
 
 /// The indices of `colors` grouped by colour, each group in index order
 /// and sized by a count pass before it is filled.
-fn group_by_color(colors: &[u32], n_colors: usize) -> Vec<Vec<u32>> {
+fn group_by_color<C: Copy + Into<u64>>(colors: &[C], n_colors: usize) -> Vec<Vec<u32>> {
     let mut counts = vec![0usize; n_colors];
     for &c in colors {
-        counts[c as usize] += 1;
+        counts[c.into() as usize] += 1;
     }
     let mut groups: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
     for (i, &c) in colors.iter().enumerate() {
-        groups[c as usize].push(i as u32);
+        groups[c.into() as usize].push(i as u32);
     }
     groups
 }
@@ -59,8 +60,9 @@ fn group_by_color(colors: &[u32], n_colors: usize) -> Vec<Vec<u32>> {
 /// Global greedy colouring: no two edges of one colour share a target.
 #[derive(Debug, Clone)]
 pub struct GlobalColoring {
-    /// Colour of each from-element.
-    pub color: Vec<u32>,
+    /// Colour of each from-element. One byte holds it: the builders'
+    /// masks cap colours at 64.
+    pub color: Vec<u8>,
     /// Element indices grouped by colour.
     pub by_color: Vec<Vec<u32>>,
 }
@@ -80,7 +82,7 @@ impl GlobalColoring {
         // For each target, the colours already used by incident elements.
         let n = map.from_size();
         let mut used: Vec<M> = vec![M::default(); map.to_size()];
-        let mut color = vec![0u32; n];
+        let mut color = vec![0u8; n];
         let mut n_colors = 0usize;
         for e in 0..n {
             if e + prefetch::DISTANCE < n {
@@ -91,7 +93,7 @@ impl GlobalColoring {
             let row = map.row(e);
             let mask = row.iter().fold(M::default(), |m, &t| m | used[t as usize]);
             let c = mask.first_free()?;
-            color[e] = c;
+            color[e] = c as u8;
             n_colors = n_colors.max(c as usize + 1);
             for &t in row {
                 used[t as usize] |= M::bit(c);
@@ -183,7 +185,7 @@ impl GlobalColoring {
                     *slot = id as u32;
                 }
             });
-            self.color[start..start + group.len()].fill(c as u32);
+            self.color[start..start + group.len()].fill(c as u8);
         }
     }
 
@@ -222,6 +224,12 @@ impl GlobalColoring {
 
 /// Hierarchical colouring: consecutive elements form blocks; blocks are
 /// coloured against each other; elements are coloured within blocks.
+///
+/// A build colours the blocks only. The intra-block colours order a
+/// GPU work-group's serial phases; the host runs a block's elements
+/// serially in index order and never reads them, so they are computed
+/// when something checks them ([`Self::first_intra_conflict`]) or
+/// materialised on request ([`Self::materialise_intra`]).
 #[derive(Debug, Clone)]
 pub struct HierColoring {
     /// Elements per block.
@@ -230,44 +238,34 @@ pub struct HierColoring {
     pub block_color: Vec<u32>,
     /// Blocks grouped by colour.
     pub blocks_by_color: Vec<Vec<u32>>,
-    /// Intra-block colour of each element: no two elements of one
-    /// block with the same colour share a target. Execution does not
-    /// read them (a block runs its elements serially, in index order);
-    /// they are the block-local plan that
-    /// [`Self::first_intra_conflict`] validates and `max_intra_colors`
-    /// summarises.
-    pub intra_color: Vec<u32>,
-    /// Max intra-block colours over all blocks.
-    pub max_intra_colors: usize,
+    /// Intra-block colour of each element, once materialised: no two
+    /// elements of one block with the same colour share a target.
+    /// `None` until [`Self::materialise_intra`] runs; a check reads
+    /// these when present, so a tampered plan is checked as tampered.
+    pub intra_color: Option<Vec<u32>>,
 }
 
 impl HierColoring {
     /// Build with the given block size (paper: 256 on GPUs, 4096 on CPUs).
     pub fn build(map: &Map, block_size: usize) -> Self {
         Self::build_with::<u8>(map, block_size)
-            .or_else(|_| Self::build_with::<u64>(map, block_size))
-            .unwrap_or_else(|overflow| panic!("{overflow}"))
+            .or_else(|| Self::build_with::<u64>(map, block_size))
+            .expect("block colouring overflow")
     }
 
-    /// [`HierColoring::build`] with masks of type `M`, or which colouring
-    /// ran out of colours `M` can hold.
-    fn build_with<M: Mask>(map: &Map, block_size: usize) -> Result<Self, &'static str> {
+    /// [`HierColoring::build`] with masks of type `M`, or `None` when a
+    /// block's targets leave it no colour `M` can hold.
+    fn build_with<M: Mask>(map: &Map, block_size: usize) -> Option<Self> {
         let block_size = block_size.max(1);
         let n = map.from_size();
         let n_blocks = n.div_ceil(block_size);
 
-        // Per target, two colour masks side by side, so one cache line
-        // serves both: `[0]` holds the colours of earlier blocks
-        // touching it, `[1]` the intra colours of this block's earlier
-        // elements touching it (cleared when the block is done).
-        let mut marks: Vec<[M; 2]> = vec![[M::default(); 2]; map.to_size()];
+        // Per target, the colours of earlier blocks touching it.
+        let mut marks: Vec<M> = vec![M::default(); map.to_size()];
         let mut block_color = vec![0u32; n_blocks];
-        let mut intra_color = vec![0u32; n];
         let mut n_colors = 0usize;
-        let mut max_intra = 0usize;
         for b in 0..n_blocks {
             let (lo, hi) = (b * block_size, ((b + 1) * block_size).min(n));
-            // Greedy intra colours, and the block's conflict mask.
             let mut mask = M::default();
             for e in lo..hi {
                 if e + prefetch::DISTANCE < n {
@@ -275,39 +273,90 @@ impl HierColoring {
                         prefetch::slot(&marks, t as usize);
                     }
                 }
-                let row = map.row(e);
-                let mut intra_mask = M::default();
-                for &t in row {
-                    let [block, intra] = marks[t as usize];
-                    mask |= block;
-                    intra_mask |= intra;
-                }
-                let c = intra_mask.first_free().ok_or("intra colouring overflow")?;
-                intra_color[e] = c;
-                max_intra = max_intra.max(c as usize + 1);
-                for &t in row {
-                    marks[t as usize][1] |= M::bit(c);
+                for &t in map.row(e) {
+                    mask |= marks[t as usize];
                 }
             }
-            let c = mask.first_free().ok_or("block colouring overflow")?;
+            let c = mask.first_free()?;
             block_color[b] = c;
             n_colors = n_colors.max(c as usize + 1);
-            // Mark the block's colour and clear its intra marks.
             for e in lo..hi {
                 for &t in map.row(e) {
-                    marks[t as usize] = [marks[t as usize][0] | M::bit(c), M::default()];
+                    marks[t as usize] |= M::bit(c);
                 }
             }
         }
         let blocks_by_color = group_by_color(&block_color, n_colors);
 
-        Ok(HierColoring {
+        Some(HierColoring {
             block_size,
             block_color,
             blocks_by_color,
-            intra_color,
-            max_intra_colors: max_intra,
+            intra_color: None,
         })
+    }
+
+    /// Greedy first-fit intra-block colours of `map`'s elements, block
+    /// by block in index order: the colours a build that coloured each
+    /// block's elements as it went would give.
+    fn intra_colors_of(map: &Map, block_size: usize) -> Vec<u32> {
+        Self::intra_with::<u8>(map, block_size)
+            .or_else(|| Self::intra_with::<u64>(map, block_size))
+            .expect("intra colouring overflow")
+    }
+
+    /// [`Self::intra_colors_of`] with masks of type `M`, or `None` when
+    /// an element's targets leave it no colour `M` can hold.
+    fn intra_with<M: Mask>(map: &Map, block_size: usize) -> Option<Vec<u32>> {
+        let n = map.from_size();
+        // Per target, the colours of this block's earlier elements
+        // touching it (cleared when the block is done).
+        let mut marks: Vec<M> = vec![M::default(); map.to_size()];
+        let mut color = vec![0u32; n];
+        for lo in (0..n).step_by(block_size) {
+            let hi = (lo + block_size).min(n);
+            for e in lo..hi {
+                let row = map.row(e);
+                let mask = row.iter().fold(M::default(), |m, &t| m | marks[t as usize]);
+                let c = mask.first_free()?;
+                color[e] = c;
+                for &t in row {
+                    marks[t as usize] |= M::bit(c);
+                }
+            }
+            for e in lo..hi {
+                for &t in map.row(e) {
+                    marks[t as usize] = M::default();
+                }
+            }
+        }
+        Some(color)
+    }
+
+    /// The intra-block colours: the materialised ones when present,
+    /// computed from `map` otherwise.
+    pub fn intra_colors(&self, map: &Map) -> Cow<'_, [u32]> {
+        match &self.intra_color {
+            Some(c) => Cow::Borrowed(c),
+            None => Cow::Owned(Self::intra_colors_of(map, self.block_size)),
+        }
+    }
+
+    /// Compute the intra-block colours of `map` into
+    /// [`Self::intra_color`] (keeping any already there) and hand them
+    /// out for editing.
+    pub fn materialise_intra(&mut self, map: &Map) -> &mut Vec<u32> {
+        let block_size = self.block_size;
+        self.intra_color
+            .get_or_insert_with(|| Self::intra_colors_of(map, block_size))
+    }
+
+    /// Max intra-block colours over all blocks.
+    pub fn max_intra_colors(&self, map: &Map) -> usize {
+        self.intra_colors(map)
+            .iter()
+            .max()
+            .map_or(0, |&c| c as usize + 1)
     }
 
     /// Number of block colours.
@@ -356,8 +405,10 @@ impl HierColoring {
 
     /// First intra-block violation as `(edge_a, edge_b, shared_vertex)`:
     /// two elements of one block with the same intra colour (one
-    /// block-local serial phase) that share a vertex.
+    /// block-local serial phase) that share a vertex. The colours are
+    /// [`Self::intra_colors`].
     pub fn first_intra_conflict(&self, map: &Map) -> Option<(u32, u32, u32)> {
+        let intra_color = self.intra_colors(map);
         let n_blocks = map.from_size().div_ceil(self.block_size);
         let mut touches: Vec<(u32, u32, u32)> = Vec::new();
         for b in 0..n_blocks {
@@ -365,7 +416,7 @@ impl HierColoring {
             touches.clear();
             for e in lo..hi {
                 for &t in map.row(e) {
-                    touches.push((t, self.intra_color[e], e as u32));
+                    touches.push((t, intra_color[e], e as u32));
                 }
             }
             // Same (vertex, colour) twice within a block = two edges of
@@ -407,7 +458,7 @@ mod tests {
         let h = HierColoring::build(&m, 64);
         assert!(h.is_valid(&m));
         assert!(h.n_colors() >= 2);
-        assert!(h.max_intra_colors >= 2);
+        assert!(h.max_intra_colors(&m) >= 2);
         let blocks: usize = h.blocks_by_color.iter().map(|g| g.len()).sum();
         assert_eq!(blocks, m.from_size().div_ceil(64));
     }
@@ -444,7 +495,6 @@ mod tests {
             h.block_color,
             h.blocks_by_color,
             h.intra_color,
-            h.max_intra_colors,
         )
     }
 
@@ -458,15 +508,18 @@ mod tests {
         );
         assert_eq!(got.n_colors(), 12);
         assert_eq!((got.color, got.by_color), (wide.color, wide.by_color));
-        // Block size 1: twelve blocks of twelve colours; 16: one block
-        // whose edges take twelve intra colours.
-        for block in [1, 16] {
-            assert!(HierColoring::build_with::<u8>(&m, block).is_err());
-            let got = HierColoring::build(&m, block);
-            assert_eq!(got.n_colors().max(got.max_intra_colors), 12);
-            let wide = HierColoring::build_with::<u64>(&m, block).unwrap();
-            assert_eq!(hier_fields(got), hier_fields(wide), "block {block}");
-        }
+        // Block size 1: twelve blocks of twelve colours.
+        assert!(HierColoring::build_with::<u8>(&m, 1).is_none());
+        let got = HierColoring::build(&m, 1);
+        assert_eq!(got.n_colors(), 12);
+        let wide = HierColoring::build_with::<u64>(&m, 1).unwrap();
+        assert_eq!(hier_fields(got), hier_fields(wide));
+        // Block size 16: one block whose edges take twelve intra colours.
+        assert!(HierColoring::intra_with::<u8>(&m, 16).is_none());
+        let got = HierColoring::build(&m, 16);
+        assert_eq!(got.max_intra_colors(&m), 12);
+        let wide = HierColoring::intra_with::<u64>(&m, 16).unwrap();
+        assert_eq!(*got.intra_colors(&m), *wide);
     }
 
     #[test]
@@ -480,6 +533,10 @@ mod tests {
         let narrow = HierColoring::build_with::<u8>(&m, 64).unwrap();
         let wide = HierColoring::build_with::<u64>(&m, 64).unwrap();
         assert_eq!(hier_fields(narrow), hier_fields(wide));
+        assert_eq!(
+            HierColoring::intra_with::<u8>(&m, 64),
+            HierColoring::intra_with::<u64>(&m, 64)
+        );
     }
 
     /// Colour-major order puts each colour's rows, in their original
@@ -498,7 +555,7 @@ mod tests {
                 for (&e, &p) in was.iter().zip(is) {
                     assert_eq!(p, next, "{}: colour {c} is one ascending run", map.name());
                     assert_eq!(renumbered.row(p as usize), map.row(e as usize));
-                    assert_eq!(plan.color[p as usize], c as u32);
+                    assert_eq!(plan.color[p as usize] as usize, c);
                     next += 1;
                 }
             }

@@ -138,6 +138,25 @@ pub type UReadView<'a, T> = UView<'a, T, Shared>;
 /// Exclusive write view; disjoint element writes per the loop contract.
 pub type UWriteView<'a, T> = UView<'a, T, Exclusive>;
 
+impl<T: Real, M> UView<'_, T, M> {
+    /// The `N` components of element `e` (`N` is the dat's dim), read
+    /// as one span.
+    #[inline(always)]
+    pub fn row<const N: usize>(&self, e: usize) -> [T; N] {
+        debug_assert_eq!(N, self.dim);
+        self.raw
+            .span(e * self.dim, N)
+            .try_into()
+            .expect("a span of N elements")
+    }
+
+    /// Elements `lo..hi`, row after row, as one span.
+    #[inline]
+    pub fn rows(&self, lo: usize, hi: usize) -> &[T] {
+        self.raw.span(lo * self.dim, (hi - lo) * self.dim)
+    }
+}
+
 impl<T: Real> UReadView<'_, T> {
     /// Component `c` of element `e`.
     #[inline]
@@ -157,6 +176,14 @@ impl<'a, T: Real> UWriteView<'a, T> {
     #[inline]
     pub fn get(&self, e: usize, c: usize) -> T {
         self.raw.read(e * self.dim + c)
+    }
+
+    /// Elements `lo..hi`, row after row, to read and write. A body must
+    /// not hold two overlapping spans of one dat at once.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // a span of the view's exclusive borrow
+    pub fn rows_mut(&self, lo: usize, hi: usize) -> &mut [T] {
+        self.raw.span_mut(lo * self.dim, (hi - lo) * self.dim)
     }
 
     /// Convert into an accumulation view over the same dat. Lets a graph
@@ -234,7 +261,7 @@ impl<T: Real> VertexArg for Accum<'_, T> {
     }
 
     fn rows(&self) -> Option<VertexRows> {
-        let rows = self.rows.rows()?;
+        let rows = VertexArg::rows(&self.rows)?;
         Some(VertexRows {
             locked: self.atomic,
             ..rows
@@ -274,6 +301,21 @@ mod tests {
                 assert_eq!(d.at(e, c).to_bits(), f(e, c).to_bits(), "({e}, {c})");
             }
         }
+    }
+
+    #[test]
+    fn row_views_read_and_write_whole_elements() {
+        let mut d = DatU::<f64>::zeroed("q", 6, 3);
+        d.fill_with(|e, c| (e * 10 + c) as f64);
+        assert_eq!(d.reader().row::<3>(4), [40.0, 41.0, 42.0]);
+        assert_eq!(d.reader().rows(1, 3), &[10.0, 11.0, 12.0, 20.0, 21.0, 22.0]);
+        {
+            let w = d.writer();
+            assert_eq!(w.row::<3>(2), [20.0, 21.0, 22.0]);
+            w.rows_mut(5, 6).copy_from_slice(&[7.0, 8.0, 9.0]);
+            assert!(w.rows_mut(3, 3).is_empty());
+        }
+        assert_eq!((d.at(5, 0), d.at(5, 2)), (7.0, 9.0));
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! performance-relevant properties are the set sizes, the edge→vertex
 //! arity, the ordering quality (which the atomics scheme depends on),
 //! and the coarsening ratio between multigrid levels. We generate a
-//! structured-connectivity mesh treated as fully unstructured (vertex
-//! coordinates and mapping tables only), with controllable ordering.
+//! structured-connectivity mesh treated as fully unstructured (a mapping
+//! table only), with controllable ordering. Vertex coordinates are not
+//! stored: nothing a run executes reads them, and
+//! [`Mesh::grid_coords`] regenerates them bit for bit for the RCB
+//! partitioner.
 
 use crate::map::Map;
 use parkit::global_pool;
-use parkit::view::View;
 
 /// Seeded xorshift64* generator driving the deterministic shuffle below
 /// (replaces an external RNG crate; the exact stream only needs to be
@@ -55,14 +57,22 @@ pub enum Ordering {
     Shuffled(u64),
 }
 
-/// An unstructured mesh: an edge→vertex map plus coordinates.
+/// The vertex numbering of an `ordering`: grid point `(k * nj + j) *
+/// ni + i` is vertex `perm[that]`.
+fn vertex_permutation(n_vertices: usize, ordering: Ordering) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..n_vertices as u32).collect();
+    if let Ordering::Shuffled(seed) = ordering {
+        seeded_shuffle(&mut perm, seed);
+    }
+    perm
+}
+
+/// An unstructured mesh: an edge→vertex map.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     pub n_vertices: usize,
     /// Edge → 2 vertices.
     pub edges: Map,
-    /// Vertex coordinates (for the RCB partitioner).
-    pub coords: Vec<[f32; 3]>,
 }
 
 impl Mesh {
@@ -71,16 +81,7 @@ impl Mesh {
     pub fn grid(ni: usize, nj: usize, nk: usize, ordering: Ordering) -> Mesh {
         assert!(ni >= 2 && nj >= 2 && nk >= 1);
         let n_vertices = ni * nj * nk;
-
-        // Vertex permutation implementing the ordering.
-        let perm: Vec<u32> = match ordering {
-            Ordering::Natural => (0..n_vertices as u32).collect(),
-            Ordering::Shuffled(seed) => {
-                let mut p: Vec<u32> = (0..n_vertices as u32).collect();
-                seeded_shuffle(&mut p, seed);
-                p
-            }
-        };
+        let perm = vertex_permutation(n_vertices, ordering);
 
         // Edges along i, j and k, counted up front so the table is
         // allocated once. Every k-plane but the last holds `per_plane`
@@ -91,10 +92,6 @@ impl Mesh {
         let n_edges = per_plane * (nk - 1) + (ni - 1) * nj + ni * (nj - 1);
         let vid = |i: usize, j: usize, k: usize| perm[(k * nj + j) * ni + i];
         let mut table = vec![0u32; 2 * n_edges];
-        let mut coords = vec![[0.0f32; 3]; n_vertices];
-        // The plane chunks share the coordinate array: each writes the
-        // disjoint set of vertices its plane numbers.
-        let coords_at = View::exclusive(&mut coords, 0);
         global_pool().for_each_chunk(&mut table, 2 * per_plane, |start, plane| {
             let k = start / (2 * per_plane);
             let mut out = plane.chunks_exact_mut(2);
@@ -106,9 +103,6 @@ impl Mesh {
             for j in 0..nj {
                 for i in 0..ni {
                     let v = vid(i, j, k);
-                    // `perm` is a permutation, so each vertex is written
-                    // by exactly one (i, j, k), in one chunk.
-                    coords_at.write(v as usize, [i as f32, j as f32, k as f32]);
                     if i + 1 < ni {
                         edge(v, vid(i + 1, j, k));
                     }
@@ -124,8 +118,25 @@ impl Mesh {
         Mesh {
             n_vertices,
             edges: Map::new("edge2vertex", n_edges, n_vertices, 2, table),
-            coords,
         }
+    }
+
+    /// The coordinates of the vertices of [`Mesh::grid`]`(ni, nj, nk,
+    /// ordering)`: vertex `v` of that mesh sits at `coords[v]`, its
+    /// grid point `(i, j, k)`. Only the RCB partitioner reads
+    /// coordinates, so a mesh does not hold them; this numbers the grid
+    /// points with the permutation `Mesh::grid` uses.
+    pub fn grid_coords(ni: usize, nj: usize, nk: usize, ordering: Ordering) -> Vec<[f32; 3]> {
+        let perm = vertex_permutation(ni * nj * nk, ordering);
+        let mut coords = vec![[0.0f32; 3]; perm.len()];
+        for k in 0..nk {
+            for j in 0..nj {
+                for i in 0..ni {
+                    coords[perm[(k * nj + j) * ni + i] as usize] = [i as f32, j as f32, k as f32];
+                }
+            }
+        }
+        coords
     }
 
     /// Number of edges.
@@ -270,7 +281,22 @@ mod tests {
         assert_eq!(m.n_vertices, 64);
         // 3 * n*n*(n-1) axis edges.
         assert_eq!(m.n_edges(), 3 * 4 * 4 * 3);
-        assert_eq!(m.coords.len(), 64);
+    }
+
+    #[test]
+    fn grid_coords_place_each_vertex_at_its_grid_point() {
+        let (ni, nj, nk) = (5, 3, 2);
+        for ordering in [Ordering::Natural, Ordering::Shuffled(3)] {
+            let m = Mesh::grid(ni, nj, nk, ordering);
+            let coords = Mesh::grid_coords(ni, nj, nk, ordering);
+            assert_eq!(coords.len(), m.n_vertices);
+            // Every edge joins two points one unit apart along an axis.
+            for e in 0..m.n_edges() {
+                let [a, b] = [m.edges.at(e, 0), m.edges.at(e, 1)].map(|v| coords[v]);
+                let d: f32 = (0..3).map(|x| (a[x] - b[x]).abs()).sum();
+                assert_eq!(d, 1.0, "{ordering:?} edge {e}: {a:?} - {b:?}");
+            }
+        }
     }
 
     #[test]

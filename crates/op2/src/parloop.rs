@@ -23,8 +23,12 @@ fn scheme_label(s: Scheme) -> &'static str {
     }
 }
 
-/// Estimated colour counts when no real mesh is attached (hex meshes:
-/// 6 edge directions ⇒ ~8 global colours; block graphs colour in ~4).
+/// Estimated colour counts when no real mesh is attached. Every built
+/// hex grid of 32×32×16 to 128×128×64, natural or shuffled, takes 6
+/// global colours (5 on a 32-vertex coarsest level); 8 is the paper-size
+/// model's assumption for the Rotor37 mesh, not a count derived from
+/// the grids, and stays until a model check against built meshes sets
+/// it. Block graphs colour in ~4.
 const EST_GLOBAL_COLORS: usize = 8;
 const EST_BLOCK_COLORS: usize = 4;
 
@@ -364,7 +368,7 @@ impl EdgeLoop {
                     shadow::NoteKind::PlanViolation,
                     format!(
                         "hierarchical intra-block colouring invalid: edges {a} and {b} share colour {} and vertex {v}",
-                        h.intra_color[a as usize]
+                        h.intra_colors(map)[a as usize]
                     ),
                 );
             }
@@ -486,8 +490,9 @@ impl EdgeLoop {
                 global_pool().run_region(group.len(), |_lane, gi| {
                     let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
                     // A block runs on one lane, its edges in index order;
-                    // the intra-block colouring is only checked (by
-                    // `first_intra_conflict`), never used to order them.
+                    // the intra-block colours are only computed to be
+                    // checked (by `first_intra_conflict`), never used to
+                    // order them.
                     shadow::unit(sh, || self.sweep(map, hi - lo, |i| lo + i, body));
                 });
             }

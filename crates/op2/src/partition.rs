@@ -15,12 +15,13 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Recursive coordinate bisection on vertex coordinates.
-    pub fn rcb(mesh: &Mesh, n_parts: usize) -> Partition {
+    /// Recursive coordinate bisection of the vertices at `coords`
+    /// (for a grid mesh, [`Mesh::grid_coords`] of its grid).
+    pub fn rcb(coords: &[[f32; 3]], n_parts: usize) -> Partition {
         let n_parts = n_parts.max(1);
-        let mut part = vec![0u32; mesh.n_vertices];
-        let mut idx: Vec<u32> = (0..mesh.n_vertices as u32).collect();
-        rcb_rec(&mesh.coords, &mut idx, 0, n_parts, 0, &mut part);
+        let mut part = vec![0u32; coords.len()];
+        let mut idx: Vec<u32> = (0..coords.len() as u32).collect();
+        rcb_rec(coords, &mut idx, 0, n_parts, 0, &mut part);
         Partition { n_parts, part }
     }
 
@@ -115,8 +116,9 @@ mod tests {
     #[test]
     fn partition_is_balanced() {
         let m = Mesh::grid(16, 16, 8, Ordering::Natural);
+        let coords = Mesh::grid_coords(16, 16, 8, Ordering::Natural);
         for parts in [2usize, 4, 7, 16] {
-            let p = Partition::rcb(&m, parts);
+            let p = Partition::rcb(&coords, parts);
             assert!(
                 p.imbalance() < 0.05,
                 "parts={parts}: imbalance {}",
@@ -129,7 +131,7 @@ mod tests {
     #[test]
     fn rcb_cuts_far_fewer_edges_than_random_assignment() {
         let m = Mesh::grid(16, 16, 16, Ordering::Natural);
-        let p = Partition::rcb(&m, 8);
+        let p = Partition::rcb(&Mesh::grid_coords(16, 16, 16, Ordering::Natural), 8);
         let rcb_cut = p.cut_edges(&m);
         // Random assignment cuts ~ (1 - 1/8) of edges.
         let random_cut = m.n_edges() * 7 / 8;
@@ -142,7 +144,7 @@ mod tests {
     #[test]
     fn single_part_cuts_nothing() {
         let m = Mesh::grid(8, 8, 2, Ordering::Natural);
-        let p = Partition::rcb(&m, 1);
+        let p = Partition::rcb(&Mesh::grid_coords(8, 8, 2, Ordering::Natural), 1);
         assert_eq!(p.cut_edges(&m), 0);
         assert_eq!(p.imbalance(), 0.0);
     }
@@ -150,8 +152,7 @@ mod tests {
     #[test]
     fn parts_are_contiguous_in_space() {
         // Every vertex's part id must be within range.
-        let m = Mesh::grid(10, 10, 1, Ordering::Shuffled(1));
-        let p = Partition::rcb(&m, 5);
+        let p = Partition::rcb(&Mesh::grid_coords(10, 10, 1, Ordering::Shuffled(1)), 5);
         assert!(p.part.iter().all(|&x| (x as usize) < 5));
     }
 }

@@ -65,17 +65,12 @@ pub fn rcm_permutation(map: &Map) -> Vec<u32> {
     perm
 }
 
-/// Apply an RCM renumbering to a mesh: permutes vertices, rewrites the
+/// Apply an RCM renumbering to a mesh: renumbers the vertices in the
 /// edge table, and sorts edges by their (new) first endpoint so the
 /// iteration order follows the numbering.
 pub fn renumber_mesh(mesh: &Mesh) -> Mesh {
     let perm = rcm_permutation(&mesh.edges);
     let n_vertices = mesh.n_vertices;
-
-    let mut coords = vec![[0.0f32; 3]; n_vertices];
-    for old in 0..n_vertices {
-        coords[perm[old] as usize] = mesh.coords[old];
-    }
 
     let mut edges: Vec<[u32; 2]> = (0..mesh.n_edges())
         .map(|e| {
@@ -90,7 +85,6 @@ pub fn renumber_mesh(mesh: &Mesh) -> Mesh {
     Mesh {
         n_vertices,
         edges: Map::new("edge2vertex_rcm", table.len() / 2, n_vertices, 2, table),
-        coords,
     }
 }
 

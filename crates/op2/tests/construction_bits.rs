@@ -27,24 +27,33 @@ fn table_digest(map: &Map) -> u64 {
 
 fn global_line(label: &str, map: &Map) -> String {
     let c = GlobalColoring::build(map);
+    // The colours are held in one byte each; widened, they hash as the
+    // pinned 4-byte colours did.
+    let color: Vec<u32> = c.color.iter().map(|&c| u32::from(c)).collect();
     format!(
         "{label} colors={} color={:016x} by_color={:016x}",
         c.n_colors(),
-        digest(&c.color),
+        digest(&color),
         digest(&c.by_color),
     )
 }
 
 fn hier_line(label: &str, map: &Map, block_size: usize) -> String {
     let h = HierColoring::build(map, block_size);
+    // A build colours blocks only; the intra colours come from the
+    // on-demand path a check uses.
+    assert!(
+        h.intra_color.is_none(),
+        "{label}: intra colours built eagerly"
+    );
     format!(
         "{label} block_size={} colors={} max_intra={} block_color={:016x} blocks_by_color={:016x} intra_color={:016x}",
         h.block_size,
         h.n_colors(),
-        h.max_intra_colors,
+        h.max_intra_colors(map),
         digest(&h.block_color),
         digest(&h.blocks_by_color),
-        digest(&h.intra_color),
+        digest(&*h.intra_colors(map)),
     )
 }
 
@@ -63,24 +72,30 @@ fn observe() -> Vec<String> {
         .collect();
     let strided = Map::new("cell2vertex", big.from_size(), big.to_size(), 8, strided);
     // Large enough that every parallel split of construction runs on
-    // several pool chunks: 24 k-planes for the table and coordinates,
-    // and a table of 864,768 entries for the locality count.
+    // several pool chunks: 24 k-planes for the table, and a table of
+    // 864,768 entries for the locality count.
     let large = Mesh::grid(96, 64, 24, Ordering::Shuffled(11));
-    let coords =
-        |m: &Mesh| -> Vec<[u32; 3]> { m.coords.iter().map(|c| c.map(f32::to_bits)).collect() };
+    // A mesh holds no coordinates; the ones the RCB partitioner reads
+    // are regenerated from the grid.
+    let coords = |ni, nj, nk, ordering| -> Vec<[u32; 3]> {
+        Mesh::grid_coords(ni, nj, nk, ordering)
+            .iter()
+            .map(|c| c.map(f32::to_bits))
+            .collect()
+    };
     vec![
         format!(
             "grid edges={} table={:016x} coords={:016x}",
             mesh.n_edges(),
             table_digest(&mesh.edges),
-            digest(coords(&mesh)),
+            digest(coords(33, 17, 9, Ordering::Shuffled(7))),
         ),
         format!("grid locality={:016x}", mesh.edges.locality().to_bits()),
         format!(
             "large grid edges={} table={:016x} coords={:016x}",
             large.n_edges(),
             table_digest(&large.edges),
-            digest(coords(&large)),
+            digest(coords(96, 64, 24, Ordering::Shuffled(11))),
         ),
         format!(
             "large grid locality={:016x}",

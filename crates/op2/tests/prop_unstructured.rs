@@ -99,17 +99,17 @@ fn rcb_balance_holds() {
         let nj = rng.int(4, 14);
         let nk = rng.int(1, 6);
         let parts = rng.int(1, 24);
-        let mesh = Mesh::grid(ni, nj, nk, Ordering::Natural);
-        let p = Partition::rcb(&mesh, parts);
+        let coords = Mesh::grid_coords(ni, nj, nk, Ordering::Natural);
+        let p = Partition::rcb(&coords, parts);
         // The discretisation bound: no part exceeds ceil(n/parts).
-        let n = mesh.n_vertices as f64;
+        let n = coords.len() as f64;
         let bound = (n / parts as f64).ceil() / (n / parts as f64) - 1.0;
         assert!(
             p.imbalance() <= bound + 1e-9,
             "imbalance {} > bound {bound}",
             p.imbalance()
         );
-        assert_eq!(p.loads().iter().sum::<usize>(), mesh.n_vertices);
+        assert_eq!(p.loads().iter().sum::<usize>(), coords.len());
     }
 }
 

@@ -80,7 +80,7 @@ fn a_tampered_global_colouring_is_a_plan_error_naming_the_kernel() {
         .find(|&e| g.color[e] as usize != c0 && mesh.edges.row(e).contains(&v))
         .expect("a grid mesh has a vertex-sharing edge of another colour");
     let c_old = g.color[other] as usize;
-    g.color[other] = c0 as u32;
+    g.color[other] = c0 as u8;
     g.by_color[c_old].retain(|&e| e as usize != other);
     g.by_color[c0].push(other as u32);
 
@@ -122,10 +122,13 @@ fn a_tampered_hierarchical_block_colouring_is_a_plan_error() {
 fn a_tampered_hierarchical_colouring_is_a_plan_error() {
     let mesh = mesh();
     let mut h = HierColoring::build(&mesh.edges, 8);
+    let (lo, hi) = h.block_range(0, mesh.n_edges());
+    // A build colours blocks only: materialise the intra colours so
+    // there is a plan to tamper with.
+    let intra = h.materialise_intra(&mesh.edges);
 
     // Within block 0, force two vertex-sharing edges onto one intra
     // colour — the block's sequential-by-colour schedule now races.
-    let (lo, hi) = h.block_range(0, mesh.n_edges());
     let shares = |a: usize, b: usize| {
         mesh.edges
             .row(a)
@@ -134,9 +137,9 @@ fn a_tampered_hierarchical_colouring_is_a_plan_error() {
     };
     let (a, b) = (lo..hi)
         .flat_map(|a| (a + 1..hi).map(move |b| (a, b)))
-        .find(|&(a, b)| shares(a, b) && h.intra_color[a] != h.intra_color[b])
+        .find(|&(a, b)| shares(a, b) && intra[a] != intra[b])
         .expect("block 0 has adjacent edges on different intra colours");
-    h.intra_color[b] = h.intra_color[a];
+    intra[b] = intra[a];
 
     let diags = verify_edge_loop(&mesh, None, Some(h));
     assert_plan_error(&diags, "intra-block colouring invalid");
